@@ -47,8 +47,14 @@ def build_correlation_map(schema: Schema,
                           column_domain: dict[str, str],
                           column_class: dict[tuple[str, str], str],
                           dominant_by_domain: dict[str, set]) -> dict:
-    """Scan each table's rows carrying dominant keys and record per-key
-    attribute envelopes.  Returns {(table, domain_id, attr): {key: env}}."""
+    """Group each table's rows carrying dominant keys by key and record
+    per-key attribute envelopes.
+    Returns {(table, domain_id, attr): {key: env}}.
+
+    Membership is decided once per distinct key with Python set semantics,
+    so an INTEGER key 3 and a REAL key 3.0 of one domain match, and integers
+    beyond 2**53 are compared exactly rather than through float64.
+    """
     cmap: dict[tuple[str, str, str], dict] = {}
     for tdef in schema.tables:
         data = tables[tdef.name]
@@ -59,17 +65,20 @@ def build_correlation_map(schema: Schema,
             dominant = dominant_by_domain.get(dom)
             if not dominant:
                 continue
-            kvals = data.columns[kc]
-            kmask = data.null_mask[kc]
-            hit = np.array([(not kmask[i]) and _scalar(kvals[i]) in dominant
-                            for i in range(data.row_count)], dtype=bool)
+            keys, key_id = np.unique(data.columns[kc], return_inverse=True)
+            is_dominant = np.fromiter((v in dominant for v in keys.tolist()),
+                                      dtype=bool, count=len(keys))
+            hit = is_dominant[key_id] & ~data.null_mask[kc]
             if not hit.any():
                 continue
+            rows = np.flatnonzero(hit)
+            rows = rows[np.argsort(key_id[rows], kind="stable")]
             for cdef in tdef.columns:
                 if cdef.name == kc:
                     continue
                 env_by_key = _scan_attribute(
-                    data, kc, cdef.name, hit,
+                    data.columns[cdef.name], data.null_mask[cdef.name],
+                    keys, key_id, rows,
                     categorical=column_class.get(
                         (tdef.name, cdef.name)) == "categorical"
                     and data.columns[cdef.name].dtype == object)
@@ -78,37 +87,38 @@ def build_correlation_map(schema: Schema,
     return cmap
 
 
-def _scalar(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
+def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
+                    key_id: np.ndarray, rows: np.ndarray,
+                    categorical: bool) -> dict:
+    """Per-key envelopes of one attribute in one grouped pass.
 
-
-def _scan_attribute(data: TableData, key_col: str, attr_col: str,
-                    hit: np.ndarray, categorical: bool) -> dict:
-    env_by_key: dict = {}
-    kvals = data.columns[key_col]
-    avals = data.columns[attr_col]
-    amask = data.null_mask[attr_col]
-    for i in np.flatnonzero(hit):
-        if amask[i]:
-            continue
-        key = _scalar(kvals[i])
-        a = _scalar(avals[i])
-        if categorical:
-            env = env_by_key.setdefault(key, ("set", set()))
-            env[1].add(a)
-        else:
-            prev = env_by_key.get(key)
-            if prev is None:
-                env_by_key[key] = ("range", a, a)
-            else:
-                env_by_key[key] = ("range", min(prev[1], a), max(prev[2], a))
+    `rows` are the dominant-key rows stably sorted by `key_id` (an index into
+    `keys`), so each key's values form one segment: a range is the segment's
+    `reduceat` minimum and maximum, a set its distinct values.  Null and NaN
+    values are skipped; `matches` never accepts either, so exclusion stays
+    sound and the envelope does not depend on row order.  Keys enter the map
+    in the order of their first recorded row.
+    """
+    rows = rows[~amask[rows]]
+    vals = avals[rows]
+    if vals.dtype.kind == "f":
+        valid = ~np.isnan(vals)
+        rows, vals = rows[valid], vals[valid]
+    if len(rows) == 0:
+        return {}
+    ids = key_id[rows]
+    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+    seg_keys = keys[ids[starts]].tolist()
     if categorical:
-        env_by_key = {k: ("set", frozenset(v)) for k, (_, v) in env_by_key.items()}
-    return env_by_key
+        ends = np.r_[starts[1:], len(rows)]
+        envs = [("set", frozenset(vals[s:e].tolist()))
+                for s, e in zip(starts.tolist(), ends.tolist())]
+    else:
+        envs = [("range", lo, hi) for lo, hi in zip(
+            np.minimum.reduceat(vals, starts).tolist(),
+            np.maximum.reduceat(vals, starts).tolist())]
+    return {seg_keys[g]: envs[g]
+            for g in np.argsort(rows[starts], kind="stable").tolist()}
 
 
 def envelope_excludes(env, pred: Predicate, min_only: bool = False) -> bool:

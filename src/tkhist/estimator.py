@@ -314,19 +314,19 @@ def evaluate_workload(state: EstimatorState,
     """
     from . import oracle as oracle_mod
 
+    cap = oracle_cap if oracle_cap is not None else oracle_mod.DEFAULT_CAP
     reports: list[EstimationReport] = []
     for sql, truth in entries:
         try:
             rep = estimate(sql, state, use_djpcd=use_djpcd)
+            if truth is None and tables is not None:
+                query = bind(parse_sql(sql), state.schema)
+                truth = float(oracle_mod.oracle_count(query, tables, cap=cap))
         except TKHistError as exc:
             reports.append(EstimationReport(
                 query=sql, estimate=float("nan"), latency_ms=0.0,
                 used_djpcd=use_djpcd, error=str(exc)))
             continue
-        if truth is None and tables is not None:
-            query = bind(parse_sql(sql), state.schema)
-            cap = oracle_cap if oracle_cap is not None else oracle_mod.DEFAULT_CAP
-            truth = float(oracle_mod.oracle_count(query, tables, cap=cap))
         if truth is not None:
             rep.truth = truth
             if truth > 0:

@@ -80,33 +80,31 @@ class TKHist1D:
 
 def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
                    null_mask: np.ndarray | None = None) -> TKHist1D:
-    """Build a top-k histogram from a join-key column.
+    """Build a top-k histogram from a join-key column in one grouped pass.
 
     Values are assigned to half-open bins [b_i, b_{i+1}) with the last bin
-    closed.  Within each bin the k most frequent keys enter the container;
-    frequency ties are broken toward the smaller key for determinism.
+    closed.  The distinct keys and their counts come from one `np.unique`;
+    one `np.lexsort` by (bin, -count, key) then ranks them, so within each
+    bin the k most frequent keys enter the container, frequency ties broken
+    toward the smaller key, and the rest form the background.
     """
     if k < 0:
         raise TKHistError("k must be >= 0")
     if null_mask is not None:
         values = values[~null_mask]
-    idx = domain.bins_of(values)
-    bins = [Bin1D() for _ in range(domain.bin_count)]
-    total = 0
-    for i in range(domain.bin_count):
-        in_bin = values[idx == i]
-        if len(in_bin) == 0:
-            continue
-        counts = Counter(_scalar(v) for v in in_bin)
-        total += len(in_bin)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        b = bins[i]
-        for key, cnt in ranked[:k]:
-            b.topk[key] = cnt
-        for key, cnt in ranked[k:]:
-            b.nv += cnt
-            b.background.add(key)
-    return TKHist1D(domain=domain, bins=bins, total_rows=total, k=k)
+    keys, counts = np.unique(values, return_counts=True)
+    idx = domain.bins_of(keys)
+    order = np.lexsort((keys, -counts, idx))
+    keys = keys[order].tolist()
+    counts = counts[order].tolist()
+    starts = np.searchsorted(idx[order], np.arange(domain.bin_count + 1))
+    bins = []
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        cut = min(lo + k, hi)
+        bins.append(Bin1D(topk=dict(zip(keys[lo:cut], counts[lo:cut])),
+                          nv=sum(counts[cut:hi]),
+                          background=set(keys[cut:hi])))
+    return TKHist1D(domain=domain, bins=bins, total_rows=len(values), k=k)
 
 
 def insert_tuple(hist: TKHist1D, value) -> TKHist1D:
@@ -232,11 +230,14 @@ def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
         return TKHist2D(key_domain=domain, attr=binning, grid=grid)
     ki = domain.bins_of(keys)
     if binning.kind == "categorical":
-        for a, i in zip(attrs, ki):
-            j = binning.bin_of(a)
-            if j is None:
-                raise TKHistError(f"categorical value {a!r} missing from binning")
-            grid[i, j] += 1
+        distinct, inverse = np.unique(attrs, return_inverse=True)
+        distinct = distinct.tolist()
+        lookup = [binning.bin_of(a) for a in distinct]
+        if None in lookup:
+            missing = distinct[lookup.index(None)]
+            raise TKHistError(
+                f"categorical value {missing!r} missing from binning")
+        aj = np.asarray(lookup, dtype=np.int64)[inverse]
     else:
         lo = float(binning.boundaries[0])
         hi = float(binning.boundaries[-1])
@@ -244,7 +245,7 @@ def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
         aj = np.floor((np.asarray(attrs, dtype=np.float64) - lo)
                       / ((hi - lo) / n)).astype(np.int64)
         aj = np.clip(aj, 0, n - 1)
-        np.add.at(grid, (ki, aj), 1)
+    np.add.at(grid, (ki, aj), 1)
     return TKHist2D(key_domain=domain, attr=binning, grid=grid)
 
 

@@ -69,6 +69,21 @@ class TestEvaluate:
         header = summ.read_text().splitlines()[0]
         assert "median_q" in header
 
+    def test_capped_oracle_fails_only_its_query(self, built, tmp_path,
+                                                capsys):
+        wl = tmp_path / "wl.txt"
+        wl.write_text("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1\n"
+                      "SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 || 7\n")
+        rep = tmp_path / "rep.jsonl"
+        rc = main(["evaluate", "--state", str(built), "--workload", str(wl),
+                   "--out", str(rep), "--oracle", "--oracle-cap", "10"])
+        assert rc == 1
+        capped, given = [json.loads(l) for l in rep.read_text().splitlines()]
+        assert "cap" in capped["error"]
+        assert given["truth"] == 7 and given.get("error") is None
+        summary = json.loads(capsys.readouterr().err)["summary"]
+        assert (summary["queries"], summary["failed"]) == (2, 1)
+
     def test_broken_query_sets_exit_code(self, built, tmp_path):
         wl = tmp_path / "wl.txt"
         wl.write_text("SELECT COUNT(*) FROM missing_table\n")

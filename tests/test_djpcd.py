@@ -1,16 +1,99 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tkhist.catalog import KeyDomain
+from tkhist.catalog import KeyDomain, schema_from_document
 from tkhist.djpcd import (build_correlation_map, collect_dominant_keys,
                           envelope_excludes, find_excluded_keys)
 from tkhist.estimator import discover_correlations, estimate
+from tkhist.histcore import _scalar
 from tkhist.joinengine import CompositeBin, CompositeHist
 from tkhist.predicate import Predicate
 from tkhist.queryfront import Query
 from tkhist.state import BuildConfig, build_state
 
 from conftest import make_table, two_table_schema
+
+
+def reference_correlation_map(schema, tables, column_domain, column_class,
+                              dominant_by_domain):
+    """Per-row envelope scan: the reference for the grouped pass.  NaN
+    attribute values are skipped like nulls."""
+    cmap = {}
+    for tdef in schema.tables:
+        data = tables[tdef.name]
+        for kdef in tdef.columns:
+            dom = column_domain.get(f"{tdef.name}.{kdef.name}")
+            dominant = dominant_by_domain.get(dom)
+            if not dominant:
+                continue
+            kvals, kmask = data.columns[kdef.name], data.null_mask[kdef.name]
+            hit = [i for i in range(data.row_count)
+                   if not kmask[i] and _scalar(kvals[i]) in dominant]
+            for cdef in tdef.columns:
+                if cdef.name == kdef.name:
+                    continue
+                avals = data.columns[cdef.name]
+                amask = data.null_mask[cdef.name]
+                categorical = (column_class.get((tdef.name, cdef.name))
+                               == "categorical" and avals.dtype == object)
+                env_by_key = {}
+                for i in hit:
+                    a = _scalar(avals[i])
+                    if amask[i] or a != a:
+                        continue
+                    key = _scalar(kvals[i])
+                    if categorical:
+                        env_by_key.setdefault(key, ("set", set()))[1].add(a)
+                    elif key in env_by_key:
+                        _, lo, hi = env_by_key[key]
+                        env_by_key[key] = ("range", min(lo, a), max(hi, a))
+                    else:
+                        env_by_key[key] = ("range", a, a)
+                if categorical:
+                    env_by_key = {k: ("set", frozenset(v))
+                                  for k, (_, v) in env_by_key.items()}
+                if env_by_key:
+                    cmap[(tdef.name, dom, cdef.name)] = env_by_key
+    return cmap
+
+
+def mixed_kind_schema():
+    """r.k INTEGER joined to s.k REAL: one key domain over both kinds."""
+    def table_doc(name, key_kind):
+        return {"name": name, "file": f"{name}.csv", "columns": [
+            {"name": "k", "kind": key_kind, "role": "key"},
+            {"name": "a", "kind": "integer"},
+            {"name": "x", "kind": "real"},
+            {"name": "c", "kind": "categorical"}]}
+
+    return schema_from_document({
+        "tables": [table_doc("r", "integer"), table_doc("s", "real")],
+        "foreign_keys": [{"from": "s.k", "to": "r.k"}]})
+
+
+@st.composite
+def mixed_kind_tables(draw):
+    def table(name, real_key):
+        n = draw(st.integers(min_value=1, max_value=40))
+        col = lambda elems: draw(st.lists(elems, min_size=n, max_size=n))
+        keys = col(st.integers(min_value=0, max_value=8))
+        if real_key:
+            keys = [float(v) + draw(st.sampled_from([0.0, 0.5])) for v in keys]
+        columns = {
+            "k": keys,
+            "a": col(st.integers(min_value=-5, max_value=5)),
+            "x": [float(v) for v in col(st.one_of(
+                st.just(float("nan")),
+                st.integers(min_value=-8, max_value=8).map(lambda v: v / 4)))],
+            "c": col(st.sampled_from(["p", "q", "r"])),
+        }
+        nulls = {c: col(st.booleans()) for c in columns
+                 if draw(st.booleans())}
+        return make_table(name, columns, nulls)
+
+    return {"r": table("r", False), "s": table("s", True)}
 
 
 def make_domain(id="t.k"):
@@ -81,6 +164,40 @@ class TestMapAndLookup:
         env = cmap[("r", "r.k", "y")]
         assert env[1] == ("range", 10, 11)
         assert env[2] == ("range", 20, 20)
+
+    @pytest.mark.parametrize("ys", [[float("nan"), 5.0], [5.0, float("nan")]])
+    def test_nan_values_skipped_in_any_row_order(self, ys):
+        ys = ys + [float("nan")]  # key 2 has only NaN: no envelope
+        tables = {"r": make_table("r", {"k": [1, 1, 2], "y": ys}),
+                  "s": make_table("s", {"k": [1], "y": [0]})}
+        cmap = build_correlation_map(
+            self.schema, tables, {"r.k": "r.k", "s.k": "r.k"}, {},
+            {"r.k": {1, 2}})
+        assert cmap[("r", "r.k", "y")] == {1: ("range", 5.0, 5.0)}
+
+    @settings(max_examples=100, deadline=None)
+    @given(tables=mixed_kind_tables(),
+           dominant=st.sets(st.one_of(
+               st.integers(min_value=0, max_value=8),
+               st.integers(min_value=0, max_value=8).map(float),
+               st.just(2.5)), min_size=1, max_size=6),
+           a_class=st.sampled_from(["categorical", "numeric"]))
+    def test_matches_reference_scan(self, tables, dominant, a_class):
+        schema = mixed_kind_schema()
+        column_domain = {"r.k": "r.k", "s.k": "r.k"}
+        classes = [("a", a_class), ("x", "numeric"), ("c", "categorical")]
+        column_class = {(t, c): cls for t in ("r", "s") for c, cls in classes}
+        args = (schema, tables, column_domain, column_class,
+                {"r.k": dominant})
+        cmap = build_correlation_map(*args)
+        ref = reference_correlation_map(*args)
+        assert list(cmap) == list(ref)
+        for name, env_by_key in cmap.items():
+            assert list(env_by_key.items()) == list(ref[name].items())
+            key_type = int if name[0] == "r" else float
+            for key, env in env_by_key.items():
+                assert type(key) is key_type
+                assert list(map(type, env)) == list(map(type, ref[name][key]))
 
     def test_find_excluded_unions_predicates(self):
         corr = {("r", "r.k", "y"): {1: ("range", 10, 11),

@@ -6,10 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain
-from tkhist.errors import DomainBoundsError
-from tkhist.histcore import (build_frequency_hist, build_tkhist1d,
-                             build_tkhist2d, categorical_binning,
-                             numeric_binning, domain_binning)
+from tkhist.errors import DomainBoundsError, TKHistError
+from tkhist.histcore import (Bin1D, TKHist1D, _scalar, build_frequency_hist,
+                             build_tkhist1d, build_tkhist2d,
+                             categorical_binning, numeric_binning,
+                             domain_binning)
 
 
 def make_domain(lo=0, hi=100, bins=10):
@@ -20,6 +21,46 @@ def make_domain(lo=0, hi=100, bins=10):
 
 keys_strategy = st.lists(st.integers(min_value=0, max_value=100),
                          min_size=0, max_size=300)
+
+
+def reference_build_tkhist1d(values, domain, k, null_mask=None):
+    """Per-bin Counter build: the reference for the grouped pass."""
+    if null_mask is not None:
+        values = values[~null_mask]
+    idx = domain.bins_of(values)
+    bins = [Bin1D() for _ in range(domain.bin_count)]
+    total = 0
+    for i in range(domain.bin_count):
+        in_bin = values[idx == i]
+        if len(in_bin) == 0:
+            continue
+        counts = Counter(_scalar(v) for v in in_bin)
+        total += len(in_bin)
+        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        b = bins[i]
+        for key, cnt in ranked[:k]:
+            b.topk[key] = cnt
+        for key, cnt in ranked[k:]:
+            b.nv += cnt
+            b.background.add(key)
+    return TKHist1D(domain=domain, bins=bins, total_rows=total, k=k)
+
+
+@st.composite
+def key_columns(draw):
+    """Int or real keys over few distinct values (frequency ties), with an
+    optional null mask; real keys are multiples of 0.5 so none is -0.0."""
+    ints = draw(st.lists(st.integers(min_value=0, max_value=60),
+                         min_size=0, max_size=200))
+    if draw(st.booleans()):
+        values = np.asarray(ints, dtype=np.int64)
+    else:
+        values = np.asarray(ints, dtype=np.float64) * 0.5
+    nulls = None
+    if draw(st.booleans()):
+        nulls = np.asarray(draw(st.lists(st.booleans(), min_size=len(ints),
+                                         max_size=len(ints))), dtype=bool)
+    return values, nulls
 
 
 class TestBuild1D:
@@ -77,6 +118,28 @@ class TestBuild1D:
             assert min_in >= max(per_bg.values())
 
 
+    @settings(max_examples=400, deadline=None)
+    @given(column=key_columns(), k=st.integers(min_value=0, max_value=10),
+           bins=st.integers(min_value=1, max_value=12))
+    def test_matches_reference_build(self, column, k, bins):
+        values, nulls = column
+        d = make_domain(0, 60, bins)
+        h = build_tkhist1d(values, d, k=k, null_mask=nulls)
+        ref = reference_build_tkhist1d(values, d, k=k, null_mask=nulls)
+        assert h.total_rows == ref.total_rows
+        kept = values if nulls is None else values[~nulls]
+        per_bin = Counter(d.bins_of(kept).tolist())
+        key_type = int if values.dtype == np.int64 else float
+        for i, (b, rb) in enumerate(zip(h.bins, ref.bins)):
+            assert list(b.topk.items()) == list(rb.topk.items())
+            assert all(type(key) is key_type and type(c) is int
+                       for key, c in b.topk.items())
+            assert all(type(key) is key_type for key in b.background)
+            assert type(b.nv) is int
+            assert (b.nv, b.background) == (rb.nv, rb.background)
+            assert b.nv + sum(b.topk.values()) == per_bin.get(i, 0)
+
+
 class TestInsert:
     def test_container_hit_increments_exactly(self):
         d = make_domain(0, 10, 1)
@@ -131,6 +194,31 @@ class TestHist2D:
         attrs = np.array(["a", "b", "a"], dtype=object)
         h = build_tkhist2d(keys, attrs, d, categorical_binning(attrs))
         assert h.grid.tolist() == [[1, 1], [1, 0]]
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(st.tuples(st.integers(min_value=0, max_value=10),
+                                   st.sampled_from(["a", "b", "c", "d"])),
+                         min_size=1, max_size=80),
+           as_int=st.booleans())
+    def test_categorical_grid_matches_row_scan(self, rows, as_int):
+        d = make_domain(0, 10, 3)
+        keys = np.array([kk for kk, _ in rows])
+        attrs = [a for _, a in rows]
+        attrs = (np.array([ord(a) for a in attrs]) if as_int
+                 else np.asarray(attrs, dtype=object))
+        binning = categorical_binning(attrs)
+        h = build_tkhist2d(keys, attrs, d, binning)
+        expect = np.zeros_like(h.grid)
+        for kk, aa in zip(keys, attrs):
+            expect[d.bin_of(kk), binning.bin_of(aa)] += 1
+        assert h.grid.tolist() == expect.tolist()
+
+    def test_categorical_value_missing_from_binning(self):
+        d = make_domain(0, 10, 2)
+        binning = categorical_binning(np.array(["a"], dtype=object))
+        with pytest.raises(TKHistError, match="'b'"):
+            build_tkhist2d(np.array([1, 2]),
+                           np.array(["a", "b"], dtype=object), d, binning)
 
     def test_insert_unseen_categorical_grows_grid(self):
         d = make_domain(0, 10, 2)
