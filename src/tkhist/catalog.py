@@ -202,8 +202,9 @@ class TableData:
 def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> TableData:
     """Read a table's CSV into columnar arrays.
 
-    The header row must contain exactly the declared columns.  Empty cells are
-    recorded as nulls; an unparseable cell is an error naming row and column.
+    The header row must contain exactly the declared columns.  Empty cells,
+    and REAL cells that parse to NaN, are recorded as nulls; an unparseable
+    cell is an error naming row and column.
     """
     if path is None:
         path = tdef.source
@@ -257,6 +258,9 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
         else:
             columns[cdef.name] = np.asarray(raw[cdef.name], dtype=object)
         null_mask[cdef.name] = np.asarray(nulls[cdef.name], dtype=bool)
+        if cdef.kind == KIND_REAL:
+            # NaN passes no predicate and joins nothing: it is a null
+            null_mask[cdef.name] |= np.isnan(columns[cdef.name])
     return TableData(name=tdef.name, columns=columns, null_mask=null_mask, row_count=n)
 
 

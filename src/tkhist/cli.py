@@ -13,12 +13,10 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from . import catalog, estimator, synth
-from .errors import DomainBoundsError, TKHistError
-from .state import (BuildConfig, build_state, ingest_all, load_state,
-                    save_state)
+from .errors import TKHistError
+from .state import (BuildConfig, apply_rows, build_state, ingest_all,
+                    load_state, save_state)
 
 STATE_ENV = "TKHIST_STATE"
 
@@ -101,43 +99,9 @@ def cmd_evaluate(args) -> int:
 
 def cmd_update(args) -> int:
     state = load_state(_state_path(args))
-    tdef = state.schema.table(args.table)
-    data = catalog.ingest_table(tdef, state.schema, path=args.csv)
-    key_cols = state.key_columns(args.table)
-    inserted = rejected = 0
-    for i in range(data.row_count):
-        # a row is accepted only if every key value fits its domain bins
-        ok = True
-        for kc in key_cols:
-            if data.null_mask[kc][i]:
-                continue
-            dom = state.domains[state.column_domain[f"{args.table}.{kc}"]]
-            try:
-                dom.bin_of(data.columns[kc][i])
-            except DomainBoundsError:
-                ok = False
-                break
-        if not ok:
-            rejected += 1
-            continue
-        inserted += 1
-        state.table_rows[args.table] += 1
-        for kc in key_cols:
-            if data.null_mask[kc][i]:
-                continue
-            kv = data.columns[kc][i]
-            state.hists1d[(args.table, kc)].insert(kv)
-            for cdef in tdef.columns:
-                if cdef.name == kc or data.null_mask[cdef.name][i]:
-                    continue
-                state.hists2d[(args.table, kc, cdef.name)].insert(
-                    kv, data.columns[cdef.name][i])
-        for cdef in tdef.columns:
-            fh = state.freq_hists.get((args.table, cdef.name))
-            if fh is not None and not data.null_mask[cdef.name][i]:
-                v = data.columns[cdef.name][i]
-                v = int(v) if isinstance(v, np.integer) else v
-                fh[v] = fh.get(v, 0) + 1
+    data = catalog.ingest_table(state.schema.table(args.table), state.schema,
+                                path=args.csv)
+    inserted, rejected = apply_rows(state, args.table, data)
     size = save_state(state, _state_path(args))
     print(f"inserted {inserted} rows, rejected {rejected} "
           f"(out-of-range key); state file {size} bytes")

@@ -62,20 +62,25 @@ class TKHist1D:
         b = self.bins[i]
         return (b.nv, b.ndv, b.bac, MappingProxyType(b.topk))
 
-    def insert(self, value) -> None:
-        """Constant-expected-time tuple insert.
+    def insert(self, keys) -> None:
+        """Add one key or an array of keys (nulls already removed).
 
-        Container membership is frozen at build time: a background key that
-        becomes frequent through inserts stays background until a rebuild.
+        The keys are grouped with one `np.unique`; each distinct key adds its
+        count to the container entry it has, or else to its bin's NV and
+        background.  Container membership is frozen at build time: a
+        background key that becomes frequent through inserts stays
+        background until a rebuild.
         """
-        key = _scalar(value)
-        b = self.bins[self.domain.bin_of(key)]
-        if key in b.topk:
-            b.topk[key] += 1
-        else:
-            b.nv += 1
-            b.background.add(key)
-        self.total_rows += 1
+        keys, counts = np.unique(np.atleast_1d(keys), return_counts=True)
+        for key, cnt, i in zip(keys.tolist(), counts.tolist(),
+                               self.domain.bins_of(keys).tolist()):
+            b = self.bins[i]
+            if key in b.topk:
+                b.topk[key] += cnt
+            else:
+                b.nv += cnt
+                b.background.add(key)
+        self.total_rows += int(counts.sum())
 
 
 def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
@@ -105,15 +110,6 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
                           nv=sum(counts[cut:hi]),
                           background=set(keys[cut:hi])))
     return TKHist1D(domain=domain, bins=bins, total_rows=len(values), k=k)
-
-
-def insert_tuple(hist: TKHist1D, value) -> TKHist1D:
-    hist.insert(value)
-    return hist
-
-
-def bin_stats(hist: TKHist1D, i: int):
-    return hist.bin_stats(i)
 
 
 @dataclass
@@ -150,6 +146,32 @@ class AttrBinning:
             return 0
         idx = int((float(v) - lo) / ((hi - lo) / n))
         return min(max(idx, 0), n - 1)  # out-of-range updates clamp to edges
+
+    def bins_of(self, values, grow: bool = False) -> np.ndarray:
+        """Attribute bin of each value, as an int64 array.
+
+        Numeric values outside the boundaries clamp into the edge bins.  A
+        categorical value the binning has not seen is an error unless `grow`
+        is set; then the unseen values are appended in the order they first
+        appear in `values`.
+        """
+        if self.kind == "categorical":
+            distinct, first, inverse = np.unique(
+                values, return_index=True, return_inverse=True)
+            distinct = distinct.tolist()
+            lookup = [self._index.get(v) for v in distinct]
+            unseen = [i for i, j in enumerate(lookup) if j is None]
+            if unseen and not grow:
+                raise TKHistError(f"categorical value {distinct[unseen[0]]!r} "
+                                  "missing from binning")
+            for i in sorted(unseen, key=lambda i: first[i]):
+                lookup[i] = self.add_value(distinct[i])
+            return np.asarray(lookup, dtype=np.int64)[inverse]
+        lo, hi = float(self.boundaries[0]), float(self.boundaries[-1])
+        n = self.n_bins
+        idx = np.floor((np.asarray(values, dtype=np.float64) - lo)
+                       / ((hi - lo) / n)).astype(np.int64)
+        return np.clip(idx, 0, n - 1)
 
     def add_value(self, v) -> int:
         """Register a previously unseen categorical value; returns its bin."""
@@ -197,14 +219,17 @@ class TKHist2D:
     attr: AttrBinning
     grid: np.ndarray  # shape (key bins, attr bins), int64
 
-    def insert(self, key, attr_value) -> None:
-        i = self.key_domain.bin_of(key)
-        j = self.attr.bin_of(attr_value)
-        if j is None:
-            j = self.attr.add_value(attr_value)
-            self.grid = np.hstack(
-                [self.grid, np.zeros((self.grid.shape[0], 1), dtype=np.int64)])
-        self.grid[i, j] += 1
+    def insert(self, keys, attrs) -> None:
+        """Add one (key, attribute) pair, or two aligned arrays of them.
+
+        Each unseen categorical value gets a new grid column.
+        """
+        ki = self.key_domain.bins_of(np.atleast_1d(keys))
+        aj = self.attr.bins_of(np.atleast_1d(attrs), grow=True)
+        grown = self.attr.n_bins - self.grid.shape[1]
+        if grown:
+            self.grid = np.pad(self.grid, ((0, 0), (0, grown)))
+        np.add.at(self.grid, (ki, aj), 1)
 
     def key_marginal(self) -> np.ndarray:
         return self.grid.sum(axis=1)
@@ -229,22 +254,7 @@ def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
     if len(keys) == 0:
         return TKHist2D(key_domain=domain, attr=binning, grid=grid)
     ki = domain.bins_of(keys)
-    if binning.kind == "categorical":
-        distinct, inverse = np.unique(attrs, return_inverse=True)
-        distinct = distinct.tolist()
-        lookup = [binning.bin_of(a) for a in distinct]
-        if None in lookup:
-            missing = distinct[lookup.index(None)]
-            raise TKHistError(
-                f"categorical value {missing!r} missing from binning")
-        aj = np.asarray(lookup, dtype=np.int64)[inverse]
-    else:
-        lo = float(binning.boundaries[0])
-        hi = float(binning.boundaries[-1])
-        n = binning.n_bins
-        aj = np.floor((np.asarray(attrs, dtype=np.float64) - lo)
-                      / ((hi - lo) / n)).astype(np.int64)
-        aj = np.clip(aj, 0, n - 1)
+    aj = binning.bins_of(attrs)
     np.add.at(grid, (ki, aj), 1)
     return TKHist2D(key_domain=domain, attr=binning, grid=grid)
 

@@ -1,19 +1,22 @@
-"""Built estimator state: every histogram for a schema, plus (de)serialization.
+"""Built estimator state: every histogram for a schema, batch updates, and
+(de)serialization.
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.
+same state twice is byte-identical.  Version 2 stores each 1D histogram as
+flat per-histogram lists with per-bin offsets and each 2D grid as its
+non-zero cells; a version-1 document is rewritten into that layout on load.
 """
 from __future__ import annotations
 
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from . import catalog, histcore
+from . import catalog
 from .catalog import KeyDomain, Schema, TableData, split_qualified
 from .errors import StateError
 from .histcore import (AttrBinning, Bin1D, TKHist1D, TKHist2D,
@@ -21,7 +24,7 @@ from .histcore import (AttrBinning, Bin1D, TKHist1D, TKHist2D,
                        categorical_binning, domain_binning, numeric_binning)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 1
+STATE_VERSION = 2
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -141,6 +144,44 @@ def ingest_all(schema: Schema) -> dict[str, TableData]:
     return {t.name: catalog.ingest_table(t, schema) for t in schema.tables}
 
 
+def apply_rows(state: EstimatorState, table: str,
+               data: TableData) -> tuple[int, int]:
+    """Add one batch of new rows of `table` to every histogram over it.
+
+    A row is accepted when each of its non-null keys lies inside its key
+    domain's bounds; a rejected row changes nothing.  Each histogram takes
+    its accepted, non-null values in one call.  Container membership stays
+    as built and the correlation map is not maintained.  Returns
+    (inserted, rejected).
+    """
+    tdef = state.schema.table(table)
+    key_cols = state.key_columns(table)
+    accept = np.ones(data.row_count, dtype=bool)
+    for kc in key_cols:
+        dom = state.domains[state.domain_of(table, kc)]
+        v = data.columns[kc].astype(np.float64)
+        accept &= data.null_mask[kc] | ((v >= dom.lo) & (v <= dom.hi))
+    valid = {c.name: accept & ~data.null_mask[c.name] for c in tdef.columns}
+    for kc in key_cols:
+        keys = data.columns[kc]
+        state.hists1d[(table, kc)].insert(keys[valid[kc]])
+        for cdef in tdef.columns:
+            if cdef.name != kc:
+                both = valid[kc] & valid[cdef.name]
+                state.hists2d[(table, kc, cdef.name)].insert(
+                    keys[both], data.columns[cdef.name][both])
+    for cdef in tdef.columns:
+        fh = state.freq_hists.get((table, cdef.name))
+        if fh is not None:
+            values, counts = np.unique(data.columns[cdef.name][valid[cdef.name]],
+                                       return_counts=True)
+            for v, c in zip(values.tolist(), counts.tolist()):
+                fh[v] = fh.get(v, 0) + c
+    inserted = int(accept.sum())
+    state.table_rows[table] += inserted
+    return inserted, data.row_count - inserted
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -149,15 +190,30 @@ def _domain_doc(d: KeyDomain) -> dict:
             "bin_count": d.bin_count}
 
 
-def _hist1d_doc(h: TKHist1D) -> dict:
-    bins = []
-    for b in h.bins:
-        topk = sorted(b.topk.items(), key=lambda kv: (-kv[1], kv[0]))
-        bins.append({"topk": [[k, c] for k, c in topk],
-                     "nv": b.nv,
-                     "background": sorted(b.background)})
-    return {"domain": h.domain.id, "k": h.k, "total_rows": h.total_rows,
-            "bins": bins}
+def _hist1d_doc(domain: str, k: int, total_rows: int, bins) -> dict:
+    """The flat 1D layout; `bins` yields, per bin, the container pairs in
+    (-count, key) order, NV and the sorted background keys."""
+    keys, counts, nv, background = [], [], [], []
+    topk_offsets, background_offsets = [0], [0]
+    for topk, bin_nv, bin_background in bins:
+        keys += [key for key, _ in topk]
+        counts += [cnt for _, cnt in topk]
+        topk_offsets.append(len(keys))
+        nv.append(bin_nv)
+        background += bin_background
+        background_offsets.append(len(background))
+    return {"domain": domain, "k": k, "total_rows": total_rows,
+            "topk_keys": keys, "topk_counts": counts,
+            "topk_offsets": topk_offsets, "nv": nv,
+            "background": background,
+            "background_offsets": background_offsets}
+
+
+def _grid_doc(grid: np.ndarray) -> dict:
+    flat = grid.ravel()
+    cells = np.flatnonzero(flat)
+    return {"shape": list(grid.shape), "cells": cells.tolist(),
+            "counts": flat[cells].tolist()}
 
 
 def _binning_doc(a: AttrBinning) -> dict:
@@ -196,12 +252,14 @@ def state_to_document(state: EstimatorState) -> dict:
         "schema": state.schema.document,
         "schema_base_dir": state.schema.base_dir,
         "domains": {d.id: _domain_doc(d) for d in state.domains.values()},
-        "hists1d": {f"{t}.{c}": _hist1d_doc(h)
+        "hists1d": {f"{t}.{c}": _hist1d_doc(
+                        h.domain.id, h.k, h.total_rows,
+                        ((sorted(b.topk.items(), key=lambda kv: (-kv[1], kv[0])),
+                          b.nv, sorted(b.background)) for b in h.bins))
                     for (t, c), h in sorted(state.hists1d.items())},
-        "hists2d": {f"{t}.{c}|{a}": {
-                        "domain": h.key_domain.id,
-                        "attr": _binning_doc(h.attr),
-                        "grid": h.grid.tolist()}
+        "hists2d": {f"{t}.{c}|{a}": {"domain": h.key_domain.id,
+                                     "attr": _binning_doc(h.attr),
+                                     **_grid_doc(h.grid)}
                     for (t, c, a), h in sorted(state.hists2d.items())},
         "freq": {f"{t}.{c}": sorted(fh.items(), key=lambda kv: repr(kv[0]))
                  for (t, c), fh in sorted(state.freq_hists.items())},
@@ -240,9 +298,24 @@ def load_state(path: str) -> EstimatorState:
     return state_from_document(doc)
 
 
+def _upgrade_v1(doc: dict) -> dict:
+    """Rewrite a version-1 document (per-bin objects, dense grids) into the
+    version-2 layout."""
+    hists1d = {name: _hist1d_doc(h["domain"], h["k"], h["total_rows"],
+                                 ((b["topk"], b["nv"], b["background"])
+                                  for b in h["bins"]))
+               for name, h in doc["hists1d"].items()}
+    hists2d = {name: {"domain": h["domain"], "attr": h["attr"],
+                      **_grid_doc(np.asarray(h["grid"], dtype=np.int64))}
+               for name, h in doc["hists2d"].items()}
+    return {**doc, "version": 2, "hists1d": hists1d, "hists2d": hists2d}
+
+
 def state_from_document(doc: dict) -> EstimatorState:
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
+    if doc.get("version") == 1:
+        doc = _upgrade_v1(doc)
     if doc.get("version") != STATE_VERSION:
         raise StateError(f"unsupported state version {doc.get('version')!r}")
 
@@ -263,13 +336,16 @@ def state_from_document(doc: dict) -> EstimatorState:
 
     hists1d = {}
     for qual, h in doc["hists1d"].items():
-        t, c = split_qualified(qual)
-        bins = [Bin1D(topk={_key(k): cnt for k, cnt in b["topk"]},
-                      nv=b["nv"],
-                      background=set(b["background"]))
-                for b in h["bins"]]
-        hists1d[(t, c)] = TKHist1D(domain=domains[h["domain"]], bins=bins,
-                                   total_rows=h["total_rows"], k=h["k"])
+        keys, counts, background = (h["topk_keys"], h["topk_counts"],
+                                    h["background"])
+        tk, bg = h["topk_offsets"], h["background_offsets"]
+        bins = [Bin1D(topk=dict(zip(keys[tk[i]:tk[i + 1]],
+                                    counts[tk[i]:tk[i + 1]])),
+                      nv=nv, background=set(background[bg[i]:bg[i + 1]]))
+                for i, nv in enumerate(h["nv"])]
+        hists1d[split_qualified(qual)] = TKHist1D(
+            domain=domains[h["domain"]], bins=bins,
+            total_rows=h["total_rows"], k=h["k"])
 
     hists2d = {}
     for name, h in doc["hists2d"].items():
@@ -277,10 +353,14 @@ def state_from_document(doc: dict) -> EstimatorState:
         t, c = split_qualified(qual)
         binning = _binning_from_doc(h["attr"])
         dom = domains[h["domain"]]
-        hists2d[(t, c, attr)] = TKHist2D(
-            key_domain=dom, attr=binning,
-            grid=np.asarray(h["grid"], dtype=np.int64).reshape(
-                dom.bin_count, binning.n_bins))
+        shape = (dom.bin_count, binning.n_bins)
+        if tuple(h["shape"]) != shape:
+            raise StateError(f"2D histogram {name!r} has shape {h['shape']}, "
+                             f"expected {list(shape)}")
+        grid = np.zeros(shape, dtype=np.int64)
+        np.put(grid, h["cells"], h["counts"])
+        hists2d[(t, c, attr)] = TKHist2D(key_domain=dom, attr=binning,
+                                         grid=grid)
 
     freq = {}
     for qual, items in doc["freq"].items():
@@ -301,9 +381,9 @@ def state_from_document(doc: dict) -> EstimatorState:
             for row in rows:
                 key, tag = row[0], row[1]
                 if tag == "range":
-                    env_by_key[_key(key)] = ("range", row[2], row[3])
+                    env_by_key[key] = ("range", row[2], row[3])
                 else:
-                    env_by_key[_key(key)] = ("set", frozenset(row[2]))
+                    env_by_key[key] = ("set", frozenset(row[2]))
             correlations[(table, dom, attr)] = env_by_key
 
     return EstimatorState(schema=schema, config=config, domains=domains,
@@ -312,11 +392,6 @@ def state_from_document(doc: dict) -> EstimatorState:
                           column_class=column_class,
                           table_rows=doc["table_rows"],
                           correlations=correlations)
-
-
-def _key(k):
-    # JSON round-trips ints and floats losslessly; nothing to normalize
-    return k
 
 
 def _binning_from_doc(doc: dict) -> AttrBinning:

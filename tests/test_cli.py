@@ -116,3 +116,53 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("bin_count,top_k")
         assert len(lines) == 5
+
+
+class TestNaNCells:
+    """A REAL cell reading `nan` is a null: it joins nothing and passes no
+    predicate, so it must stay out of bin boundaries and histograms."""
+
+    def write(self, tmp_path, r_rows, *build_args):
+        doc = {"tables": [
+            {"name": t, "file": f"{t}.csv", "columns": [
+                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": "y", "kind": "real"}]} for t in ("r", "s")],
+            "foreign_keys": [{"from": "s.k", "to": "r.k"}]}
+        (tmp_path / "schema.json").write_text(json.dumps(doc))
+        (tmp_path / "r.csv").write_text(
+            "k,y\n" + "".join(f"{k},{y}\n" for k, y in r_rows))
+        (tmp_path / "s.csv").write_text("k,y\n1,1.0\n3,2.0\n")
+        state = tmp_path / "state.json"
+        assert main(["build", "--schema", str(tmp_path / "schema.json"),
+                     "--state", str(state), "--bins", "4", *build_args]) == 0
+        return load_state(str(state)), state
+
+    def test_nan_leaves_numeric_binning_finite(self, tmp_path):
+        rows = [(i % 10, i * 0.25) for i in range(2999)] + [(3, "nan")]
+        st, _ = self.write(tmp_path, rows)
+        assert st.column_class[("r", "y")] == "numeric"
+        h = st.hists2d[("r", "k", "y")]
+        assert (h.attr.boundaries[0], h.attr.boundaries[-1]) == (0.0, 749.5)
+        assert h.grid.sum() == 2999
+        assert (h.grid.sum(axis=0) > 0).sum() > 1  # not collapsed into bin 0
+
+    def test_nan_skipped_by_categorical_build(self, tmp_path):
+        rows = [(i % 10, float(i % 7)) for i in range(299)] + [(3, "NaN")]
+        st, _ = self.write(tmp_path, rows)
+        assert st.column_class[("r", "y")] == "categorical"
+        assert st.freq_hists[("r", "y")] == {float(v): 43 if v < 5 else 42
+                                             for v in range(7)}
+        assert st.hists2d[("r", "k", "y")].grid.sum() == 299
+
+    def test_update_with_nan_cell(self, tmp_path, capsys):
+        st, state = self.write(tmp_path, [(1, 0.5), (3, 2.5), (5, 4.5)],
+                               "--threshold", "1")
+        assert st.column_class[("r", "y")] == "numeric"
+        new = tmp_path / "new.csv"
+        new.write_text("k,y\n2,nan\n4,1.5\n")
+        assert main(["update", "--state", str(state), "--table", "r",
+                     "--csv", str(new)]) == 0
+        assert "inserted 2 rows, rejected 0" in capsys.readouterr().out
+        after = load_state(str(state))
+        assert after.hists1d[("r", "k")].total_rows == 5
+        assert after.hists2d[("r", "k", "y")].grid.sum() == 4

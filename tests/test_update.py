@@ -1,0 +1,221 @@
+"""Batch updates: `apply_rows` against the per-row update loop it replaced."""
+import copy
+import json
+from collections import Counter
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tkhist.catalog import TableData, schema_from_document
+from tkhist.errors import DomainBoundsError
+from tkhist.histcore import _scalar
+from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
+                          save_state, state_to_document)
+
+
+def reference_apply_rows(state, table, data):
+    """The earlier `tkhist update` loop: one row at a time, one scalar
+    insert per histogram.  Frequency keys go through `_scalar`; the loop
+    kept numpy floats there, whose repr sorted apart in the state file."""
+    tdef = state.schema.table(table)
+    key_cols = state.key_columns(table)
+    inserted = rejected = 0
+    for i in range(data.row_count):
+        ok = True
+        for kc in key_cols:
+            if data.null_mask[kc][i]:
+                continue
+            dom = state.domains[state.column_domain[f"{table}.{kc}"]]
+            try:
+                dom.bin_of(data.columns[kc][i])
+            except DomainBoundsError:
+                ok = False
+                break
+        if not ok:
+            rejected += 1
+            continue
+        inserted += 1
+        state.table_rows[table] += 1
+        for kc in key_cols:
+            if data.null_mask[kc][i]:
+                continue
+            kv = _scalar(data.columns[kc][i])
+            h1 = state.hists1d[(table, kc)]
+            b = h1.bins[h1.domain.bin_of(kv)]
+            if kv in b.topk:
+                b.topk[kv] += 1
+            else:
+                b.nv += 1
+                b.background.add(kv)
+            h1.total_rows += 1
+            for cdef in tdef.columns:
+                if cdef.name == kc or data.null_mask[cdef.name][i]:
+                    continue
+                h2 = state.hists2d[(table, kc, cdef.name)]
+                av = data.columns[cdef.name][i]
+                j = h2.attr.bin_of(av)
+                if j is None:
+                    j = h2.attr.add_value(av)
+                    h2.grid = np.hstack(
+                        [h2.grid, np.zeros((h2.grid.shape[0], 1), dtype=np.int64)])
+                h2.grid[h2.key_domain.bin_of(kv), j] += 1
+        for cdef in tdef.columns:
+            fh = state.freq_hists.get((table, cdef.name))
+            if fh is not None and not data.null_mask[cdef.name][i]:
+                v = _scalar(data.columns[cdef.name][i])
+                fh[v] = fh.get(v, 0) + 1
+    return inserted, rejected
+
+
+# r(k INTEGER, y INTEGER, c CATEGORICAL) and s(k REAL, k2 INTEGER, z REAL)
+# share the key domain of k; s.k2 and t.k2 form a second domain, so s has a
+# 2D histogram whose attribute is itself a key (domain binning).
+SCHEMA_DOC = {
+    "tables": [
+        {"name": "r", "file": "r.csv", "columns": [
+            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "y", "kind": "integer"},
+            {"name": "c", "kind": "categorical"}]},
+        {"name": "s", "file": "s.csv", "columns": [
+            {"name": "k", "kind": "real", "role": "key"},
+            {"name": "k2", "kind": "integer", "role": "key"},
+            {"name": "z", "kind": "real"}]},
+        {"name": "t", "file": "t.csv", "columns": [
+            {"name": "k2", "kind": "integer", "role": "key"}]},
+    ],
+    "foreign_keys": [{"from": "s.k", "to": "r.k"},
+                     {"from": "s.k2", "to": "t.k2"}],
+}
+COLUMNS = {t["name"]: [c["name"] for c in t["columns"]]
+           for t in SCHEMA_DOC["tables"]}
+KINDS = {(t["name"], c["name"]): c["kind"]
+         for t in SCHEMA_DOC["tables"] for c in t["columns"]}
+PLACEHOLDER = {"integer": 0, "real": float("nan"), "categorical": ""}
+DTYPE = {"integer": np.int64, "real": np.float64, "categorical": object}
+
+
+def cells(kind, lo, hi, letters):
+    """A column value or None: integers in [lo, hi], REAL halves in [lo, hi]
+    (whole ones too, so 3.0 meets INTEGER 3), or one of `letters`."""
+    if kind == "categorical":
+        value = st.sampled_from(letters)
+    elif kind == "real":
+        value = st.integers(2 * lo, 2 * hi).map(lambda v: v / 2)
+    else:
+        value = st.integers(lo, hi)
+    return st.one_of(st.none(), value, value, value)
+
+
+def rows(table, lo, hi, letters, min_size):
+    return st.lists(st.tuples(*[cells(KINDS[(table, c)], lo, hi, letters)
+                                for c in COLUMNS[table]]),
+                    min_size=min_size, max_size=25)
+
+
+def table_data(name, columns, rows_):
+    cols, nulls = {}, {}
+    for j, c in enumerate(columns):
+        kind = KINDS[(name, c)]
+        vals = [r[j] for r in rows_]
+        nulls[c] = np.asarray([v is None for v in vals], dtype=bool)
+        cols[c] = np.asarray([PLACEHOLDER[kind] if v is None else v
+                              for v in vals], dtype=DTYPE[kind])
+    return TableData(name=name, columns=cols, null_mask=nulls,
+                     row_count=len(rows_))
+
+
+@st.composite
+def scenarios(draw):
+    """Base tables (keys and numbers in [0, 20], letters a-c) and update
+    batches that reach outside: keys in [-3, 24] (some out of domain),
+    numbers in [-3, 24] (beyond the built attribute range), letters a-h
+    (unseen categorical values, in any order)."""
+    base = {t: table_data(t, cols, draw(rows(t, 0, 20, "abc", 1)))
+            for t, cols in COLUMNS.items()}
+    batches = [(t, table_data(t, COLUMNS[t],
+                              draw(rows(t, -3, 24, "abcdefgh", 0))))
+               for t in draw(st.lists(st.sampled_from(["r", "s", "t"]),
+                                      min_size=1, max_size=4))]
+    config = BuildConfig(bin_count=draw(st.integers(1, 6)),
+                         top_k=draw(st.integers(0, 3)),
+                         attr_bin_count=draw(st.integers(1, 5)),
+                         categorical_threshold=draw(st.sampled_from([1, 4, 1000])))
+    return base, batches, config
+
+
+def _json(state):
+    return json.dumps(state_to_document(state), sort_keys=True)
+
+
+def _accepted(state, table, data):
+    """Accepted rows of one batch, by the per-row domain check."""
+    keep = np.ones(data.row_count, dtype=bool)
+    for kc in state.key_columns(table):
+        dom = state.domains[state.domain_of(table, kc)]
+        for i in range(data.row_count):
+            if not data.null_mask[kc][i]:
+                v = float(data.columns[kc][i])
+                keep[i] &= dom.lo <= v <= dom.hi
+    return keep
+
+
+@settings(max_examples=200, deadline=None)
+@given(scenarios())
+def test_apply_rows_matches_row_loop(scenario):
+    base, batches, config = scenario
+    schema = schema_from_document(SCHEMA_DOC)
+    state = build_state(schema, base, config)
+    ref = copy.deepcopy(state)
+    keys_seen = {(t, kc): list(base[t].columns[kc][~base[t].null_mask[kc]])
+                 for (t, kc) in state.hists1d}
+    for table, data in batches:
+        assert apply_rows(state, table, data) == \
+            reference_apply_rows(ref, table, data)
+        # JSON text, so that 3 and 3.0 count as different keys
+        assert _json(state) == _json(ref)
+        keep = _accepted(state, table, data)
+        for kc in state.key_columns(table):
+            col = data.columns[kc][keep & ~data.null_mask[kc]]
+            keys_seen[(table, kc)] += list(col)
+        # bin-mass identity: NV + sum(container) = rows in the bin
+        for (t, kc), hist in state.hists1d.items():
+            per_bin = Counter(hist.domain.bins_of(
+                np.asarray(keys_seen[(t, kc)], dtype=np.float64)).tolist())
+            for i, b in enumerate(hist.bins):
+                assert b.nv + sum(b.topk.values()) == per_bin.get(i, 0)
+            assert hist.total_rows == len(keys_seen[(t, kc)])
+
+
+def test_unseen_categorical_values_in_first_appearance_order():
+    schema = schema_from_document(SCHEMA_DOC)
+    base = {t: table_data(t, cols, [tuple(0 if KINDS[(t, c)] != "categorical"
+                                          else "a" for c in cols)])
+            for t, cols in COLUMNS.items()}
+    state = build_state(schema, base, BuildConfig(bin_count=2, top_k=1))
+    batch = table_data("r", COLUMNS["r"],
+                       [(0, 0, "d"), (0, None, "b"), (None, 0, "e"),
+                        (0, 0, "c"), (0, 0, "d")])
+    assert apply_rows(state, "r", batch) == (5, 0)
+    # the row with a null key adds nothing to the k|c grid, so "e" stays out
+    assert state.hists2d[("r", "k", "c")].attr.values == ["a", "d", "b", "c"]
+    assert state.hists2d[("r", "k", "c")].grid.tolist() == [[1, 2, 1, 1], [0, 0, 0, 0]]
+    assert state.freq_hists[("r", "c")] == {"a": 1, "d": 2, "b": 1, "e": 1,
+                                            "c": 1}
+
+
+def test_new_real_categorical_values_save_canonically(tmp_path):
+    schema = schema_from_document(SCHEMA_DOC)
+    base = {t: table_data(t, cols, [tuple(v if KINDS[(t, c)] != "categorical"
+                                          else "a" for c in cols)
+                                    for v in (0, 10)])
+            for t, cols in COLUMNS.items()}
+    state = build_state(schema, base, BuildConfig(bin_count=2, top_k=1))
+    assert state.column_class[("s", "z")] == "categorical"
+    apply_rows(state, "s", table_data("s", COLUMNS["s"], [(1.0, 1, 1.5)]))
+    # numpy float keys would sort by their repr, after every plain float
+    assert [type(v) for v in state.freq_hists[("s", "z")]] == [float] * 3
+    p1, p2 = tmp_path / "a.json", tmp_path / "b.json"
+    save_state(state, str(p1))
+    save_state(load_state(str(p1)), str(p2))
+    assert p1.read_bytes() == p2.read_bytes()
