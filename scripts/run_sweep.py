@@ -1,41 +1,17 @@
 #!/usr/bin/env python3
 """Accuracy/size/latency trade-off sweep over (bin count, top-k).
 
+A thin wrapper around `tkhist sweep`: it takes the same options and writes
+the same CSV (one row per grid point).
+
 Example:
     python scripts/make_benchmark.py --out /tmp/bench
     python scripts/run_sweep.py --schema /tmp/bench/star/schema.json \\
-        --workload /tmp/bench/star/workload.txt
+        --workload /tmp/bench/star/workload.txt --bins 25,50,100,200 --k 0,5,20
 """
-import argparse
+import sys
 
-from tkhist.catalog import load_schema
-from tkhist.estimator import parse_workload, sweep
-from tkhist.state import ingest_all
-
-
-def main():
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--schema", required=True)
-    ap.add_argument("--workload", required=True)
-    ap.add_argument("--bins", default="25,50,100,200")
-    ap.add_argument("--k", default="0,5,10,20")
-    ap.add_argument("--djpcd", action="store_true")
-    args = ap.parse_args()
-
-    schema = load_schema(args.schema)
-    tables = ingest_all(schema)
-    entries = parse_workload(args.workload)
-    points = sweep(schema, tables, entries,
-                   [int(x) for x in args.bins.split(",")],
-                   [int(x) for x in args.k.split(",")],
-                   use_djpcd=args.djpcd)
-    print(f"{'bins':>6} {'k':>4} {'build_s':>8} {'bytes':>10} "
-          f"{'median_q':>9} {'lat_ms':>7}")
-    for p in points:
-        mq = "-" if p.median_q is None else f"{p.median_q:.3f}"
-        print(f"{p.bin_count:>6} {p.top_k:>4} {p.build_seconds:>8.3f} "
-              f"{p.state_bytes:>10} {mq:>9} {p.mean_latency_ms:>7.3f}")
-
+from tkhist import cli
 
 if __name__ == "__main__":
-    main()
+    sys.exit(cli.main(["sweep", *sys.argv[1:]]))

@@ -69,10 +69,6 @@ class Schema:
     def has_table(self, name: str) -> bool:
         return any(t.name == name for t in self.tables)
 
-    def column_kind(self, qualified: str) -> str:
-        tname, cname = split_qualified(qualified)
-        return self.table(tname).column(cname).kind
-
 
 def split_qualified(qualified: str) -> tuple[str, str]:
     parts = qualified.split(".")
@@ -204,7 +200,8 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
 
     The header row must contain exactly the declared columns.  Empty cells,
     and REAL cells that parse to NaN, are recorded as nulls; an unparseable
-    cell is an error naming row and column.
+    cell, or a REAL cell that parses to an infinity, is an error naming row
+    and column.
     """
     if path is None:
         path = tdef.source
@@ -261,6 +258,12 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
         if cdef.kind == KIND_REAL:
             # NaN passes no predicate and joins nothing: it is a null
             null_mask[cdef.name] |= np.isnan(columns[cdef.name])
+            # an infinity would turn equi-width bin boundaries into inf/NaN
+            inf_rows = np.flatnonzero(np.isinf(columns[cdef.name]))
+            if len(inf_rows):
+                raise IngestError(
+                    f"table {tdef.name!r}: row {inf_rows[0] + 1}, column "
+                    f"{cdef.name!r}: infinite value is not supported")
     return TableData(name=tdef.name, columns=columns, null_mask=null_mask, row_count=n)
 
 

@@ -9,7 +9,8 @@ dominant key, the envelope of attribute values observed with that key
 Online, a dominant key is excluded from a query's join when its envelope
 cannot intersect a predicate's satisfying set.  Envelope disjointness implies
 no row with that key satisfies the filter, so exclusion never removes true
-result mass.
+result mass.  The estimator drops excluded keys once, from each histogram it
+lifts on the key's domain; the join algebra never sees them.
 """
 from __future__ import annotations
 
@@ -121,18 +122,11 @@ def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
             for g in np.argsort(rows[starts], kind="stable").tolist()}
 
 
-def envelope_excludes(env, pred: Predicate, min_only: bool = False) -> bool:
-    """True iff no value inside the envelope can satisfy the predicate.
-
-    `min_only` reproduces the minimum-value-only encoding: the recorded
-    maximum is ignored (treated as unbounded), which decides upper-bound
-    predicates and leaves lower-bound ones conservative.
-    """
+def envelope_excludes(env, pred: Predicate) -> bool:
+    """True iff no value inside the envelope can satisfy the predicate."""
     if env[0] == "set":
         return not any(matches(pred, v) for v in env[1])
     lo, hi = env[1], env[2]
-    if min_only:
-        hi = float("inf")
     op, val = pred.op, pred.value
     if op == "=":
         return val < lo or val > hi
@@ -153,8 +147,7 @@ def envelope_excludes(env, pred: Predicate, min_only: bool = False) -> bool:
 
 
 def find_excluded_keys(query: Query, correlations: dict,
-                       column_domain: dict[str, str],
-                       min_only: bool = False) -> dict[str, frozenset]:
+                       column_domain: dict[str, str]) -> dict[str, frozenset]:
     """Per key domain, dominant keys whose envelopes reject some predicate.
 
     Exclusions union across predicates; attributes absent from the map
@@ -170,6 +163,6 @@ def find_excluded_keys(query: Query, correlations: dict,
             if tbl != table or att != attr:
                 continue
             for key, env in env_by_key.items():
-                if envelope_excludes(env, pred, min_only=min_only):
+                if envelope_excludes(env, pred):
                     excluded[dom].add(key)
     return {dom: frozenset(keys) for dom, keys in excluded.items()}

@@ -1,11 +1,11 @@
 """Cardinality estimation facade: plan evaluation, metrics, workloads.
 
 A query is decomposed into star groups chained into a tree.  Each group is a
-left-fold of bin-wise joins over its member histograms (filtered and, with
-correlation exclusion enabled, stripped of dominant keys no filtered row can
-carry); child groups are carried across their bridge tables onto the parent
-domain before entering the parent's fold.  The root group's total is the
-estimate.
+left-fold of bin-wise joins over its member histograms; child groups are
+carried across their bridge tables onto the parent domain before entering the
+parent's fold.  The root group's total is the estimate.  Filters and
+correlation-based key exclusion act in one place, `_lift_alias`, which lifts
+each member's histogram without the dominant keys no filtered row can carry.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from .catalog import KIND_INTEGER, TableData
 from .errors import EstimationError, PlanError, TKHistError
 from .joinengine import (CompositeHist, apply_filters, chain_translate,
                          join_star_group, lift)
-from .predicate import (BinSelectivity, Predicate, key_bin_fractions, matches,
-                        selectivity_2d)
+from .predicate import (BinSelectivity, Predicate, combine_table_selectivity,
+                        key_bin_fractions, matches, selectivity_2d)
 from .queryfront import (Query, SubQueryPlan, bind, decompose, parse_sql,
                          validate_acyclic)
 from .state import EstimatorState
@@ -85,14 +85,14 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     hist = state.hists1d.get((table, key_col))
     if hist is None:
         raise PlanError(f"no histogram for join column {table}.{key_col}")
-    comp = lift(hist, provenance=(alias,))
+    comp = lift(hist)
 
     if excluded:
         for b in comp.bins:
             for key in excluded:
                 b.dominant.pop(key, None)
 
-    fractions: list[np.ndarray] = []
+    fractions: list[BinSelectivity] = []
     for pred in _alias_predicates(query, alias):
         attr = pred.column.split(".", 1)[1]
         if attr == key_col:
@@ -101,19 +101,16 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
                 b.dominant = {k: v for k, v in b.dominant.items()
                               if matches(pred, k)}
             kind = state.schema.table(table).column(attr).kind
-            fractions.append(key_bin_fractions(hist.domain, pred,
-                                               integer=kind == KIND_INTEGER))
+            fractions.append(BinSelectivity(key_bin_fractions(
+                hist.domain, pred, integer=kind == KIND_INTEGER)))
         else:
             h2 = state.hists2d.get((table, key_col, attr))
             if h2 is None:
                 raise PlanError(
                     f"no statistics for predicate column {table}.{attr}")
-            fractions.append(selectivity_2d(h2, pred).fractions)
+            fractions.append(selectivity_2d(h2, pred))
     if fractions:
-        combined = np.ones(hist.domain.bin_count)
-        for f in fractions:
-            combined = combined * f
-        comp = apply_filters(comp, BinSelectivity(combined))
+        comp = apply_filters(comp, combine_table_selectivity(fractions))
     return comp
 
 
@@ -141,9 +138,8 @@ def run_plan(state: EstimatorState, query: Query, plan: SubQueryPlan,
                 raise PlanError(
                     f"no bridge statistics for {btable}.{link.child_col} -> "
                     f"{btable}.{link.parent_col}")
-            factors.append(chain_translate(child, bridge2d, parent_hist,
-                                           provenance=(link.bridge_alias,)))
-        comp = join_star_group(factors, excluded)
+            factors.append(chain_translate(child, bridge2d, parent_hist))
+        comp = join_star_group(factors)
         if group_record is not None:
             group_record[gid] = comp
         return comp
@@ -187,8 +183,7 @@ def _estimate_single_table(state: EstimatorState, query: Query) -> float:
 
 
 def estimate(sql: str, state: EstimatorState,
-             use_djpcd: bool = True,
-             min_only: bool = False) -> EstimationReport:
+             use_djpcd: bool = True) -> EstimationReport:
     """Parse, validate, plan, and evaluate one COUNT(*) query."""
     t0 = time.perf_counter()
     query = bind(parse_sql(sql), state.schema)
@@ -203,8 +198,7 @@ def estimate(sql: str, state: EstimatorState,
         excluded = {}
         if djpcd_active:
             excluded = djpcd.find_excluded_keys(
-                query, state.correlations, state.column_domain,
-                min_only=min_only)
+                query, state.correlations, state.column_domain)
         value = run_plan(state, query, plan, excluded).total()
     latency = (time.perf_counter() - t0) * 1000.0
     return EstimationReport(query=sql.strip(), estimate=value,

@@ -6,6 +6,10 @@ other side's background at its average frequency (BAC); the two backgrounds
 combine with the Selinger formula.  Background NDV propagates as the minimum
 of the two sides, which keeps the Selinger formula applicable recursively to
 intermediate results.
+
+Filters and correlation-based key exclusion are applied once, when the
+estimator lifts each table's histogram; the functions here only compose
+composites.
 """
 from __future__ import annotations
 
@@ -49,7 +53,6 @@ class CompositeBin:
 class CompositeHist:
     domain: KeyDomain
     bins: list[CompositeBin]
-    provenance: tuple[str, ...] = ()
 
     def total(self) -> float:
         return sum(b.total() for b in self.bins)
@@ -58,21 +61,13 @@ class CompositeHist:
         return np.array([b.total() for b in self.bins])
 
 
-def lift(hist: TKHist1D, provenance: tuple[str, ...] = ()) -> CompositeHist:
+def lift(hist: TKHist1D) -> CompositeHist:
     """Identity lift of a built histogram into the composite representation."""
     bins = [CompositeBin(dominant={k: float(c) for k, c in b.topk.items()},
                          background_est=float(b.nv),
                          ndv_est=float(b.ndv))
             for b in hist.bins]
-    return CompositeHist(domain=hist.domain, bins=bins, provenance=provenance)
-
-
-def _as_composite(h) -> CompositeHist:
-    if isinstance(h, CompositeHist):
-        return h
-    if isinstance(h, TKHist1D):
-        return lift(h)
-    raise TKHistError(f"cannot join object of type {type(h).__name__}")
+    return CompositeHist(domain=hist.domain, bins=bins)
 
 
 def _check_same_domain(a: CompositeHist, b: CompositeHist) -> None:
@@ -82,28 +77,20 @@ def _check_same_domain(a: CompositeHist, b: CompositeHist) -> None:
             f"and {b.domain.id!r}")
 
 
-def jtkh_join(a, b, excluded: frozenset = frozenset()) -> CompositeHist:
-    """Bin-wise binary join of two (lifted) top-k histograms.
-
-    `excluded` keys are skipped entirely from the dominant terms; this is how
-    correlation-based exclusion removes join paths killed by filters.
-    """
-    a = _as_composite(a)
-    b = _as_composite(b)
+def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
+    """Bin-wise binary join of two lifted top-k histograms."""
     _check_same_domain(a, b)
     out_bins = []
     for ba, bb in zip(a.bins, b.bins):
         dom: dict = {}
         bac_a, bac_b = ba.bac_est, bb.bac_est
         for key, ca in ba.dominant.items():
-            if key in excluded:
-                continue
             cb = bb.dominant.get(key)
             est = ca * cb if cb is not None else ca * bac_b
             if est > 0:
                 dom[key] = est
         for key, cb in bb.dominant.items():
-            if key in excluded or key in ba.dominant:
+            if key in ba.dominant:
                 continue
             est = cb * bac_a
             if est > 0:
@@ -113,56 +100,39 @@ def jtkh_join(a, b, excluded: frozenset = frozenset()) -> CompositeHist:
             background_est=selinger_bin_estimate(
                 ba.background_est, ba.ndv_est, bb.background_est, bb.ndv_est),
             ndv_est=propagate_ndv(ba.ndv_est, bb.ndv_est)))
-    return CompositeHist(domain=a.domain, bins=out_bins,
-                         provenance=a.provenance + b.provenance)
+    return CompositeHist(domain=a.domain, bins=out_bins)
 
 
-def join_star_group(hists: list, excluded: frozenset = frozenset()) -> CompositeHist:
-    """Left-fold of binary joins over histograms sharing one key domain."""
+def join_star_group(hists: list[CompositeHist]) -> CompositeHist:
+    """Left-fold of binary joins over composites sharing one key domain."""
     if not hists:
         raise TKHistError("empty star group")
-    acc = _as_composite(hists[0])
-    if len(hists) == 1 and excluded:
-        acc = drop_excluded(acc, excluded)
+    acc = hists[0]
     for h in hists[1:]:
-        acc = jtkh_join(acc, h, excluded)
+        acc = jtkh_join(acc, h)
     return acc
 
 
-def drop_excluded(comp: CompositeHist, excluded: frozenset) -> CompositeHist:
-    bins = [CompositeBin(dominant={k: v for k, v in b.dominant.items()
-                                   if k not in excluded},
-                         background_est=b.background_est,
-                         ndv_est=b.ndv_est)
-            for b in comp.bins]
-    return CompositeHist(domain=comp.domain, bins=bins, provenance=comp.provenance)
-
-
-def apply_filters(comp: CompositeHist, fractions: BinSelectivity,
-                  scale_dominant: bool = False) -> CompositeHist:
+def apply_filters(comp: CompositeHist,
+                  fractions: BinSelectivity) -> CompositeHist:
     """Scale per-bin background mass by the filter selectivity.
 
-    Dominant entries are kept at full weight by default: retained join paths
-    are handled exclusively through correlation-based exclusion, and scaling
-    them here would double-count that correction.  `scale_dominant` flips to
-    the alternative for experimentation.
+    Dominant entries keep their full weight: retained join paths are handled
+    exclusively through correlation-based exclusion, and scaling them here
+    would double-count that correction.
     """
     f = fractions.fractions
     if len(f) != len(comp.bins):
         raise DomainMismatchError("selectivity length does not match bin count")
-    bins = []
-    for frac, b in zip(f, comp.bins):
-        dom = ({k: v * frac for k, v in b.dominant.items()} if scale_dominant
-               else dict(b.dominant))
-        bins.append(CompositeBin(dominant=dom,
-                                 background_est=b.background_est * float(frac),
-                                 ndv_est=b.ndv_est))
-    return CompositeHist(domain=comp.domain, bins=bins, provenance=comp.provenance)
+    bins = [CompositeBin(dominant=dict(b.dominant),
+                         background_est=b.background_est * float(frac),
+                         ndv_est=b.ndv_est)
+            for frac, b in zip(f, comp.bins)]
+    return CompositeHist(domain=comp.domain, bins=bins)
 
 
 def chain_translate(comp: CompositeHist, bridge: TKHist2D,
-                    target_hist: TKHist1D,
-                    provenance: tuple[str, ...] = ()) -> CompositeHist:
+                    target_hist: TKHist1D) -> CompositeHist:
     """Carry a composite across a bridge table onto a second key domain.
 
     Each source bin's estimate is distributed over target bins proportionally
@@ -191,5 +161,4 @@ def chain_translate(comp: CompositeHist, bridge: TKHist2D,
         ndv = float(tb.ndv + len(tb.topk)) if mass > 0 else 0.0
         bins.append(CompositeBin(dominant={}, background_est=float(mass),
                                  ndv_est=ndv))
-    return CompositeHist(domain=target_hist.domain, bins=bins,
-                         provenance=comp.provenance + provenance)
+    return CompositeHist(domain=target_hist.domain, bins=bins)

@@ -11,22 +11,13 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-import numpy as np
-
 from .catalog import TableData
 from .errors import OracleCapError, PlanError
+from .histcore import _scalar
 from .predicate import matches
 from .queryfront import Query
 
 DEFAULT_CAP = 10 ** 8
-
-
-def _scalar(v):
-    if isinstance(v, np.integer):
-        return int(v)
-    if isinstance(v, np.floating):
-        return float(v)
-    return v
 
 
 def _alias_rows(query: Query, alias: str, tables: dict[str, TableData],

@@ -35,10 +35,6 @@ class Predicate:
             if lo > hi:
                 raise TKHistError(f"BETWEEN bounds out of order: {lo} > {hi}")
 
-    @property
-    def column_name(self) -> str:
-        return self.column.split(".")[-1]
-
 
 def matches(pred: Predicate, v) -> bool:
     """Exact row-level predicate evaluation (null values never match)."""
@@ -147,18 +143,6 @@ def combine_table_selectivity(fractions: list[BinSelectivity]) -> BinSelectivity
             raise TKHistError("selectivity length mismatch")
         out = out * f.fractions
     return BinSelectivity(out)
-
-
-def selectivity_categorical(fhist: dict, pred: Predicate, total: int) -> float:
-    """Exact fraction of a categorical column matching an =/IN predicate."""
-    if pred.op not in ("=", "in"):
-        raise TKHistError(
-            f"operator {pred.op!r} not supported on categorical columns")
-    if total <= 0:
-        return 0.0
-    wanted = {pred.value} if pred.op == "=" else set(pred.value)
-    hit = sum(c for v, c in fhist.items() if v in wanted)
-    return hit / total
 
 
 def key_bin_fractions(domain: KeyDomain, pred: Predicate,

@@ -66,9 +66,6 @@ class Query:
     join_edges: list[tuple[str, str]]  # ("a.col", "b.col"), alias-qualified
     predicates: list[Predicate]
 
-    def edge_set(self) -> set[frozenset]:
-        return {frozenset(e) for e in self.join_edges}
-
 
 class _Parser:
     def __init__(self, text: str):

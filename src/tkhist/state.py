@@ -314,6 +314,14 @@ def _upgrade_v1(doc: dict) -> dict:
 def state_from_document(doc: dict) -> EstimatorState:
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
+    try:
+        return _state_from_known_document(doc)
+    except KeyError as exc:
+        raise StateError(
+            f"state document has no {exc.args[0]!r} entry") from exc
+
+
+def _state_from_known_document(doc: dict) -> EstimatorState:
     if doc.get("version") == 1:
         doc = _upgrade_v1(doc)
     if doc.get("version") != STATE_VERSION:

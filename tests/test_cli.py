@@ -51,6 +51,16 @@ class TestBuildEstimate:
         assert rc == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_state_without_sections_is_error(self, tmp_path, capsys):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"magic": "TKHIST-STATE-v1",
+                                     "version": 2}))
+        rc = main(["estimate", "--state", str(state),
+                   "SELECT COUNT(*) FROM t1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'config'" in err
+
 
 class TestEvaluate:
     def test_report_and_summary_files(self, bench, built, tmp_path, capsys):
@@ -166,3 +176,41 @@ class TestNaNCells:
         after = load_state(str(state))
         assert after.hists1d[("r", "k")].total_rows == 5
         assert after.hists2d[("r", "k", "y")].grid.sum() == 4
+
+
+class TestInfCells:
+    """A REAL cell reading `inf` would turn equi-width attribute boundaries
+    into inf/NaN, so ingest rejects it, naming row and column, for `build`
+    and for `update` alike."""
+
+    def write(self, tmp_path, r_text):
+        doc = {"tables": [
+            {"name": t, "file": f"{t}.csv", "columns": [
+                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": "y", "kind": "real"}]} for t in ("r", "s")],
+            "foreign_keys": [{"from": "s.k", "to": "r.k"}]}
+        (tmp_path / "schema.json").write_text(json.dumps(doc))
+        (tmp_path / "r.csv").write_text(r_text)
+        (tmp_path / "s.csv").write_text("k,y\n1,1.0\n3,2.0\n")
+        return ["build", "--schema", str(tmp_path / "schema.json"),
+                "--state", str(tmp_path / "state.json"), "--bins", "4"]
+
+    def test_build_rejects_inf(self, tmp_path, capsys):
+        build = self.write(tmp_path, "k,y\n1,0.5\n3,inf\n5,4.5\n")
+        assert main(build) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "row 2, column 'y'" in err
+        assert not (tmp_path / "state.json").exists()
+
+    def test_update_rejects_inf(self, tmp_path, capsys):
+        build = self.write(tmp_path, "k,y\n1,0.5\n3,2.5\n5,4.5\n")
+        assert main(build) == 0
+        state = tmp_path / "state.json"
+        before = state.read_bytes()
+        new = tmp_path / "new.csv"
+        new.write_text("k,y\n2,1.5\n4,-inf\n")
+        assert main(["update", "--state", str(state), "--table", "r",
+                     "--csv", str(new)]) == 2
+        assert "row 2, column 'y'" in capsys.readouterr().err
+        assert state.read_bytes() == before

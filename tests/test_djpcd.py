@@ -131,18 +131,10 @@ class TestEnvelopes:
         (("range", 10, 20), Predicate("c", "in", frozenset({1, 2})), True),
         (("set", frozenset({"a", "b"})), Predicate("c", "=", "c"), True),
         (("set", frozenset({"a", "b"})), Predicate("c", "=", "a"), False),
+        (("range", 10, 20), Predicate("c", ">", 100), True),
     ])
     def test_disjointness(self, env, pred, expect):
         assert envelope_excludes(env, pred) is expect
-
-    def test_min_only_ignores_upper_bound(self):
-        env = ("range", 10, 20)
-        # upper-bound predicates still decidable from the minimum
-        assert envelope_excludes(env, Predicate("c", "<", 5), min_only=True)
-        # lower-bound ones become conservative (no exclusion)
-        assert not envelope_excludes(env, Predicate("c", ">", 100),
-                                     min_only=True)
-        assert envelope_excludes(env, Predicate("c", ">", 100), min_only=False)
 
 
 class TestMapAndLookup:

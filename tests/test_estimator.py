@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from tkhist.djpcd import find_excluded_keys
 from tkhist.errors import EstimationError, PlanError
-from tkhist.estimator import (EstimationReport, error_bound_check, estimate,
-                              evaluate_workload, parse_workload, q_error,
-                              ratio, sweep)
+from tkhist.estimator import (EstimationReport, discover_correlations,
+                              error_bound_check, estimate, evaluate_workload,
+                              parse_workload, q_error, ratio, run_plan, sweep)
 from tkhist.histcore import build_tkhist1d
 from tkhist.catalog import KeyDomain
+from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
@@ -141,3 +143,53 @@ class TestSweep:
         assert by[(10, 0)].state_bytes > by[(5, 0)].state_bytes
         assert by[(5, 4)].state_bytes > by[(5, 0)].state_bytes
         assert all(p.median_q is not None for p in points)
+
+
+@pytest.fixture(scope="module")
+def mixed_corr_state():
+    schema, tables = generate_synthetic(
+        SyntheticSpec(tables=5, rows=2000, layout="mixed", distinct_keys=200,
+                      correlated=True), seed=3)
+    state = build_state(schema, tables, BuildConfig(bin_count=20, top_k=5))
+    discover_correlations(state, tables)
+    return state
+
+
+CHAIN5 = ("t2.k1 = t1.k1 AND t3.k1 = t1.k1 AND t4.k2 = t3.k2 "
+          "AND t5.k3 = t4.k3")
+
+
+class TestExclusionAtLift:
+    """Excluded keys are dropped when each member is lifted; the star fold
+    and chain translation must not bring one back into any group."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+        "AND t3.k1 = t1.k1 AND t1.y >= 20",
+        "SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 AND t2.y <= 5",
+        "SELECT COUNT(*) FROM t1, t3, t4 WHERE t3.k1 = t1.k1 "
+        "AND t4.k2 = t3.k2 AND t4.y >= 20",
+        "SELECT COUNT(*) FROM t3, t4, t5 WHERE t4.k2 = t3.k2 "
+        "AND t5.k3 = t4.k3 AND t5.y BETWEEN 30 AND 90",
+        f"SELECT COUNT(*) FROM t1, t2, t3, t4, t5 WHERE {CHAIN5} "
+        "AND t1.y >= 15 AND t4.y < 12",
+    ])
+    def test_no_group_holds_an_excluded_key(self, mixed_corr_state, sql):
+        state = mixed_corr_state
+        query = bind(parse_sql(sql), state.schema)
+        plan = decompose(query, state.column_domain)
+        excluded = find_excluded_keys(query, state.correlations,
+                                      state.column_domain)
+
+        def held(record):
+            return {k for gid, comp in record.items() for b in comp.bins
+                    for k in b.dominant.keys()
+                    & excluded.get(plan.groups[gid].domain_id, frozenset())}
+
+        plain: dict = {}
+        run_plan(state, query, plan, group_record=plain)
+        assert held(plain)  # the query does exercise exclusion
+        record: dict = {}
+        run_plan(state, query, plan, excluded, group_record=record)
+        assert set(record) == set(plain)
+        assert held(record) == set()

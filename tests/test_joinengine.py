@@ -7,12 +7,16 @@ from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainMismatchError
+from tkhist.estimator import _lift_alias, run_plan
 from tkhist.histcore import build_tkhist1d, build_tkhist2d, domain_binning
 from tkhist.joinengine import (CompositeBin, CompositeHist, apply_filters,
-                               chain_translate, drop_excluded, jtkh_join,
-                               join_star_group, lift, propagate_ndv,
-                               selinger_bin_estimate)
+                               chain_translate, jtkh_join, join_star_group,
+                               lift, propagate_ndv, selinger_bin_estimate)
 from tkhist.predicate import BinSelectivity
+from tkhist.queryfront import bind, decompose, parse_sql
+from tkhist.state import BuildConfig, build_state
+
+from conftest import make_table, two_table_schema
 
 
 def make_domain(lo=0, hi=100, bins=4, id="t.k"):
@@ -23,6 +27,17 @@ def make_domain(lo=0, hi=100, bins=4, id="t.k"):
 
 def comp_of(domain, bins):
     return CompositeHist(domain=domain, bins=bins)
+
+
+def two_table_state(r_keys, s_keys, top_k):
+    """One-bin state over r(k, y) and s(k, y) and the query joining them."""
+    tables = {"r": make_table("r", {"k": r_keys, "y": [0] * len(r_keys)}),
+              "s": make_table("s", {"k": s_keys, "y": [0] * len(s_keys)})}
+    state = build_state(two_table_schema(), tables,
+                        BuildConfig(bin_count=1, top_k=top_k))
+    query = bind(parse_sql("SELECT COUNT(*) FROM r, s WHERE r.k = s.k"),
+                 state.schema)
+    return state, query
 
 
 class TestSelinger:
@@ -51,10 +66,12 @@ class TestBinJoin:
         assert bin0.ndv_est == 2.0
 
     def test_excluded_keys_skipped(self):
-        d = make_domain(bins=1)
-        a = comp_of(d, [CompositeBin({1: 3.0, 2: 1.0}, 0.0, 0.0)])
-        b = comp_of(d, [CompositeBin({1: 2.0, 2: 5.0}, 0.0, 0.0)])
-        out = jtkh_join(a, b, excluded=frozenset({1}))
+        # r: {1: 3, 2: 1}, s: {1: 2, 2: 5}, every key in a container
+        state, query = two_table_state([1, 1, 1, 2], [1, 1, 2, 2, 2, 2, 2],
+                                       top_k=5)
+        plan = decompose(query, state.column_domain)
+        excluded = {state.column_domain["r.k"]: frozenset({1})}
+        out = run_plan(state, query, plan, excluded)
         assert out.bins[0].dominant == {2: 5.0}
 
     def test_zero_product_entries_dropped(self):
@@ -77,7 +94,7 @@ class TestBinJoin:
         vb = rng.integers(0, 101, size=300)
         ha = build_tkhist1d(va, d, k=0)
         hb = build_tkhist1d(vb, d, k=0)
-        out = jtkh_join(ha, hb)
+        out = jtkh_join(lift(ha), lift(hb))
         for i, b in enumerate(out.bins):
             assert b.dominant == {}
             expect = selinger_bin_estimate(ha.bins[i].nv, ha.bins[i].ndv,
@@ -92,7 +109,7 @@ class TestBinJoin:
         hb = build_tkhist1d(vb, d, k=1000)
         ca, cb = Counter(va.tolist()), Counter(vb.tolist())
         truth = sum(ca[k] * cb[k] for k in ca)
-        assert jtkh_join(ha, hb).total() == pytest.approx(truth)
+        assert jtkh_join(lift(ha), lift(hb)).total() == pytest.approx(truth)
 
     @settings(max_examples=40, deadline=None)
     @given(va=st.lists(st.integers(0, 60), max_size=120),
@@ -100,8 +117,8 @@ class TestBinJoin:
            k=st.integers(0, 5))
     def test_join_total_is_symmetric(self, va, vb, k):
         d = make_domain(0, 60, 3)
-        ha = build_tkhist1d(np.asarray(va, dtype=np.int64), d, k=k)
-        hb = build_tkhist1d(np.asarray(vb, dtype=np.int64), d, k=k)
+        ha = lift(build_tkhist1d(np.asarray(va, dtype=np.int64), d, k=k))
+        hb = lift(build_tkhist1d(np.asarray(vb, dtype=np.int64), d, k=k))
         ab = jtkh_join(ha, hb).total()
         ba = jtkh_join(hb, ha).total()
         assert ab == pytest.approx(ba)
@@ -111,18 +128,20 @@ class TestStarFold:
     def test_three_way_full_capture_exact(self, rng):
         d = make_domain(0, 30, 3)
         cols = [rng.integers(0, 31, size=200) for _ in range(3)]
-        hists = [build_tkhist1d(c, d, k=1000) for c in cols]
+        hists = [lift(build_tkhist1d(c, d, k=1000)) for c in cols]
         counters = [Counter(c.tolist()) for c in cols]
         truth = sum(counters[0][k] * counters[1][k] * counters[2][k]
                     for k in counters[0])
         assert join_star_group(hists).total() == pytest.approx(truth)
 
     def test_single_factor_applies_exclusion(self):
-        d = make_domain(bins=1)
-        comp = comp_of(d, [CompositeBin({1: 5.0, 2: 2.0}, 3.0, 1.0)])
-        out = join_star_group([comp], excluded=frozenset({1}))
-        assert out.bins[0].dominant == {2: 2.0}
-        assert out.bins[0].background_est == 3.0
+        # r: container {1: 5, 2: 3}, background key 3 with 2 rows
+        state, query = two_table_state([1] * 5 + [2] * 3 + [3] * 2, [1],
+                                       top_k=2)
+        comp = _lift_alias(state, query, "r", "k", frozenset({1}))
+        out = join_star_group([comp])
+        assert out.bins[0].dominant == {2: 3.0}
+        assert out.bins[0].background_est == 2.0
 
 
 class TestFiltersAndExclusion:
@@ -135,20 +154,6 @@ class TestFiltersAndExclusion:
         assert out.bins[0].background_est == 5.0
         assert out.bins[1].background_est == 2.0
         assert out.bins[0].ndv_est == 5.0
-
-    def test_scale_dominant_flag(self):
-        d = make_domain(bins=1)
-        comp = comp_of(d, [CompositeBin({1: 4.0}, 10.0, 5.0)])
-        out = apply_filters(comp, BinSelectivity(np.array([0.5])),
-                            scale_dominant=True)
-        assert out.bins[0].dominant == {1: 2.0}
-
-    def test_drop_excluded(self):
-        d = make_domain(bins=1)
-        comp = comp_of(d, [CompositeBin({1: 4.0, 2: 1.0}, 7.0, 3.0)])
-        out = drop_excluded(comp, frozenset({2}))
-        assert out.bins[0].dominant == {1: 4.0}
-        assert out.bins[0].background_est == 7.0
 
 
 class TestChainTranslate:

@@ -5,12 +5,15 @@ from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain
 from tkhist.errors import TKHistError
+from tkhist.estimator import _single_table_fraction
 from tkhist.histcore import (build_tkhist2d, categorical_binning,
                              numeric_binning)
 from tkhist.predicate import (BinSelectivity, Predicate,
                               combine_table_selectivity, key_bin_fractions,
-                              matches, satisfying_intervals,
-                              selectivity_categorical, selectivity_2d)
+                              matches, satisfying_intervals, selectivity_2d)
+from tkhist.state import BuildConfig, build_state
+
+from conftest import make_table, two_table_schema
 
 
 def make_domain(lo=0, hi=100, bins=10):
@@ -117,16 +120,15 @@ class TestCombine:
 
 class TestCategorical:
     def test_exact_fraction(self):
-        fhist = {"a": 3, "b": 1}
-        assert selectivity_categorical(
-            fhist, Predicate("c", "=", "a"), total=4) == pytest.approx(0.75)
-        assert selectivity_categorical(
-            fhist, Predicate("c", "in", frozenset({"a", "b"})),
-            total=4) == 1.0
-
-    def test_range_on_categorical_rejected(self):
-        with pytest.raises(TKHistError):
-            selectivity_categorical({"a": 1}, Predicate("c", "<", "a"), 1)
+        tables = {"r": make_table("r", {"k": [1, 2, 3, 4], "y": [7, 7, 7, 8]}),
+                  "s": make_table("s", {"k": [1], "y": [7]})}
+        state = build_state(two_table_schema(), tables,
+                            BuildConfig(bin_count=4, top_k=1))
+        assert state.freq_hists[("r", "y")] == {7: 3, 8: 1}
+        assert _single_table_fraction(
+            state, "r", Predicate("r.y", "=", 7)) == pytest.approx(0.75)
+        assert _single_table_fraction(
+            state, "r", Predicate("r.y", "in", frozenset({7, 8}))) == 1.0
 
 
 class TestKeyBinFractions:
