@@ -41,6 +41,15 @@ def _add_djpcd_arg(p):
     g.add_argument("--no-djpcd", dest="djpcd", action="store_false")
 
 
+def _int_list(text: str) -> list[int]:
+    """Comma-separated integers; a bad entry is a usage error."""
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}") from None
+
+
 def cmd_build(args) -> int:
     schema = catalog.load_schema(args.schema)
     tables = ingest_all(schema)
@@ -78,8 +87,7 @@ def cmd_evaluate(args) -> int:
     if args.oracle:
         tables = ingest_all(state.schema)
     reports, summary = estimator.evaluate_workload(
-        state, entries, use_djpcd=args.djpcd, tables=tables,
-        oracle_cap=args.oracle_cap)
+        state, entries, use_djpcd=args.djpcd, tables=tables)
     out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
     try:
         for rep in reports:
@@ -112,9 +120,7 @@ def cmd_sweep(args) -> int:
     schema = catalog.load_schema(args.schema)
     tables = ingest_all(schema)
     entries = estimator.parse_workload(args.workload)
-    bins = [int(x) for x in args.bins.split(",")]
-    ks = [int(x) for x in args.k.split(",")]
-    points = estimator.sweep(schema, tables, entries, bins, ks,
+    points = estimator.sweep(schema, tables, entries, args.bins, args.k,
                              use_djpcd=args.djpcd)
     rows = [["bin_count", "top_k", "build_seconds", "state_bytes",
              "median_q", "mean_latency_ms"]]
@@ -176,7 +182,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None, help="CSV summary path")
     p.add_argument("--oracle", action="store_true",
                    help="compute missing truths with the exact join oracle")
-    p.add_argument("--oracle-cap", type=int, default=None)
     _add_djpcd_arg(p)
     p.set_defaults(func=cmd_evaluate)
 
@@ -189,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="rebuild/evaluate over a (bins, k) grid")
     p.add_argument("--schema", required=True)
     p.add_argument("--workload", required=True)
-    p.add_argument("--bins", default="25,50,100,200")
-    p.add_argument("--k", default="0,5,20")
+    p.add_argument("--bins", type=_int_list, default="25,50,100,200")
+    p.add_argument("--k", type=_int_list, default="0,5,20")
     p.add_argument("--out", default=None)
     p.add_argument("--djpcd", dest="djpcd", action="store_true", default=False)
     p.set_defaults(func=cmd_sweep)

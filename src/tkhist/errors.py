@@ -26,7 +26,7 @@ class StateError(TKHistError):
 
 
 class ParseError(TKHistError):
-    """SQL text could not be parsed.  Carries the byte offset of the failure."""
+    """SQL or workload text could not be parsed; may carry a byte offset."""
 
     def __init__(self, message, offset=None):
         if offset is not None:
@@ -49,7 +49,3 @@ class PlanError(TKHistError):
 
 class EstimationError(TKHistError):
     """Estimation or metric computation is undefined for the given inputs."""
-
-
-class OracleCapError(TKHistError):
-    """Brute-force join exceeded the configured intermediate-size cap."""

@@ -15,9 +15,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import djpcd
+from . import djpcd, oracle
 from .catalog import KIND_INTEGER, TableData
-from .errors import EstimationError, PlanError, TKHistError
+from .errors import EstimationError, ParseError, PlanError, TKHistError
 from .joinengine import (CompositeHist, apply_filters, chain_translate,
                          join_star_group, lift)
 from .predicate import (BinSelectivity, Predicate, combine_table_selectivity,
@@ -263,17 +263,25 @@ def error_bound_check(hist, epsilon: float) -> list[bool]:
 def parse_workload(path: str) -> list[tuple[str, float | None]]:
     """One query per line; `--` lines are comments; `||N` appends a true count."""
     out: list[tuple[str, float | None]] = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("--"):
-                continue
-            truth: float | None = None
-            if "||" in line:
-                sql, _, rest = line.partition("||")
-                line = sql.strip()
-                truth = float(rest.strip())
-            out.append((line, truth))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read workload file {path!r}: {exc}") from exc
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line or line.startswith("--"):
+            continue
+        truth: float | None = None
+        if "||" in line:
+            sql, _, rest = line.partition("||")
+            line, rest = sql.strip(), rest.strip()
+            try:
+                truth = float(rest)
+            except ValueError:
+                raise ParseError(f"{path!r} line {lineno}: true count "
+                                 f"{rest!r} is not a number") from None
+        out.append((line, truth))
     return out
 
 
@@ -300,22 +308,18 @@ def evaluate_workload(state: EstimatorState,
                       entries: list[tuple[str, float | None]],
                       use_djpcd: bool = True,
                       tables: dict[str, TableData] | None = None,
-                      oracle_cap: int | None = None,
                       ) -> tuple[list[EstimationReport], WorkloadSummary]:
     """Estimate every workload query; truths come from the file or, when base
     tables are supplied, from the exact join oracle.  A failing query becomes
     an error report instead of aborting the run.
     """
-    from . import oracle as oracle_mod
-
-    cap = oracle_cap if oracle_cap is not None else oracle_mod.DEFAULT_CAP
     reports: list[EstimationReport] = []
     for sql, truth in entries:
         try:
             rep = estimate(sql, state, use_djpcd=use_djpcd)
             if truth is None and tables is not None:
                 query = bind(parse_sql(sql), state.schema)
-                truth = float(oracle_mod.oracle_count(query, tables, cap=cap))
+                truth = float(oracle.oracle_count(query, tables))
         except TKHistError as exc:
             reports.append(EstimationReport(
                 query=sql, estimate=float("nan"), latency_ms=0.0,

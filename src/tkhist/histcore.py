@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from types import MappingProxyType
 
 import numpy as np
 
@@ -40,10 +39,6 @@ class Bin1D:
     def ndv(self) -> int:
         return len(self.background)
 
-    @property
-    def bac(self) -> float:
-        return self.nv / self.ndv if self.ndv else 0.0
-
     def total(self) -> int:
         return self.nv + sum(self.topk.values())
 
@@ -54,13 +49,6 @@ class TKHist1D:
     bins: list[Bin1D]
     total_rows: int
     k: int
-
-    def bin_stats(self, i: int):
-        """Return (NV, NDV, BAC, read-only container view) for bin i."""
-        if not 0 <= i < len(self.bins):
-            raise IndexError(f"bin index {i} out of range")
-        b = self.bins[i]
-        return (b.nv, b.ndv, b.bac, MappingProxyType(b.topk))
 
     def insert(self, keys) -> None:
         """Add one key or an array of keys (nulls already removed).

@@ -3,7 +3,9 @@ import os
 
 import pytest
 
+from tkhist import oracle
 from tkhist.cli import main
+from tkhist.errors import TKHistError
 from tkhist.state import load_state
 
 
@@ -79,20 +81,58 @@ class TestEvaluate:
         header = summ.read_text().splitlines()[0]
         assert "median_q" in header
 
-    def test_capped_oracle_fails_only_its_query(self, built, tmp_path,
-                                                capsys):
+    def test_oracle_counts_join_past_1e8(self, tmp_path, capsys):
+        outdir = tmp_path / "big"  # one key, so the join is 12000 ** 2 rows
+        assert main(["synth", "--out", str(outdir), "--tables", "2",
+                     "--rows", "12000", "--distinct", "1", "--seed", "3"]) == 0
+        state = tmp_path / "state.json"
+        assert main(["build", "--schema", str(outdir / "schema.json"),
+                     "--state", str(state), "--bins", "4", "--k", "2"]) == 0
+        wl = tmp_path / "wl.txt"
+        wl.write_text("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1\n")
+        rep = tmp_path / "rep.jsonl"
+        rc = main(["evaluate", "--state", str(state), "--workload", str(wl),
+                   "--out", str(rep), "--oracle"])
+        assert rc == 0
+        (line,) = [json.loads(l) for l in rep.read_text().splitlines()]
+        assert line["truth"] == 12000 ** 2 and line.get("error") is None
+
+    def test_oracle_error_fails_only_its_query(self, built, tmp_path,
+                                               capsys, monkeypatch):
+        def failing_oracle(query, tables):
+            raise TKHistError("oracle failed")
+
+        monkeypatch.setattr(oracle, "oracle_count", failing_oracle)
         wl = tmp_path / "wl.txt"
         wl.write_text("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1\n"
                       "SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 || 7\n")
         rep = tmp_path / "rep.jsonl"
         rc = main(["evaluate", "--state", str(built), "--workload", str(wl),
-                   "--out", str(rep), "--oracle", "--oracle-cap", "10"])
+                   "--out", str(rep), "--oracle"])
         assert rc == 1
-        capped, given = [json.loads(l) for l in rep.read_text().splitlines()]
-        assert "cap" in capped["error"]
+        failed, given = [json.loads(l) for l in rep.read_text().splitlines()]
+        assert failed["error"] == "oracle failed"
         assert given["truth"] == 7 and given.get("error") is None
         summary = json.loads(capsys.readouterr().err)["summary"]
         assert (summary["queries"], summary["failed"]) == (2, 1)
+
+    def test_missing_workload_is_error(self, built, tmp_path, capsys):
+        wl = tmp_path / "absent.txt"
+        rc = main(["evaluate", "--state", str(built), "--workload", str(wl)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(wl) in err
+
+    def test_non_numeric_truth_is_error(self, built, tmp_path, capsys):
+        wl = tmp_path / "wl.txt"
+        wl.write_text("-- comment\n"
+                      "SELECT COUNT(*) FROM t1 || 5\n"
+                      "SELECT COUNT(*) FROM t1 || abc\n")
+        rc = main(["evaluate", "--state", str(built), "--workload", str(wl)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert str(wl) in err and "line 3" in err and "'abc'" in err
 
     def test_broken_query_sets_exit_code(self, built, tmp_path):
         wl = tmp_path / "wl.txt"
@@ -126,6 +166,22 @@ class TestSweep:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("bin_count,top_k")
         assert len(lines) == 5
+
+    def test_bad_list_is_usage_error(self, bench, tmp_path, capsys):
+        wl = tmp_path / "wl.txt"
+        wl.write_text("SELECT COUNT(*) FROM t1\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--schema", str(bench / "schema.json"),
+                  "--workload", str(wl), "--bins", "10,x"])
+        assert exc.value.code == 2
+        assert "--bins" in capsys.readouterr().err
+
+    def test_missing_workload_is_error(self, bench, tmp_path, capsys):
+        wl = tmp_path / "absent.txt"
+        rc = main(["sweep", "--schema", str(bench / "schema.json"),
+                   "--workload", str(wl), "--bins", "5", "--k", "0"])
+        assert rc == 2
+        assert str(wl) in capsys.readouterr().err
 
 
 class TestNaNCells:

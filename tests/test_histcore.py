@@ -69,10 +69,10 @@ class TestBuild1D:
         d = make_domain(0, 100, 2)
         vals = np.array([1, 1, 1, 1, 2, 2, 3, 60])
         h = build_tkhist1d(vals, d, k=1)
-        nv, ndv, bac, topk = h.bin_stats(0)
-        assert dict(topk) == {1: 4}
-        assert (nv, ndv) == (3, 2)
-        assert bac == pytest.approx(1.5)
+        b = h.bins[0]
+        assert b.topk == {1: 4}
+        assert (b.nv, b.ndv) == (3, 2)
+        assert b.nv / b.ndv == pytest.approx(1.5)
         assert h.bins[1].topk == {60: 1}
 
     def test_tie_breaks_toward_smaller_key(self):
