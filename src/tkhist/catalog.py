@@ -39,7 +39,6 @@ class TableDef:
     name: str
     source: str
     columns: tuple[ColumnDef, ...]
-    primary_key: str | None = None
 
     def column(self, name: str) -> ColumnDef:
         for c in self.columns:
@@ -120,8 +119,7 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
             cols.append(ColumnDef(name=name, kind=kind, role=role,
                                   categorical=bool(cdoc.get("categorical", False))))
         tables.append(TableDef(name=tdoc["name"], source=tdoc.get("file", ""),
-                               columns=tuple(cols),
-                               primary_key=tdoc.get("primary_key")))
+                               columns=tuple(cols)))
 
     schema = Schema(
         tables=tables,
@@ -158,21 +156,22 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
     return schema
 
 
+def find_root(parent: dict, x):
+    """Root of `x` in a union-find parent map (unseen `x` is its own root)."""
+    parent.setdefault(x, x)
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 def _check_template_acyclic(edges: list[tuple[str, str]]) -> None:
     parent: dict[str, str] = {}
-
-    def find(x):
-        while parent.get(x, x) != x:
-            parent[x] = parent.get(parent[x], parent[x])
-            x = parent[x]
-        return x
-
     for a, b in edges:
-        ta, tb = a.split(".")[0], b.split(".")[0]
-        ra, rb = find(ta), find(tb)
+        ra = find_root(parent, a.split(".")[0])
+        rb = find_root(parent, b.split(".")[0])
         if ra == rb:
             raise SchemaError(f"cyclic template: edge {a}={b} closes a cycle")
-        parent.setdefault(ra, ra)
         parent[ra] = rb
 
 
@@ -360,11 +359,6 @@ class KeyDomain:
         idx = np.floor((v - self.lo) / self.width).astype(np.int64)
         return np.clip(idx, 0, self.bin_count - 1)
 
-    def bin_interval(self, i: int) -> tuple[float, float]:
-        if not 0 <= i < self.bin_count:
-            raise IndexError(f"bin index {i} out of range")
-        return (self.lo + i * self.width, self.lo + (i + 1) * self.width)
-
 
 def infer_key_domains(schema: Schema) -> list[KeyDomain]:
     """Union-find over FK edges; one domain per component with >= 2 columns.
@@ -373,29 +367,14 @@ def infer_key_domains(schema: Schema) -> list[KeyDomain]:
     the schema is inconsistent.
     """
     parent: dict[str, str] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # deterministic representative regardless of edge order
-            if ra < rb:
-                parent[rb] = ra
-            else:
-                parent[ra] = rb
-
     for frm, to in schema.foreign_keys:
-        union(frm, to)
+        ra, rb = find_root(parent, frm), find_root(parent, to)
+        # the least column is the root, whatever the edge order
+        parent[max(ra, rb)] = min(ra, rb)
 
     components: dict[str, set[str]] = {}
     for col in parent:
-        components.setdefault(find(col), set()).add(col)
+        components.setdefault(find_root(parent, col), set()).add(col)
 
     domains = []
     for root in sorted(components):

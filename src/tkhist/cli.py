@@ -55,7 +55,6 @@ def cmd_build(args) -> int:
     tables = ingest_all(schema)
     config = BuildConfig(bin_count=args.bins, top_k=args.k,
                          attr_bin_count=args.attr_bins,
-                         categorical_threshold=args.threshold,
                          correlation_cap=args.correlation_cap)
     t0 = time.perf_counter()
     state = build_state(schema, tables, config)
@@ -162,8 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=200)
     p.add_argument("--k", type=int, default=20)
     p.add_argument("--attr-bins", type=int, default=None)
-    p.add_argument("--threshold", type=int, default=None,
-                   help="categorical distinct-count threshold")
     p.add_argument("--correlation-cap", type=int, default=1000)
     _add_djpcd_arg(p)
     p.set_defaults(func=cmd_build)

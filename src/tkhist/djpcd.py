@@ -18,7 +18,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .catalog import Schema, TableData, split_qualified
+from .catalog import Schema, TableData
 from .joinengine import CompositeHist
 from .predicate import Predicate, matches
 from .queryfront import Query

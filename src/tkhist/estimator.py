@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .catalog import KIND_INTEGER, TableData
 from .errors import EstimationError, ParseError, PlanError, TKHistError
 from .joinengine import (CompositeHist, apply_filters, chain_translate,
                          join_star_group, lift)
-from .predicate import (BinSelectivity, Predicate, combine_table_selectivity,
-                        key_bin_fractions, matches, selectivity_2d)
+from .predicate import Predicate, key_bin_fractions, matches, selectivity_2d
 from .queryfront import (Query, SubQueryPlan, bind, decompose, parse_sql,
                          validate_acyclic)
 from .state import EstimatorState
@@ -92,7 +91,7 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
             for key in excluded:
                 b.dominant.pop(key, None)
 
-    fractions: list[BinSelectivity] = []
+    sel = None  # product of the per-bin fractions, in predicate order
     for pred in _alias_predicates(query, alias):
         attr = pred.column.split(".", 1)[1]
         if attr == key_col:
@@ -101,16 +100,17 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
                 b.dominant = {k: v for k, v in b.dominant.items()
                               if matches(pred, k)}
             kind = state.schema.table(table).column(attr).kind
-            fractions.append(BinSelectivity(key_bin_fractions(
-                hist.domain, pred, integer=kind == KIND_INTEGER)))
+            frac = key_bin_fractions(hist.domain, pred,
+                                     integer=kind == KIND_INTEGER)
         else:
             h2 = state.hists2d.get((table, key_col, attr))
             if h2 is None:
                 raise PlanError(
                     f"no statistics for predicate column {table}.{attr}")
-            fractions.append(selectivity_2d(h2, pred))
-    if fractions:
-        comp = apply_filters(comp, combine_table_selectivity(fractions))
+            frac = selectivity_2d(h2, pred)
+        sel = frac if sel is None else sel * frac
+    if sel is not None:
+        comp = apply_filters(comp, sel)
     return comp
 
 
@@ -166,10 +166,8 @@ def _single_table_fraction(state: EstimatorState, table: str,
         h2 = state.hists2d.get((table, kc, attr))
         if h2 is not None:
             mass = h2.grid.sum(axis=1).astype(np.float64)
-            if mass.sum() <= 0:
-                return 0.0
-            frac = selectivity_2d(h2, pred).fractions
-            return float(mass @ frac / mass.sum())
+            return (float(mass @ selectivity_2d(h2, pred) / mass.sum())
+                    if mass.sum() > 0 else 0.0)
     return 1.0  # no statistics for this column; neutral
 
 

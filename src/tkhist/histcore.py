@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .catalog import KeyDomain
-from .errors import DomainBoundsError, TKHistError
+from .errors import TKHistError
 
 
 def _scalar(v):
@@ -169,12 +169,6 @@ class AttrBinning:
         self.values.append(v)
         self._index[v] = len(self.values) - 1
         return self._index[v]
-
-    def interval(self, j: int) -> tuple[float, float]:
-        n = self.n_bins
-        lo, hi = float(self.boundaries[0]), float(self.boundaries[-1])
-        w = (hi - lo) / n
-        return (lo + j * w, lo + (j + 1) * w)
 
 
 def numeric_binning(values: np.ndarray, n_bins: int, integer: bool) -> AttrBinning:

@@ -20,7 +20,6 @@ import numpy as np
 from .catalog import KeyDomain
 from .errors import DomainMismatchError, TKHistError
 from .histcore import TKHist1D, TKHist2D
-from .predicate import BinSelectivity
 
 
 def selinger_bin_estimate(nv_a: float, ndv_a: float,
@@ -114,20 +113,19 @@ def join_star_group(hists: list[CompositeHist]) -> CompositeHist:
 
 
 def apply_filters(comp: CompositeHist,
-                  fractions: BinSelectivity) -> CompositeHist:
-    """Scale per-bin background mass by the filter selectivity.
+                  fractions: np.ndarray) -> CompositeHist:
+    """Scale per-bin background mass by the per-bin filter selectivity.
 
     Dominant entries keep their full weight: retained join paths are handled
     exclusively through correlation-based exclusion, and scaling them here
     would double-count that correction.
     """
-    f = fractions.fractions
-    if len(f) != len(comp.bins):
+    if len(fractions) != len(comp.bins):
         raise DomainMismatchError("selectivity length does not match bin count")
     bins = [CompositeBin(dominant=dict(b.dominant),
                          background_est=b.background_est * float(frac),
                          ndv_est=b.ndv_est)
-            for frac, b in zip(f, comp.bins)]
+            for frac, b in zip(fractions, comp.bins)]
     return CompositeHist(domain=comp.domain, bins=bins)
 
 

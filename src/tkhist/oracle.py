@@ -17,7 +17,6 @@ import numpy as np
 
 from .catalog import TableData
 from .errors import PlanError
-from .histcore import _scalar
 from .predicate import matches
 from .queryfront import Query, validate_acyclic
 
@@ -71,9 +70,12 @@ def oracle_count(query: Query, tables: dict[str, TableData],
 
 
 def nested_loop_count(query: Query, tables: dict[str, TableData]) -> int:
-    """Independent row-level nested-loop join; exponential, small inputs only."""
+    """Independent row-level nested-loop join over Python values, as in
+    `oracle_count`; exponential, small inputs only."""
     aliases = list(query.aliases)
     data = {a: tables[t] for a, t in query.aliases.items()}
+    values = {a: {c: col.tolist() for c, col in tables[t].columns.items()}
+              for a, t in query.aliases.items()}
     preds_by_alias: dict[str, list] = defaultdict(list)
     for p in query.predicates:
         preds_by_alias[p.column.split(".", 1)[0]].append(p)
@@ -94,7 +96,7 @@ def nested_loop_count(query: Query, tables: dict[str, TableData]) -> int:
             col = p.column.split(".", 1)[1]
             if d.null_mask[col][i]:
                 return False
-            v = d.columns[col][i]
+            v = values[alias][col][i]
             op, ref = p.op, p.value
             if op == "=":
                 if v != ref:
@@ -115,7 +117,7 @@ def nested_loop_count(query: Query, tables: dict[str, TableData]) -> int:
                 if not ref[0] <= v <= ref[1]:
                     return False
             else:  # in
-                if _scalar(v) not in ref:
+                if v not in ref:
                     return False
         return True
 
@@ -132,12 +134,12 @@ def nested_loop_count(query: Query, tables: dict[str, TableData]) -> int:
             for (ea, ca), (eb, cb) in edges:
                 if ea == alias and eb in assignment:
                     j = assignment[eb]
-                    if data[ea].columns[ca][i] != data[eb].columns[cb][j]:
+                    if values[ea][ca][i] != values[eb][cb][j]:
                         ok = False
                         break
                 elif eb == alias and ea in assignment:
                     j = assignment[ea]
-                    if data[eb].columns[cb][i] != data[ea].columns[ca][j]:
+                    if values[eb][cb][i] != values[ea][ca][j]:
                         ok = False
                         break
             if not ok:

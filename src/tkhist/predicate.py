@@ -84,34 +84,31 @@ def satisfying_intervals(pred: Predicate, integer: bool) -> list[tuple[float, fl
     return [(v, v) for v in cells]
 
 
-def _overlap_fraction(lo: float, hi: float,
-                      intervals: list[tuple[float, float]]) -> float:
-    width = hi - lo
-    if width <= 0:
-        return 0.0
-    covered = 0.0
-    for a, b in intervals:
-        covered += max(0.0, min(b, hi) - max(a, lo))
-    return min(covered / width, 1.0)
+def bin_fractions(lo: float, hi: float, n: int, pred: Predicate,
+                  integer: bool) -> np.ndarray:
+    """Share of each of `n` equi-width bins over [lo, hi] covered by the
+    predicate: bin i spans lo + i*w .. lo + (i+1)*w with w = (hi - lo) / n,
+    and its share is the summed overlap of the satisfying intervals over its
+    width, capped at 1."""
+    i = np.arange(n)
+    w = (hi - lo) / n
+    left, right = lo + i * w, lo + (i + 1) * w
+    covered = np.zeros(n)
+    for a, b in satisfying_intervals(pred, integer):
+        if (isinstance(a, int) and isinstance(b, int)
+                and max(abs(a), abs(b)) > 2 ** 53):
+            # round the exact b - a once, as Python int arithmetic does
+            covered += [float(max(0.0, min(b, r) - max(a, l)))
+                        for l, r in zip(left.tolist(), right.tolist())]
+        else:
+            covered += np.maximum(0.0, np.minimum(b, right)
+                                  - np.maximum(a, left))
+    width = right - left
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(width > 0, np.minimum(covered / width, 1.0), 0.0)
 
 
-@dataclass
-class BinSelectivity:
-    """Per key-bin selectivity fractions, all in [0, 1]."""
-
-    fractions: np.ndarray
-
-    def __post_init__(self):
-        f = np.asarray(self.fractions, dtype=np.float64)
-        if len(f) and (f.min() < 0 or f.max() > 1):
-            raise TKHistError("selectivity fractions must lie in [0, 1]")
-        self.fractions = f
-
-    def __len__(self):
-        return len(self.fractions)
-
-
-def selectivity_2d(hist2d: TKHist2D, pred: Predicate) -> BinSelectivity:
+def selectivity_2d(hist2d: TKHist2D, pred: Predicate) -> np.ndarray:
     """Per key-bin fraction of mass satisfying the predicate.
 
     Key bins with zero row mass yield the neutral fraction 1.
@@ -122,32 +119,17 @@ def selectivity_2d(hist2d: TKHist2D, pred: Predicate) -> BinSelectivity:
     else:
         if pred.op == "in" and any(isinstance(v, str) for v in pred.value):
             raise TKHistError("string set predicate against numeric attribute")
-        intervals = satisfying_intervals(pred, binning.integer)
-        sat = np.array([_overlap_fraction(*binning.interval(j), intervals)
-                        for j in range(binning.n_bins)])
+        sat = bin_fractions(float(binning.boundaries[0]),
+                            float(binning.boundaries[-1]), binning.n_bins,
+                            pred, binning.integer)
     mass = hist2d.grid.sum(axis=1).astype(np.float64)
     hit = hist2d.grid @ sat
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(mass > 0, hit / np.maximum(mass, 1e-300), 1.0)
-    return BinSelectivity(np.clip(frac, 0.0, 1.0))
-
-
-def combine_table_selectivity(fractions: list[BinSelectivity]) -> BinSelectivity:
-    """Product of per-bin conditionals (conditional independence on the key)."""
-    if not fractions:
-        raise TKHistError("need at least one selectivity to combine")
-    n = len(fractions[0])
-    out = np.ones(n)
-    for f in fractions:
-        if len(f) != n:
-            raise TKHistError("selectivity length mismatch")
-        out = out * f.fractions
-    return BinSelectivity(out)
+    return np.clip(frac, 0.0, 1.0)
 
 
 def key_bin_fractions(domain: KeyDomain, pred: Predicate,
                       integer: bool) -> np.ndarray:
     """Per-bin overlap fraction of a predicate applied to the key column itself."""
-    intervals = satisfying_intervals(pred, integer)
-    return np.array([_overlap_fraction(*domain.bin_interval(i), intervals)
-                     for i in range(domain.bin_count)])
+    return bin_fractions(domain.lo, domain.hi, domain.bin_count, pred, integer)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .catalog import (KIND_CATEGORICAL, KIND_INTEGER, KIND_REAL, Schema)
+from .catalog import KIND_CATEGORICAL, KIND_INTEGER, Schema, find_root
 from .errors import (CyclicJoinError, ParseError, PlanError,
                      UnsupportedQueryError)
 from .predicate import Predicate
@@ -195,36 +195,6 @@ def parse_sql(text: str) -> Query:
     return _Parser(text).parse()
 
 
-def unparse(query: Query) -> str:
-    """Render a Query back to canonical SQL text."""
-    from_items = []
-    for alias, table in query.aliases.items():
-        from_items.append(table if alias == table else f"{table} AS {alias}")
-    parts = [f"SELECT COUNT(*) FROM {', '.join(from_items)}"]
-    conjuncts = [f"{a} = {b}" for a, b in query.join_edges]
-    for p in query.predicates:
-        conjuncts.append(_render_predicate(p))
-    if conjuncts:
-        parts.append("WHERE " + " AND ".join(conjuncts))
-    return " ".join(parts)
-
-
-def _render_literal(v) -> str:
-    if isinstance(v, str):
-        return "'" + v.replace("'", "''") + "'"
-    return repr(v) if isinstance(v, float) else str(v)
-
-
-def _render_predicate(p: Predicate) -> str:
-    if p.op == "between":
-        lo, hi = p.value
-        return f"{p.column} BETWEEN {_render_literal(lo)} AND {_render_literal(hi)}"
-    if p.op == "in":
-        vals = ", ".join(_render_literal(v) for v in sorted(p.value, key=repr))
-        return f"{p.column} IN ({vals})"
-    return f"{p.column} {p.op} {_render_literal(p.value)}"
-
-
 def bind(query: Query, schema: Schema) -> Query:
     """Resolve bare columns to aliases and validate references and literals."""
 
@@ -289,19 +259,11 @@ def _coerce_operand(p: Predicate, kind: str):
 def validate_acyclic(query: Query) -> None:
     """Reject queries whose join multigraph contains a cycle."""
     parent: dict[str, str] = {}
-
-    def find(x):
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     for a, b in query.join_edges:
         aa, ab = a.split(".")[0], b.split(".")[0]
         if aa == ab:
             raise CyclicJoinError(f"self-join edge {a} = {b}")
-        ra, rb = find(aa), find(ab)
+        ra, rb = find_root(parent, aa), find_root(parent, ab)
         if ra == rb:
             raise CyclicJoinError(f"cyclic join detected at edge {a} = {b}")
         parent[ra] = rb

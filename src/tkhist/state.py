@@ -35,7 +35,6 @@ class BuildConfig:
     bin_count: int = DEFAULT_BIN_COUNT
     top_k: int = DEFAULT_TOP_K
     attr_bin_count: int | None = None  # defaults to bin_count
-    categorical_threshold: int | None = None  # defaults to the schema's value
     correlation_cap: int = 1000  # dominant keys kept per domain during discovery
 
     @property
@@ -73,9 +72,6 @@ def build_state(schema: Schema, tables: dict[str, TableData],
     because it re-runs the join pipeline over the longest templates.
     """
     config = config or BuildConfig()
-    threshold = (config.categorical_threshold
-                 if config.categorical_threshold is not None
-                 else schema.categorical_threshold)
 
     domains = {d.id: d for d in catalog.infer_key_domains(schema)}
     catalog.set_domain_boundaries(list(domains.values()), tables,
@@ -91,7 +87,8 @@ def build_state(schema: Schema, tables: dict[str, TableData],
     for tdef in schema.tables:
         data = tables[tdef.name]
         table_rows[tdef.name] = data.row_count
-        for name, cls in catalog.classify_columns(data, tdef, threshold).items():
+        for name, cls in catalog.classify_columns(
+                data, tdef, schema.categorical_threshold).items():
             column_class[(tdef.name, name)] = cls
         # orphan key columns (no FK edge) behave like numeric attributes
         for cdef in tdef.columns:
@@ -246,7 +243,6 @@ def state_to_document(state: EstimatorState) -> dict:
             "bin_count": state.config.bin_count,
             "top_k": state.config.top_k,
             "attr_bin_count": state.config.attr_bin_count,
-            "categorical_threshold": state.config.categorical_threshold,
             "correlation_cap": state.config.correlation_cap,
         },
         "schema": state.schema.document,
@@ -330,7 +326,6 @@ def _state_from_known_document(doc: dict) -> EstimatorState:
     cdoc = doc["config"]
     config = BuildConfig(bin_count=cdoc["bin_count"], top_k=cdoc["top_k"],
                          attr_bin_count=cdoc["attr_bin_count"],
-                         categorical_threshold=cdoc["categorical_threshold"],
                          correlation_cap=cdoc["correlation_cap"])
     schema = catalog.schema_from_document(doc["schema"],
                                           base_dir=doc.get("schema_base_dir", "."))

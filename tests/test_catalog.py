@@ -113,6 +113,18 @@ class TestKeyDomains:
         assert {frozenset(d.columns) for d in domains} == {
             frozenset({"a.k1", "b.k1"}), frozenset({"b.k2", "c.k2"})}
 
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_domains_ordered_by_least_column(self, flip):
+        # by greatest column the order would be {b, c} before {a, z}
+        tables = [{"name": t, "columns": [{"name": "k", "role": "key"}]}
+                  for t in "abcz"]
+        fks = [("z.k", "a.k"), ("c.k", "b.k")]
+        doc = {"tables": tables, "foreign_keys": [
+            {"from": b, "to": a} if flip else {"from": a, "to": b}
+            for a, b in fks]}
+        domains = infer_key_domains(schema_from_document(doc))
+        assert [d.id for d in domains] == ["a.k", "b.k"]
+
     def test_template_crossing_domains_rejected(self):
         doc = {
             "tables": [

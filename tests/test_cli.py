@@ -188,8 +188,8 @@ class TestNaNCells:
     """A REAL cell reading `nan` is a null: it joins nothing and passes no
     predicate, so it must stay out of bin boundaries and histograms."""
 
-    def write(self, tmp_path, r_rows, *build_args):
-        doc = {"tables": [
+    def write(self, tmp_path, r_rows, **schema_entries):
+        doc = {**schema_entries, "tables": [
             {"name": t, "file": f"{t}.csv", "columns": [
                 {"name": "k", "kind": "integer", "role": "key"},
                 {"name": "y", "kind": "real"}]} for t in ("r", "s")],
@@ -200,7 +200,7 @@ class TestNaNCells:
         (tmp_path / "s.csv").write_text("k,y\n1,1.0\n3,2.0\n")
         state = tmp_path / "state.json"
         assert main(["build", "--schema", str(tmp_path / "schema.json"),
-                     "--state", str(state), "--bins", "4", *build_args]) == 0
+                     "--state", str(state), "--bins", "4"]) == 0
         return load_state(str(state)), state
 
     def test_nan_leaves_numeric_binning_finite(self, tmp_path):
@@ -222,7 +222,7 @@ class TestNaNCells:
 
     def test_update_with_nan_cell(self, tmp_path, capsys):
         st, state = self.write(tmp_path, [(1, 0.5), (3, 2.5), (5, 4.5)],
-                               "--threshold", "1")
+                               categorical_threshold=1)
         assert st.column_class[("r", "y")] == "numeric"
         new = tmp_path / "new.csv"
         new.write_text("k,y\n2,nan\n4,1.5\n")

@@ -12,7 +12,6 @@ from tkhist.histcore import build_tkhist1d, build_tkhist2d, domain_binning
 from tkhist.joinengine import (CompositeBin, CompositeHist, apply_filters,
                                chain_translate, jtkh_join, join_star_group,
                                lift, propagate_ndv, selinger_bin_estimate)
-from tkhist.predicate import BinSelectivity
 from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
 
@@ -149,7 +148,7 @@ class TestFiltersAndExclusion:
         d = make_domain(bins=2)
         comp = comp_of(d, [CompositeBin({1: 4.0}, 10.0, 5.0),
                            CompositeBin({}, 8.0, 2.0)])
-        out = apply_filters(comp, BinSelectivity(np.array([0.5, 0.25])))
+        out = apply_filters(comp, np.array([0.5, 0.25]))
         assert out.bins[0].dominant == {1: 4.0}
         assert out.bins[0].background_est == 5.0
         assert out.bins[1].background_est == 2.0

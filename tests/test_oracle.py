@@ -110,10 +110,13 @@ def oracle_instances(draw):
 
     Each table has join keys `k` and `j` (INTEGER, or REAL in steps of 0.5
     so that 3 and 3.0 join and 2.5 joins no INTEGER), a numeric `y` and a
-    categorical `c`, every column with nulls.  A star joins every alias on
-    `k` to the first; a chain joins each alias's `k` to the previous `j`.
+    categorical `c`, every column with nulls.  Keys may start at 2**53,
+    where INTEGER 2**53 + 1 and the REAL it rounds to (2**53) must not
+    join.  A star joins every alias on `k` to the first; a chain joins each
+    alias's `k` to the previous `j`.
     """
     n_tables = draw(st.integers(min_value=1, max_value=3))
+    base = draw(st.sampled_from([0, 2 ** 53]))
     tables = {}
     for t in range(n_tables):
         rows = draw(st.integers(min_value=1, max_value=9))
@@ -122,7 +125,8 @@ def oracle_instances(draw):
         for key in ("k", "j"):
             halves = draw(st.lists(st.integers(min_value=0, max_value=5),
                                    min_size=rows, max_size=rows))
-            cols[key] = [h / 2 if real else h // 2 for h in halves]
+            cols[key] = [base + h / 2 if real else base + h // 2
+                         for h in halves]
         cols["y"] = draw(st.lists(st.integers(min_value=0, max_value=5),
                                   min_size=rows, max_size=rows))
         cols["c"] = draw(st.lists(st.sampled_from("abc"),

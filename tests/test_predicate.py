@@ -4,13 +4,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain
-from tkhist.errors import TKHistError
-from tkhist.estimator import _single_table_fraction
-from tkhist.histcore import (build_tkhist2d, categorical_binning,
-                             numeric_binning)
-from tkhist.predicate import (BinSelectivity, Predicate,
-                              combine_table_selectivity, key_bin_fractions,
-                              matches, satisfying_intervals, selectivity_2d)
+from tkhist.errors import DomainMismatchError, TKHistError
+from tkhist.estimator import _lift_alias, _single_table_fraction
+from tkhist.histcore import (AttrBinning, TKHist2D, build_tkhist2d,
+                             categorical_binning, numeric_binning)
+from tkhist.joinengine import CompositeBin, CompositeHist, apply_filters
+from tkhist.predicate import (Predicate, key_bin_fractions, matches,
+                              satisfying_intervals, selectivity_2d)
+from tkhist.queryfront import bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 
 from conftest import make_table, two_table_schema
@@ -20,6 +21,39 @@ def make_domain(lo=0, hi=100, bins=10):
     d = KeyDomain(id="t.k", columns=frozenset({"t.k"}))
     d.set_boundaries(lo, hi, bins)
     return d
+
+
+def _overlap_fraction(lo: float, hi: float,
+                      intervals: list[tuple[float, float]]) -> float:
+    """The per-bin overlap loop that `predicate.bin_fractions` replaced."""
+    width = hi - lo
+    if width <= 0:
+        return 0.0
+    covered = 0.0
+    for a, b in intervals:
+        covered += max(0.0, min(b, hi) - max(a, lo))
+    return min(covered / width, 1.0)
+
+
+def reference_fractions(lo, hi, n, pred, integer):
+    """Bin j of n over [lo, hi] spans lo + j*w .. lo + (j+1)*w, as in the
+    former `KeyDomain.bin_interval` and `AttrBinning.interval`."""
+    w = (hi - lo) / n
+    intervals = satisfying_intervals(pred, integer)
+    return np.array([_overlap_fraction(lo + j * w, lo + (j + 1) * w,
+                                       intervals) for j in range(n)])
+
+
+def reference_selectivity_2d(h, pred):
+    """The former numeric branch of `selectivity_2d`, over the loop."""
+    b = h.attr.boundaries
+    sat = reference_fractions(float(b[0]), float(b[-1]), h.attr.n_bins, pred,
+                              h.attr.integer)
+    mass = h.grid.sum(axis=1).astype(np.float64)
+    hit = h.grid @ sat
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(mass > 0, hit / np.maximum(mass, 1e-300), 1.0)
+    return np.clip(frac, 0.0, 1.0)
 
 
 class TestMatches:
@@ -71,7 +105,7 @@ class TestSelectivity2D:
         attrs[0], attrs[1] = 0, 100  # pin the binning range
         d, h = self.build(keys, attrs, key_bins=4, attr_bins=10)
         pred = Predicate("c", "<", 50)  # falls on an attribute bin boundary
-        frac = selectivity_2d(h, pred).fractions
+        frac = selectivity_2d(h, pred)
         for i in range(4):
             in_bin = [(kk, aa) for kk, aa in zip(keys, attrs)
                       if d.bin_of(kk) == i]
@@ -80,7 +114,7 @@ class TestSelectivity2D:
 
     def test_empty_key_bin_is_neutral(self):
         d, h = self.build([1, 2, 3], [5, 5, 5], key_bins=4)
-        frac = selectivity_2d(h, Predicate("c", "=", 5)).fractions
+        frac = selectivity_2d(h, Predicate("c", "=", 5))
         assert frac[3] == 1.0
 
     def test_categorical_axis(self):
@@ -88,7 +122,7 @@ class TestSelectivity2D:
         attrs = np.array(["a", "b", "a", "c"], dtype=object)
         h = build_tkhist2d(np.array([1, 2, 3, 4]), attrs, d,
                            categorical_binning(attrs))
-        frac = selectivity_2d(h, Predicate("c", "=", "a")).fractions
+        frac = selectivity_2d(h, Predicate("c", "=", "a"))
         assert frac[0] == pytest.approx(0.5)
 
     def test_partial_overlap_interpolates(self):
@@ -97,25 +131,38 @@ class TestSelectivity2D:
         attrs = np.array([0, 9])
         binning = numeric_binning(np.array([0, 10]), 1, integer=True)
         h = build_tkhist2d(np.array([1, 2]), attrs, d, binning)
-        frac = selectivity_2d(h, Predicate("c", "<", 5)).fractions
+        frac = selectivity_2d(h, Predicate("c", "<", 5))
         assert frac[0] == pytest.approx(0.5)
 
 
 class TestCombine:
+    """Per-bin fractions of one alias's predicates multiply at lift."""
+
     def test_product_per_bin(self):
-        a = BinSelectivity(np.array([0.5, 1.0]))
-        b = BinSelectivity(np.array([0.5, 0.2]))
-        out = combine_table_selectivity([a, b])
-        assert out.fractions.tolist() == [0.25, 0.2]
+        # two key bins [0, 5) and [5, 10]; y and z are categorical, so each
+        # per-bin fraction is an exact share of the bin's rows
+        tables = {"r": make_table("r", {"k": [1, 2, 3, 4, 6, 7, 8, 9, 10],
+                                        "y": [1, 1, 9, 9, 1, 1, 1, 1, 1],
+                                        "z": [5, 5, 0, 0, 5, 0, 0, 0, 0]}),
+                  "s": make_table("s", {"k": [0, 10], "y": [0, 0],
+                                        "z": [0, 0]})}
+        state = build_state(two_table_schema(("y", "z")), tables,
+                            BuildConfig(bin_count=2, top_k=0))
+        query = bind(parse_sql("SELECT COUNT(*) FROM r, s WHERE r.k = s.k "
+                               "AND r.y < 5 AND r.z >= 3"), state.schema)
+        fy = selectivity_2d(state.hists2d[("r", "k", "y")],
+                            query.predicates[0])
+        fz = selectivity_2d(state.hists2d[("r", "k", "z")],
+                            query.predicates[1])
+        assert fy.tolist() == [0.5, 1.0] and fz.tolist() == [0.5, 0.2]
+        comp = _lift_alias(state, query, "r", "k", frozenset())
+        assert [b.background_est for b in comp.bins] == [4 * 0.25, 5 * 0.2]
 
     def test_length_mismatch_rejected(self):
-        with pytest.raises(TKHistError):
-            combine_table_selectivity([BinSelectivity(np.array([1.0])),
-                                       BinSelectivity(np.array([1.0, 1.0]))])
-
-    def test_fraction_bounds_enforced(self):
-        with pytest.raises(TKHistError):
-            BinSelectivity(np.array([1.5]))
+        comp = CompositeHist(domain=make_domain(0, 10, 2),
+                             bins=[CompositeBin(), CompositeBin()])
+        with pytest.raises(DomainMismatchError):
+            apply_filters(comp, np.array([1.0]))
 
 
 class TestCategorical:
@@ -150,3 +197,69 @@ class TestKeyBinFractions:
         d = make_domain(0, 100, 7)
         fr = key_bin_fractions(d, Predicate("k", op, val), integer=True)
         assert (fr >= 0).all() and (fr <= 1).all()
+
+
+@st.composite
+def axis_predicates(draw):
+    """An equi-width axis of 1-8 bins and a predicate on it.
+
+    INTEGER axes have integral ends, some past 2**53 where ints and floats
+    part; REAL axes have float ends.  Operands lie on a bin edge, next to
+    one, inside a bin or outside the axis; `<`/`>` give infinite
+    half-intervals and IN gives several cells.
+    """
+    integer = draw(st.booleans())
+    n = draw(st.integers(1, 8))
+    if integer:
+        base = draw(st.sampled_from([0, -40, 2 ** 60]))
+        lo = base + draw(st.integers(-20, 20))
+        hi = lo + draw(st.integers(1, 120)) * (4096 if base else 1)
+    else:
+        lo = draw(st.floats(-100, 100))
+        hi = lo + draw(st.floats(0.5, 200))
+    w = (hi - lo) / n
+    edges = [lo + j * w for j in range(n + 1)]
+    if integer:
+        points = [int(e) + d for e in edges for d in (-1, 0, 1)]
+        points += [int(lo) - 10, int(hi) + 10]
+    else:
+        points = [e + d for e in edges for d in (-0.25, 0.0, 0.25)]
+        points += [lo - 10.0, hi + 10.0, draw(st.floats(lo, hi))]
+    points += [int(e + w / 2) if integer else e + w / 2 for e in edges[:-1]]
+    operand = st.sampled_from(points)
+    op = draw(st.sampled_from(["=", "<", "<=", ">", ">=", "between", "in"]))
+    if op == "between":
+        value = tuple(sorted([draw(operand), draw(operand)]))
+    elif op == "in":
+        value = frozenset(draw(st.lists(operand, min_size=1, max_size=4)))
+    else:
+        value = draw(operand)
+    return integer, lo, hi, n, Predicate("c", op, value)
+
+
+class TestBinFractionsDifferential:
+    """The vectorized overlap routine against the per-bin loop, bit for bit."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=axis_predicates())
+    def test_key_bin_fractions_equal_loop(self, case):
+        integer, lo, hi, n, pred = case
+        d = make_domain(lo, hi, n)
+        got = key_bin_fractions(d, pred, integer=integer)
+        assert got.dtype == np.float64
+        assert got.tolist() == reference_fractions(d.lo, d.hi, n, pred,
+                                                   integer).tolist()
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=axis_predicates(), data=st.data())
+    def test_selectivity_2d_equals_loop(self, case, data):
+        integer, lo, hi, n, pred = case
+        m = data.draw(st.integers(1, 4))  # key bins; some get no rows
+        counts = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]),
+                                    min_size=m * n, max_size=m * n))
+        h = TKHist2D(key_domain=make_domain(0, 10, m),
+                     attr=AttrBinning(kind="numeric", integer=integer,
+                                      boundaries=np.linspace(lo, hi, n + 1)),
+                     grid=np.asarray(counts, dtype=np.int64).reshape(m, n))
+        got = selectivity_2d(h, pred)
+        assert got.tolist() == reference_selectivity_2d(h, pred).tolist()

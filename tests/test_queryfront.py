@@ -4,7 +4,7 @@ from tkhist.catalog import schema_from_document
 from tkhist.errors import (CyclicJoinError, ParseError, PlanError,
                            UnsupportedQueryError)
 from tkhist.predicate import Predicate
-from tkhist.queryfront import (Query, bind, decompose, parse_sql, unparse,
+from tkhist.queryfront import (Query, bind, decompose, parse_sql,
                                validate_acyclic)
 
 
@@ -59,15 +59,6 @@ class TestParse:
         q = parse_sql("SELECT COUNT(*) FROM a, b "
                       "WHERE a.k1 = b.k1 AND b.k1 = a.k1")
         assert len(q.join_edges) == 1
-
-    def test_unparse_round_trips(self):
-        text = ("SELECT COUNT(*) FROM a, b AS bb WHERE a.k1 = bb.k1 "
-                "AND a.y BETWEEN 1 AND 5 AND bb.k2 > 3")
-        q = parse_sql(text)
-        q2 = parse_sql(unparse(q))
-        assert q2.join_edges == q.join_edges
-        assert q2.predicates == q.predicates
-        assert q2.aliases == q.aliases
 
 
 class TestBind:

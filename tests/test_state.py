@@ -141,6 +141,18 @@ class TestFormat:
         save_state(load_state(str(p1)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_config_threshold_of_older_files_ignored(self, built, tmp_path):
+        # older files carry `config.categorical_threshold`; only the schema
+        # document's threshold classifies columns now
+        state, _ = built
+        doc = state_to_document(state)
+        doc["config"]["categorical_threshold"] = 4
+        old, p1, p2 = (tmp_path / n for n in ("old.json", "a.json", "b.json"))
+        old.write_text(json.dumps(doc))
+        save_state(state, str(p1))
+        save_state(load_state(str(old)), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_v2_bins_are_written_in_canonical_order(self, mixed_state):
         for h in state_to_document(mixed_state)["hists1d"].values():
             tk, bg = h["topk_offsets"], h["background_offsets"]

@@ -139,9 +139,11 @@ def scenarios(draw):
                                       min_size=1, max_size=4))]
     config = BuildConfig(bin_count=draw(st.integers(1, 6)),
                          top_k=draw(st.integers(0, 3)),
-                         attr_bin_count=draw(st.integers(1, 5)),
-                         categorical_threshold=draw(st.sampled_from([1, 4, 1000])))
-    return base, batches, config
+                         attr_bin_count=draw(st.integers(1, 5)))
+    schema = schema_from_document(
+        {**SCHEMA_DOC,
+         "categorical_threshold": draw(st.sampled_from([1, 4, 1000]))})
+    return schema, base, batches, config
 
 
 def _json(state):
@@ -163,8 +165,7 @@ def _accepted(state, table, data):
 @settings(max_examples=200, deadline=None)
 @given(scenarios())
 def test_apply_rows_matches_row_loop(scenario):
-    base, batches, config = scenario
-    schema = schema_from_document(SCHEMA_DOC)
+    schema, base, batches, config = scenario
     state = build_state(schema, base, config)
     ref = copy.deepcopy(state)
     keys_seen = {(t, kc): list(base[t].columns[kc][~base[t].null_mask[kc]])
