@@ -166,8 +166,9 @@ def _single_table_fraction(state: EstimatorState, table: str,
         h2 = state.hists2d.get((table, kc, attr))
         if h2 is not None:
             mass = h2.grid.sum(axis=1).astype(np.float64)
-            return (float(mass @ selectivity_2d(h2, pred) / mass.sum())
-                    if mass.sum() > 0 else 0.0)
+            if mass.sum() <= 0:
+                return 0.0
+            return float(mass @ selectivity_2d(h2, pred) / mass.sum())
     return 1.0  # no statistics for this column; neutral
 
 

@@ -89,23 +89,18 @@ def bin_fractions(lo: float, hi: float, n: int, pred: Predicate,
     """Share of each of `n` equi-width bins over [lo, hi] covered by the
     predicate: bin i spans lo + i*w .. lo + (i+1)*w with w = (hi - lo) / n,
     and its share is the summed overlap of the satisfying intervals over its
-    width, capped at 1."""
-    i = np.arange(n)
+    width, capped at 1 (0 for a bin of no width)."""
+    intervals = satisfying_intervals(pred, integer)
     w = (hi - lo) / n
-    left, right = lo + i * w, lo + (i + 1) * w
-    covered = np.zeros(n)
-    for a, b in satisfying_intervals(pred, integer):
-        if (isinstance(a, int) and isinstance(b, int)
-                and max(abs(a), abs(b)) > 2 ** 53):
-            # round the exact b - a once, as Python int arithmetic does
-            covered += [float(max(0.0, min(b, r) - max(a, l)))
-                        for l, r in zip(left.tolist(), right.tolist())]
-        else:
-            covered += np.maximum(0.0, np.minimum(b, right)
-                                  - np.maximum(a, left))
-    width = right - left
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(width > 0, np.minimum(covered / width, 1.0), 0.0)
+    out = np.zeros(n)
+    for i in range(n):
+        left, right = lo + i * w, lo + (i + 1) * w
+        covered = 0.0
+        for a, b in intervals:
+            covered += max(0.0, min(b, right) - max(a, left))
+        width = right - left
+        out[i] = 0.0 if width <= 0 else min(covered / width, 1.0)
+    return out
 
 
 def selectivity_2d(hist2d: TKHist2D, pred: Predicate) -> np.ndarray:

@@ -205,8 +205,8 @@ def axis_predicates(draw):
 
     INTEGER axes have integral ends, some past 2**53 where ints and floats
     part; REAL axes have float ends.  Operands lie on a bin edge, next to
-    one, inside a bin or outside the axis; `<`/`>` give infinite
-    half-intervals and IN gives several cells.
+    one, inside a bin or outside the axis (INTEGER ones also past 2**64);
+    `<`/`>` give infinite half-intervals and IN gives several cells.
     """
     integer = draw(st.booleans())
     n = draw(st.integers(1, 8))
@@ -221,7 +221,7 @@ def axis_predicates(draw):
     edges = [lo + j * w for j in range(n + 1)]
     if integer:
         points = [int(e) + d for e in edges for d in (-1, 0, 1)]
-        points += [int(lo) - 10, int(hi) + 10]
+        points += [int(lo) - 10, int(hi) + 10, 10 ** 20 + 1, -(10 ** 20)]
     else:
         points = [e + d for e in edges for d in (-0.25, 0.0, 0.25)]
         points += [lo - 10.0, hi + 10.0, draw(st.floats(lo, hi))]
@@ -238,7 +238,7 @@ def axis_predicates(draw):
 
 
 class TestBinFractionsDifferential:
-    """The vectorized overlap routine against the per-bin loop, bit for bit."""
+    """The shared overlap routine against the former per-bin loop, bit for bit."""
 
     @settings(max_examples=400, deadline=None)
     @given(case=axis_predicates())
