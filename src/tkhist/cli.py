@@ -53,9 +53,7 @@ def _int_list(text: str) -> list[int]:
 def cmd_build(args) -> int:
     schema = catalog.load_schema(args.schema)
     tables = ingest_all(schema)
-    config = BuildConfig(bin_count=args.bins, top_k=args.k,
-                         attr_bin_count=args.attr_bins,
-                         correlation_cap=args.correlation_cap)
+    config = BuildConfig(bin_count=args.bins, top_k=args.k)
     t0 = time.perf_counter()
     state = build_state(schema, tables, config)
     if args.djpcd:
@@ -160,8 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arg(p)
     p.add_argument("--bins", type=int, default=200)
     p.add_argument("--k", type=int, default=20)
-    p.add_argument("--attr-bins", type=int, default=None)
-    p.add_argument("--correlation-cap", type=int, default=1000)
     _add_djpcd_arg(p)
     p.set_defaults(func=cmd_build)
 

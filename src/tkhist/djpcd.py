@@ -25,16 +25,18 @@ from .queryfront import Query
 
 # envelope forms: ("range", lo, hi) | ("set", frozenset)
 
+DOMINANT_KEYS_PER_DOMAIN = 1000  # keys tracked per key domain by discovery
+
 
 def collect_dominant_keys(group_composites: list[CompositeHist],
-                          cap: int) -> dict[str, set]:
+                          cap: int = DOMINANT_KEYS_PER_DOMAIN) -> dict[str, set]:
     """Union dominant-map keys per domain, keeping the `cap` largest
     contributors per domain."""
     weight: dict[str, dict] = defaultdict(lambda: defaultdict(float))
     for comp in group_composites:
         per_dom = weight[comp.domain.id]
-        for b in comp.bins:
-            for key, est in b.dominant.items():
+        for dom_map in comp.dominant:
+            for key, est in dom_map.items():
                 per_dom[key] += est
     out = {}
     for dom, per_key in weight.items():

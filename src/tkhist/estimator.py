@@ -87,18 +87,17 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     comp = lift(hist)
 
     if excluded:
-        for b in comp.bins:
+        for dom in comp.dominant:
             for key in excluded:
-                b.dominant.pop(key, None)
+                dom.pop(key, None)
 
     sel = None  # product of the per-bin fractions, in predicate order
     for pred in _alias_predicates(query, alias):
         attr = pred.column.split(".", 1)[1]
         if attr == key_col:
             # exact on dominant keys, interpolated on the background
-            for b in comp.bins:
-                b.dominant = {k: v for k, v in b.dominant.items()
-                              if matches(pred, k)}
+            comp.dominant = [{k: v for k, v in dom.items()
+                              if matches(pred, k)} for dom in comp.dominant]
             kind = state.schema.table(table).column(attr).kind
             frac = key_bin_fractions(hist.domain, pred,
                                      integer=kind == KIND_INTEGER)
@@ -229,8 +228,7 @@ def discover_correlations(state: EstimatorState,
         record: dict[int, CompositeHist] = {}
         run_plan(state, query, plan, group_record=record)
         composites.extend(record.values())
-    dominant = djpcd.collect_dominant_keys(composites,
-                                           state.config.correlation_cap)
+    dominant = djpcd.collect_dominant_keys(composites)
     state.correlations = djpcd.build_correlation_map(
         state.schema, tables, state.column_domain, state.column_class,
         dominant)
@@ -303,6 +301,23 @@ class WorkloadSummary:
                 "mean_latency_ms": self.mean_latency_ms}
 
 
+def _with_oracle_truths(schema, entries: list,
+                        tables: dict[str, TableData] | None) -> list:
+    """Fill each missing truth from the exact oracle when base tables are
+    supplied; a query that cannot be parsed or counted gets the `TKHistError`
+    that says why in place of its truth."""
+    out = []
+    for sql, truth in entries:
+        if truth is None and tables is not None:
+            try:
+                truth = float(oracle.oracle_count(
+                    bind(parse_sql(sql), schema), tables))
+            except TKHistError as exc:
+                truth = exc
+        out.append((sql, truth))
+    return out
+
+
 def evaluate_workload(state: EstimatorState,
                       entries: list[tuple[str, float | None]],
                       use_djpcd: bool = True,
@@ -313,16 +328,16 @@ def evaluate_workload(state: EstimatorState,
     an error report instead of aborting the run.
     """
     reports: list[EstimationReport] = []
-    for sql, truth in entries:
+    for sql, truth in _with_oracle_truths(state.schema, entries, tables):
         try:
             rep = estimate(sql, state, use_djpcd=use_djpcd)
-            if truth is None and tables is not None:
-                query = bind(parse_sql(sql), state.schema)
-                truth = float(oracle.oracle_count(query, tables))
         except TKHistError as exc:
+            truth = exc
+        if isinstance(truth, TKHistError):
             reports.append(EstimationReport(
                 query=sql, estimate=float("nan"), latency_ms=0.0,
-                used_djpcd=use_djpcd, error=str(exc)))
+                used_djpcd=bool(use_djpcd and state.correlations),
+                error=str(truth)))
             continue
         if truth is not None:
             rep.truth = truth
@@ -358,11 +373,13 @@ class SweepPoint:
 
 def sweep(schema, tables, entries, bin_counts: list[int], ks: list[int],
           use_djpcd: bool = False) -> list[SweepPoint]:
-    """Rebuild and evaluate at every (bin count, k) grid point."""
+    """Rebuild and evaluate at every (bin count, k) grid point; exact truths
+    are counted once, before the grid."""
     import tempfile
 
     from .state import BuildConfig, build_state, save_state
 
+    entries = _with_oracle_truths(schema, entries, tables)
     points = []
     for n in bin_counts:
         for k in ks:
@@ -374,8 +391,7 @@ def sweep(schema, tables, entries, bin_counts: list[int], ks: list[int],
             build_s = time.perf_counter() - t0
             with tempfile.NamedTemporaryFile(suffix=".json", delete=True) as tmp:
                 size = save_state(st, tmp.name)
-            _, summ = evaluate_workload(st, entries, use_djpcd=use_djpcd,
-                                        tables=tables)
+            _, summ = evaluate_workload(st, entries, use_djpcd=use_djpcd)
             points.append(SweepPoint(bin_count=n, top_k=k,
                                      build_seconds=build_s, state_bytes=size,
                                      median_q=summ.median_q,

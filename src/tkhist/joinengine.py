@@ -1,11 +1,14 @@
 """Bin-wise join of top-k histograms and composition across star groups.
 
-A binary join combines two histograms bin by bin: keys present in both
-containers multiply exactly; a key present in only one container joins the
-other side's background at its average frequency (BAC); the two backgrounds
-combine with the Selinger formula.  Background NDV propagates as the minimum
-of the two sides, which keeps the Selinger formula applicable recursively to
-intermediate results.
+A composite histogram holds, per bin, a dominant map (key -> estimated
+count) and two float64 arrays: background mass and background NDV.  A binary
+join combines two composites bin by bin: keys present in both dominant maps
+multiply exactly; a key present on one side only joins the other side's
+background at its average frequency BAC = background / NDV; the two
+backgrounds combine with the Selinger formula, and background NDV propagates
+as the minimum of the two sides, which keeps the Selinger formula applicable
+recursively to intermediate results.  The background and NDV arithmetic runs
+on whole arrays; only the dominant maps are walked key by key.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
@@ -13,7 +16,7 @@ composites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,51 +25,41 @@ from .errors import DomainMismatchError, TKHistError
 from .histcore import TKHist1D, TKHist2D
 
 
-def selinger_bin_estimate(nv_a: float, ndv_a: float,
-                          nv_b: float, ndv_b: float) -> float:
-    """|A|*|B| / max(NDV_A, NDV_B); zero when either side is empty."""
-    if ndv_a <= 0 or ndv_b <= 0:
-        return 0.0
-    return nv_a * nv_b / max(ndv_a, ndv_b)
-
-
-def propagate_ndv(ndv_a: float, ndv_b: float) -> float:
-    return min(ndv_a, ndv_b)
-
-
-@dataclass
-class CompositeBin:
-    dominant: dict = field(default_factory=dict)  # key -> estimated joined count
-    background_est: float = 0.0
-    ndv_est: float = 0.0
-
-    @property
-    def bac_est(self) -> float:
-        return self.background_est / self.ndv_est if self.ndv_est > 0 else 0.0
-
-    def total(self) -> float:
-        return self.background_est + sum(self.dominant.values())
+def selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b) -> np.ndarray:
+    """|A|*|B| / max(NDV_A, NDV_B) per bin; zero where either side is empty."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where((ndv_a > 0) & (ndv_b > 0),
+                        nv_a * nv_b / np.maximum(ndv_a, ndv_b), 0.0)
 
 
 @dataclass
 class CompositeHist:
     domain: KeyDomain
-    bins: list[CompositeBin]
-
-    def total(self) -> float:
-        return sum(b.total() for b in self.bins)
+    dominant: list[dict]  # per bin: key -> estimated joined count
+    background: np.ndarray  # float64 per bin
+    ndv: np.ndarray  # float64 per bin
 
     def bin_totals(self) -> np.ndarray:
-        return np.array([b.total() for b in self.bins])
+        return self.background + np.array(
+            [sum(d.values()) for d in self.dominant], dtype=np.float64)
+
+    def total(self) -> float:
+        return sum(self.bin_totals().tolist())
+
+
+def _bac(comp: CompositeHist) -> list[float]:
+    """Per-bin background average frequency; zero where NDV is zero."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(comp.ndv > 0, comp.background / comp.ndv, 0.0).tolist()
 
 
 def lift(hist: TKHist1D) -> CompositeHist:
     """Identity lift of a built histogram into the composite representation."""
-    bins = [CompositeBin(dominant={k: float(c) for k, c in b.topk.items()},
-                         background_est=float(b.nv),
-                         ndv_est=float(b.ndv))
-            for b in hist.bins]
-    return CompositeHist(domain=hist.domain, bins=bins)
+    return CompositeHist(
+        domain=hist.domain,
+        dominant=[{k: float(c) for k, c in b.topk.items()} for b in hist.bins],
+        background=np.array([b.nv for b in hist.bins], dtype=np.float64),
+        ndv=np.array([b.ndv for b in hist.bins], dtype=np.float64))
 
 
 def _check_same_domain(a: CompositeHist, b: CompositeHist) -> None:
@@ -79,27 +72,26 @@ def _check_same_domain(a: CompositeHist, b: CompositeHist) -> None:
 def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
     """Bin-wise binary join of two lifted top-k histograms."""
     _check_same_domain(a, b)
-    out_bins = []
-    for ba, bb in zip(a.bins, b.bins):
+    dominant = []
+    for da, db, bac_a, bac_b in zip(a.dominant, b.dominant, _bac(a), _bac(b)):
         dom: dict = {}
-        bac_a, bac_b = ba.bac_est, bb.bac_est
-        for key, ca in ba.dominant.items():
-            cb = bb.dominant.get(key)
+        for key, ca in da.items():
+            cb = db.get(key)
             est = ca * cb if cb is not None else ca * bac_b
             if est > 0:
                 dom[key] = est
-        for key, cb in bb.dominant.items():
-            if key in ba.dominant:
+        for key, cb in db.items():
+            if key in da:
                 continue
             est = cb * bac_a
             if est > 0:
                 dom[key] = est
-        out_bins.append(CompositeBin(
-            dominant=dom,
-            background_est=selinger_bin_estimate(
-                ba.background_est, ba.ndv_est, bb.background_est, bb.ndv_est),
-            ndv_est=propagate_ndv(ba.ndv_est, bb.ndv_est)))
-    return CompositeHist(domain=a.domain, bins=out_bins)
+        dominant.append(dom)
+    return CompositeHist(
+        domain=a.domain, dominant=dominant,
+        background=selinger_bin_estimate(a.background, a.ndv,
+                                         b.background, b.ndv),
+        ndv=np.minimum(a.ndv, b.ndv))
 
 
 def join_star_group(hists: list[CompositeHist]) -> CompositeHist:
@@ -118,15 +110,13 @@ def apply_filters(comp: CompositeHist,
 
     Dominant entries keep their full weight: retained join paths are handled
     exclusively through correlation-based exclusion, and scaling them here
-    would double-count that correction.
+    would double-count that correction.  The result shares the input's
+    dominant maps.
     """
-    if len(fractions) != len(comp.bins):
+    if len(fractions) != len(comp.background):
         raise DomainMismatchError("selectivity length does not match bin count")
-    bins = [CompositeBin(dominant=dict(b.dominant),
-                         background_est=b.background_est * float(frac),
-                         ndv_est=b.ndv_est)
-            for frac, b in zip(fractions, comp.bins)]
-    return CompositeHist(domain=comp.domain, bins=bins)
+    return CompositeHist(domain=comp.domain, dominant=comp.dominant,
+                         background=comp.background * fractions, ndv=comp.ndv)
 
 
 def chain_translate(comp: CompositeHist, bridge: TKHist2D,
@@ -146,17 +136,14 @@ def chain_translate(comp: CompositeHist, bridge: TKHist2D,
     if bridge.attr.attr_domain_id != target_hist.domain.id:
         raise DomainMismatchError(
             "bridge attribute axis is not binned over the target key domain")
-    totals = comp.bin_totals()
     marginal = bridge.key_marginal().astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = np.where(marginal[:, None] > 0,
                            bridge.grid / np.maximum(marginal[:, None], 1e-300),
                            0.0)
-    out = totals @ weights
-    bins = []
-    for j, mass in enumerate(out):
-        tb = target_hist.bins[j]
-        ndv = float(tb.ndv + len(tb.topk)) if mass > 0 else 0.0
-        bins.append(CompositeBin(dominant={}, background_est=float(mass),
-                                 ndv_est=ndv))
-    return CompositeHist(domain=target_hist.domain, bins=bins)
+    out = comp.bin_totals() @ weights
+    ndv = np.array([b.ndv + len(b.topk) for b in target_hist.bins],
+                   dtype=np.float64)
+    return CompositeHist(domain=target_hist.domain,
+                         dominant=[{} for _ in range(len(out))],
+                         background=out, ndv=np.where(out > 0, ndv, 0.0))

@@ -34,12 +34,6 @@ DEFAULT_TOP_K = 20
 class BuildConfig:
     bin_count: int = DEFAULT_BIN_COUNT
     top_k: int = DEFAULT_TOP_K
-    attr_bin_count: int | None = None  # defaults to bin_count
-    correlation_cap: int = 1000  # dominant keys kept per domain during discovery
-
-    @property
-    def attr_bins(self) -> int:
-        return self.attr_bin_count if self.attr_bin_count else self.bin_count
 
 
 @dataclass
@@ -53,7 +47,9 @@ class EstimatorState:
     freq_hists: dict[tuple[str, str], dict]
     column_class: dict[tuple[str, str], str]
     table_rows: dict[str, int]
-    correlations: dict | None = None  # see djpcd.CorrelationMap.entries
+    # {(table, domain_id, attr): {key: envelope}}, an envelope being
+    # ("range", lo, hi) or ("set", frozenset); built by djpcd
+    correlations: dict | None = None
 
     def domain_of(self, table: str, column: str) -> str | None:
         return self.column_domain.get(f"{table}.{column}")
@@ -107,7 +103,8 @@ def build_state(schema: Schema, tables: dict[str, TableData],
                 if cdef.name == kc:
                     continue
                 binning = _attr_binning(tdef.name, cdef, data, domains,
-                                        column_domain, column_class, config)
+                                        column_domain, column_class,
+                                        config.bin_count)
                 hists2d[(tdef.name, kc, cdef.name)] = build_tkhist2d(
                     data.columns[kc], data.columns[cdef.name], dom, binning,
                     key_nulls=data.null_mask[kc],
@@ -126,14 +123,14 @@ def build_state(schema: Schema, tables: dict[str, TableData],
 
 
 def _attr_binning(table: str, cdef, data: TableData, domains, column_domain,
-                  column_class, config: BuildConfig) -> AttrBinning:
+                  column_class, bin_count: int) -> AttrBinning:
     qual = f"{table}.{cdef.name}"
     if qual in column_domain:
         return domain_binning(domains[column_domain[qual]],
                               integer=cdef.kind == catalog.KIND_INTEGER)
     if column_class.get((table, cdef.name)) == "categorical":
         return categorical_binning(data.non_null(cdef.name))
-    return numeric_binning(data.non_null(cdef.name), config.attr_bins,
+    return numeric_binning(data.non_null(cdef.name), bin_count,
                            integer=cdef.kind == catalog.KIND_INTEGER)
 
 
@@ -242,8 +239,6 @@ def state_to_document(state: EstimatorState) -> dict:
         "config": {
             "bin_count": state.config.bin_count,
             "top_k": state.config.top_k,
-            "attr_bin_count": state.config.attr_bin_count,
-            "correlation_cap": state.config.correlation_cap,
         },
         "schema": state.schema.document,
         "schema_base_dir": state.schema.base_dir,
@@ -324,9 +319,7 @@ def _state_from_known_document(doc: dict) -> EstimatorState:
         raise StateError(f"unsupported state version {doc.get('version')!r}")
 
     cdoc = doc["config"]
-    config = BuildConfig(bin_count=cdoc["bin_count"], top_k=cdoc["top_k"],
-                         attr_bin_count=cdoc["attr_bin_count"],
-                         correlation_cap=cdoc["correlation_cap"])
+    config = BuildConfig(bin_count=cdoc["bin_count"], top_k=cdoc["top_k"])
     schema = catalog.schema_from_document(doc["schema"],
                                           base_dir=doc.get("schema_base_dir", "."))
 

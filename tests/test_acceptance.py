@@ -10,11 +10,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from tkhist.catalog import schema_from_document
 from tkhist.estimator import (discover_correlations, estimate, q_error, ratio)
-from tkhist.histcore import build_tkhist1d, build_tkhist2d, numeric_binning
-from tkhist.joinengine import (CompositeBin, CompositeHist, jtkh_join,
-                               selinger_bin_estimate)
+from tkhist.histcore import build_tkhist2d, numeric_binning
+from tkhist.joinengine import CompositeHist, jtkh_join, selinger_bin_estimate
 from tkhist.oracle import nested_loop_count, oracle_count
 from tkhist.predicate import Predicate, selectivity_2d
 from tkhist.queryfront import Query, bind, parse_sql
@@ -99,11 +97,13 @@ def test_criterion_02_join_histogram_degeneration():
         from tkhist.catalog import KeyDomain
         d = KeyDomain(id="t.k", columns=frozenset({"t.k"}))
         d.set_boundaries(0, 1, 1)
-        a = CompositeHist(d, [CompositeBin({}, float(nv_a), float(ndv_a))])
-        b = CompositeHist(d, [CompositeBin({}, float(nv_b), float(ndv_b))])
-        out = jtkh_join(a, b).bins[0]
+        a = CompositeHist(d, [{}], np.array([float(nv_a)]),
+                          np.array([float(ndv_a)]))
+        b = CompositeHist(d, [{}], np.array([float(nv_b)]),
+                          np.array([float(ndv_b)]))
+        out = jtkh_join(a, b)
         expect = selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b)
-        if out.dominant != {} or out.background_est != expect:
+        if out.dominant[0] != {} or out.background[0] != expect:
             mismatches += 1
     verdict(2, mismatches == 0,
             "k=0 join equals the Selinger per-bin estimate bit-for-bit on "

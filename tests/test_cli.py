@@ -1,5 +1,4 @@
 import json
-import os
 
 import pytest
 
@@ -133,6 +132,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert str(wl) in err and "line 3" in err and "'abc'" in err
+
+    def test_error_report_says_exclusion_was_off(self, bench, tmp_path):
+        state = tmp_path / "plain.json"
+        assert main(["build", "--schema", str(bench / "schema.json"),
+                     "--state", str(state), "--bins", "20", "--k", "5",
+                     "--no-djpcd"]) == 0
+        wl = tmp_path / "wl.txt"
+        wl.write_text("SELECT COUNT(*) FROM missing_table\n"
+                      "SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1\n")
+        rep = tmp_path / "rep.jsonl"
+        rc = main(["evaluate", "--state", str(state), "--workload", str(wl),
+                   "--out", str(rep)])
+        assert rc == 1
+        failed, ok = [json.loads(l) for l in rep.read_text().splitlines()]
+        assert "error" in failed and "error" not in ok
+        assert failed["used_djpcd"] is False and ok["used_djpcd"] is False
 
     def test_broken_query_sets_exit_code(self, built, tmp_path):
         wl = tmp_path / "wl.txt"

@@ -8,7 +8,7 @@ from tkhist.djpcd import (build_correlation_map, collect_dominant_keys,
                           envelope_excludes, find_excluded_keys)
 from tkhist.estimator import discover_correlations, estimate
 from tkhist.histcore import _scalar
-from tkhist.joinengine import CompositeBin, CompositeHist
+from tkhist.joinengine import CompositeHist
 from tkhist.predicate import Predicate
 from tkhist.queryfront import Query
 from tkhist.state import BuildConfig, build_state
@@ -105,14 +105,15 @@ def make_domain(id="t.k"):
 class TestCollect:
     def test_keys_ranked_by_contribution(self):
         d = make_domain()
-        comp = CompositeHist(d, [CompositeBin({1: 100.0, 2: 5.0, 3: 50.0})])
+        comp = CompositeHist(d, [{1: 100.0, 2: 5.0, 3: 50.0}], np.zeros(1),
+                             np.zeros(1))
         out = collect_dominant_keys([comp], cap=2)
         assert out["t.k"] == {1, 3}
 
     def test_contributions_sum_across_composites(self):
         d = make_domain()
-        c1 = CompositeHist(d, [CompositeBin({1: 10.0, 2: 30.0})])
-        c2 = CompositeHist(d, [CompositeBin({1: 25.0})])
+        c1 = CompositeHist(d, [{1: 10.0, 2: 30.0}], np.zeros(1), np.zeros(1))
+        c2 = CompositeHist(d, [{1: 25.0}], np.zeros(1), np.zeros(1))
         out = collect_dominant_keys([c1, c2], cap=1)
         assert out["t.k"] == {1}  # 35 vs 30
 

@@ -3,15 +3,16 @@ import math
 import numpy as np
 import pytest
 
+from tkhist import estimator, oracle
 from tkhist.djpcd import find_excluded_keys
-from tkhist.errors import EstimationError, PlanError
-from tkhist.estimator import (EstimationReport, discover_correlations,
-                              error_bound_check, estimate, evaluate_workload,
-                              parse_workload, q_error, ratio, run_plan, sweep)
+from tkhist.errors import EstimationError, PlanError, TKHistError
+from tkhist.estimator import (discover_correlations, error_bound_check,
+                              estimate, evaluate_workload, parse_workload,
+                              q_error, ratio, run_plan, sweep)
 from tkhist.histcore import build_tkhist1d
 from tkhist.catalog import KeyDomain
 from tkhist.queryfront import bind, decompose, parse_sql
-from tkhist.state import BuildConfig, build_state
+from tkhist.state import BuildConfig, build_state, save_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
 from conftest import make_table, two_table_schema
@@ -144,6 +145,60 @@ class TestSweep:
         assert by[(5, 4)].state_bytes > by[(5, 0)].state_bytes
         assert all(p.median_q is not None for p in points)
 
+    SWEEP_QUERIES = [
+        ("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1", None),
+        ("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 AND t1.y < 50",
+         None),
+        ("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 AND t2.y >= 20",
+         None)]
+
+    def test_truths_counted_once_per_sweep(self, monkeypatch, tmp_path):
+        schema, tables = generate_synthetic(
+            SyntheticSpec(tables=2, rows=400, distinct_keys=40), seed=9)
+        calls = []
+        count = oracle.oracle_count
+
+        def counting(query, tabs):
+            calls.append(query)
+            return count(query, tabs)
+
+        monkeypatch.setattr(oracle, "oracle_count", counting)
+        points = sweep(schema, tables, self.SWEEP_QUERIES, [5, 10], [0, 4])
+        assert len(calls) == 3
+        for p in points:  # the same points as evaluating each grid state
+            st = build_state(schema, tables, BuildConfig(bin_count=p.bin_count,
+                                                         top_k=p.top_k))
+            _, summ = evaluate_workload(st, self.SWEEP_QUERIES,
+                                        use_djpcd=False, tables=tables)
+            size = save_state(st, str(tmp_path / "grid.json"))
+            assert (p.state_bytes, p.median_q) == (size, summ.median_q)
+
+    def test_failing_truth_fails_at_every_point(self, monkeypatch):
+        schema, tables = generate_synthetic(
+            SyntheticSpec(tables=2, rows=400, distinct_keys=40), seed=9)
+        queries = self.SWEEP_QUERIES[:2] + [("SELECT COUNT(*) FROM nope", None)]
+
+        def failing(query, tabs):
+            if "y" in query.text:
+                raise TKHistError("oracle failed")
+            return 7
+
+        errors = []
+        score = estimator.evaluate_workload
+
+        def recording(*args, **kwargs):
+            reports, summ = score(*args, **kwargs)
+            errors.append([r.error for r in reports])
+            return reports, summ
+
+        monkeypatch.setattr(oracle, "oracle_count", failing)
+        monkeypatch.setattr(estimator, "evaluate_workload", recording)
+        points = sweep(schema, tables, queries, [5, 10], [0, 4])
+        assert len(points) == len(errors) == 4
+        for errs in errors:
+            assert errs[0] is None and errs[1] == "oracle failed"
+            assert "nope" in errs[2]
+
 
 @pytest.fixture(scope="module")
 def mixed_corr_state():
@@ -182,8 +237,8 @@ class TestExclusionAtLift:
                                       state.column_domain)
 
         def held(record):
-            return {k for gid, comp in record.items() for b in comp.bins
-                    for k in b.dominant.keys()
+            return {k for gid, comp in record.items() for dom in comp.dominant
+                    for k in dom.keys()
                     & excluded.get(plan.groups[gid].domain_id, frozenset())}
 
         plain: dict = {}

@@ -1,4 +1,5 @@
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -9,9 +10,9 @@ from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainMismatchError
 from tkhist.estimator import _lift_alias, run_plan
 from tkhist.histcore import build_tkhist1d, build_tkhist2d, domain_binning
-from tkhist.joinengine import (CompositeBin, CompositeHist, apply_filters,
-                               chain_translate, jtkh_join, join_star_group,
-                               lift, propagate_ndv, selinger_bin_estimate)
+from tkhist.joinengine import (CompositeHist, apply_filters, chain_translate,
+                               jtkh_join, join_star_group, lift,
+                               selinger_bin_estimate)
 from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
 
@@ -25,7 +26,13 @@ def make_domain(lo=0, hi=100, bins=4, id="t.k"):
 
 
 def comp_of(domain, bins):
-    return CompositeHist(domain=domain, bins=bins)
+    """A composite from per-bin (dominant, background, ndv) triples."""
+    return CompositeHist(domain=domain, dominant=[dict(b[0]) for b in bins],
+                         background=np.array([b[1] for b in bins], dtype=float),
+                         ndv=np.array([b[2] for b in bins], dtype=float))
+
+
+EMPTY_BIN = ({}, 0.0, 0.0)
 
 
 def two_table_state(r_keys, s_keys, top_k):
@@ -48,7 +55,10 @@ class TestSelinger:
         assert selinger_bin_estimate(0, 0, 0, 0) == 0.0
 
     def test_ndv_propagates_as_min(self):
-        assert propagate_ndv(5, 3) == 3
+        d = make_domain(bins=1)
+        out = jtkh_join(comp_of(d, [({}, 1.0, 5.0)]),
+                        comp_of(d, [({}, 1.0, 3.0)]))
+        assert out.ndv[0] == 3
 
 
 class TestBinJoin:
@@ -56,13 +66,12 @@ class TestBinJoin:
         # a: container {1:3, 2:1}, background 4 rows over 2 keys (BAC 2)
         # b: container {1:2},      background 6 rows over 3 keys (BAC 2)
         d = make_domain(bins=1)
-        a = comp_of(d, [CompositeBin({1: 3.0, 2: 1.0}, 4.0, 2.0)])
-        b = comp_of(d, [CompositeBin({1: 2.0}, 6.0, 3.0)])
+        a = comp_of(d, [({1: 3.0, 2: 1.0}, 4.0, 2.0)])
+        b = comp_of(d, [({1: 2.0}, 6.0, 3.0)])
         out = jtkh_join(a, b)
-        bin0 = out.bins[0]
-        assert bin0.dominant == {1: 6.0, 2: 2.0}  # 3*2 exact, 1*BAC_b cross
-        assert bin0.background_est == pytest.approx(4 * 6 / 3)
-        assert bin0.ndv_est == 2.0
+        assert out.dominant[0] == {1: 6.0, 2: 2.0}  # 3*2 exact, 1*BAC_b cross
+        assert out.background[0] == pytest.approx(4 * 6 / 3)
+        assert out.ndv[0] == 2.0
 
     def test_excluded_keys_skipped(self):
         # r: {1: 3, 2: 1}, s: {1: 2, 2: 5}, every key in a container
@@ -71,19 +80,19 @@ class TestBinJoin:
         plan = decompose(query, state.column_domain)
         excluded = {state.column_domain["r.k"]: frozenset({1})}
         out = run_plan(state, query, plan, excluded)
-        assert out.bins[0].dominant == {2: 5.0}
+        assert out.dominant[0] == {2: 5.0}
 
     def test_zero_product_entries_dropped(self):
         d = make_domain(bins=1)
-        a = comp_of(d, [CompositeBin({1: 3.0}, 0.0, 0.0)])
-        b = comp_of(d, [CompositeBin({}, 0.0, 0.0)])  # empty other side
+        a = comp_of(d, [({1: 3.0}, 0.0, 0.0)])
+        b = comp_of(d, [EMPTY_BIN])  # empty other side
         out = jtkh_join(a, b)
-        assert out.bins[0].dominant == {}
-        assert out.bins[0].total() == 0.0
+        assert out.dominant[0] == {}
+        assert out.total() == 0.0
 
     def test_domain_mismatch_rejected(self):
-        a = comp_of(make_domain(id="t.k"), [CompositeBin()])
-        b = comp_of(make_domain(id="u.j"), [CompositeBin()])
+        a = comp_of(make_domain(id="t.k"), [EMPTY_BIN])
+        b = comp_of(make_domain(id="u.j"), [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
             jtkh_join(a, b)
 
@@ -94,11 +103,11 @@ class TestBinJoin:
         ha = build_tkhist1d(va, d, k=0)
         hb = build_tkhist1d(vb, d, k=0)
         out = jtkh_join(lift(ha), lift(hb))
-        for i, b in enumerate(out.bins):
-            assert b.dominant == {}
+        for i, dom in enumerate(out.dominant):
+            assert dom == {}
             expect = selinger_bin_estimate(ha.bins[i].nv, ha.bins[i].ndv,
                                            hb.bins[i].nv, hb.bins[i].ndv)
-            assert b.background_est == expect  # bit-for-bit
+            assert out.background[i] == expect  # bit-for-bit
 
     def test_full_capture_two_table_exact(self, rng):
         d = make_domain(0, 50, 5)
@@ -139,20 +148,19 @@ class TestStarFold:
                                        top_k=2)
         comp = _lift_alias(state, query, "r", "k", frozenset({1}))
         out = join_star_group([comp])
-        assert out.bins[0].dominant == {2: 3.0}
-        assert out.bins[0].background_est == 2.0
+        assert out.dominant[0] == {2: 3.0}
+        assert out.background[0] == 2.0
 
 
 class TestFiltersAndExclusion:
     def test_background_scaled_dominant_kept(self):
         d = make_domain(bins=2)
-        comp = comp_of(d, [CompositeBin({1: 4.0}, 10.0, 5.0),
-                           CompositeBin({}, 8.0, 2.0)])
+        comp = comp_of(d, [({1: 4.0}, 10.0, 5.0), ({}, 8.0, 2.0)])
         out = apply_filters(comp, np.array([0.5, 0.25]))
-        assert out.bins[0].dominant == {1: 4.0}
-        assert out.bins[0].background_est == 5.0
-        assert out.bins[1].background_est == 2.0
-        assert out.bins[0].ndv_est == 5.0
+        assert out.dominant[0] == {1: 4.0}
+        assert out.background[0] == 5.0
+        assert out.background[1] == 2.0
+        assert out.ndv[0] == 5.0
 
 
 class TestChainTranslate:
@@ -164,16 +172,15 @@ class TestChainTranslate:
         k2 = np.array([2, 2, 9, 9, 9])
         bridge = build_tkhist2d(k1, k2, src, domain_binning(dst, integer=True))
         target = build_tkhist1d(k2, dst, k=1)
-        comp = comp_of(src, [CompositeBin({}, 30.0, 3.0),
-                             CompositeBin({}, 12.0, 2.0)])
+        comp = comp_of(src, [({}, 30.0, 3.0), ({}, 12.0, 2.0)])
         out = chain_translate(comp, bridge, target)
         # src bin0 mass 30 splits 2/3 : 1/3; src bin1 mass 12 all to dst bin1
         assert out.domain.id == "b.k2"
-        assert out.bins[0].background_est == pytest.approx(20.0)
-        assert out.bins[1].background_est == pytest.approx(10.0 + 12.0)
-        assert out.bins[0].dominant == {}
+        assert out.background[0] == pytest.approx(20.0)
+        assert out.background[1] == pytest.approx(10.0 + 12.0)
+        assert out.dominant[0] == {}
         # conservation when every source bin has bridge support
-        assert out.bins[0].background_est + out.bins[1].background_est == \
+        assert out.background[0] + out.background[1] == \
             pytest.approx(comp.total())
 
     def test_ndv_from_target_histogram(self):
@@ -183,9 +190,9 @@ class TestChainTranslate:
         k2 = np.array([4, 4, 5])
         bridge = build_tkhist2d(k1, k2, src, domain_binning(dst, integer=True))
         target = build_tkhist1d(k2, dst, k=1)  # container {4:2}, background {5}
-        comp = comp_of(src, [CompositeBin({}, 6.0, 2.0)])
+        comp = comp_of(src, [({}, 6.0, 2.0)])
         out = chain_translate(comp, bridge, target)
-        assert out.bins[0].ndv_est == 2.0  # background + container distincts
+        assert out.ndv[0] == 2.0  # background + container distincts
 
     def test_domain_checks(self):
         src = make_domain(0, 10, 1, id="a.k1")
@@ -194,9 +201,154 @@ class TestChainTranslate:
         bridge = build_tkhist2d(np.array([1]), np.array([2]), src,
                                 domain_binning(dst, integer=True))
         target = build_tkhist1d(np.array([2]), other, k=0)
-        comp = comp_of(other, [CompositeBin()])
+        comp = comp_of(other, [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
             chain_translate(comp, bridge, target)  # composite on wrong domain
-        comp2 = comp_of(src, [CompositeBin()])
+        comp2 = comp_of(src, [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
             chain_translate(comp2, bridge, target)  # target on wrong domain
+
+
+# ---------------------------------------------------------------------------
+# Reference: the per-bin algebra written bin by bin in Python floats.  The
+# array implementation must match it exactly, dict order included.
+
+@dataclass
+class RefBin:
+    dominant: dict
+    background_est: float
+    ndv_est: float
+
+    @property
+    def bac_est(self) -> float:
+        return self.background_est / self.ndv_est if self.ndv_est > 0 else 0.0
+
+    def total(self) -> float:
+        return self.background_est + sum(self.dominant.values())
+
+
+def ref_bins(comp):
+    return [RefBin(dict(d), bg, ndv) for d, bg, ndv in zip(
+        comp.dominant, comp.background.tolist(), comp.ndv.tolist())]
+
+
+def ref_join(a_bins, b_bins):
+    out = []
+    for ba, bb in zip(a_bins, b_bins):
+        dom = {}
+        for key, ca in ba.dominant.items():
+            cb = bb.dominant.get(key)
+            est = ca * cb if cb is not None else ca * bb.bac_est
+            if est > 0:
+                dom[key] = est
+        for key, cb in bb.dominant.items():
+            if key in ba.dominant:
+                continue
+            est = cb * ba.bac_est
+            if est > 0:
+                dom[key] = est
+        ndv_a, ndv_b = ba.ndv_est, bb.ndv_est
+        selinger = (0.0 if ndv_a <= 0 or ndv_b <= 0 else
+                    ba.background_est * bb.background_est / max(ndv_a, ndv_b))
+        out.append(RefBin(dom, selinger, min(ndv_a, ndv_b)))
+    return out
+
+
+def ref_filters(bins, fractions):
+    return [RefBin(dict(b.dominant), b.background_est * float(f), b.ndv_est)
+            for f, b in zip(fractions, bins)]
+
+
+def ref_chain(bins, bridge, target):
+    totals = np.array([b.total() for b in bins])
+    marginal = bridge.key_marginal().astype(np.float64)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        weights = np.where(marginal[:, None] > 0,
+                           bridge.grid / np.maximum(marginal[:, None], 1e-300),
+                           0.0)
+    out = []
+    for j, mass in enumerate(totals @ weights):
+        tb = target.bins[j]
+        ndv = float(tb.ndv + len(tb.topk)) if mass > 0 else 0.0
+        out.append(RefBin({}, float(mass), ndv))
+    return out
+
+
+def ref_total(bins):
+    return sum(b.total() for b in bins)
+
+
+def assert_matches(comp, bins):
+    assert len(comp.dominant) == len(bins)
+    assert [list(d.items()) for d in comp.dominant] == \
+        [list(b.dominant.items()) for b in bins]
+    assert comp.background.tolist() == [b.background_est for b in bins]
+    assert comp.ndv.tolist() == [b.ndv_est for b in bins]
+    assert comp.total() == ref_total(bins)
+
+
+masses = st.one_of(st.just(0.0), st.floats(0, 1e4, allow_nan=False),
+                   st.integers(1, 1000).map(float))
+bin_triples = st.tuples(
+    st.dictionaries(st.integers(0, 6), masses, max_size=4),  # few keys: overlaps
+    masses,
+    st.one_of(st.just(0.0), st.integers(1, 50).map(float)))
+
+
+@st.composite
+def composites(draw, n_bins, count):
+    d = make_domain(0, 10, n_bins)
+    return [comp_of(d, draw(st.lists(bin_triples, min_size=n_bins,
+                                     max_size=n_bins)))
+            for _ in range(count)]
+
+
+@st.composite
+def star_groups(draw):
+    return draw(composites(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+
+
+class TestAgainstPerBinReference:
+    @settings(max_examples=200, deadline=None)
+    @given(group=star_groups())
+    def test_join_and_star_fold(self, group):
+        if len(group) >= 2:
+            a, b = group[0], group[1]
+            assert_matches(jtkh_join(a, b), ref_join(ref_bins(a), ref_bins(b)))
+        expect = ref_bins(group[0])
+        for comp in group[1:]:
+            expect = ref_join(expect, ref_bins(comp))
+        assert_matches(join_star_group(group), expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(group=star_groups(), data=st.data())
+    def test_filters(self, group, data):
+        comp = group[0]
+        fractions = np.array(data.draw(st.lists(
+            st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
+            min_size=len(comp.dominant), max_size=len(comp.dominant))))
+        assert_matches(apply_filters(comp, fractions),
+                       ref_filters(ref_bins(comp), fractions))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_src=st.integers(1, 4), n_dst=st.integers(1, 4),
+           k=st.integers(0, 2))
+    def test_chain_translate(self, data, n_src, n_dst, k):
+        src = make_domain(0, 10, n_src, id="a.k1")
+        dst = make_domain(0, 10, n_dst, id="b.k2")
+        pairs = data.draw(st.lists(st.tuples(st.integers(0, 10),
+                                             st.integers(0, 10)), max_size=30))
+        k1 = np.array([p[0] for p in pairs], dtype=np.int64)
+        k2 = np.array([p[1] for p in pairs], dtype=np.int64)
+        bridge = build_tkhist2d(k1, k2, src, domain_binning(dst, integer=True))
+        target = build_tkhist1d(k2, dst, k=k)
+        comp = data.draw(composites(n_src, 1))[0]
+        comp.domain = src
+        assert_matches(chain_translate(comp, bridge, target),
+                       ref_chain(ref_bins(comp), bridge, target))
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_bins=st.integers(1, 20))
+    def test_total_sums_bins_in_order(self, data, n_bins):
+        comp = data.draw(composites(n_bins, 1))[0]
+        assert comp.total() == ref_total(ref_bins(comp))

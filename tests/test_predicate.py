@@ -8,7 +8,7 @@ from tkhist.errors import DomainMismatchError, TKHistError
 from tkhist.estimator import _lift_alias, _single_table_fraction
 from tkhist.histcore import (AttrBinning, TKHist2D, build_tkhist2d,
                              categorical_binning, numeric_binning)
-from tkhist.joinengine import CompositeBin, CompositeHist, apply_filters
+from tkhist.joinengine import CompositeHist, apply_filters
 from tkhist.predicate import (Predicate, key_bin_fractions, matches,
                               satisfying_intervals, selectivity_2d)
 from tkhist.queryfront import bind, parse_sql
@@ -156,11 +156,11 @@ class TestCombine:
                             query.predicates[1])
         assert fy.tolist() == [0.5, 1.0] and fz.tolist() == [0.5, 0.2]
         comp = _lift_alias(state, query, "r", "k", frozenset())
-        assert [b.background_est for b in comp.bins] == [4 * 0.25, 5 * 0.2]
+        assert comp.background.tolist() == [4 * 0.25, 5 * 0.2]
 
     def test_length_mismatch_rejected(self):
-        comp = CompositeHist(domain=make_domain(0, 10, 2),
-                             bins=[CompositeBin(), CompositeBin()])
+        comp = CompositeHist(domain=make_domain(0, 10, 2), dominant=[{}, {}],
+                             background=np.zeros(2), ndv=np.zeros(2))
         with pytest.raises(DomainMismatchError):
             apply_filters(comp, np.array([1.0]))
 

@@ -3,7 +3,6 @@ import pytest
 from tkhist.catalog import schema_from_document
 from tkhist.errors import (CyclicJoinError, ParseError, PlanError,
                            UnsupportedQueryError)
-from tkhist.predicate import Predicate
 from tkhist.queryfront import (Query, bind, decompose, parse_sql,
                                validate_acyclic)
 

@@ -153,6 +153,19 @@ class TestFormat:
         save_state(load_state(str(old)), str(p2))
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_dropped_config_entries_of_older_files_ignored(self, built,
+                                                           tmp_path):
+        # older files carry `attr_bin_count` and `correlation_cap`; attribute
+        # axes now use `bin_count` and discovery a fixed key cap
+        state, _ = built
+        doc = state_to_document(state)
+        doc["config"].update(attr_bin_count=3, correlation_cap=7)
+        old, p1, p2 = (tmp_path / n for n in ("old.json", "a.json", "b.json"))
+        old.write_text(json.dumps(doc))
+        save_state(state, str(p1))
+        save_state(load_state(str(old)), str(p2))
+        assert p1.read_bytes() == p2.read_bytes()
+
     def test_v2_bins_are_written_in_canonical_order(self, mixed_state):
         for h in state_to_document(mixed_state)["hists1d"].values():
             tk, bg = h["topk_offsets"], h["background_offsets"]

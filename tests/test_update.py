@@ -138,8 +138,7 @@ def scenarios(draw):
                for t in draw(st.lists(st.sampled_from(["r", "s", "t"]),
                                       min_size=1, max_size=4))]
     config = BuildConfig(bin_count=draw(st.integers(1, 6)),
-                         top_k=draw(st.integers(0, 3)),
-                         attr_bin_count=draw(st.integers(1, 5)))
+                         top_k=draw(st.integers(0, 3)))
     schema = schema_from_document(
         {**SCHEMA_DOC,
          "categorical_threshold": draw(st.sampled_from([1, 4, 1000]))})
