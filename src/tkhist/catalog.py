@@ -1,8 +1,8 @@
 """Schema loading, CSV ingestion, column classification, and key-domain inference.
 
 A key domain is the equivalence class of columns connected by primary/foreign
-key edges.  All histograms over one domain share the same equi-width bin
-boundaries, so bin-aligned join estimation never needs cross-bin interpolation.
+key edges.  All histograms over one domain share the same equi-width bins,
+so bin-aligned join estimation never needs cross-bin interpolation.
 """
 from __future__ import annotations
 
@@ -102,13 +102,14 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
 
     tables = []
     for tdoc in doc["tables"]:
+        tname = _required(tdoc, "name", "table")
         cols = []
         seen = set()
         for cdoc in tdoc.get("columns", []):
-            name = cdoc["name"]
+            name = _required(cdoc, "name", f"table {tname!r}: column")
             if name in seen:
                 raise SchemaError(
-                    f"duplicate column {name!r} in table {tdoc['name']!r}")
+                    f"duplicate column {name!r} in table {tname!r}")
             seen.add(name)
             kind = cdoc.get("kind", KIND_INTEGER)
             if kind not in VALID_KINDS:
@@ -118,14 +119,19 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
                 raise SchemaError(f"unknown column role {role!r}")
             cols.append(ColumnDef(name=name, kind=kind, role=role,
                                   categorical=bool(cdoc.get("categorical", False))))
-        tables.append(TableDef(name=tdoc["name"], source=tdoc.get("file", ""),
+        tables.append(TableDef(name=tname, source=tdoc.get("file", ""),
                                columns=tuple(cols)))
 
+    threshold = doc.get("categorical_threshold", DEFAULT_CATEGORICAL_THRESHOLD)
+    try:
+        threshold = int(threshold)
+    except (TypeError, ValueError):
+        raise SchemaError("categorical_threshold must be an integer, got "
+                          f"{threshold!r}") from None
     schema = Schema(
         tables=tables,
         foreign_keys=[],
-        categorical_threshold=int(doc.get("categorical_threshold",
-                                          DEFAULT_CATEGORICAL_THRESHOLD)),
+        categorical_threshold=threshold,
         base_dir=base_dir,
         document=doc,
     )
@@ -133,7 +139,8 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
         raise SchemaError("categorical_threshold must be >= 1")
 
     for fk in doc.get("foreign_keys", []):
-        frm, to = fk["from"], fk["to"]
+        frm = _required(fk, "from", "foreign key")
+        to = _required(fk, "to", "foreign key")
         for endpoint in (frm, to):
             tname, cname = split_qualified(endpoint)
             if not schema.has_table(tname) or not schema.table(tname).has_column(cname):
@@ -154,6 +161,13 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
         schema.templates.append(edges)
 
     return schema
+
+
+def _required(entry, key: str, what: str):
+    """`entry[key]`, or a SchemaError naming the entry that lacks it."""
+    if not isinstance(entry, dict) or key not in entry:
+        raise SchemaError(f"{what} {entry!r} has no {key!r}")
+    return entry[key]
 
 
 def find_root(parent: dict, x):
@@ -314,50 +328,62 @@ def write_table_csv(data: TableData, tdef: TableDef, path: str) -> None:
             writer.writerow(row)
 
 
+def equi_width_bins(values, lo: float, hi: float, count: int) -> np.ndarray:
+    """Bin of each value among `count` equi-width bins over [lo, hi]: the
+    floor of (v - lo) / ((hi - lo) / count), clipped to [0, count - 1] before
+    the int64 cast (a quotient past int64 would wrap around)."""
+    idx = np.floor((np.asarray(values, dtype=np.float64) - lo)
+                   / ((hi - lo) / count))
+    return np.clip(idx, 0, count - 1).astype(np.int64)
+
+
+def value_span(columns) -> tuple[float, float]:
+    """[lo, hi] over the values of `columns` (arrays without nulls): no values
+    give [0, 1], a single value one unit of width (one ulp where lo + 1
+    rounds back to lo)."""
+    lo, hi = np.inf, -np.inf
+    for vals in columns:
+        if len(vals):
+            lo = min(lo, float(vals.min()))
+            hi = max(hi, float(vals.max()))
+    if lo > hi:
+        return 0.0, 1.0
+    if hi == lo:
+        hi = max(lo + 1.0, float(np.nextafter(lo, np.inf)))
+    return lo, hi
+
+
 @dataclass
 class KeyDomain:
-    """One connected component of the PK/FK column graph, with shared bins."""
+    """One connected component of the PK/FK column graph.  Every histogram
+    over it shares its `bin_count` equi-width bins over [lo, hi], so a bin
+    index means the same key range in every histogram and selectivity."""
 
     id: str
     columns: frozenset[str]
     lo: float = 0.0
     hi: float = 0.0
     bin_count: int = 0
-    boundaries: np.ndarray | None = None
 
     def set_boundaries(self, lo: float, hi: float, bin_count: int) -> None:
         if bin_count < 1:
             raise SchemaError("bin_count must be >= 1")
-        if hi <= lo:
-            # degenerate single-value domain still needs positive bin width
-            hi = lo + 1.0
+        if not hi > lo:
+            raise SchemaError(f"domain {self.id!r} bounds [{lo}, {hi}] "
+                              "have no width")
         self.lo = float(lo)
         self.hi = float(hi)
         self.bin_count = int(bin_count)
-        self.boundaries = np.linspace(self.lo, self.hi, bin_count + 1)
-
-    @property
-    def width(self) -> float:
-        return (self.hi - self.lo) / self.bin_count
-
-    def bin_of(self, value) -> int:
-        v = float(value)
-        if v < self.lo or v > self.hi:
-            raise DomainBoundsError(
-                f"value {value!r} outside domain {self.id!r} bounds "
-                f"[{self.lo}, {self.hi}]")
-        idx = int((v - self.lo) / self.width)
-        return min(max(idx, 0), self.bin_count - 1)
 
     def bins_of(self, values: np.ndarray) -> np.ndarray:
+        """Bin of each key; a key outside [lo, hi] raises DomainBoundsError."""
         v = np.asarray(values, dtype=np.float64)
         if len(v) and (v.min() < self.lo or v.max() > self.hi):
             bad = v[(v < self.lo) | (v > self.hi)][0]
             raise DomainBoundsError(
                 f"value {bad!r} outside domain {self.id!r} bounds "
                 f"[{self.lo}, {self.hi}]")
-        idx = np.floor((v - self.lo) / self.width).astype(np.int64)
-        return np.clip(idx, 0, self.bin_count - 1)
+        return equi_width_bins(v, self.lo, self.hi, self.bin_count)
 
 
 def infer_key_domains(schema: Schema) -> list[KeyDomain]:
@@ -398,16 +424,9 @@ def set_domain_boundaries(domains: list[KeyDomain],
                           bin_count: int) -> None:
     """Compute global min/max over all member columns and fix equi-width bins."""
     for dom in domains:
-        lo, hi = np.inf, -np.inf
-        for qual in dom.columns:
-            tname, cname = split_qualified(qual)
-            vals = tables[tname].non_null(cname)
-            if len(vals):
-                lo = min(lo, float(vals.min()))
-                hi = max(hi, float(vals.max()))
-        if lo > hi:  # all member columns empty
-            lo, hi = 0.0, 1.0
-        dom.set_boundaries(lo, hi, bin_count)
+        dom.set_boundaries(*value_span(
+            tables[t].non_null(c)
+            for t, c in map(split_qualified, dom.columns)), bin_count)
 
 
 def classify_columns(data: TableData, tdef: TableDef,

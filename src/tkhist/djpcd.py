@@ -28,10 +28,9 @@ from .queryfront import Query
 DOMINANT_KEYS_PER_DOMAIN = 1000  # keys tracked per key domain by discovery
 
 
-def collect_dominant_keys(group_composites: list[CompositeHist],
-                          cap: int = DOMINANT_KEYS_PER_DOMAIN) -> dict[str, set]:
-    """Union dominant-map keys per domain, keeping the `cap` largest
-    contributors per domain."""
+def collect_dominant_keys(group_composites: list[CompositeHist]) -> dict[str, set]:
+    """Union dominant-map keys per domain, keeping the
+    DOMINANT_KEYS_PER_DOMAIN largest contributors per domain."""
     weight: dict[str, dict] = defaultdict(lambda: defaultdict(float))
     for comp in group_composites:
         per_dom = weight[comp.domain.id]
@@ -41,7 +40,7 @@ def collect_dominant_keys(group_composites: list[CompositeHist],
     out = {}
     for dom, per_key in weight.items():
         ranked = sorted(per_key.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-        out[dom] = {k for k, _ in ranked[:cap]}
+        out[dom] = {k for k, _ in ranked[:DOMINANT_KEYS_PER_DOMAIN]}
     return out
 
 

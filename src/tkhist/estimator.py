@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -117,33 +117,38 @@ def run_plan(state: EstimatorState, query: Query, plan: SubQueryPlan,
              excluded_by_domain: dict[str, frozenset] | None = None,
              group_record: dict[int, CompositeHist] | None = None) -> CompositeHist:
     """Post-order evaluation of the group tree; returns the root composite."""
-    excluded_by_domain = excluded_by_domain or {}
+    return _eval_group(state, query, plan, excluded_by_domain or {},
+                       group_record, plan.root)
 
-    def eval_group(gid: int) -> CompositeHist:
-        group = plan.groups[gid]
-        excluded = excluded_by_domain.get(group.domain_id, frozenset())
-        factors: list[CompositeHist] = []
-        for alias, col in group.members:
-            if (alias, col) in group.suppressed:
-                continue
-            factors.append(_lift_alias(state, query, alias, col, excluded))
-        for link in plan.children(gid):
-            child = eval_group(link.child)
-            btable = query.aliases[link.bridge_alias]
-            bridge2d = state.hists2d.get(
-                (btable, link.child_col, link.parent_col))
-            parent_hist = state.hists1d.get((btable, link.parent_col))
-            if bridge2d is None or parent_hist is None:
-                raise PlanError(
-                    f"no bridge statistics for {btable}.{link.child_col} -> "
-                    f"{btable}.{link.parent_col}")
-            factors.append(chain_translate(child, bridge2d, parent_hist))
-        comp = join_star_group(factors)
-        if group_record is not None:
-            group_record[gid] = comp
-        return comp
 
-    return eval_group(plan.root)
+def _eval_group(state: EstimatorState, query: Query, plan: SubQueryPlan,
+                excluded_by_domain: dict[str, frozenset],
+                group_record: dict[int, CompositeHist] | None,
+                gid: int) -> CompositeHist:
+    """One group's star fold over its members and translated children.  Not
+    a closure: a self-calling closure is a cycle that keeps the state alive."""
+    group = plan.groups[gid]
+    excluded = excluded_by_domain.get(group.domain_id, frozenset())
+    factors: list[CompositeHist] = []
+    for alias, col in group.members:
+        if (alias, col) in group.suppressed:
+            continue
+        factors.append(_lift_alias(state, query, alias, col, excluded))
+    for link in plan.children(gid):
+        child = _eval_group(state, query, plan, excluded_by_domain,
+                            group_record, link.child)
+        btable = query.aliases[link.bridge_alias]
+        bridge2d = state.hists2d.get((btable, link.child_col, link.parent_col))
+        parent_hist = state.hists1d.get((btable, link.parent_col))
+        if bridge2d is None or parent_hist is None:
+            raise PlanError(
+                f"no bridge statistics for {btable}.{link.child_col} -> "
+                f"{btable}.{link.parent_col}")
+        factors.append(chain_translate(child, bridge2d, parent_hist))
+    comp = join_star_group(factors)
+    if group_record is not None:
+        group_record[gid] = comp
+    return comp
 
 
 def _single_table_fraction(state: EstimatorState, table: str,
@@ -294,11 +299,7 @@ class WorkloadSummary:
     mean_latency_ms: float
 
     def to_dict(self) -> dict:
-        return {"queries": self.queries, "failed": self.failed,
-                "median_q": self.median_q, "p90_q": self.p90_q,
-                "p95_q": self.p95_q, "p99_q": self.p99_q,
-                "max_q": self.max_q,
-                "mean_latency_ms": self.mean_latency_ms}
+        return asdict(self)
 
 
 def _with_oracle_truths(schema, entries: list,

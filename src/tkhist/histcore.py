@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .catalog import KeyDomain
+from .catalog import KeyDomain, equi_width_bins, value_span
 from .errors import TKHistError
 
 
@@ -104,15 +104,18 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
 class AttrBinning:
     """Attribute-axis binning of a 2D histogram.
 
-    Numeric attributes use equi-width boundaries; categorical attributes get
-    one bin per distinct value.  When the attribute is itself a join key the
-    boundaries are the key domain's, so chain translation stays bin-aligned
+    A numeric attribute has `bin_count` equi-width bins over [lo, hi]
+    (`catalog.equi_width_bins`); a categorical attribute gets one bin per
+    distinct value.  When the attribute is itself a join key, lo, hi and
+    bin_count are the key domain's, so chain translation stays bin-aligned
     (attr_domain_id records which domain).
     """
 
     kind: str  # 'numeric' | 'categorical'
     integer: bool = False
-    boundaries: np.ndarray | None = None
+    lo: float = 0.0
+    hi: float = 0.0
+    bin_count: int = 0
     values: list = field(default_factory=list)
     attr_domain_id: str | None = None
 
@@ -123,22 +126,12 @@ class AttrBinning:
     def n_bins(self) -> int:
         if self.kind == "categorical":
             return len(self.values)
-        return len(self.boundaries) - 1
-
-    def bin_of(self, v) -> int | None:
-        if self.kind == "categorical":
-            return self._index.get(_scalar(v))
-        lo, hi = float(self.boundaries[0]), float(self.boundaries[-1])
-        n = self.n_bins
-        if hi <= lo:
-            return 0
-        idx = int((float(v) - lo) / ((hi - lo) / n))
-        return min(max(idx, 0), n - 1)  # out-of-range updates clamp to edges
+        return self.bin_count
 
     def bins_of(self, values, grow: bool = False) -> np.ndarray:
         """Attribute bin of each value, as an int64 array.
 
-        Numeric values outside the boundaries clamp into the edge bins.  A
+        Numeric values outside [lo, hi] clamp into the edge bins.  A
         categorical value the binning has not seen is an error unless `grow`
         is set; then the unseen values are appended in the order they first
         appear in `values`.
@@ -155,11 +148,7 @@ class AttrBinning:
             for i in sorted(unseen, key=lambda i: first[i]):
                 lookup[i] = self.add_value(distinct[i])
             return np.asarray(lookup, dtype=np.int64)[inverse]
-        lo, hi = float(self.boundaries[0]), float(self.boundaries[-1])
-        n = self.n_bins
-        idx = np.floor((np.asarray(values, dtype=np.float64) - lo)
-                       / ((hi - lo) / n)).astype(np.int64)
-        return np.clip(idx, 0, n - 1)
+        return equi_width_bins(values, self.lo, self.hi, self.bin_count)
 
     def add_value(self, v) -> int:
         """Register a previously unseen categorical value; returns its bin."""
@@ -172,14 +161,9 @@ class AttrBinning:
 
 
 def numeric_binning(values: np.ndarray, n_bins: int, integer: bool) -> AttrBinning:
-    if len(values) == 0:
-        lo, hi = 0.0, 1.0
-    else:
-        lo, hi = float(np.min(values)), float(np.max(values))
-        if hi <= lo:
-            hi = lo + 1.0
-    return AttrBinning(kind="numeric", integer=integer,
-                       boundaries=np.linspace(lo, hi, n_bins + 1))
+    lo, hi = value_span([values])
+    return AttrBinning(kind="numeric", integer=integer, lo=lo, hi=hi,
+                       bin_count=n_bins)
 
 
 def categorical_binning(values) -> AttrBinning:
@@ -188,8 +172,8 @@ def categorical_binning(values) -> AttrBinning:
 
 
 def domain_binning(attr_domain: KeyDomain, integer: bool) -> AttrBinning:
-    return AttrBinning(kind="numeric", integer=integer,
-                       boundaries=np.array(attr_domain.boundaries, dtype=np.float64),
+    return AttrBinning(kind="numeric", integer=integer, lo=attr_domain.lo,
+                       hi=attr_domain.hi, bin_count=attr_domain.bin_count,
                        attr_domain_id=attr_domain.id)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import TKHistError
+from .errors import TKHistError, UnsupportedQueryError
 from .histcore import TKHist2D
 from .catalog import KeyDomain
 
@@ -32,6 +32,9 @@ class Predicate:
             raise TKHistError(f"unknown predicate operator {self.op!r}")
         if self.op == "between":
             lo, hi = self.value
+            if isinstance(lo, str) != isinstance(hi, str):
+                raise UnsupportedQueryError(
+                    f"BETWEEN bounds {lo!r} and {hi!r} are not comparable")
             if lo > hi:
                 raise TKHistError(f"BETWEEN bounds out of order: {lo} > {hi}")
 
@@ -114,9 +117,8 @@ def selectivity_2d(hist2d: TKHist2D, pred: Predicate) -> np.ndarray:
     else:
         if pred.op == "in" and any(isinstance(v, str) for v in pred.value):
             raise TKHistError("string set predicate against numeric attribute")
-        sat = bin_fractions(float(binning.boundaries[0]),
-                            float(binning.boundaries[-1]), binning.n_bins,
-                            pred, binning.integer)
+        sat = bin_fractions(binning.lo, binning.hi, binning.bin_count, pred,
+                            binning.integer)
     mass = hist2d.grid.sum(axis=1).astype(np.float64)
     hit = hist2d.grid @ sat
     with np.errstate(invalid="ignore", divide="ignore"):

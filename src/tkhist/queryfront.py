@@ -20,7 +20,7 @@ _KEYWORDS = {"select", "count", "from", "where", "and", "as", "between",
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
-      | (?P<number>\d+\.\d+|\d+)
+      | (?P<number>-?(?:\d+\.\d+|\d+))
       | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
       | (?P<string>'(?:[^']|'')*')
       | (?P<op><=|>=|=|<|>|\(|\)|,|\.|\*)

@@ -215,7 +215,8 @@ def _binning_doc(a: AttrBinning) -> dict:
     if a.kind == "categorical":
         doc["values"] = list(a.values)
     else:
-        doc["boundaries"] = [float(x) for x in a.boundaries]
+        doc["boundaries"] = np.linspace(a.lo, a.hi,
+                                        a.bin_count + 1).tolist()
         doc["attr_domain"] = a.attr_domain_id
     return doc
 
@@ -358,29 +359,20 @@ def _state_from_known_document(doc: dict) -> EstimatorState:
         hists2d[(t, c, attr)] = TKHist2D(key_domain=dom, attr=binning,
                                          grid=grid)
 
-    freq = {}
-    for qual, items in doc["freq"].items():
-        t, c = split_qualified(qual)
-        freq[(t, c)] = {v: cnt for v, cnt in items}
-
-    column_class = {}
-    for qual, cls in doc["column_class"].items():
-        t, c = split_qualified(qual)
-        column_class[(t, c)] = cls
+    freq = {split_qualified(qual): dict(items)
+            for qual, items in doc["freq"].items()}
+    column_class = {split_qualified(qual): cls
+                    for qual, cls in doc["column_class"].items()}
 
     correlations = None
     if doc.get("correlations") is not None:
-        correlations = {}
-        for name, rows in doc["correlations"].items():
-            table, dom, attr = name.split("|", 2)
-            env_by_key = {}
-            for row in rows:
-                key, tag = row[0], row[1]
-                if tag == "range":
-                    env_by_key[key] = ("range", row[2], row[3])
-                else:
-                    env_by_key[key] = ("set", frozenset(row[2]))
-            correlations[(table, dom, attr)] = env_by_key
+        # each row is [key, "range", lo, hi] or [key, "set", values]
+        correlations = {
+            tuple(name.split("|", 2)): {
+                row[0]: (("range", row[2], row[3]) if row[1] == "range"
+                         else ("set", frozenset(row[2])))
+                for row in rows}
+            for name, rows in doc["correlations"].items()}
 
     return EstimatorState(schema=schema, config=config, domains=domains,
                           column_domain=column_domain, hists1d=hists1d,
@@ -394,6 +386,8 @@ def _binning_from_doc(doc: dict) -> AttrBinning:
     if doc["kind"] == "categorical":
         return AttrBinning(kind="categorical", integer=doc["integer"],
                            values=list(doc["values"]))
+    edges = doc["boundaries"]
     return AttrBinning(kind="numeric", integer=doc["integer"],
-                       boundaries=np.asarray(doc["boundaries"], dtype=np.float64),
+                       lo=float(edges[0]), hi=float(edges[-1]),
+                       bin_count=len(edges) - 1,
                        attr_domain_id=doc.get("attr_domain"))

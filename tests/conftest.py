@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from tkhist.catalog import TableData, schema_from_document
+from tkhist.errors import DomainBoundsError
+from tkhist.histcore import _scalar
 
 
 def make_table(name: str, columns: dict, nulls: dict | None = None) -> TableData:
@@ -20,6 +22,28 @@ def make_table(name: str, columns: dict, nulls: dict | None = None) -> TableData
         for c, mask in nulls.items():
             null_mask[c] = np.asarray(mask, dtype=bool)
     return TableData(name=name, columns=cols, null_mask=null_mask, row_count=n)
+
+
+def scalar_bin(v, lo: float, hi: float, n: int) -> int:
+    """The former scalar equi-width rule: int((v - lo) / w), w = (hi - lo) / n,
+    clamped to [0, n - 1]."""
+    idx = int((float(v) - lo) / ((hi - lo) / n))
+    return min(max(idx, 0), n - 1)
+
+
+def domain_bin(d, v) -> int:
+    """The former `KeyDomain.bin_of`: the scalar rule, raising for a key
+    outside [lo, hi]."""
+    if float(v) < d.lo or float(v) > d.hi:
+        raise DomainBoundsError(f"value {v!r} outside domain {d.id!r}")
+    return scalar_bin(v, d.lo, d.hi, d.bin_count)
+
+
+def attr_bin(b, v) -> int | None:
+    """The former `AttrBinning.bin_of`: None for an unseen categorical value."""
+    if b.kind == "categorical":
+        return b._index.get(_scalar(v))
+    return scalar_bin(v, b.lo, b.hi, b.bin_count)
 
 
 def two_table_schema(extra_attrs: tuple[str, ...] = ("y",)):

@@ -19,7 +19,7 @@ from tkhist.queryfront import Query, bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import make_table, two_table_schema
+from conftest import domain_bin, make_table, two_table_schema
 
 
 def verdict(n: int, ok: bool, desc: str) -> None:
@@ -217,7 +217,7 @@ def test_criterion_06_update_consistency():
 
     # exact container increment on a known top-k key
     h = state.hists1d[("r", "k")]
-    bin5 = h.domain.bin_of(5)
+    bin5 = domain_bin(h.domain, 5)
     before = h.bins[bin5].topk[5]
     h.insert(5)
     increment_exact = h.bins[bin5].topk[5] == before + 1

@@ -1,12 +1,18 @@
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkhist import catalog
-from tkhist.catalog import (KeyDomain, infer_key_domains, ingest_table,
-                            schema_from_document, set_domain_boundaries,
+from tkhist.catalog import (KeyDomain, equi_width_bins, infer_key_domains,
+                            ingest_table, schema_from_document,
+                            set_domain_boundaries, value_span,
                             write_table_csv)
 from tkhist.errors import DomainBoundsError, IngestError, SchemaError
 
-from conftest import make_table, two_table_schema
+from conftest import domain_bin, make_table, scalar_bin, two_table_schema
 
 
 def star_doc(n=3):
@@ -47,6 +53,23 @@ class TestSchema:
         doc = star_doc()
         doc["templates"] = [["t1.k=t2.zzz"]]
         with pytest.raises(SchemaError, match="missing column"):
+            schema_from_document(doc)
+
+    @pytest.mark.parametrize("breaks,match", [
+        (lambda d: d["tables"][1].pop("name"), r"^table \{.*\} has no 'name'"),
+        (lambda d: d["tables"][2]["columns"][0].pop("name"),
+         r"^table 't3': column \{.*\} has no 'name'"),
+        (lambda d: d["foreign_keys"][0].pop("from"),
+         r"^foreign key \{'to': 't1.k'\} has no 'from'"),
+        (lambda d: d["foreign_keys"][1].pop("to"),
+         r"^foreign key \{'from': 't3.k'\} has no 'to'"),
+        (lambda d: d.update(categorical_threshold="abc"),
+         "categorical_threshold must be an integer, got 'abc'"),
+    ], ids=["table-name", "column-name", "fk-from", "fk-to", "threshold"])
+    def test_malformed_entry_is_schema_error(self, breaks, match):
+        doc = star_doc()
+        breaks(doc)
+        with pytest.raises(SchemaError, match=match):
             schema_from_document(doc)
 
 
@@ -152,19 +175,90 @@ class TestKeyDomains:
     def test_bin_locate_half_open_last_closed(self):
         d = KeyDomain(id="x", columns=frozenset({"a.k"}))
         d.set_boundaries(0, 10, 5)
-        assert d.bin_of(0) == 0
-        assert d.bin_of(2) == 1  # boundary goes to the right bin
-        assert d.bin_of(10) == 4  # last bin closed
+        # 2 sits on an edge and goes right; the last bin is closed
+        assert d.bins_of([0, 2, 10]).tolist() == [0, 1, 4]
         with pytest.raises(DomainBoundsError):
-            d.bin_of(11)
+            d.bins_of([11])
         with pytest.raises(DomainBoundsError):
-            d.bin_of(-1)
+            d.bins_of([-1])
 
     def test_bins_of_vector_matches_scalar(self, rng):
         d = KeyDomain(id="x", columns=frozenset({"a.k"}))
         d.set_boundaries(0, 100, 7)
         vals = rng.integers(0, 101, size=200)
-        assert d.bins_of(vals).tolist() == [d.bin_of(v) for v in vals]
+        assert d.bins_of(vals).tolist() == [domain_bin(d, v) for v in vals]
+
+    def test_single_value_span_has_width(self):
+        assert value_span([np.array([], dtype=np.int64)]) == (0.0, 1.0)
+        assert value_span([np.array([4]), np.array([4, 4])]) == (4.0, 5.0)
+        # past 2**53 a unit of width rounds away; the span keeps one ulp
+        lo, hi = value_span([np.array([10 ** 17])])
+        assert lo == 1e17 and hi > lo
+        d = KeyDomain(id="x", columns=frozenset({"a.k"}))
+        d.set_boundaries(lo, hi, 4)
+        assert d.bins_of([10 ** 17]).tolist() == [0]
+
+    def test_bounds_without_width_rejected(self):
+        d = KeyDomain(id="x", columns=frozenset({"a.k"}))
+        with pytest.raises(SchemaError, match="no width"):
+            d.set_boundaries(3, 3, 4)
+
+
+@st.composite
+def axis_values(draw):
+    """An equi-width axis of 1-12 bins and values for it: on each bin edge,
+    next to it on both sides, inside each bin and outside the axis (near it
+    and far enough that the bin quotient passes int64).  INTEGER axes have
+    integral ends and integer values, REAL axes float ones."""
+    integer = draw(st.booleans())
+    n = draw(st.integers(1, 12))
+    if integer:
+        lo = draw(st.integers(-10 ** 6, 10 ** 6))
+        hi = lo + draw(st.integers(1, 10 ** 4))
+    else:
+        lo = draw(st.floats(-1e6, 1e6))
+        hi = lo + draw(st.floats(1e-3, 1e4))
+    w = (hi - lo) / n
+    edges = [lo + j * w for j in range(n + 1)]
+    if integer:
+        points = [math.floor(e) + d for e in edges for d in (-1, 0, 1)]
+        points += [math.floor(e + w / 2) for e in edges[:-1]]
+        points += [lo - 1000, hi + 1000, -2 ** 62, 2 ** 62]
+    else:
+        points = [x for e in edges for x in (math.nextafter(e, -math.inf), e,
+                                             math.nextafter(e, math.inf))]
+        points += [e + w / 2 for e in edges[:-1]]
+        points += [lo - 1000.0, hi + 1000.0, -1e300, 1e300]
+    values = draw(st.lists(st.sampled_from(points), min_size=1, max_size=30))
+    return integer, float(lo), float(hi), n, values
+
+
+class TestEquiWidthBins:
+    """The one binning rule against the former scalar rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=axis_values())
+    def test_equals_clamped_scalar_rule(self, case):
+        integer, lo, hi, n, values = case
+        got = equi_width_bins(
+            np.asarray(values, dtype=np.int64 if integer else np.float64),
+            lo, hi, n)
+        assert got.dtype == np.int64
+        assert got.tolist() == [scalar_bin(v, lo, hi, n) for v in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=axis_values())
+    def test_domain_raises_exactly_outside_bounds(self, case):
+        integer, lo, hi, n, values = case
+        d = KeyDomain(id="x", columns=frozenset({"a.k"}))
+        d.set_boundaries(lo, hi, n)
+        for v in values:
+            one = np.asarray([v], dtype=np.int64 if integer else np.float64)
+            if float(v) < lo or float(v) > hi:
+                with pytest.raises(DomainBoundsError):
+                    d.bins_of(one)
+            else:
+                assert d.bins_of(one).tolist() == [scalar_bin(v, lo, hi, n)]
 
 
 class TestClassification:

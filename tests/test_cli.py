@@ -5,6 +5,7 @@ import pytest
 from tkhist import oracle
 from tkhist.cli import main
 from tkhist.errors import TKHistError
+from tkhist.queryfront import bind, parse_sql
 from tkhist.state import load_state
 
 
@@ -223,7 +224,7 @@ class TestNaNCells:
         st, _ = self.write(tmp_path, rows)
         assert st.column_class[("r", "y")] == "numeric"
         h = st.hists2d[("r", "k", "y")]
-        assert (h.attr.boundaries[0], h.attr.boundaries[-1]) == (0.0, 749.5)
+        assert (h.attr.lo, h.attr.hi) == (0.0, 749.5)
         assert h.grid.sum() == 2999
         assert (h.grid.sum(axis=0) > 0).sum() > 1  # not collapsed into bin 0
 
@@ -285,3 +286,54 @@ class TestInfCells:
                      "--csv", str(new)]) == 2
         assert "row 2, column 'y'" in capsys.readouterr().err
         assert state.read_bytes() == before
+
+
+class TestBadInput:
+    """Malformed schemas and query literals end in `error: ...` and exit
+    code 2, not in a traceback."""
+
+    def test_build_with_unnamed_table(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": [{"file": "r.csv"}]}))
+        assert main(["build", "--schema", str(schema),
+                     "--state", str(tmp_path / "state.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: table ") and "has no 'name'" in err
+        assert not (tmp_path / "state.json").exists()
+
+    def test_between_bounds_of_mixed_types(self, built, capsys):
+        sql = "SELECT COUNT(*) FROM t1 WHERE t1.y BETWEEN 'a' AND 5"
+        assert main(["estimate", "--state", str(built), sql]) == 2
+        assert capsys.readouterr().err.startswith("error: BETWEEN bounds")
+
+
+class TestNegativeLiterals:
+    def test_oracle_scores_query_with_negative_literals(self, tmp_path,
+                                                        capsys):
+        doc = {"tables": [
+            {"name": t, "file": f"{t}.csv", "columns": [
+                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": "y", "kind": kind}]}
+            for t, kind in (("r", "integer"), ("s", "real"))],
+            "foreign_keys": [{"from": "s.k", "to": "r.k"}]}
+        (tmp_path / "schema.json").write_text(json.dumps(doc))
+        (tmp_path / "r.csv").write_text("k,y\n1,-10\n1,-4\n2,-5\n3,0\n3,-1\n")
+        (tmp_path / "s.csv").write_text("k,y\n1,-3.0\n2,-2.5\n3,-2.0\n3,-7.5\n")
+        state = tmp_path / "state.json"
+        assert main(["build", "--schema", str(tmp_path / "schema.json"),
+                     "--state", str(state), "--bins", "2", "--k", "1"]) == 0
+        sql = ("SELECT COUNT(*) FROM r, s WHERE r.k = s.k "
+               "AND r.y > -5 AND s.y <= -2.5")
+        preds = bind(parse_sql(sql), load_state(str(state)).schema).predicates
+        assert [p.value for p in preds] == [-5, -2.5]
+        assert [type(p.value) for p in preds] == [int, float]
+        wl = tmp_path / "wl.txt"
+        wl.write_text(sql + "\n")
+        rep = tmp_path / "rep.jsonl"
+        assert main(["evaluate", "--state", str(state), "--workload", str(wl),
+                     "--out", str(rep), "--oracle"]) == 0
+        (line,) = [json.loads(l) for l in rep.read_text().splitlines()]
+        # r rows with y > -5 on keys 1 (one) and 3 (two); s rows with
+        # y <= -2.5 on keys 1, 2 and 3 (one each)
+        assert line["truth"] == 3 and line.get("error") is None
+        assert line["q_error"] >= 1

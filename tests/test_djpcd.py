@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tkhist import djpcd
 from tkhist.catalog import KeyDomain, schema_from_document
 from tkhist.djpcd import (build_correlation_map, collect_dominant_keys,
                           envelope_excludes, find_excluded_keys)
@@ -103,18 +104,20 @@ def make_domain(id="t.k"):
 
 
 class TestCollect:
-    def test_keys_ranked_by_contribution(self):
+    def test_keys_ranked_by_contribution(self, monkeypatch):
+        monkeypatch.setattr(djpcd, "DOMINANT_KEYS_PER_DOMAIN", 2)
         d = make_domain()
         comp = CompositeHist(d, [{1: 100.0, 2: 5.0, 3: 50.0}], np.zeros(1),
                              np.zeros(1))
-        out = collect_dominant_keys([comp], cap=2)
+        out = collect_dominant_keys([comp])
         assert out["t.k"] == {1, 3}
 
-    def test_contributions_sum_across_composites(self):
+    def test_contributions_sum_across_composites(self, monkeypatch):
+        monkeypatch.setattr(djpcd, "DOMINANT_KEYS_PER_DOMAIN", 1)
         d = make_domain()
         c1 = CompositeHist(d, [{1: 10.0, 2: 30.0}], np.zeros(1), np.zeros(1))
         c2 = CompositeHist(d, [{1: 25.0}], np.zeros(1), np.zeros(1))
-        out = collect_dominant_keys([c1, c2], cap=1)
+        out = collect_dominant_keys([c1, c2])
         assert out["t.k"] == {1}  # 35 vs 30
 
 

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -80,6 +82,32 @@ class TestEstimate:
         rep = estimate("SELECT COUNT(*) FROM r", state)
         d = rep.to_dict()
         assert set(d) == {"query", "estimate", "latency_ms", "used_djpcd"}
+
+
+class TestStateLifetime:
+    """An estimate or a discovery run leaves no reference cycle that keeps
+    the state alive until the cyclic garbage collector runs."""
+
+    @pytest.mark.parametrize("run", [
+        lambda st, tables: estimate(
+            "SELECT COUNT(*) FROM r, s WHERE r.k = s.k AND r.y > 5", st),
+        lambda st, tables: discover_correlations(st, tables),
+    ], ids=["estimate", "discover"])
+    def test_state_freed_by_reference_counting(self, run):
+        tables = {"r": make_table("r", {"k": [1, 1, 2, 9], "y": [5, 7, 9, 9]}),
+                  "s": make_table("s", {"k": [1, 2, 2, 9], "y": [0, 1, 2, 3]})}
+        state = build_state(two_table_schema(), tables,
+                            BuildConfig(bin_count=4, top_k=1))
+        ref = weakref.ref(state)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            run(state, tables)
+            del state
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 
 class TestErrorBound:

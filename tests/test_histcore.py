@@ -12,6 +12,8 @@ from tkhist.histcore import (Bin1D, TKHist1D, _scalar, build_frequency_hist,
                              categorical_binning, numeric_binning,
                              domain_binning)
 
+from conftest import attr_bin, domain_bin
+
 
 def make_domain(lo=0, hi=100, bins=10):
     d = KeyDomain(id="t.k", columns=frozenset({"t.k"}))
@@ -99,7 +101,7 @@ class TestBuild1D:
         d = make_domain(0, 100, 7)
         vals = np.asarray(values, dtype=np.int64)
         h = build_tkhist1d(vals, d, k=k)
-        exact = Counter(d.bin_of(v) for v in values)
+        exact = Counter(domain_bin(d, v) for v in values)
         for i, b in enumerate(h.bins):
             assert b.nv + sum(b.topk.values()) == exact.get(i, 0)
         assert h.total_rows == len(values)
@@ -169,7 +171,7 @@ class TestInsert:
         h = build_tkhist1d(np.asarray(initial, dtype=np.int64), d, k=3)
         for v in extra:
             h.insert(v)
-        exact = Counter(d.bin_of(v) for v in initial + extra)
+        exact = Counter(domain_bin(d, v) for v in initial + extra)
         for i, b in enumerate(h.bins):
             assert b.total() == exact.get(i, 0)
 
@@ -185,7 +187,7 @@ class TestHist2D:
         for i in range(5):
             for j in range(4):
                 expect = sum(1 for kk, aa in zip(keys, attrs)
-                             if d.bin_of(kk) == i and binning.bin_of(aa) == j)
+                             if domain_bin(d, kk) == i and attr_bin(binning, aa) == j)
                 assert h.grid[i, j] == expect
 
     def test_categorical_axis(self):
@@ -210,7 +212,7 @@ class TestHist2D:
         h = build_tkhist2d(keys, attrs, d, binning)
         expect = np.zeros_like(h.grid)
         for kk, aa in zip(keys, attrs):
-            expect[d.bin_of(kk), binning.bin_of(aa)] += 1
+            expect[domain_bin(d, kk), attr_bin(binning, aa)] += 1
         assert h.grid.tolist() == expect.tolist()
 
     def test_categorical_value_missing_from_binning(self):
@@ -237,12 +239,18 @@ class TestHist2D:
                            attr_nulls=np.array([False, False, True]))
         assert h.grid.sum() == 1
 
+    def test_far_numeric_values_clamp_to_edge_bins(self):
+        # (v - lo) / w passes int64 here; it must clamp, not wrap to bin 0
+        binning = numeric_binning(np.array([0, 100]), 200, integer=True)
+        far = np.array([9 * 10 ** 18, -9 * 10 ** 18, 150])
+        assert binning.bins_of(far).tolist() == [199, 0, 199]
+
     def test_domain_binning_is_bin_aligned(self):
         d = make_domain(0, 100, 10)
         b = domain_binning(d, integer=True)
         assert b.n_bins == 10
         assert b.attr_domain_id == "t.k"
-        assert b.bin_of(15) == d.bin_of(15)
+        assert attr_bin(b, 15) == domain_bin(d, 15)
 
 
 def test_frequency_hist_exact():

@@ -1,8 +1,12 @@
-"""Every module-level import in the package and the tests is used.
+"""No dead code at module level: every import is used, and every private
+name of the package is read.
 
-No linter ships with the project, so this walks the source with `ast`: a
-name bound by a top-level `import` must be read somewhere in its module or,
-in a package `__init__`, be re-exported through `__all__`.
+No linter ships with the project, so this walks the source with `ast`.  A
+name bound by a top-level `import` in the package, the tests or the scripts
+must be read somewhere in its module or, in a package `__init__`, be
+re-exported through `__all__`.  A private module-level name of the package
+(`_x`, not a dunder) must be read in its own module, which catches helpers
+that a refactor leaves behind.
 """
 import ast
 import pathlib
@@ -10,7 +14,8 @@ import pathlib
 import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
-FILES = sorted([*ROOT.glob("src/tkhist/*.py"), *ROOT.glob("tests/*.py")])
+PACKAGE = sorted(ROOT.glob("src/tkhist/*.py"))
+FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,9 +38,38 @@ def unused_imports(source: str) -> list[str]:
             if name not in used]
 
 
+def unread_private_names(source: str) -> list[str]:
+    tree = ast.parse(source)
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.endswith("__"):
+                bound.setdefault(name, node.lineno)
+    read = {n.id for n in ast.walk(tree)
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+    return [f"line {line}: {name}" for name, line in sorted(bound.items())
+            if name not in read]
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_private_names_are_read(path):
+    assert unread_private_names(path.read_text(encoding="utf-8")) == []
 
 
 def test_checker_flags_and_exempts():
@@ -44,3 +78,14 @@ def test_checker_flags_and_exempts():
            "from x import a, b\n__all__ = ['a']\n"
            "def f() -> np.ndarray:\n    return b\n")
     assert unused_imports(src) == ["line 3: os"]
+
+
+def test_private_checker_flags_and_exempts():
+    src = ("import _thread\n_A, _B = 1, 2\n__version__ = '1'\n"
+           "_C: int = 3\n_C = 4\n"
+           "def _used():\n    return _A\n"
+           "def _dead():\n    return 5\n"
+           "class _K:\n    _attr = 6\n"
+           "public = _used()\n")
+    assert unread_private_names(src) == [
+        "line 2: _B", "line 4: _C", "line 10: _K", "line 8: _dead"]

@@ -14,7 +14,7 @@ from tkhist.predicate import (Predicate, key_bin_fractions, matches,
 from tkhist.queryfront import bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 
-from conftest import make_table, two_table_schema
+from conftest import domain_bin, make_table, two_table_schema
 
 
 def make_domain(lo=0, hi=100, bins=10):
@@ -46,8 +46,7 @@ def reference_fractions(lo, hi, n, pred, integer):
 
 def reference_selectivity_2d(h, pred):
     """The former numeric branch of `selectivity_2d`, over the loop."""
-    b = h.attr.boundaries
-    sat = reference_fractions(float(b[0]), float(b[-1]), h.attr.n_bins, pred,
+    sat = reference_fractions(h.attr.lo, h.attr.hi, h.attr.n_bins, pred,
                               h.attr.integer)
     mass = h.grid.sum(axis=1).astype(np.float64)
     hit = h.grid @ sat
@@ -108,7 +107,7 @@ class TestSelectivity2D:
         frac = selectivity_2d(h, pred)
         for i in range(4):
             in_bin = [(kk, aa) for kk, aa in zip(keys, attrs)
-                      if d.bin_of(kk) == i]
+                      if domain_bin(d, kk) == i]
             hit = sum(1 for _, aa in in_bin if aa < 50)
             assert frac[i] == pytest.approx(hit / len(in_bin))
 
@@ -259,7 +258,7 @@ class TestBinFractionsDifferential:
                                     min_size=m * n, max_size=m * n))
         h = TKHist2D(key_domain=make_domain(0, 10, m),
                      attr=AttrBinning(kind="numeric", integer=integer,
-                                      boundaries=np.linspace(lo, hi, n + 1)),
+                                      lo=float(lo), hi=float(hi), bin_count=n),
                      grid=np.asarray(counts, dtype=np.int64).reshape(m, n))
         got = selectivity_2d(h, pred)
         assert got.tolist() == reference_selectivity_2d(h, pred).tolist()

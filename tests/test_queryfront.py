@@ -54,6 +54,21 @@ class TestParse:
             parse_sql("SELECT COUNT(*) FROM a WHERE ???")
         assert err.value.offset == 29
 
+    def test_negative_numeric_literals(self):
+        q = parse_sql("SELECT COUNT(*) FROM a WHERE a.y > -5 "
+                      "AND a.y BETWEEN -2.5 AND -1 AND a.y IN (-3, 4)")
+        assert [p.value for p in q.predicates] == [
+            -5, (-2.5, -1), frozenset({-3, 4})]
+
+    @pytest.mark.parametrize("literal", ["--5", "-"])
+    def test_minus_without_number_is_parse_error(self, literal):
+        with pytest.raises(ParseError, match="unexpected character '-'"):
+            parse_sql(f"SELECT COUNT(*) FROM a WHERE a.y > {literal}")
+
+    def test_between_bounds_of_mixed_types_rejected(self):
+        with pytest.raises(UnsupportedQueryError, match="not comparable"):
+            parse_sql("SELECT COUNT(*) FROM a WHERE a.y BETWEEN 'a' AND 5")
+
     def test_duplicate_join_edges_deduped(self):
         q = parse_sql("SELECT COUNT(*) FROM a, b "
                       "WHERE a.k1 = b.k1 AND b.k1 = a.k1")

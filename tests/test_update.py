@@ -13,6 +13,8 @@ from tkhist.histcore import _scalar
 from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
                           save_state, state_to_document)
 
+from conftest import attr_bin, domain_bin
+
 
 def reference_apply_rows(state, table, data):
     """The earlier `tkhist update` loop: one row at a time, one scalar
@@ -28,7 +30,7 @@ def reference_apply_rows(state, table, data):
                 continue
             dom = state.domains[state.column_domain[f"{table}.{kc}"]]
             try:
-                dom.bin_of(data.columns[kc][i])
+                domain_bin(dom, data.columns[kc][i])
             except DomainBoundsError:
                 ok = False
                 break
@@ -42,7 +44,7 @@ def reference_apply_rows(state, table, data):
                 continue
             kv = _scalar(data.columns[kc][i])
             h1 = state.hists1d[(table, kc)]
-            b = h1.bins[h1.domain.bin_of(kv)]
+            b = h1.bins[domain_bin(h1.domain, kv)]
             if kv in b.topk:
                 b.topk[kv] += 1
             else:
@@ -54,12 +56,12 @@ def reference_apply_rows(state, table, data):
                     continue
                 h2 = state.hists2d[(table, kc, cdef.name)]
                 av = data.columns[cdef.name][i]
-                j = h2.attr.bin_of(av)
+                j = attr_bin(h2.attr, av)
                 if j is None:
                     j = h2.attr.add_value(av)
                     h2.grid = np.hstack(
                         [h2.grid, np.zeros((h2.grid.shape[0], 1), dtype=np.int64)])
-                h2.grid[h2.key_domain.bin_of(kv), j] += 1
+                h2.grid[domain_bin(h2.key_domain, kv), j] += 1
         for cdef in tdef.columns:
             fh = state.freq_hists.get((table, cdef.name))
             if fh is not None and not data.null_mask[cdef.name][i]:
