@@ -7,6 +7,7 @@ so bin-aligned join estimation never needs cross-bin interpolation.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -213,8 +214,10 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
 
     The header row must contain exactly the declared columns.  Empty cells,
     and REAL cells that parse to NaN, are recorded as nulls; an unparseable
-    cell, or a REAL cell that parses to an infinity, is an error naming row
-    and column.
+    cell, an INTEGER cell outside int64, or a REAL cell that parses to an
+    infinity, is an error naming row and column.  A table of INTEGER columns
+    whose body is plain digits, '-', ',' and line ends is read in one numpy
+    call; every other body is read cell by cell, with the same result.
     """
     if path is None:
         path = tdef.source
@@ -225,9 +228,8 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
     except OSError as exc:
         raise IngestError(f"cannot read {path!r}: {exc}") from exc
     with fh:
-        reader = csv.reader(fh)
         try:
-            header = next(reader)
+            header = next(csv.reader(fh))
         except StopIteration:
             raise IngestError(f"{path!r} is empty, expected a header row")
         declared = [c.name for c in tdef.columns]
@@ -239,24 +241,72 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
         if extra:
             raise IngestError(
                 f"table {tdef.name!r}: undeclared column(s) {sorted(extra)} in {path!r}")
-        col_pos = {name: header.index(name) for name in declared}
-        raw: dict[str, list] = {name: [] for name in declared}
-        nulls: dict[str, list] = {name: [] for name in declared}
-        n = 0
-        for rownum, row in enumerate(reader, start=1):
-            if len(row) != len(header):
-                raise IngestError(
-                    f"table {tdef.name!r}: row {rownum} has {len(row)} cells, "
-                    f"expected {len(header)}")
-            n += 1
-            for cdef in tdef.columns:
-                cell = row[col_pos[cdef.name]]
-                if cell == "":
-                    nulls[cdef.name].append(True)
-                    raw[cdef.name].append(_null_placeholder(cdef.kind))
-                    continue
-                nulls[cdef.name].append(False)
-                raw[cdef.name].append(_parse_cell(cell, cdef, tdef.name, rownum))
+        body = fh.read()
+    col_pos = {name: header.index(name) for name in declared}
+    rows = _plain_integer_rows(tdef, body, len(header))
+    if rows is None:
+        # newline="" splits lines exactly as the file handle above does
+        return _ingest_cells(tdef, col_pos, len(header),
+                             csv.reader(io.StringIO(body, newline="")))
+    by_column = np.ascontiguousarray(rows.T)
+    return TableData(
+        name=tdef.name,
+        columns={name: by_column[col_pos[name]] for name in declared},
+        null_mask={name: np.zeros(len(rows), dtype=bool) for name in declared},
+        row_count=len(rows))
+
+
+_PLAIN_INTEGER_BYTES = b"0123456789-,\r\n"
+
+
+def _plain_integer_rows(tdef: TableDef, body: str,
+                        width: int) -> np.ndarray | None:
+    """`body` as an int64 array of `width` columns when every column is
+    INTEGER and the body is ASCII digits, '-', ',' and \\n or \\r\\n line
+    ends, every line a row of int64 values; None otherwise, for
+    `_ingest_cells` to read (and to report on)."""
+    if not all(c.kind == KIND_INTEGER for c in tdef.columns) or not body.isascii():
+        return None
+    data = body.encode("ascii")
+    # a blank first line is refused here because loadtxt warns when no line
+    # holds data
+    if data[:1] in (b"", b"\r", b"\n") or data.translate(None, _PLAIN_INTEGER_BYTES):
+        return None
+    codes = np.frombuffer(data, dtype=np.uint8)
+    cr, lf = codes == ord("\r"), codes == ord("\n")
+    # a lone \r ends a csv record but not a loadtxt row
+    if np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & lf[1:]):
+        return None
+    try:
+        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
+                          comments=None, ndmin=2)
+    except ValueError:  # an empty cell, a stray '-', a value past int64, ...
+        return None
+    # loadtxt skips blank lines, which the cell loop rejects
+    lines = np.count_nonzero(lf) + (codes[-1] != ord("\n"))
+    return rows if rows.shape == (lines, width) else None
+
+
+def _ingest_cells(tdef: TableDef, col_pos: dict[str, int], width: int,
+                  reader) -> TableData:
+    """Read the body rows of `reader` cell by cell."""
+    raw: dict[str, list] = {name: [] for name in col_pos}
+    nulls: dict[str, list] = {name: [] for name in col_pos}
+    n = 0
+    for rownum, row in enumerate(reader, start=1):
+        if len(row) != width:
+            raise IngestError(
+                f"table {tdef.name!r}: row {rownum} has {len(row)} cells, "
+                f"expected {width}")
+        n += 1
+        for cdef in tdef.columns:
+            cell = row[col_pos[cdef.name]]
+            if cell == "":
+                nulls[cdef.name].append(True)
+                raw[cdef.name].append(_null_placeholder(cdef.kind))
+                continue
+            nulls[cdef.name].append(False)
+            raw[cdef.name].append(_parse_cell(cell, cdef, tdef.name, rownum))
 
     columns = {}
     null_mask = {}
@@ -289,21 +339,23 @@ def _null_placeholder(kind: str):
 
 
 def _parse_cell(cell: str, cdef: ColumnDef, table: str, rownum: int):
-    if cdef.kind == KIND_INTEGER:
+    if cdef.kind == KIND_CATEGORICAL:
+        return cell
+    # int() and float() alone would also read '1_0' and non-ASCII digits
+    if cell.isascii() and "_" not in cell:
         try:
-            return int(cell)
+            value = int(cell) if cdef.kind == KIND_INTEGER else float(cell)
         except ValueError:
+            pass
+        else:
+            if cdef.kind == KIND_REAL or -2 ** 63 <= value < 2 ** 63:
+                return value
             raise IngestError(
                 f"table {table!r}: row {rownum}, column {cdef.name!r}: "
-                f"cannot parse {cell!r} as integer") from None
-    if cdef.kind == KIND_REAL:
-        try:
-            return float(cell)
-        except ValueError:
-            raise IngestError(
-                f"table {table!r}: row {rownum}, column {cdef.name!r}: "
-                f"cannot parse {cell!r} as real") from None
-    return cell
+                f"{cell!r} is outside the int64 range")
+    raise IngestError(
+        f"table {table!r}: row {rownum}, column {cdef.name!r}: "
+        f"cannot parse {cell!r} as {cdef.kind}")
 
 
 def write_table_csv(data: TableData, tdef: TableDef, path: str) -> None:

@@ -39,34 +39,39 @@ def oracle_count(query: Query, tables: dict[str, TableData],
         adj[aa].append((ca, ab, cb))
         adj[ab].append((cb, aa, ca))
 
-    def weights(alias: str, parent: str | None, key_col: str | None) -> dict:
-        """Subtree result tuples per value of `key_col` (None at the root)."""
-        data = tables[query.aliases[alias]]
-        links = [(col, weights(child, alias, ccol))
-                 for col, child, ccol in adj[alias] if child != parent]
-        preds = [(p, p.column.split(".", 1)[1]) for p in query.predicates
-                 if p.column.split(".", 1)[0] == alias]
-        keep = np.ones(data.row_count, dtype=bool)
-        for col in {col for col, _, _ in adj[alias]} | {c for _, c in preds}:
-            keep &= ~data.null_mask[col]
-        rows = np.flatnonzero(keep)
-        for p, col in preds:
-            rows = rows[[matches(p, v)
-                         for v in data.columns[col][rows].tolist()]]
-        keys = (data.columns[key_col][rows].tolist() if key_col
-                else [None] * len(rows))
-        child_keys = [(data.columns[col][rows].tolist(), w)
-                      for col, w in links]
-        out: dict = defaultdict(int)
-        for i, key in enumerate(keys):
-            weight = 1
-            for values, w in child_keys:
-                weight *= w.get(values[i], 0)
-            if weight:
-                out[key] += weight
-        return out
+    return sum(_weights(query, tables, adj, next(iter(query.aliases)),
+                        None, None).values())
 
-    return sum(weights(next(iter(query.aliases)), None, None).values())
+
+def _weights(query: Query, tables: dict[str, TableData], adj: dict,
+             alias: str, parent: str | None, key_col: str | None) -> dict:
+    """Subtree result tuples of `alias` per value of `key_col` (None at the
+    root).  Not a closure: a self-calling closure is a cycle that keeps
+    `tables` alive."""
+    data = tables[query.aliases[alias]]
+    links = [(col, _weights(query, tables, adj, child, alias, ccol))
+             for col, child, ccol in adj[alias] if child != parent]
+    preds = [(p, p.column.split(".", 1)[1]) for p in query.predicates
+             if p.column.split(".", 1)[0] == alias]
+    keep = np.ones(data.row_count, dtype=bool)
+    for col in {col for col, _, _ in adj[alias]} | {c for _, c in preds}:
+        keep &= ~data.null_mask[col]
+    rows = np.flatnonzero(keep)
+    for p, col in preds:
+        rows = rows[[matches(p, v)
+                     for v in data.columns[col][rows].tolist()]]
+    keys = (data.columns[key_col][rows].tolist() if key_col
+            else [None] * len(rows))
+    child_keys = [(data.columns[col][rows].tolist(), w)
+                  for col, w in links]
+    out: dict = defaultdict(int)
+    for i, key in enumerate(keys):
+        weight = 1
+        for values, w in child_keys:
+            weight *= w.get(values[i], 0)
+        if weight:
+            out[key] += weight
+    return out
 
 
 def nested_loop_count(query: Query, tables: dict[str, TableData]) -> int:

@@ -1,11 +1,17 @@
+import contextlib
 import math
+import os
+import re
+import tempfile
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkhist import catalog
+from tkhist import catalog, synth
 from tkhist.catalog import (KeyDomain, equi_width_bins, infer_key_domains,
                             ingest_table, schema_from_document,
                             set_domain_boundaries, value_span,
@@ -110,6 +116,156 @@ class TestIngest:
         data = ingest_table(schema.table("r"), schema, path=str(path))
         assert data.columns["k"].tolist() == [1, 2]
         assert data.columns["y"].tolist() == [10, 20]
+
+    @pytest.mark.parametrize("text,row,cell", [
+        ("k,y\r\n1,99999999999999999999", 1, "99999999999999999999"),
+        ("k,y\n1,2\n3,9223372036854775808\n", 2, "9223372036854775808"),
+        # the empty cell sends the whole file through the cell loop
+        ("k,y\n,2\n3,-9223372036854775809\n", 2, "-9223372036854775809"),
+    ], ids=["plain", "max+1", "min-1-with-null"])
+    def test_value_past_int64_names_row_and_column(self, tmp_path, text, row,
+                                                   cell):
+        schema = two_table_schema()
+        path = tmp_path / "r.csv"
+        path.write_bytes(text.encode())
+        with pytest.raises(IngestError, match=(
+                rf"^table 'r': row {row}, column 'y': '{cell}' is outside "
+                "the int64 range$")):
+            ingest_table(schema.table("r"), schema, path=str(path))
+
+    @pytest.mark.parametrize("kind,cell", [
+        ("integer", "1_0"), ("integer", "\u0661\u0662"),
+        ("real", "1_0.5"), ("real", "\u0661\u0662"),
+    ], ids=["int-underscore", "int-arabic-indic", "real-underscore",
+            "real-arabic-indic"])
+    def test_only_ascii_numbers_parse(self, tmp_path, kind, cell):
+        schema = one_column_schema(kind)
+        path = tmp_path / "r.csv"
+        path.write_text(f"v\n{cell}\n", encoding="utf-8")
+        with pytest.raises(IngestError, match=(
+                "^table 'r': row 1, column 'v': cannot parse "
+                f"{re.escape(repr(cell))} as {kind}$")):
+            ingest_table(schema.table("r"), schema, path=str(path))
+
+    @pytest.mark.parametrize("kind,cell,value", [
+        ("integer", " -7 ", -7), ("real", " 2.5 ", 2.5),
+    ])
+    def test_surrounding_spaces_accepted(self, tmp_path, kind, cell, value):
+        schema = one_column_schema(kind)
+        path = tmp_path / "r.csv"
+        path.write_text(f"v\n{cell}\n", encoding="utf-8")
+        data = ingest_table(schema.table("r"), schema, path=str(path))
+        assert data.columns["v"].tolist() == [value]
+
+
+def one_column_schema(kind: str):
+    return schema_from_document({"tables": [{
+        "name": "r", "file": "r.csv", "columns": [{"name": "v", "kind": kind}]}]})
+
+
+PLAIN_EDGE_CELLS = ["0", "-0", "007", "-007", str(2 ** 63 - 1), str(-2 ** 63)]
+ODD_CELLS = [str(2 ** 63), str(-2 ** 63 - 1), "99999999999999999999", "",
+             '"5"', '"-3"', '"1,2"', '""', "-", "--1", "1-2", " 5", "+5",
+             "1_0", "2.5", "x"]
+
+
+@st.composite
+def csv_tables(draw):
+    """A table `r` of one to three columns and CSV text for it.  The header
+    comes in any order.  Every file mixes int64 values, their limits, '-0'
+    and leading zeros, with \\n or \\r\\n line ends and with or without a
+    final one; an odd file adds cells outside the plain grammar (empty,
+    quoted, past int64, signs, spaces), rows of the wrong width, blank lines
+    and lone \\r line ends, and some tables have a REAL or CATEGORICAL
+    column.  Returns (schema, text, plain): plain files must take the numpy
+    path."""
+    names = ["k", "y", "z"][:draw(st.integers(1, 3))]
+    odd = draw(st.booleans())
+    kinds = ["integer"] * len(names)
+    if odd and draw(st.booleans()):
+        kinds[draw(st.integers(0, len(names) - 1))] = draw(
+            st.sampled_from(["real", "categorical"]))
+    cell = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1).map(str),
+                     st.sampled_from(PLAIN_EDGE_CELLS))
+    row = st.lists(cell, min_size=len(names), max_size=len(names))
+    if odd:
+        cell = st.one_of(cell, st.sampled_from(ODD_CELLS))
+        row = st.one_of(st.lists(cell, min_size=len(names),
+                                 max_size=len(names)),
+                        st.lists(cell, max_size=len(names) + 1))
+    rows = draw(st.lists(row, max_size=6))
+    lines = [",".join(draw(st.permutations(names)))]
+    lines += [",".join(r) for r in rows]
+    if odd:
+        ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]),
+                             min_size=len(lines), max_size=len(lines)))
+    else:
+        ends = [draw(st.sampled_from(["\n", "\r\n"]))] * len(lines)
+    text = "".join(line + end for line, end in zip(lines, ends))
+    if not draw(st.booleans()):
+        text = text[:-len(ends[-1])]
+    schema = schema_from_document({"tables": [{
+        "name": "r", "file": "r.csv",
+        "columns": [{"name": n, "kind": k} for n, k in zip(names, kinds)]}]})
+    return schema, text, not odd and len(rows) > 0
+
+
+def ingest_outcome(schema, path):
+    """What `ingest_table` gives: the error text, or the row count, each
+    column's dtype and values and each null mask."""
+    try:
+        data = ingest_table(schema.table("r"), schema, path=path)
+    except IngestError as exc:
+        return str(exc)
+    return (data.row_count,
+            {c: (a.dtype, a.tolist() if a.dtype == object else a.tobytes())
+             for c, a in data.columns.items()},
+            {c: m.tolist() for c, m in data.null_mask.items()})
+
+
+class TestPlainIntegerPath:
+    """The numpy path of `ingest_table` against the cell loop alone."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=csv_tables())
+    def test_same_result_as_cell_loop(self, case):
+        schema, text, plain = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.csv")
+            with open(path, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+            no_loop = (mock.patch.object(catalog, "_ingest_cells",
+                                         side_effect=AssertionError)
+                       if plain else contextlib.nullcontext())
+            with no_loop, warnings.catch_warnings():
+                warnings.simplefilter("error")  # e.g. loadtxt's "no data"
+                got = ingest_outcome(schema, path)
+            with mock.patch.object(catalog, "_plain_integer_rows",
+                                   return_value=None):
+                want = ingest_outcome(schema, path)
+        assert got == want
+
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_synthetic_tables_skip_the_cell_loop(self, tmp_path, monkeypatch,
+                                                 correlated):
+        """The benchmark's CSV files must not fall back to the slow loop."""
+        spec = synth.SyntheticSpec(tables=5, rows=2_000, layout="mixed",
+                                   correlated=correlated)
+        schema, tables = synth.generate_synthetic(spec, seed=3)
+        written = catalog.load_schema(
+            synth.write_benchmark(schema, tables, str(tmp_path)))
+
+        def cell_loop(*args):
+            raise AssertionError("cell loop entered")
+
+        monkeypatch.setattr(catalog, "_ingest_cells", cell_loop)
+        for tdef in written.tables:
+            data = ingest_table(tdef, written)
+            assert data.row_count == spec.rows
+            for name, values in tables[tdef.name].columns.items():
+                assert data.columns[name].dtype == np.int64
+                assert data.columns[name].tolist() == values.tolist()
+                assert not data.null_mask[name].any()
 
 
 class TestKeyDomains:

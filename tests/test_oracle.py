@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -81,6 +84,25 @@ class TestHashOracle:
         with pytest.raises(PlanError):
             oracle_count(q, tables)
 
+
+    def test_tables_freed_by_reference_counting(self):
+        class Tables(dict):  # a plain dict takes no weak reference
+            pass
+
+        tables = Tables(r=make_table("r", {"k": [1, 1, 2], "y": [5, 9, 5]}),
+                        s=make_table("s", {"k": [1, 2]}))
+        q = query({"r": "r", "s": "s"}, [("r.k", "s.k")],
+                  [Predicate("r.y", "=", 5)])
+        ref = weakref.ref(tables)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            assert oracle_count(q, tables) == 2
+            del tables
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
 
 class TestCrossCheck:
     @pytest.mark.parametrize("seed", range(10))
