@@ -229,19 +229,21 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
         raise IngestError(f"cannot read {path!r}: {exc}") from exc
     with fh:
         try:
-            header = next(csv.reader(fh))
-        except StopIteration:
-            raise IngestError(f"{path!r} is empty, expected a header row")
-        declared = [c.name for c in tdef.columns]
-        missing = set(declared) - set(header)
-        if missing:
-            raise IngestError(
-                f"table {tdef.name!r}: missing column(s) {sorted(missing)} in {path!r}")
-        extra = set(header) - set(declared)
-        if extra:
-            raise IngestError(
-                f"table {tdef.name!r}: undeclared column(s) {sorted(extra)} in {path!r}")
-        body = fh.read()
+            header = next(csv.reader(fh), None)
+            body = fh.read()
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"{path!r} is not valid UTF-8: {exc}") from exc
+    if header is None:
+        raise IngestError(f"{path!r} is empty, expected a header row")
+    declared = [c.name for c in tdef.columns]
+    missing = set(declared) - set(header)
+    if missing:
+        raise IngestError(
+            f"table {tdef.name!r}: missing column(s) {sorted(missing)} in {path!r}")
+    extra = set(header) - set(declared)
+    if extra:
+        raise IngestError(
+            f"table {tdef.name!r}: undeclared column(s) {sorted(extra)} in {path!r}")
     col_pos = {name: header.index(name) for name in declared}
     rows = _plain_integer_rows(tdef, body, len(header))
     if rows is None:

@@ -33,11 +33,6 @@ def _scalar(v):
 class Bin1D:
     topk: dict = field(default_factory=dict)  # key -> exact frequency
     nv: int = 0
-    background: set = field(default_factory=set)  # distinct background keys
-
-    @property
-    def ndv(self) -> int:
-        return len(self.background)
 
     def total(self) -> int:
         return self.nv + sum(self.topk.values())
@@ -45,30 +40,69 @@ class Bin1D:
 
 @dataclass
 class TKHist1D:
+    """Per-bin containers and NV, plus the background keys of every bin as
+    one sorted array in the column's dtype.  Bins are equi-width, so key order
+    is bin order: bin i's background keys are
+    `background[background_offsets[i]:background_offsets[i + 1]]`."""
+
     domain: KeyDomain
     bins: list[Bin1D]
     total_rows: int
     k: int
+    background: np.ndarray
+    background_offsets: np.ndarray  # int64, bin_count + 1 entries
+
+    @property
+    def ndv(self) -> np.ndarray:
+        """Distinct background keys per bin."""
+        return np.diff(self.background_offsets)
 
     def insert(self, keys) -> None:
         """Add one key or an array of keys (nulls already removed).
 
         The keys are grouped with one `np.unique`; each distinct key adds its
-        count to the container entry it has, or else to its bin's NV and
-        background.  Container membership is frozen at build time: a
-        background key that becomes frequent through inserts stays
-        background until a rebuild.
+        count to the container entry it has, or else to its bin's NV, and the
+        others are merged into the background array in one pass.
+        Container membership is frozen at build time: a background key that
+        becomes frequent through inserts stays background until a rebuild.
+        Keys take the background's dtype; real keys for an integer histogram
+        are an error rather than being truncated.
         """
-        keys, counts = np.unique(np.atleast_1d(keys), return_counts=True)
-        for key, cnt, i in zip(keys.tolist(), counts.tolist(),
-                               self.domain.bins_of(keys).tolist()):
+        keys = np.atleast_1d(keys)
+        if not np.can_cast(keys.dtype, self.background.dtype):
+            raise TKHistError(f"cannot insert {keys.dtype} keys into a "
+                              f"histogram of {self.background.dtype} keys")
+        keys, counts = np.unique(keys.astype(self.background.dtype),
+                                 return_counts=True)
+        idx = self.domain.bins_of(keys)
+        held = np.zeros(len(keys), dtype=bool)
+        for j, (key, cnt, i) in enumerate(zip(keys.tolist(), counts.tolist(),
+                                              idx.tolist())):
             b = self.bins[i]
             if key in b.topk:
                 b.topk[key] += cnt
+                held[j] = True
             else:
                 b.nv += cnt
-                b.background.add(key)
+        self.background = _merge_sorted(self.background, keys[~held])
+        self.background_offsets = _offsets(
+            self.domain.bins_of(self.background), self.domain.bin_count)
         self.total_rows += int(counts.sum())
+
+
+def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Sorted union of two sorted arrays of distinct values, in a's dtype:
+    b's values missing from a are inserted at their `searchsorted` positions,
+    a linear merge where `np.union1d` would sort both again."""
+    pos = np.searchsorted(a, b)
+    new = pos == len(a)
+    new[~new] = a[pos[~new]] != b[~new]
+    return np.insert(a, pos[new], b[new])
+
+
+def _offsets(sorted_bins: np.ndarray, bin_count: int) -> np.ndarray:
+    """CSR offsets of items whose bins are `sorted_bins` (non-decreasing)."""
+    return np.searchsorted(sorted_bins, np.arange(bin_count + 1))
 
 
 def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
@@ -88,16 +122,22 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
     keys, counts = np.unique(values, return_counts=True)
     idx = domain.bins_of(keys)
     order = np.lexsort((keys, -counts, idx))
-    keys = keys[order].tolist()
-    counts = counts[order].tolist()
-    starts = np.searchsorted(idx[order], np.arange(domain.bin_count + 1))
+    starts = _offsets(idx[order], domain.bin_count)
+    rank = np.arange(len(keys)) - np.repeat(starts[:-1], np.diff(starts))
+    in_background = np.ones(len(keys), dtype=bool)
+    in_background[order[rank < k]] = False
+    ranked_keys, ranked_counts = keys[order].tolist(), counts[order].tolist()
     bins = []
     for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
         cut = min(lo + k, hi)
-        bins.append(Bin1D(topk=dict(zip(keys[lo:cut], counts[lo:cut])),
-                          nv=sum(counts[cut:hi]),
-                          background=set(keys[cut:hi])))
-    return TKHist1D(domain=domain, bins=bins, total_rows=len(values), k=k)
+        bins.append(Bin1D(topk=dict(zip(ranked_keys[lo:cut],
+                                        ranked_counts[lo:cut])),
+                          nv=sum(ranked_counts[cut:hi])))
+    # unique keys are sorted, hence so are their bins
+    return TKHist1D(domain=domain, bins=bins, total_rows=len(values), k=k,
+                    background=keys[in_background],
+                    background_offsets=_offsets(idx[in_background],
+                                                domain.bin_count))
 
 
 @dataclass

@@ -59,7 +59,7 @@ def lift(hist: TKHist1D) -> CompositeHist:
         domain=hist.domain,
         dominant=[{k: float(c) for k, c in b.topk.items()} for b in hist.bins],
         background=np.array([b.nv for b in hist.bins], dtype=np.float64),
-        ndv=np.array([b.ndv for b in hist.bins], dtype=np.float64))
+        ndv=hist.ndv.astype(np.float64))
 
 
 def _check_same_domain(a: CompositeHist, b: CompositeHist) -> None:
@@ -142,8 +142,8 @@ def chain_translate(comp: CompositeHist, bridge: TKHist2D,
                            bridge.grid / np.maximum(marginal[:, None], 1e-300),
                            0.0)
     out = comp.bin_totals() @ weights
-    ndv = np.array([b.ndv + len(b.topk) for b in target_hist.bins],
-                   dtype=np.float64)
+    ndv = (target_hist.ndv + [len(b.topk) for b in target_hist.bins]
+           ).astype(np.float64)
     return CompositeHist(domain=target_hist.domain,
                          dominant=[{} for _ in range(len(out))],
                          background=out, ndv=np.where(out > 0, ndv, 0.0))

@@ -91,67 +91,75 @@ def nested_loop_count(query: Query, tables: dict[str, TableData]) -> int:
     for (ea, ca), (eb, cb) in edges:
         join_cols[ea].add(ca)
         join_cols[eb].add(cb)
-
-    def passes(alias: str, i: int) -> bool:
-        d = data[alias]
-        for col in join_cols[alias]:
-            if d.null_mask[col][i]:
-                return False
-        for p in preds_by_alias[alias]:
-            col = p.column.split(".", 1)[1]
-            if d.null_mask[col][i]:
-                return False
-            v = values[alias][col][i]
-            op, ref = p.op, p.value
-            if op == "=":
-                if v != ref:
-                    return False
-            elif op == "<":
-                if not v < ref:
-                    return False
-            elif op == "<=":
-                if not v <= ref:
-                    return False
-            elif op == ">":
-                if not v > ref:
-                    return False
-            elif op == ">=":
-                if not v >= ref:
-                    return False
-            elif op == "between":
-                if not ref[0] <= v <= ref[1]:
-                    return False
-            else:  # in
-                if v not in ref:
-                    return False
-        return True
-
-    candidates = {a: [i for i in range(data[a].row_count) if passes(a, i)]
+    candidates = {a: [i for i in range(data[a].row_count)
+                      if _row_passes(data[a], values[a], join_cols[a],
+                                     preds_by_alias[a], i)]
                   for a in aliases}
+    return _count_assignments(aliases, candidates, values, edges, 0, {})
 
-    def rec(level: int, assignment: dict[str, int]) -> int:
-        if level == len(aliases):
-            return 1
-        alias = aliases[level]
-        total = 0
-        for i in candidates[alias]:
-            ok = True
-            for (ea, ca), (eb, cb) in edges:
-                if ea == alias and eb in assignment:
-                    j = assignment[eb]
-                    if values[ea][ca][i] != values[eb][cb][j]:
-                        ok = False
-                        break
-                elif eb == alias and ea in assignment:
-                    j = assignment[ea]
-                    if values[eb][cb][i] != values[ea][ca][j]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            assignment[alias] = i
-            total += rec(level + 1, assignment)
-            del assignment[alias]
-        return total
 
-    return rec(0, {})
+def _row_passes(d: TableData, values: dict, join_cols: set,
+                preds: list, i: int) -> bool:
+    """Row i of one alias has non-null join keys and passes its predicates."""
+    for col in join_cols:
+        if d.null_mask[col][i]:
+            return False
+    for p in preds:
+        col = p.column.split(".", 1)[1]
+        if d.null_mask[col][i]:
+            return False
+        v = values[col][i]
+        op, ref = p.op, p.value
+        if op == "=":
+            if v != ref:
+                return False
+        elif op == "<":
+            if not v < ref:
+                return False
+        elif op == "<=":
+            if not v <= ref:
+                return False
+        elif op == ">":
+            if not v > ref:
+                return False
+        elif op == ">=":
+            if not v >= ref:
+                return False
+        elif op == "between":
+            if not ref[0] <= v <= ref[1]:
+                return False
+        else:  # in
+            if v not in ref:
+                return False
+    return True
+
+
+def _count_assignments(aliases: list, candidates: dict, values: dict,
+                       edges: list, level: int, assignment: dict) -> int:
+    """Result tuples extending `assignment` (alias -> row) over the aliases
+    from `level` on.  Not a closure: a self-calling closure is a cycle that
+    keeps the value lists alive."""
+    if level == len(aliases):
+        return 1
+    alias = aliases[level]
+    total = 0
+    for i in candidates[alias]:
+        ok = True
+        for (ea, ca), (eb, cb) in edges:
+            if ea == alias and eb in assignment:
+                j = assignment[eb]
+                if values[ea][ca][i] != values[eb][cb][j]:
+                    ok = False
+                    break
+            elif eb == alias and ea in assignment:
+                j = assignment[ea]
+                if values[eb][cb][i] != values[ea][ca][j]:
+                    ok = False
+                    break
+        if not ok:
+            continue
+        assignment[alias] = i
+        total += _count_assignments(aliases, candidates, values, edges,
+                                    level + 1, assignment)
+        del assignment[alias]
+    return total

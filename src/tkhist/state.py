@@ -3,9 +3,12 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 2 stores each 1D histogram as
-flat per-histogram lists with per-bin offsets and each 2D grid as its
-non-zero cells; a version-1 document is rewritten into that layout on load.
+same state twice is byte-identical.  Version 3 stores each 1D histogram as
+flat per-histogram lists with per-bin offsets, each 2D grid as its non-zero
+cells and each correlation-map section as columns; sorted integer lists are
+delta-coded.  Version-1 and version-2 documents are rewritten into that
+layout on load, and every length, offset and cell is checked against the
+bins it describes.
 """
 from __future__ import annotations
 
@@ -13,6 +16,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -24,7 +28,7 @@ from .histcore import (AttrBinning, Bin1D, TKHist1D, TKHist2D,
                        categorical_binning, domain_binning, numeric_binning)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 2
+STATE_VERSION = 3
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -179,34 +183,46 @@ def apply_rows(state: EstimatorState, table: str,
 # ---------------------------------------------------------------------------
 # serialization
 
+def _key_list(keys: np.ndarray) -> list:
+    """Sorted keys as written: integer keys as deltas, each key minus the one
+    before it (wrapping in int64, as the cumsum that undoes it does), real
+    keys as they are, since a float cumsum would not round-trip."""
+    if keys.dtype.kind == "i":
+        return np.diff(keys, prepend=0).tolist()
+    return keys.tolist()
+
+
+def _keys_from_list(values: list, dtype=None) -> np.ndarray:
+    keys = np.asarray(values, dtype=dtype)
+    return np.cumsum(keys) if keys.dtype.kind == "i" else keys
+
+
 def _domain_doc(d: KeyDomain) -> dict:
     return {"columns": sorted(d.columns), "lo": d.lo, "hi": d.hi,
             "bin_count": d.bin_count}
 
 
-def _hist1d_doc(domain: str, k: int, total_rows: int, bins) -> dict:
-    """The flat 1D layout; `bins` yields, per bin, the container pairs in
-    (-count, key) order, NV and the sorted background keys."""
-    keys, counts, nv, background = [], [], [], []
-    topk_offsets, background_offsets = [0], [0]
-    for topk, bin_nv, bin_background in bins:
-        keys += [key for key, _ in topk]
-        counts += [cnt for _, cnt in topk]
-        topk_offsets.append(len(keys))
-        nv.append(bin_nv)
-        background += bin_background
-        background_offsets.append(len(background))
-    return {"domain": domain, "k": k, "total_rows": total_rows,
-            "topk_keys": keys, "topk_counts": counts,
-            "topk_offsets": topk_offsets, "nv": nv,
-            "background": background,
-            "background_offsets": background_offsets}
+def _hist1d_doc(h: TKHist1D) -> dict:
+    """Flat per-histogram lists with per-bin offsets; each bin's container
+    pairs in (-count, key) order, from one lexsort over all containers."""
+    sizes = [len(b.topk) for b in h.bins]
+    keys = np.asarray([key for b in h.bins for key in b.topk])
+    counts = np.asarray([c for b in h.bins for c in b.topk.values()],
+                        dtype=np.int64)
+    order = np.lexsort((keys, -counts, np.repeat(np.arange(len(sizes)), sizes)))
+    return {"domain": h.domain.id, "k": h.k, "total_rows": h.total_rows,
+            "topk_keys": keys[order].tolist(),
+            "topk_counts": counts[order].tolist(),
+            "topk_offsets": [0, *np.cumsum(sizes).tolist()],
+            "nv": [b.nv for b in h.bins],
+            "background": _key_list(h.background),
+            "background_offsets": h.background_offsets.tolist()}
 
 
 def _grid_doc(grid: np.ndarray) -> dict:
     flat = grid.ravel()
     cells = np.flatnonzero(flat)
-    return {"shape": list(grid.shape), "cells": cells.tolist(),
+    return {"shape": list(grid.shape), "cells": _key_list(cells),
             "counts": flat[cells].tolist()}
 
 
@@ -221,19 +237,27 @@ def _binning_doc(a: AttrBinning) -> dict:
     return doc
 
 
-def _env_doc(env) -> list:
-    if env[0] == "range":
-        return ["range", env[1], env[2]]
-    return ["set", sorted(env[1])]
+def _correlation_doc(env_by_key: dict) -> dict:
+    """One section of the correlation map as columns: the sorted keys, plus
+    `lo` and `hi` for range envelopes or `values` for set envelopes (one
+    attribute has one envelope kind)."""
+    keys = sorted(env_by_key)
+    envs = [env_by_key[key] for key in keys]
+    doc = {"keys": _key_list(np.asarray(keys))}
+    if envs and envs[0][0] == "set":
+        doc["values"] = [sorted(env[1]) for env in envs]
+    else:
+        doc["lo"] = [env[1] for env in envs]
+        doc["hi"] = [env[2] for env in envs]
+    return doc
 
 
 def state_to_document(state: EstimatorState) -> dict:
     corr = None
     if state.correlations is not None:
-        corr = {}
-        for (table, dom, attr), env_by_key in sorted(state.correlations.items()):
-            corr[f"{table}|{dom}|{attr}"] = [
-                [k] + _env_doc(env) for k, env in sorted(env_by_key.items())]
+        corr = {f"{table}|{dom}|{attr}": _correlation_doc(env_by_key)
+                for (table, dom, attr), env_by_key
+                in sorted(state.correlations.items())}
     return {
         "magic": STATE_MAGIC,
         "version": STATE_VERSION,
@@ -244,10 +268,7 @@ def state_to_document(state: EstimatorState) -> dict:
         "schema": state.schema.document,
         "schema_base_dir": state.schema.base_dir,
         "domains": {d.id: _domain_doc(d) for d in state.domains.values()},
-        "hists1d": {f"{t}.{c}": _hist1d_doc(
-                        h.domain.id, h.k, h.total_rows,
-                        ((sorted(b.topk.items(), key=lambda kv: (-kv[1], kv[0])),
-                          b.nv, sorted(b.background)) for b in h.bins))
+        "hists1d": {f"{t}.{c}": _hist1d_doc(h)
                     for (t, c), h in sorted(state.hists1d.items())},
         "hists2d": {f"{t}.{c}|{a}": {"domain": h.key_domain.id,
                                      "attr": _binning_doc(h.attr),
@@ -293,14 +314,53 @@ def load_state(path: str) -> EstimatorState:
 def _upgrade_v1(doc: dict) -> dict:
     """Rewrite a version-1 document (per-bin objects, dense grids) into the
     version-2 layout."""
-    hists1d = {name: _hist1d_doc(h["domain"], h["k"], h["total_rows"],
-                                 ((b["topk"], b["nv"], b["background"])
-                                  for b in h["bins"]))
-               for name, h in doc["hists1d"].items()}
-    hists2d = {name: {"domain": h["domain"], "attr": h["attr"],
-                      **_grid_doc(np.asarray(h["grid"], dtype=np.int64))}
-               for name, h in doc["hists2d"].items()}
+    hists1d = {}
+    for name, h in doc["hists1d"].items():
+        bins = h["bins"]
+        topk = [pair for b in bins for pair in b["topk"]]
+        hists1d[name] = {
+            "domain": h["domain"], "k": h["k"], "total_rows": h["total_rows"],
+            "topk_keys": [key for key, _ in topk],
+            "topk_counts": [cnt for _, cnt in topk],
+            "topk_offsets": [0, *np.cumsum([len(b["topk"]) for b in bins]).tolist()],
+            "nv": [b["nv"] for b in bins],
+            "background": [key for b in bins for key in b["background"]],
+            "background_offsets": [0, *np.cumsum(
+                [len(b["background"]) for b in bins]).tolist()]}
+    hists2d = {}
+    for name, h in doc["hists2d"].items():
+        grid = np.asarray(h["grid"], dtype=np.int64)
+        cells = np.flatnonzero(grid)
+        hists2d[name] = {"domain": h["domain"], "attr": h["attr"],
+                         "shape": list(grid.shape), "cells": cells.tolist(),
+                         "counts": grid.ravel()[cells].tolist()}
     return {**doc, "version": 2, "hists1d": hists1d, "hists2d": hists2d}
+
+
+def _upgrade_v2(doc: dict) -> dict:
+    """Rewrite a version-2 document (plain key lists, correlation rows
+    `[key, "range", lo, hi]` or `[key, "set", values]`) into the version-3
+    layout."""
+    hists1d = {name: {**h, "background": _key_list(np.asarray(h["background"]))}
+               for name, h in doc["hists1d"].items()}
+    hists2d = {name: {**h, "cells": _key_list(
+                   np.asarray(h["cells"], dtype=np.int64))}
+               for name, h in doc["hists2d"].items()}
+    corr = doc.get("correlations")
+    if corr is not None:
+        corr = {name: _correlation_doc(
+                    {row[0]: _v2_envelope(name, row) for row in rows})
+                for name, rows in corr.items()}
+    return {**doc, "version": 3, "hists1d": hists1d, "hists2d": hists2d,
+            "correlations": corr}
+
+
+def _v2_envelope(name: str, row: list) -> tuple:
+    if len(row) == 4 and row[1] == "range":
+        return ("range", row[2], row[3])
+    if len(row) == 3 and row[1] == "set":
+        return ("set", frozenset(row[2]))
+    raise StateError(f"correlation section {name!r}: malformed row {row!r}")
 
 
 def state_from_document(doc: dict) -> EstimatorState:
@@ -314,15 +374,18 @@ def state_from_document(doc: dict) -> EstimatorState:
 
 
 def _state_from_known_document(doc: dict) -> EstimatorState:
-    if doc.get("version") == 1:
-        doc = _upgrade_v1(doc)
-    if doc.get("version") != STATE_VERSION:
-        raise StateError(f"unsupported state version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version not in (1, 2, STATE_VERSION):
+        raise StateError(f"unsupported state version {version!r}")
 
     cdoc = doc["config"]
     config = BuildConfig(bin_count=cdoc["bin_count"], top_k=cdoc["top_k"])
     schema = catalog.schema_from_document(doc["schema"],
                                           base_dir=doc.get("schema_base_dir", "."))
+    if version == 1:
+        doc = _upgrade_v1(doc)
+    if version <= 2:
+        doc = _upgrade_v2(doc)
 
     domains: dict[str, KeyDomain] = {}
     for did, d in doc["domains"].items():
@@ -333,16 +396,10 @@ def _state_from_known_document(doc: dict) -> EstimatorState:
 
     hists1d = {}
     for qual, h in doc["hists1d"].items():
-        keys, counts, background = (h["topk_keys"], h["topk_counts"],
-                                    h["background"])
-        tk, bg = h["topk_offsets"], h["background_offsets"]
-        bins = [Bin1D(topk=dict(zip(keys[tk[i]:tk[i + 1]],
-                                    counts[tk[i]:tk[i + 1]])),
-                      nv=nv, background=set(background[bg[i]:bg[i + 1]]))
-                for i, nv in enumerate(h["nv"])]
-        hists1d[split_qualified(qual)] = TKHist1D(
-            domain=domains[h["domain"]], bins=bins,
-            total_rows=h["total_rows"], k=h["k"])
+        t, c = split_qualified(qual)
+        integer = schema.table(t).column(c).kind == catalog.KIND_INTEGER
+        hists1d[(t, c)] = _hist1d_from_doc(
+            qual, h, domains[h["domain"]], np.int64 if integer else np.float64)
 
     hists2d = {}
     for name, h in doc["hists2d"].items():
@@ -354,8 +411,17 @@ def _state_from_known_document(doc: dict) -> EstimatorState:
         if tuple(h["shape"]) != shape:
             raise StateError(f"2D histogram {name!r} has shape {h['shape']}, "
                              f"expected {list(shape)}")
+        cells = _keys_from_list(h["cells"], np.int64)
+        counts = np.asarray(h["counts"], dtype=np.int64)
+        if len(counts) != len(cells):
+            raise StateError(f"2D histogram {name!r} has {len(cells)} cells "
+                             f"and {len(counts)} counts")
+        if len(cells) and (cells[0] < 0 or cells[-1] >= shape[0] * shape[1]
+                           or np.any(cells[1:] <= cells[:-1])):
+            raise StateError(f"2D histogram {name!r} has cells that are out "
+                             f"of its {list(shape)} grid or unsorted")
         grid = np.zeros(shape, dtype=np.int64)
-        np.put(grid, h["cells"], h["counts"])
+        grid.ravel()[cells] = counts
         hists2d[(t, c, attr)] = TKHist2D(key_domain=dom, attr=binning,
                                          grid=grid)
 
@@ -366,13 +432,8 @@ def _state_from_known_document(doc: dict) -> EstimatorState:
 
     correlations = None
     if doc.get("correlations") is not None:
-        # each row is [key, "range", lo, hi] or [key, "set", values]
-        correlations = {
-            tuple(name.split("|", 2)): {
-                row[0]: (("range", row[2], row[3]) if row[1] == "range"
-                         else ("set", frozenset(row[2])))
-                for row in rows}
-            for name, rows in doc["correlations"].items()}
+        correlations = {tuple(name.split("|", 2)): _envelopes_from_doc(name, sec)
+                        for name, sec in doc["correlations"].items()}
 
     return EstimatorState(schema=schema, config=config, domains=domains,
                           column_domain=column_domain, hists1d=hists1d,
@@ -380,6 +441,55 @@ def _state_from_known_document(doc: dict) -> EstimatorState:
                           column_class=column_class,
                           table_rows=doc["table_rows"],
                           correlations=correlations)
+
+
+def _hist1d_from_doc(qual: str, h: dict, dom: KeyDomain,
+                     dtype) -> TKHist1D:
+    keys, counts, nv = h["topk_keys"], h["topk_counts"], h["nv"]
+    background = _keys_from_list(h["background"], dtype)
+    n = dom.bin_count
+    if len(nv) != n:
+        raise StateError(f"1D histogram {qual!r} has {len(nv)} nv entries "
+                         f"for {n} bins")
+    if len(counts) != len(keys):
+        raise StateError(f"1D histogram {qual!r} has {len(keys)} topk_keys "
+                         f"and {len(counts)} topk_counts")
+    tk = _checked_offsets(qual, "topk_offsets", h["topk_offsets"], n,
+                          len(keys)).tolist()
+    offsets = _checked_offsets(qual, "background_offsets",
+                               h["background_offsets"], n, len(background))
+    if np.any(background[1:] <= background[:-1]):
+        raise StateError(f"1D histogram {qual!r} has unsorted background keys")
+    bins = [Bin1D(topk=dict(zip(keys[lo:hi], counts[lo:hi])), nv=v)
+            for lo, hi, v in zip(tk[:-1], tk[1:], nv)]
+    return TKHist1D(domain=dom, bins=bins, total_rows=h["total_rows"],
+                    k=h["k"], background=background,
+                    background_offsets=offsets)
+
+
+def _checked_offsets(qual: str, field: str, values: list, bin_count: int,
+                     length: int) -> np.ndarray:
+    """CSR offsets that split `length` entries into `bin_count` bins."""
+    offsets = np.asarray(values, dtype=np.int64)
+    if (len(offsets) != bin_count + 1 or offsets[0] != 0
+            or offsets[-1] != length or np.any(offsets[1:] < offsets[:-1])):
+        raise StateError(f"1D histogram {qual!r}: {field} do not split "
+                         f"{length} entries into {bin_count} bins")
+    return offsets
+
+
+def _envelopes_from_doc(name: str, sec: dict) -> dict:
+    keys = _keys_from_list(sec["keys"]).tolist()
+    if "values" in sec:
+        columns = [sec["values"]]
+        envs = [("set", frozenset(values)) for values in sec["values"]]
+    else:
+        columns = [sec["lo"], sec["hi"]]
+        envs = zip(repeat("range"), sec["lo"], sec["hi"])
+    if any(len(col) != len(keys) for col in columns):
+        raise StateError(f"correlation section {name!r} has columns of "
+                         f"unequal length")
+    return dict(zip(keys, envs))
 
 
 def _binning_from_doc(doc: dict) -> AttrBinning:

@@ -75,7 +75,7 @@ def test_criterion_01_exact_at_full_capture():
     max_distinct = 0
     probe = build_state(schema, tables, BuildConfig(bin_count=50, top_k=0))
     for h in probe.hists1d.values():
-        max_distinct = max(max_distinct, max(b.ndv for b in h.bins))
+        max_distinct = max(max_distinct, int(h.ndv.max()))
     state = build_state(schema, tables,
                         BuildConfig(bin_count=50, top_k=max_distinct))
     sql = "SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1"

@@ -102,6 +102,14 @@ class TestIngest:
         with pytest.raises(IngestError, match=r"row 2, column 'y'"):
             ingest_table(schema.table("r"), schema, path=str(path))
 
+    def test_non_utf8_file_names_the_file(self, tmp_path):
+        schema = two_table_schema()
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"k,y\n1,\xff\n")
+        with pytest.raises(IngestError, match=re.escape(
+                f"{str(path)!r} is not valid UTF-8")):
+            ingest_table(schema.table("r"), schema, path=str(path))
+
     def test_header_mismatch(self, tmp_path):
         schema = two_table_schema()
         path = tmp_path / "r.csv"

@@ -31,11 +31,10 @@ def reference_build_tkhist1d(values, domain, k, null_mask=None):
         values = values[~null_mask]
     idx = domain.bins_of(values)
     bins = [Bin1D() for _ in range(domain.bin_count)]
+    background, offsets = [], [0]
     total = 0
     for i in range(domain.bin_count):
         in_bin = values[idx == i]
-        if len(in_bin) == 0:
-            continue
         counts = Counter(_scalar(v) for v in in_bin)
         total += len(in_bin)
         ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
@@ -44,8 +43,17 @@ def reference_build_tkhist1d(values, domain, k, null_mask=None):
             b.topk[key] = cnt
         for key, cnt in ranked[k:]:
             b.nv += cnt
-            b.background.add(key)
-    return TKHist1D(domain=domain, bins=bins, total_rows=total, k=k)
+        background += sorted(key for key, _ in ranked[k:])
+        offsets.append(len(background))
+    return TKHist1D(domain=domain, bins=bins, total_rows=total, k=k,
+                    background=np.asarray(background, dtype=values.dtype),
+                    background_offsets=np.asarray(offsets))
+
+
+def background_of(h, i):
+    """The background keys of bin i as a set."""
+    lo, hi = h.background_offsets[i], h.background_offsets[i + 1]
+    return set(h.background[lo:hi].tolist())
 
 
 @st.composite
@@ -73,8 +81,9 @@ class TestBuild1D:
         h = build_tkhist1d(vals, d, k=1)
         b = h.bins[0]
         assert b.topk == {1: 4}
-        assert (b.nv, b.ndv) == (3, 2)
-        assert b.nv / b.ndv == pytest.approx(1.5)
+        assert (b.nv, h.ndv[0]) == (3, 2)
+        assert b.nv / h.ndv[0] == pytest.approx(1.5)
+        assert background_of(h, 0) == {2, 3}
         assert h.bins[1].topk == {60: 1}
 
     def test_tie_breaks_toward_smaller_key(self):
@@ -86,7 +95,7 @@ class TestBuild1D:
         d = make_domain(0, 10, 1)
         h = build_tkhist1d(np.array([1, 1, 2]), d, k=0)
         assert h.bins[0].topk == {}
-        assert (h.bins[0].nv, h.bins[0].ndv) == (3, 2)
+        assert (h.bins[0].nv, h.ndv[0]) == (3, 2)
 
     def test_nulls_skipped(self):
         d = make_domain(0, 10, 1)
@@ -111,12 +120,12 @@ class TestBuild1D:
     def test_container_holds_most_frequent(self, values, k):
         d = make_domain(0, 100, 4)
         h = build_tkhist1d(np.asarray(values, dtype=np.int64), d, k=k)
-        for b in h.bins:
-            if not b.topk or not b.background:
+        for i, b in enumerate(h.bins):
+            if not b.topk or not h.ndv[i]:
                 continue
             min_in = min(b.topk.values())
             per_bg = Counter(v for v in values
-                             if v in b.background)
+                             if v in background_of(h, i))
             assert min_in >= max(per_bg.values())
 
 
@@ -132,13 +141,15 @@ class TestBuild1D:
         kept = values if nulls is None else values[~nulls]
         per_bin = Counter(d.bins_of(kept).tolist())
         key_type = int if values.dtype == np.int64 else float
+        assert h.background.dtype == values.dtype
+        assert h.background.tolist() == ref.background.tolist()
+        assert h.background_offsets.tolist() == ref.background_offsets.tolist()
         for i, (b, rb) in enumerate(zip(h.bins, ref.bins)):
             assert list(b.topk.items()) == list(rb.topk.items())
             assert all(type(key) is key_type and type(c) is int
                        for key, c in b.topk.items())
-            assert all(type(key) is key_type for key in b.background)
             assert type(b.nv) is int
-            assert (b.nv, b.background) == (rb.nv, rb.background)
+            assert b.nv == rb.nv
             assert b.nv + sum(b.topk.values()) == per_bin.get(i, 0)
 
 
@@ -155,8 +166,18 @@ class TestInsert:
         h = build_tkhist1d(np.array([1, 1, 2]), d, k=1)
         h.insert(3)
         h.insert(3)
-        b = h.bins[0]
-        assert (b.nv, b.ndv) == (3, 2)  # membership frozen, 3 stays background
+        assert (h.bins[0].nv, h.ndv[0]) == (3, 2)  # membership frozen, 3 stays background
+        assert h.background.tolist() == [2, 3]
+
+    def test_real_keys_into_integer_histogram_rejected(self):
+        d = make_domain(0, 10, 1)
+        h = build_tkhist1d(np.array([1, 2]), d, k=0)
+        with pytest.raises(TKHistError, match="float64 keys"):
+            h.insert(np.array([2.5]))
+        h.insert(np.array([3]))  # integer keys into a real histogram are fine
+        r = build_tkhist1d(np.array([1.5]), d, k=0)
+        r.insert(np.array([3]))
+        assert r.background.tolist() == [1.5, 3.0]
 
     def test_out_of_domain_insert_rejected(self):
         d = make_domain(0, 10, 1)
@@ -174,6 +195,30 @@ class TestInsert:
         exact = Counter(domain_bin(d, v) for v in initial + extra)
         for i, b in enumerate(h.bins):
             assert b.total() == exact.get(i, 0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(column=key_columns(), extra=key_columns(),
+           k=st.integers(min_value=0, max_value=6),
+           bins=st.integers(min_value=1, max_value=9))
+    def test_insert_matches_rebuild_background(self, column, extra, k, bins):
+        # a batch insert leaves the background keys a rebuild with the same
+        # containers would have: every distinct key outside the containers
+        values, nulls = column
+        added = extra[0].astype(values.dtype)
+        d = make_domain(0, 60, bins)
+        h = build_tkhist1d(values, d, k=k, null_mask=nulls)
+        h.insert(added)
+        kept = values if nulls is None else values[~nulls]
+        rebuilt = build_tkhist1d(np.concatenate([kept, added]), d, k=0)
+        held = {key for b in h.bins for key in b.topk}
+        assert h.background.dtype == values.dtype
+        assert h.background.tolist() == [
+            key for key in rebuilt.background.tolist() if key not in held]
+        assert (h.ndv + [len(b.topk) for b in h.bins]).tolist() == \
+            rebuilt.ndv.tolist()
+        if k == 0:
+            assert h.background_offsets.tolist() == \
+                rebuilt.background_offsets.tolist()
 
 
 class TestHist2D:

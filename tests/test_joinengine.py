@@ -105,8 +105,8 @@ class TestBinJoin:
         out = jtkh_join(lift(ha), lift(hb))
         for i, dom in enumerate(out.dominant):
             assert dom == {}
-            expect = selinger_bin_estimate(ha.bins[i].nv, ha.bins[i].ndv,
-                                           hb.bins[i].nv, hb.bins[i].ndv)
+            expect = selinger_bin_estimate(ha.bins[i].nv, int(ha.ndv[i]),
+                                           hb.bins[i].nv, int(hb.ndv[i]))
             assert out.background[i] == expect  # bit-for-bit
 
     def test_full_capture_two_table_exact(self, rng):
@@ -268,8 +268,8 @@ def ref_chain(bins, bridge, target):
                            0.0)
     out = []
     for j, mass in enumerate(totals @ weights):
-        tb = target.bins[j]
-        ndv = float(tb.ndv + len(tb.topk)) if mass > 0 else 0.0
+        ndv = (float(target.ndv[j] + len(target.bins[j].topk)) if mass > 0
+               else 0.0)
         out.append(RefBin({}, float(mass), ndv))
     return out
 

@@ -104,6 +104,28 @@ class TestHashOracle:
             if enabled:
                 gc.enable()
 
+    def test_nested_loop_leaves_no_cycle(self):
+        class Tables(dict):  # a plain dict takes no weak reference
+            pass
+
+        tables = Tables(r=make_table("r", {"k": [1, 1, 2], "y": [5, 9, 5]}),
+                        s=make_table("s", {"k": [1, 2]}))
+        q = query({"r": "r", "s": "s"}, [("r.k", "s.k")],
+                  [Predicate("r.y", "=", 5)])
+        ref = weakref.ref(tables)
+        enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            assert nested_loop_count(q, tables) == 2
+            del tables
+            assert ref() is None
+            assert gc.collect() == 0  # nothing was left for the collector
+        finally:
+            if enabled:
+                gc.enable()
+
+
 class TestCrossCheck:
     @pytest.mark.parametrize("seed", range(10))
     def test_random_instances_agree(self, seed):

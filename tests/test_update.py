@@ -19,9 +19,13 @@ from conftest import attr_bin, domain_bin
 def reference_apply_rows(state, table, data):
     """The earlier `tkhist update` loop: one row at a time, one scalar
     insert per histogram.  Frequency keys go through `_scalar`; the loop
-    kept numpy floats there, whose repr sorted apart in the state file."""
+    kept numpy floats there, whose repr sorted apart in the state file.
+    Background keys are collected in one set per histogram and written back
+    as its sorted array, binned afresh, at the end."""
     tdef = state.schema.table(table)
     key_cols = state.key_columns(table)
+    background = {kc: set(state.hists1d[(table, kc)].background.tolist())
+                  for kc in key_cols}
     inserted = rejected = 0
     for i in range(data.row_count):
         ok = True
@@ -49,7 +53,7 @@ def reference_apply_rows(state, table, data):
                 b.topk[kv] += 1
             else:
                 b.nv += 1
-                b.background.add(kv)
+                background[kc].add(kv)
             h1.total_rows += 1
             for cdef in tdef.columns:
                 if cdef.name == kc or data.null_mask[cdef.name][i]:
@@ -67,6 +71,12 @@ def reference_apply_rows(state, table, data):
             if fh is not None and not data.null_mask[cdef.name][i]:
                 v = _scalar(data.columns[cdef.name][i])
                 fh[v] = fh.get(v, 0) + 1
+    for kc, keys in background.items():
+        h1 = state.hists1d[(table, kc)]
+        h1.background = np.asarray(sorted(keys), dtype=h1.background.dtype)
+        h1.background_offsets = np.searchsorted(
+            [domain_bin(h1.domain, v) for v in h1.background],
+            np.arange(h1.domain.bin_count + 1))
     return inserted, rejected
 
 
