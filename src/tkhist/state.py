@@ -3,32 +3,35 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 3 stores each 1D histogram as
-flat per-histogram lists with per-bin offsets, each 2D grid as its non-zero
-cells and each correlation-map section as columns; sorted integer lists are
-delta-coded.  Version-1 and version-2 documents are rewritten into that
-layout on load, and every length, offset and cell is checked against the
-bins it describes.
+same state twice is byte-identical.  Version 4 stores each 1D histogram as
+flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
+cells and each correlation-map section as columns; every numeric array is one
+packed string (`_pack`), and sorted integer arrays are delta-coded.  Loading
+checks the type of every entry and every length, offset and cell against the
+bins it describes; older versions are rejected.
 """
 from __future__ import annotations
 
+import base64
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
+import zlib
+from dataclasses import asdict, dataclass
 from itertools import repeat
 
 import numpy as np
 
 from . import catalog
 from .catalog import KeyDomain, Schema, TableData, split_qualified
-from .errors import StateError
+from .errors import SchemaError, StateError
 from .histcore import (AttrBinning, Bin1D, TKHist1D, TKHist2D,
                        build_frequency_hist, build_tkhist1d, build_tkhist2d,
                        categorical_binning, domain_binning, numeric_binning)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 3
+STATE_VERSION = 4
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -183,58 +186,113 @@ def apply_rows(state: EstimatorState, table: str,
 # ---------------------------------------------------------------------------
 # serialization
 
-def _key_list(keys: np.ndarray) -> list:
-    """Sorted keys as written: integer keys as deltas, each key minus the one
-    before it (wrapping in int64, as the cumsum that undoes it does), real
-    keys as they are, since a float cumsum would not round-trip."""
-    if keys.dtype.kind == "i":
-        return np.diff(keys, prepend=0).tolist()
-    return keys.tolist()
+_ZLIB_LEVEL = 1
+_STORED = {"i8": "<i8", "f8": "<f8"}  # dtype tag -> little-endian dtype
 
 
-def _keys_from_list(values: list, dtype=None) -> np.ndarray:
-    keys = np.asarray(values, dtype=dtype)
-    return np.cumsum(keys) if keys.dtype.kind == "i" else keys
+def _pack(values, delta: bool = False) -> str:
+    """A numeric array as written: its dtype tag (`i8` or `f8`), a colon,
+    then its little-endian bytes, zlib-compressed and base64-coded.  With
+    `delta`, a sorted integer array is stored as each value minus the one
+    before it (wrapping in int64, as the cumsum that undoes it does); real
+    values are stored as they are, since a float cumsum would not round-trip.
+    """
+    a = np.asarray(values)
+    tag = "f8" if a.dtype.kind == "f" else "i8"
+    a = a.astype(_STORED[tag])
+    if delta and tag == "i8":
+        a = np.diff(a, prepend=0)
+    body = base64.b64encode(zlib.compress(a.tobytes(), _ZLIB_LEVEL))
+    return f"{tag}:{body.decode('ascii')}"
 
 
-def _domain_doc(d: KeyDomain) -> dict:
-    return {"columns": sorted(d.columns), "lo": d.lo, "hi": d.hi,
-            "bin_count": d.bin_count}
+def _unpack(doc: dict, where: str, name: str, tag: str | None = "i8",
+           delta: bool = False) -> np.ndarray:
+    """The array that `_pack` wrote to `doc[name]`, with dtype tag `tag`
+    (either tag if None)."""
+    found, _, body = _get(doc, where, name, "a string").partition(":")
+    if found not in _STORED or tag not in (None, found):
+        raise StateError(f"{where}: {name!r} has dtype tag {found!r}, "
+                         f"expected {tag or 'i8 or f8'}")
+    try:
+        raw = zlib.decompress(base64.b64decode(body, validate=True))
+    except (ValueError, zlib.error) as exc:
+        raise StateError(f"{where}: {name!r} is not a packed array "
+                         f"({exc})") from exc
+    if len(raw) % 8:
+        raise StateError(f"{where}: {name!r} unpacks to {len(raw)} bytes, "
+                         f"not a multiple of 8")
+    values = np.frombuffer(raw, _STORED[found]).astype(found)
+    return np.cumsum(values) if delta and found == "i8" else values
+
+
+def _list_of(v, test) -> bool:
+    return isinstance(v, list) and all(map(test, v))
+
+
+_KINDS = {  # what a document entry must be, by the words naming it in errors
+    "an object": lambda v: isinstance(v, dict),
+    "a string": lambda v: isinstance(v, str),
+    "a boolean": lambda v: isinstance(v, bool),
+    "a count": lambda v: type(v) is int and v >= 0,
+    "a finite number": lambda v: (type(v) in (int, float)
+                                  and -math.inf < v < math.inf),
+    "a scalar": lambda v: type(v) in (str, int, float),
+    "a column class": lambda v: v in ("numeric", "categorical"),
+    "a list of strings": lambda v: _list_of(v, _KINDS["a string"]),
+    "a list of scalars": lambda v: _list_of(v, _KINDS["a scalar"]),
+    "a list of scalar lists": lambda v: _list_of(
+        v, _KINDS["a list of scalars"]),
+    "a list of [value, count] pairs": lambda v: _list_of(v, lambda p: (
+        isinstance(p, (list, tuple)) and len(p) == 2
+        and _KINDS["a scalar"](p[0]) and _KINDS["a count"](p[1]))),
+}
+
+
+def _fields(doc: dict, where: str, **kinds) -> list:
+    """The entries of `doc` named in `kinds`, each of its kind (a key of
+    `_KINDS`)."""
+    for name, kind in kinds.items():
+        if name not in doc:
+            raise StateError(f"{where} has no {name!r} entry")
+        if not _KINDS[kind](doc[name]):
+            raise StateError(f"{where}: {name!r} is not {kind}")
+    return [doc[name] for name in kinds]
+
+
+def _get(doc: dict, where: str, name: str, kind: str = "an object"):
+    return _fields(doc, where, **{name: kind})[0]
 
 
 def _hist1d_doc(h: TKHist1D) -> dict:
-    """Flat per-histogram lists with per-bin offsets; each bin's container
+    """Flat per-histogram arrays with per-bin offsets; each bin's container
     pairs in (-count, key) order, from one lexsort over all containers."""
     sizes = [len(b.topk) for b in h.bins]
-    keys = np.asarray([key for b in h.bins for key in b.topk])
+    keys = np.asarray([key for b in h.bins for key in b.topk],
+                      dtype=h.background.dtype)
     counts = np.asarray([c for b in h.bins for c in b.topk.values()],
                         dtype=np.int64)
     order = np.lexsort((keys, -counts, np.repeat(np.arange(len(sizes)), sizes)))
     return {"domain": h.domain.id, "k": h.k, "total_rows": h.total_rows,
-            "topk_keys": keys[order].tolist(),
-            "topk_counts": counts[order].tolist(),
-            "topk_offsets": [0, *np.cumsum(sizes).tolist()],
-            "nv": [b.nv for b in h.bins],
-            "background": _key_list(h.background),
-            "background_offsets": h.background_offsets.tolist()}
+            "topk_keys": _pack(keys[order]),
+            "topk_counts": _pack(counts[order]),
+            "topk_offsets": _pack(np.cumsum([0, *sizes])),
+            "nv": _pack([b.nv for b in h.bins]),
+            "background": _pack(h.background, delta=True),
+            "background_offsets": _pack(h.background_offsets)}
 
 
-def _grid_doc(grid: np.ndarray) -> dict:
-    flat = grid.ravel()
+def _hist2d_doc(h: TKHist2D) -> dict:
+    """The grid's non-zero cells (flat indices) and their counts; a numeric
+    attribute axis is its lo, hi and bin count."""
+    a, flat = h.attr, h.grid.ravel()
     cells = np.flatnonzero(flat)
-    return {"shape": list(grid.shape), "cells": _key_list(cells),
-            "counts": flat[cells].tolist()}
-
-
-def _binning_doc(a: AttrBinning) -> dict:
-    doc: dict = {"kind": a.kind, "integer": a.integer}
-    if a.kind == "categorical":
-        doc["values"] = list(a.values)
-    else:
-        doc["boundaries"] = np.linspace(a.lo, a.hi,
-                                        a.bin_count + 1).tolist()
-        doc["attr_domain"] = a.attr_domain_id
-    return doc
+    axis = ({"values": list(a.values)} if a.kind == "categorical" else
+            {"lo": a.lo, "hi": a.hi, "bin_count": a.bin_count,
+             "attr_domain": a.attr_domain_id})
+    return {"domain": h.key_domain.id, "shape": list(h.grid.shape),
+            "attr": {"kind": a.kind, "integer": a.integer, **axis},
+            "cells": _pack(cells, delta=True), "counts": _pack(flat[cells])}
 
 
 def _correlation_doc(env_by_key: dict) -> dict:
@@ -243,12 +301,12 @@ def _correlation_doc(env_by_key: dict) -> dict:
     attribute has one envelope kind)."""
     keys = sorted(env_by_key)
     envs = [env_by_key[key] for key in keys]
-    doc = {"keys": _key_list(np.asarray(keys))}
+    doc = {"keys": _pack(keys, delta=True)}
     if envs and envs[0][0] == "set":
         doc["values"] = [sorted(env[1]) for env in envs]
     else:
-        doc["lo"] = [env[1] for env in envs]
-        doc["hi"] = [env[2] for env in envs]
+        doc["lo"] = _pack([env[1] for env in envs])
+        doc["hi"] = _pack([env[2] for env in envs])
     return doc
 
 
@@ -261,18 +319,15 @@ def state_to_document(state: EstimatorState) -> dict:
     return {
         "magic": STATE_MAGIC,
         "version": STATE_VERSION,
-        "config": {
-            "bin_count": state.config.bin_count,
-            "top_k": state.config.top_k,
-        },
+        "config": asdict(state.config),
         "schema": state.schema.document,
         "schema_base_dir": state.schema.base_dir,
-        "domains": {d.id: _domain_doc(d) for d in state.domains.values()},
+        "domains": {d.id: {"columns": sorted(d.columns), "lo": d.lo,
+                           "hi": d.hi, "bin_count": d.bin_count}
+                    for d in state.domains.values()},
         "hists1d": {f"{t}.{c}": _hist1d_doc(h)
                     for (t, c), h in sorted(state.hists1d.items())},
-        "hists2d": {f"{t}.{c}|{a}": {"domain": h.key_domain.id,
-                                     "attr": _binning_doc(h.attr),
-                                     **_grid_doc(h.grid)}
+        "hists2d": {f"{t}.{c}|{a}": _hist2d_doc(h)
                     for (t, c, a), h in sorted(state.hists2d.items())},
         "freq": {f"{t}.{c}": sorted(fh.items(), key=lambda kv: repr(kv[0]))
                  for (t, c), fh in sorted(state.freq_hists.items())},
@@ -302,202 +357,182 @@ def save_state(state: EstimatorState, path: str) -> int:
 
 def load_state(path: str) -> EstimatorState:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+        with open(path, "rb") as fh:
+            doc = json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise StateError(f"cannot read state file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # invalid UTF-8 or invalid JSON
         raise StateError(f"corrupt state file {path!r}: {exc}") from exc
     return state_from_document(doc)
-
-
-def _upgrade_v1(doc: dict) -> dict:
-    """Rewrite a version-1 document (per-bin objects, dense grids) into the
-    version-2 layout."""
-    hists1d = {}
-    for name, h in doc["hists1d"].items():
-        bins = h["bins"]
-        topk = [pair for b in bins for pair in b["topk"]]
-        hists1d[name] = {
-            "domain": h["domain"], "k": h["k"], "total_rows": h["total_rows"],
-            "topk_keys": [key for key, _ in topk],
-            "topk_counts": [cnt for _, cnt in topk],
-            "topk_offsets": [0, *np.cumsum([len(b["topk"]) for b in bins]).tolist()],
-            "nv": [b["nv"] for b in bins],
-            "background": [key for b in bins for key in b["background"]],
-            "background_offsets": [0, *np.cumsum(
-                [len(b["background"]) for b in bins]).tolist()]}
-    hists2d = {}
-    for name, h in doc["hists2d"].items():
-        grid = np.asarray(h["grid"], dtype=np.int64)
-        cells = np.flatnonzero(grid)
-        hists2d[name] = {"domain": h["domain"], "attr": h["attr"],
-                         "shape": list(grid.shape), "cells": cells.tolist(),
-                         "counts": grid.ravel()[cells].tolist()}
-    return {**doc, "version": 2, "hists1d": hists1d, "hists2d": hists2d}
-
-
-def _upgrade_v2(doc: dict) -> dict:
-    """Rewrite a version-2 document (plain key lists, correlation rows
-    `[key, "range", lo, hi]` or `[key, "set", values]`) into the version-3
-    layout."""
-    hists1d = {name: {**h, "background": _key_list(np.asarray(h["background"]))}
-               for name, h in doc["hists1d"].items()}
-    hists2d = {name: {**h, "cells": _key_list(
-                   np.asarray(h["cells"], dtype=np.int64))}
-               for name, h in doc["hists2d"].items()}
-    corr = doc.get("correlations")
-    if corr is not None:
-        corr = {name: _correlation_doc(
-                    {row[0]: _v2_envelope(name, row) for row in rows})
-                for name, rows in corr.items()}
-    return {**doc, "version": 3, "hists1d": hists1d, "hists2d": hists2d,
-            "correlations": corr}
-
-
-def _v2_envelope(name: str, row: list) -> tuple:
-    if len(row) == 4 and row[1] == "range":
-        return ("range", row[2], row[3])
-    if len(row) == 3 and row[1] == "set":
-        return ("set", frozenset(row[2]))
-    raise StateError(f"correlation section {name!r}: malformed row {row!r}")
 
 
 def state_from_document(doc: dict) -> EstimatorState:
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
-    try:
-        return _state_from_known_document(doc)
-    except KeyError as exc:
-        raise StateError(
-            f"state document has no {exc.args[0]!r} entry") from exc
-
-
-def _state_from_known_document(doc: dict) -> EstimatorState:
     version = doc.get("version")
-    if version not in (1, 2, STATE_VERSION):
+    if version in (1, 2, 3):
+        raise StateError(f"state version {version} is no longer read; "
+                         f"rebuild the state with `tkhist build`")
+    if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
+    try:
+        return _state_from_v4(doc)
+    except SchemaError as exc:
+        raise StateError(f"state document: {exc}") from exc
 
-    cdoc = doc["config"]
-    config = BuildConfig(bin_count=cdoc["bin_count"], top_k=cdoc["top_k"])
-    schema = catalog.schema_from_document(doc["schema"],
-                                          base_dir=doc.get("schema_base_dir", "."))
-    if version == 1:
-        doc = _upgrade_v1(doc)
-    if version <= 2:
-        doc = _upgrade_v2(doc)
+
+def _state_from_v4(doc: dict) -> EstimatorState:
+    cdoc, schema_doc, base_dir = _fields(
+        doc, "state document", config="an object", schema="an object",
+        schema_base_dir="a string")
+    bin_count, top_k = _fields(cdoc, "config", bin_count="a count",
+                               top_k="a count")
+    config = BuildConfig(bin_count=bin_count, top_k=top_k)
+    schema = catalog.schema_from_document(schema_doc, base_dir=base_dir)
 
     domains: dict[str, KeyDomain] = {}
-    for did, d in doc["domains"].items():
-        dom = KeyDomain(id=did, columns=frozenset(d["columns"]))
-        dom.set_boundaries(d["lo"], d["hi"], d["bin_count"])
-        domains[did] = dom
+    for did, d in _entries(doc, "domains"):
+        columns, lo, hi, n = _fields(
+            d, f"domain {did!r}", columns="a list of strings",
+            lo="a finite number", hi="a finite number", bin_count="a count")
+        domains[did] = KeyDomain(id=did, columns=frozenset(columns))
+        domains[did].set_boundaries(lo, hi, n)
     column_domain = {c: d.id for d in domains.values() for c in d.columns}
 
     hists1d = {}
-    for qual, h in doc["hists1d"].items():
+    for qual, h in _entries(doc, "hists1d"):
         t, c = split_qualified(qual)
         integer = schema.table(t).column(c).kind == catalog.KIND_INTEGER
-        hists1d[(t, c)] = _hist1d_from_doc(
-            qual, h, domains[h["domain"]], np.int64 if integer else np.float64)
-
+        hists1d[(t, c)] = _hist1d_from_doc(f"1D histogram {qual!r}", h,
+                                           domains, "i8" if integer else "f8")
     hists2d = {}
-    for name, h in doc["hists2d"].items():
-        qual, attr = name.split("|", 1)
+    for name, h in _entries(doc, "hists2d"):
+        qual, _, attr = name.partition("|")
         t, c = split_qualified(qual)
-        binning = _binning_from_doc(h["attr"])
-        dom = domains[h["domain"]]
-        shape = (dom.bin_count, binning.n_bins)
-        if tuple(h["shape"]) != shape:
-            raise StateError(f"2D histogram {name!r} has shape {h['shape']}, "
-                             f"expected {list(shape)}")
-        cells = _keys_from_list(h["cells"], np.int64)
-        counts = np.asarray(h["counts"], dtype=np.int64)
-        if len(counts) != len(cells):
-            raise StateError(f"2D histogram {name!r} has {len(cells)} cells "
-                             f"and {len(counts)} counts")
-        if len(cells) and (cells[0] < 0 or cells[-1] >= shape[0] * shape[1]
-                           or np.any(cells[1:] <= cells[:-1])):
-            raise StateError(f"2D histogram {name!r} has cells that are out "
-                             f"of its {list(shape)} grid or unsorted")
-        grid = np.zeros(shape, dtype=np.int64)
-        grid.ravel()[cells] = counts
-        hists2d[(t, c, attr)] = TKHist2D(key_domain=dom, attr=binning,
-                                         grid=grid)
+        hists2d[(t, c, attr)] = _hist2d_from_doc(f"2D histogram {name!r}", h,
+                                                 domains)
 
-    freq = {split_qualified(qual): dict(items)
-            for qual, items in doc["freq"].items()}
-    column_class = {split_qualified(qual): cls
-                    for qual, cls in doc["column_class"].items()}
+    freq = {split_qualified(qual): dict(items) for qual, items
+            in _entries(doc, "freq", "a list of [value, count] pairs")}
+    column_class = {split_qualified(qual): cls for qual, cls
+                    in _entries(doc, "column_class", "a column class")}
+    table_rows = dict(_entries(doc, "table_rows", "a count"))
+    if sorted(table_rows) != sorted(t.name for t in schema.tables):
+        raise StateError("table_rows does not name each schema table once")
 
     correlations = None
     if doc.get("correlations") is not None:
-        correlations = {tuple(name.split("|", 2)): _envelopes_from_doc(name, sec)
-                        for name, sec in doc["correlations"].items()}
+        correlations = {}
+        for name, sec in _entries(doc, "correlations"):
+            if name.count("|") != 2:
+                raise StateError(f"correlation section {name!r} is not "
+                                 f"named table|domain|attribute")
+            correlations[tuple(name.split("|"))] = _envelopes_from_doc(
+                f"correlation section {name!r}", sec)
 
     return EstimatorState(schema=schema, config=config, domains=domains,
                           column_domain=column_domain, hists1d=hists1d,
                           hists2d=hists2d, freq_hists=freq,
-                          column_class=column_class,
-                          table_rows=doc["table_rows"],
+                          column_class=column_class, table_rows=table_rows,
                           correlations=correlations)
 
 
-def _hist1d_from_doc(qual: str, h: dict, dom: KeyDomain,
-                     dtype) -> TKHist1D:
-    keys, counts, nv = h["topk_keys"], h["topk_counts"], h["nv"]
-    background = _keys_from_list(h["background"], dtype)
+def _entries(doc: dict, section: str, kind: str = "an object") -> list:
+    """The (name, value) entries of a top-level section, each value `kind`."""
+    sec = _get(doc, "state document", section)
+    return [(name, _get(sec, section, name, kind)) for name in sec]
+
+
+def _domain(domains: dict, doc: dict, where: str, name: str) -> KeyDomain:
+    did = _get(doc, where, name, "a string")
+    if did not in domains:
+        raise StateError(f"{where}: {name!r} names unknown domain {did!r}")
+    return domains[did]
+
+
+def _hist1d_from_doc(where: str, h: dict, domains: dict,
+                     tag: str) -> TKHist1D:
+    dom = _domain(domains, h, where, "domain")
+    k, total_rows = _fields(h, where, k="a count", total_rows="a count")
+    keys, counts, nv = (_unpack(h, where, name, t) for name, t in (
+        ("topk_keys", tag), ("topk_counts", "i8"), ("nv", "i8")))
+    background = _unpack(h, where, "background", tag, delta=True)
     n = dom.bin_count
     if len(nv) != n:
-        raise StateError(f"1D histogram {qual!r} has {len(nv)} nv entries "
-                         f"for {n} bins")
+        raise StateError(f"{where} has {len(nv)} nv entries for {n} bins")
     if len(counts) != len(keys):
-        raise StateError(f"1D histogram {qual!r} has {len(keys)} topk_keys "
+        raise StateError(f"{where} has {len(keys)} topk_keys "
                          f"and {len(counts)} topk_counts")
-    tk = _checked_offsets(qual, "topk_offsets", h["topk_offsets"], n,
-                          len(keys)).tolist()
-    offsets = _checked_offsets(qual, "background_offsets",
-                               h["background_offsets"], n, len(background))
+    tk = _checked_offsets(where, h, "topk_offsets", n, len(keys)).tolist()
+    offsets = _checked_offsets(where, h, "background_offsets", n,
+                               len(background))
     if np.any(background[1:] <= background[:-1]):
-        raise StateError(f"1D histogram {qual!r} has unsorted background keys")
+        raise StateError(f"{where} has unsorted background keys")
+    keys, counts = keys.tolist(), counts.tolist()
     bins = [Bin1D(topk=dict(zip(keys[lo:hi], counts[lo:hi])), nv=v)
-            for lo, hi, v in zip(tk[:-1], tk[1:], nv)]
-    return TKHist1D(domain=dom, bins=bins, total_rows=h["total_rows"],
-                    k=h["k"], background=background,
-                    background_offsets=offsets)
+            for lo, hi, v in zip(tk[:-1], tk[1:], nv.tolist())]
+    return TKHist1D(domain=dom, bins=bins, total_rows=total_rows, k=k,
+                    background=background, background_offsets=offsets)
 
 
-def _checked_offsets(qual: str, field: str, values: list, bin_count: int,
+def _checked_offsets(where: str, h: dict, field: str, bin_count: int,
                      length: int) -> np.ndarray:
     """CSR offsets that split `length` entries into `bin_count` bins."""
-    offsets = np.asarray(values, dtype=np.int64)
+    offsets = _unpack(h, where, field)
     if (len(offsets) != bin_count + 1 or offsets[0] != 0
             or offsets[-1] != length or np.any(offsets[1:] < offsets[:-1])):
-        raise StateError(f"1D histogram {qual!r}: {field} do not split "
+        raise StateError(f"{where}: {field} do not split "
                          f"{length} entries into {bin_count} bins")
     return offsets
 
 
-def _envelopes_from_doc(name: str, sec: dict) -> dict:
-    keys = _keys_from_list(sec["keys"]).tolist()
+def _hist2d_from_doc(where: str, h: dict, domains: dict) -> TKHist2D:
+    dom = _domain(domains, h, where, "domain")
+    binning = _binning_from_doc(f"{where} attr", _get(h, where, "attr"),
+                                domains)
+    shape = (dom.bin_count, binning.n_bins)
+    if h.get("shape") != list(shape):
+        raise StateError(f"{where} has shape {h.get('shape')}, "
+                         f"expected {list(shape)}")
+    cells = _unpack(h, where, "cells", delta=True)
+    counts = _unpack(h, where, "counts")
+    if len(counts) != len(cells):
+        raise StateError(f"{where} has {len(cells)} cells "
+                         f"and {len(counts)} counts")
+    if len(cells) and (cells[0] < 0 or cells[-1] >= shape[0] * shape[1]
+                       or np.any(cells[1:] <= cells[:-1])):
+        raise StateError(f"{where} has cells that are out "
+                         f"of its {list(shape)} grid or unsorted")
+    grid = np.zeros(shape, dtype=np.int64)
+    grid.ravel()[cells] = counts
+    return TKHist2D(key_domain=dom, attr=binning, grid=grid)
+
+
+def _binning_from_doc(where: str, a: dict, domains: dict) -> AttrBinning:
+    kind, integer = _fields(a, where, kind="a string", integer="a boolean")
+    if kind == "categorical":
+        return AttrBinning(kind=kind, integer=integer, values=list(
+            _get(a, where, "values", "a list of scalars")))
+    if kind != "numeric":
+        raise StateError(f"{where} has unknown kind {kind!r}")
+    lo, hi, n = _fields(a, where, lo="a finite number", hi="a finite number",
+                        bin_count="a count")
+    attr_domain = a.get("attr_domain")
+    if attr_domain is not None:
+        _domain(domains, a, where, "attr_domain")
+    return AttrBinning(kind=kind, integer=integer, lo=float(lo), hi=float(hi),
+                       bin_count=n, attr_domain_id=attr_domain)
+
+
+def _envelopes_from_doc(where: str, sec: dict) -> dict:
+    keys = _unpack(sec, where, "keys", None, delta=True).tolist()
     if "values" in sec:
-        columns = [sec["values"]]
-        envs = [("set", frozenset(values)) for values in sec["values"]]
+        columns = [_get(sec, where, "values", "a list of scalar lists")]
+        envs = [("set", frozenset(values)) for values in columns[0]]
     else:
-        columns = [sec["lo"], sec["hi"]]
-        envs = zip(repeat("range"), sec["lo"], sec["hi"])
+        columns = [_unpack(sec, where, name, None).tolist()
+                   for name in ("lo", "hi")]
+        envs = zip(repeat("range"), *columns)
     if any(len(col) != len(keys) for col in columns):
-        raise StateError(f"correlation section {name!r} has columns of "
-                         f"unequal length")
+        raise StateError(f"{where} has columns of unequal length")
     return dict(zip(keys, envs))
-
-
-def _binning_from_doc(doc: dict) -> AttrBinning:
-    if doc["kind"] == "categorical":
-        return AttrBinning(kind="categorical", integer=doc["integer"],
-                           values=list(doc["values"]))
-    edges = doc["boundaries"]
-    return AttrBinning(kind="numeric", integer=doc["integer"],
-                       lo=float(edges[0]), hi=float(edges[-1]),
-                       bin_count=len(edges) - 1,
-                       attr_domain_id=doc.get("attr_domain"))

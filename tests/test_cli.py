@@ -56,12 +56,24 @@ class TestBuildEstimate:
     def test_state_without_sections_is_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"magic": "TKHIST-STATE-v1",
-                                     "version": 2}))
+                                     "version": 4}))
         rc = main(["estimate", "--state", str(state),
                    "SELECT COUNT(*) FROM t1"])
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'config'" in err
+
+
+    def test_malformed_state_entry_is_error(self, built, tmp_path, capsys):
+        doc = json.loads(built.read_text())
+        doc["hists1d"]["t1.k1"]["nv"] = 5
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps(doc))
+        rc = main(["estimate", "--state", str(state),
+                   "SELECT COUNT(*) FROM t1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'t1.k1': 'nv'" in err
 
 
 class TestEvaluate:

@@ -1,5 +1,6 @@
 """No dead code at module level: every import is used, and every private
-name of the package is read.
+name of the package is read.  No undeclared dependency: the package imports
+only the standard library, numpy (its one declared dependency) and itself.
 
 No linter ships with the project, so this walks the source with `ast`.  A
 name bound by a top-level `import` in the package, the tests or the scripts
@@ -10,6 +11,7 @@ that a refactor leaves behind.
 """
 import ast
 import pathlib
+import sys
 
 import pytest
 
@@ -61,6 +63,18 @@ def unread_private_names(source: str) -> list[str]:
             if name not in read]
 
 
+def foreign_imports(source: str) -> list[str]:
+    """Top-level packages imported anywhere in `source`, relative imports
+    aside, that are neither the standard library, numpy nor tkhist."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".", 1)[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".", 1)[0])
+    return sorted(names - set(sys.stdlib_module_names) - {"numpy", "tkhist"})
+
+
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_module_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
@@ -70,6 +84,19 @@ def test_no_unused_module_imports(path):
                          ids=lambda p: str(p.relative_to(ROOT)))
 def test_private_names_are_read(path):
     assert unread_private_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("path", PACKAGE,
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_package_imports_only_declared_dependencies(path):
+    assert foreign_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_dependency_checker_flags_and_exempts():
+    src = ("import zlib, numpy.linalg as la\nfrom . import state\n"
+           "from tkhist.errors import StateError\nimport scipy.sparse\n"
+           "def f():\n    from yaml import safe_load\n")
+    assert foreign_imports(src) == ["scipy", "yaml"]
 
 
 def test_checker_flags_and_exempts():

@@ -1,7 +1,9 @@
+import base64
 import json
 import pathlib
 import re
 import tempfile
+import zlib
 
 import numpy as np
 import pytest
@@ -75,60 +77,24 @@ class TestRoundTrip:
             estimate(sql, state2, False).estimate
 
 
-def reference_v2_document(state):
-    """The version-2 serializer: plain sorted background keys and 2D cells,
-    and one `[key, "range", lo, hi]` or `[key, "set", values]` row per
-    envelope.  Every other section is unchanged."""
-    doc = state_to_document(state)
-    doc["version"] = 2
-    hists1d = {}
-    for (t, c), h in sorted(state.hists1d.items()):
-        keys, counts, offsets = [], [], [0]
-        for b in h.bins:
-            for key, n in sorted(b.topk.items(), key=lambda kv: (-kv[1], kv[0])):
-                keys.append(key)
-                counts.append(n)
-            offsets.append(len(keys))
-        hists1d[f"{t}.{c}"] = {
-            "domain": h.domain.id, "k": h.k, "total_rows": h.total_rows,
-            "topk_keys": keys, "topk_counts": counts, "topk_offsets": offsets,
-            "nv": [b.nv for b in h.bins], "background": h.background.tolist(),
-            "background_offsets": h.background_offsets.tolist()}
-    doc["hists1d"] = hists1d
-    for (t, c, a), h in state.hists2d.items():
-        doc["hists2d"][f"{t}.{c}|{a}"]["cells"] = \
-            np.flatnonzero(h.grid).tolist()
-    if state.correlations is not None:
-        doc["correlations"] = {
-            f"{t}|{d}|{a}": [[key, "range", env[1], env[2]] if env[0] == "range"
-                             else [key, "set", sorted(env[1])]
-                             for key, env in sorted(env_by_key.items())]
-            for (t, d, a), env_by_key in sorted(state.correlations.items())}
-    return doc
+TAGS = {"i8": "<i8", "f8": "<f8"}
 
 
-def reference_v1_document(state):
-    """The version-1 serializer: per-bin objects for 1D histograms and
-    dense nested-list grids.  Every other section is as in version 2."""
-    doc = reference_v2_document(state)
-    doc["version"] = 1
-    hists1d = {}
-    for (t, c), h in sorted(state.hists1d.items()):
-        bins = []
-        for i, b in enumerate(h.bins):
-            topk = sorted(b.topk.items(), key=lambda kv: (-kv[1], kv[0]))
-            lo, hi = h.background_offsets[i], h.background_offsets[i + 1]
-            bins.append({"topk": [[k, n] for k, n in topk],
-                         "nv": b.nv,
-                         "background": h.background[lo:hi].tolist()})
-        hists1d[f"{t}.{c}"] = {"domain": h.domain.id, "k": h.k,
-                               "total_rows": h.total_rows, "bins": bins}
-    doc["hists1d"] = hists1d
-    doc["hists2d"] = {f"{t}.{c}|{a}": {"domain": h.key_domain.id,
-                                       "attr": doc["hists2d"][f"{t}.{c}|{a}"]["attr"],
-                                       "grid": h.grid.tolist()}
-                      for (t, c, a), h in sorted(state.hists2d.items())}
-    return doc
+def unpacked(blob):
+    """The values of a packed array as stored (delta-coded arrays as gaps)."""
+    tag, body = blob.split(":")
+    return np.frombuffer(zlib.decompress(base64.b64decode(body)),
+                         TAGS[tag]).tolist()
+
+
+def packed(values, tag="i8"):
+    raw = np.asarray(values, dtype=TAGS[tag]).tobytes()
+    return f"{tag}:" + base64.b64encode(zlib.compress(raw)).decode()
+
+
+def repacked(blob, edit):
+    """`blob` with its stored values passed through `edit`."""
+    return packed(edit(unpacked(blob)), blob.split(":")[0])
 
 
 def save_bytes(state, path):
@@ -185,36 +151,14 @@ def mixed_state():
 
 
 class TestFormat:
-    def test_v1_document_loads_as_its_v2_save(self, mixed_state, tmp_path):
-        v1 = tmp_path / "v1.json"
-        v1.write_text(json.dumps(reference_v1_document(mixed_state)))
-        from_v1 = load_state(str(v1))
-        assert hists1d_of(from_v1) == hists1d_of(mixed_state)
-        for name, h in mixed_state.hists2d.items():
-            assert from_v1.hists2d[name].grid.tolist() == h.grid.tolist()
-            assert from_v1.hists2d[name].attr.values == h.attr.values
-        assert reference_v2_document(from_v1) == \
-            reference_v2_document(mixed_state)
-        assert save_bytes(from_v1, tmp_path / "a.json") == \
-            save_bytes(mixed_state, tmp_path / "b.json")
-        for sql in MIXED_QUERIES:
-            assert estimate(sql, from_v1).estimate == \
-                estimate(sql, mixed_state).estimate
-
-    def test_v2_save_load_save_is_byte_identical(self, mixed_state, tmp_path):
-        # a version-2 file loads as the state it was saved from; saving that
-        # state again, in version 3, and reloading it changes nothing
-        v2 = tmp_path / "v2.json"
-        v2.write_text(json.dumps(reference_v2_document(mixed_state)))
-        from_v2 = load_state(str(v2))
-        assert hists1d_of(from_v2) == hists1d_of(mixed_state)
-        assert from_v2.correlations == mixed_state.correlations
+    def test_save_load_keeps_estimates(self, mixed_state, tmp_path):
         direct = save_bytes(mixed_state, tmp_path / "a.json")
-        assert save_bytes(from_v2, tmp_path / "b.json") == direct
-        assert save_bytes(load_state(str(tmp_path / "b.json")),
-                          tmp_path / "c.json") == direct
+        loaded = load_state(str(tmp_path / "a.json"))
+        assert hists1d_of(loaded) == hists1d_of(mixed_state)
+        assert loaded.correlations == mixed_state.correlations
+        assert save_bytes(loaded, tmp_path / "b.json") == direct
         for sql in MIXED_QUERIES:
-            assert estimate(sql, from_v2).estimate == \
+            assert estimate(sql, loaded).estimate == \
                 estimate(sql, mixed_state).estimate
 
     def test_config_threshold_of_older_files_ignored(self, built, tmp_path):
@@ -243,21 +187,32 @@ class TestFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_v3_bins_are_written_in_canonical_order(self, mixed_state):
-        for h in state_to_document(mixed_state)["hists1d"].values():
-            tk = h["topk_offsets"]
-            for i in range(len(h["nv"])):
-                ranked = list(zip(h["topk_counts"][tk[i]:tk[i + 1]],
-                                  h["topk_keys"][tk[i]:tk[i + 1]]))
+        # version 3's order and delta coding, inside version 4's packed arrays
+        doc = state_to_document(mixed_state)
+        for h in doc["hists1d"].values():
+            tk, nv = unpacked(h["topk_offsets"]), unpacked(h["nv"])
+            counts, keys = unpacked(h["topk_counts"]), unpacked(h["topk_keys"])
+            for i in range(len(nv)):
+                ranked = list(zip(counts[tk[i]:tk[i + 1]], keys[tk[i]:tk[i + 1]]))
                 assert ranked == sorted(ranked, key=lambda ck: (-ck[0], ck[1]))
             # integer keys: the first key, then the gaps to the next
-            assert all(gap > 0 for gap in h["background"][1:])
+            assert h["background"].startswith("i8:")
+            assert all(gap > 0 for gap in unpacked(h["background"])[1:])
+        # a numeric attribute axis is its lo, hi and bin count
+        axes = [h["attr"] for h in doc["hists2d"].values()
+                if h["attr"]["kind"] == "numeric"]
+        assert axes and all(
+            set(a) == {"kind", "integer", "lo", "hi", "bin_count",
+                       "attr_domain"} for a in axes)
 
     def test_v3_layout(self, built):
+        # version 3's layout, with each numeric array packed as in version 4
         state, tables = built
         discover_correlations(state, tables)
         doc = state_to_document(state)
-        assert doc["version"] == 3
-        h1 = doc["hists1d"]["r.k"]
+        assert doc["version"] == 4
+        h1 = {name: unpacked(blob) if isinstance(blob, str) else blob
+              for name, blob in doc["hists1d"]["r.k"].items() if name != "domain"}
         # r.k = [1, 1, 2, 5, 9] over 4 bins of width 2, k = 1
         assert h1["topk_keys"] == [1, 5, 9]
         assert h1["topk_counts"] == [2, 1, 1]
@@ -266,13 +221,22 @@ class TestFormat:
         assert (h1["background"], h1["background_offsets"]) == ([2], [0, 1, 1, 1, 1])
         h2 = doc["hists2d"]["r.k|y"]
         assert h2["shape"] == [4, 4]  # y is categorical: 3, 4, 5, 6
-        assert h2["cells"] == [0, 1, 9, 5]  # flat cells 0, 1, 10, 15
-        assert h2["counts"] == [2, 1, 1, 1]
+        assert unpacked(h2["cells"]) == [0, 1, 9, 5]  # flat cells 0, 1, 10, 15
+        assert unpacked(h2["counts"]) == [2, 1, 1, 1]
+        assert h2["attr"] == {"kind": "categorical", "integer": False,
+                              "values": [3, 4, 5, 6]}
         # dominant keys 1, 2 and 9 with the y values seen with them
-        assert doc["correlations"]["r|r.k|y"] == {
-            "keys": [1, 1, 7], "lo": [3, 4, 6], "hi": [3, 4, 6]}
-        assert doc["correlations"]["s|r.k|y"] == {
-            "keys": [1, 1, 7], "lo": [0, 1, 3], "hi": [0, 2, 3]}
+        corr = {name: {col: unpacked(blob) for col, blob in sec.items()}
+                for name, sec in doc["correlations"].items()}
+        assert corr["r|r.k|y"] == {"keys": [1, 1, 7], "lo": [3, 4, 6],
+                                   "hi": [3, 4, 6]}
+        assert corr["s|r.k|y"] == {"keys": [1, 1, 7], "lo": [0, 1, 3],
+                                   "hi": [0, 2, 3]}
+        # every array is tagged with its dtype: i8 here, y and k being integer
+        assert {blob[:3] for sec in (doc["hists1d"]["r.k"], h2,
+                                     *doc["correlations"].values())
+                for blob in sec.values() if isinstance(blob, str)
+                and ":" in blob} == {"i8:"}
 
     def test_real_keys_and_set_envelopes_layout(self):
         schema = schema_from_document(MIXED_KINDS_DOC)
@@ -285,12 +249,17 @@ class TestFormat:
         discover_correlations(state, tables)
         doc = state_to_document(state)
         # integer keys -2, -1, 3 as deltas; real keys as they are
-        assert doc["hists1d"]["r.k"]["background"] == [-2, 1, 4]
-        assert doc["hists1d"]["s.k"]["background"] == [-2.5, 1.5]
-        assert doc["correlations"]["r|r.k|c"] == {
-            "keys": [-3, 7], "values": [["a", "b"], ["a"]]}
-        assert doc["correlations"]["s|r.k|c"] == {
-            "keys": [-3.0, 0.5], "values": [["a"], ["a"]]}
+        assert doc["hists1d"]["r.k"]["background"].startswith("i8:")
+        assert unpacked(doc["hists1d"]["r.k"]["background"]) == [-2, 1, 4]
+        assert doc["hists1d"]["s.k"]["background"].startswith("f8:")
+        assert unpacked(doc["hists1d"]["s.k"]["background"]) == [-2.5, 1.5]
+        assert doc["hists1d"]["s.k"]["topk_keys"].startswith("f8:")
+        r_sec, s_sec = (doc["correlations"][f"{t}|r.k|c"] for t in "rs")
+        assert (unpacked(r_sec["keys"]), r_sec["values"]) == (
+            [-3, 7], [["a", "b"], ["a"]])
+        assert s_sec["keys"].startswith("f8:")
+        assert (unpacked(s_sec["keys"]), s_sec["values"]) == (
+            [-3.0, 0.5], [["a"], ["a"]])
         reloaded = state_from_document(json.loads(json.dumps(doc)))
         assert reloaded.hists1d[("s", "k")].background.dtype == np.float64
         assert reloaded.correlations == state.correlations
@@ -322,48 +291,102 @@ class TestErrors:
         return state_to_document(state)
 
     def test_short_nv_rejected(self, doc):
-        doc["hists1d"]["r.k"]["nv"].pop()
+        h = doc["hists1d"]["r.k"]
+        h["nv"] = repacked(h["nv"], lambda v: v[:-1])
         with pytest.raises(StateError, match=re.escape("'r.k' has 3 nv entries for 4 bins")):
             state_from_document(doc)
 
     def test_short_topk_counts_rejected(self, doc):
-        doc["hists1d"]["r.k"]["topk_counts"].pop()
+        h = doc["hists1d"]["r.k"]
+        h["topk_counts"] = repacked(h["topk_counts"], lambda v: v[:-1])
         with pytest.raises(StateError, match=re.escape("'r.k' has 3 topk_keys")):
             state_from_document(doc)
 
     def test_short_background_offsets_rejected(self, doc):
-        doc["hists1d"]["s.k"]["background_offsets"].pop()
+        h = doc["hists1d"]["s.k"]
+        h["background_offsets"] = repacked(h["background_offsets"],
+                                           lambda v: v[:-1])
         with pytest.raises(StateError, match=re.escape("'s.k': background_offsets")):
             state_from_document(doc)
 
     def test_unsorted_background_rejected(self, doc):
         h = doc["hists1d"]["r.k"]
-        h["background"], h["background_offsets"] = [2, 0], [0, 2, 2, 2, 2]
+        h["background"], h["background_offsets"] = (
+            packed([2, 0]), packed([0, 2, 2, 2, 2]))
         with pytest.raises(StateError, match=re.escape("'r.k' has unsorted")):
             state_from_document(doc)
 
     def test_short_grid_counts_rejected(self, doc):
-        doc["hists2d"]["r.k|y"]["counts"].pop()
+        h = doc["hists2d"]["r.k|y"]
+        h["counts"] = repacked(h["counts"], lambda v: v[:-1])
         with pytest.raises(StateError, match=re.escape("'r.k|y' has 4 cells and 3")):
             state_from_document(doc)
 
     def test_grid_cell_out_of_range_rejected(self, doc):
-        doc["hists2d"]["r.k|y"]["cells"][-1] += 1  # flat cell 16 of 16
+        h = doc["hists2d"]["r.k|y"]
+        h["cells"] = repacked(h["cells"], lambda v: [*v[:-1], v[-1] + 1])
         with pytest.raises(StateError, match=re.escape("'r.k|y' has cells that are out")):
             state_from_document(doc)
 
     def test_short_envelope_column_rejected(self, doc):
-        doc["correlations"]["s|r.k|y"]["hi"].pop()
+        sec = doc["correlations"]["s|r.k|y"]
+        sec["hi"] = repacked(sec["hi"], lambda v: v[:-1])
         with pytest.raises(StateError, match=re.escape("'s|r.k|y' has columns of")):
             state_from_document(doc)
 
-    def test_short_v2_envelope_row_rejected(self, built):
-        state, tables = built
-        discover_correlations(state, tables)
-        doc = reference_v2_document(state)
-        doc["correlations"]["r|r.k|y"][0].pop()
-        with pytest.raises(StateError, match=re.escape("'r|r.k|y': malformed row")):
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_older_versions_rejected(self, doc, version):
+        doc["version"] = version
+        with pytest.raises(StateError, match=f"state version {version} is "
+                           "no longer read; rebuild .* `tkhist build`"):
             state_from_document(doc)
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("hists1d", "r.k", "nv"), 5, "'r.k': 'nv' is not a string"),
+        (("hists1d", "r.k", "topk_keys"), None, "'topk_keys' is not a string"),
+        (("hists1d", "r.k", "k"), "1", "'r.k': 'k' is not a count"),
+        (("domains", "r.k", "bin_count"), "x", "'bin_count' is not a count"),
+        (("domains", "r.k", "lo"), float("inf"), "'lo' is not a finite number"),
+        (("hists2d", "r.k|y", "counts"), ["2", "1", "1", "1"],
+         "'r.k|y': 'counts' is not a string"),
+        (("hists2d", "r.k|y", "counts"), "i4:" + packed([1])[3:],
+         "'counts' has dtype tag 'i4', expected i8"),
+        (("hists2d", "r.k|y", "counts"), "f8:" + packed([2, 1, 1, 1])[3:],
+         "'counts' has dtype tag 'f8', expected i8"),
+        (("hists1d", "r.k", "nv"), "i8:AAAA*AAA",
+         "'nv' is not a packed array"),
+        (("hists1d", "r.k", "nv"), "i8:" + base64.b64encode(b"zz").decode(),
+         "'nv' is not a packed array"),
+        (("hists1d", "r.k", "nv"),
+         "i8:" + base64.b64encode(zlib.compress(bytes(31))).decode(),
+         "'nv' unpacks to 31 bytes, not a multiple of 8"),
+        (("hists1d", "r.k", "domain"), "nope", "unknown domain 'nope'"),
+        (("hists2d", "r.k|y", "attr", "kind"), "ordinal", "unknown kind"),
+        (("hists2d", "r.k|y", "attr", "integer"), 0,
+         "'integer' is not a boolean"),
+        (("table_rows", "r"), -1, "'r' is not a count"),
+        (("table_rows", "t"), 3, "table_rows does not name each schema table"),
+        (("freq", "r.y"), [[3, 2, 1]], "is not a list of \\[value, count\\] pairs"),
+        (("freq", "r.y"), [[[3], 2]], "is not a list of \\[value, count\\] pairs"),
+        (("column_class", "r.y"), "ordinal", "'r.y' is not a column class"),
+        (("correlations", "r|r.k|y", "lo"), [3, 4, 6], "'lo' is not a string"),
+        (("config", "top_k"), True, "'top_k' is not a count"),
+        (("hists1d",), [], "'hists1d' is not an object"),
+    ])
+    def test_malformed_entry_rejected(self, doc, path, value, message):
+        *parents, last = path
+        entry = doc
+        for name in parents:
+            entry = entry[name]
+        entry[last] = value
+        with pytest.raises(StateError, match=message):
+            state_from_document(doc)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_bytes(b'{"magic": "\xff"}')
+        with pytest.raises(StateError, match="corrupt state file"):
+            load_state(str(p))
 
     def test_corrupt_file_rejected(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -468,10 +491,6 @@ def test_round_trip_properties(scenario):
         assert save_bytes(loaded, pathlib.Path(d) / "again.json") == direct
         assert hists1d_of(loaded) == hists1d_of(state)
         assert loaded.correlations == state.correlations
-        for reference in (reference_v1_document, reference_v2_document):
-            old = pathlib.Path(d) / "old.json"
-            old.write_text(json.dumps(reference(state)))
-            assert save_bytes(load_state(str(old)), path) == direct
     # update == rebuild: the background holds every distinct key taken that
     # is not in a (build-time) container, binned as a k = 0 build bins it
     for name, h in state.hists1d.items():
@@ -484,3 +503,83 @@ def test_round_trip_properties(scenario):
             rebuilt.ndv.tolist()
         assert [b.total() for b in h.bins] == [
             b.total() for b in rebuilt.bins]
+
+
+def checked_entries(doc):
+    """Every (path, value) of a state document that loading type-checks:
+    each entry, at any depth, except the schema, the magic and the version."""
+    found = []
+
+    def walk(node, path):
+        for name, value in node.items():
+            if path + (name,) not in (("schema",), ("magic",), ("version",)):
+                found.append((path + (name,), value))
+                if isinstance(value, dict):
+                    walk(value, path + (name,))
+    walk(doc, ())
+    return found
+
+
+JSON_TYPES = [type(None), bool, (int, float), str, list, dict]
+WRONG_VALUES = [None, True, 7, "x", [1], {"a": 1}]
+
+
+def json_type(value):
+    return next(i for i, t in enumerate(JSON_TYPES) if isinstance(value, t))
+
+
+@st.composite
+def corrupted_documents(draw):
+    """Copies of a saved state's document, one per checked entry, with that
+    entry of the wrong type, length or nesting, or a packed array truncated,
+    re-tagged or cut to a ragged byte count."""
+    state, _ = draw(updated_states())
+    saved = json.dumps(state_to_document(state))
+    copies = []
+    for path, value in checked_entries(json.loads(saved)):
+        valid = {json_type(value)}
+        if path[-1] == "attr_domain" or path == ("correlations",):
+            valid |= {json_type(None), json_type(value)}
+        corruptions = [st.sampled_from(
+            [v for v in WRONG_VALUES if json_type(v) not in valid])]
+        if isinstance(value, str) and value[:3] in ("i8:", "f8:"):
+            raw = zlib.decompress(base64.b64decode(value[3:]))
+            corruptions += [
+                st.integers(0, len(value) - 1).map(lambda n: value[:n]),
+                st.just(repacked(value, lambda v: v[:-1] if v else [0])),
+                st.just(repacked(value, lambda v: [*v, 0])),
+                st.integers(1, 7).map(lambda n: value[:3] + base64.b64encode(
+                    zlib.compress(raw + bytes(n))).decode()),
+                st.just("u8" + value[2:])]
+            if path[0] != "correlations":  # the other arrays have one dtype
+                swapped = {"i8": "f8", "f8": "i8"}[value[:2]]
+                corruptions += [st.just(swapped + value[2:])]
+        if path[-1] in ("shape", "values") and isinstance(value, list):
+            corruptions += [st.just([*value, value[-1] if value else 0])]
+            if value:  # one element short, or one nested a level deeper
+                corruptions += [st.just(value[:-1]),
+                                st.just([*value[:-1], [value[-1]]])]
+        if path[0] == "freq" and len(path) == 2 and value:
+            corruptions += [st.integers(0, len(value) - 1).flatmap(
+                lambda i: st.sampled_from([value[i][:1], [*value[i], 1]]).map(
+                    lambda pair: [*value[:i], pair, *value[i + 1:]]))]
+        doc = entry = json.loads(saved)
+        for name in path[:-1]:
+            entry = entry[name]
+        entry[path[-1]] = draw(st.one_of(corruptions))
+        copies.append((path, doc))
+    return copies
+
+
+def raises_state_error(doc) -> bool:
+    try:
+        state_from_document(doc)
+    except StateError:
+        return True
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(corrupted_documents())
+def test_corrupted_entries_raise_state_error(copies):
+    assert [path for path, doc in copies if not raises_state_error(doc)] == []
