@@ -102,11 +102,12 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
         raise SchemaError("schema document must be an object with a 'tables' list")
 
     tables = []
-    for tdoc in doc["tables"]:
+    for tdoc in _typed(doc["tables"], list, "schema 'tables'"):
         tname = _required(tdoc, "name", "table")
         cols = []
         seen = set()
-        for cdoc in tdoc.get("columns", []):
+        for cdoc in _typed(tdoc.get("columns", []), list,
+                           f"table {tname!r}: 'columns'"):
             name = _required(cdoc, "name", f"table {tname!r}: column")
             if name in seen:
                 raise SchemaError(
@@ -118,17 +119,23 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
             role = cdoc.get("role", ROLE_ATTRIBUTE)
             if role not in (ROLE_KEY, ROLE_ATTRIBUTE):
                 raise SchemaError(f"unknown column role {role!r}")
+            categorical = _typed(cdoc.get("categorical", False), bool,
+                                 f"column {tname}.{name}: 'categorical'")
             cols.append(ColumnDef(name=name, kind=kind, role=role,
-                                  categorical=bool(cdoc.get("categorical", False))))
-        tables.append(TableDef(name=tname, source=tdoc.get("file", ""),
-                               columns=tuple(cols)))
+                                  categorical=categorical))
+        tables.append(TableDef(
+            name=tname, source=_typed(tdoc.get("file", ""), str,
+                                      f"table {tname!r}: 'file'"),
+            columns=tuple(cols)))
 
-    threshold = doc.get("categorical_threshold", DEFAULT_CATEGORICAL_THRESHOLD)
+    given = doc.get("categorical_threshold", DEFAULT_CATEGORICAL_THRESHOLD)
     try:
-        threshold = int(threshold)
+        threshold = None if isinstance(given, bool) else int(given)
     except (TypeError, ValueError):
+        threshold = None
+    if threshold is None:
         raise SchemaError("categorical_threshold must be an integer, got "
-                          f"{threshold!r}") from None
+                          f"{given!r}")
     schema = Schema(
         tables=tables,
         foreign_keys=[],
@@ -139,7 +146,8 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
     if schema.categorical_threshold < 1:
         raise SchemaError("categorical_threshold must be >= 1")
 
-    for fk in doc.get("foreign_keys", []):
+    for fk in _typed(doc.get("foreign_keys", []), list,
+                     "schema 'foreign_keys'"):
         frm = _required(fk, "from", "foreign key")
         to = _required(fk, "to", "foreign key")
         for endpoint in (frm, to):
@@ -148,10 +156,11 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
                 raise SchemaError(f"dangling foreign key: {endpoint!r} does not exist")
         schema.foreign_keys.append((frm, to))
 
-    for template in doc.get("templates", []):
+    for template in _typed(doc.get("templates", []), list,
+                           "schema 'templates'"):
         edges = []
-        for edge in template:
-            a, b = _parse_template_edge(edge)
+        for edge in _typed(template, list, "template"):
+            a, b = _parse_template_edge(_typed(edge, str, "template edge"))
             for endpoint in (a, b):
                 tname, cname = split_qualified(endpoint)
                 if not schema.has_table(tname) or not schema.table(tname).has_column(cname):
@@ -164,11 +173,23 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
     return schema
 
 
-def _required(entry, key: str, what: str):
-    """`entry[key]`, or a SchemaError naming the entry that lacks it."""
+_JSON_NAMES = {list: "a list", str: "a string", bool: "a boolean"}
+
+
+def _typed(value, kind: type, what: str):
+    """`value`, or a SchemaError naming the entry `what` if it is not a
+    `kind`."""
+    if not isinstance(value, kind):
+        raise SchemaError(f"{what} is not {_JSON_NAMES[kind]}: {value!r}")
+    return value
+
+
+def _required(entry, key: str, what: str) -> str:
+    """The string `entry[key]`, or a SchemaError naming the entry that lacks
+    it."""
     if not isinstance(entry, dict) or key not in entry:
         raise SchemaError(f"{what} {entry!r} has no {key!r}")
-    return entry[key]
+    return _typed(entry[key], str, f"{what} {entry!r}: {key!r}")
 
 
 def find_root(parent: dict, x):

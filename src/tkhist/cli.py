@@ -107,7 +107,7 @@ def cmd_update(args) -> int:
     data = catalog.ingest_table(state.schema.table(args.table), state.schema,
                                 path=args.csv)
     inserted, rejected = apply_rows(state, args.table, data)
-    size = save_state(state, _state_path(args))
+    size = save_state(state, _state_path(args), table=args.table)
     print(f"inserted {inserted} rows, rejected {rejected} "
           f"(out-of-range key); state file {size} bytes")
     return 0

@@ -235,7 +235,7 @@ class TKHist2D:
         grown = self.attr.n_bins - self.grid.shape[1]
         if grown:
             self.grid = np.pad(self.grid, ((0, 0), (0, grown)))
-        np.add.at(self.grid, (ki, aj), 1)
+        self.grid += _cell_counts(ki, aj, self.grid.shape)
 
     def key_marginal(self) -> np.ndarray:
         return self.grid.sum(axis=1)
@@ -254,15 +254,18 @@ def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
         keep &= ~key_nulls
     if attr_nulls is not None:
         keep &= ~attr_nulls
-    keys = key_values[keep]
-    attrs = attr_values[keep]
-    grid = np.zeros((domain.bin_count, binning.n_bins), dtype=np.int64)
-    if len(keys) == 0:
-        return TKHist2D(key_domain=domain, attr=binning, grid=grid)
-    ki = domain.bins_of(keys)
-    aj = binning.bins_of(attrs)
-    np.add.at(grid, (ki, aj), 1)
+    grid = _cell_counts(domain.bins_of(key_values[keep]),
+                        binning.bins_of(attr_values[keep]),
+                        (domain.bin_count, binning.n_bins))
     return TKHist2D(key_domain=domain, attr=binning, grid=grid)
+
+
+def _cell_counts(ki: np.ndarray, aj: np.ndarray,
+                 shape: tuple[int, int]) -> np.ndarray:
+    """int64 grid of `shape` counting each (key bin, attribute bin) pair,
+    from one `np.bincount` over flat cell indices."""
+    flat = np.bincount(ki * shape[1] + aj, minlength=shape[0] * shape[1])
+    return flat.astype(np.int64, copy=False).reshape(shape)
 
 
 def build_frequency_hist(values, null_mask: np.ndarray | None = None) -> dict:

@@ -9,6 +9,14 @@ cells and each correlation-map section as columns; every numeric array is one
 packed string (`_pack`), and sorted integer arrays are delta-coded.  Loading
 checks the type of every entry and every length, offset and cell against the
 bins it describes; older versions are rejected.
+
+Each table owns some entries of the document: its `hists1d` and `freq`
+entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
+its `correlations` sections (`table|domain|attr`) and `table_rows[table]`.
+Every other entry (config, schema, domains, column classes) is global.  A
+batch update changes only its table's entries, so `save_state(..., table=)`
+encodes just those and copies the rest from the file the state was loaded
+from.
 """
 from __future__ import annotations
 
@@ -310,12 +318,46 @@ def _correlation_doc(env_by_key: dict) -> dict:
     return doc
 
 
-def state_to_document(state: EstimatorState) -> dict:
-    corr = None
-    if state.correlations is not None:
-        corr = {f"{table}|{dom}|{attr}": _correlation_doc(env_by_key)
-                for (table, dom, attr), env_by_key
-                in sorted(state.correlations.items())}
+def _freq_doc(fh: dict) -> list:
+    """[value, count] pairs, in the order of the values' reprs (the values
+    of one column can mix types)."""
+    return sorted(fh.items(), key=lambda kv: repr(kv[0]))
+
+
+# per-table section -> (EstimatorState field, entry name of a key, encoder)
+_TABLE_SECTIONS = {
+    "hists1d": ("hists1d", "{}.{}", _hist1d_doc),
+    "hists2d": ("hists2d", "{}.{}|{}", _hist2d_doc),
+    "freq": ("freq_hists", "{}.{}", _freq_doc),
+    "correlations": ("correlations", "{}|{}|{}", _correlation_doc),
+    "table_rows": ("table_rows", "{}", int),
+}
+
+
+def _owned(state: EstimatorState, table: str) -> dict[str, dict]:
+    """The objects behind the entries that `table` owns, by section and
+    entry name: those whose key is `table` or starts with it."""
+    owned = {}
+    for sec, (field, name, _) in _TABLE_SECTIONS.items():
+        if getattr(state, field) is None:
+            continue
+        owned[sec] = {}
+        for key, value in getattr(state, field).items():
+            key = key if isinstance(key, tuple) else (key,)
+            if key[0] == table:
+                owned[sec][name.format(*key)] = value
+    return owned
+
+
+def _table_entries(state: EstimatorState, table: str) -> dict[str, dict]:
+    """The encoded document entries that `table` owns, by section."""
+    return {sec: {name: _TABLE_SECTIONS[sec][2](value)
+                  for name, value in entries.items()}
+            for sec, entries in _owned(state, table).items()}
+
+
+def _global_entries(state: EstimatorState) -> dict:
+    """The document entries that no table owns."""
     return {
         "magic": STATE_MAGIC,
         "version": STATE_VERSION,
@@ -325,22 +367,45 @@ def state_to_document(state: EstimatorState) -> dict:
         "domains": {d.id: {"columns": sorted(d.columns), "lo": d.lo,
                            "hi": d.hi, "bin_count": d.bin_count}
                     for d in state.domains.values()},
-        "hists1d": {f"{t}.{c}": _hist1d_doc(h)
-                    for (t, c), h in sorted(state.hists1d.items())},
-        "hists2d": {f"{t}.{c}|{a}": _hist2d_doc(h)
-                    for (t, c, a), h in sorted(state.hists2d.items())},
-        "freq": {f"{t}.{c}": sorted(fh.items(), key=lambda kv: repr(kv[0]))
-                 for (t, c), fh in sorted(state.freq_hists.items())},
         "column_class": {f"{t}.{c}": cls
-                         for (t, c), cls in sorted(state.column_class.items())},
-        "table_rows": dict(sorted(state.table_rows.items())),
-        "correlations": corr,
+                         for (t, c), cls in state.column_class.items()},
     }
 
 
-def save_state(state: EstimatorState, path: str) -> int:
-    """Atomically write the state file; returns its size in bytes."""
-    payload = json.dumps(state_to_document(state), sort_keys=True,
+def _per_table(state: EstimatorState, entries_of) -> dict:
+    """The per-table sections of the document, each table's part of them
+    being `entries_of(state, table)`; an absent correlation map is None."""
+    doc = {sec: None if getattr(state, field) is None else {}
+           for sec, (field, _, _) in _TABLE_SECTIONS.items()}
+    for tdef in state.schema.tables:
+        for sec, entries in entries_of(state, tdef.name).items():
+            doc[sec].update(entries)
+    return doc
+
+
+def state_to_document(state: EstimatorState) -> dict:
+    return {**_global_entries(state), **_per_table(state, _table_entries)}
+
+
+def save_state(state: EstimatorState, path: str,
+               table: str | None = None) -> int:
+    """Atomically write the state file; returns its size in bytes.
+
+    With `table`, only the entries that table owns are encoded; every other
+    entry is copied from the file at `path`, which must be the file `state`
+    was loaded from, so the bytes written are those of a full save.  A file
+    that cannot be read, or whose entries other than the table's or whose
+    entry names differ from `state`'s, raises StateError and is left as it is.
+    """
+    if table is None:
+        doc = state_to_document(state)
+    elif table not in state.table_rows:
+        raise StateError(f"state has no table {table!r}")
+    else:
+        doc = _source_document(state, path)
+        for sec, entries in _table_entries(state, table).items():
+            doc[sec].update(entries)
+    payload = json.dumps(doc, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tkhist-state-")
@@ -355,15 +420,42 @@ def save_state(state: EstimatorState, path: str) -> int:
     return len(payload)
 
 
-def load_state(path: str) -> EstimatorState:
+def _source_document(state: EstimatorState, path: str) -> dict:
+    """`state`'s global entries and the per-table sections of the document
+    at `path`, once that document is checked to be `state`'s source: the
+    same global entries, and the same entry names in each section."""
+    found = _read_document(path)
+    if not isinstance(found, dict):
+        raise StateError(f"{path!r} is not the state file being updated")
+    doc = _global_entries(state)
+    for name, value in doc.items():
+        if found.get(name) != value:
+            raise StateError(f"{path!r} is not the state file being "
+                             f"updated: its {name!r} entry differs")
+    for sec, entries in _per_table(state, _owned).items():
+        if _names(found.get(sec)) != _names(entries):
+            raise StateError(f"{path!r} is not the state file being "
+                             f"updated: its {sec!r} entries differ")
+        doc[sec] = found.get(sec)
+    return doc
+
+
+def _names(section):
+    return set(section) if isinstance(section, dict) else section
+
+
+def _read_document(path: str):
     try:
         with open(path, "rb") as fh:
-            doc = json.loads(fh.read().decode("utf-8"))
+            return json.loads(fh.read().decode("utf-8"))
     except OSError as exc:
         raise StateError(f"cannot read state file {path!r}: {exc}") from exc
     except ValueError as exc:  # invalid UTF-8 or invalid JSON
         raise StateError(f"corrupt state file {path!r}: {exc}") from exc
-    return state_from_document(doc)
+
+
+def load_state(path: str) -> EstimatorState:
+    return state_from_document(_read_document(path))
 
 
 def state_from_document(doc: dict) -> EstimatorState:

@@ -78,6 +78,39 @@ class TestSchema:
         with pytest.raises(SchemaError, match=match):
             schema_from_document(doc)
 
+    @pytest.mark.parametrize("breaks,match", [
+        (lambda d: d.update(tables=5), r"^schema 'tables' is not a list: 5"),
+        (lambda d: d["tables"][0].update(columns=5),
+         r"^table 't1': 'columns' is not a list: 5"),
+        (lambda d: d["tables"][1].update(name=["t2"]),
+         r"^table \{.*\}: 'name' is not a string: \['t2'\]"),
+        (lambda d: d["tables"][0]["columns"][0].update(name=7),
+         r"^table 't1': column \{.*\}: 'name' is not a string: 7"),
+        (lambda d: d["tables"][0]["columns"][0].update(categorical="yes"),
+         r"^column t1.k: 'categorical' is not a boolean: 'yes'"),
+        (lambda d: d["tables"][2].update(file=None),
+         r"^table 't3': 'file' is not a string: None"),
+        (lambda d: d.update(foreign_keys={"from": "t2.k"}),
+         r"^schema 'foreign_keys' is not a list"),
+        (lambda d: d["foreign_keys"][0].update(to=1),
+         r"^foreign key \{.*\}: 'to' is not a string: 1"),
+        (lambda d: d.update(templates="t1.k=t2.k"),
+         r"^schema 'templates' is not a list"),
+        (lambda d: d.update(templates=[{"t1.k": "t2.k"}]),
+         r"^template is not a list"),
+        (lambda d: d.update(templates=[[["t1.k=t2.k"]]]),
+         r"^template edge is not a string"),
+        (lambda d: d.update(categorical_threshold=True),
+         "categorical_threshold must be an integer, got True"),
+    ], ids=["tables", "columns", "table-name", "column-name", "categorical",
+            "file", "fks", "fk-to", "templates", "template", "edge",
+            "bool-threshold"])
+    def test_wrong_typed_entry_is_schema_error(self, breaks, match):
+        doc = star_doc()
+        breaks(doc)
+        with pytest.raises(SchemaError, match=match):
+            schema_from_document(doc)
+
 
 class TestIngest:
     def test_round_trip_with_nulls(self, tmp_path):

@@ -182,6 +182,31 @@ class TestUpdate:
         assert st.table_rows["t1"] == 501
 
 
+    @pytest.mark.parametrize("table, body, corrupt_t2, message", [
+        ("nope", "k1,y\n1,5\n", False, "unknown table 'nope'"),
+        ("t1", "k1,y\n1,5\n2,abc\n", False, "row 2, column 'y'"),
+        ("t1", "k1,y\n1,5\n", True, "'t2.k1': 'nv' is not a string"),
+    ], ids=["unknown-table", "bad-cell", "other-table-corrupt"])
+    def test_failed_update_leaves_state_unchanged(self, built, tmp_path,
+                                                  capsys, table, body,
+                                                  corrupt_t2, message):
+        # a corrupt entry of t2 fails an update of t1: update still checks
+        # every entry of the file it loads
+        if corrupt_t2:
+            doc = json.loads(built.read_text())
+            doc["hists1d"]["t2.k1"]["nv"] = 5
+            built.write_text(json.dumps(doc))
+        before = built.read_bytes()
+        new = tmp_path / "new.csv"
+        new.write_text(body)
+        rc = main(["update", "--state", str(built), "--table", table,
+                   "--csv", str(new)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert built.read_bytes() == before
+
+
 class TestSweep:
     def test_csv_grid(self, bench, tmp_path, capsys):
         wl = tmp_path / "wl.txt"
@@ -311,6 +336,20 @@ class TestBadInput:
                      "--state", str(tmp_path / "state.json")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: table ") and "has no 'name'" in err
+        assert not (tmp_path / "state.json").exists()
+
+    @pytest.mark.parametrize("doc", [
+        {"tables": 5},
+        {"tables": [{"name": "t", "columns": 5}]},
+        {"tables": [{"name": ["t"], "file": "t.csv"}]},
+    ], ids=["tables", "columns", "name"])
+    def test_build_with_wrong_typed_entry(self, tmp_path, capsys, doc):
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps(doc))
+        assert main(["build", "--schema", str(schema),
+                     "--state", str(tmp_path / "state.json")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "is not a " in err
         assert not (tmp_path / "state.json").exists()
 
     def test_between_bounds_of_mixed_types(self, built, capsys):

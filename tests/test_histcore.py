@@ -260,6 +260,34 @@ class TestHist2D:
             expect[domain_bin(d, kk), attr_bin(binning, aa)] += 1
         assert h.grid.tolist() == expect.tolist()
 
+    @settings(max_examples=80, deadline=None)
+    @given(categorical=st.booleans(),
+           batches=st.lists(st.lists(st.tuples(st.integers(0, 10),
+                                               st.integers(-5, 15)),
+                                     min_size=1, max_size=40),
+                            min_size=1, max_size=4))
+    def test_grid_equals_add_at_reference(self, categorical, batches):
+        """Build on the first batch and insert the others, whose unseen
+        categorical values grow the grid; every cell then holds what
+        `np.add.at` counts over all rows, binned by the final binning."""
+        d = make_domain(0, 10, 3)
+
+        def columns(rows):
+            keys, attrs = np.array(rows, dtype=np.int64).T
+            return keys, attrs.astype(object) if categorical else attrs
+
+        keys, attrs = columns(batches[0])
+        binning = (categorical_binning(attrs) if categorical
+                   else numeric_binning(attrs, 4, integer=True))
+        h = build_tkhist2d(keys, attrs, d, binning)
+        for rows in batches[1:]:
+            h.insert(*columns(rows))
+        keys, attrs = columns([row for rows in batches for row in rows])
+        expect = np.zeros((d.bin_count, binning.n_bins), dtype=np.int64)
+        np.add.at(expect, (d.bins_of(keys), binning.bins_of(attrs)), 1)
+        assert h.grid.dtype == np.int64
+        assert h.grid.tolist() == expect.tolist()
+
     def test_categorical_value_missing_from_binning(self):
         d = make_domain(0, 10, 2)
         binning = categorical_binning(np.array(["a"], dtype=object))

@@ -399,6 +399,75 @@ class TestErrors:
             load_state(str(tmp_path / "nope.json"))
 
 
+class TestTableSave:
+    """`save_state(..., table=)` writes over the file the state was loaded
+    from, and refuses any other file."""
+
+    @pytest.fixture
+    def loaded(self, built, tmp_path):
+        state, tables = built
+        discover_correlations(state, tables)
+        path = tmp_path / "state.json"
+        save_state(state, str(path))
+        return load_state(str(path)), path
+
+    def test_only_the_table_changes(self, loaded, tmp_path):
+        state, path = loaded
+        before = json.loads(path.read_text())
+        apply_rows(state, "s", make_table("s", {"k": [5, 9], "y": [7, 8]}))
+        save_state(state, str(path), table="s")
+        after = json.loads(path.read_text())
+        assert path.read_bytes() == save_bytes(state, tmp_path / "full.json")
+        assert after["hists1d"]["r.k"] == before["hists1d"]["r.k"]
+        assert after["hists1d"]["s.k"] != before["hists1d"]["s.k"]
+        assert after["table_rows"] == {"r": 5, "s": 6}
+
+    def other_state(self, tmp_path):
+        state = build_state(two_table_schema(), {
+            "r": make_table("r", {"k": [1, 2, 30], "y": [3, 3, 4]}),
+            "s": make_table("s", {"k": [1, 2], "y": [0, 1]})},
+            BuildConfig(bin_count=4, top_k=1))
+        save_state(state, str(tmp_path / "state.json"))
+
+    def other_domain(self, tmp_path):
+        doc = json.loads((tmp_path / "state.json").read_text())
+        doc["domains"]["r.k"]["hi"] += 1
+        (tmp_path / "state.json").write_text(json.dumps(doc))
+
+    def other_entry_names(self, tmp_path):
+        doc = json.loads((tmp_path / "state.json").read_text())
+        doc["hists2d"]["r.k|z"] = doc["hists2d"]["r.k|y"]
+        (tmp_path / "state.json").write_text(json.dumps(doc))
+
+    @pytest.mark.parametrize("replace, message", [
+        (lambda self, p: (p / "state.json").unlink(), "cannot read"),
+        (other_state, "its 'domains' entry differs"),
+        (other_domain, "its 'domains' entry differs"),
+        (other_entry_names, "its 'hists2d' entries differ"),
+        (lambda self, p: (p / "state.json").write_text("[]"),
+         "is not the state file being updated"),
+    ], ids=["missing", "other-state", "other-domain", "other-entry-names",
+            "not-an-object"])
+    def test_other_file_refused_and_left_unchanged(self, loaded, tmp_path,
+                                                   replace, message):
+        state, path = loaded
+        replace(self, tmp_path)
+        before = path.read_bytes() if path.exists() else None
+        apply_rows(state, "r", make_table("r", {"k": [2], "y": [5]}))
+        with pytest.raises(StateError, match=message):
+            save_state(state, str(path), table="r")
+        assert (path.read_bytes() if path.exists() else None) == before
+        assert [p.name for p in tmp_path.iterdir()] == (
+            ["state.json"] if before is not None else [])
+
+    def test_unknown_table_refused(self, loaded):
+        state, path = loaded
+        before = path.read_bytes()
+        with pytest.raises(StateError, match="no table 't'"):
+            save_state(state, str(path), table="t")
+        assert path.read_bytes() == before
+
+
 # r(k INTEGER, y INTEGER, c CATEGORICAL) and s(k REAL, z REAL) share the key
 # domain of k; discovery runs over r.k = s.k
 PROPERTY_DOC = {
@@ -451,10 +520,8 @@ def rows_of(name, min_size):
 
 
 @st.composite
-def updated_states(draw):
-    """A built state with its correlation map, after update batches whose
-    keys may fall outside the key domain, and every key each histogram has
-    taken (build and accepted updates)."""
+def built_states(draw):
+    """A built state with its correlation map, and its base tables."""
     schema = schema_from_document(
         {**PROPERTY_DOC,
          "categorical_threshold": draw(st.sampled_from([1, 1000]))})
@@ -462,9 +529,25 @@ def updated_states(draw):
     state = build_state(schema, base, BuildConfig(
         bin_count=draw(st.integers(1, 5)), top_k=draw(st.integers(0, 3))))
     discover_correlations(state, base)
+    return state, base
+
+
+@st.composite
+def batch_lists(draw):
+    """Up to three update batches as (table, rows); their keys may fall
+    outside the key domain."""
+    return [(t, table_of(t, draw(rows_of(t, 0))))
+            for t in draw(st.lists(st.sampled_from(sorted(KINDS)),
+                                   max_size=3))]
+
+
+@st.composite
+def updated_states(draw):
+    """A built state after `batch_lists` batches, and every key each
+    histogram has taken (build and accepted updates)."""
+    state, base = draw(built_states())
     taken = {(t, "k"): [base[t].non_null("k")] for t in KINDS}
-    for t in draw(st.lists(st.sampled_from(sorted(KINDS)), max_size=3)):
-        batch = table_of(t, draw(rows_of(t, 0)))
+    for t, batch in draw(batch_lists()):
         dom = state.domains[state.domain_of(t, "k")]
         keys = batch.columns["k"][~batch.null_mask["k"]]
         inserted, _ = apply_rows(state, t, batch)
@@ -505,14 +588,32 @@ def test_round_trip_properties(scenario):
             b.total() for b in rebuilt.bins]
 
 
+@settings(max_examples=100, deadline=None)
+@given(built_states(), batch_lists())
+def test_table_save_writes_bytes_of_full_save(built, batches):
+    # each batch as `tkhist update` applies it: load, apply_rows, then save
+    # only the updated table's entries
+    state, _ = built
+    with tempfile.TemporaryDirectory() as d:
+        path, full = pathlib.Path(d) / "state.json", pathlib.Path(d) / "full"
+        save_state(state, str(path))
+        for t, batch in batches:
+            state = load_state(str(path))
+            apply_rows(state, t, batch)
+            size = save_state(state, str(path), table=t)
+            assert path.read_bytes() == save_bytes(state, full)
+            assert size == len(path.read_bytes())
+
+
 def checked_entries(doc):
     """Every (path, value) of a state document that loading type-checks:
-    each entry, at any depth, except the schema, the magic and the version."""
+    each entry, at any depth, except the magic and the version (the schema's
+    own lists are corrupted whole)."""
     found = []
 
     def walk(node, path):
         for name, value in node.items():
-            if path + (name,) not in (("schema",), ("magic",), ("version",)):
+            if path + (name,) not in (("magic",), ("version",)):
                 found.append((path + (name,), value))
                 if isinstance(value, dict):
                     walk(value, path + (name,))
