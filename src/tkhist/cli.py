@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import sys
@@ -147,7 +148,9 @@ def cmd_synth(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once; `main` runs `cmd_<command>` for each call."""
     ap = argparse.ArgumentParser(prog="tkhist",
                                  description="top-k histogram cardinality "
                                              "estimation toolkit")
@@ -159,14 +162,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=int, default=200)
     p.add_argument("--k", type=int, default=20)
     _add_djpcd_arg(p)
-    p.set_defaults(func=cmd_build)
 
     p = sub.add_parser("estimate", help="estimate one COUNT(*) query")
     _add_state_arg(p)
     p.add_argument("sql")
     p.add_argument("--truth", type=float, default=None)
     _add_djpcd_arg(p)
-    p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("evaluate", help="estimate a workload file")
     _add_state_arg(p)
@@ -176,13 +177,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--oracle", action="store_true",
                    help="compute missing truths with the exact join oracle")
     _add_djpcd_arg(p)
-    p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("update", help="stream new rows into an existing state")
     _add_state_arg(p)
     p.add_argument("--table", required=True)
     p.add_argument("--csv", required=True)
-    p.set_defaults(func=cmd_update)
 
     p = sub.add_parser("sweep", help="rebuild/evaluate over a (bins, k) grid")
     p.add_argument("--schema", required=True)
@@ -191,7 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=_int_list, default="0,5,20")
     p.add_argument("--out", default=None)
     p.add_argument("--djpcd", dest="djpcd", action="store_true", default=False)
-    p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--out", required=True)
@@ -203,14 +201,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--distinct", type=int, default=1000)
     p.add_argument("--correlated", action="store_true")
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_synth)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
+    try:  # looked up per call, so a wrapper installed on a cmd_* runs
+        return globals()[f"cmd_{args.command}"](args)
     except TKHistError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -79,6 +79,8 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     Background mass scales by the per-bin conditional selectivity product;
     dominant entries stay at full weight unless a predicate on the key column
     itself rejects the key exactly, or correlation exclusion removes it.
+    The lifted maps are the histogram's own containers, so exclusion copies
+    each map before removing keys from it.
     """
     table = query.aliases[alias]
     hist = state.hists1d.get((table, key_col))
@@ -87,6 +89,7 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     comp = lift(hist)
 
     if excluded:
+        comp.dominant = [dict(d) for d in comp.dominant]
         for dom in comp.dominant:
             for key in excluded:
                 dom.pop(key, None)

@@ -8,7 +8,9 @@ background at its average frequency BAC = background / NDV; the two
 backgrounds combine with the Selinger formula, and background NDV propagates
 as the minimum of the two sides, which keeps the Selinger formula applicable
 recursively to intermediate results.  The background and NDV arithmetic runs
-on whole arrays; only the dominant maps are walked key by key.
+on whole arrays; only the dominant maps are walked key by key.  A lifted
+composite's dominant maps are the built histogram's own container dicts (int
+counts); every map is read-only, and each join builds new ones.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
@@ -35,7 +37,8 @@ def selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b) -> np.ndarray:
 @dataclass
 class CompositeHist:
     domain: KeyDomain
-    dominant: list[dict]  # per bin: key -> estimated joined count
+    dominant: list[dict]  # per bin: key -> estimated joined count; read-only,
+    # possibly a built histogram's own container dict (int counts)
     background: np.ndarray  # float64 per bin
     ndv: np.ndarray  # float64 per bin
 
@@ -54,10 +57,12 @@ def _bac(comp: CompositeHist) -> list[float]:
 
 
 def lift(hist: TKHist1D) -> CompositeHist:
-    """Identity lift of a built histogram into the composite representation."""
+    """Identity lift of a built histogram into the composite representation.
+    The dominant maps are the histogram's own container dicts (int counts),
+    not copies: they are read-only, and a caller that edits one copies it."""
     return CompositeHist(
         domain=hist.domain,
-        dominant=[{k: float(c) for k, c in b.topk.items()} for b in hist.bins],
+        dominant=[b.topk for b in hist.bins],
         background=np.array([b.nv for b in hist.bins], dtype=np.float64),
         ndv=hist.ndv.astype(np.float64))
 
@@ -74,18 +79,11 @@ def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
     _check_same_domain(a, b)
     dominant = []
     for da, db, bac_a, bac_b in zip(a.dominant, b.dominant, _bac(a), _bac(b)):
-        dom: dict = {}
-        for key, ca in da.items():
-            cb = db.get(key)
-            est = ca * cb if cb is not None else ca * bac_b
-            if est > 0:
-                dom[key] = est
-        for key, cb in db.items():
-            if key in da:
-                continue
-            est = cb * bac_a
-            if est > 0:
-                dom[key] = est
+        dom = {k: est for k, ca in da.items()
+               if (est := ca * db.get(k, bac_b)) > 0}
+        if bac_a:  # else every b-only product is zero and dropped
+            dom |= {k: est for k, cb in db.items()
+                    if k not in da and (est := cb * bac_a) > 0}
         dominant.append(dom)
     return CompositeHist(
         domain=a.domain, dominant=dominant,

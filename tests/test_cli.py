@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tkhist import oracle
+from tkhist import cli, oracle
 from tkhist.cli import main
 from tkhist.errors import TKHistError
 from tkhist.queryfront import bind, parse_sql
@@ -181,6 +181,26 @@ class TestUpdate:
         st = load_state(str(built))
         assert st.table_rows["t1"] == 501
 
+    def test_wrapper_installed_after_first_call_runs(self, built, tmp_path,
+                                                     monkeypatch):
+        # the parser is built once, and the command is looked up on each
+        # call, so a wrapper installed on cmd_update later still runs
+        new = tmp_path / "new.csv"
+        new.write_text("k1,y\n1,5\n")
+        argv = ["update", "--state", str(built), "--table", "t1",
+                "--csv", str(new)]
+        assert main(argv) == 0
+        calls, original = [], cli.cmd_update
+
+        def wrapped(args):
+            calls.append(args.table)
+            return original(args)
+
+        monkeypatch.setattr(cli, "cmd_update", wrapped)
+        assert main(argv) == 0
+        assert calls == ["t1"]
+        assert cli.build_parser() is cli.build_parser()
+        assert load_state(str(built)).table_rows["t1"] == 502
 
     @pytest.mark.parametrize("table, body, corrupt_t2, message", [
         ("nope", "k1,y\n1,5\n", False, "unknown table 'nope'"),

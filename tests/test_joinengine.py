@@ -278,10 +278,15 @@ def ref_total(bins):
     return sum(b.total() for b in bins)
 
 
+def typed_items(maps):
+    """Each map's items in order, with each value's type, so that an int
+    count and its float are told apart."""
+    return [[(k, type(v), v) for k, v in d.items()] for d in maps]
+
+
 def assert_matches(comp, bins):
     assert len(comp.dominant) == len(bins)
-    assert [list(d.items()) for d in comp.dominant] == \
-        [list(b.dominant.items()) for b in bins]
+    assert typed_items(comp.dominant) == typed_items(b.dominant for b in bins)
     assert comp.background.tolist() == [b.background_est for b in bins]
     assert comp.ndv.tolist() == [b.ndv_est for b in bins]
     assert comp.total() == ref_total(bins)
@@ -289,10 +294,18 @@ def assert_matches(comp, bins):
 
 masses = st.one_of(st.just(0.0), st.floats(0, 1e4, allow_nan=False),
                    st.integers(1, 1000).map(float))
-bin_triples = st.tuples(
-    st.dictionaries(st.integers(0, 6), masses, max_size=4),  # few keys: overlaps
-    masses,
-    st.one_of(st.just(0.0), st.integers(1, 50).map(float)))
+ndvs = st.one_of(st.just(0.0), st.integers(1, 50).map(float))
+bin_triples = st.builds(
+    lambda dom, bg_ndv: (dom, *bg_ndv),
+    # few keys, so that keys overlap; float estimates or a lifted
+    # histogram's int counts
+    st.one_of(st.dictionaries(st.integers(0, 6), masses, max_size=4),
+              st.dictionaries(st.integers(0, 6), st.integers(0, 1000),
+                              max_size=4)),
+    # an empty background (no mass, no NDV, or neither) half the time
+    st.one_of(st.tuples(masses, ndvs), st.tuples(st.just(0.0), ndvs),
+              st.tuples(masses, st.just(0.0)),
+              st.just((0.0, 0.0))))
 
 
 @st.composite
@@ -319,6 +332,16 @@ class TestAgainstPerBinReference:
         for comp in group[1:]:
             expect = ref_join(expect, ref_bins(comp))
         assert_matches(join_star_group(group), expect)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), n_bins=st.integers(1, 4))
+    def test_join_leaves_inputs_unchanged(self, data, n_bins):
+        a, b = data.draw(composites(n_bins, 2))
+        before = typed_items(a.dominant + b.dominant)
+        out = jtkh_join(a, b)
+        assert typed_items(a.dominant + b.dominant) == before
+        assert not any(o is d for o in out.dominant
+                       for d in a.dominant + b.dominant)
 
     @settings(max_examples=100, deadline=None)
     @given(group=star_groups(), data=st.data())

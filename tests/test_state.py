@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from tkhist.catalog import TableData, schema_from_document
 from tkhist.errors import StateError
-from tkhist.estimator import discover_correlations, estimate
+from tkhist.estimator import (discover_correlations, estimate,
+                              evaluate_workload)
 from tkhist.histcore import build_tkhist1d
 from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
                           save_state, state_from_document, state_to_document)
@@ -574,8 +575,12 @@ def test_round_trip_properties(scenario):
         assert save_bytes(loaded, pathlib.Path(d) / "again.json") == direct
         assert hists1d_of(loaded) == hists1d_of(state)
         assert loaded.correlations == state.correlations
-    # update == rebuild: the background holds every distinct key taken that
-    # is not in a (build-time) container, binned as a k = 0 build bins it
+    assert_update_equals_rebuild(state, taken)
+
+
+def assert_update_equals_rebuild(state, taken):
+    """update == rebuild: the background holds every distinct key taken that
+    is not in a (build-time) container, binned as a k = 0 build bins it."""
     for name, h in state.hists1d.items():
         rebuilt = build_tkhist1d(taken[name], h.domain, k=0)
         held = {key for b in h.bins for key in b.topk}
@@ -603,6 +608,76 @@ def test_table_save_writes_bytes_of_full_save(built, batches):
             size = save_state(state, str(path), table=t)
             assert path.read_bytes() == save_bytes(state, full)
             assert size == len(path.read_bytes())
+
+
+@st.composite
+def mixed_layout_states(draw):
+    """A correlated five-table state, a star t1-t2-t3 whose t3 starts the
+    chain t3-t4-t5, with its correlation map; its tables, spec and seed."""
+    spec = SyntheticSpec(tables=5, rows=draw(st.integers(5, 120)),
+                         layout="mixed", distinct_keys=draw(st.integers(2, 30)),
+                         correlated=True)
+    seed = draw(st.integers(0, 2 ** 16))
+    schema, tables = generate_synthetic(spec, seed=seed)
+    state = build_state(schema, tables, BuildConfig(
+        bin_count=draw(st.integers(1, 6)), top_k=draw(st.integers(0, 4))))
+    discover_correlations(state, tables)
+    return state, tables, spec, seed
+
+
+def snapshot(state):
+    """The state document, and every 1D histogram's containers as item
+    lists with value types (a document writes them sorted, as int64)."""
+    return (canonical(state_to_document(state)),
+            {name: [[(k, type(v), v) for k, v in b.topk.items()]
+                     for b in h.bins] for name, h in state.hists1d.items()})
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_layout_states(), st.integers(0, 40), st.integers(0, 40),
+       st.sampled_from(["t1", "t2", "t3", "t4", "t5"]))
+def test_estimating_leaves_state_unchanged(built, a, b, table):
+    state, tables, spec, seed = built
+    lo, hi = min(a, b), max(a, b)
+    queries = [
+        # star with a key-column filter
+        "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+        f"AND t3.k1 = t1.k1 AND t1.k1 <= {a}",
+        # star with attribute filters that exclude correlated keys
+        "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+        f"AND t3.k1 = t1.k1 AND t2.y < {a} AND t3.y > {b}",
+        "SELECT COUNT(*) FROM t3, t4, t5 WHERE t4.k2 = t3.k2 "
+        f"AND t5.k3 = t4.k3 AND t5.y BETWEEN {lo} AND {hi}",
+        # star member into a chain, with both kinds of filter
+        "SELECT COUNT(*) FROM t1, t3, t4 WHERE t3.k1 = t1.k1 "
+        f"AND t4.k2 = t3.k2 AND t3.y >= {a} AND t4.k2 > {b}",
+        f"SELECT COUNT(*) FROM t2 WHERE t2.k1 < {b}",
+    ]
+    before = snapshot(state)
+    for sql in queries:
+        for use_djpcd in (True, False):
+            estimate(sql, state, use_djpcd=use_djpcd)
+    evaluate_workload(state, [(sql, None) for sql in queries])
+    discover_correlations(state, tables)
+    assert snapshot(state) == before
+
+    # the state still updates as a rebuild would: one batch into `table`,
+    # its rows whose keys all lie in their domains
+    batch = generate_synthetic(spec, seed=seed + 1)[1][table]
+    keep = np.ones(batch.row_count, dtype=bool)
+    for kc in state.key_columns(table):
+        dom = state.domains[state.domain_of(table, kc)]
+        keep &= (batch.columns[kc] >= dom.lo) & (batch.columns[kc] <= dom.hi)
+    batch = TableData(name=table,
+                      columns={c: v[keep] for c, v in batch.columns.items()},
+                      null_mask={c: v[keep] for c, v in batch.null_mask.items()},
+                      row_count=int(keep.sum()))
+    assert apply_rows(state, table, batch) == (batch.row_count, 0)
+    taken = {(t, kc): tables[t].columns[kc] for t, kc in state.hists1d}
+    for kc in state.key_columns(table):
+        taken[(table, kc)] = np.concatenate([taken[(table, kc)],
+                                             batch.columns[kc]])
+    assert_update_equals_rebuild(state, taken)
 
 
 def checked_entries(doc):
