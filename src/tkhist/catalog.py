@@ -128,18 +128,12 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
                                       f"table {tname!r}: 'file'"),
             columns=tuple(cols)))
 
-    given = doc.get("categorical_threshold", DEFAULT_CATEGORICAL_THRESHOLD)
-    try:
-        threshold = None if isinstance(given, bool) else int(given)
-    except (TypeError, ValueError):
-        threshold = None
-    if threshold is None:
-        raise SchemaError("categorical_threshold must be an integer, got "
-                          f"{given!r}")
     schema = Schema(
         tables=tables,
         foreign_keys=[],
-        categorical_threshold=threshold,
+        categorical_threshold=_typed(
+            doc.get("categorical_threshold", DEFAULT_CATEGORICAL_THRESHOLD),
+            int, "schema 'categorical_threshold'"),
         base_dir=base_dir,
         document=doc,
     )
@@ -167,19 +161,24 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
                     raise SchemaError(
                         f"template references missing column {endpoint!r}")
             edges.append((a, b))
-        _check_template_acyclic(edges)
+        cycle = first_cycle_edge(edges)
+        if cycle is not None:
+            raise SchemaError(f"cyclic template: edge {cycle[0]}={cycle[1]} "
+                              "closes a cycle")
         schema.templates.append(edges)
 
     return schema
 
 
-_JSON_NAMES = {list: "a list", str: "a string", bool: "a boolean"}
+_JSON_NAMES = {list: "a list", str: "a string", bool: "a boolean",
+               int: "an integer"}
 
 
 def _typed(value, kind: type, what: str):
     """`value`, or a SchemaError naming the entry `what` if it is not a
-    `kind`."""
-    if not isinstance(value, kind):
+    `kind` (a boolean is not an integer here)."""
+    if not isinstance(value, kind) or (isinstance(value, bool)
+                                       and kind is not bool):
         raise SchemaError(f"{what} is not {_JSON_NAMES[kind]}: {value!r}")
     return value
 
@@ -201,14 +200,18 @@ def find_root(parent: dict, x):
     return x
 
 
-def _check_template_acyclic(edges: list[tuple[str, str]]) -> None:
+def first_cycle_edge(edges) -> tuple[str, str] | None:
+    """The first join edge (a pair of `table.column` references) whose
+    tables the edges before it already connect, a self-join edge included;
+    None when the edges join their tables as a forest."""
     parent: dict[str, str] = {}
     for a, b in edges:
         ra = find_root(parent, a.split(".")[0])
         rb = find_root(parent, b.split(".")[0])
         if ra == rb:
-            raise SchemaError(f"cyclic template: edge {a}={b} closes a cycle")
+            return a, b
         parent[ra] = rb
+    return None
 
 
 @dataclass
@@ -504,21 +507,11 @@ def set_domain_boundaries(domains: list[KeyDomain],
             for t, c in map(split_qualified, dom.columns)), bin_count)
 
 
-def classify_columns(data: TableData, tdef: TableDef,
-                     threshold: int) -> dict[str, str]:
-    """Classify non-key columns as 'categorical' or 'numeric'.
-
-    A column is categorical iff it is declared so (kind or manual flag) or its
-    distinct-value count falls below the threshold.  Manual declarations win.
-    """
-    out = {}
-    for cdef in tdef.columns:
-        if cdef.role == ROLE_KEY:
-            continue
-        if cdef.kind == KIND_CATEGORICAL or cdef.categorical:
-            out[cdef.name] = "categorical"
-        elif data.distinct_count(cdef.name) < threshold:
-            out[cdef.name] = "categorical"
-        else:
-            out[cdef.name] = "numeric"
-    return out
+def categorical_columns(data: TableData, tdef: TableDef,
+                        threshold: int) -> list[str]:
+    """The non-key columns that are categorical: those declared so (kind or
+    manual flag), and those with fewer distinct values than the threshold.
+    Every other column is numeric."""
+    return [c.name for c in tdef.columns if c.role != ROLE_KEY and (
+        c.kind == KIND_CATEGORICAL or c.categorical
+        or data.distinct_count(c.name) < threshold)]

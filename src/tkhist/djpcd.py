@@ -47,11 +47,12 @@ def collect_dominant_keys(group_composites: list[CompositeHist]) -> dict[str, se
 def build_correlation_map(schema: Schema,
                           tables: dict[str, TableData],
                           column_domain: dict[str, str],
-                          column_class: dict[tuple[str, str], str],
+                          categorical,
                           dominant_by_domain: dict[str, set]) -> dict:
     """Group each table's rows carrying dominant keys by key and record
-    per-key attribute envelopes.
-    Returns {(table, domain_id, attr): {key: env}}.
+    per-key attribute envelopes: a value set for a column of `categorical`
+    (a collection of (table, column) pairs) that holds strings, a range
+    otherwise.  Returns {(table, domain_id, attr): {key: env}}.
 
     Membership is decided once per distinct key with Python set semantics,
     so an INTEGER key 3 and a REAL key 3.0 of one domain match, and integers
@@ -81,8 +82,7 @@ def build_correlation_map(schema: Schema,
                 env_by_key = _scan_attribute(
                     data.columns[cdef.name], data.null_mask[cdef.name],
                     keys, key_id, rows,
-                    categorical=column_class.get(
-                        (tdef.name, cdef.name)) == "categorical"
+                    categorical=(tdef.name, cdef.name) in categorical
                     and data.columns[cdef.name].dtype == object)
                 if env_by_key:
                     cmap[(tdef.name, dom, cdef.name)] = env_by_key

@@ -238,28 +238,9 @@ def discover_correlations(state: EstimatorState,
         composites.extend(record.values())
     dominant = djpcd.collect_dominant_keys(composites)
     state.correlations = djpcd.build_correlation_map(
-        state.schema, tables, state.column_domain, state.column_class,
+        state.schema, tables, state.column_domain, state.freq_hists.keys(),
         dominant)
     return state.correlations
-
-
-# ---------------------------------------------------------------------------
-# accuracy guarantees
-
-def error_bound_check(hist, epsilon: float) -> list[bool]:
-    """Per-bin check that sqrt(bin_count) * NV / |bin| stays below epsilon.
-
-    Bins whose background is a vanishing share of a large bin admit a relative
-    error bound on bin-wise join estimates; this reports which bins qualify.
-    """
-    if hist.total_rows <= 0:
-        raise EstimationError("error bound is undefined for an empty histogram")
-    root_n = math.sqrt(len(hist.bins))
-    out = []
-    for b in hist.bins:
-        total = b.total()
-        out.append(bool(total > 0 and root_n * b.nv / total < epsilon))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +336,15 @@ def evaluate_workload(state: EstimatorState,
     lat = [r.latency_ms for r in ok]
 
     def pct(p):
-        return float(np.percentile(qerrs, p)) if qerrs else None
+        """numpy's linear percentile, or inf where it gives an infinite
+        q-error some weight (numpy's arithmetic would read inf - inf)."""
+        if not qerrs:
+            return None
+        q = np.asarray(qerrs, dtype=np.float64)
+        inf = np.isinf(q)
+        if np.percentile(inf.astype(np.float64), p) > 0:
+            return math.inf
+        return float(np.percentile(np.where(inf, q[~inf].max(), q), p))
 
     summary = WorkloadSummary(
         queries=len(reports), failed=len(reports) - len(ok),

@@ -48,7 +48,6 @@ class TKHist1D:
     domain: KeyDomain
     bins: list[Bin1D]
     total_rows: int
-    k: int
     background: np.ndarray
     background_offsets: np.ndarray  # int64, bin_count + 1 entries
 
@@ -134,7 +133,7 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
                                         ranked_counts[lo:cut])),
                           nv=sum(ranked_counts[cut:hi])))
     # unique keys are sorted, hence so are their bins
-    return TKHist1D(domain=domain, bins=bins, total_rows=len(values), k=k,
+    return TKHist1D(domain=domain, bins=bins, total_rows=len(values),
                     background=keys[in_background],
                     background_offsets=_offsets(idx[in_background],
                                                 domain.bin_count))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-from .catalog import KIND_CATEGORICAL, KIND_INTEGER, Schema, find_root
+from .catalog import KIND_CATEGORICAL, KIND_INTEGER, Schema, first_cycle_edge
 from .errors import (CyclicJoinError, ParseError, PlanError,
                      UnsupportedQueryError)
 from .predicate import Predicate
@@ -258,15 +258,13 @@ def _coerce_operand(p: Predicate, kind: str):
 
 def validate_acyclic(query: Query) -> None:
     """Reject queries whose join multigraph contains a cycle."""
-    parent: dict[str, str] = {}
-    for a, b in query.join_edges:
-        aa, ab = a.split(".")[0], b.split(".")[0]
-        if aa == ab:
-            raise CyclicJoinError(f"self-join edge {a} = {b}")
-        ra, rb = find_root(parent, aa), find_root(parent, ab)
-        if ra == rb:
-            raise CyclicJoinError(f"cyclic join detected at edge {a} = {b}")
-        parent[ra] = rb
+    cycle = first_cycle_edge(query.join_edges)
+    if cycle is None:
+        return
+    a, b = cycle
+    if a.split(".")[0] == b.split(".")[0]:
+        raise CyclicJoinError(f"self-join edge {a} = {b}")
+    raise CyclicJoinError(f"cyclic join detected at edge {a} = {b}")
 
 
 @dataclass

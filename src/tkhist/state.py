@@ -3,20 +3,23 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 4 stores each 1D histogram as
+same state twice is byte-identical.  Version 5 stores each 1D histogram as
 flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
 cells and each correlation-map section as columns; every numeric array is one
-packed string (`_pack`), and sorted integer arrays are delta-coded.  Loading
-checks the type of every entry and every length, offset and cell against the
-bins it describes; older versions are rejected.
+packed string (`_pack`), and sorted integer arrays are delta-coded.
+Loading derives what the file leaves out: domain members from the schema, a
+histogram's domain from the key column in its name, a key attribute axis
+from its domain, a row total from its bins (the bin-mass identity), a
+column's class from whether it has a `freq` entry.  A grid's `shape` is kept
+as a check on its axis.  Loading checks the type of every entry, the sign of
+every count and every length, offset and cell; older versions are rejected.
 
 Each table owns some entries of the document: its `hists1d` and `freq`
 entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
 its `correlations` sections (`table|domain|attr`) and `table_rows[table]`.
-Every other entry (config, schema, domains, column classes) is global.  A
-batch update changes only its table's entries, so `save_state(..., table=)`
-encodes just those and copies the rest from the file the state was loaded
-from.
+Every other entry (config, schema, domains) is global.  A batch update
+changes only its table's entries, so `save_state(..., table=)` encodes just
+those and copies the rest from the file the state was loaded from.
 """
 from __future__ import annotations
 
@@ -39,7 +42,7 @@ from .histcore import (AttrBinning, Bin1D, TKHist1D, TKHist2D,
                        categorical_binning, domain_binning, numeric_binning)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 4
+STATE_VERSION = 5
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -59,15 +62,11 @@ class EstimatorState:
     column_domain: dict[str, str]  # "table.column" -> domain id
     hists1d: dict[tuple[str, str], TKHist1D]
     hists2d: dict[tuple[str, str, str], TKHist2D]
-    freq_hists: dict[tuple[str, str], dict]
-    column_class: dict[tuple[str, str], str]
+    freq_hists: dict[tuple[str, str], dict]  # the categorical columns
     table_rows: dict[str, int]
     # {(table, domain_id, attr): {key: envelope}}, an envelope being
     # ("range", lo, hi) or ("set", frozenset); built by djpcd
     correlations: dict | None = None
-
-    def domain_of(self, table: str, column: str) -> str | None:
-        return self.column_domain.get(f"{table}.{column}")
 
     def key_columns(self, table: str) -> list[str]:
         tdef = self.schema.table(table)
@@ -89,64 +88,52 @@ def build_state(schema: Schema, tables: dict[str, TableData],
                                   config.bin_count)
     column_domain = {c: d.id for d in domains.values() for c in d.columns}
 
-    column_class: dict[tuple[str, str], str] = {}
     hists1d: dict[tuple[str, str], TKHist1D] = {}
     hists2d: dict[tuple[str, str, str], TKHist2D] = {}
     freq_hists: dict[tuple[str, str], dict] = {}
     table_rows: dict[str, int] = {}
 
     for tdef in schema.tables:
-        data = tables[tdef.name]
-        table_rows[tdef.name] = data.row_count
-        for name, cls in catalog.classify_columns(
-                data, tdef, schema.categorical_threshold).items():
-            column_class[(tdef.name, name)] = cls
-        # orphan key columns (no FK edge) behave like numeric attributes
-        for cdef in tdef.columns:
-            if (cdef.role == catalog.ROLE_KEY
-                    and f"{tdef.name}.{cdef.name}" not in column_domain):
-                column_class[(tdef.name, cdef.name)] = "numeric"
-
-        key_cols = [c.name for c in tdef.columns
-                    if f"{tdef.name}.{c.name}" in column_domain]
-        for kc in key_cols:
-            dom = domains[column_domain[f"{tdef.name}.{kc}"]]
-            hists1d[(tdef.name, kc)] = build_tkhist1d(
+        t, data = tdef.name, tables[tdef.name]
+        table_rows[t] = data.row_count
+        # a column is categorical exactly when it has a frequency histogram
+        for name in catalog.categorical_columns(
+                data, tdef, schema.categorical_threshold):
+            freq_hists[(t, name)] = build_frequency_hist(
+                data.columns[name], data.null_mask[name])
+        key_domain = {c.name: domains[column_domain[f"{t}.{c.name}"]]
+                      for c in tdef.columns
+                      if f"{t}.{c.name}" in column_domain}
+        for kc, dom in key_domain.items():
+            hists1d[(t, kc)] = build_tkhist1d(
                 data.columns[kc], dom, config.top_k,
                 null_mask=data.null_mask[kc])
             for cdef in tdef.columns:
-                if cdef.name == kc:
-                    continue
-                binning = _attr_binning(tdef.name, cdef, data, domains,
-                                        column_domain, column_class,
-                                        config.bin_count)
-                hists2d[(tdef.name, kc, cdef.name)] = build_tkhist2d(
-                    data.columns[kc], data.columns[cdef.name], dom, binning,
-                    key_nulls=data.null_mask[kc],
-                    attr_nulls=data.null_mask[cdef.name])
-
-        for cdef in tdef.columns:
-            if column_class.get((tdef.name, cdef.name)) == "categorical":
-                freq_hists[(tdef.name, cdef.name)] = build_frequency_hist(
-                    data.columns[cdef.name], data.null_mask[cdef.name])
+                if cdef.name != kc:
+                    hists2d[(t, kc, cdef.name)] = build_tkhist2d(
+                        data.columns[kc], data.columns[cdef.name], dom,
+                        _attr_binning(cdef, data, key_domain.get(cdef.name),
+                                      (t, cdef.name) in freq_hists,
+                                      config.bin_count),
+                        key_nulls=data.null_mask[kc],
+                        attr_nulls=data.null_mask[cdef.name])
 
     return EstimatorState(
         schema=schema, config=config, domains=domains,
         column_domain=column_domain, hists1d=hists1d, hists2d=hists2d,
-        freq_hists=freq_hists, column_class=column_class,
-        table_rows=table_rows, correlations=None)
+        freq_hists=freq_hists, table_rows=table_rows, correlations=None)
 
 
-def _attr_binning(table: str, cdef, data: TableData, domains, column_domain,
-                  column_class, bin_count: int) -> AttrBinning:
-    qual = f"{table}.{cdef.name}"
-    if qual in column_domain:
-        return domain_binning(domains[column_domain[qual]],
-                              integer=cdef.kind == catalog.KIND_INTEGER)
-    if column_class.get((table, cdef.name)) == "categorical":
+def _attr_binning(cdef, data: TableData, attr_domain: KeyDomain | None,
+                  categorical: bool, bin_count: int) -> AttrBinning:
+    """A key column's domain bins, one bin per value of a categorical
+    column, or else `bin_count` bins over the column's values."""
+    integer = cdef.kind == catalog.KIND_INTEGER
+    if attr_domain is not None:
+        return domain_binning(attr_domain, integer)
+    if categorical:
         return categorical_binning(data.non_null(cdef.name))
-    return numeric_binning(data.non_null(cdef.name), bin_count,
-                           integer=cdef.kind == catalog.KIND_INTEGER)
+    return numeric_binning(data.non_null(cdef.name), bin_count, integer)
 
 
 def ingest_all(schema: Schema) -> dict[str, TableData]:
@@ -167,7 +154,7 @@ def apply_rows(state: EstimatorState, table: str,
     key_cols = state.key_columns(table)
     accept = np.ones(data.row_count, dtype=bool)
     for kc in key_cols:
-        dom = state.domains[state.domain_of(table, kc)]
+        dom = state.domains[state.column_domain[f"{table}.{kc}"]]
         v = data.columns[kc].astype(np.float64)
         accept &= data.null_mask[kc] | ((v >= dom.lo) & (v <= dom.hi))
     valid = {c.name: accept & ~data.null_mask[c.name] for c in tdef.columns}
@@ -215,9 +202,9 @@ def _pack(values, delta: bool = False) -> str:
 
 
 def _unpack(doc: dict, where: str, name: str, tag: str | None = "i8",
-           delta: bool = False) -> np.ndarray:
+           delta: bool = False, counts: bool = False) -> np.ndarray:
     """The array that `_pack` wrote to `doc[name]`, with dtype tag `tag`
-    (either tag if None)."""
+    (either tag if None); with `counts`, none of its values negative."""
     found, _, body = _get(doc, where, name, "a string").partition(":")
     if found not in _STORED or tag not in (None, found):
         raise StateError(f"{where}: {name!r} has dtype tag {found!r}, "
@@ -231,6 +218,8 @@ def _unpack(doc: dict, where: str, name: str, tag: str | None = "i8",
         raise StateError(f"{where}: {name!r} unpacks to {len(raw)} bytes, "
                          f"not a multiple of 8")
     values = np.frombuffer(raw, _STORED[found]).astype(found)
+    if counts and np.any(values < 0):
+        raise StateError(f"{where}: {name!r} has a negative count")
     return np.cumsum(values) if delta and found == "i8" else values
 
 
@@ -246,8 +235,6 @@ _KINDS = {  # what a document entry must be, by the words naming it in errors
     "a finite number": lambda v: (type(v) in (int, float)
                                   and -math.inf < v < math.inf),
     "a scalar": lambda v: type(v) in (str, int, float),
-    "a column class": lambda v: v in ("numeric", "categorical"),
-    "a list of strings": lambda v: _list_of(v, _KINDS["a string"]),
     "a list of scalars": lambda v: _list_of(v, _KINDS["a scalar"]),
     "a list of scalar lists": lambda v: _list_of(
         v, _KINDS["a list of scalars"]),
@@ -281,8 +268,7 @@ def _hist1d_doc(h: TKHist1D) -> dict:
     counts = np.asarray([c for b in h.bins for c in b.topk.values()],
                         dtype=np.int64)
     order = np.lexsort((keys, -counts, np.repeat(np.arange(len(sizes)), sizes)))
-    return {"domain": h.domain.id, "k": h.k, "total_rows": h.total_rows,
-            "topk_keys": _pack(keys[order]),
+    return {"topk_keys": _pack(keys[order]),
             "topk_counts": _pack(counts[order]),
             "topk_offsets": _pack(np.cumsum([0, *sizes])),
             "nv": _pack([b.nv for b in h.bins]),
@@ -292,13 +278,14 @@ def _hist1d_doc(h: TKHist1D) -> dict:
 
 def _hist2d_doc(h: TKHist2D) -> dict:
     """The grid's non-zero cells (flat indices) and their counts; a numeric
-    attribute axis is its lo, hi and bin count."""
+    attribute axis is its key domain's id, or else its lo, hi and bin
+    count."""
     a, flat = h.attr, h.grid.ravel()
     cells = np.flatnonzero(flat)
     axis = ({"values": list(a.values)} if a.kind == "categorical" else
-            {"lo": a.lo, "hi": a.hi, "bin_count": a.bin_count,
-             "attr_domain": a.attr_domain_id})
-    return {"domain": h.key_domain.id, "shape": list(h.grid.shape),
+            {"attr_domain": a.attr_domain_id} if a.attr_domain_id else
+            {"lo": a.lo, "hi": a.hi, "bin_count": a.bin_count})
+    return {"shape": list(h.grid.shape),
             "attr": {"kind": a.kind, "integer": a.integer, **axis},
             "cells": _pack(cells, delta=True), "counts": _pack(flat[cells])}
 
@@ -364,11 +351,8 @@ def _global_entries(state: EstimatorState) -> dict:
         "config": asdict(state.config),
         "schema": state.schema.document,
         "schema_base_dir": state.schema.base_dir,
-        "domains": {d.id: {"columns": sorted(d.columns), "lo": d.lo,
-                           "hi": d.hi, "bin_count": d.bin_count}
+        "domains": {d.id: {"lo": d.lo, "hi": d.hi, "bin_count": d.bin_count}
                     for d in state.domains.values()},
-        "column_class": {f"{t}.{c}": cls
-                         for (t, c), cls in state.column_class.items()},
     }
 
 
@@ -462,18 +446,18 @@ def state_from_document(doc: dict) -> EstimatorState:
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
-    if version in (1, 2, 3):
+    if version in (1, 2, 3, 4):
         raise StateError(f"state version {version} is no longer read; "
                          f"rebuild the state with `tkhist build`")
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v4(doc)
+        return _state_from_v5(doc)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v4(doc: dict) -> EstimatorState:
+def _state_from_v5(doc: dict) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")
@@ -482,32 +466,43 @@ def _state_from_v4(doc: dict) -> EstimatorState:
     config = BuildConfig(bin_count=bin_count, top_k=top_k)
     schema = catalog.schema_from_document(schema_doc, base_dir=base_dir)
 
-    domains: dict[str, KeyDomain] = {}
-    for did, d in _entries(doc, "domains"):
-        columns, lo, hi, n = _fields(
-            d, f"domain {did!r}", columns="a list of strings",
-            lo="a finite number", hi="a finite number", bin_count="a count")
-        domains[did] = KeyDomain(id=did, columns=frozenset(columns))
-        domains[did].set_boundaries(lo, hi, n)
+    domains = {d.id: d for d in catalog.infer_key_domains(schema)}
+    bounds = dict(_entries(doc, "domains"))
+    if sorted(bounds) != sorted(domains):
+        raise StateError(f"domains {sorted(bounds)} are not the schema's "
+                         f"key domains {sorted(domains)}")
+    for did, d in bounds.items():
+        domains[did].set_boundaries(*_fields(
+            d, f"domain {did!r}", lo="a finite number", hi="a finite number",
+            bin_count="a count"))
     column_domain = {c: d.id for d in domains.values() for c in d.columns}
+    key_domains = {c: domains[did] for c, did in column_domain.items()}
+
+    def key_domain(where: str, qual: str) -> KeyDomain:
+        if qual not in key_domains:
+            raise StateError(f"{where}: {qual!r} is not a key column")
+        return key_domains[qual]
 
     hists1d = {}
     for qual, h in _entries(doc, "hists1d"):
+        where = f"1D histogram {qual!r}"
+        dom = key_domain(where, qual)
         t, c = split_qualified(qual)
         integer = schema.table(t).column(c).kind == catalog.KIND_INTEGER
-        hists1d[(t, c)] = _hist1d_from_doc(f"1D histogram {qual!r}", h,
-                                           domains, "i8" if integer else "f8")
+        hists1d[(t, c)] = _hist1d_from_doc(where, h, dom,
+                                           "i8" if integer else "f8")
     hists2d = {}
     for name, h in _entries(doc, "hists2d"):
+        where = f"2D histogram {name!r}"
         qual, _, attr = name.partition("|")
+        dom = key_domain(where, qual)
         t, c = split_qualified(qual)
-        hists2d[(t, c, attr)] = _hist2d_from_doc(f"2D histogram {name!r}", h,
-                                                 domains)
+        binning = _binning_from_doc(f"{where} attr", _get(h, where, "attr"),
+                                    key_domains.get(f"{t}.{attr}"))
+        hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, binning)
 
     freq = {split_qualified(qual): dict(items) for qual, items
             in _entries(doc, "freq", "a list of [value, count] pairs")}
-    column_class = {split_qualified(qual): cls for qual, cls
-                    in _entries(doc, "column_class", "a column class")}
     table_rows = dict(_entries(doc, "table_rows", "a count"))
     if sorted(table_rows) != sorted(t.name for t in schema.tables):
         raise StateError("table_rows does not name each schema table once")
@@ -525,8 +520,7 @@ def _state_from_v4(doc: dict) -> EstimatorState:
     return EstimatorState(schema=schema, config=config, domains=domains,
                           column_domain=column_domain, hists1d=hists1d,
                           hists2d=hists2d, freq_hists=freq,
-                          column_class=column_class, table_rows=table_rows,
-                          correlations=correlations)
+                          table_rows=table_rows, correlations=correlations)
 
 
 def _entries(doc: dict, section: str, kind: str = "an object") -> list:
@@ -535,19 +529,11 @@ def _entries(doc: dict, section: str, kind: str = "an object") -> list:
     return [(name, _get(sec, section, name, kind)) for name in sec]
 
 
-def _domain(domains: dict, doc: dict, where: str, name: str) -> KeyDomain:
-    did = _get(doc, where, name, "a string")
-    if did not in domains:
-        raise StateError(f"{where}: {name!r} names unknown domain {did!r}")
-    return domains[did]
-
-
-def _hist1d_from_doc(where: str, h: dict, domains: dict,
+def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,
                      tag: str) -> TKHist1D:
-    dom = _domain(domains, h, where, "domain")
-    k, total_rows = _fields(h, where, k="a count", total_rows="a count")
-    keys, counts, nv = (_unpack(h, where, name, t) for name, t in (
-        ("topk_keys", tag), ("topk_counts", "i8"), ("nv", "i8")))
+    keys = _unpack(h, where, "topk_keys", tag)
+    counts, nv = (_unpack(h, where, name, counts=True)
+                  for name in ("topk_counts", "nv"))
     background = _unpack(h, where, "background", tag, delta=True)
     n = dom.bin_count
     if len(nv) != n:
@@ -560,10 +546,11 @@ def _hist1d_from_doc(where: str, h: dict, domains: dict,
                                len(background))
     if np.any(background[1:] <= background[:-1]):
         raise StateError(f"{where} has unsorted background keys")
-    keys, counts = keys.tolist(), counts.tolist()
+    keys, counts, nv = keys.tolist(), counts.tolist(), nv.tolist()
     bins = [Bin1D(topk=dict(zip(keys[lo:hi], counts[lo:hi])), nv=v)
-            for lo, hi, v in zip(tk[:-1], tk[1:], nv.tolist())]
-    return TKHist1D(domain=dom, bins=bins, total_rows=total_rows, k=k,
+            for lo, hi, v in zip(tk[:-1], tk[1:], nv)]
+    # the bin-mass identity: every row is in a container or in NV
+    return TKHist1D(domain=dom, bins=bins, total_rows=sum(nv) + sum(counts),
                     background=background, background_offsets=offsets)
 
 
@@ -578,16 +565,14 @@ def _checked_offsets(where: str, h: dict, field: str, bin_count: int,
     return offsets
 
 
-def _hist2d_from_doc(where: str, h: dict, domains: dict) -> TKHist2D:
-    dom = _domain(domains, h, where, "domain")
-    binning = _binning_from_doc(f"{where} attr", _get(h, where, "attr"),
-                                domains)
+def _hist2d_from_doc(where: str, h: dict, dom: KeyDomain,
+                     binning: AttrBinning) -> TKHist2D:
     shape = (dom.bin_count, binning.n_bins)
     if h.get("shape") != list(shape):
         raise StateError(f"{where} has shape {h.get('shape')}, "
                          f"expected {list(shape)}")
     cells = _unpack(h, where, "cells", delta=True)
-    counts = _unpack(h, where, "counts")
+    counts = _unpack(h, where, "counts", counts=True)
     if len(counts) != len(cells):
         raise StateError(f"{where} has {len(cells)} cells "
                          f"and {len(counts)} counts")
@@ -600,20 +585,25 @@ def _hist2d_from_doc(where: str, h: dict, domains: dict) -> TKHist2D:
     return TKHist2D(key_domain=dom, attr=binning, grid=grid)
 
 
-def _binning_from_doc(where: str, a: dict, domains: dict) -> AttrBinning:
+def _binning_from_doc(where: str, a: dict,
+                      attr_domain: KeyDomain | None) -> AttrBinning:
+    """The axis `a` of an attribute in `attr_domain`, or in no key domain."""
     kind, integer = _fields(a, where, kind="a string", integer="a boolean")
+    did = attr_domain and attr_domain.id
+    if a.get("attr_domain") != did:
+        raise StateError(f"{where}: attr_domain {a.get('attr_domain')!r} "
+                         f"is not the attribute's key domain {did!r}")
     if kind == "categorical":
         return AttrBinning(kind=kind, integer=integer, values=list(
             _get(a, where, "values", "a list of scalars")))
     if kind != "numeric":
         raise StateError(f"{where} has unknown kind {kind!r}")
+    if attr_domain is not None:
+        return domain_binning(attr_domain, integer)
     lo, hi, n = _fields(a, where, lo="a finite number", hi="a finite number",
                         bin_count="a count")
-    attr_domain = a.get("attr_domain")
-    if attr_domain is not None:
-        _domain(domains, a, where, "attr_domain")
     return AttrBinning(kind=kind, integer=integer, lo=float(lo), hi=float(hi),
-                       bin_count=n, attr_domain_id=attr_domain)
+                       bin_count=n)
 
 
 def _envelopes_from_doc(where: str, sec: dict) -> dict:

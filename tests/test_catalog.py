@@ -70,7 +70,7 @@ class TestSchema:
         (lambda d: d["foreign_keys"][1].pop("to"),
          r"^foreign key \{'from': 't3.k'\} has no 'to'"),
         (lambda d: d.update(categorical_threshold="abc"),
-         "categorical_threshold must be an integer, got 'abc'"),
+         r"^schema 'categorical_threshold' is not an integer: 'abc'"),
     ], ids=["table-name", "column-name", "fk-from", "fk-to", "threshold"])
     def test_malformed_entry_is_schema_error(self, breaks, match):
         doc = star_doc()
@@ -101,10 +101,14 @@ class TestSchema:
         (lambda d: d.update(templates=[[["t1.k=t2.k"]]]),
          r"^template edge is not a string"),
         (lambda d: d.update(categorical_threshold=True),
-         "categorical_threshold must be an integer, got True"),
+         r"^schema 'categorical_threshold' is not an integer: True"),
+        (lambda d: d.update(categorical_threshold=3.7),
+         r"^schema 'categorical_threshold' is not an integer: 3.7"),
+        (lambda d: d.update(categorical_threshold="12"),
+         r"^schema 'categorical_threshold' is not an integer: '12'"),
     ], ids=["tables", "columns", "table-name", "column-name", "categorical",
             "file", "fks", "fk-to", "templates", "template", "edge",
-            "bool-threshold"])
+            "bool-threshold", "real-threshold", "string-threshold"])
     def test_wrong_typed_entry_is_schema_error(self, breaks, match):
         doc = star_doc()
         breaks(doc)
@@ -463,15 +467,15 @@ class TestClassification:
         schema = two_table_schema()
         data = make_table("r", {"k": list(range(50)),
                                 "y": list(range(50))})
-        cls = catalog.classify_columns(data, schema.table("r"), threshold=10)
-        assert cls["y"] == "numeric"
-        cls = catalog.classify_columns(data, schema.table("r"), threshold=100)
-        assert cls["y"] == "categorical"
+        assert catalog.categorical_columns(
+            data, schema.table("r"), threshold=10) == []
+        assert catalog.categorical_columns(
+            data, schema.table("r"), threshold=100) == ["y"]
 
     def test_declared_categorical_wins(self):
         doc = {"tables": [{"name": "t", "columns": [
             {"name": "c", "kind": "integer", "categorical": True}]}]}
         schema = schema_from_document(doc)
         data = make_table("t", {"c": list(range(5000))})
-        cls = catalog.classify_columns(data, schema.table("t"), threshold=10)
-        assert cls["c"] == "categorical"
+        assert catalog.categorical_columns(
+            data, schema.table("t"), threshold=10) == ["c"]

@@ -56,7 +56,7 @@ class TestBuildEstimate:
     def test_state_without_sections_is_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"magic": "TKHIST-STATE-v1",
-                                     "version": 4}))
+                                     "version": 5}))
         rc = main(["estimate", "--state", str(state),
                    "SELECT COUNT(*) FROM t1"])
         assert rc == 2
@@ -279,7 +279,7 @@ class TestNaNCells:
     def test_nan_leaves_numeric_binning_finite(self, tmp_path):
         rows = [(i % 10, i * 0.25) for i in range(2999)] + [(3, "nan")]
         st, _ = self.write(tmp_path, rows)
-        assert st.column_class[("r", "y")] == "numeric"
+        assert ("r", "y") not in st.freq_hists  # numeric
         h = st.hists2d[("r", "k", "y")]
         assert (h.attr.lo, h.attr.hi) == (0.0, 749.5)
         assert h.grid.sum() == 2999
@@ -288,7 +288,7 @@ class TestNaNCells:
     def test_nan_skipped_by_categorical_build(self, tmp_path):
         rows = [(i % 10, float(i % 7)) for i in range(299)] + [(3, "NaN")]
         st, _ = self.write(tmp_path, rows)
-        assert st.column_class[("r", "y")] == "categorical"
+        assert ("r", "y") in st.freq_hists  # categorical
         assert st.freq_hists[("r", "y")] == {float(v): 43 if v < 5 else 42
                                              for v in range(7)}
         assert st.hists2d[("r", "k", "y")].grid.sum() == 299
@@ -296,7 +296,7 @@ class TestNaNCells:
     def test_update_with_nan_cell(self, tmp_path, capsys):
         st, state = self.write(tmp_path, [(1, 0.5), (3, 2.5), (5, 4.5)],
                                categorical_threshold=1)
-        assert st.column_class[("r", "y")] == "numeric"
+        assert ("r", "y") not in st.freq_hists  # numeric
         new = tmp_path / "new.csv"
         new.write_text("k,y\n2,nan\n4,1.5\n")
         assert main(["update", "--state", str(state), "--table", "r",

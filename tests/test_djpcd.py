@@ -17,7 +17,7 @@ from tkhist.state import BuildConfig, build_state
 from conftest import make_table, two_table_schema
 
 
-def reference_correlation_map(schema, tables, column_domain, column_class,
+def reference_correlation_map(schema, tables, column_domain, categorical,
                               dominant_by_domain):
     """Per-row envelope scan: the reference for the grouped pass.  NaN
     attribute values are skipped like nulls."""
@@ -37,22 +37,22 @@ def reference_correlation_map(schema, tables, column_domain, column_class,
                     continue
                 avals = data.columns[cdef.name]
                 amask = data.null_mask[cdef.name]
-                categorical = (column_class.get((tdef.name, cdef.name))
-                               == "categorical" and avals.dtype == object)
+                as_set = ((tdef.name, cdef.name) in categorical
+                          and avals.dtype == object)
                 env_by_key = {}
                 for i in hit:
                     a = _scalar(avals[i])
                     if amask[i] or a != a:
                         continue
                     key = _scalar(kvals[i])
-                    if categorical:
+                    if as_set:
                         env_by_key.setdefault(key, ("set", set()))[1].add(a)
                     elif key in env_by_key:
                         _, lo, hi = env_by_key[key]
                         env_by_key[key] = ("range", min(lo, a), max(hi, a))
                     else:
                         env_by_key[key] = ("range", a, a)
-                if categorical:
+                if as_set:
                     env_by_key = {k: ("set", frozenset(v))
                                   for k, (_, v) in env_by_key.items()}
                 if env_by_key:
@@ -155,7 +155,7 @@ class TestMapAndLookup:
         cmap = build_correlation_map(
             self.schema, self.tables,
             {"r.k": "r.k", "s.k": "r.k"},
-            {("r", "y"): "categorical", ("s", "y"): "categorical"},
+            {("r", "y"), ("s", "y")},
             {"r.k": {1, 2}})
         env = cmap[("r", "r.k", "y")]
         assert env[1] == ("range", 10, 11)
@@ -167,7 +167,7 @@ class TestMapAndLookup:
         tables = {"r": make_table("r", {"k": [1, 1, 2], "y": ys}),
                   "s": make_table("s", {"k": [1], "y": [0]})}
         cmap = build_correlation_map(
-            self.schema, tables, {"r.k": "r.k", "s.k": "r.k"}, {},
+            self.schema, tables, {"r.k": "r.k", "s.k": "r.k"}, set(),
             {"r.k": {1, 2}})
         assert cmap[("r", "r.k", "y")] == {1: ("range", 5.0, 5.0)}
 
@@ -182,8 +182,9 @@ class TestMapAndLookup:
         schema = mixed_kind_schema()
         column_domain = {"r.k": "r.k", "s.k": "r.k"}
         classes = [("a", a_class), ("x", "numeric"), ("c", "categorical")]
-        column_class = {(t, c): cls for t in ("r", "s") for c, cls in classes}
-        args = (schema, tables, column_domain, column_class,
+        categorical = {(t, c) for t in ("r", "s") for c, cls in classes
+                       if cls == "categorical"}
+        args = (schema, tables, column_domain, categorical,
                 {"r.k": dominant})
         cmap = build_correlation_map(*args)
         ref = reference_correlation_map(*args)

@@ -1,5 +1,6 @@
 import gc
 import math
+import warnings
 import weakref
 
 import numpy as np
@@ -8,11 +9,9 @@ import pytest
 from tkhist import estimator, oracle
 from tkhist.djpcd import find_excluded_keys
 from tkhist.errors import EstimationError, PlanError, TKHistError
-from tkhist.estimator import (discover_correlations, error_bound_check,
+from tkhist.estimator import (EstimationReport, discover_correlations,
                               estimate, evaluate_workload, parse_workload,
                               q_error, ratio, run_plan, sweep)
-from tkhist.histcore import build_tkhist1d
-from tkhist.catalog import KeyDomain
 from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state, save_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
@@ -110,25 +109,6 @@ class TestStateLifetime:
                 gc.enable()
 
 
-class TestErrorBound:
-    def test_per_bin_flags(self):
-        d = KeyDomain(id="t.k", columns=frozenset({"t.k"}))
-        d.set_boundaries(0, 20, 2)
-        # bin 0: heavy key captured, tiny background; bin 1: all background
-        vals = np.array([1] * 98 + [2, 3] + list(range(11, 21)))
-        h = build_tkhist1d(vals, d, k=1)
-        flags = error_bound_check(h, epsilon=0.1)
-        # sqrt(2)*2/100 = 0.028 < 0.1 ; sqrt(2)*9/10 = 1.27 >= 0.1
-        assert flags == [True, False]
-
-    def test_empty_histogram_rejected(self):
-        d = KeyDomain(id="t.k", columns=frozenset({"t.k"}))
-        d.set_boundaries(0, 1, 1)
-        h = build_tkhist1d(np.array([], dtype=np.int64), d, k=1)
-        with pytest.raises(EstimationError):
-            error_bound_check(h, 0.1)
-
-
 class TestWorkload:
     def test_parse_comments_blanks_truth(self, tmp_path):
         p = tmp_path / "wl.txt"
@@ -149,6 +129,42 @@ class TestWorkload:
         assert summary.median_q == pytest.approx(1.0)
         assert summary.failed == 0
         assert summary.mean_latency_ms > 0
+
+    def summary_of(self, monkeypatch, state, estimates):
+        """The summary of one query per estimate, each with truth 1, so
+        that each q-error is max(e, 1 / e), and inf for e = 0."""
+        values = iter(estimates)
+        monkeypatch.setattr(estimator, "estimate", lambda sql, st, use_djpcd:
+                            EstimationReport(query=sql, estimate=next(values),
+                                             latency_ms=1.0, used_djpcd=False))
+        entries = [("SELECT COUNT(*) FROM r", 1.0)] * len(estimates)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            return evaluate_workload(state, entries)[1]
+
+    @pytest.mark.parametrize("estimates, expected", [
+        ([1.0, 0.0], [math.inf] * 4),
+        ([0.0], [math.inf] * 4),
+        # p50 sits on the 2, the others between the 2 and the inf
+        ([1.0, 0.5, 0.0], [2.0, math.inf, math.inf, math.inf]),
+        # p50 and p90 sit on 6 and 10, with the inf next to the 10
+        ([float(e) for e in range(1, 11)] + [0.0],
+         [6.0, 10.0, math.inf, math.inf]),
+    ])
+    def test_percentiles_touching_inf_read_inf(self, monkeypatch, small_state,
+                                               estimates, expected):
+        summary = self.summary_of(monkeypatch, small_state[0], estimates)
+        got = [summary.median_q, summary.p90_q, summary.p95_q, summary.p99_q]
+        assert got == pytest.approx(expected)
+        assert summary.max_q == math.inf
+
+    def test_finite_percentiles_are_numpys(self, monkeypatch, small_state):
+        estimates = [1.0, 3.0, 0.25, 7.5, 1.1, 0.9, 40.0]
+        qerrs = [max(e, 1 / e) for e in estimates]
+        summary = self.summary_of(monkeypatch, small_state[0], estimates)
+        assert [summary.median_q, summary.p90_q, summary.p95_q,
+                summary.p99_q] == [float(np.percentile(qerrs, p))
+                                   for p in (50, 90, 95, 99)]
 
     def test_bad_query_reported_not_raised(self, small_state):
         state, _ = small_state

@@ -45,7 +45,7 @@ def reference_build_tkhist1d(values, domain, k, null_mask=None):
             b.nv += cnt
         background += sorted(key for key, _ in ranked[k:])
         offsets.append(len(background))
-    return TKHist1D(domain=domain, bins=bins, total_rows=total, k=k,
+    return TKHist1D(domain=domain, bins=bins, total_rows=total,
                     background=np.asarray(background, dtype=values.dtype),
                     background_offsets=np.asarray(offsets))
 

@@ -106,7 +106,7 @@ def save_bytes(state, path):
 def hists1d_of(state):
     """Every 1D histogram as plain values: containers, NV, totals and the
     background arrays with their dtype."""
-    return {name: (h.bins, h.total_rows, h.k, h.background.dtype,
+    return {name: (h.bins, h.total_rows, h.background.dtype,
                    h.background.tolist(), h.background_offsets.tolist())
             for name, h in state.hists1d.items()}
 
@@ -199,21 +199,33 @@ class TestFormat:
             # integer keys: the first key, then the gaps to the next
             assert h["background"].startswith("i8:")
             assert all(gap > 0 for gap in unpacked(h["background"])[1:])
-        # a numeric attribute axis is its lo, hi and bin count
-        axes = [h["attr"] for h in doc["hists2d"].values()
-                if h["attr"]["kind"] == "numeric"]
-        assert axes and all(
-            set(a) == {"kind", "integer", "lo", "hi", "bin_count",
-                       "attr_domain"} for a in axes)
+        # a numeric attribute axis is its key domain, or else its lo, hi
+        # and bin count
+        keyed = 0
+        for name, h in doc["hists2d"].items():
+            attr = f"{name.split('.')[0]}.{name.split('|')[1]}"
+            if attr in mixed_state.column_domain:
+                keyed += 1
+                assert h["attr"] == {
+                    "kind": "numeric", "integer": True,
+                    "attr_domain": mixed_state.column_domain[attr]}
+            elif h["attr"]["kind"] == "numeric":
+                assert set(h["attr"]) == {"kind", "integer", "lo", "hi",
+                                          "bin_count"}
+        assert keyed
 
     def test_v3_layout(self, built):
         # version 3's layout, with each numeric array packed as in version 4
+        # and without what version 5 derives on load
         state, tables = built
         discover_correlations(state, tables)
         doc = state_to_document(state)
-        assert doc["version"] == 4
-        h1 = {name: unpacked(blob) if isinstance(blob, str) else blob
-              for name, blob in doc["hists1d"]["r.k"].items() if name != "domain"}
+        assert doc["version"] == 5
+        assert doc["domains"] == {"r.k": {"lo": 1.0, "hi": 9.0,
+                                          "bin_count": 4}}
+        assert "column_class" not in doc
+        h1 = {name: unpacked(blob)
+              for name, blob in doc["hists1d"]["r.k"].items()}
         # r.k = [1, 1, 2, 5, 9] over 4 bins of width 2, k = 1
         assert h1["topk_keys"] == [1, 5, 9]
         assert h1["topk_counts"] == [2, 1, 1]
@@ -221,6 +233,7 @@ class TestFormat:
         assert h1["nv"] == [1, 0, 0, 0]
         assert (h1["background"], h1["background_offsets"]) == ([2], [0, 1, 1, 1, 1])
         h2 = doc["hists2d"]["r.k|y"]
+        assert set(h2) == {"shape", "attr", "cells", "counts"}
         assert h2["shape"] == [4, 4]  # y is categorical: 3, 4, 5, 6
         assert unpacked(h2["cells"]) == [0, 1, 9, 5]  # flat cells 0, 1, 10, 15
         assert unpacked(h2["counts"]) == [2, 1, 1, 1]
@@ -285,6 +298,38 @@ class TestErrors:
         with pytest.raises(StateError, match="shape"):
             state_from_document(doc)
 
+    def test_domains_other_than_the_schemas_rejected(self, built):
+        doc = state_to_document(built[0])
+        doc["domains"]["s.k"] = doc["domains"].pop("r.k")
+        with pytest.raises(StateError, match=re.escape(
+                "domains ['s.k'] are not the schema's key domains ['r.k']")):
+            state_from_document(doc)
+
+    @pytest.mark.parametrize("section, name, renamed", [
+        ("hists1d", "r.k", "r.y"), ("hists1d", "s.k", "s.z"),
+        ("hists2d", "r.k|y", "r.y|k"), ("hists2d", "s.k|y", "t.k|y")])
+    def test_histogram_not_on_a_key_column_rejected(self, built, section,
+                                                    name, renamed):
+        doc = state_to_document(built[0])
+        doc[section][renamed] = doc[section].pop(name)
+        qual = renamed.split("|")[0]
+        with pytest.raises(StateError, match=re.escape(
+                f"histogram {renamed!r}: {qual!r} is not a key column")):
+            state_from_document(doc)
+
+    def test_key_axis_off_its_domain_rejected(self, mixed_state):
+        doc = state_to_document(mixed_state)
+        name, h = next((name, h) for name, h in doc["hists2d"].items()
+                       if "attr_domain" in h["attr"])
+        others = sorted(set(doc["domains"]) - {h["attr"]["attr_domain"]})
+        for axis in ({**h["attr"], "attr_domain": others[0]},
+                     {"kind": "numeric", "integer": True, "lo": 0.0,
+                      "hi": 1.0, "bin_count": h["shape"][1]}):
+            h["attr"] = axis
+            with pytest.raises(StateError, match=re.escape(
+                    f"2D histogram {name!r} attr: attr_domain")):
+                state_from_document(doc)
+
     @pytest.fixture
     def doc(self, built):
         state, tables = built
@@ -335,7 +380,7 @@ class TestErrors:
         with pytest.raises(StateError, match=re.escape("'s|r.k|y' has columns of")):
             state_from_document(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_older_versions_rejected(self, doc, version):
         doc["version"] = version
         with pytest.raises(StateError, match=f"state version {version} is "
@@ -345,7 +390,8 @@ class TestErrors:
     @pytest.mark.parametrize("path, value, message", [
         (("hists1d", "r.k", "nv"), 5, "'r.k': 'nv' is not a string"),
         (("hists1d", "r.k", "topk_keys"), None, "'topk_keys' is not a string"),
-        (("hists1d", "r.k", "k"), "1", "'r.k': 'k' is not a count"),
+        (("hists1d", "r.k", "nv"), packed([1, 0, -5, 0]),
+         "'r.k': 'nv' has a negative count"),
         (("domains", "r.k", "bin_count"), "x", "'bin_count' is not a count"),
         (("domains", "r.k", "lo"), float("inf"), "'lo' is not a finite number"),
         (("hists2d", "r.k|y", "counts"), ["2", "1", "1", "1"],
@@ -361,7 +407,8 @@ class TestErrors:
         (("hists1d", "r.k", "nv"),
          "i8:" + base64.b64encode(zlib.compress(bytes(31))).decode(),
          "'nv' unpacks to 31 bytes, not a multiple of 8"),
-        (("hists1d", "r.k", "domain"), "nope", "unknown domain 'nope'"),
+        (("hists2d", "r.k|y", "counts"), packed([2, 1, -1, 1]),
+         "'r.k|y': 'counts' has a negative count"),
         (("hists2d", "r.k|y", "attr", "kind"), "ordinal", "unknown kind"),
         (("hists2d", "r.k|y", "attr", "integer"), 0,
          "'integer' is not a boolean"),
@@ -369,7 +416,8 @@ class TestErrors:
         (("table_rows", "t"), 3, "table_rows does not name each schema table"),
         (("freq", "r.y"), [[3, 2, 1]], "is not a list of \\[value, count\\] pairs"),
         (("freq", "r.y"), [[[3], 2]], "is not a list of \\[value, count\\] pairs"),
-        (("column_class", "r.y"), "ordinal", "'r.y' is not a column class"),
+        (("hists1d", "r.k", "topk_counts"), packed([2, -1, 1]),
+         "'r.k': 'topk_counts' has a negative count"),
         (("correlations", "r|r.k|y", "lo"), [3, 4, 6], "'lo' is not a string"),
         (("config", "top_k"), True, "'top_k' is not a count"),
         (("hists1d",), [], "'hists1d' is not an object"),
@@ -549,7 +597,7 @@ def updated_states(draw):
     state, base = draw(built_states())
     taken = {(t, "k"): [base[t].non_null("k")] for t in KINDS}
     for t, batch in draw(batch_lists()):
-        dom = state.domains[state.domain_of(t, "k")]
+        dom = state.domains[state.column_domain[f"{t}.k"]]
         keys = batch.columns["k"][~batch.null_mask["k"]]
         inserted, _ = apply_rows(state, t, batch)
         accepted = keys[(keys >= dom.lo) & (keys <= dom.hi)]
@@ -666,7 +714,7 @@ def test_estimating_leaves_state_unchanged(built, a, b, table):
     batch = generate_synthetic(spec, seed=seed + 1)[1][table]
     keep = np.ones(batch.row_count, dtype=bool)
     for kc in state.key_columns(table):
-        dom = state.domains[state.domain_of(table, kc)]
+        dom = state.domains[state.column_domain[f"{table}.{kc}"]]
         keep &= (batch.columns[kc] >= dom.lo) & (batch.columns[kc] <= dom.hi)
     batch = TableData(name=table,
                       columns={c: v[keep] for c, v in batch.columns.items()},
@@ -714,7 +762,7 @@ def corrupted_documents(draw):
     copies = []
     for path, value in checked_entries(json.loads(saved)):
         valid = {json_type(value)}
-        if path[-1] == "attr_domain" or path == ("correlations",):
+        if path == ("correlations",):
             valid |= {json_type(None), json_type(value)}
         corruptions = [st.sampled_from(
             [v for v in WRONG_VALUES if json_type(v) not in valid])]
@@ -730,6 +778,12 @@ def corrupted_documents(draw):
             if path[0] != "correlations":  # the other arrays have one dtype
                 swapped = {"i8": "f8", "f8": "i8"}[value[:2]]
                 corruptions += [st.just(swapped + value[2:])]
+            n = len(raw) // 8
+            if path[-1] in ("topk_counts", "nv", "counts") and n:
+                # one count negated, or -1 in place of a zero
+                corruptions += [st.integers(0, n - 1).map(
+                    lambda i: repacked(value, lambda v: [
+                        *v[:i], -v[i] or -1, *v[i + 1:]]))]
         if path[-1] in ("shape", "values") and isinstance(value, list):
             corruptions += [st.just([*value, value[-1] if value else 0])]
             if value:  # one element short, or one nested a level deeper

@@ -165,7 +165,7 @@ def _accepted(state, table, data):
     """Accepted rows of one batch, by the per-row domain check."""
     keep = np.ones(data.row_count, dtype=bool)
     for kc in state.key_columns(table):
-        dom = state.domains[state.domain_of(table, kc)]
+        dom = state.domains[state.column_domain[f"{table}.{kc}"]]
         for i in range(data.row_count):
             if not data.null_mask[kc][i]:
                 v = float(data.columns[kc][i])
@@ -223,7 +223,7 @@ def test_new_real_categorical_values_save_canonically(tmp_path):
                                     for v in (0, 10)])
             for t, cols in COLUMNS.items()}
     state = build_state(schema, base, BuildConfig(bin_count=2, top_k=1))
-    assert state.column_class[("s", "z")] == "categorical"
+    assert ("s", "z") in state.freq_hists  # categorical
     apply_rows(state, "s", table_data("s", COLUMNS["s"], [(1.0, 1, 1.5)]))
     # numpy float keys would sort by their repr, after every plain float
     assert [type(v) for v in state.freq_hists[("s", "z")]] == [float] * 3
