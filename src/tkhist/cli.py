@@ -51,6 +51,15 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
+def _open_report(path: str, newline: str | None = None):
+    """`path` opened for writing; one that cannot be opened is an input
+    error."""
+    try:
+        return open(path, "w", encoding="utf-8", newline=newline)
+    except OSError as exc:
+        raise TKHistError(f"cannot write {path!r}: {exc}") from exc
+
+
 def cmd_build(args) -> int:
     schema = catalog.load_schema(args.schema)
     tables = ingest_all(schema)
@@ -86,7 +95,7 @@ def cmd_evaluate(args) -> int:
         tables = ingest_all(state.schema)
     reports, summary = estimator.evaluate_workload(
         state, entries, use_djpcd=args.djpcd, tables=tables)
-    out = open(args.out, "w", encoding="utf-8") if args.out else sys.stdout
+    out = _open_report(args.out) if args.out else sys.stdout
     try:
         for rep in reports:
             out.write(json.dumps(rep.to_dict()) + "\n")
@@ -94,7 +103,7 @@ def cmd_evaluate(args) -> int:
         if out is not sys.stdout:
             out.close()
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8", newline="") as fh:
+        with _open_report(args.summary, newline="") as fh:
             writer = csv.writer(fh)
             d = summary.to_dict()
             writer.writerow(d.keys())
@@ -127,7 +136,7 @@ def cmd_sweep(args) -> int:
                      p.state_bytes,
                      "" if p.median_q is None else f"{p.median_q:.4f}",
                      f"{p.mean_latency_ms:.3f}"])
-    out = open(args.out, "w", encoding="utf-8", newline="") if args.out else sys.stdout
+    out = _open_report(args.out, newline="") if args.out else sys.stdout
     try:
         writer = csv.writer(out)
         writer.writerows(rows)

@@ -6,15 +6,20 @@ tracking.  For each table and filterable attribute we then record, per
 dominant key, the envelope of attribute values observed with that key
 (min/max for ordered columns, the exact value set for categorical ones).
 
+Each (table, domain, attribute) section of the map is one `Envelopes`: the
+sorted keys and their envelopes as columns, the state file's layout.
+
 Online, a dominant key is excluded from a query's join when its envelope
-cannot intersect a predicate's satisfying set.  Envelope disjointness implies
-no row with that key satisfies the filter, so exclusion never removes true
-result mass.  The estimator drops excluded keys once, from each histogram it
-lifts on the key's domain; the join algebra never sees them.
+cannot intersect a predicate's satisfying set, tested a section at a time.
+Envelope disjointness implies no row with that key satisfies the filter, so
+exclusion never removes true result mass.  The estimator drops excluded keys
+once, from each histogram it lifts on the key's domain; the join algebra
+never sees them.
 """
 from __future__ import annotations
 
 from collections import defaultdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,9 +28,53 @@ from .joinengine import CompositeHist
 from .predicate import Predicate, matches
 from .queryfront import Query
 
-# envelope forms: ("range", lo, hi) | ("set", frozenset)
-
 DOMINANT_KEYS_PER_DOMAIN = 1000  # keys tracked per key domain by discovery
+
+
+@dataclass(frozen=True, eq=False)
+class Envelopes:
+    """One section of the correlation map as columns: the sorted, distinct
+    dominant keys and, per key, the range `lo[i]..hi[i]` of an ordered
+    attribute or the value set `values[i]` of a categorical one."""
+
+    keys: np.ndarray
+    lo: np.ndarray | None = None
+    hi: np.ndarray | None = None
+    values: list[frozenset] | None = None
+
+    def __len__(self) -> int:  # the envelope count
+        return len(self.keys)
+
+    def excludes(self, pred: Predicate) -> np.ndarray:
+        """Per key, True iff no value inside its envelope can satisfy
+        `pred`."""
+        if self.values is not None:
+            return np.array([not any(matches(pred, v) for v in vals)
+                             for vals in self.values], dtype=bool)
+        lo, hi, op, val = self.lo, self.hi, pred.op, pred.value
+        if any((lo.dtype.kind == "f") != isinstance(v, float)
+               or abs(v) >= 2 ** 63
+               for v in (val if op in ("between", "in") else [val])):
+            # numpy would compare through float64, where 2.0**53 == 2**53 + 1;
+            # object arrays compare each pair in Python, exactly
+            lo, hi = lo.astype(object), hi.astype(object)
+        with np.errstate(invalid="ignore"):  # a NaN literal matches nothing
+            if op == "=":
+                return (lo > val) | (hi < val)
+            if op == "<":
+                return lo >= val
+            if op == "<=":
+                return lo > val
+            if op == ">":
+                return hi <= val
+            if op == ">=":
+                return hi < val
+            if op == "between":
+                return (hi < val[0]) | (lo > val[1])
+            inside = np.zeros(len(self), dtype=bool)  # "in"
+            for v in val:
+                inside |= (lo <= v) & (hi >= v)
+            return ~inside
 
 
 def collect_dominant_keys(group_composites: list[CompositeHist]) -> dict[str, set]:
@@ -52,13 +101,13 @@ def build_correlation_map(schema: Schema,
     """Group each table's rows carrying dominant keys by key and record
     per-key attribute envelopes: a value set for a column of `categorical`
     (a collection of (table, column) pairs) that holds strings, a range
-    otherwise.  Returns {(table, domain_id, attr): {key: env}}.
+    otherwise.  Returns {(table, domain_id, attr): Envelopes}.
 
     Membership is decided once per distinct key with Python set semantics,
     so an INTEGER key 3 and a REAL key 3.0 of one domain match, and integers
     beyond 2**53 are compared exactly rather than through float64.
     """
-    cmap: dict[tuple[str, str, str], dict] = {}
+    cmap: dict[tuple[str, str, str], Envelopes] = {}
     for tdef in schema.tables:
         data = tables[tdef.name]
         key_cols = [(c.name, column_domain[f"{tdef.name}.{c.name}"])
@@ -79,27 +128,27 @@ def build_correlation_map(schema: Schema,
             for cdef in tdef.columns:
                 if cdef.name == kc:
                     continue
-                env_by_key = _scan_attribute(
+                section = _scan_attribute(
                     data.columns[cdef.name], data.null_mask[cdef.name],
                     keys, key_id, rows,
                     categorical=(tdef.name, cdef.name) in categorical
                     and data.columns[cdef.name].dtype == object)
-                if env_by_key:
-                    cmap[(tdef.name, dom, cdef.name)] = env_by_key
+                if section is not None:
+                    cmap[(tdef.name, dom, cdef.name)] = section
     return cmap
 
 
 def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
                     key_id: np.ndarray, rows: np.ndarray,
-                    categorical: bool) -> dict:
+                    categorical: bool) -> Envelopes | None:
     """Per-key envelopes of one attribute in one grouped pass.
 
     `rows` are the dominant-key rows stably sorted by `key_id` (an index into
-    `keys`), so each key's values form one segment: a range is the segment's
-    `reduceat` minimum and maximum, a set its distinct values.  Null and NaN
-    values are skipped; `matches` never accepts either, so exclusion stays
-    sound and the envelope does not depend on row order.  Keys enter the map
-    in the order of their first recorded row.
+    the sorted `keys`), so each key's values form one segment, in key order:
+    a range is the segment's `reduceat` minimum and maximum, a set its
+    distinct values.  Null and NaN values are skipped; `matches` never
+    accepts either, so exclusion stays sound and the envelope does not
+    depend on row order.  None when no row is left.
     """
     rows = rows[~amask[rows]]
     vals = avals[rows]
@@ -107,44 +156,17 @@ def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
         valid = ~np.isnan(vals)
         rows, vals = rows[valid], vals[valid]
     if len(rows) == 0:
-        return {}
+        return None
     ids = key_id[rows]
     starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    seg_keys = keys[ids[starts]].tolist()
+    seg_keys = keys[ids[starts]]
     if categorical:
         ends = np.r_[starts[1:], len(rows)]
-        envs = [("set", frozenset(vals[s:e].tolist()))
-                for s, e in zip(starts.tolist(), ends.tolist())]
-    else:
-        envs = [("range", lo, hi) for lo, hi in zip(
-            np.minimum.reduceat(vals, starts).tolist(),
-            np.maximum.reduceat(vals, starts).tolist())]
-    return {seg_keys[g]: envs[g]
-            for g in np.argsort(rows[starts], kind="stable").tolist()}
-
-
-def envelope_excludes(env, pred: Predicate) -> bool:
-    """True iff no value inside the envelope can satisfy the predicate."""
-    if env[0] == "set":
-        return not any(matches(pred, v) for v in env[1])
-    lo, hi = env[1], env[2]
-    op, val = pred.op, pred.value
-    if op == "=":
-        return val < lo or val > hi
-    if op == "<":
-        return lo >= val
-    if op == "<=":
-        return lo > val
-    if op == ">":
-        return hi <= val
-    if op == ">=":
-        return hi < val
-    if op == "between":
-        a, b = val
-        return hi < a or lo > b
-    if op == "in":
-        return not any(lo <= v <= hi for v in val)
-    return False
+        return Envelopes(seg_keys, values=[
+            frozenset(vals[s:e].tolist())
+            for s, e in zip(starts.tolist(), ends.tolist())])
+    return Envelopes(seg_keys, lo=np.minimum.reduceat(vals, starts),
+                     hi=np.maximum.reduceat(vals, starts))
 
 
 def find_excluded_keys(query: Query, correlations: dict,
@@ -154,16 +176,12 @@ def find_excluded_keys(query: Query, correlations: dict,
     Exclusions union across predicates; attributes absent from the map
     contribute none.
     """
-    if not correlations:
-        return {}
     excluded: dict[str, set] = defaultdict(set)
     for pred in query.predicates:
         alias, attr = pred.column.split(".", 1)
         table = query.aliases[alias]
-        for (tbl, dom, att), env_by_key in correlations.items():
-            if tbl != table or att != attr:
-                continue
-            for key, env in env_by_key.items():
-                if envelope_excludes(env, pred):
-                    excluded[dom].add(key)
+        for (tbl, dom, att), section in correlations.items():
+            if tbl == table and att == attr:
+                excluded[dom].update(
+                    section.keys[section.excludes(pred)].tolist())
     return {dom: frozenset(keys) for dom, keys in excluded.items()}

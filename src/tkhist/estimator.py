@@ -167,7 +167,7 @@ def _single_table_fraction(state: EstimatorState, table: str,
     if hist is not None:  # predicate on a join-key column
         kind = state.schema.table(table).column(attr).kind
         fr = key_bin_fractions(hist.domain, pred, integer=kind == KIND_INTEGER)
-        masses = np.array([b.total() for b in hist.bins], dtype=np.float64)
+        masses = hist.bin_rows().astype(np.float64)
         return float(masses @ fr / masses.sum()) if masses.sum() > 0 else 0.0
     for kc in state.key_columns(table):
         h2 = state.hists2d.get((table, kc, attr))
@@ -220,9 +220,6 @@ def discover_correlations(state: EstimatorState,
     templates, collect the dominant keys per domain, and scan the base tables
     for per-key attribute envelopes.  Stores and returns the correlation map.
     """
-    if not state.schema.templates:
-        state.correlations = {}
-        return state.correlations
     composites: list[CompositeHist] = []
     for edges in state.schema.templates:
         aliases: dict[str, str] = {}

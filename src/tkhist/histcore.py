@@ -7,10 +7,13 @@ on demand, never stored, so the per-bin identity
 
     exact bin row count == NV + sum(container frequencies)
 
-holds as integer arithmetic.
+holds as integer arithmetic.  A 1D histogram holds all of these as flat
+arrays with per-bin offsets (the state file's layout); its per-bin `Bin1D`
+views are built on first use.
 """
 from __future__ import annotations
 
+import functools
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -29,25 +32,27 @@ def _scalar(v):
     return v
 
 
-@dataclass
+@dataclass(frozen=True)
 class Bin1D:
-    topk: dict = field(default_factory=dict)  # key -> exact frequency
-    nv: int = 0
+    """A read-only view of one bin: its container and its NV."""
 
-    def total(self) -> int:
-        return self.nv + sum(self.topk.values())
+    topk: dict  # key -> exact frequency; read-only
+    nv: int
 
 
 @dataclass
 class TKHist1D:
-    """Per-bin containers and NV, plus the background keys of every bin as
-    one sorted array in the column's dtype.  Bins are equi-width, so key order
-    is bin order: bin i's background keys are
-    `background[background_offsets[i]:background_offsets[i + 1]]`."""
+    """Bin i's container is `topk_keys[topk_offsets[i]:topk_offsets[i + 1]]`
+    with those `topk_counts`, ranked by (-count, key) when built or loaded
+    (inserts add to counts in place); its background keys, sorted, are
+    `background[background_offsets[i]:background_offsets[i + 1]]`.  Keys are
+    in the column's dtype; bins are equi-width, so key order is bin order."""
 
     domain: KeyDomain
-    bins: list[Bin1D]
-    total_rows: int
+    topk_keys: np.ndarray
+    topk_counts: np.ndarray  # int64
+    topk_offsets: np.ndarray  # int64, bin_count + 1 entries
+    nv: np.ndarray  # int64 per bin
     background: np.ndarray
     background_offsets: np.ndarray  # int64, bin_count + 1 entries
 
@@ -56,12 +61,30 @@ class TKHist1D:
         """Distinct background keys per bin."""
         return np.diff(self.background_offsets)
 
+    @property
+    def total_rows(self) -> int:
+        """Rows with a non-null key: ΣNV + Σcontainer counts."""
+        return int(self.nv.sum()) + int(self.topk_counts.sum())
+
+    def bin_rows(self) -> np.ndarray:
+        """Rows per bin: NV plus the bin's container counts (int64)."""
+        held = np.concatenate(([0], np.cumsum(self.topk_counts)))
+        return self.nv + np.diff(held[self.topk_offsets])
+
+    @functools.cached_property
+    def bins(self) -> tuple[Bin1D, ...]:
+        """Per-bin views, containers in array order; `insert` drops them."""
+        keys, counts = self.topk_keys.tolist(), self.topk_counts.tolist()
+        tk = self.topk_offsets.tolist()
+        return tuple(Bin1D(topk=dict(zip(keys[lo:hi], counts[lo:hi])), nv=nv)
+                     for lo, hi, nv in zip(tk[:-1], tk[1:], self.nv.tolist()))
+
     def insert(self, keys) -> None:
         """Add one key or an array of keys (nulls already removed).
 
         The keys are grouped with one `np.unique`; each distinct key adds its
-        count to the container entry it has, or else to its bin's NV, and the
-        others are merged into the background array in one pass.
+        count to its container entry (a sorted-key lookup) or else to its
+        bin's NV, and the others are merged into the background in one pass.
         Container membership is frozen at build time: a background key that
         becomes frequent through inserts stays background until a rebuild.
         Keys take the background's dtype; real keys for an integer histogram
@@ -74,19 +97,15 @@ class TKHist1D:
         keys, counts = np.unique(keys.astype(self.background.dtype),
                                  return_counts=True)
         idx = self.domain.bins_of(keys)
-        held = np.zeros(len(keys), dtype=bool)
-        for j, (key, cnt, i) in enumerate(zip(keys.tolist(), counts.tolist(),
-                                              idx.tolist())):
-            b = self.bins[i]
-            if key in b.topk:
-                b.topk[key] += cnt
-                held[j] = True
-            else:
-                b.nv += cnt
+        held = np.isin(keys, self.topk_keys)
+        by_key = np.argsort(self.topk_keys, kind="stable")
+        self.topk_counts[by_key[np.searchsorted(
+            self.topk_keys, keys[held], sorter=by_key)]] += counts[held]
+        np.add.at(self.nv, idx[~held], counts[~held])
         self.background = _merge_sorted(self.background, keys[~held])
         self.background_offsets = _offsets(
             self.domain.bins_of(self.background), self.domain.bin_count)
-        self.total_rows += int(counts.sum())
+        self.__dict__.pop("bins", None)
 
 
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -123,20 +142,15 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
     order = np.lexsort((keys, -counts, idx))
     starts = _offsets(idx[order], domain.bin_count)
     rank = np.arange(len(keys)) - np.repeat(starts[:-1], np.diff(starts))
-    in_background = np.ones(len(keys), dtype=bool)
-    in_background[order[rank < k]] = False
-    ranked_keys, ranked_counts = keys[order].tolist(), counts[order].tolist()
-    bins = []
-    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
-        cut = min(lo + k, hi)
-        bins.append(Bin1D(topk=dict(zip(ranked_keys[lo:cut],
-                                        ranked_counts[lo:cut])),
-                          nv=sum(ranked_counts[cut:hi])))
-    # unique keys are sorted, hence so are their bins
-    return TKHist1D(domain=domain, bins=bins, total_rows=len(values),
-                    background=keys[in_background],
-                    background_offsets=_offsets(idx[in_background],
-                                                domain.bin_count))
+    # unique keys are sorted, so the background's key order is bin order
+    held, bg = order[rank < k], np.sort(order[rank >= k])
+    nv = np.zeros(domain.bin_count, dtype=np.int64)
+    np.add.at(nv, idx[bg], counts[bg])
+    return TKHist1D(domain=domain, topk_keys=keys[held],
+                    topk_counts=counts[held].astype(np.int64),
+                    topk_offsets=_offsets(idx[held], domain.bin_count), nv=nv,
+                    background=keys[bg],
+                    background_offsets=_offsets(idx[bg], domain.bin_count))
 
 
 @dataclass

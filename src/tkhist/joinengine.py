@@ -9,7 +9,7 @@ backgrounds combine with the Selinger formula, and background NDV propagates
 as the minimum of the two sides, which keeps the Selinger formula applicable
 recursively to intermediate results.  The background and NDV arithmetic runs
 on whole arrays; only the dominant maps are walked key by key.  A lifted
-composite's dominant maps are the built histogram's own container dicts (int
+composite's dominant maps are its histogram's `bins` container views (int
 counts); every map is read-only, and each join builds new ones.
 
 Filters and correlation-based key exclusion are applied once, when the
@@ -58,12 +58,13 @@ def _bac(comp: CompositeHist) -> list[float]:
 
 def lift(hist: TKHist1D) -> CompositeHist:
     """Identity lift of a built histogram into the composite representation.
-    The dominant maps are the histogram's own container dicts (int counts),
-    not copies: they are read-only, and a caller that edits one copies it."""
+    The dominant maps are the container dicts of the histogram's `bins`
+    views (int counts), shared by every lift: they are read-only, and a
+    caller that edits one copies it."""
     return CompositeHist(
         domain=hist.domain,
         dominant=[b.topk for b in hist.bins],
-        background=np.array([b.nv for b in hist.bins], dtype=np.float64),
+        background=hist.nv.astype(np.float64),
         ndv=hist.ndv.astype(np.float64))
 
 
@@ -140,7 +141,7 @@ def chain_translate(comp: CompositeHist, bridge: TKHist2D,
                            bridge.grid / np.maximum(marginal[:, None], 1e-300),
                            0.0)
     out = comp.bin_totals() @ weights
-    ndv = (target_hist.ndv + [len(b.topk) for b in target_hist.bins]
+    ndv = (target_hist.ndv + np.diff(target_hist.topk_offsets)
            ).astype(np.float64)
     return CompositeHist(domain=target_hist.domain,
                          dominant=[{} for _ in range(len(out))],

@@ -6,13 +6,15 @@ exact integers and every collection is written in sorted order, so saving the
 same state twice is byte-identical.  Version 5 stores each 1D histogram as
 flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
 cells and each correlation-map section as columns; every numeric array is one
-packed string (`_pack`), and sorted integer arrays are delta-coded.
+packed string (`_pack`), and sorted integer arrays are delta-coded.  The 1D
+and correlation arrays are the in-memory ones: loading or saving them builds
+no per-key object (a set envelope excepted).
 Loading derives what the file leaves out: domain members from the schema, a
 histogram's domain from the key column in its name, a key attribute axis
-from its domain, a row total from its bins (the bin-mass identity), a
-column's class from whether it has a `freq` entry.  A grid's `shape` is kept
-as a check on its axis.  Loading checks the type of every entry, the sign of
-every count and every length, offset and cell; older versions are rejected.
+from its domain, a column's class from whether it has a `freq` entry.  A
+grid's `shape` is kept as a check on its axis.  Loading checks the type of
+every entry, the sign of every count, every length, offset and cell, and
+that every entry name fits the schema; older versions are rejected.
 
 Each table owns some entries of the document: its `hists1d` and `freq`
 entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
@@ -30,14 +32,14 @@ import os
 import tempfile
 import zlib
 from dataclasses import asdict, dataclass
-from itertools import repeat
 
 import numpy as np
 
 from . import catalog
 from .catalog import KeyDomain, Schema, TableData, split_qualified
+from .djpcd import Envelopes
 from .errors import SchemaError, StateError
-from .histcore import (AttrBinning, Bin1D, TKHist1D, TKHist2D,
+from .histcore import (AttrBinning, TKHist1D, TKHist2D,
                        build_frequency_hist, build_tkhist1d, build_tkhist2d,
                        categorical_binning, domain_binning, numeric_binning)
 
@@ -64,8 +66,8 @@ class EstimatorState:
     hists2d: dict[tuple[str, str, str], TKHist2D]
     freq_hists: dict[tuple[str, str], dict]  # the categorical columns
     table_rows: dict[str, int]
-    # {(table, domain_id, attr): {key: envelope}}, an envelope being
-    # ("range", lo, hi) or ("set", frozenset); built by djpcd
+    # {(table, domain_id, attr): djpcd.Envelopes}, each section the sorted
+    # dominant keys and their envelopes as columns; built by djpcd
     correlations: dict | None = None
 
     def key_columns(self, table: str) -> list[str]:
@@ -260,18 +262,14 @@ def _get(doc: dict, where: str, name: str, kind: str = "an object"):
 
 
 def _hist1d_doc(h: TKHist1D) -> dict:
-    """Flat per-histogram arrays with per-bin offsets; each bin's container
-    pairs in (-count, key) order, from one lexsort over all containers."""
-    sizes = [len(b.topk) for b in h.bins]
-    keys = np.asarray([key for b in h.bins for key in b.topk],
-                      dtype=h.background.dtype)
-    counts = np.asarray([c for b in h.bins for c in b.topk.values()],
-                        dtype=np.int64)
-    order = np.lexsort((keys, -counts, np.repeat(np.arange(len(sizes)), sizes)))
-    return {"topk_keys": _pack(keys[order]),
-            "topk_counts": _pack(counts[order]),
-            "topk_offsets": _pack(np.cumsum([0, *sizes])),
-            "nv": _pack([b.nv for b in h.bins]),
+    """The histogram's arrays; each bin's container pairs in (-count, key)
+    order, which inserts can change, from one lexsort over all containers."""
+    order = np.lexsort((h.topk_keys, -h.topk_counts, np.repeat(
+        np.arange(len(h.nv)), np.diff(h.topk_offsets))))
+    return {"topk_keys": _pack(h.topk_keys[order]),
+            "topk_counts": _pack(h.topk_counts[order]),
+            "topk_offsets": _pack(h.topk_offsets),
+            "nv": _pack(h.nv),
             "background": _pack(h.background, delta=True),
             "background_offsets": _pack(h.background_offsets)}
 
@@ -290,19 +288,14 @@ def _hist2d_doc(h: TKHist2D) -> dict:
             "cells": _pack(cells, delta=True), "counts": _pack(flat[cells])}
 
 
-def _correlation_doc(env_by_key: dict) -> dict:
-    """One section of the correlation map as columns: the sorted keys, plus
-    `lo` and `hi` for range envelopes or `values` for set envelopes (one
-    attribute has one envelope kind)."""
-    keys = sorted(env_by_key)
-    envs = [env_by_key[key] for key in keys]
-    doc = {"keys": _pack(keys, delta=True)}
-    if envs and envs[0][0] == "set":
-        doc["values"] = [sorted(env[1]) for env in envs]
-    else:
-        doc["lo"] = _pack([env[1] for env in envs])
-        doc["hi"] = _pack([env[2] for env in envs])
-    return doc
+def _correlation_doc(section: Envelopes) -> dict:
+    """One section of the correlation map as its columns: the sorted keys,
+    plus `lo` and `hi` for range envelopes or `values` for set envelopes
+    (one attribute has one envelope kind)."""
+    doc = {"keys": _pack(section.keys, delta=True)}
+    if section.values is not None:
+        return {**doc, "values": [sorted(vals) for vals in section.values]}
+    return {**doc, "lo": _pack(section.lo), "hi": _pack(section.hi)}
 
 
 def _freq_doc(fh: dict) -> list:
@@ -380,6 +373,8 @@ def save_state(state: EstimatorState, path: str,
     was loaded from, so the bytes written are those of a full save.  A file
     that cannot be read, or whose entries other than the table's or whose
     entry names differ from `state`'s, raises StateError and is left as it is.
+    A file that cannot be written raises StateError and leaves no temporary
+    file.
     """
     if table is None:
         doc = state_to_document(state)
@@ -392,15 +387,19 @@ def save_state(state: EstimatorState, path: str,
     payload = json.dumps(doc, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tkhist-state-")
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tkhist-state-")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+            os.replace(tmp, path)
+        except BaseException:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise StateError(f"cannot write state file {path!r}: "
+                         f"{exc.strerror}") from exc
     return len(payload)
 
 
@@ -477,6 +476,8 @@ def _state_from_v5(doc: dict) -> EstimatorState:
             bin_count="a count"))
     column_domain = {c: d.id for d in domains.values() for c in d.columns}
     key_domains = {c: domains[did] for c, did in column_domain.items()}
+    columns = {f"{t.name}.{c.name}": c for t in schema.tables
+               for c in t.columns}
 
     def key_domain(where: str, qual: str) -> KeyDomain:
         if qual not in key_domains:
@@ -497,12 +498,19 @@ def _state_from_v5(doc: dict) -> EstimatorState:
         qual, _, attr = name.partition("|")
         dom = key_domain(where, qual)
         t, c = split_qualified(qual)
+        if attr == c or f"{t}.{attr}" not in columns:
+            raise StateError(f"{where}: {attr!r} is not another column "
+                             f"of table {t!r}")
         binning = _binning_from_doc(f"{where} attr", _get(h, where, "attr"),
                                     key_domains.get(f"{t}.{attr}"))
         hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, binning)
 
-    freq = {split_qualified(qual): dict(items) for qual, items
-            in _entries(doc, "freq", "a list of [value, count] pairs")}
+    freq = {}
+    for qual, items in _entries(doc, "freq", "a list of [value, count] pairs"):
+        if qual not in columns or columns[qual].role == catalog.ROLE_KEY:
+            raise StateError(f"frequency histogram {qual!r} is not on a "
+                             f"non-key column")
+        freq[split_qualified(qual)] = dict(items)
     table_rows = dict(_entries(doc, "table_rows", "a count"))
     if sorted(table_rows) != sorted(t.name for t in schema.tables):
         raise StateError("table_rows does not name each schema table once")
@@ -511,11 +519,19 @@ def _state_from_v5(doc: dict) -> EstimatorState:
     if doc.get("correlations") is not None:
         correlations = {}
         for name, sec in _entries(doc, "correlations"):
+            where = f"correlation section {name!r}"
             if name.count("|") != 2:
-                raise StateError(f"correlation section {name!r} is not "
-                                 f"named table|domain|attribute")
-            correlations[tuple(name.split("|"))] = _envelopes_from_doc(
-                f"correlation section {name!r}", sec)
+                raise StateError(f"{where} is not named "
+                                 f"table|domain|attribute")
+            t, did, attr = name.split("|")
+            if f"{t}.{attr}" not in columns:
+                raise StateError(f"{where}: {attr!r} is not a column of "
+                                 f"table {t!r}")
+            if did not in domains or all(split_qualified(q)[0] != t
+                                         for q in domains[did].columns):
+                raise StateError(f"{where}: {did!r} is not the key domain "
+                                 f"of a column of table {t!r}")
+            correlations[(t, did, attr)] = _envelopes_from_doc(where, sec)
 
     return EstimatorState(schema=schema, config=config, domains=domains,
                           column_domain=column_domain, hists1d=hists1d,
@@ -541,17 +557,14 @@ def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,
     if len(counts) != len(keys):
         raise StateError(f"{where} has {len(keys)} topk_keys "
                          f"and {len(counts)} topk_counts")
-    tk = _checked_offsets(where, h, "topk_offsets", n, len(keys)).tolist()
+    tk = _checked_offsets(where, h, "topk_offsets", n, len(keys))
     offsets = _checked_offsets(where, h, "background_offsets", n,
                                len(background))
     if np.any(background[1:] <= background[:-1]):
         raise StateError(f"{where} has unsorted background keys")
-    keys, counts, nv = keys.tolist(), counts.tolist(), nv.tolist()
-    bins = [Bin1D(topk=dict(zip(keys[lo:hi], counts[lo:hi])), nv=v)
-            for lo, hi, v in zip(tk[:-1], tk[1:], nv)]
-    # the bin-mass identity: every row is in a container or in NV
-    return TKHist1D(domain=dom, bins=bins, total_rows=sum(nv) + sum(counts),
-                    background=background, background_offsets=offsets)
+    return TKHist1D(domain=dom, topk_keys=keys, topk_counts=counts,
+                    topk_offsets=tk, nv=nv, background=background,
+                    background_offsets=offsets)
 
 
 def _checked_offsets(where: str, h: dict, field: str, bin_count: int,
@@ -606,15 +619,15 @@ def _binning_from_doc(where: str, a: dict,
                        bin_count=n)
 
 
-def _envelopes_from_doc(where: str, sec: dict) -> dict:
-    keys = _unpack(sec, where, "keys", None, delta=True).tolist()
+def _envelopes_from_doc(where: str, sec: dict) -> Envelopes:
+    keys = _unpack(sec, where, "keys", None, delta=True)
     if "values" in sec:
-        columns = [_get(sec, where, "values", "a list of scalar lists")]
-        envs = [("set", frozenset(values)) for values in columns[0]]
+        section = Envelopes(keys, values=list(map(frozenset, _get(
+            sec, where, "values", "a list of scalar lists"))))
+        columns = [section.values]
     else:
-        columns = [_unpack(sec, where, name, None).tolist()
-                   for name in ("lo", "hi")]
-        envs = zip(repeat("range"), *columns)
+        columns = [_unpack(sec, where, name, None) for name in ("lo", "hi")]
+        section = Envelopes(keys, *columns)
     if any(len(col) != len(keys) for col in columns):
         raise StateError(f"{where} has columns of unequal length")
-    return dict(zip(keys, envs))
+    return section

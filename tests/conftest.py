@@ -46,6 +46,26 @@ def attr_bin(b, v) -> int | None:
     return scalar_bin(v, b.lo, b.hi, b.bin_count)
 
 
+def envelope_dict(section) -> dict:
+    """A correlation-map section as a dict in key order: key -> ("range",
+    lo, hi) or ("set", frozenset of values)."""
+    keys = section.keys.tolist()
+    if section.values is not None:
+        return {key: ("set", values)
+                for key, values in zip(keys, section.values)}
+    return {key: ("range", lo, hi) for key, lo, hi
+            in zip(keys, section.lo.tolist(), section.hi.tolist())}
+
+
+def correlations_of(cmap):
+    """A correlation map as plain values: each section's key dtype and its
+    `envelope_dict`."""
+    if cmap is None:
+        return None
+    return {name: (sec.keys.dtype, envelope_dict(sec))
+            for name, sec in cmap.items()}
+
+
 def two_table_schema(extra_attrs: tuple[str, ...] = ("y",)):
     """r(k, attrs...) joined to s(k, attrs...) on k."""
     def table_doc(name):

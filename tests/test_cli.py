@@ -372,6 +372,27 @@ class TestBadInput:
         assert err.startswith("error: ") and "is not a " in err
         assert not (tmp_path / "state.json").exists()
 
+    @pytest.mark.parametrize("command", [
+        "build", "evaluate-out", "evaluate-summary", "sweep"])
+    def test_output_in_missing_directory(self, bench, built, tmp_path,
+                                         capsys, command):
+        missing = str(tmp_path / "missing" / "out")
+        wl = tmp_path / "wl.txt"
+        wl.write_text("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1\n")
+        schema = str(bench / "schema.json")
+        evaluate = ["evaluate", "--state", str(built), "--workload", str(wl)]
+        argv = {"build": ["build", "--schema", schema, "--state", missing],
+                "evaluate-out": [*evaluate, "--out", missing],
+                "evaluate-summary": [*evaluate, "--summary", missing],
+                "sweep": ["sweep", "--schema", schema, "--workload", str(wl),
+                          "--bins", "10", "--k", "1", "--out", missing]}
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv[command]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: cannot write {'state file ' * (command == 'build')}"
+            f"{missing!r}")
+        assert sorted(tmp_path.rglob("*")) == before  # no temporary file
+
     def test_between_bounds_of_mixed_types(self, built, capsys):
         sql = "SELECT COUNT(*) FROM t1 WHERE t1.y BETWEEN 'a' AND 5"
         assert main(["estimate", "--state", str(built), sql]) == 2

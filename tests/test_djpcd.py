@@ -1,3 +1,5 @@
+from collections import defaultdict
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,16 +7,66 @@ from hypothesis import strategies as st
 
 from tkhist import djpcd
 from tkhist.catalog import KeyDomain, schema_from_document
-from tkhist.djpcd import (build_correlation_map, collect_dominant_keys,
-                          envelope_excludes, find_excluded_keys)
+from tkhist.djpcd import (Envelopes, build_correlation_map,
+                          collect_dominant_keys, find_excluded_keys)
 from tkhist.estimator import discover_correlations, estimate
 from tkhist.histcore import _scalar
 from tkhist.joinengine import CompositeHist
-from tkhist.predicate import Predicate
+from tkhist.predicate import Predicate, matches
 from tkhist.queryfront import Query
 from tkhist.state import BuildConfig, build_state
 
-from conftest import make_table, two_table_schema
+from conftest import envelope_dict, make_table, two_table_schema
+
+
+def envelope_excludes(env, pred: Predicate) -> bool:
+    """True iff no value inside the envelope ("range", lo, hi) or ("set",
+    values) can satisfy the predicate: the per-key test that
+    `Envelopes.excludes` replaced, kept as its reference."""
+    if env[0] == "set":
+        return not any(matches(pred, v) for v in env[1])
+    lo, hi = env[1], env[2]
+    op, val = pred.op, pred.value
+    if op == "=":
+        return val < lo or val > hi
+    if op == "<":
+        return lo >= val
+    if op == "<=":
+        return lo > val
+    if op == ">":
+        return hi <= val
+    if op == ">=":
+        return hi < val
+    if op == "between":
+        a, b = val
+        return hi < a or lo > b
+    if op == "in":
+        return not any(lo <= v <= hi for v in val)
+    return False
+
+
+def section_of(env_by_key: dict, dtype=None) -> Envelopes:
+    """The `Envelopes` of {key: envelope}, keys in sorted order; range bounds
+    in `dtype`, or the one numpy gives them."""
+    keys = sorted(env_by_key)
+    envs = [env_by_key[key] for key in keys]
+    if envs and envs[0][0] == "set":
+        return Envelopes(np.asarray(keys), values=[env[1] for env in envs])
+    return Envelopes(np.asarray(keys), *(
+        np.asarray([env[i] for env in envs], dtype=dtype) for i in (1, 2)))
+
+
+def reference_find_excluded_keys(query, correlations):
+    """`find_excluded_keys` as a loop over keys with `envelope_excludes`."""
+    excluded = defaultdict(set)
+    for pred in query.predicates:
+        alias, attr = pred.column.split(".", 1)
+        for (tbl, dom, att), section in correlations.items():
+            if tbl == query.aliases[alias] and att == attr:
+                excluded[dom] |= {key for key, env
+                                  in envelope_dict(section).items()
+                                  if envelope_excludes(env, pred)}
+    return {dom: frozenset(keys) for dom, keys in excluded.items()}
 
 
 def reference_correlation_map(schema, tables, column_domain, categorical,
@@ -139,6 +191,7 @@ class TestEnvelopes:
     ])
     def test_disjointness(self, env, pred, expect):
         assert envelope_excludes(env, pred) is expect
+        assert section_of({1: env}).excludes(pred).tolist() == [expect]
 
 
 class TestMapAndLookup:
@@ -157,7 +210,7 @@ class TestMapAndLookup:
             {"r.k": "r.k", "s.k": "r.k"},
             {("r", "y"), ("s", "y")},
             {"r.k": {1, 2}})
-        env = cmap[("r", "r.k", "y")]
+        env = envelope_dict(cmap[("r", "r.k", "y")])
         assert env[1] == ("range", 10, 11)
         assert env[2] == ("range", 20, 20)
 
@@ -169,7 +222,8 @@ class TestMapAndLookup:
         cmap = build_correlation_map(
             self.schema, tables, {"r.k": "r.k", "s.k": "r.k"}, set(),
             {"r.k": {1, 2}})
-        assert cmap[("r", "r.k", "y")] == {1: ("range", 5.0, 5.0)}
+        assert envelope_dict(cmap[("r", "r.k", "y")]) == {
+            1: ("range", 5.0, 5.0)}
 
     @settings(max_examples=100, deadline=None)
     @given(tables=mixed_kind_tables(),
@@ -189,21 +243,72 @@ class TestMapAndLookup:
         cmap = build_correlation_map(*args)
         ref = reference_correlation_map(*args)
         assert list(cmap) == list(ref)
-        for name, env_by_key in cmap.items():
-            assert list(env_by_key.items()) == list(ref[name].items())
+        for name, section in cmap.items():
+            env_by_key = envelope_dict(section)
+            assert len(section) == len(ref[name])
+            assert list(env_by_key.items()) == sorted(ref[name].items())
             key_type = int if name[0] == "r" else float
             for key, env in env_by_key.items():
                 assert type(key) is key_type
                 assert list(map(type, env)) == list(map(type, ref[name][key]))
 
     def test_find_excluded_unions_predicates(self):
-        corr = {("r", "r.k", "y"): {1: ("range", 10, 11),
-                                    2: ("range", 20, 20)}}
+        corr = {("r", "r.k", "y"): section_of({1: ("range", 10, 11),
+                                               2: ("range", 20, 20)})}
         q = Query(text="", aliases={"r": "r", "s": "s"},
                   join_edges=[("r.k", "s.k")],
                   predicates=[Predicate("r.y", ">=", 15)])
         out = find_excluded_keys(q, corr, {"r.k": "r.k", "s.k": "r.k"})
         assert out == {"r.k": frozenset({1})}
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_find_excluded_matches_per_key_reference(self, data):
+        # int and real ranges and set envelopes, against literals at
+        # 2**53 and past int64, where float64 rounding misleads numpy:
+        # np.array([2.0**53]) == 2**53 + 1 is True, Python says False
+        near = [0, 2 ** 53, 2 ** 63, -2 ** 63]
+        ints = st.one_of(st.integers(-20, 20), *(
+            st.integers(v - 3, v + 3) for v in near))
+        reals = st.one_of(st.floats(-30, 30).map(lambda v: round(v * 2) / 2),
+                          st.sampled_from([2.0 ** 53, 2.0 ** 53 + 2,
+                                           2.0 ** 63, -2.0 ** 63, 1e300]))
+        literals = st.one_of(ints, reals, st.integers(2 ** 64, 2 ** 70),
+                             st.sampled_from([float("inf"), float("nan"),
+                                              2 ** 1100]))
+        keys = st.lists(st.integers(0, 30), unique=True, max_size=8)
+
+        def ranges(bounds, dtype):
+            pairs = data.draw(st.lists(st.tuples(bounds, bounds), max_size=8))
+            return section_of({key: ("range", *sorted(pair)) for key, pair
+                               in zip(data.draw(keys), pairs)}, dtype)
+
+        int_y = ranges(ints.filter(lambda v: -2 ** 63 <= v < 2 ** 63),
+                       np.int64)
+        real_x = ranges(reals, np.float64)
+        cat_keys = sorted(data.draw(keys))
+        cat = Envelopes(np.asarray(cat_keys, dtype=np.int64), values=data.draw(
+            st.lists(st.frozensets(st.sampled_from("abc"), min_size=1),
+                     min_size=len(cat_keys), max_size=len(cat_keys))))
+        corr = {("r", "r.k", "y"): int_y, ("r", "r.k", "x"): real_x,
+                ("r", "r.k", "c"): cat, ("s", "r.k", "y"): real_x}
+        preds = []
+        for _ in range(data.draw(st.integers(1, 3))):
+            column = data.draw(st.sampled_from(["r.y", "r.x", "r.c", "s.y"]))
+            op = data.draw(st.sampled_from(
+                ["=", "<", "<=", ">", ">=", "between", "in"]))
+            lits = st.sampled_from("abcd") if column == "r.c" else literals
+            if op == "between":
+                value = tuple(sorted(data.draw(st.tuples(lits, lits))))
+            elif op == "in":
+                value = data.draw(st.frozensets(lits, min_size=1, max_size=3))
+            else:
+                value = data.draw(lits)
+            preds.append(Predicate(column, op, value))
+        q = Query(text="", aliases={"r": "r", "s": "s"},
+                  join_edges=[("r.k", "s.k")], predicates=preds)
+        assert find_excluded_keys(q, corr, {}) == \
+            reference_find_excluded_keys(q, corr)
 
     def test_no_correlations_no_exclusions(self):
         q = Query(text="", aliases={"r": "r"}, join_edges=[],

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainBoundsError, TKHistError
-from tkhist.histcore import (Bin1D, TKHist1D, _scalar, build_frequency_hist,
+from tkhist.histcore import (TKHist1D, _scalar, build_frequency_hist,
                              build_tkhist1d, build_tkhist2d,
                              categorical_binning, numeric_binning,
                              domain_binning)
@@ -30,24 +30,43 @@ def reference_build_tkhist1d(values, domain, k, null_mask=None):
     if null_mask is not None:
         values = values[~null_mask]
     idx = domain.bins_of(values)
-    bins = [Bin1D() for _ in range(domain.bin_count)]
-    background, offsets = [], [0]
-    total = 0
+    keys, counts, tk, nv, background, offsets = [], [], [0], [], [], [0]
     for i in range(domain.bin_count):
-        in_bin = values[idx == i]
-        counts = Counter(_scalar(v) for v in in_bin)
-        total += len(in_bin)
-        ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-        b = bins[i]
-        for key, cnt in ranked[:k]:
-            b.topk[key] = cnt
-        for key, cnt in ranked[k:]:
-            b.nv += cnt
+        counted = Counter(_scalar(v) for v in values[idx == i])
+        ranked = sorted(counted.items(), key=lambda kv: (-kv[1], kv[0]))
+        keys += [key for key, _ in ranked[:k]]
+        counts += [cnt for _, cnt in ranked[:k]]
+        tk.append(len(keys))
+        nv.append(sum(cnt for _, cnt in ranked[k:]))
         background += sorted(key for key, _ in ranked[k:])
         offsets.append(len(background))
-    return TKHist1D(domain=domain, bins=bins, total_rows=total,
+    return TKHist1D(domain=domain,
+                    topk_keys=np.asarray(keys, dtype=values.dtype),
+                    topk_counts=np.asarray(counts, dtype=np.int64),
+                    topk_offsets=np.asarray(tk), nv=np.asarray(nv, np.int64),
                     background=np.asarray(background, dtype=values.dtype),
                     background_offsets=np.asarray(offsets))
+
+
+def reference_insert(h, keys):
+    """The per-key dict loop that `TKHist1D.insert` replaced, on copies of
+    h's bins: each distinct key adds its count to its container entry, or
+    else to its bin's NV and the background set.  Returns the containers,
+    NV, background keys and row total it leaves."""
+    containers = [dict(b.topk) for b in h.bins]
+    nv = [b.nv for b in h.bins]
+    background = set(h.background.tolist())
+    keys, counts = np.unique(keys.astype(h.background.dtype),
+                             return_counts=True)
+    for key, cnt, i in zip(keys.tolist(), counts.tolist(),
+                           h.domain.bins_of(keys).tolist()):
+        if key in containers[i]:
+            containers[i][key] += cnt
+        else:
+            nv[i] += cnt
+            background.add(key)
+    total = sum(nv) + sum(sum(c.values()) for c in containers)
+    return containers, nv, sorted(background), total
 
 
 def background_of(h, i):
@@ -138,6 +157,9 @@ class TestBuild1D:
         h = build_tkhist1d(values, d, k=k, null_mask=nulls)
         ref = reference_build_tkhist1d(values, d, k=k, null_mask=nulls)
         assert h.total_rows == ref.total_rows
+        assert (h.topk_keys.dtype, h.topk_counts.dtype) == (values.dtype,
+                                                           np.int64)
+        assert h.topk_offsets.tolist() == ref.topk_offsets.tolist()
         kept = values if nulls is None else values[~nulls]
         per_bin = Counter(d.bins_of(kept).tolist())
         key_type = int if values.dtype == np.int64 else float
@@ -194,7 +216,33 @@ class TestInsert:
             h.insert(v)
         exact = Counter(domain_bin(d, v) for v in initial + extra)
         for i, b in enumerate(h.bins):
-            assert b.total() == exact.get(i, 0)
+            assert b.nv + sum(b.topk.values()) == exact.get(i, 0)
+        assert h.bin_rows().tolist() == [exact.get(i, 0) for i in range(5)]
+
+    @settings(max_examples=150, deadline=None)
+    @given(column=key_columns(),
+           batches=st.lists(key_columns(), min_size=1, max_size=3),
+           k=st.integers(min_value=0, max_value=6),
+           bins=st.integers(min_value=1, max_value=9))
+    def test_insert_matches_per_key_loop(self, column, batches, k, bins):
+        values, nulls = column
+        h = build_tkhist1d(values, make_domain(0, 60, bins), k=k,
+                           null_mask=nulls)
+        key_type = int if values.dtype == np.int64 else float
+        for added, _ in batches:
+            added = added.astype(values.dtype)
+            containers, nv, background, total = reference_insert(h, added)
+            h.insert(added)
+            # the views keep each container's order: inserts rank nothing
+            assert [list(b.topk.items()) for b in h.bins] == \
+                [list(c.items()) for c in containers]
+            assert all(type(key) is key_type and type(c) is int
+                       for b in h.bins for key, c in b.topk.items())
+            assert [b.nv for b in h.bins] == h.nv.tolist() == nv
+            assert h.background.tolist() == background
+            assert h.total_rows == total
+            assert h.bin_rows().tolist() == [
+                v + sum(c.values()) for v, c in zip(nv, containers)]
 
     @settings(max_examples=100, deadline=None)
     @given(column=key_columns(), extra=key_columns(),

@@ -19,7 +19,7 @@ from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
                           save_state, state_from_document, state_to_document)
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import make_table, two_table_schema
+from conftest import correlations_of, make_table, two_table_schema
 
 
 @pytest.fixture
@@ -156,7 +156,8 @@ class TestFormat:
         direct = save_bytes(mixed_state, tmp_path / "a.json")
         loaded = load_state(str(tmp_path / "a.json"))
         assert hists1d_of(loaded) == hists1d_of(mixed_state)
-        assert loaded.correlations == mixed_state.correlations
+        assert correlations_of(loaded.correlations) == \
+            correlations_of(mixed_state.correlations)
         assert save_bytes(loaded, tmp_path / "b.json") == direct
         for sql in MIXED_QUERIES:
             assert estimate(sql, loaded).estimate == \
@@ -276,7 +277,8 @@ class TestFormat:
             [-3.0, 0.5], [["a"], ["a"]])
         reloaded = state_from_document(json.loads(json.dumps(doc)))
         assert reloaded.hists1d[("s", "k")].background.dtype == np.float64
-        assert reloaded.correlations == state.correlations
+        assert correlations_of(reloaded.correlations) == \
+            correlations_of(state.correlations)
 
 
 class TestErrors:
@@ -421,6 +423,22 @@ class TestErrors:
         (("correlations", "r|r.k|y", "lo"), [3, 4, 6], "'lo' is not a string"),
         (("config", "top_k"), True, "'top_k' is not a count"),
         (("hists1d",), [], "'hists1d' is not an object"),
+        # entry names that contradict the schema
+        (("hists2d", "r.k|zz"), {
+            "shape": [4, 4], "cells": packed([]), "counts": packed([]),
+            "attr": {"kind": "numeric", "integer": True, "lo": 0.0,
+                     "hi": 1.0, "bin_count": 4}},
+         r"'r.k\|zz': 'zz' is not another column of table 'r'"),
+        (("correlations", "r|r.k|zz"), {"keys": packed([1]),
+                                        "lo": packed([3]), "hi": packed([3])},
+         r"'r\|r.k\|zz': 'zz' is not a column of table 'r'"),
+        (("correlations", "r|nope|y"), {"keys": packed([1]),
+                                        "lo": packed([3]), "hi": packed([3])},
+         r"'r\|nope\|y': 'nope' is not the key domain of a column"),
+        (("freq", "r.zz"), [[3, 2]],
+         "frequency histogram 'r.zz' is not on a non-key column"),
+        (("freq", "r.k"), [[1, 2]],
+         "frequency histogram 'r.k' is not on a non-key column"),
     ])
     def test_malformed_entry_rejected(self, doc, path, value, message):
         *parents, last = path
@@ -622,7 +640,8 @@ def test_round_trip_properties(scenario):
         assert canonical(state_to_document(loaded)) == direct
         assert save_bytes(loaded, pathlib.Path(d) / "again.json") == direct
         assert hists1d_of(loaded) == hists1d_of(state)
-        assert loaded.correlations == state.correlations
+        assert correlations_of(loaded.correlations) == \
+            correlations_of(state.correlations)
     assert_update_equals_rebuild(state, taken)
 
 
@@ -637,8 +656,7 @@ def assert_update_equals_rebuild(state, taken):
             key for key in rebuilt.background.tolist() if key not in held]
         assert (h.ndv + [len(b.topk) for b in h.bins]).tolist() == \
             rebuilt.ndv.tolist()
-        assert [b.total() for b in h.bins] == [
-            b.total() for b in rebuilt.bins]
+        assert h.bin_rows().tolist() == rebuilt.bin_rows().tolist()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,5 +1,6 @@
 """Batch updates: `apply_rows` against the per-row update loop it replaced."""
 import copy
+import dataclasses
 import json
 from collections import Counter
 
@@ -20,12 +21,16 @@ def reference_apply_rows(state, table, data):
     """The earlier `tkhist update` loop: one row at a time, one scalar
     insert per histogram.  Frequency keys go through `_scalar`; the loop
     kept numpy floats there, whose repr sorted apart in the state file.
-    Background keys are collected in one set per histogram and written back
-    as its sorted array, binned afresh, at the end."""
+    Containers and NV are copied into per-bin dicts and lists, and
+    background keys collected in one set per histogram; all are written
+    back as the histogram's arrays, binned afresh, at the end."""
     tdef = state.schema.table(table)
     key_cols = state.key_columns(table)
     background = {kc: set(state.hists1d[(table, kc)].background.tolist())
                   for kc in key_cols}
+    containers = {kc: [dict(b.topk) for b in state.hists1d[(table, kc)].bins]
+                  for kc in key_cols}
+    nv = {kc: state.hists1d[(table, kc)].nv.tolist() for kc in key_cols}
     inserted = rejected = 0
     for i in range(data.row_count):
         ok = True
@@ -48,13 +53,12 @@ def reference_apply_rows(state, table, data):
                 continue
             kv = _scalar(data.columns[kc][i])
             h1 = state.hists1d[(table, kc)]
-            b = h1.bins[domain_bin(h1.domain, kv)]
-            if kv in b.topk:
-                b.topk[kv] += 1
+            b = domain_bin(h1.domain, kv)
+            if kv in containers[kc][b]:
+                containers[kc][b][kv] += 1
             else:
-                b.nv += 1
+                nv[kc][b] += 1
                 background[kc].add(kv)
-            h1.total_rows += 1
             for cdef in tdef.columns:
                 if cdef.name == kc or data.null_mask[cdef.name][i]:
                     continue
@@ -73,10 +77,15 @@ def reference_apply_rows(state, table, data):
                 fh[v] = fh.get(v, 0) + 1
     for kc, keys in background.items():
         h1 = state.hists1d[(table, kc)]
-        h1.background = np.asarray(sorted(keys), dtype=h1.background.dtype)
-        h1.background_offsets = np.searchsorted(
-            [domain_bin(h1.domain, v) for v in h1.background],
-            np.arange(h1.domain.bin_count + 1))
+        keys = np.asarray(sorted(keys), dtype=h1.background.dtype)
+        state.hists1d[(table, kc)] = dataclasses.replace(
+            h1, topk_counts=np.asarray(
+                [c for d in containers[kc] for c in d.values()],
+                dtype=np.int64),
+            nv=np.asarray(nv[kc], dtype=np.int64), background=keys,
+            background_offsets=np.searchsorted(
+                [domain_bin(h1.domain, v) for v in keys],
+                np.arange(h1.domain.bin_count + 1)))
     return inserted, rejected
 
 
