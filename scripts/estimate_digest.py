@@ -11,8 +11,8 @@ workload's update batches through `tkhist update`.  Printed, one line each:
 the sha256 of the state file after the build and after every batch (with
 `schema_base_dir` blanked, so that trees built in different directories
 compare), and the sha256 of the `float.hex` of every estimate: the
-accuracy queries and the first `--stream` queries of the filtered stream
-after the build, and update-mix's per-batch query set after each batch's
+accuracy queries and the first STREAM_QUERIES queries of the filtered
+stream after the build, and update-mix's per-batch query set after each batch's
 reload.  A failing estimate digests its exception's type and message.
 Two trees that estimate alike print the same lines.
 """
@@ -24,6 +24,8 @@ import json
 import os
 import sys
 import tempfile
+
+STREAM_QUERIES = 200  # filtered-stream queries estimated after the build
 
 
 def state_digest(path: str) -> str:
@@ -45,7 +47,7 @@ def estimates_digest(estimator, queries: list[str], st) -> str:
     return f"{out.hexdigest()} n={len(queries)}"
 
 
-def run_workload(name: str, seed: int, stream: int, workdir: str) -> None:
+def run_workload(name: str, seed: int, workdir: str) -> None:
     import itertools
 
     import workloads as wl
@@ -69,7 +71,7 @@ def run_workload(name: str, seed: int, stream: int, workdir: str) -> None:
         queries = wl.join_queries(schema, seed)
     else:
         queries = wl.design_queries(schema, lit) + list(itertools.islice(
-            wl.filtered_stream(schema, lit, seed), stream))
+            wl.filtered_stream(schema, lit, seed), STREAM_QUERIES))
     print(f"{name} estimates build {estimates_digest(estimator, queries, st)}")
     batches = wl.update_batches(
         w, seed, 10 if w.updates else wl.PROBE_BATCHES,
@@ -92,18 +94,13 @@ def main() -> int:
         os.path.dirname(os.path.abspath(__file__)), os.pardir),
                     help="checkout whose src/ and perfbench/ are used")
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--workload", default="all",
-                    help="a perfbench workload name, or all")
-    ap.add_argument("--stream", type=int, default=200,
-                    help="filtered-stream queries estimated after the build")
     args = ap.parse_args()
     tree = os.path.abspath(args.tree)
     sys.path[:0] = [os.path.join(tree, "src"), os.path.join(tree, "perfbench")]
     import workloads as wl
-    names = list(wl.WORKLOADS) if args.workload == "all" else [args.workload]
-    for name in names:
+    for name in wl.WORKLOADS:
         with tempfile.TemporaryDirectory(prefix="tkhist-digest-") as workdir:
-            run_workload(name, args.seed, args.stream, workdir)
+            run_workload(name, args.seed, workdir)
     return 0
 
 

@@ -52,8 +52,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def _open_report(path: str, newline: str | None = None):
-    """`path` opened for writing; one that cannot be opened is an input
-    error."""
+    """`path` opened for writing, or else an input error."""
     try:
         return open(path, "w", encoding="utf-8", newline=newline)
     except OSError as exc:

@@ -4,10 +4,8 @@ Offline, the join pipeline is run over the longest declared join templates;
 the keys carried by the resulting dominant maps are the join paths worth
 tracking.  For each table and filterable attribute we then record, per
 dominant key, the envelope of attribute values observed with that key
-(min/max for ordered columns, the exact value set for categorical ones).
-
-Each (table, domain, attribute) section of the map is one `Envelopes`: the
-sorted keys and their envelopes as columns, the state file's layout.
+(min/max for ordered columns, the exact value set for categorical ones),
+one `Envelopes` of columns per (table, domain, attribute) section.
 
 Online, a dominant key is excluded from a query's join when its envelope
 cannot intersect a predicate's satisfying set, tested a section at a time.
@@ -33,9 +31,8 @@ DOMINANT_KEYS_PER_DOMAIN = 1000  # keys tracked per key domain by discovery
 
 @dataclass(frozen=True, eq=False)
 class Envelopes:
-    """One section of the correlation map as columns: the sorted, distinct
-    dominant keys and, per key, the range `lo[i]..hi[i]` of an ordered
-    attribute or the value set `values[i]` of a categorical one."""
+    """One correlation-map section as columns: sorted, distinct dominant keys
+    and per key the range `lo[i]..hi[i]` or the value set `values[i]`."""
 
     keys: np.ndarray
     lo: np.ndarray | None = None
@@ -46,8 +43,7 @@ class Envelopes:
         return len(self.keys)
 
     def excludes(self, pred: Predicate) -> np.ndarray:
-        """Per key, True iff no value inside its envelope can satisfy
-        `pred`."""
+        """Per key, True iff no value in its envelope can satisfy `pred`."""
         if self.values is not None:
             return np.array([not any(matches(pred, v) for v in vals)
                              for vals in self.values], dtype=bool)
@@ -143,12 +139,11 @@ def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
                     categorical: bool) -> Envelopes | None:
     """Per-key envelopes of one attribute in one grouped pass.
 
-    `rows` are the dominant-key rows stably sorted by `key_id` (an index into
-    the sorted `keys`), so each key's values form one segment, in key order:
-    a range is the segment's `reduceat` minimum and maximum, a set its
-    distinct values.  Null and NaN values are skipped; `matches` never
-    accepts either, so exclusion stays sound and the envelope does not
-    depend on row order.  None when no row is left.
+    `rows` are the dominant-key rows sorted by `key_id` (an index into the
+    sorted `keys`), so each key's values form one segment: a range is its
+    `reduceat` minimum and maximum, a set its distinct values.  Null and NaN
+    values are skipped (`matches` accepts neither), so exclusion stays sound.
+    None when no row is left.
     """
     rows = rows[~amask[rows]]
     vals = avals[rows]

@@ -7,15 +7,15 @@ on demand, never stored, so the per-bin identity
 
     exact bin row count == NV + sum(container frequencies)
 
-holds as integer arithmetic.  A 1D histogram holds all of these as flat
-arrays with per-bin offsets (the state file's layout); its per-bin `Bin1D`
-views are built on first use.
+holds as integer arithmetic.  A 1D histogram keeps these as the state file's
+flat arrays with per-bin offsets; its `Bin1D` views are built on first use.
 """
 from __future__ import annotations
 
 import functools
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,28 +25,20 @@ from .errors import TKHistError
 
 def _scalar(v):
     """Normalize numpy scalars to plain Python ints/floats for use as dict keys."""
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    return v
+    return v.item() if isinstance(v, (np.integer, np.floating)) else v
 
 
-@dataclass(frozen=True)
-class Bin1D:
-    """A read-only view of one bin: its container and its NV."""
-
-    topk: dict  # key -> exact frequency; read-only
+class Bin1D(NamedTuple):  # a read-only view of one bin
+    topk: dict  # key -> exact frequency
     nv: int
 
 
 @dataclass
 class TKHist1D:
     """Bin i's container is `topk_keys[topk_offsets[i]:topk_offsets[i + 1]]`
-    with those `topk_counts`, ranked by (-count, key) when built or loaded
-    (inserts add to counts in place); its background keys, sorted, are
-    `background[background_offsets[i]:background_offsets[i + 1]]`.  Keys are
-    in the column's dtype; bins are equi-width, so key order is bin order."""
+    with those `topk_counts`, ranked by (-count, key) until an insert; its
+    sorted background keys are `background` sliced by `background_offsets`
+    alike.  Keys are in the column's dtype; key order is bin order."""
 
     domain: KeyDomain
     topk_keys: np.ndarray
@@ -62,8 +54,7 @@ class TKHist1D:
         return np.diff(self.background_offsets)
 
     @property
-    def total_rows(self) -> int:
-        """Rows with a non-null key: ΣNV + Σcontainer counts."""
+    def total_rows(self) -> int:  # rows with a non-null key
         return int(self.nv.sum()) + int(self.topk_counts.sum())
 
     def bin_rows(self) -> np.ndarray:
@@ -82,13 +73,9 @@ class TKHist1D:
     def insert(self, keys) -> None:
         """Add one key or an array of keys (nulls already removed).
 
-        The keys are grouped with one `np.unique`; each distinct key adds its
-        count to its container entry (a sorted-key lookup) or else to its
-        bin's NV, and the others are merged into the background in one pass.
-        Container membership is frozen at build time: a background key that
-        becomes frequent through inserts stays background until a rebuild.
-        Keys take the background's dtype; real keys for an integer histogram
-        are an error rather than being truncated.
+        A key in a container adds to its count, any other to its bin's NV
+        and the background: container membership is frozen at build time.
+        Real keys for an integer histogram are an error, not truncated.
         """
         keys = np.atleast_1d(keys)
         if not np.can_cast(keys.dtype, self.background.dtype):
@@ -96,12 +83,11 @@ class TKHist1D:
                               f"histogram of {self.background.dtype} keys")
         keys, counts = np.unique(keys.astype(self.background.dtype),
                                  return_counts=True)
-        idx = self.domain.bins_of(keys)
         held = np.isin(keys, self.topk_keys)
         by_key = np.argsort(self.topk_keys, kind="stable")
         self.topk_counts[by_key[np.searchsorted(
             self.topk_keys, keys[held], sorter=by_key)]] += counts[held]
-        np.add.at(self.nv, idx[~held], counts[~held])
+        np.add.at(self.nv, self.domain.bins_of(keys[~held]), counts[~held])
         self.background = _merge_sorted(self.background, keys[~held])
         self.background_offsets = _offsets(
             self.domain.bins_of(self.background), self.domain.bin_count)

@@ -57,10 +57,9 @@ def _bac(comp: CompositeHist) -> list[float]:
 
 
 def lift(hist: TKHist1D) -> CompositeHist:
-    """Identity lift of a built histogram into the composite representation.
-    The dominant maps are the container dicts of the histogram's `bins`
-    views (int counts), shared by every lift: they are read-only, and a
-    caller that edits one copies it."""
+    """Identity lift of a built histogram.  The dominant maps are its `bins`
+    views' container dicts (int counts), shared by every lift: read-only, so
+    a caller that edits one copies it."""
     return CompositeHist(
         domain=hist.domain,
         dominant=[b.topk for b in hist.bins],

@@ -6,8 +6,8 @@ exact integers and every collection is written in sorted order, so saving the
 same state twice is byte-identical.  Version 5 stores each 1D histogram as
 flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
 cells and each correlation-map section as columns; every numeric array is one
-packed string (`_pack`), and sorted integer arrays are delta-coded.  The 1D
-and correlation arrays are the in-memory ones: loading or saving them builds
+packed string (`_pack`), and sorted integer arrays are delta-coded.  Loading
+or saving the 1D and correlation arrays, kept as they are in memory, builds
 no per-key object (a set envelope excepted).
 Loading derives what the file leaves out: domain members from the schema, a
 histogram's domain from the key column in its name, a key attribute axis
@@ -262,8 +262,7 @@ def _get(doc: dict, where: str, name: str, kind: str = "an object"):
 
 
 def _hist1d_doc(h: TKHist1D) -> dict:
-    """The histogram's arrays; each bin's container pairs in (-count, key)
-    order, which inserts can change, from one lexsort over all containers."""
+    """The histogram's arrays, each container re-ranked by (-count, key)."""
     order = np.lexsort((h.topk_keys, -h.topk_counts, np.repeat(
         np.arange(len(h.nv)), np.diff(h.topk_offsets))))
     return {"topk_keys": _pack(h.topk_keys[order]),
@@ -289,9 +288,7 @@ def _hist2d_doc(h: TKHist2D) -> dict:
 
 
 def _correlation_doc(section: Envelopes) -> dict:
-    """One section of the correlation map as its columns: the sorted keys,
-    plus `lo` and `hi` for range envelopes or `values` for set envelopes
-    (one attribute has one envelope kind)."""
+    """The section's columns: its keys, then `lo` and `hi` or `values`."""
     doc = {"keys": _pack(section.keys, delta=True)}
     if section.values is not None:
         return {**doc, "values": [sorted(vals) for vals in section.values]}
@@ -621,13 +618,16 @@ def _binning_from_doc(where: str, a: dict,
 
 def _envelopes_from_doc(where: str, sec: dict) -> Envelopes:
     keys = _unpack(sec, where, "keys", None, delta=True)
+    if np.any(keys[1:] <= keys[:-1]):
+        raise StateError(f"{where} has unsorted or repeated keys")
     if "values" in sec:
         section = Envelopes(keys, values=list(map(frozenset, _get(
             sec, where, "values", "a list of scalar lists"))))
-        columns = [section.values]
-    else:
-        columns = [_unpack(sec, where, name, None) for name in ("lo", "hi")]
-        section = Envelopes(keys, *columns)
-    if any(len(col) != len(keys) for col in columns):
+    else:  # `hi` in `lo`'s dtype, as `Envelopes.excludes` assumes
+        lo = _unpack(sec, where, "lo", None)
+        hi = _unpack(sec, where, "hi", lo.dtype.str[1:])
+        section = Envelopes(keys, lo, hi)
+    if {len(col) for col in (section.lo, section.hi, section.values)
+            if col is not None} != {len(keys)}:
         raise StateError(f"{where} has columns of unequal length")
     return section

@@ -439,6 +439,11 @@ class TestErrors:
          "frequency histogram 'r.zz' is not on a non-key column"),
         (("freq", "r.k"), [[1, 2]],
          "frequency histogram 'r.k' is not on a non-key column"),
+        # envelope columns that one comparison rule cannot read
+        (("correlations", "r|r.k|y", "hi"), packed([3.0], "f8"),
+         "'hi' has dtype tag 'f8', expected i8"),
+        (("correlations", "r|r.k|y", "keys"), packed([1, 0]),
+         r"'r\|r.k\|y' has unsorted or repeated keys"),
     ])
     def test_malformed_entry_rejected(self, doc, path, value, message):
         *parents, last = path
