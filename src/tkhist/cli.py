@@ -7,6 +7,7 @@ omitted.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import json
@@ -16,8 +17,8 @@ import time
 
 from . import catalog, estimator, synth
 from .errors import TKHistError
-from .state import (BuildConfig, apply_rows, build_state, ingest_all,
-                    load_state, save_state)
+from .state import (DEFAULT_BIN_COUNT, DEFAULT_TOP_K, BuildConfig, apply_rows,
+                    build_state, ingest_all, load_state, save_state)
 
 STATE_ENV = "TKHIST_STATE"
 
@@ -51,10 +52,13 @@ def _int_list(text: str) -> list[int]:
             f"expected comma-separated integers, got {text!r}") from None
 
 
-def _open_report(path: str, newline: str | None = None):
-    """`path` opened for writing, or else an input error."""
+def _open_report(outputs: contextlib.ExitStack, path: str,
+                 newline: str | None = None):
+    """`path` opened for writing until `outputs` closes, or else an input
+    error; opened before any work, so that a bad path fails fast."""
     try:
-        return open(path, "w", encoding="utf-8", newline=newline)
+        return outputs.enter_context(
+            open(path, "w", encoding="utf-8", newline=newline))
     except OSError as exc:
         raise TKHistError(f"cannot write {path!r}: {exc}") from exc
 
@@ -89,21 +93,17 @@ def cmd_estimate(args) -> int:
 def cmd_evaluate(args) -> int:
     state = load_state(_state_path(args))
     entries = estimator.parse_workload(args.workload)
-    tables = None
-    if args.oracle:
-        tables = ingest_all(state.schema)
-    reports, summary = estimator.evaluate_workload(
-        state, entries, use_djpcd=args.djpcd, tables=tables)
-    out = _open_report(args.out) if args.out else sys.stdout
-    try:
+    tables = ingest_all(state.schema) if args.oracle else None
+    with contextlib.ExitStack() as outputs:
+        out = _open_report(outputs, args.out) if args.out else sys.stdout
+        csv_out = args.summary and _open_report(outputs, args.summary,
+                                                newline="")
+        reports, summary = estimator.evaluate_workload(
+            state, entries, use_djpcd=args.djpcd, tables=tables)
         for rep in reports:
             out.write(json.dumps(rep.to_dict()) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
-    if args.summary:
-        with _open_report(args.summary, newline="") as fh:
-            writer = csv.writer(fh)
+        if csv_out:
+            writer = csv.writer(csv_out)
             d = summary.to_dict()
             writer.writerow(d.keys())
             writer.writerow(d.values())
@@ -126,22 +126,19 @@ def cmd_sweep(args) -> int:
     schema = catalog.load_schema(args.schema)
     tables = ingest_all(schema)
     entries = estimator.parse_workload(args.workload)
-    points = estimator.sweep(schema, tables, entries, args.bins, args.k,
-                             use_djpcd=args.djpcd)
-    rows = [["bin_count", "top_k", "build_seconds", "state_bytes",
-             "median_q", "mean_latency_ms"]]
-    for p in points:
-        rows.append([p.bin_count, p.top_k, f"{p.build_seconds:.4f}",
-                     p.state_bytes,
-                     "" if p.median_q is None else f"{p.median_q:.4f}",
-                     f"{p.mean_latency_ms:.3f}"])
-    out = _open_report(args.out, newline="") if args.out else sys.stdout
-    try:
+    with contextlib.ExitStack() as outputs:
+        out = (_open_report(outputs, args.out, newline="") if args.out
+               else sys.stdout)
+        points = estimator.sweep(schema, tables, entries, args.bins, args.k,
+                                 use_djpcd=args.djpcd)
         writer = csv.writer(out)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+        writer.writerow(["bin_count", "top_k", "build_seconds", "state_bytes",
+                         "median_q", "mean_latency_ms"])
+        for p in points:
+            writer.writerow([p.bin_count, p.top_k, f"{p.build_seconds:.4f}",
+                             p.state_bytes,
+                             "" if p.median_q is None else f"{p.median_q:.4f}",
+                             f"{p.mean_latency_ms:.3f}"])
     return 0
 
 
@@ -167,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build", help="build histograms from schema + CSVs")
     p.add_argument("--schema", required=True)
     _add_state_arg(p)
-    p.add_argument("--bins", type=int, default=200)
-    p.add_argument("--k", type=int, default=20)
+    p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
+    p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
     _add_djpcd_arg(p)
 
     p = sub.add_parser("estimate", help="estimate one COUNT(*) query")

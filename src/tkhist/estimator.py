@@ -172,7 +172,7 @@ def _single_table_fraction(state: EstimatorState, table: str,
     for kc in state.key_columns(table):
         h2 = state.hists2d.get((table, kc, attr))
         if h2 is not None:
-            mass = h2.grid.sum(axis=1).astype(np.float64)
+            mass = h2.key_marginal().astype(np.float64)
             if mass.sum() <= 0:
                 return 0.0
             return float(mass @ selectivity_2d(h2, pred) / mass.sum())

@@ -119,7 +119,7 @@ def selectivity_2d(hist2d: TKHist2D, pred: Predicate) -> np.ndarray:
             raise TKHistError("string set predicate against numeric attribute")
         sat = bin_fractions(binning.lo, binning.hi, binning.bin_count, pred,
                             binning.integer)
-    mass = hist2d.grid.sum(axis=1).astype(np.float64)
+    mass = hist2d.key_marginal().astype(np.float64)
     hit = hist2d.grid @ sat
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(mass > 0, hit / np.maximum(mass, 1e-300), 1.0)

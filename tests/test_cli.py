@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from tkhist import cli, oracle
+from tkhist import cli, estimator, oracle
 from tkhist.cli import main
 from tkhist.errors import TKHistError
 from tkhist.queryfront import bind, parse_sql
@@ -375,7 +375,7 @@ class TestBadInput:
     @pytest.mark.parametrize("command", [
         "build", "evaluate-out", "evaluate-summary", "sweep"])
     def test_output_in_missing_directory(self, bench, built, tmp_path,
-                                         capsys, command):
+                                         capsys, monkeypatch, command):
         missing = str(tmp_path / "missing" / "out")
         wl = tmp_path / "wl.txt"
         wl.write_text("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1\n")
@@ -386,11 +386,18 @@ class TestBadInput:
                 "evaluate-summary": [*evaluate, "--summary", missing],
                 "sweep": ["sweep", "--schema", schema, "--workload", str(wl),
                           "--bins", "10", "--k", "1", "--out", missing]}
+        def work(*args, **kwargs):
+            raise AssertionError("estimating before the outputs are open")
+        monkeypatch.setattr(estimator, "evaluate_workload", work)
+        monkeypatch.setattr(estimator, "sweep", work)
         before = sorted(tmp_path.rglob("*"))
         assert main(argv[command]) == 2
-        assert capsys.readouterr().err.startswith(
+        out, err = capsys.readouterr()
+        assert err.startswith(
             f"error: cannot write {'state file ' * (command == 'build')}"
             f"{missing!r}")
+        if command in ("evaluate-summary", "sweep"):
+            assert out == ""  # the output is opened before any estimate
         assert sorted(tmp_path.rglob("*")) == before  # no temporary file
 
     def test_between_bounds_of_mixed_types(self, built, capsys):
