@@ -13,13 +13,12 @@ flat arrays with per-bin offsets; its `Bin1D` views are built on first use.
 from __future__ import annotations
 
 import functools
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
 
-from .catalog import KeyDomain, equi_width_bins, value_span
+from .catalog import KeyDomain, equi_width_bins
 from .errors import TKHistError
 
 
@@ -199,17 +198,6 @@ class AttrBinning:
         return self._index[v]
 
 
-def numeric_binning(values: np.ndarray, n_bins: int, integer: bool) -> AttrBinning:
-    lo, hi = value_span([values])
-    return AttrBinning(kind="numeric", integer=integer, lo=lo, hi=hi,
-                       bin_count=n_bins)
-
-
-def categorical_binning(values) -> AttrBinning:
-    distinct = sorted({_scalar(v) for v in values})
-    return AttrBinning(kind="categorical", values=list(distinct))
-
-
 def domain_binning(attr_domain: KeyDomain, integer: bool) -> AttrBinning:
     return AttrBinning(kind="numeric", integer=integer, lo=attr_domain.lo,
                        hi=attr_domain.hi, bin_count=attr_domain.bin_count,
@@ -267,8 +255,10 @@ def _cell_counts(ki: np.ndarray, aj: np.ndarray,
     return flat.astype(np.int64, copy=False).reshape(shape)
 
 
-def build_frequency_hist(values, null_mask: np.ndarray | None = None) -> dict:
-    """Exact per-distinct-value counts for a categorical column."""
-    if null_mask is not None:
-        values = values[~null_mask]
-    return {(_scalar(v)): int(c) for v, c in Counter(values.tolist()).items()}
+def add_value_counts(counts: dict, values: np.ndarray) -> dict:
+    """Add each value's number of rows in `values` (nulls removed) to the
+    frequency histogram `counts` of a categorical column; returns it."""
+    distinct, n = np.unique(values, return_counts=True)
+    for v, c in zip(distinct.tolist(), n.tolist()):
+        counts[v] = counts.get(v, 0) + c
+    return counts

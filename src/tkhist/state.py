@@ -3,18 +3,20 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 5 stores each 1D histogram as
+same state twice is byte-identical.  Version 6 stores each 1D histogram as
 flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
 cells and each correlation-map section as columns; every numeric array is one
 packed string (`_pack`), and sorted integer arrays are delta-coded.  Loading
 or saving the 1D and correlation arrays, kept as they are in memory, builds
 no per-key object (a set envelope excepted).
-Loading derives what the file leaves out: domain members from the schema, a
-histogram's domain from the key column in its name, a key attribute axis
-from its domain, a column's class from whether it has a `freq` entry.  A
-grid's `shape` is kept as a check on its axis.  Loading checks the type of
-every entry, the sign of every count, every length, offset and cell, and
-that every entry name fits the schema; older versions are rejected.
+The file stores only what the data decided; loading derives the rest:
+domain members from the schema, every bin count from `config.bin_count`, a
+histogram's domain from the key column in its name, a column's class from
+whether it has a `freq` entry, and each attribute axis by `_attr_axis`, the
+rule that also picks it at build.  A grid's `shape` is kept as a check on
+its axis.  Loading checks the type of every entry, the sign of every count,
+every length, offset and cell, and that every entry name fits the schema;
+older versions are rejected.
 
 Each table owns some entries of the document: its `hists1d` and `freq`
 entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
@@ -36,15 +38,15 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import catalog
-from .catalog import KeyDomain, Schema, TableData, split_qualified
+from .catalog import (ColumnDef, KeyDomain, Schema, TableData,
+                      split_qualified, value_span)
 from .djpcd import Envelopes
 from .errors import SchemaError, StateError
-from .histcore import (AttrBinning, TKHist1D, TKHist2D,
-                       build_frequency_hist, build_tkhist1d, build_tkhist2d,
-                       categorical_binning, domain_binning, numeric_binning)
+from .histcore import (AttrBinning, TKHist1D, TKHist2D, add_value_counts,
+                       build_tkhist1d, build_tkhist2d, domain_binning)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 5
+STATE_VERSION = 6
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -101,8 +103,7 @@ def build_state(schema: Schema, tables: dict[str, TableData],
         # a column is categorical exactly when it has a frequency histogram
         for name in catalog.categorical_columns(
                 data, tdef, schema.categorical_threshold):
-            freq_hists[(t, name)] = build_frequency_hist(
-                data.columns[name], data.null_mask[name])
+            freq_hists[(t, name)] = add_value_counts({}, data.non_null(name))
         key_domain = {c.name: domains[column_domain[f"{t}.{c.name}"]]
                       for c in tdef.columns
                       if f"{t}.{c.name}" in column_domain}
@@ -114,9 +115,11 @@ def build_state(schema: Schema, tables: dict[str, TableData],
                 if cdef.name != kc:
                     hists2d[(t, kc, cdef.name)] = build_tkhist2d(
                         data.columns[kc], data.columns[cdef.name], dom,
-                        _attr_binning(cdef, data, key_domain.get(cdef.name),
-                                      (t, cdef.name) in freq_hists,
-                                      config.bin_count),
+                        _attr_axis(
+                            cdef, key_domain.get(cdef.name),
+                            (t, cdef.name) in freq_hists, config.bin_count,
+                            lambda: sorted(freq_hists[(t, cdef.name)]),
+                            lambda: value_span([data.non_null(cdef.name)])),
                         key_nulls=data.null_mask[kc],
                         attr_nulls=data.null_mask[cdef.name])
 
@@ -126,16 +129,20 @@ def build_state(schema: Schema, tables: dict[str, TableData],
         freq_hists=freq_hists, table_rows=table_rows, correlations=None)
 
 
-def _attr_binning(cdef, data: TableData, attr_domain: KeyDomain | None,
-                  categorical: bool, bin_count: int) -> AttrBinning:
-    """A key column's domain bins, one bin per value of a categorical
-    column, or else `bin_count` bins over the column's values."""
-    integer = cdef.kind == catalog.KIND_INTEGER
+def _attr_axis(column: ColumnDef, attr_domain: KeyDomain | None,
+               categorical: bool, bin_count: int, values, span) -> AttrBinning:
+    """The attribute axis of a 2D histogram over `column`, at build and at
+    load: its key domain's bins when it is in `attr_domain`; else, when it
+    is categorical, one bin per value of `values()`; else `bin_count` bins
+    over the (lo, hi) of `span()`."""
+    integer = column.kind == catalog.KIND_INTEGER
     if attr_domain is not None:
         return domain_binning(attr_domain, integer)
     if categorical:
-        return categorical_binning(data.non_null(cdef.name))
-    return numeric_binning(data.non_null(cdef.name), bin_count, integer)
+        return AttrBinning(kind="categorical", values=list(values()))
+    lo, hi = span()
+    return AttrBinning(kind="numeric", integer=integer, lo=float(lo),
+                       hi=float(hi), bin_count=bin_count)
 
 
 def ingest_all(schema: Schema) -> dict[str, TableData]:
@@ -171,10 +178,7 @@ def apply_rows(state: EstimatorState, table: str,
     for cdef in tdef.columns:
         fh = state.freq_hists.get((table, cdef.name))
         if fh is not None:
-            values, counts = np.unique(data.columns[cdef.name][valid[cdef.name]],
-                                       return_counts=True)
-            for v, c in zip(values.tolist(), counts.tolist()):
-                fh[v] = fh.get(v, 0) + c
+            add_value_counts(fh, data.columns[cdef.name][valid[cdef.name]])
     inserted = int(accept.sum())
     state.table_rows[table] += inserted
     return inserted, data.row_count - inserted
@@ -232,7 +236,6 @@ def _list_of(v, test) -> bool:
 _KINDS = {  # what a document entry must be, by the words naming it in errors
     "an object": lambda v: isinstance(v, dict),
     "a string": lambda v: isinstance(v, str),
-    "a boolean": lambda v: isinstance(v, bool),
     "a count": lambda v: type(v) is int and v >= 0,
     "a finite number": lambda v: (type(v) in (int, float)
                                   and -math.inf < v < math.inf),
@@ -274,16 +277,14 @@ def _hist1d_doc(h: TKHist1D) -> dict:
 
 
 def _hist2d_doc(h: TKHist2D) -> dict:
-    """The grid's non-zero cells (flat indices) and their counts; a numeric
-    attribute axis is its key domain's id, or else its lo, hi and bin
-    count."""
+    """The grid's shape, its non-zero cells (flat indices) and their counts,
+    and what the data decided of its attribute axis: the values of a
+    categorical axis, lo and hi of a numeric one outside any key domain."""
     a, flat = h.attr, h.grid.ravel()
     cells = np.flatnonzero(flat)
     axis = ({"values": list(a.values)} if a.kind == "categorical" else
-            {"attr_domain": a.attr_domain_id} if a.attr_domain_id else
-            {"lo": a.lo, "hi": a.hi, "bin_count": a.bin_count})
-    return {"shape": list(h.grid.shape),
-            "attr": {"kind": a.kind, "integer": a.integer, **axis},
+            {} if a.attr_domain_id else {"lo": a.lo, "hi": a.hi})
+    return {"shape": list(h.grid.shape), **axis,
             "cells": _pack(cells, delta=True), "counts": _pack(flat[cells])}
 
 
@@ -341,7 +342,7 @@ def _global_entries(state: EstimatorState) -> dict:
         "config": asdict(state.config),
         "schema": state.schema.document,
         "schema_base_dir": state.schema.base_dir,
-        "domains": {d.id: {"lo": d.lo, "hi": d.hi, "bin_count": d.bin_count}
+        "domains": {d.id: {"lo": d.lo, "hi": d.hi}
                     for d in state.domains.values()},
     }
 
@@ -442,18 +443,18 @@ def state_from_document(doc: dict) -> EstimatorState:
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
-    if version in (1, 2, 3, 4):
+    if version in (1, 2, 3, 4, 5):
         raise StateError(f"state version {version} is no longer read; "
                          f"rebuild the state with `tkhist build`")
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v5(doc)
+        return _state_from_v6(doc)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v5(doc: dict) -> EstimatorState:
+def _state_from_v6(doc: dict) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")
@@ -469,8 +470,8 @@ def _state_from_v5(doc: dict) -> EstimatorState:
                          f"key domains {sorted(domains)}")
     for did, d in bounds.items():
         domains[did].set_boundaries(*_fields(
-            d, f"domain {did!r}", lo="a finite number", hi="a finite number",
-            bin_count="a count"))
+            d, f"domain {did!r}", lo="a finite number", hi="a finite number"),
+            bin_count)
     column_domain = {c: d.id for d in domains.values() for c in d.columns}
     key_domains = {c: domains[did] for c, did in column_domain.items()}
     columns = {f"{t.name}.{c.name}": c for t in schema.tables
@@ -489,6 +490,12 @@ def _state_from_v5(doc: dict) -> EstimatorState:
         integer = schema.table(t).column(c).kind == catalog.KIND_INTEGER
         hists1d[(t, c)] = _hist1d_from_doc(where, h, dom,
                                            "i8" if integer else "f8")
+    freq = {}
+    for qual, items in _entries(doc, "freq", "a list of [value, count] pairs"):
+        if qual not in columns or columns[qual].role == catalog.ROLE_KEY:
+            raise StateError(f"frequency histogram {qual!r} is not on a "
+                             f"non-key column")
+        freq[split_qualified(qual)] = dict(items)
     hists2d = {}
     for name, h in _entries(doc, "hists2d"):
         where = f"2D histogram {name!r}"
@@ -498,16 +505,13 @@ def _state_from_v5(doc: dict) -> EstimatorState:
         if attr == c or f"{t}.{attr}" not in columns:
             raise StateError(f"{where}: {attr!r} is not another column "
                              f"of table {t!r}")
-        binning = _binning_from_doc(f"{where} attr", _get(h, where, "attr"),
-                                    key_domains.get(f"{t}.{attr}"))
-        hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, binning)
-
-    freq = {}
-    for qual, items in _entries(doc, "freq", "a list of [value, count] pairs"):
-        if qual not in columns or columns[qual].role == catalog.ROLE_KEY:
-            raise StateError(f"frequency histogram {qual!r} is not on a "
-                             f"non-key column")
-        freq[split_qualified(qual)] = dict(items)
+        axis = _attr_axis(
+            columns[f"{t}.{attr}"], key_domains.get(f"{t}.{attr}"),
+            (t, attr) in freq, bin_count,
+            lambda: _get(h, where, "values", "a list of scalars"),
+            lambda: _fields(h, where, lo="a finite number",
+                            hi="a finite number"))
+        hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, axis)
     table_rows = dict(_entries(doc, "table_rows", "a count"))
     if sorted(table_rows) != sorted(t.name for t in schema.tables):
         raise StateError("table_rows does not name each schema table once")
@@ -593,27 +597,6 @@ def _hist2d_from_doc(where: str, h: dict, dom: KeyDomain,
     grid = np.zeros(shape, dtype=np.int64)
     grid.ravel()[cells] = counts
     return TKHist2D(key_domain=dom, attr=binning, grid=grid)
-
-
-def _binning_from_doc(where: str, a: dict,
-                      attr_domain: KeyDomain | None) -> AttrBinning:
-    """The axis `a` of an attribute in `attr_domain`, or in no key domain."""
-    kind, integer = _fields(a, where, kind="a string", integer="a boolean")
-    did = attr_domain and attr_domain.id
-    if a.get("attr_domain") != did:
-        raise StateError(f"{where}: attr_domain {a.get('attr_domain')!r} "
-                         f"is not the attribute's key domain {did!r}")
-    if kind == "categorical":
-        return AttrBinning(kind=kind, integer=integer, values=list(
-            _get(a, where, "values", "a list of scalars")))
-    if kind != "numeric":
-        raise StateError(f"{where} has unknown kind {kind!r}")
-    if attr_domain is not None:
-        return domain_binning(attr_domain, integer)
-    lo, hi, n = _fields(a, where, lo="a finite number", hi="a finite number",
-                        bin_count="a count")
-    return AttrBinning(kind=kind, integer=integer, lo=float(lo), hi=float(hi),
-                       bin_count=n)
 
 
 def _envelopes_from_doc(where: str, sec: dict) -> Envelopes:

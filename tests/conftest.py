@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from tkhist.catalog import TableData, schema_from_document
+from tkhist.catalog import TableData, schema_from_document, value_span
 from tkhist.errors import DomainBoundsError
-from tkhist.histcore import _scalar
+from tkhist.histcore import AttrBinning, _scalar
 
 
 def make_table(name: str, columns: dict, nulls: dict | None = None) -> TableData:
@@ -22,6 +22,21 @@ def make_table(name: str, columns: dict, nulls: dict | None = None) -> TableData
         for c, mask in nulls.items():
             null_mask[c] = np.asarray(mask, dtype=bool)
     return TableData(name=name, columns=cols, null_mask=null_mask, row_count=n)
+
+
+def numeric_binning(values, n_bins: int, integer: bool) -> AttrBinning:
+    """`n_bins` equi-width bins over the span of `values`, as a build gives
+    a numeric column outside any key domain."""
+    lo, hi = value_span([np.asarray(values)])
+    return AttrBinning(kind="numeric", integer=integer, lo=lo, hi=hi,
+                       bin_count=n_bins)
+
+
+def categorical_binning(values) -> AttrBinning:
+    """One bin per distinct value, in sorted order, as a build gives a
+    categorical column."""
+    return AttrBinning(kind="categorical",
+                       values=sorted({_scalar(v) for v in values}))
 
 
 def scalar_bin(v, lo: float, hi: float, n: int) -> int:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from tkhist.estimator import (discover_correlations, estimate, q_error, ratio)
-from tkhist.histcore import build_tkhist2d, numeric_binning
+from tkhist.histcore import build_tkhist2d
 from tkhist.joinengine import CompositeHist, jtkh_join, selinger_bin_estimate
 from tkhist.oracle import nested_loop_count, oracle_count
 from tkhist.predicate import Predicate, selectivity_2d
@@ -19,7 +19,7 @@ from tkhist.queryfront import Query, bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import domain_bin, make_table, two_table_schema
+from conftest import domain_bin, make_table, numeric_binning, two_table_schema
 
 
 def verdict(n: int, ok: bool, desc: str) -> None:

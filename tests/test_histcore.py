@@ -7,12 +7,11 @@ from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainBoundsError, TKHistError
-from tkhist.histcore import (TKHist1D, _scalar, build_frequency_hist,
-                             build_tkhist1d, build_tkhist2d,
-                             categorical_binning, numeric_binning,
-                             domain_binning)
+from tkhist.histcore import (TKHist1D, _scalar, add_value_counts,
+                             build_tkhist1d, build_tkhist2d, domain_binning)
 
-from conftest import attr_bin, domain_bin
+from conftest import (attr_bin, categorical_binning, domain_bin,
+                      numeric_binning)
 
 
 def make_domain(lo=0, hi=100, bins=10):
@@ -376,4 +375,8 @@ class TestHist2D:
 
 def test_frequency_hist_exact():
     vals = np.array(["x", "y", "x", "x"], dtype=object)
-    assert build_frequency_hist(vals) == {"x": 3, "y": 1}
+    assert add_value_counts({}, vals) == {"x": 3, "y": 1}
+    counts = {"x": 1, "z": 2}
+    assert add_value_counts(counts, vals) is counts
+    assert counts == {"x": 4, "z": 2, "y": 1}
+    assert add_value_counts({}, np.array([], dtype=object)) == {}

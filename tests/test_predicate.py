@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainMismatchError, TKHistError
 from tkhist.estimator import _lift_alias, _single_table_fraction
-from tkhist.histcore import (AttrBinning, TKHist2D, build_tkhist2d,
-                             categorical_binning, numeric_binning)
+from tkhist.histcore import AttrBinning, TKHist2D, build_tkhist2d
 from tkhist.joinengine import CompositeHist, apply_filters
 from tkhist.predicate import (Predicate, key_bin_fractions, matches,
                               satisfying_intervals, selectivity_2d)
 from tkhist.queryfront import bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 
-from conftest import domain_bin, make_table, two_table_schema
+from conftest import (categorical_binning, domain_bin, make_table,
+                      numeric_binning, two_table_schema)
 
 
 def make_domain(lo=0, hi=100, bins=10):

@@ -200,30 +200,28 @@ class TestFormat:
             # integer keys: the first key, then the gaps to the next
             assert h["background"].startswith("i8:")
             assert all(gap > 0 for gap in unpacked(h["background"])[1:])
-        # a numeric attribute axis is its key domain, or else its lo, hi
-        # and bin count
+        # an attribute axis in a key domain is derived whole; a numeric one
+        # outside keeps its lo and hi, a categorical one its values
         keyed = 0
         for name, h in doc["hists2d"].items():
-            attr = f"{name.split('.')[0]}.{name.split('|')[1]}"
-            if attr in mixed_state.column_domain:
+            t, attr = name.split(".")[0], name.split("|")[1]
+            if f"{t}.{attr}" in mixed_state.column_domain:
                 keyed += 1
-                assert h["attr"] == {
-                    "kind": "numeric", "integer": True,
-                    "attr_domain": mixed_state.column_domain[attr]}
-            elif h["attr"]["kind"] == "numeric":
-                assert set(h["attr"]) == {"kind", "integer", "lo", "hi",
-                                          "bin_count"}
+                assert set(h) == {"shape", "cells", "counts"}
+            elif (t, attr) in mixed_state.freq_hists:
+                assert set(h) == {"shape", "values", "cells", "counts"}
+            else:
+                assert set(h) == {"shape", "lo", "hi", "cells", "counts"}
         assert keyed
 
     def test_v3_layout(self, built):
         # version 3's layout, with each numeric array packed as in version 4
-        # and without what version 5 derives on load
+        # and without what versions 5 and 6 derive on load
         state, tables = built
         discover_correlations(state, tables)
         doc = state_to_document(state)
-        assert doc["version"] == 5
-        assert doc["domains"] == {"r.k": {"lo": 1.0, "hi": 9.0,
-                                          "bin_count": 4}}
+        assert doc["version"] == 6
+        assert doc["domains"] == {"r.k": {"lo": 1.0, "hi": 9.0}}
         assert "column_class" not in doc
         h1 = {name: unpacked(blob)
               for name, blob in doc["hists1d"]["r.k"].items()}
@@ -234,12 +232,11 @@ class TestFormat:
         assert h1["nv"] == [1, 0, 0, 0]
         assert (h1["background"], h1["background_offsets"]) == ([2], [0, 1, 1, 1, 1])
         h2 = doc["hists2d"]["r.k|y"]
-        assert set(h2) == {"shape", "attr", "cells", "counts"}
+        assert set(h2) == {"shape", "values", "cells", "counts"}
         assert h2["shape"] == [4, 4]  # y is categorical: 3, 4, 5, 6
+        assert h2["values"] == [3, 4, 5, 6]
         assert unpacked(h2["cells"]) == [0, 1, 9, 5]  # flat cells 0, 1, 10, 15
         assert unpacked(h2["counts"]) == [2, 1, 1, 1]
-        assert h2["attr"] == {"kind": "categorical", "integer": False,
-                              "values": [3, 4, 5, 6]}
         # dominant keys 1, 2 and 9 with the y values seen with them
         corr = {name: {col: unpacked(blob) for col, blob in sec.items()}
                 for name, sec in doc["correlations"].items()}
@@ -281,6 +278,9 @@ class TestFormat:
             correlations_of(state.correlations)
 
 
+MISSING = object()  # an entry deleted from the document
+
+
 class TestErrors:
     def test_bad_magic_rejected(self):
         with pytest.raises(StateError, match="unrecognized"):
@@ -318,19 +318,6 @@ class TestErrors:
         with pytest.raises(StateError, match=re.escape(
                 f"histogram {renamed!r}: {qual!r} is not a key column")):
             state_from_document(doc)
-
-    def test_key_axis_off_its_domain_rejected(self, mixed_state):
-        doc = state_to_document(mixed_state)
-        name, h = next((name, h) for name, h in doc["hists2d"].items()
-                       if "attr_domain" in h["attr"])
-        others = sorted(set(doc["domains"]) - {h["attr"]["attr_domain"]})
-        for axis in ({**h["attr"], "attr_domain": others[0]},
-                     {"kind": "numeric", "integer": True, "lo": 0.0,
-                      "hi": 1.0, "bin_count": h["shape"][1]}):
-            h["attr"] = axis
-            with pytest.raises(StateError, match=re.escape(
-                    f"2D histogram {name!r} attr: attr_domain")):
-                state_from_document(doc)
 
     @pytest.fixture
     def doc(self, built):
@@ -382,7 +369,7 @@ class TestErrors:
         with pytest.raises(StateError, match=re.escape("'s|r.k|y' has columns of")):
             state_from_document(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_older_versions_rejected(self, doc, version):
         doc["version"] = version
         with pytest.raises(StateError, match=f"state version {version} is "
@@ -394,7 +381,8 @@ class TestErrors:
         (("hists1d", "r.k", "topk_keys"), None, "'topk_keys' is not a string"),
         (("hists1d", "r.k", "nv"), packed([1, 0, -5, 0]),
          "'r.k': 'nv' has a negative count"),
-        (("domains", "r.k", "bin_count"), "x", "'bin_count' is not a count"),
+        # every bin count is config.bin_count
+        (("config", "bin_count"), 0, "bin_count must be >= 1"),
         (("domains", "r.k", "lo"), float("inf"), "'lo' is not a finite number"),
         (("hists2d", "r.k|y", "counts"), ["2", "1", "1", "1"],
          "'r.k|y': 'counts' is not a string"),
@@ -411,9 +399,11 @@ class TestErrors:
          "'nv' unpacks to 31 bytes, not a multiple of 8"),
         (("hists2d", "r.k|y", "counts"), packed([2, 1, -1, 1]),
          "'r.k|y': 'counts' has a negative count"),
-        (("hists2d", "r.k|y", "attr", "kind"), "ordinal", "unknown kind"),
-        (("hists2d", "r.k|y", "attr", "integer"), 0,
-         "'integer' is not a boolean"),
+        # r.y is categorical: its axis needs values; without its freq entry
+        # it is numeric, and its axis needs lo and hi
+        (("hists2d", "r.k|y", "values"), MISSING,
+         r"2D histogram 'r.k\|y' has no 'values' entry"),
+        (("freq", "r.y"), MISSING, r"2D histogram 'r.k\|y' has no 'lo' entry"),
         (("table_rows", "r"), -1, "'r' is not a count"),
         (("table_rows", "t"), 3, "table_rows does not name each schema table"),
         (("freq", "r.y"), [[3, 2, 1]], "is not a list of \\[value, count\\] pairs"),
@@ -426,8 +416,7 @@ class TestErrors:
         # entry names that contradict the schema
         (("hists2d", "r.k|zz"), {
             "shape": [4, 4], "cells": packed([]), "counts": packed([]),
-            "attr": {"kind": "numeric", "integer": True, "lo": 0.0,
-                     "hi": 1.0, "bin_count": 4}},
+            "lo": 0.0, "hi": 1.0},
          r"'r.k\|zz': 'zz' is not another column of table 'r'"),
         (("correlations", "r|r.k|zz"), {"keys": packed([1]),
                                         "lo": packed([3]), "hi": packed([3])},
@@ -450,7 +439,10 @@ class TestErrors:
         entry = doc
         for name in parents:
             entry = entry[name]
-        entry[last] = value
+        if value is MISSING:
+            del entry[last]
+        else:
+            entry[last] = value
         with pytest.raises(StateError, match=message):
             state_from_document(doc)
 
@@ -645,6 +637,9 @@ def test_round_trip_properties(scenario):
         assert canonical(state_to_document(loaded)) == direct
         assert save_bytes(loaded, pathlib.Path(d) / "again.json") == direct
         assert hists1d_of(loaded) == hists1d_of(state)
+        # the attribute axes, `integer` included, derive as they were built
+        assert {name: h.attr for name, h in loaded.hists2d.items()} == \
+            {name: h.attr for name, h in state.hists2d.items()}
         assert correlations_of(loaded.correlations) == \
             correlations_of(state.correlations)
     assert_update_equals_rebuild(state, taken)
