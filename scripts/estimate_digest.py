@@ -8,9 +8,11 @@
 For each workload, the tree's own `src/` builds the state from the CSV files
 that the tree's `perfbench/workloads.py` generates, then applies the
 workload's update batches through `tkhist update`.  Printed, one line each:
-the sha256 of the state file after the build and after every batch (with
+the state file's byte count after the build and after every batch, then
+the sha256 and byte count of each of its top-level sections (with
 `schema_base_dir` blanked, so that trees built in different directories
-compare), and the sha256 of the `float.hex` of every estimate: the
+compare), so that a format change can be checked section by section; and
+the sha256 of the `float.hex` of every estimate: the
 accuracy queries and the first STREAM_QUERIES queries of the filtered
 stream after the build, and update-mix's per-batch query set after each batch's
 reload.  A failing estimate digests its exception's type and message.
@@ -28,12 +30,18 @@ import tempfile
 STREAM_QUERIES = 200  # filtered-stream queries estimated after the build
 
 
-def state_digest(path: str) -> str:
+def print_state(prefix: str, path: str) -> None:
+    """The file's byte count, then one line per top-level section."""
     with open(path, "rb") as fh:
-        doc = json.loads(fh.read())
+        raw = fh.read()
+    print(f"{prefix} bytes={len(raw)}")
+    doc = json.loads(raw)
     doc["schema_base_dir"] = ""
-    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(
-        ",", ":")).encode("utf-8")).hexdigest()
+    for name, section in sorted(doc.items()):
+        text = json.dumps(section, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+        print(f"{prefix} {name} {hashlib.sha256(text).hexdigest()} "
+              f"bytes={len(text)}")
 
 
 def estimates_digest(estimator, queries: list[str], st) -> str:
@@ -65,7 +73,7 @@ def run_workload(name: str, seed: int, workdir: str) -> None:
         estimator.discover_correlations(st, ingested)
     path = os.path.join(workdir, "state.json")
     state_mod.save_state(st, path)
-    print(f"{name} state build {state_digest(path)}")
+    print_state(f"{name} state build", path)
     st = state_mod.load_state(path)
     if w.queries == "joins":
         queries = wl.join_queries(schema, seed)
@@ -80,7 +88,7 @@ def run_workload(name: str, seed: int, workdir: str) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             code = cli.main(["update", "--state", path, "--table", table,
                              "--csv", csv_path])
-        print(f"{name} state batch{b} code={code} {state_digest(path)}")
+        print_state(f"{name} state batch{b} code={code}", path)
         if w.updates:
             st = state_mod.load_state(path)
             digest = estimates_digest(estimator,

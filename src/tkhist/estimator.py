@@ -97,19 +97,18 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     sel = None  # product of the per-bin fractions, in predicate order
     for pred in _alias_predicates(query, alias):
         attr = pred.column.split(".", 1)[1]
+        integer = state.schema.table(table).column(attr).kind == KIND_INTEGER
         if attr == key_col:
             # exact on dominant keys, interpolated on the background
             comp.dominant = [{k: v for k, v in dom.items()
                               if matches(pred, k)} for dom in comp.dominant]
-            kind = state.schema.table(table).column(attr).kind
-            frac = key_bin_fractions(hist.domain, pred,
-                                     integer=kind == KIND_INTEGER)
+            frac = key_bin_fractions(hist.domain, pred, integer)
         else:
             h2 = state.hists2d.get((table, key_col, attr))
             if h2 is None:
                 raise PlanError(
                     f"no statistics for predicate column {table}.{attr}")
-            frac = selectivity_2d(h2, pred)
+            frac = selectivity_2d(h2, pred, integer)
         sel = frac if sel is None else sel * frac
     if sel is not None:
         comp = apply_filters(comp, sel)
@@ -163,10 +162,10 @@ def _single_table_fraction(state: EstimatorState, table: str,
         if total <= 0:
             return 0.0
         return sum(c for v, c in fhist.items() if matches(pred, v)) / total
+    integer = state.schema.table(table).column(attr).kind == KIND_INTEGER
     hist = state.hists1d.get((table, attr))
     if hist is not None:  # predicate on a join-key column
-        kind = state.schema.table(table).column(attr).kind
-        fr = key_bin_fractions(hist.domain, pred, integer=kind == KIND_INTEGER)
+        fr = key_bin_fractions(hist.domain, pred, integer)
         masses = hist.bin_rows().astype(np.float64)
         return float(masses @ fr / masses.sum()) if masses.sum() > 0 else 0.0
     for kc in state.key_columns(table):
@@ -175,7 +174,7 @@ def _single_table_fraction(state: EstimatorState, table: str,
             mass = h2.key_marginal().astype(np.float64)
             if mass.sum() <= 0:
                 return 0.0
-            return float(mass @ selectivity_2d(h2, pred) / mass.sum())
+            return float(mass @ selectivity_2d(h2, pred, integer) / mass.sum())
     return 1.0  # no statistics for this column; neutral
 
 

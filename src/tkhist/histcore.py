@@ -9,22 +9,21 @@ on demand, never stored, so the per-bin identity
 
 holds as integer arithmetic.  A 1D histogram keeps these as the state file's
 flat arrays with per-bin offsets; its `Bin1D` views are built on first use.
+
+A 2D histogram counts rows per (key bin, attribute bin).  Its attribute axis
+has one of two forms: a `KeyDomain` (equi-width bins) for a numeric column,
+or the sorted list of a categorical column's values.
 """
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .catalog import KeyDomain, equi_width_bins
 from .errors import TKHistError
-
-
-def _scalar(v):
-    """Normalize numpy scalars to plain Python ints/floats for use as dict keys."""
-    return v.item() if isinstance(v, (np.integer, np.floating)) else v
 
 
 class Bin1D(NamedTuple):  # a read-only view of one bin
@@ -139,97 +138,63 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
 
 
 @dataclass
-class AttrBinning:
-    """Attribute-axis binning of a 2D histogram.
+class TKHist2D:
+    """Grid of row counts over aligned key bins x attribute bins.
 
-    A numeric attribute has `bin_count` equi-width bins over [lo, hi]
-    (`catalog.equi_width_bins`); a categorical attribute gets one bin per
-    distinct value.  When the attribute is itself a join key, lo, hi and
-    bin_count are the key domain's, so chain translation stays bin-aligned
-    (attr_domain_id records which domain).
+    A numeric attribute's axis is a `KeyDomain`: the column's own key domain
+    for a key column, so chain translation stays bin-aligned, else a
+    memberless one over the column's built [lo, hi].  Attribute values are
+    binned by `equi_width_bins`, which clamps values outside it.  A
+    categorical attribute's axis is the sorted list of the column's values,
+    one column each.
     """
 
-    kind: str  # 'numeric' | 'categorical'
-    integer: bool = False
-    lo: float = 0.0
-    hi: float = 0.0
-    bin_count: int = 0
-    values: list = field(default_factory=list)
-    attr_domain_id: str | None = None
-
-    def __post_init__(self):
-        self._index = {v: i for i, v in enumerate(self.values)}
-
-    @property
-    def n_bins(self) -> int:
-        if self.kind == "categorical":
-            return len(self.values)
-        return self.bin_count
-
-    def bins_of(self, values, grow: bool = False) -> np.ndarray:
-        """Attribute bin of each value, as an int64 array.
-
-        Numeric values outside [lo, hi] clamp into the edge bins.  A
-        categorical value the binning has not seen is an error unless `grow`
-        is set; then the unseen values are appended in the order they first
-        appear in `values`.
-        """
-        if self.kind == "categorical":
-            distinct, first, inverse = np.unique(
-                values, return_index=True, return_inverse=True)
-            distinct = distinct.tolist()
-            lookup = [self._index.get(v) for v in distinct]
-            unseen = [i for i, j in enumerate(lookup) if j is None]
-            if unseen and not grow:
-                raise TKHistError(f"categorical value {distinct[unseen[0]]!r} "
-                                  "missing from binning")
-            for i in sorted(unseen, key=lambda i: first[i]):
-                lookup[i] = self.add_value(distinct[i])
-            return np.asarray(lookup, dtype=np.int64)[inverse]
-        return equi_width_bins(values, self.lo, self.hi, self.bin_count)
-
-    def add_value(self, v) -> int:
-        """Register a previously unseen categorical value; returns its bin."""
-        v = _scalar(v)
-        if v in self._index:
-            return self._index[v]
-        self.values.append(v)
-        self._index[v] = len(self.values) - 1
-        return self._index[v]
-
-
-def domain_binning(attr_domain: KeyDomain, integer: bool) -> AttrBinning:
-    return AttrBinning(kind="numeric", integer=integer, lo=attr_domain.lo,
-                       hi=attr_domain.hi, bin_count=attr_domain.bin_count,
-                       attr_domain_id=attr_domain.id)
-
-
-@dataclass
-class TKHist2D:
-    """Grid of row counts over aligned key bins x attribute bins."""
-
     key_domain: KeyDomain
-    attr: AttrBinning
-    grid: np.ndarray  # shape (key bins, attr bins), int64
+    attr: KeyDomain | list
+    grid: np.ndarray  # shape (key bins, attribute bins), int64
 
     def insert(self, keys, attrs) -> None:
-        """Add one (key, attribute) pair, or two aligned arrays of them.
+        """Add one (key, attribute) pair, or two aligned arrays of them; a
+        categorical value must already be on the axis (`widen`)."""
+        self.grid += _cell_counts(
+            self.key_domain.bins_of(np.atleast_1d(keys)),
+            _attr_bins(self.attr, np.atleast_1d(attrs)), self.grid.shape)
 
-        Each unseen categorical value gets a new grid column.
-        """
-        ki = self.key_domain.bins_of(np.atleast_1d(keys))
-        aj = self.attr.bins_of(np.atleast_1d(attrs), grow=True)
-        grown = self.attr.n_bins - self.grid.shape[1]
-        if grown:
-            self.grid = np.pad(self.grid, ((0, 0), (0, grown)))
-        self.grid += _cell_counts(ki, aj, self.grid.shape)
+    def widen(self, values: list) -> None:
+        """Put a categorical axis onto `values`, a sorted list holding each
+        of its values: every value new to the axis gets a zero column at
+        its sorted place."""
+        grid = np.zeros((self.grid.shape[0], len(values)), dtype=np.int64)
+        grid[:, _attr_bins(values, self.attr)] = self.grid
+        self.attr, self.grid = values, grid
 
     def key_marginal(self) -> np.ndarray:
         return self.grid.sum(axis=1)
 
 
+def axis_length(axis: KeyDomain | list) -> int:
+    """Number of bins on an attribute axis."""
+    return axis.bin_count if isinstance(axis, KeyDomain) else len(axis)
+
+
+def _attr_bins(axis: KeyDomain | list, values) -> np.ndarray:
+    """Attribute bin of each value on `axis`, as an int64 array: numeric
+    values clamp into the edge bins; a categorical value not on the axis is
+    an error."""
+    if isinstance(axis, KeyDomain):
+        return equi_width_bins(values, axis.lo, axis.hi, axis.bin_count)
+    index = {v: i for i, v in enumerate(axis)}
+    distinct, inverse = np.unique(values, return_inverse=True)
+    distinct = distinct.tolist()
+    lookup = [index.get(v) for v in distinct]
+    if None in lookup:
+        raise TKHistError(f"categorical value {distinct[lookup.index(None)]!r}"
+                          " is not on the axis")
+    return np.asarray(lookup, dtype=np.int64)[inverse]
+
+
 def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
-                   domain: KeyDomain, binning: AttrBinning,
+                   domain: KeyDomain, axis: KeyDomain | list,
                    key_nulls: np.ndarray | None = None,
                    attr_nulls: np.ndarray | None = None) -> TKHist2D:
     """Tabulate (key bin, attribute bin) counts; rows with a null on either
@@ -242,9 +207,9 @@ def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
     if attr_nulls is not None:
         keep &= ~attr_nulls
     grid = _cell_counts(domain.bins_of(key_values[keep]),
-                        binning.bins_of(attr_values[keep]),
-                        (domain.bin_count, binning.n_bins))
-    return TKHist2D(key_domain=domain, attr=binning, grid=grid)
+                        _attr_bins(axis, attr_values[keep]),
+                        (domain.bin_count, axis_length(axis)))
+    return TKHist2D(key_domain=domain, attr=axis, grid=grid)
 
 
 def _cell_counts(ki: np.ndarray, aj: np.ndarray,

@@ -131,7 +131,7 @@ def chain_translate(comp: CompositeHist, bridge: TKHist2D,
         raise DomainMismatchError(
             f"composite domain {comp.domain.id!r} does not match bridge "
             f"key domain {bridge.key_domain.id!r}")
-    if bridge.attr.attr_domain_id != target_hist.domain.id:
+    if bridge.attr.id != target_hist.domain.id:
         raise DomainMismatchError(
             "bridge attribute axis is not binned over the target key domain")
     marginal = bridge.key_marginal().astype(np.float64)

@@ -87,14 +87,36 @@ def satisfying_intervals(pred: Predicate, integer: bool) -> list[tuple[float, fl
     return [(v, v) for v in cells]
 
 
-def bin_fractions(lo: float, hi: float, n: int, pred: Predicate,
-                  integer: bool) -> np.ndarray:
-    """Share of each of `n` equi-width bins over [lo, hi] covered by the
-    predicate: bin i spans lo + i*w .. lo + (i+1)*w with w = (hi - lo) / n,
-    and its share is the summed overlap of the satisfying intervals over its
-    width, capped at 1 (0 for a bin of no width)."""
+def selectivity_2d(hist2d: TKHist2D, pred: Predicate,
+                   integer: bool) -> np.ndarray:
+    """Per key-bin fraction of mass satisfying the predicate; `integer`
+    says whether the attribute column is INTEGER.
+
+    Key bins with zero row mass yield the neutral fraction 1.
+    """
+    axis = hist2d.attr
+    if isinstance(axis, KeyDomain):
+        if pred.op == "in" and any(isinstance(v, str) for v in pred.value):
+            raise TKHistError("string set predicate against numeric attribute")
+        sat = key_bin_fractions(axis, pred, integer)
+    else:
+        sat = np.array([1.0 if matches(pred, v) else 0.0 for v in axis])
+    mass = hist2d.key_marginal().astype(np.float64)
+    hit = hist2d.grid @ sat
+    with np.errstate(invalid="ignore", divide="ignore"):
+        frac = np.where(mass > 0, hit / np.maximum(mass, 1e-300), 1.0)
+    return np.clip(frac, 0.0, 1.0)
+
+
+def key_bin_fractions(axis: KeyDomain, pred: Predicate,
+                      integer: bool) -> np.ndarray:
+    """Share of each equi-width bin of `axis` covered by the predicate: bin
+    i spans lo + i*w .. lo + (i+1)*w with w = (hi - lo) / bin_count, and its
+    share is the summed overlap of the satisfying intervals over its width,
+    capped at 1 (0 for a bin of no width)."""
     intervals = satisfying_intervals(pred, integer)
-    w = (hi - lo) / n
+    lo, n = axis.lo, axis.bin_count
+    w = (axis.hi - lo) / n
     out = np.zeros(n)
     for i in range(n):
         left, right = lo + i * w, lo + (i + 1) * w
@@ -104,29 +126,3 @@ def bin_fractions(lo: float, hi: float, n: int, pred: Predicate,
         width = right - left
         out[i] = 0.0 if width <= 0 else min(covered / width, 1.0)
     return out
-
-
-def selectivity_2d(hist2d: TKHist2D, pred: Predicate) -> np.ndarray:
-    """Per key-bin fraction of mass satisfying the predicate.
-
-    Key bins with zero row mass yield the neutral fraction 1.
-    """
-    binning = hist2d.attr
-    if binning.kind == "categorical":
-        sat = np.array([1.0 if matches(pred, v) else 0.0 for v in binning.values])
-    else:
-        if pred.op == "in" and any(isinstance(v, str) for v in pred.value):
-            raise TKHistError("string set predicate against numeric attribute")
-        sat = bin_fractions(binning.lo, binning.hi, binning.bin_count, pred,
-                            binning.integer)
-    mass = hist2d.key_marginal().astype(np.float64)
-    hit = hist2d.grid @ sat
-    with np.errstate(invalid="ignore", divide="ignore"):
-        frac = np.where(mass > 0, hit / np.maximum(mass, 1e-300), 1.0)
-    return np.clip(frac, 0.0, 1.0)
-
-
-def key_bin_fractions(domain: KeyDomain, pred: Predicate,
-                      integer: bool) -> np.ndarray:
-    """Per-bin overlap fraction of a predicate applied to the key column itself."""
-    return bin_fractions(domain.lo, domain.hi, domain.bin_count, pred, integer)

@@ -3,7 +3,7 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 6 stores each 1D histogram as
+same state twice is byte-identical.  Version 7 stores each 1D histogram as
 flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
 cells and each correlation-map section as columns; every numeric array is one
 packed string (`_pack`), and sorted integer arrays are delta-coded.  Loading
@@ -13,10 +13,13 @@ The file stores only what the data decided; loading derives the rest:
 domain members from the schema, every bin count from `config.bin_count`, a
 histogram's domain from the key column in its name, a column's class from
 whether it has a `freq` entry, and each attribute axis by `_attr_axis`, the
-rule that also picks it at build.  A grid's `shape` is kept as a check on
-its axis.  Loading checks the type of every entry, the sign of every count,
-every length, offset and cell, and that every entry name fits the schema;
-older versions are rejected.
+rule that also picks it at build: a key column's domain, a categorical
+column's sorted `freq` values, or else a domain of no members over the
+`lo` and `hi` that the 2D entry writes.  A grid's `shape` is kept as a
+check on its axis.  Loading checks the type of every entry, the sign of
+every count, every length, offset and cell, that no `freq` entry repeats a
+value, and that every entry name fits the schema; older versions are
+rejected.
 
 Each table owns some entries of the document: its `hists1d` and `freq`
 entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
@@ -38,15 +41,14 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import catalog
-from .catalog import (ColumnDef, KeyDomain, Schema, TableData,
-                      split_qualified, value_span)
+from .catalog import KeyDomain, Schema, TableData, split_qualified, value_span
 from .djpcd import Envelopes
 from .errors import SchemaError, StateError
-from .histcore import (AttrBinning, TKHist1D, TKHist2D, add_value_counts,
-                       build_tkhist1d, build_tkhist2d, domain_binning)
+from .histcore import (TKHist1D, TKHist2D, add_value_counts, axis_length,
+                       build_tkhist1d, build_tkhist2d)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 6
+STATE_VERSION = 7
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -116,9 +118,8 @@ def build_state(schema: Schema, tables: dict[str, TableData],
                     hists2d[(t, kc, cdef.name)] = build_tkhist2d(
                         data.columns[kc], data.columns[cdef.name], dom,
                         _attr_axis(
-                            cdef, key_domain.get(cdef.name),
-                            (t, cdef.name) in freq_hists, config.bin_count,
-                            lambda: sorted(freq_hists[(t, cdef.name)]),
+                            f"{t}.{cdef.name}", key_domain.get(cdef.name),
+                            freq_hists.get((t, cdef.name)), config.bin_count,
                             lambda: value_span([data.non_null(cdef.name)])),
                         key_nulls=data.null_mask[kc],
                         attr_nulls=data.null_mask[cdef.name])
@@ -129,20 +130,20 @@ def build_state(schema: Schema, tables: dict[str, TableData],
         freq_hists=freq_hists, table_rows=table_rows, correlations=None)
 
 
-def _attr_axis(column: ColumnDef, attr_domain: KeyDomain | None,
-               categorical: bool, bin_count: int, values, span) -> AttrBinning:
-    """The attribute axis of a 2D histogram over `column`, at build and at
-    load: its key domain's bins when it is in `attr_domain`; else, when it
-    is categorical, one bin per value of `values()`; else `bin_count` bins
-    over the (lo, hi) of `span()`."""
-    integer = column.kind == catalog.KIND_INTEGER
+def _attr_axis(qual: str, attr_domain: KeyDomain | None, freq: dict | None,
+               bin_count: int, span) -> KeyDomain | list:
+    """The attribute axis of a 2D histogram over column `qual`, at build and
+    at load: its key domain `attr_domain` when it is in one; else, when it
+    is categorical, the sorted values of its frequency histogram `freq`;
+    else a memberless domain of `bin_count` bins over the (lo, hi) of
+    `span()`, whose width `set_boundaries` checks."""
     if attr_domain is not None:
-        return domain_binning(attr_domain, integer)
-    if categorical:
-        return AttrBinning(kind="categorical", values=list(values()))
-    lo, hi = span()
-    return AttrBinning(kind="numeric", integer=integer, lo=float(lo),
-                       hi=float(hi), bin_count=bin_count)
+        return attr_domain
+    if freq is not None:
+        return sorted(freq)
+    axis = KeyDomain(id=qual, columns=frozenset())
+    axis.set_boundaries(*span(), bin_count)
+    return axis
 
 
 def ingest_all(schema: Schema) -> dict[str, TableData]:
@@ -155,8 +156,10 @@ def apply_rows(state: EstimatorState, table: str,
 
     A row is accepted when each of its non-null keys lies inside its key
     domain's bounds; a rejected row changes nothing.  Each histogram takes
-    its accepted, non-null values in one call.  Container membership stays
-    as built and the correlation map is not maintained.  Returns
+    its accepted, non-null values in one call.  Frequency histograms count
+    first; each categorical grid then widens onto its column's sorted
+    values, as a rebuild would bin them.  Container membership stays as
+    built and the correlation map is not maintained.  Returns
     (inserted, rejected).
     """
     tdef = state.schema.table(table)
@@ -167,18 +170,22 @@ def apply_rows(state: EstimatorState, table: str,
         v = data.columns[kc].astype(np.float64)
         accept &= data.null_mask[kc] | ((v >= dom.lo) & (v <= dom.hi))
     valid = {c.name: accept & ~data.null_mask[c.name] for c in tdef.columns}
+    axes = {}  # categorical column -> its values, sorted
+    for cdef in tdef.columns:
+        fh = state.freq_hists.get((table, cdef.name))
+        if fh is not None:
+            add_value_counts(fh, data.columns[cdef.name][valid[cdef.name]])
+            axes[cdef.name] = sorted(fh)
     for kc in key_cols:
         keys = data.columns[kc]
         state.hists1d[(table, kc)].insert(keys[valid[kc]])
         for cdef in tdef.columns:
             if cdef.name != kc:
+                h2 = state.hists2d[(table, kc, cdef.name)]
+                if cdef.name in axes:
+                    h2.widen(axes[cdef.name])
                 both = valid[kc] & valid[cdef.name]
-                state.hists2d[(table, kc, cdef.name)].insert(
-                    keys[both], data.columns[cdef.name][both])
-    for cdef in tdef.columns:
-        fh = state.freq_hists.get((table, cdef.name))
-        if fh is not None:
-            add_value_counts(fh, data.columns[cdef.name][valid[cdef.name]])
+                h2.insert(keys[both], data.columns[cdef.name][both])
     inserted = int(accept.sum())
     state.table_rows[table] += inserted
     return inserted, data.row_count - inserted
@@ -239,7 +246,7 @@ _KINDS = {  # what a document entry must be, by the words naming it in errors
     "a count": lambda v: type(v) is int and v >= 0,
     "a finite number": lambda v: (type(v) in (int, float)
                                   and -math.inf < v < math.inf),
-    "a scalar": lambda v: type(v) in (str, int, float),
+    "a scalar": lambda v: type(v) is str or _KINDS["a finite number"](v),
     "a list of scalars": lambda v: _list_of(v, _KINDS["a scalar"]),
     "a list of scalar lists": lambda v: _list_of(
         v, _KINDS["a list of scalars"]),
@@ -278,12 +285,12 @@ def _hist1d_doc(h: TKHist1D) -> dict:
 
 def _hist2d_doc(h: TKHist2D) -> dict:
     """The grid's shape, its non-zero cells (flat indices) and their counts,
-    and what the data decided of its attribute axis: the values of a
-    categorical axis, lo and hi of a numeric one outside any key domain."""
+    and what the data alone decided of its attribute axis: lo and hi of a
+    numeric axis outside every key domain."""
     a, flat = h.attr, h.grid.ravel()
     cells = np.flatnonzero(flat)
-    axis = ({"values": list(a.values)} if a.kind == "categorical" else
-            {} if a.attr_domain_id else {"lo": a.lo, "hi": a.hi})
+    axis = ({"lo": a.lo, "hi": a.hi}
+            if isinstance(a, KeyDomain) and not a.columns else {})
     return {"shape": list(h.grid.shape), **axis,
             "cells": _pack(cells, delta=True), "counts": _pack(flat[cells])}
 
@@ -443,18 +450,18 @@ def state_from_document(doc: dict) -> EstimatorState:
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
-    if version in (1, 2, 3, 4, 5):
+    if version in (1, 2, 3, 4, 5, 6):
         raise StateError(f"state version {version} is no longer read; "
                          f"rebuild the state with `tkhist build`")
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v6(doc)
+        return _state_from_v7(doc)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v6(doc: dict) -> EstimatorState:
+def _state_from_v7(doc: dict) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")
@@ -492,10 +499,15 @@ def _state_from_v6(doc: dict) -> EstimatorState:
                                            "i8" if integer else "f8")
     freq = {}
     for qual, items in _entries(doc, "freq", "a list of [value, count] pairs"):
+        where = f"frequency histogram {qual!r}"
         if qual not in columns or columns[qual].role == catalog.ROLE_KEY:
-            raise StateError(f"frequency histogram {qual!r} is not on a "
-                             f"non-key column")
-        freq[split_qualified(qual)] = dict(items)
+            raise StateError(f"{where} is not on a non-key column")
+        counts = dict(items)
+        if len(counts) != len(items):
+            raise StateError(f"{where} repeats a value")
+        if len({type(v) is str for v in counts}) > 1:
+            raise StateError(f"{where} mixes strings and numbers")
+        freq[split_qualified(qual)] = counts
     hists2d = {}
     for name, h in _entries(doc, "hists2d"):
         where = f"2D histogram {name!r}"
@@ -505,12 +517,13 @@ def _state_from_v6(doc: dict) -> EstimatorState:
         if attr == c or f"{t}.{attr}" not in columns:
             raise StateError(f"{where}: {attr!r} is not another column "
                              f"of table {t!r}")
-        axis = _attr_axis(
-            columns[f"{t}.{attr}"], key_domains.get(f"{t}.{attr}"),
-            (t, attr) in freq, bin_count,
-            lambda: _get(h, where, "values", "a list of scalars"),
-            lambda: _fields(h, where, lo="a finite number",
-                            hi="a finite number"))
+        try:
+            axis = _attr_axis(f"{t}.{attr}", key_domains.get(f"{t}.{attr}"),
+                              freq.get((t, attr)), bin_count,
+                              lambda: _fields(h, where, lo="a finite number",
+                                              hi="a finite number"))
+        except SchemaError as exc:
+            raise StateError(f"{where}: {exc}") from exc
         hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, axis)
     table_rows = dict(_entries(doc, "table_rows", "a count"))
     if sorted(table_rows) != sorted(t.name for t in schema.tables):
@@ -580,8 +593,8 @@ def _checked_offsets(where: str, h: dict, field: str, bin_count: int,
 
 
 def _hist2d_from_doc(where: str, h: dict, dom: KeyDomain,
-                     binning: AttrBinning) -> TKHist2D:
-    shape = (dom.bin_count, binning.n_bins)
+                     axis: KeyDomain | list) -> TKHist2D:
+    shape = (dom.bin_count, axis_length(axis))
     if h.get("shape") != list(shape):
         raise StateError(f"{where} has shape {h.get('shape')}, "
                          f"expected {list(shape)}")
@@ -596,7 +609,7 @@ def _hist2d_from_doc(where: str, h: dict, dom: KeyDomain,
                          f"of its {list(shape)} grid or unsorted")
     grid = np.zeros(shape, dtype=np.int64)
     grid.ravel()[cells] = counts
-    return TKHist2D(key_domain=dom, attr=binning, grid=grid)
+    return TKHist2D(key_domain=dom, attr=axis, grid=grid)
 
 
 def _envelopes_from_doc(where: str, sec: dict) -> Envelopes:

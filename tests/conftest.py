@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
 
-from tkhist.catalog import TableData, schema_from_document, value_span
+from tkhist.catalog import KeyDomain, TableData, schema_from_document, value_span
 from tkhist.errors import DomainBoundsError
-from tkhist.histcore import AttrBinning, _scalar
+
+
+def _scalar(v):
+    """Normalize numpy scalars to plain Python ints/floats for use as dict keys."""
+    return v.item() if isinstance(v, (np.integer, np.floating)) else v
 
 
 def make_table(name: str, columns: dict, nulls: dict | None = None) -> TableData:
@@ -24,19 +28,17 @@ def make_table(name: str, columns: dict, nulls: dict | None = None) -> TableData
     return TableData(name=name, columns=cols, null_mask=null_mask, row_count=n)
 
 
-def numeric_binning(values, n_bins: int, integer: bool) -> AttrBinning:
-    """`n_bins` equi-width bins over the span of `values`, as a build gives
-    a numeric column outside any key domain."""
-    lo, hi = value_span([np.asarray(values)])
-    return AttrBinning(kind="numeric", integer=integer, lo=lo, hi=hi,
-                       bin_count=n_bins)
+def numeric_axis(values, n_bins: int) -> KeyDomain:
+    """`n_bins` equi-width bins over the span of `values`: the memberless
+    domain a build gives a numeric column outside every key domain."""
+    axis = KeyDomain(id="axis", columns=frozenset())
+    axis.set_boundaries(*value_span([np.asarray(values)]), n_bins)
+    return axis
 
 
-def categorical_binning(values) -> AttrBinning:
-    """One bin per distinct value, in sorted order, as a build gives a
-    categorical column."""
-    return AttrBinning(kind="categorical",
-                       values=sorted({_scalar(v) for v in values}))
+def categorical_axis(values) -> list:
+    """The sorted distinct values, as a build gives a categorical column."""
+    return sorted({_scalar(v) for v in values})
 
 
 def scalar_bin(v, lo: float, hi: float, n: int) -> int:
@@ -54,11 +56,13 @@ def domain_bin(d, v) -> int:
     return scalar_bin(v, d.lo, d.hi, d.bin_count)
 
 
-def attr_bin(b, v) -> int | None:
-    """The former `AttrBinning.bin_of`: None for an unseen categorical value."""
-    if b.kind == "categorical":
-        return b._index.get(_scalar(v))
-    return scalar_bin(v, b.lo, b.hi, b.bin_count)
+def attr_bin(axis, v) -> int | None:
+    """The former `AttrBinning.bin_of`: the clamped scalar rule on a numeric
+    axis; a value's place on a categorical one, None if it is not there."""
+    if isinstance(axis, KeyDomain):
+        return scalar_bin(v, axis.lo, axis.hi, axis.bin_count)
+    v = _scalar(v)
+    return axis.index(v) if v in axis else None
 
 
 def envelope_dict(section) -> dict:

@@ -56,7 +56,7 @@ class TestBuildEstimate:
     def test_state_without_sections_is_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"magic": "TKHIST-STATE-v1",
-                                     "version": 6}))
+                                     "version": 7}))
         rc = main(["estimate", "--state", str(state),
                    "SELECT COUNT(*) FROM t1"])
         assert rc == 2
@@ -74,6 +74,28 @@ class TestBuildEstimate:
         assert rc == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "'t1.k1': 'nv'" in err
+
+
+    @pytest.mark.parametrize("lo, hi, named", [
+        (None, None, "state version 6 is no longer read"),
+        (3.0, 3.0, "2D histogram 't1.k1|y': domain 't1.y' bounds"),
+        (6.0, 3.0, "2D histogram 't1.k1|y': domain 't1.y' bounds"),
+    ], ids=["v6", "axis-without-width", "axis-reversed"])
+    def test_unreadable_state_is_error(self, built, tmp_path, capsys, lo, hi,
+                                       named):
+        doc = json.loads(built.read_text())
+        if lo is None:
+            doc["version"] = 6
+        else:  # without its freq entry t1.y is numeric, over lo..hi
+            del doc["freq"]["t1.y"]
+            doc["hists2d"]["t1.k1|y"].update(lo=lo, hi=hi)
+        state = tmp_path / "bad.json"
+        state.write_text(json.dumps(doc))
+        rc = main(["estimate", "--state", str(state),
+                   "SELECT COUNT(*) FROM t1 WHERE t1.y <= 4"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err
 
 
 class TestEvaluate:

@@ -10,13 +10,12 @@ from tkhist.catalog import KeyDomain, schema_from_document
 from tkhist.djpcd import (Envelopes, build_correlation_map,
                           collect_dominant_keys, find_excluded_keys)
 from tkhist.estimator import discover_correlations, estimate
-from tkhist.histcore import _scalar
 from tkhist.joinengine import CompositeHist
 from tkhist.predicate import Predicate, matches
 from tkhist.queryfront import Query
 from tkhist.state import BuildConfig, build_state
 
-from conftest import envelope_dict, make_table, two_table_schema
+from conftest import _scalar, envelope_dict, make_table, two_table_schema
 
 
 def envelope_excludes(env, pred: Predicate) -> bool:

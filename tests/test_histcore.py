@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainBoundsError, TKHistError
-from tkhist.histcore import (TKHist1D, _scalar, add_value_counts,
-                             build_tkhist1d, build_tkhist2d, domain_binning)
+from tkhist.histcore import (TKHist1D, add_value_counts, axis_length,
+                             build_tkhist1d, build_tkhist2d)
 
-from conftest import (attr_bin, categorical_binning, domain_bin,
-                      numeric_binning)
+from conftest import (_scalar, attr_bin, categorical_axis, domain_bin,
+                      numeric_axis)
 
 
 def make_domain(lo=0, hi=100, bins=10):
@@ -273,7 +273,7 @@ class TestHist2D:
         d = make_domain(0, 50, 5)
         keys = rng.integers(0, 51, size=400)
         attrs = rng.integers(0, 20, size=400)
-        binning = numeric_binning(attrs, 4, integer=True)
+        binning = numeric_axis(attrs, 4)
         h = build_tkhist2d(keys, attrs, d, binning)
         assert h.grid.sum() == 400
         for i in range(5):
@@ -286,7 +286,7 @@ class TestHist2D:
         d = make_domain(0, 10, 2)
         keys = np.array([1, 2, 8])
         attrs = np.array(["a", "b", "a"], dtype=object)
-        h = build_tkhist2d(keys, attrs, d, categorical_binning(attrs))
+        h = build_tkhist2d(keys, attrs, d, categorical_axis(attrs))
         assert h.grid.tolist() == [[1, 1], [1, 0]]
 
     @settings(max_examples=60, deadline=None)
@@ -300,7 +300,7 @@ class TestHist2D:
         attrs = [a for _, a in rows]
         attrs = (np.array([ord(a) for a in attrs]) if as_int
                  else np.asarray(attrs, dtype=object))
-        binning = categorical_binning(attrs)
+        binning = categorical_axis(attrs)
         h = build_tkhist2d(keys, attrs, d, binning)
         expect = np.zeros_like(h.grid)
         for kk, aa in zip(keys, attrs):
@@ -314,9 +314,10 @@ class TestHist2D:
                                      min_size=1, max_size=40),
                             min_size=1, max_size=4))
     def test_grid_equals_add_at_reference(self, categorical, batches):
-        """Build on the first batch and insert the others, whose unseen
-        categorical values grow the grid; every cell then holds what
-        `np.add.at` counts over all rows, binned by the final binning."""
+        """Build on the first batch and insert the others, a categorical
+        axis widened first onto the sorted values seen so far; every cell
+        then holds what `np.add.at` counts over all rows, binned by the
+        final axis, which for a categorical one is a build's on all rows."""
         d = make_domain(0, 10, 3)
 
         def columns(rows):
@@ -324,53 +325,69 @@ class TestHist2D:
             return keys, attrs.astype(object) if categorical else attrs
 
         keys, attrs = columns(batches[0])
-        binning = (categorical_binning(attrs) if categorical
-                   else numeric_binning(attrs, 4, integer=True))
-        h = build_tkhist2d(keys, attrs, d, binning)
+        axis = (categorical_axis(attrs) if categorical
+                else numeric_axis(attrs, 4))
+        h = build_tkhist2d(keys, attrs, d, axis)
         for rows in batches[1:]:
-            h.insert(*columns(rows))
+            keys, attrs = columns(rows)
+            if categorical:
+                h.widen(sorted(set(h.attr) | set(attrs.tolist())))
+            h.insert(keys, attrs)
         keys, attrs = columns([row for rows in batches for row in rows])
-        expect = np.zeros((d.bin_count, binning.n_bins), dtype=np.int64)
-        np.add.at(expect, (d.bins_of(keys), binning.bins_of(attrs)), 1)
+        if categorical:
+            axis = categorical_axis(attrs)
+        assert h.attr == axis
+        expect = np.zeros((d.bin_count, axis_length(axis)), dtype=np.int64)
+        np.add.at(expect, (d.bins_of(keys),
+                           [attr_bin(axis, a) for a in attrs]), 1)
         assert h.grid.dtype == np.int64
         assert h.grid.tolist() == expect.tolist()
 
     def test_categorical_value_missing_from_binning(self):
         d = make_domain(0, 10, 2)
-        binning = categorical_binning(np.array(["a"], dtype=object))
+        binning = categorical_axis(np.array(["a"], dtype=object))
         with pytest.raises(TKHistError, match="'b'"):
             build_tkhist2d(np.array([1, 2]),
                            np.array(["a", "b"], dtype=object), d, binning)
 
     def test_insert_unseen_categorical_grows_grid(self):
+        # an unseen value is an error until `widen` gives it a zero column
+        # at its sorted place
         d = make_domain(0, 10, 2)
-        attrs = np.array(["a"], dtype=object)
-        h = build_tkhist2d(np.array([1]), attrs, d, categorical_binning(attrs))
-        h.insert(7, "z")
-        assert h.grid.shape == (2, 2)
-        assert h.grid[1, 1] == 1
+        attrs = np.array(["b"], dtype=object)
+        h = build_tkhist2d(np.array([1]), attrs, d, categorical_axis(attrs))
+        with pytest.raises(TKHistError, match="'a'"):
+            h.insert(7, "a")
+        h.widen(["a", "b", "c"])
+        h.insert(7, "a")
+        assert h.attr == ["a", "b", "c"]
+        assert h.grid.tolist() == [[0, 1, 0], [1, 0, 0]]
 
     def test_null_rows_excluded(self):
         d = make_domain(0, 10, 2)
         keys = np.array([1, 2, 3])
         attrs = np.array([5, 6, 7])
-        h = build_tkhist2d(keys, attrs, d, numeric_binning(attrs, 2, True),
+        h = build_tkhist2d(keys, attrs, d, numeric_axis(attrs, 2),
                            key_nulls=np.array([False, True, False]),
                            attr_nulls=np.array([False, False, True]))
         assert h.grid.sum() == 1
 
     def test_far_numeric_values_clamp_to_edge_bins(self):
         # (v - lo) / w passes int64 here; it must clamp, not wrap to bin 0
-        binning = numeric_binning(np.array([0, 100]), 200, integer=True)
+        # (nor raise, as the axis's own `bins_of` would)
+        axis = numeric_axis(np.array([0, 100]), 200)
         far = np.array([9 * 10 ** 18, -9 * 10 ** 18, 150])
-        assert binning.bins_of(far).tolist() == [199, 0, 199]
+        h = build_tkhist2d(np.array([1, 1, 1]), far, make_domain(0, 10, 1),
+                           axis)
+        assert h.grid[0, 0] == 1 and h.grid[0, 199] == 2
 
     def test_domain_binning_is_bin_aligned(self):
+        # a key attribute's axis is its key domain: its bins are key bins
         d = make_domain(0, 100, 10)
-        b = domain_binning(d, integer=True)
-        assert b.n_bins == 10
-        assert b.attr_domain_id == "t.k"
-        assert attr_bin(b, 15) == domain_bin(d, 15)
+        keys = np.arange(0, 101, 5)
+        h = build_tkhist2d(keys, keys, d, d)
+        assert h.grid.tolist() == \
+            np.diag(np.bincount(d.bins_of(keys))).tolist()
 
 
 def test_frequency_hist_exact():

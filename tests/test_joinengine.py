@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainMismatchError
 from tkhist.estimator import _lift_alias, run_plan
-from tkhist.histcore import build_tkhist1d, build_tkhist2d, domain_binning
+from tkhist.histcore import build_tkhist1d, build_tkhist2d
 from tkhist.joinengine import (CompositeHist, apply_filters, chain_translate,
                                jtkh_join, join_star_group, lift,
                                selinger_bin_estimate)
@@ -170,7 +170,7 @@ class TestChainTranslate:
         # bridge rows: (k1, k2) pairs
         k1 = np.array([1, 1, 1, 8, 8])
         k2 = np.array([2, 2, 9, 9, 9])
-        bridge = build_tkhist2d(k1, k2, src, domain_binning(dst, integer=True))
+        bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=1)
         comp = comp_of(src, [({}, 30.0, 3.0), ({}, 12.0, 2.0)])
         out = chain_translate(comp, bridge, target)
@@ -188,7 +188,7 @@ class TestChainTranslate:
         dst = make_domain(0, 10, 1, id="b.k2")
         k1 = np.array([1, 2, 3])
         k2 = np.array([4, 4, 5])
-        bridge = build_tkhist2d(k1, k2, src, domain_binning(dst, integer=True))
+        bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=1)  # container {4:2}, background {5}
         comp = comp_of(src, [({}, 6.0, 2.0)])
         out = chain_translate(comp, bridge, target)
@@ -198,8 +198,7 @@ class TestChainTranslate:
         src = make_domain(0, 10, 1, id="a.k1")
         dst = make_domain(0, 10, 1, id="b.k2")
         other = make_domain(0, 10, 1, id="c.k3")
-        bridge = build_tkhist2d(np.array([1]), np.array([2]), src,
-                                domain_binning(dst, integer=True))
+        bridge = build_tkhist2d(np.array([1]), np.array([2]), src, dst)
         target = build_tkhist1d(np.array([2]), other, k=0)
         comp = comp_of(other, [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
@@ -363,7 +362,7 @@ class TestAgainstPerBinReference:
                                              st.integers(0, 10)), max_size=30))
         k1 = np.array([p[0] for p in pairs], dtype=np.int64)
         k2 = np.array([p[1] for p in pairs], dtype=np.int64)
-        bridge = build_tkhist2d(k1, k2, src, domain_binning(dst, integer=True))
+        bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=k)
         comp = data.draw(composites(n_src, 1))[0]
         comp.domain = src

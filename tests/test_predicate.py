@@ -6,15 +6,15 @@ from hypothesis import strategies as st
 from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainMismatchError, TKHistError
 from tkhist.estimator import _lift_alias, _single_table_fraction
-from tkhist.histcore import AttrBinning, TKHist2D, build_tkhist2d
+from tkhist.histcore import TKHist2D, build_tkhist2d
 from tkhist.joinengine import CompositeHist, apply_filters
 from tkhist.predicate import (Predicate, key_bin_fractions, matches,
                               satisfying_intervals, selectivity_2d)
 from tkhist.queryfront import bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 
-from conftest import (categorical_binning, domain_bin, make_table,
-                      numeric_binning, two_table_schema)
+from conftest import (categorical_axis, domain_bin, make_table,
+                      numeric_axis, two_table_schema)
 
 
 def make_domain(lo=0, hi=100, bins=10):
@@ -25,7 +25,7 @@ def make_domain(lo=0, hi=100, bins=10):
 
 def _overlap_fraction(lo: float, hi: float,
                       intervals: list[tuple[float, float]]) -> float:
-    """The per-bin overlap loop that `predicate.bin_fractions` replaced."""
+    """The per-bin overlap loop that `predicate.key_bin_fractions` replaced."""
     width = hi - lo
     if width <= 0:
         return 0.0
@@ -44,10 +44,10 @@ def reference_fractions(lo, hi, n, pred, integer):
                                        intervals) for j in range(n)])
 
 
-def reference_selectivity_2d(h, pred):
+def reference_selectivity_2d(h, pred, integer):
     """The former numeric branch of `selectivity_2d`, over the loop."""
-    sat = reference_fractions(h.attr.lo, h.attr.hi, h.attr.n_bins, pred,
-                              h.attr.integer)
+    sat = reference_fractions(h.attr.lo, h.attr.hi, h.attr.bin_count, pred,
+                              integer)
     mass = h.grid.sum(axis=1).astype(np.float64)
     hit = h.grid @ sat
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -94,7 +94,7 @@ class TestIntervals:
 class TestSelectivity2D:
     def build(self, keys, attrs, key_bins=4, attr_bins=5):
         d = make_domain(0, 100, key_bins)
-        binning = numeric_binning(np.asarray(attrs), attr_bins, integer=True)
+        binning = numeric_axis(np.asarray(attrs), attr_bins)
         h = build_tkhist2d(np.asarray(keys), np.asarray(attrs), d, binning)
         return d, h
 
@@ -104,7 +104,7 @@ class TestSelectivity2D:
         attrs[0], attrs[1] = 0, 100  # pin the binning range
         d, h = self.build(keys, attrs, key_bins=4, attr_bins=10)
         pred = Predicate("c", "<", 50)  # falls on an attribute bin boundary
-        frac = selectivity_2d(h, pred)
+        frac = selectivity_2d(h, pred, integer=True)
         for i in range(4):
             in_bin = [(kk, aa) for kk, aa in zip(keys, attrs)
                       if domain_bin(d, kk) == i]
@@ -113,24 +113,24 @@ class TestSelectivity2D:
 
     def test_empty_key_bin_is_neutral(self):
         d, h = self.build([1, 2, 3], [5, 5, 5], key_bins=4)
-        frac = selectivity_2d(h, Predicate("c", "=", 5))
+        frac = selectivity_2d(h, Predicate("c", "=", 5), integer=True)
         assert frac[3] == 1.0
 
     def test_categorical_axis(self):
         d = make_domain(0, 10, 1)
         attrs = np.array(["a", "b", "a", "c"], dtype=object)
         h = build_tkhist2d(np.array([1, 2, 3, 4]), attrs, d,
-                           categorical_binning(attrs))
-        frac = selectivity_2d(h, Predicate("c", "=", "a"))
+                           categorical_axis(attrs))
+        frac = selectivity_2d(h, Predicate("c", "=", "a"), integer=False)
         assert frac[0] == pytest.approx(0.5)
 
     def test_partial_overlap_interpolates(self):
         # single attr bin [0, 10); predicate < 5 covers half of it
         d = make_domain(0, 10, 1)
         attrs = np.array([0, 9])
-        binning = numeric_binning(np.array([0, 10]), 1, integer=True)
+        binning = numeric_axis(np.array([0, 10]), 1)
         h = build_tkhist2d(np.array([1, 2]), attrs, d, binning)
-        frac = selectivity_2d(h, Predicate("c", "<", 5))
+        frac = selectivity_2d(h, Predicate("c", "<", 5), integer=True)
         assert frac[0] == pytest.approx(0.5)
 
 
@@ -150,9 +150,9 @@ class TestCombine:
         query = bind(parse_sql("SELECT COUNT(*) FROM r, s WHERE r.k = s.k "
                                "AND r.y < 5 AND r.z >= 3"), state.schema)
         fy = selectivity_2d(state.hists2d[("r", "k", "y")],
-                            query.predicates[0])
+                            query.predicates[0], integer=True)
         fz = selectivity_2d(state.hists2d[("r", "k", "z")],
-                            query.predicates[1])
+                            query.predicates[1], integer=True)
         assert fy.tolist() == [0.5, 1.0] and fz.tolist() == [0.5, 0.2]
         comp = _lift_alias(state, query, "r", "k", frozenset())
         assert comp.background.tolist() == [4 * 0.25, 5 * 0.2]
@@ -256,9 +256,10 @@ class TestBinFractionsDifferential:
         m = data.draw(st.integers(1, 4))  # key bins; some get no rows
         counts = data.draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]),
                                     min_size=m * n, max_size=m * n))
-        h = TKHist2D(key_domain=make_domain(0, 10, m),
-                     attr=AttrBinning(kind="numeric", integer=integer,
-                                      lo=float(lo), hi=float(hi), bin_count=n),
+        axis = KeyDomain(id="t.c", columns=frozenset())
+        axis.set_boundaries(lo, hi, n)
+        h = TKHist2D(key_domain=make_domain(0, 10, m), attr=axis,
                      grid=np.asarray(counts, dtype=np.int64).reshape(m, n))
-        got = selectivity_2d(h, pred)
-        assert got.tolist() == reference_selectivity_2d(h, pred).tolist()
+        got = selectivity_2d(h, pred, integer)
+        assert got.tolist() == \
+            reference_selectivity_2d(h, pred, integer).tolist()

@@ -200,8 +200,8 @@ class TestFormat:
             # integer keys: the first key, then the gaps to the next
             assert h["background"].startswith("i8:")
             assert all(gap > 0 for gap in unpacked(h["background"])[1:])
-        # an attribute axis in a key domain is derived whole; a numeric one
-        # outside keeps its lo and hi, a categorical one its values
+        # an attribute axis in a key domain or over a categorical column is
+        # derived whole; a numeric one outside keeps its lo and hi
         keyed = 0
         for name, h in doc["hists2d"].items():
             t, attr = name.split(".")[0], name.split("|")[1]
@@ -209,18 +209,18 @@ class TestFormat:
                 keyed += 1
                 assert set(h) == {"shape", "cells", "counts"}
             elif (t, attr) in mixed_state.freq_hists:
-                assert set(h) == {"shape", "values", "cells", "counts"}
+                assert set(h) == {"shape", "cells", "counts"}
             else:
                 assert set(h) == {"shape", "lo", "hi", "cells", "counts"}
         assert keyed
 
     def test_v3_layout(self, built):
         # version 3's layout, with each numeric array packed as in version 4
-        # and without what versions 5 and 6 derive on load
+        # and without what versions 5 to 7 derive on load
         state, tables = built
         discover_correlations(state, tables)
         doc = state_to_document(state)
-        assert doc["version"] == 6
+        assert doc["version"] == 7
         assert doc["domains"] == {"r.k": {"lo": 1.0, "hi": 9.0}}
         assert "column_class" not in doc
         h1 = {name: unpacked(blob)
@@ -232,9 +232,8 @@ class TestFormat:
         assert h1["nv"] == [1, 0, 0, 0]
         assert (h1["background"], h1["background_offsets"]) == ([2], [0, 1, 1, 1, 1])
         h2 = doc["hists2d"]["r.k|y"]
-        assert set(h2) == {"shape", "values", "cells", "counts"}
+        assert set(h2) == {"shape", "cells", "counts"}
         assert h2["shape"] == [4, 4]  # y is categorical: 3, 4, 5, 6
-        assert h2["values"] == [3, 4, 5, 6]
         assert unpacked(h2["cells"]) == [0, 1, 9, 5]  # flat cells 0, 1, 10, 15
         assert unpacked(h2["counts"]) == [2, 1, 1, 1]
         # dominant keys 1, 2 and 9 with the y values seen with them
@@ -369,7 +368,7 @@ class TestErrors:
         with pytest.raises(StateError, match=re.escape("'s|r.k|y' has columns of")):
             state_from_document(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
     def test_older_versions_rejected(self, doc, version):
         doc["version"] = version
         with pytest.raises(StateError, match=f"state version {version} is "
@@ -399,10 +398,11 @@ class TestErrors:
          "'nv' unpacks to 31 bytes, not a multiple of 8"),
         (("hists2d", "r.k|y", "counts"), packed([2, 1, -1, 1]),
          "'r.k|y': 'counts' has a negative count"),
-        # r.y is categorical: its axis needs values; without its freq entry
-        # it is numeric, and its axis needs lo and hi
-        (("hists2d", "r.k|y", "values"), MISSING,
-         r"2D histogram 'r.k\|y' has no 'values' entry"),
+        # r.y is categorical: its axis is its freq entry's values, checked
+        # by the grid's shape; without that entry r.y is numeric, and its
+        # axis needs lo and hi
+        (("hists2d", "r.k|y", "shape"), MISSING,
+         r"2D histogram 'r.k\|y' has shape None, expected \[4, 4\]"),
         (("freq", "r.y"), MISSING, r"2D histogram 'r.k\|y' has no 'lo' entry"),
         (("table_rows", "r"), -1, "'r' is not a count"),
         (("table_rows", "t"), 3, "table_rows does not name each schema table"),
@@ -433,6 +433,15 @@ class TestErrors:
          "'hi' has dtype tag 'f8', expected i8"),
         (("correlations", "r|r.k|y", "keys"), packed([1, 0]),
          r"'r\|r.k\|y' has unsorted or repeated keys"),
+        # a freq entry whose values one sorted axis cannot hold
+        (("freq", "r.y"), [[3, 2], [4, 1], [5, 1], [6, 1], [4, 9]],
+         "frequency histogram 'r.y' repeats a value"),
+        (("freq", "r.y"), [[3, 2], [4, 1], [4.0, 1], [5, 1], [6, 1]],
+         "frequency histogram 'r.y' repeats a value"),
+        (("freq", "r.y"), [[3, 2], ["4", 1], [5, 1], [6, 1]],
+         "frequency histogram 'r.y' mixes strings and numbers"),
+        (("freq", "r.y"), [[3, 2], [float("nan"), 1], [5, 1], [6, 1]],
+         "is not a list of \\[value, count\\] pairs"),
     ])
     def test_malformed_entry_rejected(self, doc, path, value, message):
         *parents, last = path
@@ -444,6 +453,16 @@ class TestErrors:
         else:
             entry[last] = value
         with pytest.raises(StateError, match=message):
+            state_from_document(doc)
+
+    @pytest.mark.parametrize("lo, hi", [(3.0, 3.0), (6.0, 3.0)])
+    def test_numeric_axis_without_width_rejected(self, doc, lo, hi):
+        # without its freq entry r.y is numeric, over the entry's lo and hi
+        del doc["freq"]["r.y"]
+        doc["hists2d"]["r.k|y"].update(lo=lo, hi=hi)
+        with pytest.raises(StateError, match=re.escape(
+                f"2D histogram 'r.k|y': domain 'r.y' bounds [{lo}, {hi}] "
+                "have no width")):
             state_from_document(doc)
 
     def test_non_utf8_file_rejected(self, tmp_path):
@@ -637,7 +656,7 @@ def test_round_trip_properties(scenario):
         assert canonical(state_to_document(loaded)) == direct
         assert save_bytes(loaded, pathlib.Path(d) / "again.json") == direct
         assert hists1d_of(loaded) == hists1d_of(state)
-        # the attribute axes, `integer` included, derive as they were built
+        # the attribute axes derive as they were built
         assert {name: h.attr for name, h in loaded.hists2d.items()} == \
             {name: h.attr for name, h in state.hists2d.items()}
         assert correlations_of(loaded.correlations) == \

@@ -8,22 +8,25 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkhist.catalog import TableData, schema_from_document
+from tkhist.catalog import KeyDomain, TableData, schema_from_document
 from tkhist.errors import DomainBoundsError
-from tkhist.histcore import _scalar
+from tkhist.histcore import build_tkhist2d
 from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
                           save_state, state_to_document)
 
-from conftest import attr_bin, domain_bin
+from conftest import _scalar, attr_bin, domain_bin
 
 
 def reference_apply_rows(state, table, data):
     """The earlier `tkhist update` loop: one row at a time, one scalar
     insert per histogram.  Frequency keys go through `_scalar`; the loop
     kept numpy floats there, whose repr sorted apart in the state file.
-    Containers and NV are copied into per-bin dicts and lists, and
-    background keys collected in one set per histogram; all are written
-    back as the histogram's arrays, binned afresh, at the end."""
+    Every accepted row is counted into the frequency histograms first; each
+    categorical axis then becomes its column's sorted values, its old
+    columns copied one at a time to their new places, before the rows go
+    into the grids.  Containers and NV are copied into per-bin dicts and
+    lists, and background keys collected in one set per histogram; all are
+    written back as the histogram's arrays, binned afresh, at the end."""
     tdef = state.schema.table(table)
     key_cols = state.key_columns(table)
     background = {kc: set(state.hists1d[(table, kc)].background.tolist())
@@ -31,7 +34,7 @@ def reference_apply_rows(state, table, data):
     containers = {kc: [dict(b.topk) for b in state.hists1d[(table, kc)].bins]
                   for kc in key_cols}
     nv = {kc: state.hists1d[(table, kc)].nv.tolist() for kc in key_cols}
-    inserted = rejected = 0
+    accepted = []
     for i in range(data.row_count):
         ok = True
         for kc in key_cols:
@@ -44,9 +47,21 @@ def reference_apply_rows(state, table, data):
                 ok = False
                 break
         if not ok:
-            rejected += 1
             continue
-        inserted += 1
+        accepted.append(i)
+        for cdef in tdef.columns:
+            fh = state.freq_hists.get((table, cdef.name))
+            if fh is not None and not data.null_mask[cdef.name][i]:
+                v = _scalar(data.columns[cdef.name][i])
+                fh[v] = fh.get(v, 0) + 1
+    for (t, kc, attr), h2 in state.hists2d.items():
+        if t == table and (t, attr) in state.freq_hists:
+            axis = sorted(state.freq_hists[(t, attr)])
+            grid = np.zeros((h2.grid.shape[0], len(axis)), dtype=np.int64)
+            for j, v in enumerate(h2.attr):
+                grid[:, axis.index(v)] = h2.grid[:, j]
+            h2.attr, h2.grid = axis, grid
+    for i in accepted:
         state.table_rows[table] += 1
         for kc in key_cols:
             if data.null_mask[kc][i]:
@@ -63,18 +78,8 @@ def reference_apply_rows(state, table, data):
                 if cdef.name == kc or data.null_mask[cdef.name][i]:
                     continue
                 h2 = state.hists2d[(table, kc, cdef.name)]
-                av = data.columns[cdef.name][i]
-                j = attr_bin(h2.attr, av)
-                if j is None:
-                    j = h2.attr.add_value(av)
-                    h2.grid = np.hstack(
-                        [h2.grid, np.zeros((h2.grid.shape[0], 1), dtype=np.int64)])
+                j = attr_bin(h2.attr, data.columns[cdef.name][i])
                 h2.grid[domain_bin(h2.key_domain, kv), j] += 1
-        for cdef in tdef.columns:
-            fh = state.freq_hists.get((table, cdef.name))
-            if fh is not None and not data.null_mask[cdef.name][i]:
-                v = _scalar(data.columns[cdef.name][i])
-                fh[v] = fh.get(v, 0) + 1
     for kc, keys in background.items():
         h1 = state.hists1d[(table, kc)]
         keys = np.asarray(sorted(keys), dtype=h1.background.dtype)
@@ -86,7 +91,7 @@ def reference_apply_rows(state, table, data):
             background_offsets=np.searchsorted(
                 [domain_bin(h1.domain, v) for v in keys],
                 np.arange(h1.domain.bin_count + 1)))
-    return inserted, rejected
+    return len(accepted), data.row_count - len(accepted)
 
 
 # r(k INTEGER, y INTEGER, c CATEGORICAL) and s(k REAL, k2 INTEGER, z REAL)
@@ -208,21 +213,91 @@ def test_apply_rows_matches_row_loop(scenario):
             assert hist.total_rows == len(keys_seen[(t, kc)])
 
 
-def test_unseen_categorical_values_in_first_appearance_order():
+# rows that bound every key domain by [0, 20] and give every column a value,
+# so that a rebuild bounds domains and classifies columns as the build did
+PINNED = {"r": [(0, 0, "a"), (20, 20, "a")],
+          "s": [(0.0, 0, 0.0), (20.0, 20, 20.0)], "t": [(0,), (20,)]}
+
+
+@st.composite
+def pinned_scenarios(draw):
+    """`scenarios` whose base tables hold the PINNED rows, with a
+    categorical threshold that no batch can cross."""
+    schema, base, batches, config = draw(scenarios())
+    base = {t: _concat([table_data(t, COLUMNS[t], PINNED[t]), data])
+            for t, data in base.items()}
+    schema = schema_from_document(
+        {**SCHEMA_DOC,
+         "categorical_threshold": draw(st.sampled_from([1, 1000]))})
+    return schema, base, batches, config
+
+
+def _concat(parts):
+    """One TableData of the rows of `parts`, in order."""
+    return TableData(
+        name=parts[0].name,
+        columns={c: np.concatenate([p.columns[c] for p in parts])
+                 for c in parts[0].columns},
+        null_mask={c: np.concatenate([p.null_mask[c] for p in parts])
+                   for c in parts[0].columns},
+        row_count=sum(p.row_count for p in parts))
+
+
+@settings(max_examples=150, deadline=None)
+@given(pinned_scenarios())
+def test_update_equals_rebuild_for_grids_and_freq(scenario):
+    """After the batches, each frequency histogram, and each 2D grid and
+    axis over a categorical or key attribute, equal a rebuild's on every
+    accepted row; a numeric attribute's own axis keeps its built lo and hi,
+    and its grid equals a build on every accepted row at that axis."""
+    schema, base, batches, config = scenario
+    built = build_state(schema, base, config)
+    state = build_state(schema, base, config)
+    taken = {t: [data] for t, data in base.items()}
+    for table, data in batches:
+        keep = _accepted(state, table, data)
+        apply_rows(state, table, data)
+        taken[table].append(TableData(
+            name=table, columns={c: v[keep] for c, v in data.columns.items()},
+            null_mask={c: v[keep] for c, v in data.null_mask.items()},
+            row_count=int(keep.sum())))
+    tables = {t: _concat(parts) for t, parts in taken.items()}
+    rebuilt = build_state(schema, tables, config)
+    assert rebuilt.freq_hists == state.freq_hists
+    for (t, kc, attr), h in state.hists2d.items():
+        want = rebuilt.hists2d[(t, kc, attr)]
+        if isinstance(h.attr, KeyDomain) and not h.attr.columns:
+            want = build_tkhist2d(
+                tables[t].columns[kc], tables[t].columns[attr], h.key_domain,
+                built.hists2d[(t, kc, attr)].attr,
+                key_nulls=tables[t].null_mask[kc],
+                attr_nulls=tables[t].null_mask[attr])
+        assert h.attr == want.attr
+        assert h.grid.tolist() == want.grid.tolist()
+
+
+def test_unseen_categorical_values_take_sorted_place():
     schema = schema_from_document(SCHEMA_DOC)
     base = {t: table_data(t, cols, [tuple(0 if KINDS[(t, c)] != "categorical"
                                           else "a" for c in cols)])
             for t, cols in COLUMNS.items()}
-    state = build_state(schema, base, BuildConfig(bin_count=2, top_k=1))
-    batch = table_data("r", COLUMNS["r"],
-                       [(0, 0, "d"), (0, None, "b"), (None, 0, "e"),
-                        (0, 0, "c"), (0, 0, "d")])
-    assert apply_rows(state, "r", batch) == (5, 0)
-    # the row with a null key adds nothing to the k|c grid, so "e" stays out
-    assert state.hists2d[("r", "k", "c")].attr.values == ["a", "d", "b", "c"]
-    assert state.hists2d[("r", "k", "c")].grid.tolist() == [[1, 2, 1, 1], [0, 0, 0, 0]]
-    assert state.freq_hists[("r", "c")] == {"a": 1, "d": 2, "b": 1, "e": 1,
-                                            "c": 1}
+    config = BuildConfig(bin_count=2, top_k=1)
+    state = build_state(schema, base, config)
+    rows_ = [(0, 0, "d"), (0, None, "b"), (None, 0, "e"), (0, 0, "c"),
+             (0, 0, "d")]
+    assert apply_rows(state, "r", table_data("r", COLUMNS["r"], rows_)) == \
+        (5, 0)
+    # "e" comes only with a null key: a zero column, as a rebuild gives it
+    h = state.hists2d[("r", "k", "c")]
+    assert h.attr == ["a", "b", "c", "d", "e"]
+    assert h.grid.tolist() == [[1, 1, 1, 2, 0], [0, 0, 0, 0, 0]]
+    assert state.freq_hists[("r", "c")] == {"a": 1, "b": 1, "c": 1, "d": 2,
+                                            "e": 1}
+    rebuilt = build_state(schema, {**base, "r": table_data(
+        "r", COLUMNS["r"], [(0, 0, "a"), *rows_])}, config)
+    assert rebuilt.hists2d[("r", "k", "c")].attr == h.attr
+    assert rebuilt.hists2d[("r", "k", "c")].grid.tolist() == h.grid.tolist()
+    assert rebuilt.freq_hists == state.freq_hists
 
 
 def test_new_real_categorical_values_save_canonically(tmp_path):
