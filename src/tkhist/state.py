@@ -3,12 +3,16 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 7 stores each 1D histogram as
+same state twice is byte-identical.  Version 8 stores each 1D histogram as
 flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
 cells and each correlation-map section as columns; every numeric array is one
-packed string (`_pack`), and sorted integer arrays are delta-coded.  Loading
-or saving the 1D and correlation arrays, kept as they are in memory, builds
-no per-key object (a set envelope excepted).
+packed string (`_pack`), an integer array at the narrowest width that holds
+its stored values, and every integer key and index array (keys, offsets,
+cells) is delta-coded.  A bridge, the two grids between two key columns of
+one table, is stored once, as the entry whose name sorts first; loading
+builds the other direction as the transpose.  Loading or saving the 1D and
+correlation arrays, kept as they are in memory, builds no per-key object (a
+set envelope excepted).
 The file stores only what the data decided; loading derives the rest:
 domain members from the schema, every bin count from `config.bin_count`, a
 histogram's domain from the key column in its name, a column's class from
@@ -18,8 +22,8 @@ column's sorted `freq` values, or else a domain of no members over the
 `lo` and `hi` that the 2D entry writes.  A grid's `shape` is kept as a
 check on its axis.  Loading checks the type of every entry, the sign of
 every count, every length, offset and cell, that no `freq` entry repeats a
-value, and that every entry name fits the schema; older versions are
-rejected.
+value, that a bridge is stored once and every entry name fits the schema;
+older versions are rejected.
 
 Each table owns some entries of the document: its `hists1d` and `freq`
 entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
@@ -48,7 +52,7 @@ from .histcore import (TKHist1D, TKHist2D, add_value_counts, axis_length,
                        build_tkhist1d, build_tkhist2d)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 7
+STATE_VERSION = 8
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -195,45 +199,62 @@ def apply_rows(state: EstimatorState, table: str,
 # serialization
 
 _ZLIB_LEVEL = 1
-_STORED = {"i8": "<i8", "f8": "<f8"}  # dtype tag -> little-endian dtype
+_INT_TAGS = {tag: np.iinfo(tag) for tag in ("i1", "i2", "i4", "i8")}
+_STORED = {tag: f"<{tag}" for tag in (*_INT_TAGS, "f8")}  # -> stored dtype
+_EXPECTED = {"i": "i8 or narrower", "f": "f8", None: "i8 or narrower, or f8"}
 
 
 def _pack(values, delta: bool = False) -> str:
-    """A numeric array as written: its dtype tag (`i8` or `f8`), a colon,
-    then its little-endian bytes, zlib-compressed and base64-coded.  With
-    `delta`, a sorted integer array is stored as each value minus the one
-    before it (wrapping in int64, as the cumsum that undoes it does); real
-    values are stored as they are, since a float cumsum would not round-trip.
+    """A numeric array as written: its dtype tag, a colon, then its
+    little-endian bytes, zlib-compressed and base64-coded.  A real array is
+    tagged `f8`; an integer array is stored at the narrowest of `i1`, `i2`,
+    `i4` and `i8` that holds its stored values.  With `delta`, an integer
+    array is stored as each value minus the one before it (wrapping in
+    int64, as the cumsum that undoes it does); real values are stored as
+    they are, since a float cumsum would not round-trip.
     """
     a = np.asarray(values)
-    tag = "f8" if a.dtype.kind == "f" else "i8"
-    a = a.astype(_STORED[tag])
-    if delta and tag == "i8":
-        a = np.diff(a, prepend=0)
-    body = base64.b64encode(zlib.compress(a.tobytes(), _ZLIB_LEVEL))
+    if a.dtype.kind == "f":
+        tag = "f8"
+    else:
+        a = a.astype(np.int64, copy=False)
+        if delta:
+            a = np.diff(a, prepend=0)
+        tag = _narrowest(a)
+    body = base64.b64encode(zlib.compress(a.astype(_STORED[tag]).tobytes(),
+                                          _ZLIB_LEVEL))
     return f"{tag}:{body.decode('ascii')}"
 
 
-def _unpack(doc: dict, where: str, name: str, tag: str | None = "i8",
-           delta: bool = False, counts: bool = False) -> np.ndarray:
-    """The array that `_pack` wrote to `doc[name]`, with dtype tag `tag`
-    (either tag if None); with `counts`, none of its values negative."""
+def _narrowest(a: np.ndarray) -> str:
+    """The narrowest integer tag whose width holds every value of `a`."""
+    lo, hi = (int(a.min()), int(a.max())) if len(a) else (0, 0)
+    return next(tag for tag, bounds in _INT_TAGS.items()
+                if bounds.min <= lo and hi <= bounds.max)
+
+
+def _unpack(doc: dict, where: str, name: str, kind: str | None = "i",
+            delta: bool = False, counts: bool = False) -> np.ndarray:
+    """The array that `_pack` wrote to `doc[name]`, as a writable int64 or
+    float64 array: `kind` "i" takes an integer tag of any width, "f" the
+    real tag and None either; with `counts`, none of its values negative."""
     found, _, body = _get(doc, where, name, "a string").partition(":")
-    if found not in _STORED or tag not in (None, found):
+    if found not in _STORED or kind not in (None, found[0]):
         raise StateError(f"{where}: {name!r} has dtype tag {found!r}, "
-                         f"expected {tag or 'i8 or f8'}")
+                         f"expected {_EXPECTED[kind]}")
     try:
         raw = zlib.decompress(base64.b64decode(body, validate=True))
     except (ValueError, zlib.error) as exc:
         raise StateError(f"{where}: {name!r} is not a packed array "
                          f"({exc})") from exc
-    if len(raw) % 8:
+    width = np.dtype(_STORED[found]).itemsize
+    if len(raw) % width:
         raise StateError(f"{where}: {name!r} unpacks to {len(raw)} bytes, "
-                         f"not a multiple of 8")
-    values = np.frombuffer(raw, _STORED[found]).astype(found)
+                         f"not a multiple of {width}")
+    values = np.frombuffer(raw, _STORED[found]).astype(f"{found[0]}8")
     if counts and np.any(values < 0):
         raise StateError(f"{where}: {name!r} has a negative count")
-    return np.cumsum(values) if delta and found == "i8" else values
+    return np.cumsum(values) if delta and found[0] == "i" else values
 
 
 def _list_of(v, test) -> bool:
@@ -275,12 +296,12 @@ def _hist1d_doc(h: TKHist1D) -> dict:
     """The histogram's arrays, each container re-ranked by (-count, key)."""
     order = np.lexsort((h.topk_keys, -h.topk_counts, np.repeat(
         np.arange(len(h.nv)), np.diff(h.topk_offsets))))
-    return {"topk_keys": _pack(h.topk_keys[order]),
+    return {"topk_keys": _pack(h.topk_keys[order], delta=True),
             "topk_counts": _pack(h.topk_counts[order]),
-            "topk_offsets": _pack(h.topk_offsets),
+            "topk_offsets": _pack(h.topk_offsets, delta=True),
             "nv": _pack(h.nv),
             "background": _pack(h.background, delta=True),
-            "background_offsets": _pack(h.background_offsets)}
+            "background_offsets": _pack(h.background_offsets, delta=True)}
 
 
 def _hist2d_doc(h: TKHist2D) -> dict:
@@ -329,9 +350,21 @@ def _owned(state: EstimatorState, table: str) -> dict[str, dict]:
         owned[sec] = {}
         for key, value in getattr(state, field).items():
             key = key if isinstance(key, tuple) else (key,)
-            if key[0] == table:
-                owned[sec][name.format(*key)] = value
+            if key[0] != table or (sec == "hists2d" and _stored_twin(
+                    *key, state.column_domain)):
+                continue
+            owned[sec][name.format(*key)] = value
     return owned
+
+
+def _stored_twin(table: str, key: str, attr: str, key_columns) -> str | None:
+    """None, unless the 2D histogram (table, key, attr) is the direction of
+    a bridge that the file leaves out: `attr` is a key column too (one of
+    `key_columns`) and the other direction's entry name, returned, sorts
+    first."""
+    twin = f"{table}.{attr}|{key}"
+    return (twin if f"{table}.{attr}" in key_columns
+            and twin < f"{table}.{key}|{attr}" else None)
 
 
 def _table_entries(state: EstimatorState, table: str) -> dict[str, dict]:
@@ -450,18 +483,18 @@ def state_from_document(doc: dict) -> EstimatorState:
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
-    if version in (1, 2, 3, 4, 5, 6):
+    if version in (1, 2, 3, 4, 5, 6, 7):
         raise StateError(f"state version {version} is no longer read; "
                          f"rebuild the state with `tkhist build`")
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v7(doc)
+        return _state_from_v8(doc)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v7(doc: dict) -> EstimatorState:
+def _state_from_v8(doc: dict) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")
@@ -496,7 +529,7 @@ def _state_from_v7(doc: dict) -> EstimatorState:
         t, c = split_qualified(qual)
         integer = schema.table(t).column(c).kind == catalog.KIND_INTEGER
         hists1d[(t, c)] = _hist1d_from_doc(where, h, dom,
-                                           "i8" if integer else "f8")
+                                           "i" if integer else "f")
     freq = {}
     for qual, items in _entries(doc, "freq", "a list of [value, count] pairs"):
         where = f"frequency histogram {qual!r}"
@@ -524,7 +557,13 @@ def _state_from_v7(doc: dict) -> EstimatorState:
                                               hi="a finite number"))
         except SchemaError as exc:
             raise StateError(f"{where}: {exc}") from exc
-        hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, axis)
+        twin = _stored_twin(t, c, attr, key_domains)
+        if twin is not None:
+            raise StateError(f"{where}: a bridge is stored once, as {twin!r}")
+        h2 = hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, axis)
+        if f"{t}.{attr}" in key_domains:  # a bridge: the other direction
+            hists2d[(t, attr, c)] = TKHist2D(key_domain=axis, attr=dom,
+                                             grid=h2.grid.T.copy())
     table_rows = dict(_entries(doc, "table_rows", "a count"))
     if sorted(table_rows) != sorted(t.name for t in schema.tables):
         raise StateError("table_rows does not name each schema table once")
@@ -560,11 +599,11 @@ def _entries(doc: dict, section: str, kind: str = "an object") -> list:
 
 
 def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,
-                     tag: str) -> TKHist1D:
-    keys = _unpack(h, where, "topk_keys", tag)
+                     kind: str) -> TKHist1D:
+    keys = _unpack(h, where, "topk_keys", kind, delta=True)
     counts, nv = (_unpack(h, where, name, counts=True)
                   for name in ("topk_counts", "nv"))
-    background = _unpack(h, where, "background", tag, delta=True)
+    background = _unpack(h, where, "background", kind, delta=True)
     n = dom.bin_count
     if len(nv) != n:
         raise StateError(f"{where} has {len(nv)} nv entries for {n} bins")
@@ -584,7 +623,7 @@ def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,
 def _checked_offsets(where: str, h: dict, field: str, bin_count: int,
                      length: int) -> np.ndarray:
     """CSR offsets that split `length` entries into `bin_count` bins."""
-    offsets = _unpack(h, where, field)
+    offsets = _unpack(h, where, field, delta=True)
     if (len(offsets) != bin_count + 1 or offsets[0] != 0
             or offsets[-1] != length or np.any(offsets[1:] < offsets[:-1])):
         raise StateError(f"{where}: {field} do not split "
@@ -621,7 +660,7 @@ def _envelopes_from_doc(where: str, sec: dict) -> Envelopes:
             sec, where, "values", "a list of scalar lists"))))
     else:  # `hi` in `lo`'s dtype, as `Envelopes.excludes` assumes
         lo = _unpack(sec, where, "lo", None)
-        hi = _unpack(sec, where, "hi", lo.dtype.str[1:])
+        hi = _unpack(sec, where, "hi", lo.dtype.kind)
         section = Envelopes(keys, lo, hi)
     if {len(col) for col in (section.lo, section.hi, section.values)
             if col is not None} != {len(keys)}:

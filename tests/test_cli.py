@@ -56,7 +56,7 @@ class TestBuildEstimate:
     def test_state_without_sections_is_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"magic": "TKHIST-STATE-v1",
-                                     "version": 7}))
+                                     "version": 8}))
         rc = main(["estimate", "--state", str(state),
                    "SELECT COUNT(*) FROM t1"])
         assert rc == 2

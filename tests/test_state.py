@@ -15,8 +15,9 @@ from tkhist.errors import StateError
 from tkhist.estimator import (discover_correlations, estimate,
                               evaluate_workload)
 from tkhist.histcore import build_tkhist1d
-from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
-                          save_state, state_from_document, state_to_document)
+from tkhist.state import (BuildConfig, _hist2d_doc, _pack, _unpack,
+                          apply_rows, build_state, load_state, save_state,
+                          state_from_document, state_to_document)
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
 from conftest import correlations_of, make_table, two_table_schema
@@ -78,7 +79,14 @@ class TestRoundTrip:
             estimate(sql, state2, False).estimate
 
 
-TAGS = {"i8": "<i8", "f8": "<f8"}
+INT_TAGS = ("i1", "i2", "i4", "i8")
+TAGS = {tag: f"<{tag}" for tag in (*INT_TAGS, "f8")}
+
+
+def narrowest(values):
+    """The narrowest integer tag that holds each of `values`."""
+    return next(tag for tag in INT_TAGS if all(
+        np.iinfo(tag).min <= v <= np.iinfo(tag).max for v in values))
 
 
 def unpacked(blob):
@@ -88,14 +96,109 @@ def unpacked(blob):
                          TAGS[tag]).tolist()
 
 
+def undelta(blob):
+    """The values of a delta-coded integer array: the running sum of its
+    stored gaps, wrapping in int64."""
+    return np.cumsum(np.asarray(unpacked(blob), dtype=np.int64)).tolist()
+
+
 def packed(values, tag="i8"):
     raw = np.asarray(values, dtype=TAGS[tag]).tobytes()
     return f"{tag}:" + base64.b64encode(zlib.compress(raw)).decode()
 
 
 def repacked(blob, edit):
-    """`blob` with its stored values passed through `edit`."""
-    return packed(edit(unpacked(blob)), blob.split(":")[0])
+    """`blob` with its stored values passed through `edit`, packed at the
+    narrowest tag that holds them (a real array stays `f8`)."""
+    values = edit(unpacked(blob))
+    return packed(values, "f8" if blob.startswith("f8:") else narrowest(values))
+
+
+INT64 = np.iinfo(np.int64)
+
+
+def wrapped_gaps(values):
+    """Each value minus the one before it (the first minus 0), wrapped into
+    int64: what a delta-coded array stores."""
+    return [(b - a - INT64.min) % 2 ** 64 + INT64.min
+            for a, b in zip([0, *values], values)]
+
+
+class TestCodec:
+    """Each integer array is stored at the narrowest width that holds its
+    stored values, and reads back as a writable int64 array."""
+
+    @pytest.mark.parametrize("values, tag", [
+        ([], "i1"),
+        ([127, -128, 0], "i1"), ([128], "i2"), ([-129], "i2"),
+        ([32767, -32768], "i2"), ([32768], "i4"), ([-32769], "i4"),
+        ([2 ** 31 - 1, -2 ** 31], "i4"), ([2 ** 31], "i8"),
+        ([-2 ** 31 - 1], "i8"),
+        ([2 ** 53 + 1, -2 ** 53 - 1], "i8"),  # past float64's integers
+        ([int(INT64.min), int(INT64.max)], "i8"),
+    ])
+    def test_plain_array_at_narrowest_width(self, values, tag):
+        blob = _pack(np.asarray(values, dtype=np.int64))
+        assert blob.split(":")[0] == tag == narrowest(values)
+        assert unpacked(blob) == values
+        got = _unpack({"a": blob}, "test", "a")
+        assert got.dtype == np.int64 and got.flags.writeable
+        assert got.tolist() == values
+
+    @pytest.mark.parametrize("values, stored, tag", [
+        ([], [], "i1"),
+        ([100, 227, 99], [100, 127, -128], "i1"),
+        ([100, 228], [100, 128], "i2"),
+        ([0, -32768, -1], [0, -32768, 32767], "i2"),
+        ([5, 32773], [5, 32768], "i4"),
+        ([0, 2 ** 31], [0, 2 ** 31], "i8"),
+        ([2 ** 53 + 1, 2 ** 53 + 3], [2 ** 53 + 1, 2], "i8"),
+        # adjacent int64 extremes: the gap wraps around in int64
+        ([int(INT64.min), int(INT64.max)], [int(INT64.min), -1], "i8"),
+        ([-1, int(INT64.max), int(INT64.min)], [-1, int(INT64.min), 1], "i8"),
+    ])
+    def test_delta_array_at_narrowest_width(self, values, stored, tag):
+        assert wrapped_gaps(values) == stored
+        blob = _pack(np.asarray(values, dtype=np.int64), delta=True)
+        assert blob.split(":")[0] == tag == narrowest(stored)
+        assert unpacked(blob) == stored
+        got = _unpack({"a": blob}, "test", "a", delta=True)
+        assert got.dtype == np.int64 and got.flags.writeable
+        assert got.tolist() == values
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.one_of(st.integers(-300, 300),
+                              st.integers(-2 ** 40, 2 ** 40),
+                              st.integers(int(INT64.min), int(INT64.max))),
+                    max_size=12), st.booleans())
+    def test_integers_round_trip(self, values, delta):
+        blob = _pack(np.asarray(values, dtype=np.int64), delta=delta)
+        stored = wrapped_gaps(values) if delta else values
+        assert blob.split(":")[0] == narrowest(stored)
+        assert unpacked(blob) == stored
+        assert _unpack({"a": blob}, "test", "a",
+                       delta=delta).tolist() == values
+
+    @pytest.mark.parametrize("values", [[], [0.5, -2.5], [1.0, 2.0, 2.0 ** 60]])
+    def test_real_keys_stay_f8(self, values):
+        # a float cumsum would not round-trip, so reals are stored as they are
+        blob = _pack(np.asarray(values, dtype=np.float64), delta=True)
+        assert blob.startswith("f8:") and unpacked(blob) == values
+        got = _unpack({"a": blob}, "test", "a", "f", delta=True)
+        assert got.dtype == np.float64 and got.flags.writeable
+        assert got.tolist() == values
+        with pytest.raises(StateError, match="'a' has dtype tag 'f8', "
+                           "expected i8 or narrower"):
+            _unpack({"a": blob}, "test", "a")
+
+    @pytest.mark.parametrize("tag", ["i2", "i4", "i8", "f8"])
+    def test_ragged_byte_count_rejected(self, tag):
+        width = int(tag[1])
+        blob = f"{tag}:" + base64.b64encode(
+            zlib.compress(bytes(2 * width + 1))).decode()
+        with pytest.raises(StateError, match=f"'a' unpacks to {2 * width + 1} "
+                           f"bytes, not a multiple of {width}"):
+            _unpack({"a": blob}, "test", "a", None)
 
 
 def save_bytes(state, path):
@@ -136,19 +239,44 @@ MIXED_QUERIES = [
 ]
 
 
+# t1-t2-t3 a star on k1, t3-t4-t5 a chain on k2 and k3: t3 (k1, k2) and
+# t4 (k2, k3) are bridges
+MIXED_SPEC = SyntheticSpec(tables=5, rows=400, layout="mixed",
+                           distinct_keys=40, correlated=True)
+
+
 @pytest.fixture
 def mixed_state():
     """A correlated five-table state with a correlation map, after one
     batch that brings attribute values the build never saw."""
-    spec = SyntheticSpec(tables=5, rows=400, layout="mixed",
-                         distinct_keys=40, correlated=True)
-    schema, tables = generate_synthetic(spec, seed=3)
+    schema, tables = generate_synthetic(MIXED_SPEC, seed=3)
     state = build_state(schema, tables, BuildConfig(bin_count=8, top_k=3))
     discover_correlations(state, tables)
-    _, more = generate_synthetic(spec, seed=4)
+    _, more = generate_synthetic(MIXED_SPEC, seed=4)
     more["t3"].columns["y"] = more["t3"].columns["y"] + 1000
     apply_rows(state, "t3", more["t3"])
     return state
+
+
+def twin_name(name):
+    """The entry name of the other direction of 2D histogram `name`."""
+    qual, _, attr = name.partition("|")
+    t, c = qual.split(".")
+    return f"{t}.{attr}|{c}"
+
+
+def test_saved_integer_arrays_at_narrowest_width(mixed_state, tmp_path):
+    # a change that widens the file, or writes a bridge twice, fails here
+    doc = json.loads(save_bytes(mixed_state, tmp_path / "state.json"))
+    tags = {path: (blob.split(":")[0], blob)
+            for path, blob in checked_entries(doc)
+            if isinstance(blob, str) and blob.split(":")[0] in TAGS}
+    assert {tag for tag, _ in tags.values()} >= {"i1", "i2"}
+    for path, (tag, blob) in tags.items():
+        if tag != "f8":
+            assert tag == narrowest(unpacked(blob)), path
+    assert [name for name in doc["hists2d"]
+            if twin_name(name) in doc["hists2d"]] == []
 
 
 class TestFormat:
@@ -162,6 +290,44 @@ class TestFormat:
         for sql in MIXED_QUERIES:
             assert estimate(sql, loaded).estimate == \
                 estimate(sql, mixed_state).estimate
+
+    def test_bridge_stored_once_and_loaded_as_transpose(self, mixed_state,
+                                                         tmp_path):
+        path = tmp_path / "state.json"
+        doc = json.loads(save_bytes(mixed_state, path))
+        bridges = [("t3", "k1", "k2"), ("t4", "k2", "k3")]
+        for t, a, b in bridges:  # the entry whose name sorts first
+            assert f"{t}.{a}|{b}" in doc["hists2d"]
+            assert f"{t}.{b}|{a}" not in doc["hists2d"]
+        loaded = load_state(str(path))
+        assert set(loaded.hists2d) == set(mixed_state.hists2d)
+        for t, a, b in bridges:
+            mine, twin = loaded.hists2d[(t, a, b)], loaded.hists2d[(t, b, a)]
+            assert twin.grid.tolist() == mine.grid.T.tolist()
+            assert (twin.key_domain, twin.attr) == (mine.attr, mine.key_domain)
+            assert not np.shares_memory(mine.grid, twin.grid)
+        # each direction takes the batch on its own, as after a build
+        batch = generate_synthetic(MIXED_SPEC, seed=5)[1]["t3"]
+        assert apply_rows(loaded, "t3", batch) == \
+            apply_rows(mixed_state, "t3", batch)
+        for name, h in mixed_state.hists2d.items():
+            assert loaded.hists2d[name].grid.tolist() == h.grid.tolist()
+        save_state(loaded, str(path), table="t3")
+        assert path.read_bytes() == save_bytes(mixed_state,
+                                               tmp_path / "full.json")
+
+    @pytest.mark.parametrize("keep_first", [True, False])
+    def test_bridge_stored_twice_or_reversed_rejected(self, mixed_state,
+                                                      keep_first):
+        doc = state_to_document(mixed_state)
+        doc["hists2d"]["t3.k2|k1"] = _hist2d_doc(
+            mixed_state.hists2d[("t3", "k2", "k1")])
+        if not keep_first:
+            del doc["hists2d"]["t3.k1|k2"]
+        with pytest.raises(StateError, match=re.escape(
+                "2D histogram 't3.k2|k1': a bridge is stored once, "
+                "as 't3.k1|k2'")):
+            state_from_document(doc)
 
     def test_config_threshold_of_older_files_ignored(self, built, tmp_path):
         # older files carry `config.categorical_threshold`; only the schema
@@ -192,13 +358,13 @@ class TestFormat:
         # version 3's order and delta coding, inside version 4's packed arrays
         doc = state_to_document(mixed_state)
         for h in doc["hists1d"].values():
-            tk, nv = unpacked(h["topk_offsets"]), unpacked(h["nv"])
-            counts, keys = unpacked(h["topk_counts"]), unpacked(h["topk_keys"])
+            tk, nv = undelta(h["topk_offsets"]), unpacked(h["nv"])
+            counts, keys = unpacked(h["topk_counts"]), undelta(h["topk_keys"])
             for i in range(len(nv)):
                 ranked = list(zip(counts[tk[i]:tk[i + 1]], keys[tk[i]:tk[i + 1]]))
                 assert ranked == sorted(ranked, key=lambda ck: (-ck[0], ck[1]))
             # integer keys: the first key, then the gaps to the next
-            assert h["background"].startswith("i8:")
+            assert h["background"][:1] == "i"
             assert all(gap > 0 for gap in unpacked(h["background"])[1:])
         # an attribute axis in a key domain or over a categorical column is
         # derived whole; a numeric one outside keeps its lo and hi
@@ -215,22 +381,24 @@ class TestFormat:
         assert keyed
 
     def test_v3_layout(self, built):
-        # version 3's layout, with each numeric array packed as in version 4
+        # version 3's layout, with each numeric array packed as in version 8
         # and without what versions 5 to 7 derive on load
         state, tables = built
         discover_correlations(state, tables)
         doc = state_to_document(state)
-        assert doc["version"] == 7
+        assert doc["version"] == 8
         assert doc["domains"] == {"r.k": {"lo": 1.0, "hi": 9.0}}
         assert "column_class" not in doc
         h1 = {name: unpacked(blob)
               for name, blob in doc["hists1d"]["r.k"].items()}
-        # r.k = [1, 1, 2, 5, 9] over 4 bins of width 2, k = 1
-        assert h1["topk_keys"] == [1, 5, 9]
+        # r.k = [1, 1, 2, 5, 9] over 4 bins of width 2, k = 1; keys and
+        # offsets as gaps
+        assert h1["topk_keys"] == [1, 4, 4]  # keys 1, 5, 9
         assert h1["topk_counts"] == [2, 1, 1]
-        assert h1["topk_offsets"] == [0, 1, 1, 2, 3]
+        assert h1["topk_offsets"] == [0, 1, 0, 1, 1]  # [0, 1, 1, 2, 3]
         assert h1["nv"] == [1, 0, 0, 0]
-        assert (h1["background"], h1["background_offsets"]) == ([2], [0, 1, 1, 1, 1])
+        assert h1["background"] == [2]
+        assert h1["background_offsets"] == [0, 1, 0, 0, 0]  # [0, 1, 1, 1, 1]
         h2 = doc["hists2d"]["r.k|y"]
         assert set(h2) == {"shape", "cells", "counts"}
         assert h2["shape"] == [4, 4]  # y is categorical: 3, 4, 5, 6
@@ -243,11 +411,12 @@ class TestFormat:
                                    "hi": [3, 4, 6]}
         assert corr["s|r.k|y"] == {"keys": [1, 1, 7], "lo": [0, 1, 3],
                                    "hi": [0, 2, 3]}
-        # every array is tagged with its dtype: i8 here, y and k being integer
+        # every array is tagged with its dtype at the narrowest width that
+        # holds it: i1 here, y and k being small integers
         assert {blob[:3] for sec in (doc["hists1d"]["r.k"], h2,
                                      *doc["correlations"].values())
                 for blob in sec.values() if isinstance(blob, str)
-                and ":" in blob} == {"i8:"}
+                and ":" in blob} == {"i1:"}
 
     def test_real_keys_and_set_envelopes_layout(self):
         schema = schema_from_document(MIXED_KINDS_DOC)
@@ -260,11 +429,13 @@ class TestFormat:
         discover_correlations(state, tables)
         doc = state_to_document(state)
         # integer keys -2, -1, 3 as deltas; real keys as they are
-        assert doc["hists1d"]["r.k"]["background"].startswith("i8:")
+        assert doc["hists1d"]["r.k"]["background"].startswith("i1:")
         assert unpacked(doc["hists1d"]["r.k"]["background"]) == [-2, 1, 4]
         assert doc["hists1d"]["s.k"]["background"].startswith("f8:")
         assert unpacked(doc["hists1d"]["s.k"]["background"]) == [-2.5, 1.5]
         assert doc["hists1d"]["s.k"]["topk_keys"].startswith("f8:")
+        # counts and offsets stay integer whatever the key's kind
+        assert doc["hists1d"]["s.k"]["topk_counts"].startswith("i1:")
         r_sec, s_sec = (doc["correlations"][f"{t}|r.k|c"] for t in "rs")
         assert (unpacked(r_sec["keys"]), r_sec["values"]) == (
             [-3, 7], [["a", "b"], ["a"]])
@@ -345,8 +516,9 @@ class TestErrors:
 
     def test_unsorted_background_rejected(self, doc):
         h = doc["hists1d"]["r.k"]
+        # keys 2, 2 (gaps 2, 0) in bin 0 (offset gaps 0, 2, 0, 0, 0)
         h["background"], h["background_offsets"] = (
-            packed([2, 0]), packed([0, 2, 2, 2, 2]))
+            packed([2, 0], "i1"), packed([0, 2, 0, 0, 0], "i1"))
         with pytest.raises(StateError, match=re.escape("'r.k' has unsorted")):
             state_from_document(doc)
 
@@ -368,7 +540,7 @@ class TestErrors:
         with pytest.raises(StateError, match=re.escape("'s|r.k|y' has columns of")):
             state_from_document(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
     def test_older_versions_rejected(self, doc, version):
         doc["version"] = version
         with pytest.raises(StateError, match=f"state version {version} is "
@@ -385,8 +557,8 @@ class TestErrors:
         (("domains", "r.k", "lo"), float("inf"), "'lo' is not a finite number"),
         (("hists2d", "r.k|y", "counts"), ["2", "1", "1", "1"],
          "'r.k|y': 'counts' is not a string"),
-        (("hists2d", "r.k|y", "counts"), "i4:" + packed([1])[3:],
-         "'counts' has dtype tag 'i4', expected i8"),
+        (("hists2d", "r.k|y", "counts"), "u8:" + packed([1])[3:],
+         "'counts' has dtype tag 'u8', expected i8 or narrower"),
         (("hists2d", "r.k|y", "counts"), "f8:" + packed([2, 1, 1, 1])[3:],
          "'counts' has dtype tag 'f8', expected i8"),
         (("hists1d", "r.k", "nv"), "i8:AAAA*AAA",
@@ -454,6 +626,14 @@ class TestErrors:
             entry[last] = value
         with pytest.raises(StateError, match=message):
             state_from_document(doc)
+
+    def test_envelope_bounds_of_other_widths_read(self, doc):
+        # `hi` must be integer like `lo`, at whatever width holds it
+        sec = doc["correlations"]["r|r.k|y"]
+        sec["lo"], sec["hi"] = packed([3, 4, 6], "i1"), packed([3, 4, 300], "i2")
+        section = state_from_document(doc).correlations[("r", "r.k", "y")]
+        assert section.lo.dtype == section.hi.dtype == np.int64
+        assert section.hi.tolist() == [3, 4, 300]
 
     @pytest.mark.parametrize("lo, hi", [(3.0, 3.0), (6.0, 3.0)])
     def test_numeric_axis_without_width_rejected(self, doc, lo, hi):
@@ -568,11 +748,13 @@ PROPERTY_DOC = {
 }
 KINDS = {t["name"]: [(c["name"], c["kind"]) for c in t["columns"]]
          for t in PROPERTY_DOC["tables"]}
-INT64 = np.iinfo(np.int64)
 VALUES = {
     # negative keys and the int64 extremes, whose gaps wrap around in int64
+    # and keys whose gaps need each integer width
     ("r", "k"): st.one_of(st.integers(-6, 6),
-                          st.sampled_from([int(INT64.min), int(INT64.max)])),
+                          st.sampled_from([int(INT64.min), int(INT64.max),
+                                           -2 ** 31 - 1, -40000, 200, 70000,
+                                           2 ** 53 + 1])),
     ("r", "y"): st.integers(-3, 3),
     ("r", "c"): st.sampled_from("abc"),
     ("s", "k"): st.one_of(st.integers(-12, 12).map(lambda v: v / 2),
@@ -793,7 +975,8 @@ def json_type(value):
 def corrupted_documents(draw):
     """Copies of a saved state's document, one per checked entry, with that
     entry of the wrong type, length or nesting, or a packed array truncated,
-    re-tagged or cut to a ragged byte count."""
+    re-tagged (to an unknown tag, the other dtype or another integer width)
+    or cut to a ragged byte count."""
     state, _ = draw(updated_states())
     saved = json.dumps(state_to_document(state))
     copies = []
@@ -803,19 +986,29 @@ def corrupted_documents(draw):
             valid |= {json_type(None), json_type(value)}
         corruptions = [st.sampled_from(
             [v for v in WRONG_VALUES if json_type(v) not in valid])]
-        if isinstance(value, str) and value[:3] in ("i8:", "f8:"):
+        tag = value.split(":")[0] if isinstance(value, str) else None
+        if tag in TAGS:
             raw = zlib.decompress(base64.b64decode(value[3:]))
+            width = int(tag[1])
             corruptions += [
                 st.integers(0, len(value) - 1).map(lambda n: value[:n]),
                 st.just(repacked(value, lambda v: v[:-1] if v else [0])),
                 st.just(repacked(value, lambda v: [*v, 0])),
-                st.integers(1, 7).map(lambda n: value[:3] + base64.b64encode(
-                    zlib.compress(raw + bytes(n))).decode()),
                 st.just("u8" + value[2:])]
+            if width > 1:  # any byte count is whole at width 1
+                corruptions += [st.integers(1, width - 1).map(
+                    lambda n: value[:3] + base64.b64encode(
+                        zlib.compress(raw + bytes(n))).decode())]
+            if raw and tag != "f8":
+                # another integer width reads the bytes as another number
+                # of values (an empty array reads alike at every width)
+                corruptions += [st.sampled_from(
+                    [t for t in INT_TAGS if t != tag]).map(
+                        lambda t: t + value[2:])]
             if path[0] != "correlations":  # the other arrays have one dtype
-                swapped = {"i8": "f8", "f8": "i8"}[value[:2]]
+                swapped = "i8" if tag == "f8" else "f8"
                 corruptions += [st.just(swapped + value[2:])]
-            n = len(raw) // 8
+            n = len(raw) // width
             if path[-1] in ("topk_counts", "nv", "counts") and n:
                 # one count negated, or -1 in place of a zero
                 corruptions += [st.integers(0, n - 1).map(
