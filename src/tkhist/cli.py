@@ -112,7 +112,7 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_update(args) -> int:
-    state = load_state(_state_path(args))
+    state = load_state(_state_path(args), table=args.table)
     data = catalog.ingest_table(state.schema.table(args.table), state.schema,
                                 path=args.csv)
     inserted, rejected = apply_rows(state, args.table, data)

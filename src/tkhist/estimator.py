@@ -23,7 +23,7 @@ from .joinengine import (CompositeHist, apply_filters, chain_translate,
 from .predicate import Predicate, key_bin_fractions, matches, selectivity_2d
 from .queryfront import (Query, SubQueryPlan, bind, decompose, parse_sql,
                          validate_acyclic)
-from .state import EstimatorState
+from .state import EstimatorState, check_complete
 
 
 @dataclass
@@ -191,6 +191,7 @@ def estimate(sql: str, state: EstimatorState,
              use_djpcd: bool = True) -> EstimationReport:
     """Parse, validate, plan, and evaluate one COUNT(*) query."""
     t0 = time.perf_counter()
+    check_complete(state)
     query = bind(parse_sql(sql), state.schema)
     validate_acyclic(query)
     djpcd_active = bool(use_djpcd and state.correlations)

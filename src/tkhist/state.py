@@ -22,15 +22,19 @@ column's sorted `freq` values, or else a domain of no members over the
 `lo` and `hi` that the 2D entry writes.  A grid's `shape` is kept as a
 check on its axis.  Loading checks the type of every entry, the sign of
 every count, every length, offset and cell, that no `freq` entry repeats a
-value, that a bridge is stored once and every entry name fits the schema;
-older versions are rejected.
+value, that a bridge is stored once, that every entry name fits the schema
+and that no required entry is missing (`check_complete`); older versions
+are rejected.
 
 Each table owns some entries of the document: its `hists1d` and `freq`
 entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
 its `correlations` sections (`table|domain|attr`) and `table_rows[table]`.
 Every other entry (config, schema, domains) is global.  A batch update
-changes only its table's entries, so `save_state(..., table=)` encodes just
-those and copies the rest from the file the state was loaded from.
+changes only its table's entries, so `load_state(..., table=)` decodes and
+checks just those, the global entries and `table_rows`, and
+`save_state(..., table=)` encodes just those and copies the rest, unread,
+from the file the state was loaded from.  A state loaded for one table
+refuses a full save and an estimate (`check_complete`).
 """
 from __future__ import annotations
 
@@ -77,6 +81,9 @@ class EstimatorState:
     # {(table, domain_id, attr): djpcd.Envelopes}, each section the sorted
     # dominant keys and their envelopes as columns; built by djpcd
     correlations: dict | None = None
+    # the table whose entries `load_state(..., table=)` decoded, the only
+    # table the state holds histograms of; None when it holds every table's
+    only_table: str | None = None
 
     def key_columns(self, table: str) -> list[str]:
         tdef = self.schema.table(table)
@@ -134,6 +141,29 @@ def build_state(schema: Schema, tables: dict[str, TableData],
         freq_hists=freq_hists, table_rows=table_rows, correlations=None)
 
 
+def check_complete(state: EstimatorState, table: str | None = None) -> None:
+    """Raise StateError naming the first entry that `table` (every table,
+    when None) must have and `state` lacks: a 1D histogram of each key
+    column, and a 2D histogram of each key column with each other column of
+    its table (named as the file stores it).  A state loaded for one table
+    lacks every other table's entries."""
+    if state.only_table not in (None, table):
+        raise StateError(f"state was loaded to update table "
+                         f"{state.only_table!r} only")
+    for tdef in state.schema.tables:
+        t = tdef.name
+        if table not in (None, t):
+            continue
+        for kc in state.key_columns(t):
+            if (t, kc) not in state.hists1d:
+                raise StateError(f"state has no 1D histogram '{t}.{kc}'")
+            for cdef in tdef.columns:
+                if cdef.name != kc and (t, kc, cdef.name) not in state.hists2d:
+                    name = (_stored_twin(t, kc, cdef.name, state.column_domain)
+                            or f"{t}.{kc}|{cdef.name}")
+                    raise StateError(f"state has no 2D histogram {name!r}")
+
+
 def _attr_axis(qual: str, attr_domain: KeyDomain | None, freq: dict | None,
                bin_count: int, span) -> KeyDomain | list:
     """The attribute axis of a 2D histogram over column `qual`, at build and
@@ -166,6 +196,7 @@ def apply_rows(state: EstimatorState, table: str,
     built and the correlation map is not maintained.  Returns
     (inserted, rejected).
     """
+    check_complete(state, table)
     tdef = state.schema.table(table)
     key_cols = state.key_columns(table)
     accept = np.ones(data.row_count, dtype=bool)
@@ -340,6 +371,13 @@ _TABLE_SECTIONS = {
 }
 
 
+def _owned_by(name: str, table: str | None) -> bool:
+    """Whether the per-table entry `name` is `table`'s (any table's, when
+    None): the name is the table's own or starts with it and a "." or "|"."""
+    return (table is None or name == table
+            or name.startswith((f"{table}.", f"{table}|")))
+
+
 def _owned(state: EstimatorState, table: str) -> dict[str, dict]:
     """The objects behind the entries that `table` owns, by section and
     entry name: those whose key is `table` or starts with it."""
@@ -387,19 +425,17 @@ def _global_entries(state: EstimatorState) -> dict:
     }
 
 
-def _per_table(state: EstimatorState, entries_of) -> dict:
-    """The per-table sections of the document, each table's part of them
-    being `entries_of(state, table)`; an absent correlation map is None."""
-    doc = {sec: None if getattr(state, field) is None else {}
-           for sec, (field, _, _) in _TABLE_SECTIONS.items()}
+def state_to_document(state: EstimatorState) -> dict:
+    """The whole document of a state that holds every table's entries; an
+    absent correlation map is None."""
+    check_complete(state)
+    doc = _global_entries(state)
+    for sec, (field, _, _) in _TABLE_SECTIONS.items():
+        doc[sec] = None if getattr(state, field) is None else {}
     for tdef in state.schema.tables:
-        for sec, entries in entries_of(state, tdef.name).items():
+        for sec, entries in _table_entries(state, tdef.name).items():
             doc[sec].update(entries)
     return doc
-
-
-def state_to_document(state: EstimatorState) -> dict:
-    return {**_global_entries(state), **_per_table(state, _table_entries)}
 
 
 def save_state(state: EstimatorState, path: str,
@@ -408,18 +444,20 @@ def save_state(state: EstimatorState, path: str,
 
     With `table`, only the entries that table owns are encoded; every other
     entry is copied from the file at `path`, which must be the file `state`
-    was loaded from, so the bytes written are those of a full save.  A file
-    that cannot be read, or whose entries other than the table's or whose
-    entry names differ from `state`'s, raises StateError and is left as it is.
-    A file that cannot be written raises StateError and leaves no temporary
-    file.
+    was loaded from, so the bytes written are those of a full save.  `state`
+    may be one loaded for that table alone.  A file that cannot be read, or
+    whose global entries, or the names of whose entries of the table, differ
+    from `state`'s, raises StateError and is left as it is.  Without
+    `table`, a state loaded for one table raises StateError.  A file that
+    cannot be written raises StateError and leaves no temporary file.
     """
     if table is None:
         doc = state_to_document(state)
     elif table not in state.table_rows:
         raise StateError(f"state has no table {table!r}")
     else:
-        doc = _source_document(state, path)
+        check_complete(state, table)
+        doc = _source_document(state, path, table)
         for sec, entries in _table_entries(state, table).items():
             doc[sec].update(entries)
     payload = json.dumps(doc, sort_keys=True,
@@ -441,10 +479,11 @@ def save_state(state: EstimatorState, path: str,
     return len(payload)
 
 
-def _source_document(state: EstimatorState, path: str) -> dict:
+def _source_document(state: EstimatorState, path: str, table: str) -> dict:
     """`state`'s global entries and the per-table sections of the document
     at `path`, once that document is checked to be `state`'s source: the
-    same global entries, and the same entry names in each section."""
+    same global entries, and the same names of `table`'s entries in each
+    section."""
     found = _read_document(path)
     if not isinstance(found, dict):
         raise StateError(f"{path!r} is not the state file being updated")
@@ -453,16 +492,16 @@ def _source_document(state: EstimatorState, path: str) -> dict:
         if found.get(name) != value:
             raise StateError(f"{path!r} is not the state file being "
                              f"updated: its {name!r} entry differs")
-    for sec, entries in _per_table(state, _owned).items():
-        if _names(found.get(sec)) != _names(entries):
+    owned = _owned(state, table)
+    for sec in _TABLE_SECTIONS:
+        section = found.get(sec)
+        names = ({name for name in section if _owned_by(name, table)}
+                 if isinstance(section, dict) else section)
+        if names != (set(owned[sec]) if sec in owned else None):
             raise StateError(f"{path!r} is not the state file being "
                              f"updated: its {sec!r} entries differ")
-        doc[sec] = found.get(sec)
+        doc[sec] = section
     return doc
-
-
-def _names(section):
-    return set(section) if isinstance(section, dict) else section
 
 
 def _read_document(path: str):
@@ -475,11 +514,19 @@ def _read_document(path: str):
         raise StateError(f"corrupt state file {path!r}: {exc}") from exc
 
 
-def load_state(path: str) -> EstimatorState:
-    return state_from_document(_read_document(path))
+def load_state(path: str, table: str | None = None) -> EstimatorState:
+    """The state in the file at `path`; with `table`, only that table's
+    (see `state_from_document`)."""
+    return state_from_document(_read_document(path), table)
 
 
-def state_from_document(doc: dict) -> EstimatorState:
+def state_from_document(doc: dict,
+                        table: str | None = None) -> EstimatorState:
+    """The state a document describes, its every entry checked.  With
+    `table`, only the global entries, `table_rows` and the entries that
+    `table` owns are decoded and checked; the state holds no other table's
+    histograms, and so can take a batch of `table` and `save_state(...,
+    table=table)` but refuses a full save and an estimate."""
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
@@ -489,12 +536,12 @@ def state_from_document(doc: dict) -> EstimatorState:
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v8(doc)
+        return _state_from_v8(doc, table)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v8(doc: dict) -> EstimatorState:
+def _state_from_v8(doc: dict, table: str | None) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")
@@ -502,6 +549,8 @@ def _state_from_v8(doc: dict) -> EstimatorState:
                                top_k="a count")
     config = BuildConfig(bin_count=bin_count, top_k=top_k)
     schema = catalog.schema_from_document(schema_doc, base_dir=base_dir)
+    if table is not None and not schema.has_table(table):
+        raise StateError(f"unknown table {table!r}")
 
     domains = {d.id: d for d in catalog.infer_key_domains(schema)}
     bounds = dict(_entries(doc, "domains"))
@@ -523,7 +572,7 @@ def _state_from_v8(doc: dict) -> EstimatorState:
         return key_domains[qual]
 
     hists1d = {}
-    for qual, h in _entries(doc, "hists1d"):
+    for qual, h in _entries(doc, "hists1d", table=table):
         where = f"1D histogram {qual!r}"
         dom = key_domain(where, qual)
         t, c = split_qualified(qual)
@@ -531,7 +580,8 @@ def _state_from_v8(doc: dict) -> EstimatorState:
         hists1d[(t, c)] = _hist1d_from_doc(where, h, dom,
                                            "i" if integer else "f")
     freq = {}
-    for qual, items in _entries(doc, "freq", "a list of [value, count] pairs"):
+    for qual, items in _entries(doc, "freq", "a list of [value, count] pairs",
+                                table):
         where = f"frequency histogram {qual!r}"
         if qual not in columns or columns[qual].role == catalog.ROLE_KEY:
             raise StateError(f"{where} is not on a non-key column")
@@ -542,7 +592,7 @@ def _state_from_v8(doc: dict) -> EstimatorState:
             raise StateError(f"{where} mixes strings and numbers")
         freq[split_qualified(qual)] = counts
     hists2d = {}
-    for name, h in _entries(doc, "hists2d"):
+    for name, h in _entries(doc, "hists2d", table=table):
         where = f"2D histogram {name!r}"
         qual, _, attr = name.partition("|")
         dom = key_domain(where, qual)
@@ -571,7 +621,7 @@ def _state_from_v8(doc: dict) -> EstimatorState:
     correlations = None
     if doc.get("correlations") is not None:
         correlations = {}
-        for name, sec in _entries(doc, "correlations"):
+        for name, sec in _entries(doc, "correlations", table=table):
             where = f"correlation section {name!r}"
             if name.count("|") != 2:
                 raise StateError(f"{where} is not named "
@@ -586,16 +636,22 @@ def _state_from_v8(doc: dict) -> EstimatorState:
                                  f"of a column of table {t!r}")
             correlations[(t, did, attr)] = _envelopes_from_doc(where, sec)
 
-    return EstimatorState(schema=schema, config=config, domains=domains,
-                          column_domain=column_domain, hists1d=hists1d,
-                          hists2d=hists2d, freq_hists=freq,
-                          table_rows=table_rows, correlations=correlations)
+    state = EstimatorState(
+        schema=schema, config=config, domains=domains,
+        column_domain=column_domain, hists1d=hists1d, hists2d=hists2d,
+        freq_hists=freq, table_rows=table_rows, correlations=correlations,
+        only_table=table)
+    check_complete(state, table)
+    return state
 
 
-def _entries(doc: dict, section: str, kind: str = "an object") -> list:
-    """The (name, value) entries of a top-level section, each value `kind`."""
+def _entries(doc: dict, section: str, kind: str = "an object",
+             table: str | None = None) -> list:
+    """The (name, value) entries of a top-level section that `table` owns
+    (every entry, when None), each value `kind`."""
     sec = _get(doc, "state document", section)
-    return [(name, _get(sec, section, name, kind)) for name in sec]
+    return [(name, _get(sec, section, name, kind)) for name in sec
+            if _owned_by(name, table)]
 
 
 def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,

@@ -4,7 +4,7 @@ import pytest
 
 from tkhist import cli, estimator, oracle
 from tkhist.cli import main
-from tkhist.errors import TKHistError
+from tkhist.errors import StateError, TKHistError
 from tkhist.queryfront import bind, parse_sql
 from tkhist.state import load_state
 
@@ -224,20 +224,13 @@ class TestUpdate:
         assert cli.build_parser() is cli.build_parser()
         assert load_state(str(built)).table_rows["t1"] == 502
 
-    @pytest.mark.parametrize("table, body, corrupt_t2, message", [
-        ("nope", "k1,y\n1,5\n", False, "unknown table 'nope'"),
-        ("t1", "k1,y\n1,5\n2,abc\n", False, "row 2, column 'y'"),
-        ("t1", "k1,y\n1,5\n", True, "'t2.k1': 'nv' is not a string"),
-    ], ids=["unknown-table", "bad-cell", "other-table-corrupt"])
+    @pytest.mark.parametrize("table, body, message", [
+        ("nope", "k1,y\n1,5\n", "unknown table 'nope'"),
+        ("t1", "k1,y\n1,5\n2,abc\n", "row 2, column 'y'"),
+    ], ids=["unknown-table", "bad-cell"])
     def test_failed_update_leaves_state_unchanged(self, built, tmp_path,
                                                   capsys, table, body,
-                                                  corrupt_t2, message):
-        # a corrupt entry of t2 fails an update of t1: update still checks
-        # every entry of the file it loads
-        if corrupt_t2:
-            doc = json.loads(built.read_text())
-            doc["hists1d"]["t2.k1"]["nv"] = 5
-            built.write_text(json.dumps(doc))
+                                                  message):
         before = built.read_bytes()
         new = tmp_path / "new.csv"
         new.write_text(body)
@@ -247,6 +240,34 @@ class TestUpdate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
         assert built.read_bytes() == before
+
+    def test_other_tables_entries_carried_over_unchecked(self, built,
+                                                         tmp_path, capsys):
+        # an update decodes and checks only its table's entries: a corrupt
+        # entry of t2 does not fail an update of t1 and is written back as
+        # it was, and a full load still rejects it
+        doc = json.loads(built.read_text())
+        doc["hists1d"]["t2.k1"]["nv"] = 5
+        built.write_text(json.dumps(doc))
+        new = tmp_path / "new.csv"
+        new.write_text("k1,y\n1,5\n")
+        assert main(["update", "--state", str(built), "--table", "t1",
+                     "--csv", str(new)]) == 0
+        after = json.loads(built.read_text())
+
+        def entry_bytes(d):
+            return json.dumps(d["hists1d"]["t2.k1"], sort_keys=True,
+                              separators=(",", ":"))
+        assert entry_bytes(after) == entry_bytes(doc)
+        assert entry_bytes(after) in built.read_text()
+        assert after["table_rows"]["t1"] == doc["table_rows"]["t1"] + 1
+        with pytest.raises(StateError,
+                           match="'t2.k1': 'nv' is not a string"):
+            load_state(str(built))
+        capsys.readouterr()
+        assert main(["estimate", "--state", str(built),
+                     "SELECT COUNT(*) FROM t1"]) == 2
+        assert "'t2.k1': 'nv' is not a string" in capsys.readouterr().err
 
 
 class TestSweep:

@@ -329,6 +329,18 @@ class TestFormat:
                 "as 't3.k1|k2'")):
             state_from_document(doc)
 
+    def test_missing_bridge_named_as_stored(self, mixed_state):
+        # both directions come from the one stored entry, which the error
+        # names; a load for another table does not decode it
+        doc = state_to_document(mixed_state)
+        del doc["hists2d"]["t3.k1|k2"]
+        for table in (None, "t3"):
+            with pytest.raises(StateError, match=re.escape(
+                    "state has no 2D histogram 't3.k1|k2'")):
+                state_from_document(doc, table)
+        assert set(state_from_document(doc, "t4").hists2d) == \
+            {key for key in mixed_state.hists2d if key[0] == "t4"}
+
     def test_config_threshold_of_older_files_ignored(self, built, tmp_path):
         # older files carry `config.categorical_threshold`; only the schema
         # document's threshold classifies columns now
@@ -614,7 +626,56 @@ class TestErrors:
          "frequency histogram 'r.y' mixes strings and numbers"),
         (("freq", "r.y"), [[3, 2], [float("nan"), 1], [5, 1], [6, 1]],
          "is not a list of \\[value, count\\] pairs"),
-    ])
+        # required entries
+        (("hists1d", "r.k"), MISSING, "state has no 1D histogram 'r.k'"),
+        (("hists2d", "r.k|y"), MISSING, r"state has no 2D histogram 'r.k\|y'"),
+        (("hists2d", "s.k|y"), MISSING, r"state has no 2D histogram 's.k\|y'"),
+    ], ids=[
+        # the names the first 33 cases were collected under before their
+        # ids were given, kept so that editing a case does not rename it
+        "path0-5-'r.k': 'nv' is not a string",
+        "path1-None-'topk_keys' is not a string",
+        "path2-i8:eJxjZEAFv/9DAIwPAGOcB/Y=-'r.k': 'nv' has a negative count",
+        "path3-0-bin_count must be >= 1",
+        "path4-inf-'lo' is not a finite number",
+        "path5-value5-'r.k|y': 'counts' is not a string",
+        "path6-u8:eJxjZIAAAAAQAAI=-'counts' has dtype tag 'u8', expected i8 "
+        "or narrower",
+        "path7-f8:eJxjYoAARhw0AACQAAY=-'counts' has dtype tag 'f8', "
+        "expected i8",
+        "path8-i8:AAAA*AAA-'nv' is not a packed array",
+        "path9-i8:eno=-'nv' is not a packed array",
+        "path10-i8:eJxjYMALAAAfAAE=-'nv' unpacks to 31 bytes, not a multiple "
+        "of 8",
+        "path11-i8:eJxjYoAARij9HwpgfABkHAf9-'r.k|y': 'counts' has a negative "
+        "count",
+        r"path12-value12-2D histogram 'r.k\|y' has shape None, expected "
+        r"\[4, 4\]",
+        r"path13-value13-2D histogram 'r.k\|y' has no 'lo' entry",
+        "path14--1-'r' is not a count",
+        "path15-3-table_rows does not name each schema table",
+        r"path16-value16-is not a list of \[value, count\] pairs",
+        r"path17-value17-is not a list of \[value, count\] pairs",
+        "path18-i8:eJxjYoCA/1DACOUDAGPsB/w=-'r.k': 'topk_counts' has a "
+        "negative count",
+        "path19-value19-'lo' is not a string",
+        "path20-True-'top_k' is not a count",
+        "path21-value21-'hists1d' is not an object",
+        r"path22-value22-'r.k\|zz': 'zz' is not another column of table 'r'",
+        r"path23-value23-'r\|r.k\|zz': 'zz' is not a column of table 'r'",
+        r"path24-value24-'r\|nope\|y': 'nope' is not the key domain of a "
+        "column",
+        "path25-value25-frequency histogram 'r.zz' is not on a non-key column",
+        "path26-value26-frequency histogram 'r.k' is not on a non-key column",
+        "path27-f8:eJxjYAABDgcAAFgASQ==-'hi' has dtype tag 'f8', expected i8",
+        r"path28-i8:eJxjZEAFAAAgAAI=-'r\|r.k\|y' has unsorted or repeated "
+        "keys",
+        "path29-value29-frequency histogram 'r.y' repeats a value",
+        "path30-value30-frequency histogram 'r.y' repeats a value",
+        "path31-value31-frequency histogram 'r.y' mixes strings and numbers",
+        r"path32-value32-is not a list of \[value, count\] pairs",
+        "missing-hists1d-r.k", "missing-hists2d-r.k|y",
+        "missing-hists2d-s.k|y"])
     def test_malformed_entry_rejected(self, doc, path, value, message):
         *parents, last = path
         entry = doc
@@ -728,6 +789,34 @@ class TestTableSave:
         before = path.read_bytes()
         with pytest.raises(StateError, match="no table 't'"):
             save_state(state, str(path), table="t")
+        assert path.read_bytes() == before
+        with pytest.raises(StateError, match="unknown table 't'"):
+            load_state(str(path), table="t")
+
+    def test_table_load_holds_only_the_tables_entries(self, loaded):
+        whole, path = loaded
+        state = load_state(str(path), table="s")
+        assert state.only_table == "s"
+        for field in ("hists1d", "hists2d", "freq_hists", "correlations"):
+            mine = {key for key in getattr(whole, field) if key[0] == "s"}
+            assert mine and set(getattr(state, field)) == mine
+        assert state.table_rows == whole.table_rows
+        assert hists1d_of(state) == {("s", "k"): hists1d_of(whole)[("s", "k")]}
+
+    def test_table_load_refuses_full_save_and_estimate(self, loaded):
+        # one rule refuses whatever needs another table's entries
+        path = loaded[1]
+        state = load_state(str(path), table="s")
+        before = path.read_bytes()
+        refused = re.escape("state was loaded to update table 's' only")
+        with pytest.raises(StateError, match=refused):
+            save_state(state, str(path))
+        with pytest.raises(StateError, match=refused):
+            save_state(state, str(path), table="r")
+        with pytest.raises(StateError, match=refused):
+            estimate("SELECT COUNT(*) FROM s", state)
+        with pytest.raises(StateError, match=refused):
+            apply_rows(state, "r", make_table("r", {"k": [2], "y": [5]}))
         assert path.read_bytes() == before
 
 
@@ -863,17 +952,19 @@ def assert_update_equals_rebuild(state, taken):
 @settings(max_examples=100, deadline=None)
 @given(built_states(), batch_lists())
 def test_table_save_writes_bytes_of_full_save(built, batches):
-    # each batch as `tkhist update` applies it: load, apply_rows, then save
-    # only the updated table's entries
+    # each batch as `tkhist update` applies it: load the table's entries,
+    # apply_rows, then save only those; the bytes are a full load, the same
+    # batch and a full save of the same file
     state, _ = built
     with tempfile.TemporaryDirectory() as d:
         path, full = pathlib.Path(d) / "state.json", pathlib.Path(d) / "full"
         save_state(state, str(path))
         for t, batch in batches:
-            state = load_state(str(path))
-            apply_rows(state, t, batch)
+            whole = load_state(str(path))
+            state = load_state(str(path), table=t)
+            assert apply_rows(state, t, batch) == apply_rows(whole, t, batch)
             size = save_state(state, str(path), table=t)
-            assert path.read_bytes() == save_bytes(state, full)
+            assert path.read_bytes() == save_bytes(whole, full)
             assert size == len(path.read_bytes())
 
 
@@ -976,7 +1067,9 @@ def corrupted_documents(draw):
     """Copies of a saved state's document, one per checked entry, with that
     entry of the wrong type, length or nesting, or a packed array truncated,
     re-tagged (to an unknown tag, the other dtype or another integer width)
-    or cut to a ragged byte count."""
+    or cut to a ragged byte count; then one per required entry (each 1D and
+    2D histogram), with that entry deleted.  Each copy comes with the path
+    of the entry and whether it was deleted."""
     state, _ = draw(updated_states())
     saved = json.dumps(state_to_document(state))
     copies = []
@@ -1027,19 +1120,48 @@ def corrupted_documents(draw):
         for name in path[:-1]:
             entry = entry[name]
         entry[path[-1]] = draw(st.one_of(corruptions))
-        copies.append((path, doc))
+        copies.append((path, doc, False))
+    for sec in ("hists1d", "hists2d"):
+        for name in json.loads(saved)[sec]:
+            doc = json.loads(saved)
+            del doc[sec][name]
+            copies.append(((sec, name), doc, True))
     return copies
 
 
-def raises_state_error(doc) -> bool:
+def state_error(doc, table=None) -> str | None:
+    """The message of the StateError that loading `doc` (for `table`)
+    raises, or None when it loads."""
     try:
-        state_from_document(doc)
-    except StateError:
-        return True
-    return False
+        state_from_document(doc, table)
+    except StateError as exc:
+        return str(exc)
+    return None
+
+
+def owner(path) -> str | None:
+    """The table that owns the entry at `path`; None for a global entry or
+    `table_rows`, which every load checks."""
+    if len(path) < 2 or path[0] not in ("hists1d", "hists2d", "freq",
+                                        "correlations"):
+        return None
+    return re.split(r"[.|]", path[1])[0]
 
 
 @settings(max_examples=100, deadline=None)
 @given(corrupted_documents())
 def test_corrupted_entries_raise_state_error(copies):
-    assert [path for path, doc in copies if not raises_state_error(doc)] == []
+    # a full load rejects every copy, naming a deleted entry; a load for
+    # one table rejects exactly the copies whose entry it decodes
+    wrong = []
+    for path, doc, deleted in copies:
+        for table in (None, *KINDS):
+            message = state_error(doc, table)
+            if table is not None and owner(path) not in (None, table):
+                ok = message is None
+            else:
+                ok = message is not None and (
+                    not deleted or repr(path[1]) in message)
+            if not ok:
+                wrong.append((path, table, message))
+    assert wrong == []

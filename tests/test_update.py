@@ -5,16 +5,18 @@ import json
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain, TableData, schema_from_document
 from tkhist.errors import DomainBoundsError
+from tkhist.estimator import estimate
 from tkhist.histcore import build_tkhist2d
 from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
                           save_state, state_to_document)
 
-from conftest import _scalar, attr_bin, domain_bin
+from conftest import _scalar, attr_bin, domain_bin, make_table
 
 
 def reference_apply_rows(state, table, data):
@@ -315,3 +317,27 @@ def test_new_real_categorical_values_save_canonically(tmp_path):
     save_state(state, str(p1))
     save_state(load_state(str(p1)), str(p2))
     assert p1.read_bytes() == p2.read_bytes()
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "apply_rows keeps a column's class as built: r.y stays categorical "
+    "after the batch takes it past categorical_threshold, while a rebuild "
+    "makes it numeric"))
+def test_column_class_after_crossing_threshold_equals_rebuild():
+    schema = schema_from_document({
+        "tables": [{"name": t, "file": f"{t}.csv", "columns": [
+            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "y", "kind": "integer"}]} for t in ("r", "s")],
+        "foreign_keys": [{"from": "s.k", "to": "r.k"}],
+        "categorical_threshold": 4})
+    config = BuildConfig(bin_count=2, top_k=0)
+    s = make_table("s", {"k": [1, 2, 3, 4], "y": [1, 2, 3, 4]})
+    r = {"k": [1, 2, 3, 4], "y": [1, 2, 3, 3]}  # 3 values: categorical
+    batch = {"k": [1, 2, 3, 4], "y": [10, 20, 30, 40]}
+    state = build_state(schema, {"r": make_table("r", r), "s": s}, config)
+    apply_rows(state, "r", make_table("r", batch))
+    rebuilt = build_state(schema, {"r": make_table("r", {
+        c: r[c] + batch[c] for c in r}), "s": s}, config)
+    sql = "SELECT COUNT(*) FROM r WHERE r.y <= 15"
+    # the update reads 5.0, the rebuild (r.y numeric, 7 values) 4.62
+    assert estimate(sql, state).estimate == estimate(sql, rebuilt).estimate
