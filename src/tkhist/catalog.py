@@ -226,12 +226,6 @@ class TableData:
     def non_null(self, column: str) -> np.ndarray:
         return self.columns[column][~self.null_mask[column]]
 
-    def distinct_count(self, column: str) -> int:
-        vals = self.non_null(column)
-        if len(vals) == 0:
-            return 0
-        return len(np.unique(vals)) if vals.dtype != object else len(set(vals.tolist()))
-
 
 def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> TableData:
     """Read a table's CSV into columnar arrays.
@@ -240,23 +234,32 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
     and REAL cells that parse to NaN, are recorded as nulls; an unparseable
     cell, an INTEGER cell outside int64, or a REAL cell that parses to an
     infinity, is an error naming row and column.  A table of INTEGER columns
-    whose body is plain digits, '-', ',' and line ends is read in one numpy
-    call; every other body is read cell by cell, with the same result.
+    whose header is its first line and whose body is plain digits, '-', ','
+    and line ends is read by numpy from the file's path; every other file is
+    read cell by cell, with the same result.
     """
     if path is None:
         path = tdef.source
         if not os.path.isabs(path):
             path = os.path.join(schema.base_dir, path)
     try:
-        fh = open(path, "r", encoding="utf-8", newline="")
+        with open(path, "rb") as fh:
+            raw = fh.read()
     except OSError as exc:
         raise IngestError(f"cannot read {path!r}: {exc}") from exc
-    with fh:
-        try:
-            header = next(csv.reader(fh), None)
-            body = fh.read()
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"{path!r} is not valid UTF-8: {exc}") from exc
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path!r} is not valid UTF-8: {exc}") from exc
+    end = text.find("\n") + 1
+    first = text[:end]
+    if end and '"' not in first and "\r" not in first.removesuffix("\r\n"):
+        # the header is the first line, so the body starts after the first \n
+        header, body = next(csv.reader([first])), raw[raw.find(b"\n") + 1:]
+        records = None
+    else:  # newline="" splits records as RFC 4180 does
+        records = csv.reader(io.StringIO(text, newline=""))
+        header, body = next(records, None), None
     if header is None:
         raise IngestError(f"{path!r} is empty, expected a header row")
     declared = [c.name for c in tdef.columns]
@@ -269,11 +272,12 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
         raise IngestError(
             f"table {tdef.name!r}: undeclared column(s) {sorted(extra)} in {path!r}")
     col_pos = {name: header.index(name) for name in declared}
-    rows = _plain_integer_rows(tdef, body, len(header))
+    rows = None if body is None else _plain_integer_rows(
+        tdef, path, body, len(header))
     if rows is None:
-        # newline="" splits lines exactly as the file handle above does
-        return _ingest_cells(tdef, col_pos, len(header),
-                             csv.reader(io.StringIO(body, newline="")))
+        if records is None:
+            records = csv.reader(io.StringIO(text[end:], newline=""))
+        return _ingest_cells(tdef, col_pos, len(header), records)
     by_column = np.ascontiguousarray(rows.T)
     return TableData(
         name=tdef.name,
@@ -283,29 +287,34 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
 
 
 _PLAIN_INTEGER_BYTES = b"0123456789-,\r\n"
+# numpy opens a path with one of these extensions through a decompressor
+_COMPRESSED = (".gz", ".bz2", ".xz", ".lzma")
 
 
-def _plain_integer_rows(tdef: TableDef, body: str,
+def _plain_integer_rows(tdef: TableDef, path: str, body: bytes,
                         width: int) -> np.ndarray | None:
-    """`body` as an int64 array of `width` columns when every column is
+    """The `body` of the file at `path`, the bytes after its one-line
+    header, as an int64 array of `width` columns when every column is
     INTEGER and the body is ASCII digits, '-', ',' and \\n or \\r\\n line
     ends, every line a row of int64 values; None otherwise, for
-    `_ingest_cells` to read (and to report on)."""
-    if not all(c.kind == KIND_INTEGER for c in tdef.columns) or not body.isascii():
+    `_ingest_cells` to read (and to report on).  numpy reads the file again
+    from its path, in C, skipping the header line."""
+    if (not all(c.kind == KIND_INTEGER for c in tdef.columns)
+            or path.endswith(_COMPRESSED)):
         return None
-    data = body.encode("ascii")
     # a blank first line is refused here because loadtxt warns when no line
     # holds data
-    if data[:1] in (b"", b"\r", b"\n") or data.translate(None, _PLAIN_INTEGER_BYTES):
+    if body[:1] in (b"", b"\r", b"\n") or body.translate(None, _PLAIN_INTEGER_BYTES):
         return None
-    codes = np.frombuffer(data, dtype=np.uint8)
+    codes = np.frombuffer(body, dtype=np.uint8)
     cr, lf = codes == ord("\r"), codes == ord("\n")
-    # a lone \r ends a csv record but not a loadtxt row
+    # a lone \r ends a csv record, and the line count below counts \n only
     if np.count_nonzero(cr) != np.count_nonzero(cr[:-1] & lf[1:]):
         return None
     try:
-        rows = np.loadtxt(io.StringIO(body), delimiter=",", dtype=np.int64,
-                          comments=None, ndmin=2)
+        rows = np.loadtxt(os.path.abspath(path), delimiter=",",
+                          dtype=np.int64, comments=None, ndmin=2, skiprows=1,
+                          encoding="utf-8")
     except ValueError:  # an empty cell, a stray '-', a value past int64, ...
         return None
     # loadtxt skips blank lines, which the cell loop rejects
@@ -509,9 +518,26 @@ def set_domain_boundaries(domains: list[KeyDomain],
 
 def categorical_columns(data: TableData, tdef: TableDef,
                         threshold: int) -> list[str]:
-    """The non-key columns that are categorical: those declared so (kind or
-    manual flag), and those with fewer distinct values than the threshold.
-    Every other column is numeric."""
-    return [c.name for c in tdef.columns if c.role != ROLE_KEY and (
-        c.kind == KIND_CATEGORICAL or c.categorical
-        or data.distinct_count(c.name) < threshold)]
+    """The non-key columns that are categorical (`is_categorical`); every
+    other column is numeric."""
+    return [c.name for c in tdef.columns if c.role != ROLE_KEY
+            and is_categorical(c, data.non_null(c.name), threshold)]
+
+
+def is_categorical(cdef: ColumnDef, values: np.ndarray, threshold: int) -> bool:
+    """The class rule of a non-key column: categorical when declared so (kind
+    or manual flag), or when its non-null `values` hold fewer than
+    `threshold` distinct values.  The count looks at prefixes of four times
+    the length of the one before, and stops at the first that holds
+    `threshold` distinct values."""
+    if cdef.kind == KIND_CATEGORICAL or cdef.categorical:
+        return True
+    n = threshold
+    while True:
+        head = values[:n]
+        if (len(set(head.tolist())) if head.dtype == object
+                else len(np.unique(head))) >= threshold:
+            return False
+        if n >= len(values):
+            return True
+        n *= 4

@@ -75,7 +75,8 @@ class Envelopes:
 
 def collect_dominant_keys(group_composites: list[CompositeHist]) -> dict[str, set]:
     """Union dominant-map keys per domain, keeping the
-    DOMINANT_KEYS_PER_DOMAIN largest contributors per domain."""
+    DOMINANT_KEYS_PER_DOMAIN largest contributors per domain; of the keys
+    tied at the cut, those with the smallest repr."""
     weight: dict[str, dict] = defaultdict(lambda: defaultdict(float))
     for comp in group_composites:
         per_dom = weight[comp.domain.id]
@@ -84,8 +85,16 @@ def collect_dominant_keys(group_composites: list[CompositeHist]) -> dict[str, se
                 per_dom[key] += est
     out = {}
     for dom, per_key in weight.items():
-        ranked = sorted(per_key.items(), key=lambda kv: (-kv[1], repr(kv[0])))
-        out[dom] = {k for k, _ in ranked[:DOMINANT_KEYS_PER_DOMAIN]}
+        keys, w = list(per_key), np.fromiter(per_key.values(), dtype=float)
+        n = len(keys) - DOMINANT_KEYS_PER_DOMAIN
+        if n <= 0:
+            out[dom] = set(keys)
+            continue
+        cut = np.partition(w, n)[n]  # the weight of the last key kept
+        out[dom] = {keys[i] for i in np.flatnonzero(w > cut).tolist()}
+        tied = sorted((keys[i] for i in np.flatnonzero(w == cut).tolist()),
+                      key=repr)
+        out[dom].update(tied[:DOMINANT_KEYS_PER_DOMAIN - len(out[dom])])
     return out
 
 
@@ -94,13 +103,13 @@ def build_correlation_map(schema: Schema,
                           column_domain: dict[str, str],
                           categorical,
                           dominant_by_domain: dict[str, set]) -> dict:
-    """Group each table's rows carrying dominant keys by key and record
-    per-key attribute envelopes: a value set for a column of `categorical`
-    (a collection of (table, column) pairs) that holds strings, a range
-    otherwise.  Returns {(table, domain_id, attr): Envelopes}.
+    """Per-key attribute envelopes of each table's rows that carry dominant
+    keys: a value set for a column of `categorical` (a collection of
+    (table, column) pairs) that holds strings, a range otherwise.  Returns
+    {(table, domain_id, attr): Envelopes}.
 
-    Membership is decided once per distinct key with Python set semantics,
-    so an INTEGER key 3 and a REAL key 3.0 of one domain match, and integers
+    A key matches a dominant key when they are equal in Python, so an
+    INTEGER key 3 and a REAL key 3.0 of one domain match, and integers
     beyond 2**53 are compared exactly rather than through float64.
     """
     cmap: dict[tuple[str, str, str], Envelopes] = {}
@@ -113,20 +122,18 @@ def build_correlation_map(schema: Schema,
             dominant = dominant_by_domain.get(dom)
             if not dominant:
                 continue
-            keys, key_id = np.unique(data.columns[kc], return_inverse=True)
-            is_dominant = np.fromiter((v in dominant for v in keys.tolist()),
-                                      dtype=bool, count=len(keys))
-            hit = is_dominant[key_id] & ~data.null_mask[kc]
-            if not hit.any():
+            col = data.columns[kc]
+            keys = np.unique(_as_dtype(dominant, col.dtype))
+            rows = np.flatnonzero(np.isin(col, keys) & ~data.null_mask[kc])
+            if len(rows) == 0:
                 continue
-            rows = np.flatnonzero(hit)
-            rows = rows[np.argsort(key_id[rows], kind="stable")]
+            ids = np.searchsorted(keys, col[rows])  # each row's key in keys
             for cdef in tdef.columns:
                 if cdef.name == kc:
                     continue
                 section = _scan_attribute(
                     data.columns[cdef.name], data.null_mask[cdef.name],
-                    keys, key_id, rows,
+                    keys, rows, ids,
                     categorical=(tdef.name, cdef.name) in categorical
                     and data.columns[cdef.name].dtype == object)
                 if section is not None:
@@ -134,34 +141,55 @@ def build_correlation_map(schema: Schema,
     return cmap
 
 
-def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
-                    key_id: np.ndarray, rows: np.ndarray,
-                    categorical: bool) -> Envelopes | None:
-    """Per-key envelopes of one attribute in one grouped pass.
+def _as_dtype(keys, dtype: np.dtype) -> np.ndarray:
+    """The `keys` (Python numbers) that some value of `dtype` equals in
+    Python, each as that value: 3.0 as the int64 3, 2**53 as the float64
+    2.0**53, but neither 2.5 nor 2**53 + 1 as any value of the other
+    kind, nor a value outside int64 as an int64."""
+    cast = float if dtype.kind == "f" else int
+    out = []
+    for key in keys:
+        try:
+            value = cast(key)
+        except (OverflowError, ValueError):  # int(inf), int(nan)
+            continue
+        if value == key and (cast is float or -2 ** 63 <= value < 2 ** 63):
+            out.append(value)
+    return np.array(out, dtype=dtype)
 
-    `rows` are the dominant-key rows sorted by `key_id` (an index into the
-    sorted `keys`), so each key's values form one segment: a range is its
-    `reduceat` minimum and maximum, a set its distinct values.  Null and NaN
-    values are skipped (`matches` accepts neither), so exclusion stays sound.
-    None when no row is left.
+
+def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
+                    rows: np.ndarray, ids: np.ndarray,
+                    categorical: bool) -> Envelopes | None:
+    """Per-key envelopes of one attribute over the dominant-key `rows`,
+    where `ids[i]` places the key of `rows[i]` in the sorted `keys`.  A
+    range is the `np.minimum.at` and `np.maximum.at` of each key's values;
+    a set, its distinct values, taken in one grouped pass over the rows
+    sorted by key.  Null and NaN values are skipped (`matches` accepts
+    neither), so exclusion stays sound.  None when no row is left.
     """
-    rows = rows[~amask[rows]]
-    vals = avals[rows]
+    keep = ~amask[rows]
+    vals, ids = avals[rows[keep]], ids[keep]
     if vals.dtype.kind == "f":
         valid = ~np.isnan(vals)
-        rows, vals = rows[valid], vals[valid]
-    if len(rows) == 0:
+        vals, ids = vals[valid], ids[valid]
+    if len(vals) == 0:
         return None
-    ids = key_id[rows]
-    starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-    seg_keys = keys[ids[starts]]
     if categorical:
-        ends = np.r_[starts[1:], len(rows)]
-        return Envelopes(seg_keys, values=[
+        order = np.argsort(ids, kind="stable")
+        ids, vals = ids[order], vals[order]
+        starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+        ends = np.r_[starts[1:], len(ids)]
+        return Envelopes(keys[ids[starts]], values=[
             frozenset(vals[s:e].tolist())
             for s, e in zip(starts.tolist(), ends.tolist())])
-    return Envelopes(seg_keys, lo=np.minimum.reduceat(vals, starts),
-                     hi=np.maximum.reduceat(vals, starts))
+    lo = np.empty(len(keys), dtype=vals.dtype)
+    lo[ids] = vals  # each key's bounds start at one of its values
+    hi = lo.copy()
+    np.minimum.at(lo, ids, vals)
+    np.maximum.at(hi, ids, vals)
+    seen = np.bincount(ids, minlength=len(keys)) > 0
+    return Envelopes(keys[seen], lo=lo[seen], hi=hi[seen])
 
 
 def find_excluded_keys(query: Query, correlations: dict,

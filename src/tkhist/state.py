@@ -192,9 +192,12 @@ def apply_rows(state: EstimatorState, table: str,
     domain's bounds; a rejected row changes nothing.  Each histogram takes
     its accepted, non-null values in one call.  Frequency histograms count
     first; each categorical grid then widens onto its column's sorted
-    values, as a rebuild would bin them.  Container membership stays as
-    built and the correlation map is not maintained.  Returns
-    (inserted, rejected).
+    values, as a rebuild would bin them.  A column that the batch takes to
+    `categorical_threshold` distinct values becomes numeric, as a rebuild
+    would make it (`catalog.is_categorical`): its frequency histogram goes,
+    and its grids widen onto the numeric axis over its values.  Container
+    membership stays as built and the correlation map is not maintained.
+    Returns (inserted, rejected).
     """
     check_complete(state, table)
     tdef = state.schema.table(table)
@@ -205,12 +208,21 @@ def apply_rows(state: EstimatorState, table: str,
         v = data.columns[kc].astype(np.float64)
         accept &= data.null_mask[kc] | ((v >= dom.lo) & (v <= dom.hi))
     valid = {c.name: accept & ~data.null_mask[c.name] for c in tdef.columns}
-    axes = {}  # categorical column -> its values, sorted
+    axes = {}  # categorical column -> its values, sorted, or numeric axis
     for cdef in tdef.columns:
         fh = state.freq_hists.get((table, cdef.name))
-        if fh is not None:
-            add_value_counts(fh, data.columns[cdef.name][valid[cdef.name]])
-            axes[cdef.name] = sorted(fh)
+        if fh is None:
+            continue
+        add_value_counts(fh, data.columns[cdef.name][valid[cdef.name]])
+        values = sorted(fh)
+        if catalog.is_categorical(cdef, np.asarray(values),
+                                  state.schema.categorical_threshold):
+            axes[cdef.name] = values
+        else:  # past the threshold: numeric, as a rebuild would make it
+            del state.freq_hists[(table, cdef.name)]
+            axes[cdef.name] = _attr_axis(
+                f"{table}.{cdef.name}", None, None, state.config.bin_count,
+                lambda: value_span([np.asarray(values)]))
     for kc in key_cols:
         keys = data.columns[kc]
         state.hists1d[(table, kc)].insert(keys[valid[kc]])
@@ -447,7 +459,8 @@ def save_state(state: EstimatorState, path: str,
     was loaded from, so the bytes written are those of a full save.  `state`
     may be one loaded for that table alone.  A file that cannot be read, or
     whose global entries, or the names of whose entries of the table, differ
-    from `state`'s, raises StateError and is left as it is.  Without
+    from `state`'s (but for the `freq` entries of columns that a batch made
+    numeric), raises StateError and is left as it is.  Without
     `table`, a state loaded for one table raises StateError.  A file that
     cannot be written raises StateError and leaves no temporary file.
     """
@@ -481,9 +494,10 @@ def save_state(state: EstimatorState, path: str,
 
 def _source_document(state: EstimatorState, path: str, table: str) -> dict:
     """`state`'s global entries and the per-table sections of the document
-    at `path`, once that document is checked to be `state`'s source: the
-    same global entries, and the same names of `table`'s entries in each
-    section."""
+    at `path` without `table`'s entries, once that document is checked to
+    be `state`'s source: the same global entries, and the same names of
+    `table`'s entries in each section, but for the `freq` entries of columns
+    that a batch made numeric."""
     found = _read_document(path)
     if not isinstance(found, dict):
         raise StateError(f"{path!r} is not the state file being updated")
@@ -497,9 +511,14 @@ def _source_document(state: EstimatorState, path: str, table: str) -> dict:
         section = found.get(sec)
         names = ({name for name in section if _owned_by(name, table)}
                  if isinstance(section, dict) else section)
-        if names != (set(owned[sec]) if sec in owned else None):
+        want = set(owned[sec]) if sec in owned else None
+        if names != want and not (sec == "freq" and isinstance(names, set)
+                                  and want < names):
             raise StateError(f"{path!r} is not the state file being "
                              f"updated: its {sec!r} entries differ")
+        if isinstance(section, dict):
+            section = {name: entry for name, entry in section.items()
+                       if not _owned_by(name, table)}
         doc[sec] = section
     return doc
 

@@ -2,7 +2,9 @@
 
 perfbench reads the built containers, the sections of `state_to_document`
 and the functions its tracer wraps; this runs every workload once, briefly
-and traced, so that a change to any of them fails here first.  Seed 2 keeps
+and traced, so that a change to any of them fails here first.  A set-up
+layer whose function the program stops calling through the wrapped module
+attribute would read 0, so each must be present and non-zero.  Seed 2 keeps
 the run records of the benchmark's seed 1 in place.
 """
 import json
@@ -11,6 +13,10 @@ import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+WORKLOADS = ("filtered-corr", "joins-fullk", "update-mix")
+SETUP_LAYERS = ("catalog.ingest_s", "catalog.domain_bounds_s",
+                "histcore.build1d_s", "histcore.build2d_s", "state.save_s",
+                "state.load_s")
 
 
 def test_every_workload_runs_and_passes_its_gates():
@@ -19,4 +25,11 @@ def test_every_workload_runs_and_passes_its_gates():
          "all", "--seed", "2", "--seconds", "1", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=600, check=False)
     assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-4000:]
-    assert json.loads(done.stdout.strip().splitlines()[-1])["correct"] is True
+    summary = json.loads(done.stdout.strip().splitlines()[-1])
+    assert summary["correct"] is True
+    layers = {w: list(SETUP_LAYERS) for w in WORKLOADS}
+    for w in ("filtered-corr", "update-mix"):  # the workloads with discovery
+        layers[w] += ["djpcd.discover_s", "djpcd.envelope_scan_s"]
+    zero = [f"{w}.{name}" for w, names in layers.items() for name in names
+            if not summary["metrics"].get(f"{w}.{name}", {}).get("value")]
+    assert zero == [], "set-up layers missing or 0"

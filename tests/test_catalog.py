@@ -116,6 +116,22 @@ class TestSchema:
             schema_from_document(doc)
 
 
+# case -> (file name, name of the second column, file text, the rows read
+# as (k, second column) or a part of the error)
+CELL_LOOP_CASES = {
+    "lone-cr": ("r.csv", "y", "k,y\n1,2\r3,4\n", [(1, 2), (3, 4)]),
+    "blank-first-line": ("r.csv", "y", "k,y\n\n1,2\n", "row 1 has 0 cells"),
+    "blank-inner-line": ("r.csv", "y", "k,y\n1,2\n\n3,4\n",
+                         "row 2 has 0 cells"),
+    "quoted-header-newline": ("r.csv", "y\nz", '"y\nz",k\n1,2\n', [(2, 1)]),
+    "past-int64": ("r.csv", "y", "k,y\n1,9223372036854775808\n",
+                   "outside the int64 range"),
+    "trailing-comma": ("r.csv", "y", "k,y\n1,2,\n", "row 1 has 3 cells"),
+    "stray-minus": ("r.csv", "y", "k,y\n1,-\n", "cannot parse '-'"),
+    "gz-name": ("r.csv.gz", "y", "k,y\n1,2\n", [(1, 2)]),
+}
+
+
 class TestIngest:
     def test_round_trip_with_nulls(self, tmp_path):
         schema = two_table_schema()
@@ -201,6 +217,31 @@ class TestIngest:
         path.write_text(f"v\n{cell}\n", encoding="utf-8")
         data = ingest_table(schema.table("r"), schema, path=str(path))
         assert data.columns["v"].tolist() == [value]
+
+    @pytest.mark.parametrize("case", CELL_LOOP_CASES)
+    def test_cell_loop_reads_what_numpy_must_not(self, tmp_path, case):
+        """Files that numpy would misread or reject, or whose name numpy
+        would open through a decompressor, are read by the cell loop: its
+        rows, or its error."""
+        name, y, text, want = CELL_LOOP_CASES[case]
+        schema = schema_from_document({"tables": [{
+            "name": "r", "file": "r.csv", "columns": [
+                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": y, "kind": "integer"}]}]})
+        path = tmp_path / name
+        path.write_bytes(text.encode())
+        with mock.patch.object(catalog, "_ingest_cells",
+                               wraps=catalog._ingest_cells) as cells:
+            got = ingest_outcome(schema, str(path))
+        assert cells.called
+        if isinstance(want, str):
+            assert want in got
+        else:
+            assert got == (len(want), {
+                c: (np.dtype(np.int64),
+                    np.asarray([r[i] for r in want], dtype=np.int64).tobytes())
+                for i, c in enumerate(["k", y])},
+                {c: [False] * len(want) for c in ["k", y]})
 
 
 def one_column_schema(kind: str):
@@ -471,6 +512,30 @@ class TestClassification:
             data, schema.table("r"), threshold=10) == []
         assert catalog.categorical_columns(
             data, schema.table("r"), threshold=100) == ["y"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_early_exit_equals_distinct_count(self, data):
+        """`is_categorical` of an undeclared column equals a full distinct
+        count against the threshold, for thresholds near that count and
+        columns whose new values first appear late."""
+        kind = data.draw(st.sampled_from(["integer", "real", "object"]))
+        pool = {"integer": st.integers(-2 ** 63, 2 ** 63 - 1),
+                "real": st.one_of(st.floats(), st.sampled_from([0.0, -0.0])),
+                "object": st.text(max_size=2)}[kind]
+        early = data.draw(st.lists(pool, min_size=1, max_size=4))
+        head = data.draw(st.lists(st.sampled_from(early), max_size=300))
+        tail = data.draw(st.lists(pool, max_size=40))
+        dtype = {"integer": np.int64, "real": np.float64,
+                 "object": object}[kind]
+        values = np.asarray(head + tail, dtype=dtype)
+        distinct = (len(set(values.tolist())) if dtype is object
+                    else len(np.unique(values)))
+        threshold = data.draw(st.integers(max(distinct - 2, 1),
+                                          distinct + 2))
+        cdef = catalog.ColumnDef(name="v", kind="integer", role="attribute")
+        assert catalog.is_categorical(cdef, values, threshold) == (
+            distinct < threshold)
 
     def test_declared_categorical_wins(self):
         doc = {"tables": [{"name": "t", "columns": [

@@ -1,4 +1,5 @@
 from collections import defaultdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -111,6 +112,54 @@ def reference_correlation_map(schema, tables, column_domain, categorical,
     return cmap
 
 
+def sorted_scan_correlation_map(schema, tables, column_domain, categorical,
+                                dominant_by_domain):
+    """The sort-based scan that `build_correlation_map` replaced, kept as its
+    reference: membership per distinct key of the column with Python set
+    semantics, then one stable argsort of the hit rows by key, and per
+    attribute a `reduceat` minimum and maximum, or a value set, over each
+    key's segment."""
+    cmap = {}
+    for tdef in schema.tables:
+        data = tables[tdef.name]
+        for kdef in tdef.columns:
+            dom = column_domain.get(f"{tdef.name}.{kdef.name}")
+            dominant = dominant_by_domain.get(dom)
+            if not dominant:
+                continue
+            keys, key_id = np.unique(data.columns[kdef.name],
+                                     return_inverse=True)
+            is_dominant = np.fromiter((v in dominant for v in keys.tolist()),
+                                      dtype=bool, count=len(keys))
+            hit = is_dominant[key_id] & ~data.null_mask[kdef.name]
+            rows = np.flatnonzero(hit)
+            rows = rows[np.argsort(key_id[rows], kind="stable")]
+            for cdef in tdef.columns:
+                if cdef.name == kdef.name:
+                    continue
+                avals = data.columns[cdef.name]
+                seg = rows[~data.null_mask[cdef.name][rows]]
+                vals = avals[seg]
+                if vals.dtype.kind == "f":
+                    seg, vals = seg[~np.isnan(vals)], vals[~np.isnan(vals)]
+                if len(seg) == 0:
+                    continue
+                ids = key_id[seg]
+                starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
+                ends = np.r_[starts[1:], len(seg)]
+                if ((tdef.name, cdef.name) in categorical
+                        and avals.dtype == object):
+                    section = Envelopes(keys[ids[starts]], values=[
+                        frozenset(vals[a:b].tolist())
+                        for a, b in zip(starts.tolist(), ends.tolist())])
+                else:
+                    section = Envelopes(
+                        keys[ids[starts]], lo=np.minimum.reduceat(vals, starts),
+                        hi=np.maximum.reduceat(vals, starts))
+                cmap[(tdef.name, dom, cdef.name)] = section
+    return cmap
+
+
 def mixed_kind_schema():
     """r.k INTEGER joined to s.k REAL: one key domain over both kinds."""
     def table_doc(name, key_kind):
@@ -170,6 +219,22 @@ class TestCollect:
         c2 = CompositeHist(d, [{1: 25.0}], np.zeros(1), np.zeros(1))
         out = collect_dominant_keys([c1, c2])
         assert out["t.k"] == {1}  # 35 vs 30
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(weights=st.dictionaries(
+        st.one_of(st.integers(-5, 30), st.integers(-5, 30).map(float),
+                  st.sampled_from([2.5, 2 ** 53 + 1, 2.0 ** 53])),
+        st.sampled_from([1.0, 2.0, 3.0, 0.5]), max_size=30),
+        limit=st.integers(1, 12))
+    def test_ties_at_the_cut_by_repr(self, weights, limit):
+        """The kept keys are the first `limit` by (-weight, repr)."""
+        comp = CompositeHist(make_domain(), [weights], np.zeros(1),
+                             np.zeros(1))
+        ranked = sorted(weights.items(), key=lambda kv: (-kv[1], repr(kv[0])))
+        want = {k for k, _ in ranked[:limit]}
+        with mock.patch.object(djpcd, "DOMINANT_KEYS_PER_DOMAIN", limit):
+            assert collect_dominant_keys([comp]).get("t.k", set()) == want
 
 
 class TestEnvelopes:
@@ -250,6 +315,58 @@ class TestMapAndLookup:
             for key, env in env_by_key.items():
                 assert type(key) is key_type
                 assert list(map(type, env)) == list(map(type, ref[name][key]))
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_equals_sorted_scan(self, data):
+        """Keys of an INTEGER and a REAL column of one domain at 2**53 and
+        at the int64 limits, null keys, dominant keys absent from both
+        columns or equal to a key of the other kind only, and NaN, null and
+        string attributes: the same sections, key for key and bit for bit,
+        as the sort-based scan."""
+        near = [0, 2 ** 53, 2 ** 63 - 1, -2 ** 63]
+        int_keys = st.one_of(st.integers(-3, 3), *(
+            st.integers(max(v - 2, -2 ** 63), min(v + 2, 2 ** 63 - 1))
+            for v in near))
+        real_keys = st.one_of(
+            st.integers(-6, 6).map(lambda v: v / 2),
+            st.sampled_from([2.0 ** 53, 2.0 ** 53 + 2, 2.0 ** 63,
+                             -2.0 ** 63, 1e300]))
+        values = st.one_of(st.integers(-4, 4).map(lambda v: v / 2),
+                           st.sampled_from([-0.0, float("nan"), 1e300]))
+
+        def table(name, keys):
+            n = data.draw(st.integers(1, 30))
+            col = lambda elems: data.draw(
+                st.lists(elems, min_size=n, max_size=n))
+            return make_table(name, {
+                "k": col(keys), "a": col(st.integers(-5, 5)),
+                "x": [float(v) for v in col(values)],
+                "c": col(st.sampled_from(["p", "q", "r"]))},
+                {c: col(st.booleans()) for c in ("k", "a", "x", "c")})
+
+        tables = {"r": table("r", int_keys), "s": table("s", real_keys)}
+        dominant = data.draw(st.sets(st.one_of(
+            int_keys, real_keys, st.sampled_from(
+                [2 ** 53 + 1, 2 ** 63, -2 ** 63 - 1, 99, 99.0, 2.5])),
+            min_size=1, max_size=12))
+        categorical = data.draw(st.sampled_from(
+            [set(), {("r", "c"), ("s", "c")},
+             {("r", "a"), ("r", "c"), ("s", "x")}]))
+        args = (mixed_kind_schema(), tables, {"r.k": "r.k", "s.k": "r.k"},
+                categorical, {"r.k": dominant})
+        cmap = build_correlation_map(*args)
+        ref = sorted_scan_correlation_map(*args)
+        assert list(cmap) == list(ref)
+        for name, section in cmap.items():
+            want = ref[name]
+            for col in ("keys", "lo", "hi"):
+                got, exp = getattr(section, col), getattr(want, col)
+                assert (got is None) == (exp is None)
+                if got is not None:
+                    assert got.dtype == exp.dtype
+                    assert got.tobytes() == exp.tobytes()
+            assert section.values == want.values
 
     def test_find_excluded_unions_predicates(self):
         corr = {("r", "r.k", "y"): section_of({1: ("range", 10, 11),
