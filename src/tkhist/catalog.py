@@ -463,10 +463,12 @@ class KeyDomain:
         self.bin_count = int(bin_count)
 
     def bins_of(self, values: np.ndarray) -> np.ndarray:
-        """Bin of each key; a key outside [lo, hi] raises DomainBoundsError."""
+        """Bin of each key; a key outside [lo, hi], or NaN, raises
+        DomainBoundsError."""
         v = np.asarray(values, dtype=np.float64)
-        if len(v) and (v.min() < self.lo or v.max() > self.hi):
-            bad = v[(v < self.lo) | (v > self.hi)][0]
+        # NaN compares false, so it fails the test the right way round
+        if len(v) and not (v.min() >= self.lo and v.max() <= self.hi):
+            bad = v[~((v >= self.lo) & (v <= self.hi))][0]
             raise DomainBoundsError(
                 f"value {bad!r} outside domain {self.id!r} bounds "
                 f"[{self.lo}, {self.hi}]")

@@ -34,9 +34,9 @@ class Bin1D(NamedTuple):  # a read-only view of one bin
 @dataclass
 class TKHist1D:
     """Bin i's container is `topk_keys[topk_offsets[i]:topk_offsets[i + 1]]`
-    with those `topk_counts`, ranked by (-count, key) until an insert; its
-    sorted background keys are `background` sliced by `background_offsets`
-    alike.  Keys are in the column's dtype; key order is bin order."""
+    with those `topk_counts`; its background keys are `background` sliced
+    by `background_offsets` alike.  Both key arrays are strictly increasing
+    and in the column's dtype; key order is bin order."""
 
     domain: KeyDomain
     topk_keys: np.ndarray
@@ -62,7 +62,7 @@ class TKHist1D:
 
     @functools.cached_property
     def bins(self) -> tuple[Bin1D, ...]:
-        """Per-bin views, containers in array order; `insert` drops them."""
+        """Per-bin views, containers in key order; `insert` drops them."""
         keys, counts = self.topk_keys.tolist(), self.topk_counts.tolist()
         tk = self.topk_offsets.tolist()
         return tuple(Bin1D(topk=dict(zip(keys[lo:hi], counts[lo:hi])), nv=nv)
@@ -81,10 +81,8 @@ class TKHist1D:
                               f"histogram of {self.background.dtype} keys")
         keys, counts = np.unique(keys.astype(self.background.dtype),
                                  return_counts=True)
-        held = np.isin(keys, self.topk_keys)
-        by_key = np.argsort(self.topk_keys, kind="stable")
-        self.topk_counts[by_key[np.searchsorted(
-            self.topk_keys, keys[held], sorter=by_key)]] += counts[held]
+        pos, held = _sorted_positions(self.topk_keys, keys)
+        self.topk_counts[pos[held]] += counts[held]
         np.add.at(self.nv, self.domain.bins_of(keys[~held]), counts[~held])
         self.background = _merge_sorted(self.background, keys[~held])
         self.background_offsets = _offsets(
@@ -92,14 +90,22 @@ class TKHist1D:
         self.__dict__.pop("bins", None)
 
 
+def _sorted_positions(a: np.ndarray,
+                     b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each value of `b` looked up in the strictly increasing array `a`: its
+    `searchsorted` position, and whether `a` holds it there."""
+    pos = np.searchsorted(a, b)
+    found = pos < len(a)
+    found[found] = a[pos[found]] == b[found]
+    return pos, found
+
+
 def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted union of two sorted arrays of distinct values, in a's dtype:
     b's values missing from a are inserted at their `searchsorted` positions,
     a linear merge where `np.union1d` would sort both again."""
-    pos = np.searchsorted(a, b)
-    new = pos == len(a)
-    new[~new] = a[pos[~new]] != b[~new]
-    return np.insert(a, pos[new], b[new])
+    pos, found = _sorted_positions(a, b)
+    return np.insert(a, pos[~found], b[~found])
 
 
 def _offsets(sorted_bins: np.ndarray, bin_count: int) -> np.ndarray:
@@ -115,7 +121,8 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
     closed.  The distinct keys and their counts come from one `np.unique`;
     one `np.lexsort` by (bin, -count, key) then ranks them, so within each
     bin the k most frequent keys enter the container, frequency ties broken
-    toward the smaller key, and the rest form the background.
+    toward the smaller key, and the rest form the background.  Both are
+    stored in key order.
     """
     if k < 0:
         raise TKHistError("k must be >= 0")
@@ -126,8 +133,8 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
     order = np.lexsort((keys, -counts, idx))
     starts = _offsets(idx[order], domain.bin_count)
     rank = np.arange(len(keys)) - np.repeat(starts[:-1], np.diff(starts))
-    # unique keys are sorted, so the background's key order is bin order
-    held, bg = order[rank < k], np.sort(order[rank >= k])
+    # unique keys are sorted, so key order is bin order
+    held, bg = np.sort(order[rank < k]), np.sort(order[rank >= k])
     nv = np.zeros(domain.bin_count, dtype=np.int64)
     np.add.at(nv, idx[bg], counts[bg])
     return TKHist1D(domain=domain, topk_keys=keys[held],

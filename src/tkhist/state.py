@@ -3,10 +3,11 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 8 stores each 1D histogram as
-flat per-histogram arrays with per-bin offsets, each 2D grid as its non-zero
-cells and each correlation-map section as columns; every numeric array is one
-packed string (`_pack`), an integer array at the narrowest width that holds
+same state twice is byte-identical.  Version 9 stores each 1D histogram as
+flat per-histogram arrays with per-bin offsets, container and background
+keys each in key order, each 2D grid as its non-zero cells and each
+correlation-map section as columns; every numeric array is one packed string
+(`_pack`) of byte planes, an integer array at the narrowest width that holds
 its stored values, and every integer key and index array (keys, offsets,
 cells) is delta-coded.  A bridge, the two grids between two key columns of
 one table, is stored once, as the entry whose name sorts first; loading
@@ -21,7 +22,8 @@ rule that also picks it at build: a key column's domain, a categorical
 column's sorted `freq` values, or else a domain of no members over the
 `lo` and `hi` that the 2D entry writes.  A grid's `shape` is kept as a
 check on its axis.  Loading checks the type of every entry, the sign of
-every count, every length, offset and cell, that no `freq` entry repeats a
+every count, every length, offset and cell, that each 1D histogram's keys
+are sorted, distinct and in their bins, that no `freq` entry repeats a
 value, that a bridge is stored once, that every entry name fits the schema
 and that no required entry is missing (`check_complete`); older versions
 are rejected.
@@ -51,12 +53,13 @@ import numpy as np
 from . import catalog
 from .catalog import KeyDomain, Schema, TableData, split_qualified, value_span
 from .djpcd import Envelopes
-from .errors import SchemaError, StateError
-from .histcore import (TKHist1D, TKHist2D, add_value_counts, axis_length,
-                       build_tkhist1d, build_tkhist2d)
+from .errors import DomainBoundsError, SchemaError, StateError
+from .histcore import (TKHist1D, TKHist2D, _sorted_positions,
+                       add_value_counts, axis_length, build_tkhist1d,
+                       build_tkhist2d)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 8
+STATE_VERSION = 9
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -249,12 +252,14 @@ _EXPECTED = {"i": "i8 or narrower", "f": "f8", None: "i8 or narrower, or f8"}
 
 def _pack(values, delta: bool = False) -> str:
     """A numeric array as written: its dtype tag, a colon, then its
-    little-endian bytes, zlib-compressed and base64-coded.  A real array is
-    tagged `f8`; an integer array is stored at the narrowest of `i1`, `i2`,
-    `i4` and `i8` that holds its stored values.  With `delta`, an integer
-    array is stored as each value minus the one before it (wrapping in
-    int64, as the cumsum that undoes it does); real values are stored as
-    they are, since a float cumsum would not round-trip.
+    little-endian bytes as byte planes (every value's first byte, then every
+    value's second byte, and so on), zlib-compressed and base64-coded.  A
+    real array is tagged `f8`; an integer array is stored at the narrowest
+    of `i1`, `i2`, `i4` and `i8` that holds its stored values, so its high
+    planes are mostly runs of 0 or 0xff bytes that zlib shrinks.  With
+    `delta`, an integer array is stored as each value minus the one before
+    it (wrapping in int64, as the cumsum that undoes it does); real values
+    are stored as they are, since a float cumsum would not round-trip.
     """
     a = np.asarray(values)
     if a.dtype.kind == "f":
@@ -264,8 +269,9 @@ def _pack(values, delta: bool = False) -> str:
         if delta:
             a = np.diff(a, prepend=0)
         tag = _narrowest(a)
-    body = base64.b64encode(zlib.compress(a.astype(_STORED[tag]).tobytes(),
-                                          _ZLIB_LEVEL))
+    stored = a.astype(_STORED[tag])
+    planes = stored.view(np.uint8).reshape(len(stored), stored.itemsize).T
+    body = base64.b64encode(zlib.compress(planes.tobytes(), _ZLIB_LEVEL))
     return f"{tag}:{body.decode('ascii')}"
 
 
@@ -294,7 +300,14 @@ def _unpack(doc: dict, where: str, name: str, kind: str | None = "i",
     if len(raw) % width:
         raise StateError(f"{where}: {name!r} unpacks to {len(raw)} bytes, "
                          f"not a multiple of {width}")
-    values = np.frombuffer(raw, _STORED[found]).astype(f"{found[0]}8")
+    planes = np.frombuffer(raw, np.uint8).reshape(width, -1)
+    stored = planes[0]  # one plane is the values' own bytes
+    if width > 1:  # a plane at a time: numpy's transposing copy is slower
+        stored = np.empty((planes.shape[1], width), np.uint8)
+        for i, plane in enumerate(planes):
+            stored[:, i] = plane
+    values = stored.view(_STORED[found]).reshape(-1).astype(
+        f"{found[0]}8", copy=False)
     if counts and np.any(values < 0):
         raise StateError(f"{where}: {name!r} has a negative count")
     return np.cumsum(values) if delta and found[0] == "i" else values
@@ -336,11 +349,9 @@ def _get(doc: dict, where: str, name: str, kind: str = "an object"):
 
 
 def _hist1d_doc(h: TKHist1D) -> dict:
-    """The histogram's arrays, each container re-ranked by (-count, key)."""
-    order = np.lexsort((h.topk_keys, -h.topk_counts, np.repeat(
-        np.arange(len(h.nv)), np.diff(h.topk_offsets))))
-    return {"topk_keys": _pack(h.topk_keys[order], delta=True),
-            "topk_counts": _pack(h.topk_counts[order]),
+    """The histogram's arrays as they are in memory, keys in key order."""
+    return {"topk_keys": _pack(h.topk_keys, delta=True),
+            "topk_counts": _pack(h.topk_counts),
             "topk_offsets": _pack(h.topk_offsets, delta=True),
             "nv": _pack(h.nv),
             "background": _pack(h.background, delta=True),
@@ -549,18 +560,18 @@ def state_from_document(doc: dict,
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
-    if version in (1, 2, 3, 4, 5, 6, 7):
+    if version in (1, 2, 3, 4, 5, 6, 7, 8):
         raise StateError(f"state version {version} is no longer read; "
                          f"rebuild the state with `tkhist build`")
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v8(doc, table)
+        return _state_from_v9(doc, table)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v8(doc: dict, table: str | None) -> EstimatorState:
+def _state_from_v9(doc: dict, table: str | None) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")
@@ -688,8 +699,27 @@ def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,
     tk = _checked_offsets(where, h, "topk_offsets", n, len(keys))
     offsets = _checked_offsets(where, h, "background_offsets", n,
                                len(background))
-    if np.any(background[1:] <= background[:-1]):
+    # written so that a NaN, which compares false, fails them
+    if not np.all(background[1:] > background[:-1]):
         raise StateError(f"{where} has unsorted background keys")
+    if not np.all(keys[1:] > keys[:-1]):  # `insert` looks keys up by bisection
+        raise StateError(f"{where} has unsorted or repeated container keys")
+    if _sorted_positions(background, keys)[1].any():
+        raise StateError(f"{where} has a key both in a container and in "
+                         f"the background")
+    # both key arrays are sorted, so each bin's first and last keys bound it
+    ends, bins = [], []
+    for values, bounds in ((keys, tk), (background, offsets)):
+        held = np.flatnonzero(bounds[1:] > bounds[:-1])
+        ends += [values[bounds[held]], values[bounds[held + 1] - 1]]
+        bins += [held, held]
+    try:
+        outside = np.any(dom.bins_of(np.concatenate(ends))
+                         != np.concatenate(bins))
+    except DomainBoundsError:
+        outside = True
+    if outside:
+        raise StateError(f"{where} has a key outside its bin")
     return TKHist1D(domain=dom, topk_keys=keys, topk_counts=counts,
                     topk_offsets=tk, nv=nv, background=background,
                     background_offsets=offsets)

@@ -6,7 +6,7 @@ from tkhist import cli, estimator, oracle
 from tkhist.cli import main
 from tkhist.errors import StateError, TKHistError
 from tkhist.queryfront import bind, parse_sql
-from tkhist.state import load_state
+from tkhist.state import STATE_VERSION, load_state
 
 
 @pytest.fixture
@@ -56,7 +56,7 @@ class TestBuildEstimate:
     def test_state_without_sections_is_error(self, tmp_path, capsys):
         state = tmp_path / "state.json"
         state.write_text(json.dumps({"magic": "TKHIST-STATE-v1",
-                                     "version": 8}))
+                                     "version": STATE_VERSION}))
         rc = main(["estimate", "--state", str(state),
                    "SELECT COUNT(*) FROM t1"])
         assert rc == 2

@@ -33,8 +33,9 @@ def reference_build_tkhist1d(values, domain, k, null_mask=None):
     for i in range(domain.bin_count):
         counted = Counter(_scalar(v) for v in values[idx == i])
         ranked = sorted(counted.items(), key=lambda kv: (-kv[1], kv[0]))
-        keys += [key for key, _ in ranked[:k]]
-        counts += [cnt for _, cnt in ranked[:k]]
+        held = sorted(ranked[:k])  # the k most frequent, stored in key order
+        keys += [key for key, _ in held]
+        counts += [cnt for _, cnt in held]
         tk.append(len(keys))
         nv.append(sum(cnt for _, cnt in ranked[k:]))
         background += sorted(key for key, _ in ranked[k:])
@@ -235,6 +236,8 @@ class TestInsert:
             # the views keep each container's order: inserts rank nothing
             assert [list(b.topk.items()) for b in h.bins] == \
                 [list(c.items()) for c in containers]
+            # container keys stay in key order, which `insert` bisects
+            assert np.all(h.topk_keys[1:] > h.topk_keys[:-1])
             assert all(type(key) is key_type and type(c) is int
                        for b in h.bins for key, c in b.topk.items())
             assert [b.nv for b in h.bins] == h.nv.tolist() == nv

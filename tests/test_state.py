@@ -7,7 +7,7 @@ import zlib
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tkhist.catalog import TableData, schema_from_document
@@ -90,9 +90,12 @@ def narrowest(values):
 
 
 def unpacked(blob):
-    """The values of a packed array as stored (delta-coded arrays as gaps)."""
+    """The values of a packed array as stored (delta-coded arrays as gaps):
+    its bytes are byte planes, every value's byte 0, then every byte 1, ..."""
     tag, body = blob.split(":")
-    return np.frombuffer(zlib.decompress(base64.b64decode(body)),
+    planes = np.frombuffer(zlib.decompress(base64.b64decode(body)), np.uint8)
+    width = np.dtype(TAGS[tag]).itemsize
+    return np.frombuffer(planes.reshape(width, -1).T.tobytes(),
                          TAGS[tag]).tolist()
 
 
@@ -103,7 +106,9 @@ def undelta(blob):
 
 
 def packed(values, tag="i8"):
-    raw = np.asarray(values, dtype=TAGS[tag]).tobytes()
+    """`values` packed as `tag`, in byte planes."""
+    a = np.asarray(values, dtype=TAGS[tag])
+    raw = a.view(np.uint8).reshape(len(a), a.itemsize).T.tobytes()
     return f"{tag}:" + base64.b64encode(zlib.compress(raw)).decode()
 
 
@@ -114,7 +119,28 @@ def repacked(blob, edit):
     return packed(values, "f8" if blob.startswith("f8:") else narrowest(values))
 
 
+def keys_of(blob):
+    """The values of a key or offset array: delta-coded if integer."""
+    return unpacked(blob) if blob.startswith("f8:") else undelta(blob)
+
+
+def rekeyed(blob, i, key):
+    """Key or offset array `blob` with its i-th value set to `key`."""
+    keys = keys_of(blob)
+    keys[i] = key
+    if blob.startswith("f8:"):
+        return packed(keys, "f8")
+    gaps = wrapped_gaps(keys)
+    return packed(gaps, narrowest(gaps))
+
+
 INT64 = np.iinfo(np.int64)
+INT_EDGES = [int(INT64.min), int(INT64.max), 2 ** 53 + 1, -2 ** 53 - 1,
+             2 ** 31, -2 ** 31 - 1, 32768, -129, 128, 0, -1]
+F8_EDGES = [  # as bits: -0.0, +-inf, quiet and signalling NaNs with payloads
+    0x8000000000000000, 0x7FF0000000000000, 0xFFF0000000000000,
+    0x7FF8000000000000, 0xFFF8000000000001, 0x7FF0000000000001,
+    0x7FF7FFFFFFFFFFFF, 0x0000000000000001]
 
 
 def wrapped_gaps(values):
@@ -178,6 +204,31 @@ class TestCodec:
         assert unpacked(blob) == stored
         assert _unpack({"a": blob}, "test", "a",
                        delta=delta).tolist() == values
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        # integers at each width, at the int64 extremes and past 2**53
+        st.sampled_from(INT_TAGS).flatmap(lambda tag: st.lists(st.one_of(
+            st.integers(int(np.iinfo(tag).min), int(np.iinfo(tag).max)),
+            st.sampled_from(INT_EDGES)), max_size=40)).map(
+                lambda v: np.asarray(v, dtype=np.int64)),
+        # every float64 bit pattern: -0.0, infinities, NaN payloads
+        st.lists(st.one_of(st.integers(0, 2 ** 64 - 1),
+                           st.sampled_from(F8_EDGES)), max_size=40).map(
+            lambda bits: np.asarray(bits, dtype=np.uint64).view(np.float64))),
+        st.booleans())
+    @example(np.zeros(0, np.int64), True)
+    @example(np.zeros(0, np.float64), False)
+    @example(np.asarray([int(INT64.min)]), False)
+    @example(np.asarray([int(INT64.max), int(INT64.min), 2 ** 53 + 1]), True)
+    @example(np.asarray(F8_EDGES, dtype=np.uint64).view(np.float64), True)
+    def test_pack_round_trips_bytes(self, values, delta):
+        # byte planes and back give the array's every bit, wrapped deltas
+        # and NaN payloads included
+        blob = _pack(values, delta=delta)
+        got = _unpack({"a": blob}, "test", "a", None, delta=delta)
+        assert got.dtype == values.dtype and got.flags.writeable
+        assert got.tobytes() == values.tobytes()
 
     @pytest.mark.parametrize("values", [[], [0.5, -2.5], [1.0, 2.0, 2.0 ** 60]])
     def test_real_keys_stay_f8(self, values):
@@ -367,17 +418,21 @@ class TestFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_v3_bins_are_written_in_canonical_order(self, mixed_state):
-        # version 3's order and delta coding, inside version 4's packed arrays
+        # version 9's order: container keys, like background keys, in key
+        # order, which is bin order; delta coding inside packed arrays
         doc = state_to_document(mixed_state)
-        for h in doc["hists1d"].values():
-            tk, nv = undelta(h["topk_offsets"]), unpacked(h["nv"])
-            counts, keys = unpacked(h["topk_counts"]), undelta(h["topk_keys"])
-            for i in range(len(nv)):
-                ranked = list(zip(counts[tk[i]:tk[i + 1]], keys[tk[i]:tk[i + 1]]))
-                assert ranked == sorted(ranked, key=lambda ck: (-ck[0], ck[1]))
-            # integer keys: the first key, then the gaps to the next
-            assert h["background"][:1] == "i"
-            assert all(gap > 0 for gap in unpacked(h["background"])[1:])
+        for name, h in doc["hists1d"].items():
+            dom = mixed_state.hists1d[tuple(name.split("."))].domain
+            for keys, offsets in (("topk_keys", "topk_offsets"),
+                                  ("background", "background_offsets")):
+                # integer keys: the first key, then the gaps to the next
+                assert h[keys][:1] == "i"
+                assert all(gap > 0 for gap in unpacked(h[keys])[1:])
+                bins = dom.bins_of(np.asarray(undelta(h[keys]))).tolist()
+                bounds = undelta(h[offsets])
+                assert bins == [i for i in range(len(bounds) - 1)
+                                for _ in range(bounds[i], bounds[i + 1])]
+            assert len(undelta(h["topk_keys"])) == len(unpacked(h["topk_counts"]))
         # an attribute axis in a key domain or over a categorical column is
         # derived whole; a numeric one outside keeps its lo and hi
         keyed = 0
@@ -393,12 +448,12 @@ class TestFormat:
         assert keyed
 
     def test_v3_layout(self, built):
-        # version 3's layout, with each numeric array packed as in version 8
+        # version 3's layout, with each numeric array packed as in version 9
         # and without what versions 5 to 7 derive on load
         state, tables = built
         discover_correlations(state, tables)
         doc = state_to_document(state)
-        assert doc["version"] == 8
+        assert doc["version"] == 9
         assert doc["domains"] == {"r.k": {"lo": 1.0, "hi": 9.0}}
         assert "column_class" not in doc
         h1 = {name: unpacked(blob)
@@ -552,7 +607,7 @@ class TestErrors:
         with pytest.raises(StateError, match=re.escape("'s|r.k|y' has columns of")):
             state_from_document(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8])
     def test_older_versions_rejected(self, doc, version):
         doc["version"] = version
         with pytest.raises(StateError, match=f"state version {version} is "
@@ -626,6 +681,23 @@ class TestErrors:
          "frequency histogram 'r.y' mixes strings and numbers"),
         (("freq", "r.y"), [[3, 2], [float("nan"), 1], [5, 1], [6, 1]],
          "is not a list of \\[value, count\\] pairs"),
+        # 1D keys that key order rules out: r.k holds containers 1 | - | 5
+        # | 9 and background 2 | - | - | - over bins [1, 3), [3, 5), [5, 7)
+        # and [7, 9]; keys as gaps
+        (("hists1d", "r.k", "topk_keys"), packed([1, 8, -4], "i1"),
+         "'r.k' has unsorted or repeated container keys"),
+        (("hists1d", "r.k", "topk_keys"), packed([1, 4, 0], "i1"),
+         "'r.k' has unsorted or repeated container keys"),
+        (("hists1d", "r.k", "background"), packed([1], "i1"),
+         "'r.k' has a key both in a container and in the background"),
+        (("hists1d", "r.k", "topk_keys"), packed([1, 2, 6], "i1"),
+         "'r.k' has a key outside its bin"),
+        (("hists1d", "r.k", "topk_offsets"), packed([0, 1, 1, 0, 1], "i1"),
+         "'r.k' has a key outside its bin"),
+        (("hists1d", "r.k", "background"), packed([4], "i1"),
+         "'r.k' has a key outside its bin"),
+        (("hists1d", "r.k", "background"), packed([11], "i1"),
+         "'r.k' has a key outside its bin"),
         # required entries
         (("hists1d", "r.k"), MISSING, "state has no 1D histogram 'r.k'"),
         (("hists2d", "r.k|y"), MISSING, r"state has no 2D histogram 'r.k\|y'"),
@@ -674,6 +746,10 @@ class TestErrors:
         "path30-value30-frequency histogram 'r.y' repeats a value",
         "path31-value31-frequency histogram 'r.y' mixes strings and numbers",
         r"path32-value32-is not a list of \[value, count\] pairs",
+        "unsorted-topk-keys", "repeated-topk-key",
+        "key-in-container-and-background", "topk-key-outside-its-bin",
+        "topk-offset-moved", "background-key-outside-its-bin",
+        "background-key-outside-its-domain",
         "missing-hists1d-r.k", "missing-hists2d-r.k|y",
         "missing-hists2d-s.k|y"])
     def test_malformed_entry_rejected(self, doc, path, value, message):
@@ -686,6 +762,32 @@ class TestErrors:
         else:
             entry[last] = value
         with pytest.raises(StateError, match=message):
+            state_from_document(doc)
+
+    @pytest.mark.parametrize("top_k, name, keys, message", [
+        # s.k's one bin holds containers -3.0, -2.5, 0.5 and background 1.5
+        (3, "topk_keys", [-3.0, float("nan"), 1.5],
+         "'s.k' has unsorted or repeated container keys"),
+        (3, "background", [float("nan")], "'s.k' has a key outside its bin"),
+        # ... or container -3.0 and background -2.5, 0.5, 1.5
+        (1, "background", [-2.5, float("nan"), 1.5],
+         "'s.k' has unsorted background keys"),
+    ], ids=["nan-between-container-keys", "nan-background-key",
+            "nan-between-background-keys"])
+    @pytest.mark.filterwarnings("error")  # not binned by an invalid cast
+    def test_nan_key_rejected(self, top_k, name, keys, message):
+        # a NaN compares false with every key, so it must fail the order
+        # checks rather than slip past them
+        schema = schema_from_document(MIXED_KINDS_DOC)
+        tables = {"r": make_table("r", {"k": [-3, 4], "c": list("ab")}),
+                  "s": make_table("s", {"k": [-3.0, -3.0, -2.5, 0.5, 0.5, 1.5],
+                                        "c": list("aabaab")})}
+        doc = state_to_document(build_state(
+            schema, tables, BuildConfig(bin_count=1, top_k=top_k)))
+        h = doc["hists1d"]["s.k"]
+        assert len(unpacked(h[name])) == len(keys)
+        h[name] = packed(keys, "f8")
+        with pytest.raises(StateError, match=re.escape(message)):
             state_from_document(doc)
 
     def test_envelope_bounds_of_other_widths_read(self, doc):
@@ -763,7 +865,7 @@ class TestTableSave:
         doc["hists2d"]["r.k|z"] = doc["hists2d"]["r.k|y"]
         (tmp_path / "state.json").write_text(json.dumps(doc))
 
-    @pytest.mark.parametrize("replace, message", [
+    OTHER_FILES = pytest.mark.parametrize("replace, message", [
         (lambda self, p: (p / "state.json").unlink(), "cannot read"),
         (other_state, "its 'domains' entry differs"),
         (other_domain, "its 'domains' entry differs"),
@@ -772,9 +874,23 @@ class TestTableSave:
          "is not the state file being updated"),
     ], ids=["missing", "other-state", "other-domain", "other-entry-names",
             "not-an-object"])
+
+    @OTHER_FILES
     def test_other_file_refused_and_left_unchanged(self, loaded, tmp_path,
                                                    replace, message):
         state, path = loaded
+        self.assert_refused(state, path, tmp_path, replace, message)
+
+    @OTHER_FILES
+    def test_file_edited_after_table_load_refused(self, loaded, tmp_path,
+                                                  replace, message):
+        # a table load's save checks the file it writes over as a full
+        # load's does
+        path = loaded[1]
+        state = load_state(str(path), table="r")
+        self.assert_refused(state, path, tmp_path, replace, message)
+
+    def assert_refused(self, state, path, tmp_path, replace, message):
         replace(self, tmp_path)
         before = path.read_bytes() if path.exists() else None
         apply_rows(state, "r", make_table("r", {"k": [2], "y": [5]}))
@@ -1067,9 +1183,10 @@ def corrupted_documents(draw):
     """Copies of a saved state's document, one per checked entry, with that
     entry of the wrong type, length or nesting, or a packed array truncated,
     re-tagged (to an unknown tag, the other dtype or another integer width)
-    or cut to a ragged byte count; then one per required entry (each 1D and
-    2D histogram), with that entry deleted.  Each copy comes with the path
-    of the entry and whether it was deleted."""
+    or cut to a ragged byte count, or a 1D key swapped for one of the other
+    key array's or a 1D offset moved by one; then one per required entry
+    (each 1D and 2D histogram), with that entry deleted.  Each copy comes
+    with the path of the entry and whether it was deleted."""
     state, _ = draw(updated_states())
     saved = json.dumps(state_to_document(state))
     copies = []
@@ -1107,6 +1224,20 @@ def corrupted_documents(draw):
                 corruptions += [st.integers(0, n - 1).map(
                     lambda i: repacked(value, lambda v: [
                         *v[:i], -v[i] or -1, *v[i + 1:]]))]
+        if path[0] == "hists1d" and tag in TAGS and n:
+            # a key swapped for one of the other key array's, or a bin
+            # boundary moved by one: load's key-order checks reject each
+            other = {"topk_keys": "background",
+                     "background": "topk_keys"}.get(path[-1])
+            keys = keys_of(json.loads(saved)["hists1d"][path[1]][other]) \
+                if other else []
+            if keys:
+                corruptions += [st.tuples(st.integers(0, n - 1),
+                                          st.sampled_from(keys)).map(
+                    lambda ik: rekeyed(value, *ik))]
+            if path[-1].endswith("offsets"):
+                corruptions += [st.integers(0, n - 1).map(
+                    lambda i: rekeyed(value, i, keys_of(value)[i] + 1))]
         if path[-1] in ("shape", "values") and isinstance(value, list):
             corruptions += [st.just([*value, value[-1] if value else 0])]
             if value:  # one element short, or one nested a level deeper
