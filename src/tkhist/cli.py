@@ -112,11 +112,12 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_update(args) -> int:
-    state = load_state(_state_path(args), table=args.table)
+    path = _state_path(args)
+    state = load_state(path, table=args.table)
     data = catalog.ingest_table(state.schema.table(args.table), state.schema,
                                 path=args.csv)
     inserted, rejected = apply_rows(state, args.table, data)
-    size = save_state(state, _state_path(args), table=args.table)
+    size = save_state(state, path)
     print(f"inserted {inserted} rows, rejected {rejected} "
           f"(out-of-range key); state file {size} bytes")
     return 0

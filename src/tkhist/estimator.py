@@ -244,7 +244,8 @@ def discover_correlations(state: EstimatorState,
 # workloads
 
 def parse_workload(path: str) -> list[tuple[str, float | None]]:
-    """One query per line; `--` lines are comments; `||N` appends a true count."""
+    """One query per line; `--` lines are comments; `||N` appends a true
+    count, at the first `||` outside a string literal."""
     out: list[tuple[str, float | None]] = []
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -256,9 +257,11 @@ def parse_workload(path: str) -> list[tuple[str, float | None]]:
         if not line or line.startswith("--"):
             continue
         truth: float | None = None
-        if "||" in line:
-            sql, _, rest = line.partition("||")
-            line, rest = sql.strip(), rest.strip()
+        cut = line.find("||")
+        while cut >= 0 and line.count("'", 0, cut) % 2:  # inside a string
+            cut = line.find("||", cut + 1)
+        if cut >= 0:
+            line, rest = line[:cut].strip(), line[cut + 2:].strip()
             try:
                 truth = float(rest)
             except ValueError:

@@ -33,10 +33,10 @@ entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
 its `correlations` sections (`table|domain|attr`) and `table_rows[table]`.
 Every other entry (config, schema, domains) is global.  A batch update
 changes only its table's entries, so `load_state(..., table=)` decodes and
-checks just those, the global entries and `table_rows`, and
-`save_state(..., table=)` encodes just those and copies the rest, unread,
-from the file the state was loaded from.  A state loaded for one table
-refuses a full save and an estimate (`check_complete`).
+checks just those, the global entries and `table_rows`, and keeps the
+document.  Its save encodes that table's entries, takes the rest unread
+from the document and refuses a file that no longer holds it; the state
+refuses an estimate and another table's batch (`check_complete`).
 """
 from __future__ import annotations
 
@@ -84,9 +84,10 @@ class EstimatorState:
     # {(table, domain_id, attr): djpcd.Envelopes}, each section the sorted
     # dominant keys and their envelopes as columns; built by djpcd
     correlations: dict | None = None
-    # the table whose entries `load_state(..., table=)` decoded, the only
-    # table the state holds histograms of; None when it holds every table's
-    only_table: str | None = None
+    # (table, document) when `load_state(..., table=)` made the state: it
+    # holds that table's histograms alone, and writes the document back
+    # with them (`state_to_document`); None when it holds every table's
+    source: tuple[str, dict] | None = None
 
     def key_columns(self, table: str) -> list[str]:
         tdef = self.schema.table(table)
@@ -150,9 +151,9 @@ def check_complete(state: EstimatorState, table: str | None = None) -> None:
     column, and a 2D histogram of each key column with each other column of
     its table (named as the file stores it).  A state loaded for one table
     lacks every other table's entries."""
-    if state.only_table not in (None, table):
+    if state.source and state.source[0] != table:
         raise StateError(f"state was loaded to update table "
-                         f"{state.only_table!r} only")
+                         f"{state.source[0]!r} only")
     for tdef in state.schema.tables:
         t = tdef.name
         if table not in (None, t):
@@ -380,8 +381,8 @@ def _correlation_doc(section: Envelopes) -> dict:
 
 def _freq_doc(fh: dict) -> list:
     """[value, count] pairs, in the order of the values' reprs (the values
-    of one column can mix types)."""
-    return sorted(fh.items(), key=lambda kv: repr(kv[0]))
+    of one column can mix types); lists, as the file reads back."""
+    return sorted(map(list, fh.items()), key=lambda kv: repr(kv[0]))
 
 
 # per-table section -> (EstimatorState field, entry name of a key, encoder)
@@ -401,23 +402,6 @@ def _owned_by(name: str, table: str | None) -> bool:
             or name.startswith((f"{table}.", f"{table}|")))
 
 
-def _owned(state: EstimatorState, table: str) -> dict[str, dict]:
-    """The objects behind the entries that `table` owns, by section and
-    entry name: those whose key is `table` or starts with it."""
-    owned = {}
-    for sec, (field, name, _) in _TABLE_SECTIONS.items():
-        if getattr(state, field) is None:
-            continue
-        owned[sec] = {}
-        for key, value in getattr(state, field).items():
-            key = key if isinstance(key, tuple) else (key,)
-            if key[0] != table or (sec == "hists2d" and _stored_twin(
-                    *key, state.column_domain)):
-                continue
-            owned[sec][name.format(*key)] = value
-    return owned
-
-
 def _stored_twin(table: str, key: str, attr: str, key_columns) -> str | None:
     """None, unless the 2D histogram (table, key, attr) is the direction of
     a bridge that the file leaves out: `attr` is a key column too (one of
@@ -429,10 +413,21 @@ def _stored_twin(table: str, key: str, attr: str, key_columns) -> str | None:
 
 
 def _table_entries(state: EstimatorState, table: str) -> dict[str, dict]:
-    """The encoded document entries that `table` owns, by section."""
-    return {sec: {name: _TABLE_SECTIONS[sec][2](value)
-                  for name, value in entries.items()}
-            for sec, entries in _owned(state, table).items()}
+    """The encoded document entries that `table` owns, by section and entry
+    name: those whose key is `table` or starts with it, but the direction
+    of a bridge that the file leaves out."""
+    owned = {}
+    for sec, (field, name, encode) in _TABLE_SECTIONS.items():
+        if getattr(state, field) is None:
+            continue
+        owned[sec] = {}
+        for key, value in getattr(state, field).items():
+            key = key if isinstance(key, tuple) else (key,)
+            if key[0] != table or (sec == "hists2d" and _stored_twin(
+                    *key, state.column_domain)):
+                continue
+            owned[sec][name.format(*key)] = encode(value)
+    return owned
 
 
 def _global_entries(state: EstimatorState) -> dict:
@@ -449,41 +444,44 @@ def _global_entries(state: EstimatorState) -> dict:
 
 
 def state_to_document(state: EstimatorState) -> dict:
-    """The whole document of a state that holds every table's entries; an
-    absent correlation map is None."""
-    check_complete(state)
+    """The whole document of `state`; an absent correlation map is None.
+    A state loaded for one table encodes only that table's entries and
+    takes every other table's from the document it was loaded from."""
     doc = _global_entries(state)
-    for sec, (field, _, _) in _TABLE_SECTIONS.items():
-        doc[sec] = None if getattr(state, field) is None else {}
-    for tdef in state.schema.tables:
-        for sec, entries in _table_entries(state, tdef.name).items():
+    if state.source is None:
+        check_complete(state)
+        tables = [tdef.name for tdef in state.schema.tables]
+        for sec, (field, _, _) in _TABLE_SECTIONS.items():
+            doc[sec] = None if getattr(state, field) is None else {}
+    else:
+        table, source = state.source
+        check_complete(state, table)
+        tables = [table]
+        for sec in _TABLE_SECTIONS:
+            doc[sec] = source.get(sec) and {
+                name: entry for name, entry in source[sec].items()
+                if not _owned_by(name, table)}
+    for t in tables:
+        for sec, entries in _table_entries(state, t).items():
             doc[sec].update(entries)
     return doc
 
 
-def save_state(state: EstimatorState, path: str,
-               table: str | None = None) -> int:
+def save_state(state: EstimatorState, path: str) -> int:
     """Atomically write the state file; returns its size in bytes.
 
-    With `table`, only the entries that table owns are encoded; every other
-    entry is copied from the file at `path`, which must be the file `state`
-    was loaded from, so the bytes written are those of a full save.  `state`
-    may be one loaded for that table alone.  A file that cannot be read, or
-    whose global entries, or the names of whose entries of the table, differ
-    from `state`'s (but for the `freq` entries of columns that a batch made
-    numeric), raises StateError and is left as it is.  Without
-    `table`, a state loaded for one table raises StateError.  A file that
-    cannot be written raises StateError and leaves no temporary file.
+    A state loaded for one table writes over the file it was loaded from:
+    unless `path` still holds the document it loaded, StateError is raised
+    and neither the file nor its directory changes.  So any change to the
+    file since that load, another table's update included, fails the save
+    rather than being lost.  The document written becomes the state's
+    source, so the state can be saved again.  A file that cannot be
+    written raises StateError and leaves no temporary file.
     """
-    if table is None:
-        doc = state_to_document(state)
-    elif table not in state.table_rows:
-        raise StateError(f"state has no table {table!r}")
-    else:
-        check_complete(state, table)
-        doc = _source_document(state, path, table)
-        for sec, entries in _table_entries(state, table).items():
-            doc[sec].update(entries)
+    if state.source and _read_document(path) != state.source[1]:
+        raise StateError(f"{path!r} no longer holds the document the state "
+                         f"was loaded from")
+    doc = state_to_document(state)
     payload = json.dumps(doc, sort_keys=True,
                          separators=(",", ":")).encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
@@ -500,38 +498,9 @@ def save_state(state: EstimatorState, path: str,
     except OSError as exc:
         raise StateError(f"cannot write state file {path!r}: "
                          f"{exc.strerror}") from exc
+    if state.source:
+        state.source = (state.source[0], doc)
     return len(payload)
-
-
-def _source_document(state: EstimatorState, path: str, table: str) -> dict:
-    """`state`'s global entries and the per-table sections of the document
-    at `path` without `table`'s entries, once that document is checked to
-    be `state`'s source: the same global entries, and the same names of
-    `table`'s entries in each section, but for the `freq` entries of columns
-    that a batch made numeric."""
-    found = _read_document(path)
-    if not isinstance(found, dict):
-        raise StateError(f"{path!r} is not the state file being updated")
-    doc = _global_entries(state)
-    for name, value in doc.items():
-        if found.get(name) != value:
-            raise StateError(f"{path!r} is not the state file being "
-                             f"updated: its {name!r} entry differs")
-    owned = _owned(state, table)
-    for sec in _TABLE_SECTIONS:
-        section = found.get(sec)
-        names = ({name for name in section if _owned_by(name, table)}
-                 if isinstance(section, dict) else section)
-        want = set(owned[sec]) if sec in owned else None
-        if names != want and not (sec == "freq" and isinstance(names, set)
-                                  and want < names):
-            raise StateError(f"{path!r} is not the state file being "
-                             f"updated: its {sec!r} entries differ")
-        if isinstance(section, dict):
-            section = {name: entry for name, entry in section.items()
-                       if not _owned_by(name, table)}
-        doc[sec] = section
-    return doc
 
 
 def _read_document(path: str):
@@ -545,8 +514,8 @@ def _read_document(path: str):
 
 
 def load_state(path: str, table: str | None = None) -> EstimatorState:
-    """The state in the file at `path`; with `table`, only that table's
-    (see `state_from_document`)."""
+    """The state in the file at `path`; with `table`, only that table's,
+    which `save_state` writes back to `path` (see `state_from_document`)."""
     return state_from_document(_read_document(path), table)
 
 
@@ -555,8 +524,8 @@ def state_from_document(doc: dict,
     """The state a document describes, its every entry checked.  With
     `table`, only the global entries, `table_rows` and the entries that
     `table` owns are decoded and checked; the state holds no other table's
-    histograms, and so can take a batch of `table` and `save_state(...,
-    table=table)` but refuses a full save and an estimate."""
+    histograms and keeps `doc` as its source, and so can take a batch of
+    `table` and be saved over `doc`, but refuses an estimate."""
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
@@ -670,7 +639,7 @@ def _state_from_v9(doc: dict, table: str | None) -> EstimatorState:
         schema=schema, config=config, domains=domains,
         column_domain=column_domain, hists1d=hists1d, hists2d=hists2d,
         freq_hists=freq, table_rows=table_rows, correlations=correlations,
-        only_table=table)
+        source=None if table is None else (table, doc))
     check_complete(state, table)
     return state
 

@@ -6,7 +6,9 @@ from tkhist import cli, estimator, oracle
 from tkhist.cli import main
 from tkhist.errors import StateError, TKHistError
 from tkhist.queryfront import bind, parse_sql
-from tkhist.state import STATE_VERSION, load_state
+from tkhist.state import STATE_VERSION, apply_rows, load_state, save_state
+
+from conftest import make_table
 
 
 @pytest.fixture
@@ -268,6 +270,35 @@ class TestUpdate:
         assert main(["estimate", "--state", str(built),
                      "SELECT COUNT(*) FROM t1"]) == 2
         assert "'t2.k1': 'nv' is not a string" in capsys.readouterr().err
+
+    def test_interleaved_update_refused_not_lost(self, built, tmp_path):
+        # of two updates of t1 loaded from one file, the later save fails
+        # and leaves the earlier one's bytes, as does a save of t2 loaded
+        # before it; a state saved twice writes a full save's bytes each time
+        def batch(table, keys, ys):
+            return make_table(table, {"k1": keys, "y": ys})
+        whole = load_state(str(built))
+        a, b = (load_state(str(built), table="t1") for _ in range(2))
+        other = load_state(str(built), table="t2")
+        seven = batch("t1", list(range(1, 8)), list(range(9000, 9007)))
+        assert apply_rows(b, "t1", seven) == apply_rows(whole, "t1", seven)
+        save_state(b, str(built))
+        after_b = built.read_bytes()
+        apply_rows(a, "t1", batch("t1", [1, 2, 3], [5, 6, 7]))
+        apply_rows(other, "t2", batch("t2", [1], [5]))
+        for state in (a, other):
+            with pytest.raises(StateError, match="no longer holds"):
+                save_state(state, str(built))
+            assert built.read_bytes() == after_b
+        full = tmp_path / "full.json"
+        save_state(whole, str(full))
+        assert after_b == full.read_bytes()
+        two = batch("t1", [2, 3], [5, 9100])
+        assert apply_rows(b, "t1", two) == apply_rows(whole, "t1", two)
+        save_state(b, str(built))
+        save_state(whole, str(full))
+        assert built.read_bytes() == full.read_bytes()
+        assert load_state(str(built)).table_rows["t1"] == 509
 
 
 class TestSweep:

@@ -119,6 +119,17 @@ class TestWorkload:
         assert entries == [("SELECT COUNT(*) FROM r", None),
                            ("SELECT COUNT(*) FROM r, s WHERE r.k = s.k", 5.0)]
 
+    def test_truth_split_outside_string_literals(self, tmp_path):
+        # a `||` inside a quoted literal (quotes doubled inside it) is the
+        # query's, the first after an even number of quotes the truth's
+        sql = ("SELECT COUNT(*) FROM t5 WHERE t5.y = 'a||b' "
+               "AND t5.z = 'it''s||'")
+        p = tmp_path / "wl.txt"
+        p.write_text(f"{sql}\n{sql} ||3\n")
+        assert parse_workload(str(p)) == [(sql, None), (sql, 3.0)]
+        assert [pred.value for pred in parse_sql(sql).predicates] == \
+            ["a||b", "it's||"]
+
     def test_evaluate_with_oracle_truths(self, small_state):
         state, tables = small_state
         entries = [("SELECT COUNT(*) FROM r, s WHERE r.k = s.k", None),

@@ -6,7 +6,8 @@ that its `y` is categorical.  The state is built with correlation discovery,
 saved and loaded before any estimate, so that the file format is part of
 what is checked.  The queries are the nine join shapes, then one filter of
 each operator on each shape; the filtered queries run again after each of
-two update batches, each saved with `save_state(table=)` and reloaded.
+two update batches, each applied as `tkhist update` applies it (a load of
+the batch's table, `apply_rows`, a save) and reloaded in full.
 Every estimate must stay within 1e-9 relative of its pinned value.
 
 After a change that moves estimates on purpose, rewrite the pinned file:
@@ -118,8 +119,9 @@ def current_estimates() -> dict[str, dict[str, float]]:
                 tables=5, rows=rows, layout="mixed", distinct_keys=400,
                 correlated=True, noise_span=noise, row_overrides=others),
                 seed=seed)
-            apply_rows(state, table, batch[table])
-            save_state(state, path, table=table)
+            updated = load_state(path, table=table)
+            apply_rows(updated, table, batch[table])
+            save_state(updated, path)
             state = load_state(path)
             out[stage] = estimates(state, queries)
     return out

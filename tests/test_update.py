@@ -379,9 +379,8 @@ def test_column_class_after_crossing_threshold_equals_rebuild():
 
 
 def test_crossing_batch_table_save_writes_full_save(tmp_path):
-    """An update that makes r.y numeric drops its `freq` entry: the table
-    save takes the file it loaded as its source all the same, and writes
-    the bytes of a full save."""
+    """An update that makes r.y numeric drops its `freq` entry: the save of
+    the state loaded for r writes the bytes of a full save all the same."""
     schema = schema_from_document(CROSSING_SCHEMA)
     config = BuildConfig(bin_count=2, top_k=0)
     base = {"r": make_table("r", CROSSING_R), "s": make_table("s", CROSSING_S)}
@@ -390,7 +389,7 @@ def test_crossing_batch_table_save_writes_full_save(tmp_path):
     save_state(build_state(schema, base, config), str(path))
     state = load_state(str(path), table="r")
     apply_rows(state, "r", batch)
-    save_state(state, str(path), table="r")
+    save_state(state, str(path))
     whole = build_state(schema, base, config)
     apply_rows(whole, "r", batch)
     save_state(whole, str(full))
