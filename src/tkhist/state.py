@@ -10,10 +10,10 @@ correlation-map section as columns; every numeric array is one packed string
 (`_pack`) of byte planes, an integer array at the narrowest width that holds
 its stored values, and every integer key and index array (keys, offsets,
 cells) is delta-coded.  A bridge, the two grids between two key columns of
-one table, is stored once, as the entry whose name sorts first; loading
-builds the other direction as the transpose.  Loading or saving the 1D and
-correlation arrays, kept as they are in memory, builds no per-key object (a
-set envelope excepted).
+one table, is stored once, as the entry whose name sorts first, and held
+as one grid: the other direction is its view `grid.T`.  Loading or saving
+the 1D and correlation arrays, kept as they are in memory, builds no
+per-key object (a set envelope excepted).
 The file stores only what the data decided; loading derives the rest:
 domain members from the schema, every bin count from `config.bin_count`, a
 histogram's domain from the key column in its name, a column's class from
@@ -24,19 +24,20 @@ column's sorted `freq` values, or else a domain of no members over the
 check on its axis.  Loading checks the type of every entry, the sign of
 every count, every length, offset and cell, that each 1D histogram's keys
 are sorted, distinct and in their bins, that no `freq` entry repeats a
-value, that a bridge is stored once, that every entry name fits the schema
-and that no required entry is missing (`check_complete`); older versions
-are rejected.
+value, and that the document holds every required entry and no name that
+`entry_names` does not list; older versions are rejected.
 
-Each table owns some entries of the document: its `hists1d` and `freq`
-entries (named `table.column`), its `hists2d` entries (`table.key|attr`),
-its `correlations` sections (`table|domain|attr`) and `table_rows[table]`.
-Every other entry (config, schema, domains) is global.  A batch update
+`entry_names` is the one list of the per-table entry names, each with its
+owning table and its key in memory.  A table owns its `hists1d` and `freq`
+entries (named `table.column`), its `hists2d` entries (`table.key|attr`)
+and its `correlations` sections (`table|domain|attr`).  `table_rows` and
+every other entry (config, schema, domains) are global.  A batch update
 changes only its table's entries, so `load_state(..., table=)` decodes and
-checks just those, the global entries and `table_rows`, and keeps the
-document.  Its save encodes that table's entries, takes the rest unread
-from the document and refuses a file that no longer holds it; the state
-refuses an estimate and another table's batch (`check_complete`).
+checks just those and the global entries, checks every other entry's name
+against the list, and keeps the document.  Its save encodes that table's
+entries, copies the rest unread from the document and refuses a file that
+no longer holds it; the state refuses an estimate and another table's
+batch (`check_complete`).
 """
 from __future__ import annotations
 
@@ -51,7 +52,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import catalog
-from .catalog import KeyDomain, Schema, TableData, split_qualified, value_span
+from .catalog import KeyDomain, Schema, TableData, value_span
 from .djpcd import Envelopes
 from .errors import DomainBoundsError, SchemaError, StateError
 from .histcore import (TKHist1D, TKHist2D, _sorted_positions,
@@ -95,6 +96,39 @@ class EstimatorState:
                 if f"{table}.{c.name}" in self.column_domain]
 
 
+def entry_names(schema: Schema,
+                column_domain: dict[str, str]) -> dict[str, dict]:
+    """Every per-table entry name that a state of `schema` may hold, by
+    section, each as (owning table, key in the state's field): the only
+    code that knows the names.  Of each table `t`, required: its row count
+    (`t`, owned by no one table, since every load reads them all), a 1D
+    histogram `t.key` of each key column and a 2D histogram `t.key|column`
+    of each key column with each other column, a bridge (both columns key
+    columns) listed once, under the name that sorts first; optional: a
+    frequency histogram `t.column` of each non-key column and a correlation
+    section `t|domain|column` of each key domain of `t` with each column.
+    `column_domain` maps each key column, as `table.column`, to its
+    domain."""
+    names = {sec: {} for sec in _SECTIONS}
+    for tdef in schema.tables:
+        t, columns = tdef.name, [c.name for c in tdef.columns]
+        names["table_rows"][t] = (None, t)
+        keys = [c for c in columns if f"{t}.{c}" in column_domain]
+        for cdef in tdef.columns:
+            if cdef.role != catalog.ROLE_KEY:
+                names["freq"][f"{t}.{cdef.name}"] = (t, (t, cdef.name))
+        for did in {column_domain[f"{t}.{k}"] for k in keys}:
+            for c in columns:
+                names["correlations"][f"{t}|{did}|{c}"] = (t, (t, did, c))
+        for k in keys:
+            names["hists1d"][f"{t}.{k}"] = (t, (t, k))
+            for c in columns:
+                name = f"{t}.{k}|{c}"
+                if c != k and not (c in keys and f"{t}.{c}|{k}" < name):
+                    names["hists2d"][name] = (t, (t, k, c))
+    return names
+
+
 def build_state(schema: Schema, tables: dict[str, TableData],
                 config: BuildConfig | None = None) -> EstimatorState:
     """Build all histograms for a schema over already-ingested table data.
@@ -108,6 +142,7 @@ def build_state(schema: Schema, tables: dict[str, TableData],
     catalog.set_domain_boundaries(list(domains.values()), tables,
                                   config.bin_count)
     column_domain = {c: d.id for d in domains.values() for c in d.columns}
+    key_domain = {c: domains[did] for c, did in column_domain.items()}
 
     hists1d: dict[tuple[str, str], TKHist1D] = {}
     hists2d: dict[tuple[str, str, str], TKHist2D] = {}
@@ -121,23 +156,23 @@ def build_state(schema: Schema, tables: dict[str, TableData],
         for name in catalog.categorical_columns(
                 data, tdef, schema.categorical_threshold):
             freq_hists[(t, name)] = add_value_counts({}, data.non_null(name))
-        key_domain = {c.name: domains[column_domain[f"{t}.{c.name}"]]
-                      for c in tdef.columns
-                      if f"{t}.{c.name}" in column_domain}
-        for kc, dom in key_domain.items():
-            hists1d[(t, kc)] = build_tkhist1d(
-                data.columns[kc], dom, config.top_k,
-                null_mask=data.null_mask[kc])
-            for cdef in tdef.columns:
-                if cdef.name != kc:
-                    hists2d[(t, kc, cdef.name)] = build_tkhist2d(
-                        data.columns[kc], data.columns[cdef.name], dom,
-                        _attr_axis(
-                            f"{t}.{cdef.name}", key_domain.get(cdef.name),
-                            freq_hists.get((t, cdef.name)), config.bin_count,
-                            lambda: value_span([data.non_null(cdef.name)])),
-                        key_nulls=data.null_mask[kc],
-                        attr_nulls=data.null_mask[cdef.name])
+    names = entry_names(schema, column_domain)
+    for _, (t, kc) in names["hists1d"].values():
+        data = tables[t]
+        hists1d[(t, kc)] = build_tkhist1d(
+            data.columns[kc], key_domain[f"{t}.{kc}"], config.top_k,
+            null_mask=data.null_mask[kc])
+    axes = {}  # (table, column) -> its attribute axis, made once
+    for _, (t, kc, attr) in names["hists2d"].values():
+        data, qual = tables[t], f"{t}.{attr}"
+        if (t, attr) not in axes:
+            axes[(t, attr)] = _attr_axis(
+                qual, key_domain.get(qual), freq_hists.get((t, attr)),
+                config.bin_count, lambda: value_span([data.non_null(attr)]))
+        _hold(hists2d, (t, kc, attr), build_tkhist2d(
+            data.columns[kc], data.columns[attr], key_domain[f"{t}.{kc}"],
+            axes[(t, attr)], key_nulls=data.null_mask[kc],
+            attr_nulls=data.null_mask[attr]))
 
     return EstimatorState(
         schema=schema, config=config, domains=domains,
@@ -145,27 +180,24 @@ def build_state(schema: Schema, tables: dict[str, TableData],
         freq_hists=freq_hists, table_rows=table_rows, correlations=None)
 
 
+def _hold(hists2d: dict, key: tuple[str, str, str], h2: TKHist2D) -> None:
+    """Put `h2` into `hists2d` at `key` and, when it is a bridge (its axis is
+    a key column's domain), its other direction: the view `h2.grid.T`, which
+    takes every batch that `h2` takes."""
+    hists2d[key] = h2
+    if isinstance(h2.attr, KeyDomain) and h2.attr.columns:
+        t, kc, attr = key
+        hists2d[(t, attr, kc)] = TKHist2D(key_domain=h2.attr,
+                                          attr=h2.key_domain, grid=h2.grid.T)
+
+
 def check_complete(state: EstimatorState, table: str | None = None) -> None:
-    """Raise StateError naming the first entry that `table` (every table,
-    when None) must have and `state` lacks: a 1D histogram of each key
-    column, and a 2D histogram of each key column with each other column of
-    its table (named as the file stores it).  A state loaded for one table
-    lacks every other table's entries."""
+    """Raise StateError unless `state` holds `table`'s entries (every
+    table's, when None): a state loaded for one table holds no other
+    table's.  Building and loading make every other state complete."""
     if state.source and state.source[0] != table:
         raise StateError(f"state was loaded to update table "
                          f"{state.source[0]!r} only")
-    for tdef in state.schema.tables:
-        t = tdef.name
-        if table not in (None, t):
-            continue
-        for kc in state.key_columns(t):
-            if (t, kc) not in state.hists1d:
-                raise StateError(f"state has no 1D histogram '{t}.{kc}'")
-            for cdef in tdef.columns:
-                if cdef.name != kc and (t, kc, cdef.name) not in state.hists2d:
-                    name = (_stored_twin(t, kc, cdef.name, state.column_domain)
-                            or f"{t}.{kc}|{cdef.name}")
-                    raise StateError(f"state has no 2D histogram {name!r}")
 
 
 def _attr_axis(qual: str, attr_domain: KeyDomain | None, freq: dict | None,
@@ -194,7 +226,8 @@ def apply_rows(state: EstimatorState, table: str,
 
     A row is accepted when each of its non-null keys lies inside its key
     domain's bounds; a rejected row changes nothing.  Each histogram takes
-    its accepted, non-null values in one call.  Frequency histograms count
+    its accepted, non-null values in one call, a bridge's grid once for
+    both directions.  Frequency histograms count
     first; each categorical grid then widens onto its column's sorted
     values, as a rebuild would bin them.  A column that the batch takes to
     `categorical_threshold` distinct values becomes numeric, as a rebuild
@@ -228,15 +261,17 @@ def apply_rows(state: EstimatorState, table: str,
                 f"{table}.{cdef.name}", None, None, state.config.bin_count,
                 lambda: value_span([np.asarray(values)]))
     for kc in key_cols:
-        keys = data.columns[kc]
-        state.hists1d[(table, kc)].insert(keys[valid[kc]])
-        for cdef in tdef.columns:
-            if cdef.name != kc:
-                h2 = state.hists2d[(table, kc, cdef.name)]
-                if cdef.name in axes:
-                    h2.widen(axes[cdef.name])
-                both = valid[kc] & valid[cdef.name]
-                h2.insert(keys[both], data.columns[cdef.name][both])
+        state.hists1d[(table, kc)].insert(data.columns[kc][valid[kc]])
+    for owner, key in entry_names(state.schema, state.column_domain)[
+            "hists2d"].values():
+        if owner != table:
+            continue
+        _, kc, attr = key
+        h2 = state.hists2d[key]
+        if attr in axes:
+            h2.widen(axes[attr])
+        both = valid[kc] & valid[attr]
+        h2.insert(data.columns[kc][both], data.columns[attr][both])
     inserted = int(accept.sum())
     state.table_rows[table] += inserted
     return inserted, data.row_count - inserted
@@ -385,49 +420,18 @@ def _freq_doc(fh: dict) -> list:
     return sorted(map(list, fh.items()), key=lambda kv: repr(kv[0]))
 
 
-# per-table section -> (EstimatorState field, entry name of a key, encoder)
-_TABLE_SECTIONS = {
-    "hists1d": ("hists1d", "{}.{}", _hist1d_doc),
-    "hists2d": ("hists2d", "{}.{}|{}", _hist2d_doc),
-    "freq": ("freq_hists", "{}.{}", _freq_doc),
-    "correlations": ("correlations", "{}|{}|{}", _correlation_doc),
-    "table_rows": ("table_rows", "{}", int),
+# per-table section -> (what an entry is, in errors; the kind of an entry,
+# a key of `_KINDS`; whether each entry that `entry_names` lists is
+# required; the EstimatorState field; the entry's encoder)
+_SECTIONS = {
+    "table_rows": ("table_rows entry", "a count", True, "table_rows", int),
+    "freq": ("frequency histogram", "a list of [value, count] pairs", False,
+             "freq_hists", _freq_doc),
+    "hists1d": ("1D histogram", "an object", True, "hists1d", _hist1d_doc),
+    "hists2d": ("2D histogram", "an object", True, "hists2d", _hist2d_doc),
+    "correlations": ("correlation section", "an object", False,
+                     "correlations", _correlation_doc),
 }
-
-
-def _owned_by(name: str, table: str | None) -> bool:
-    """Whether the per-table entry `name` is `table`'s (any table's, when
-    None): the name is the table's own or starts with it and a "." or "|"."""
-    return (table is None or name == table
-            or name.startswith((f"{table}.", f"{table}|")))
-
-
-def _stored_twin(table: str, key: str, attr: str, key_columns) -> str | None:
-    """None, unless the 2D histogram (table, key, attr) is the direction of
-    a bridge that the file leaves out: `attr` is a key column too (one of
-    `key_columns`) and the other direction's entry name, returned, sorts
-    first."""
-    twin = f"{table}.{attr}|{key}"
-    return (twin if f"{table}.{attr}" in key_columns
-            and twin < f"{table}.{key}|{attr}" else None)
-
-
-def _table_entries(state: EstimatorState, table: str) -> dict[str, dict]:
-    """The encoded document entries that `table` owns, by section and entry
-    name: those whose key is `table` or starts with it, but the direction
-    of a bridge that the file leaves out."""
-    owned = {}
-    for sec, (field, name, encode) in _TABLE_SECTIONS.items():
-        if getattr(state, field) is None:
-            continue
-        owned[sec] = {}
-        for key, value in getattr(state, field).items():
-            key = key if isinstance(key, tuple) else (key,)
-            if key[0] != table or (sec == "hists2d" and _stored_twin(
-                    *key, state.column_domain)):
-                continue
-            owned[sec][name.format(*key)] = encode(value)
-    return owned
 
 
 def _global_entries(state: EstimatorState) -> dict:
@@ -446,24 +450,23 @@ def _global_entries(state: EstimatorState) -> dict:
 def state_to_document(state: EstimatorState) -> dict:
     """The whole document of `state`; an absent correlation map is None.
     A state loaded for one table encodes only that table's entries and
-    takes every other table's from the document it was loaded from."""
+    copies every other table's from the document it was loaded from."""
+    table, source = state.source or (None, None)
+    check_complete(state, table)
     doc = _global_entries(state)
-    if state.source is None:
-        check_complete(state)
-        tables = [tdef.name for tdef in state.schema.tables]
-        for sec, (field, _, _) in _TABLE_SECTIONS.items():
-            doc[sec] = None if getattr(state, field) is None else {}
-    else:
-        table, source = state.source
-        check_complete(state, table)
-        tables = [table]
-        for sec in _TABLE_SECTIONS:
-            doc[sec] = source.get(sec) and {
-                name: entry for name, entry in source[sec].items()
-                if not _owned_by(name, table)}
-    for t in tables:
-        for sec, entries in _table_entries(state, t).items():
-            doc[sec].update(entries)
+    for sec, listed in entry_names(state.schema, state.column_domain).items():
+        *_, field, encode = _SECTIONS[sec]
+        held = getattr(state, field)
+        if held is None:  # no correlation map
+            doc[sec] = None
+            continue
+        doc[sec] = {}
+        for name, (owner, key) in listed.items():
+            if table is not None and owner not in (None, table):
+                if name in source[sec]:  # copied unread
+                    doc[sec][name] = source[sec][name]
+            elif key in held:
+                doc[sec][name] = encode(held[key])
     return doc
 
 
@@ -552,53 +555,34 @@ def _state_from_v9(doc: dict, table: str | None) -> EstimatorState:
         raise StateError(f"unknown table {table!r}")
 
     domains = {d.id: d for d in catalog.infer_key_domains(schema)}
-    bounds = dict(_entries(doc, "domains"))
+    bounds = _get(doc, "state document", "domains")
     if sorted(bounds) != sorted(domains):
         raise StateError(f"domains {sorted(bounds)} are not the schema's "
                          f"key domains {sorted(domains)}")
-    for did, d in bounds.items():
+    for did in bounds:
         domains[did].set_boundaries(*_fields(
-            d, f"domain {did!r}", lo="a finite number", hi="a finite number"),
-            bin_count)
+            _get(bounds, "domains", did), f"domain {did!r}",
+            lo="a finite number", hi="a finite number"), bin_count)
     column_domain = {c: d.id for d in domains.values() for c in d.columns}
     key_domains = {c: domains[did] for c, did in column_domain.items()}
-    columns = {f"{t.name}.{c.name}": c for t in schema.tables
-               for c in t.columns}
+    got = _listed(doc, entry_names(schema, column_domain), table)
 
-    def key_domain(where: str, qual: str) -> KeyDomain:
-        if qual not in key_domains:
-            raise StateError(f"{where}: {qual!r} is not a key column")
-        return key_domains[qual]
-
-    hists1d = {}
-    for qual, h in _entries(doc, "hists1d", table=table):
-        where = f"1D histogram {qual!r}"
-        dom = key_domain(where, qual)
-        t, c = split_qualified(qual)
-        integer = schema.table(t).column(c).kind == catalog.KIND_INTEGER
-        hists1d[(t, c)] = _hist1d_from_doc(where, h, dom,
-                                           "i" if integer else "f")
+    table_rows = {t: n for t, _, n in got["table_rows"]}
     freq = {}
-    for qual, items in _entries(doc, "freq", "a list of [value, count] pairs",
-                                table):
-        where = f"frequency histogram {qual!r}"
-        if qual not in columns or columns[qual].role == catalog.ROLE_KEY:
-            raise StateError(f"{where} is not on a non-key column")
+    for key, where, items in got["freq"]:
         counts = dict(items)
         if len(counts) != len(items):
             raise StateError(f"{where} repeats a value")
         if len({type(v) is str for v in counts}) > 1:
             raise StateError(f"{where} mixes strings and numbers")
-        freq[split_qualified(qual)] = counts
+        freq[key] = counts
+    hists1d = {}
+    for (t, c), where, h in got["hists1d"]:
+        integer = schema.table(t).column(c).kind == catalog.KIND_INTEGER
+        hists1d[(t, c)] = _hist1d_from_doc(where, h, key_domains[f"{t}.{c}"],
+                                           "i" if integer else "f")
     hists2d = {}
-    for name, h in _entries(doc, "hists2d", table=table):
-        where = f"2D histogram {name!r}"
-        qual, _, attr = name.partition("|")
-        dom = key_domain(where, qual)
-        t, c = split_qualified(qual)
-        if attr == c or f"{t}.{attr}" not in columns:
-            raise StateError(f"{where}: {attr!r} is not another column "
-                             f"of table {t!r}")
+    for (t, c, attr), where, h in got["hists2d"]:
         try:
             axis = _attr_axis(f"{t}.{attr}", key_domains.get(f"{t}.{attr}"),
                               freq.get((t, attr)), bin_count,
@@ -606,51 +590,46 @@ def _state_from_v9(doc: dict, table: str | None) -> EstimatorState:
                                               hi="a finite number"))
         except SchemaError as exc:
             raise StateError(f"{where}: {exc}") from exc
-        twin = _stored_twin(t, c, attr, key_domains)
-        if twin is not None:
-            raise StateError(f"{where}: a bridge is stored once, as {twin!r}")
-        h2 = hists2d[(t, c, attr)] = _hist2d_from_doc(where, h, dom, axis)
-        if f"{t}.{attr}" in key_domains:  # a bridge: the other direction
-            hists2d[(t, attr, c)] = TKHist2D(key_domain=axis, attr=dom,
-                                             grid=h2.grid.T.copy())
-    table_rows = dict(_entries(doc, "table_rows", "a count"))
-    if sorted(table_rows) != sorted(t.name for t in schema.tables):
-        raise StateError("table_rows does not name each schema table once")
-
+        _hold(hists2d, (t, c, attr), _hist2d_from_doc(
+            where, h, key_domains[f"{t}.{c}"], axis))
     correlations = None
     if doc.get("correlations") is not None:
-        correlations = {}
-        for name, sec in _entries(doc, "correlations", table=table):
-            where = f"correlation section {name!r}"
-            if name.count("|") != 2:
-                raise StateError(f"{where} is not named "
-                                 f"table|domain|attribute")
-            t, did, attr = name.split("|")
-            if f"{t}.{attr}" not in columns:
-                raise StateError(f"{where}: {attr!r} is not a column of "
-                                 f"table {t!r}")
-            if did not in domains or all(split_qualified(q)[0] != t
-                                         for q in domains[did].columns):
-                raise StateError(f"{where}: {did!r} is not the key domain "
-                                 f"of a column of table {t!r}")
-            correlations[(t, did, attr)] = _envelopes_from_doc(where, sec)
+        correlations = {key: _envelopes_from_doc(where, sec)
+                        for key, where, sec in got["correlations"]}
 
-    state = EstimatorState(
+    return EstimatorState(
         schema=schema, config=config, domains=domains,
         column_domain=column_domain, hists1d=hists1d, hists2d=hists2d,
         freq_hists=freq, table_rows=table_rows, correlations=correlations,
         source=None if table is None else (table, doc))
-    check_complete(state, table)
-    return state
 
 
-def _entries(doc: dict, section: str, kind: str = "an object",
-             table: str | None = None) -> list:
-    """The (name, value) entries of a top-level section that `table` owns
-    (every entry, when None), each value `kind`."""
-    sec = _get(doc, "state document", section)
-    return [(name, _get(sec, section, name, kind)) for name in sec
-            if _owned_by(name, table)]
+def _listed(doc: dict, names: dict[str, dict],
+            table: str | None) -> dict[str, list]:
+    """Per section, (key, description, entry) of each entry named in `names`
+    (`entry_names`) that a load for `table` decodes, each entry of its
+    section's kind.  Raises StateError for a name in any section that
+    `names` does not list, and for a required entry that is missing."""
+    got = {}
+    for sec, listed in names.items():
+        noun, kind, required, *_ = _SECTIONS[sec]
+        got[sec] = []
+        if sec == "correlations" and doc.get(sec) is None:
+            continue  # no correlation map
+        entries = _get(doc, "state document", sec)
+        for name in entries:
+            if name not in listed:
+                raise StateError(f"{noun} {name!r} is not an entry of the "
+                                 f"schema")
+        for name, (owner, key) in listed.items():
+            if table is not None and owner not in (None, table):
+                continue  # carried unread
+            if name in entries:
+                got[sec].append((key, f"{noun} {name!r}",
+                                 _get(entries, sec, name, kind)))
+            elif required:
+                raise StateError(f"state has no {noun} {name!r}")
+    return got
 
 
 def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,

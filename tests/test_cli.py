@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -270,6 +271,34 @@ class TestUpdate:
         assert main(["estimate", "--state", str(built),
                      "SELECT COUNT(*) FROM t1"]) == 2
         assert "'t2.k1': 'nv' is not a string" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section, name, copied", [
+        ("hists2d", "t2.y|k1", "t2.k1|y"),
+        ("freq", "t2.zz", "t2.y"),
+        ("correlations", "t3|t1.k1|zz", "t3|t1.k1|y"),
+        ("hists1d", "t9.k1", "t2.k1"),
+    ], ids=["reversed-2d", "unknown-column", "unknown-attribute",
+            "unknown-table"])
+    def test_unknown_entry_name_fails_every_update(self, built, tmp_path,
+                                                   capsys, section, name,
+                                                   copied):
+        # every load checks every entry's name, whichever table's part of
+        # the section it is in: a name the schema has no place for fails
+        # an update of any table and leaves the file as it was
+        doc = json.loads(built.read_text())
+        doc[section][name] = doc[section][copied]
+        built.write_text(json.dumps(doc))
+        before = built.read_bytes()
+        new = tmp_path / "new.csv"
+        new.write_text("k1,y\n1,5\n")
+        message = f"{name!r} is not an entry of the schema"
+        for table in ("t1", "t2", "t3"):
+            with pytest.raises(StateError, match=re.escape(message)):
+                load_state(str(built), table=table)
+            assert main(["update", "--state", str(built), "--table", table,
+                         "--csv", str(new)]) == 2
+            assert message in capsys.readouterr().err
+            assert built.read_bytes() == before
 
     def test_interleaved_update_refused_not_lost(self, built, tmp_path):
         # of two updates of t1 loaded from one file, the later save fails

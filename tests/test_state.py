@@ -10,11 +10,12 @@ import pytest
 from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
-from tkhist.catalog import TableData, schema_from_document
+from tkhist import cli
+from tkhist.catalog import TableData, schema_from_document, write_table_csv
 from tkhist.errors import StateError
 from tkhist.estimator import (discover_correlations, estimate,
                               evaluate_workload)
-from tkhist.histcore import build_tkhist1d
+from tkhist.histcore import build_tkhist1d, build_tkhist2d
 from tkhist.state import (BuildConfig, _hist2d_doc, _pack, _unpack,
                           apply_rows, build_state, load_state, save_state,
                           state_from_document, state_to_document)
@@ -330,6 +331,34 @@ def test_saved_integer_arrays_at_narrowest_width(mixed_state, tmp_path):
             if twin_name(name) in doc["hists2d"]] == []
 
 
+def assert_bridges_rebuilt(state, rows):
+    """Every bridge that `state` holds is one grid, its two directions
+    sharing memory, and each direction equals a rebuild from `rows`."""
+    bridges = [key for key in state.hists2d
+               if (key[0], key[2], key[1]) in state.hists2d]
+    assert bridges
+    for t, a, b in bridges:
+        h2 = state.hists2d[(t, a, b)]
+        assert np.shares_memory(h2.grid, state.hists2d[(t, b, a)].grid)
+        data = rows[t]
+        assert h2.grid.tolist() == build_tkhist2d(
+            data.columns[a], data.columns[b], h2.key_domain, h2.attr,
+            key_nulls=data.null_mask[a],
+            attr_nulls=data.null_mask[b]).grid.tolist()
+
+
+def in_domains(state, table, batch):
+    """The rows of `batch` whose keys all lie in their key domains."""
+    keep = np.ones(batch.row_count, dtype=bool)
+    for kc in state.key_columns(table):
+        dom = state.domains[state.column_domain[f"{table}.{kc}"]]
+        keep &= (batch.columns[kc] >= dom.lo) & (batch.columns[kc] <= dom.hi)
+    return TableData(name=table,
+                     columns={c: v[keep] for c, v in batch.columns.items()},
+                     null_mask={c: v[keep] for c, v in batch.null_mask.items()},
+                     row_count=int(keep.sum()))
+
+
 class TestFormat:
     def test_save_load_keeps_estimates(self, mixed_state, tmp_path):
         direct = save_bytes(mixed_state, tmp_path / "a.json")
@@ -356,8 +385,8 @@ class TestFormat:
             mine, twin = loaded.hists2d[(t, a, b)], loaded.hists2d[(t, b, a)]
             assert twin.grid.tolist() == mine.grid.T.tolist()
             assert (twin.key_domain, twin.attr) == (mine.attr, mine.key_domain)
-            assert not np.shares_memory(mine.grid, twin.grid)
-        # each direction takes the batch on its own, as after a build
+            assert np.shares_memory(mine.grid, twin.grid)  # one grid
+        # the one grid takes the batch for both directions, as after a build
         batch = generate_synthetic(MIXED_SPEC, seed=5)[1]["t3"]
         assert apply_rows(loaded, "t3", batch) == \
             apply_rows(mixed_state, "t3", batch)
@@ -366,6 +395,39 @@ class TestFormat:
         save_state(loaded, str(path))
         assert path.read_bytes() == save_bytes(mixed_state,
                                                tmp_path / "full.json")
+
+    def test_bridge_is_one_grid_through_build_load_and_updates(
+            self, tmp_path, monkeypatch):
+        # after a build, a save and load, and each `tkhist update` batch of
+        # a bridge table (each a table load), every bridge's two directions
+        # are one grid and equal a rebuild from all the table's rows
+        schema, rows = generate_synthetic(MIXED_SPEC, seed=3)
+        state = build_state(schema, rows, BuildConfig(bin_count=8, top_k=3))
+        assert_bridges_rebuilt(state, rows)
+        path = tmp_path / "state.json"
+        save_state(state, str(path))
+        assert_bridges_rebuilt(load_state(str(path)), rows)
+        updated = []
+
+        def apply_and_keep(st, table, data):
+            updated.append(st)
+            return apply_rows(st, table, data)
+        monkeypatch.setattr(cli, "apply_rows", apply_and_keep)
+        for i, table in enumerate(["t3", "t4", "t3"]):
+            batch = in_domains(state, table, generate_synthetic(
+                MIXED_SPEC, seed=5 + i)[1][table])
+            csv = tmp_path / f"batch{i}.csv"
+            write_table_csv(batch, schema.table(table), str(csv))
+            assert cli.main(["update", "--state", str(path), "--table", table,
+                             "--csv", str(csv)]) == 0
+            rows[table] = TableData(name=table, columns={
+                c: np.concatenate([v, batch.columns[c]])
+                for c, v in rows[table].columns.items()}, null_mask={
+                c: np.concatenate([v, batch.null_mask[c]])
+                for c, v in rows[table].null_mask.items()},
+                row_count=rows[table].row_count + batch.row_count)
+            assert_bridges_rebuilt(updated[-1], rows)
+            assert_bridges_rebuilt(load_state(str(path)), rows)
 
     @pytest.mark.parametrize("keep_first", [True, False])
     def test_bridge_stored_twice_or_reversed_rejected(self, mixed_state,
@@ -376,8 +438,7 @@ class TestFormat:
         if not keep_first:
             del doc["hists2d"]["t3.k1|k2"]
         with pytest.raises(StateError, match=re.escape(
-                "2D histogram 't3.k2|k1': a bridge is stored once, "
-                "as 't3.k1|k2'")):
+                "2D histogram 't3.k2|k1' is not an entry of the schema")):
             state_from_document(doc)
 
     def test_missing_bridge_named_as_stored(self, mixed_state):
@@ -551,9 +612,8 @@ class TestErrors:
                                                     name, renamed):
         doc = state_to_document(built[0])
         doc[section][renamed] = doc[section].pop(name)
-        qual = renamed.split("|")[0]
         with pytest.raises(StateError, match=re.escape(
-                f"histogram {renamed!r}: {qual!r} is not a key column")):
+                f"histogram {renamed!r} is not an entry of the schema")):
             state_from_document(doc)
 
     @pytest.fixture
@@ -644,7 +704,8 @@ class TestErrors:
          r"2D histogram 'r.k\|y' has shape None, expected \[4, 4\]"),
         (("freq", "r.y"), MISSING, r"2D histogram 'r.k\|y' has no 'lo' entry"),
         (("table_rows", "r"), -1, "'r' is not a count"),
-        (("table_rows", "t"), 3, "table_rows does not name each schema table"),
+        (("table_rows", "t"), 3,
+         "table_rows entry 't' is not an entry of the schema"),
         (("freq", "r.y"), [[3, 2, 1]], "is not a list of \\[value, count\\] pairs"),
         (("freq", "r.y"), [[[3], 2]], "is not a list of \\[value, count\\] pairs"),
         (("hists1d", "r.k", "topk_counts"), packed([2, -1, 1]),
@@ -656,17 +717,17 @@ class TestErrors:
         (("hists2d", "r.k|zz"), {
             "shape": [4, 4], "cells": packed([]), "counts": packed([]),
             "lo": 0.0, "hi": 1.0},
-         r"'r.k\|zz': 'zz' is not another column of table 'r'"),
+         r"2D histogram 'r.k\|zz' is not an entry of the schema"),
         (("correlations", "r|r.k|zz"), {"keys": packed([1]),
                                         "lo": packed([3]), "hi": packed([3])},
-         r"'r\|r.k\|zz': 'zz' is not a column of table 'r'"),
+         r"correlation section 'r\|r.k\|zz' is not an entry of the schema"),
         (("correlations", "r|nope|y"), {"keys": packed([1]),
                                         "lo": packed([3]), "hi": packed([3])},
-         r"'r\|nope\|y': 'nope' is not the key domain of a column"),
+         r"correlation section 'r\|nope\|y' is not an entry of the schema"),
         (("freq", "r.zz"), [[3, 2]],
-         "frequency histogram 'r.zz' is not on a non-key column"),
+         "frequency histogram 'r.zz' is not an entry of the schema"),
         (("freq", "r.k"), [[1, 2]],
-         "frequency histogram 'r.k' is not on a non-key column"),
+         "frequency histogram 'r.k' is not an entry of the schema"),
         # envelope columns that one comparison rule cannot read
         (("correlations", "r|r.k|y", "hi"), packed([3.0], "f8"),
          "'hi' has dtype tag 'f8', expected i8"),
@@ -1117,15 +1178,8 @@ def test_estimating_leaves_state_unchanged(built, a, b, table):
 
     # the state still updates as a rebuild would: one batch into `table`,
     # its rows whose keys all lie in their domains
-    batch = generate_synthetic(spec, seed=seed + 1)[1][table]
-    keep = np.ones(batch.row_count, dtype=bool)
-    for kc in state.key_columns(table):
-        dom = state.domains[state.column_domain[f"{table}.{kc}"]]
-        keep &= (batch.columns[kc] >= dom.lo) & (batch.columns[kc] <= dom.hi)
-    batch = TableData(name=table,
-                      columns={c: v[keep] for c, v in batch.columns.items()},
-                      null_mask={c: v[keep] for c, v in batch.null_mask.items()},
-                      row_count=int(keep.sum()))
+    batch = in_domains(state, table,
+                       generate_synthetic(spec, seed=seed + 1)[1][table])
     assert apply_rows(state, table, batch) == (batch.row_count, 0)
     taken = {(t, kc): tables[t].columns[kc] for t, kc in state.hists1d}
     for kc in state.key_columns(table):
@@ -1165,8 +1219,13 @@ def corrupted_documents(draw):
     re-tagged (to an unknown tag, the other dtype or another integer width)
     or cut to a ragged byte count, or a 1D key swapped for one of the other
     key array's or a 1D offset moved by one; then one per required entry
-    (each 1D and 2D histogram), with that entry deleted.  Each copy comes
-    with the path of the entry and whether it was deleted."""
+    (each 1D and 2D histogram), with that entry deleted; then one per
+    histogram and correlation section, with that entry renamed to a name
+    the schema has no place for: a 2D name reversed (as a bridge's other
+    direction is named), a column the table does not have, or another
+    table's prefix.  Each copy comes with the path of the entry (its new
+    name, when renamed) and how it was made: "corrupted", "deleted" or
+    "renamed"."""
     state, _ = draw(updated_states())
     saved = json.dumps(state_to_document(state))
     copies = []
@@ -1231,12 +1290,25 @@ def corrupted_documents(draw):
         for name in path[:-1]:
             entry = entry[name]
         entry[path[-1]] = draw(st.one_of(corruptions))
-        copies.append((path, doc, False))
+        copies.append((path, doc, "corrupted"))
     for sec in ("hists1d", "hists2d"):
         for name in json.loads(saved)[sec]:
             doc = json.loads(saved)
             del doc[sec][name]
-            copies.append(((sec, name), doc, True))
+            copies.append(((sec, name), doc, "deleted"))
+    for sec in ("hists1d", "hists2d", "freq", "correlations"):
+        for name in json.loads(saved)[sec] or ():
+            doc = json.loads(saved)
+            t = re.split(r"[.|]", name)[0]
+            other = "s" if t == "r" else "r"
+            names = [re.sub(r"[^.|]+$", "zz", name), other + name[len(t):]]
+            if sec == "hists2d":
+                qual, _, attr = name.partition("|")
+                names.append(f"{t}.{attr}|{qual.split('.')[1]}")
+            renamed = draw(st.sampled_from(
+                [n for n in names if n not in doc[sec]]))
+            doc[sec][renamed] = doc[sec].pop(name)
+            copies.append(((sec, renamed), doc, "renamed"))
     return copies
 
 
@@ -1265,16 +1337,18 @@ def owner(path) -> str | None:
 @given(corrupted_documents())
 def test_corrupted_entries_raise_state_error(copies):
     # a full load rejects every copy, naming a deleted entry; a load for
-    # one table rejects exactly the copies whose entry it decodes
+    # one table rejects exactly the copies whose entry it decodes, and
+    # every renamed copy, naming the new name
     wrong = []
-    for path, doc, deleted in copies:
+    for path, doc, how in copies:
         for table in (None, *KINDS):
             message = state_error(doc, table)
-            if table is not None and owner(path) not in (None, table):
+            if (how != "renamed" and table is not None
+                    and owner(path) not in (None, table)):
                 ok = message is None
             else:
                 ok = message is not None and (
-                    not deleted or repr(path[1]) in message)
+                    how == "corrupted" or repr(path[1]) in message)
             if not ok:
                 wrong.append((path, table, message))
     assert wrong == []
