@@ -216,12 +216,21 @@ def first_cycle_edge(edges) -> tuple[str, str] | None:
 
 @dataclass
 class TableData:
-    """Columnar table contents with per-column null masks."""
+    """Columnar table contents with per-column null masks.  A NaN in a float
+    column passes no predicate and joins nothing, so it is a null: each such
+    column's mask is made anew with its NaN rows set, the caller's masks and
+    columns left as they are."""
 
     name: str
     columns: dict[str, np.ndarray]
     null_mask: dict[str, np.ndarray]
     row_count: int
+
+    def __post_init__(self):
+        self.null_mask = {
+            c: m | np.isnan(self.columns[c])
+            if self.columns[c].dtype.kind == "f" else m
+            for c, m in self.null_mask.items()}
 
     def non_null(self, column: str) -> np.ndarray:
         return self.columns[column][~self.null_mask[column]]
@@ -230,13 +239,14 @@ class TableData:
 def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> TableData:
     """Read a table's CSV into columnar arrays.
 
-    The header row must contain exactly the declared columns.  Empty cells,
-    and REAL cells that parse to NaN, are recorded as nulls; an unparseable
-    cell, an INTEGER cell outside int64, or a REAL cell that parses to an
-    infinity, is an error naming row and column.  A table of INTEGER columns
-    whose header is its first line and whose body is plain digits, '-', ','
-    and line ends is read by numpy from the file's path; every other file is
-    read cell by cell, with the same result.
+    The header row must contain exactly the declared columns.  Empty cells
+    are recorded as nulls, and so are REAL cells that parse to NaN, as in
+    every `TableData`; an unparseable cell, an INTEGER cell outside int64,
+    or a REAL cell that parses to an infinity, is an error naming row and
+    column.  A table of INTEGER columns whose header is its first line and
+    whose body is plain digits, '-', ',' and line ends is read by numpy from
+    the file's path; every other file is read cell by cell, with the same
+    result.
     """
     if path is None:
         path = tdef.source
@@ -354,8 +364,6 @@ def _ingest_cells(tdef: TableDef, col_pos: dict[str, int], width: int,
             columns[cdef.name] = np.asarray(raw[cdef.name], dtype=object)
         null_mask[cdef.name] = np.asarray(nulls[cdef.name], dtype=bool)
         if cdef.kind == KIND_REAL:
-            # NaN passes no predicate and joins nothing: it is a null
-            null_mask[cdef.name] |= np.isnan(columns[cdef.name])
             # an infinity would turn equi-width bin boundaries into inf/NaN
             inf_rows = np.flatnonzero(np.isinf(columns[cdef.name]))
             if len(inf_rows):
@@ -516,14 +524,6 @@ def set_domain_boundaries(domains: list[KeyDomain],
         dom.set_boundaries(*value_span(
             tables[t].non_null(c)
             for t, c in map(split_qualified, dom.columns)), bin_count)
-
-
-def categorical_columns(data: TableData, tdef: TableDef,
-                        threshold: int) -> list[str]:
-    """The non-key columns that are categorical (`is_categorical`); every
-    other column is numeric."""
-    return [c.name for c in tdef.columns if c.role != ROLE_KEY
-            and is_categorical(c, data.non_null(c.name), threshold)]
 
 
 def is_categorical(cdef: ColumnDef, values: np.ndarray, threshold: int) -> bool:

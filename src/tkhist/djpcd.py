@@ -165,14 +165,12 @@ def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
     where `ids[i]` places the key of `rows[i]` in the sorted `keys`.  A
     range is the `np.minimum.at` and `np.maximum.at` of each key's values;
     a set, its distinct values, taken in one grouped pass over the rows
-    sorted by key.  Null and NaN values are skipped (`matches` accepts
-    neither), so exclusion stays sound.  None when no row is left.
+    sorted by key.  Null values, NaN among them (`TableData`), are skipped
+    (`matches` accepts none), so exclusion stays sound.  None when no row
+    is left.
     """
     keep = ~amask[rows]
     vals, ids = avals[rows[keep]], ids[keep]
-    if vals.dtype.kind == "f":
-        valid = ~np.isnan(vals)
-        vals, ids = vals[valid], ids[valid]
     if len(vals) == 0:
         return None
     if categorical:

@@ -83,9 +83,7 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     each map before removing keys from it.
     """
     table = query.aliases[alias]
-    hist = state.hists1d.get((table, key_col))
-    if hist is None:
-        raise PlanError(f"no histogram for join column {table}.{key_col}")
+    hist = state.hists1d[(table, key_col)]
     comp = lift(hist)
 
     if excluded:
@@ -104,11 +102,8 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
                               if matches(pred, k)} for dom in comp.dominant]
             frac = key_bin_fractions(hist.domain, pred, integer)
         else:
-            h2 = state.hists2d.get((table, key_col, attr))
-            if h2 is None:
-                raise PlanError(
-                    f"no statistics for predicate column {table}.{attr}")
-            frac = selectivity_2d(h2, pred, integer)
+            frac = selectivity_2d(state.hists2d[(table, key_col, attr)], pred,
+                                  integer)
         sel = frac if sel is None else sel * frac
     if sel is not None:
         comp = apply_filters(comp, sel)
@@ -140,13 +135,9 @@ def _eval_group(state: EstimatorState, query: Query, plan: SubQueryPlan,
         child = _eval_group(state, query, plan, excluded_by_domain,
                             group_record, link.child)
         btable = query.aliases[link.bridge_alias]
-        bridge2d = state.hists2d.get((btable, link.child_col, link.parent_col))
-        parent_hist = state.hists1d.get((btable, link.parent_col))
-        if bridge2d is None or parent_hist is None:
-            raise PlanError(
-                f"no bridge statistics for {btable}.{link.child_col} -> "
-                f"{btable}.{link.parent_col}")
-        factors.append(chain_translate(child, bridge2d, parent_hist))
+        factors.append(chain_translate(
+            child, state.hists2d[(btable, link.child_col, link.parent_col)],
+            state.hists1d[(btable, link.parent_col)]))
     comp = join_star_group(factors)
     if group_record is not None:
         group_record[gid] = comp
@@ -168,14 +159,14 @@ def _single_table_fraction(state: EstimatorState, table: str,
         fr = key_bin_fractions(hist.domain, pred, integer)
         masses = hist.bin_rows().astype(np.float64)
         return float(masses @ fr / masses.sum()) if masses.sum() > 0 else 0.0
-    for kc in state.key_columns(table):
-        h2 = state.hists2d.get((table, kc, attr))
-        if h2 is not None:
-            mass = h2.key_marginal().astype(np.float64)
-            if mass.sum() <= 0:
-                return 0.0
-            return float(mass @ selectivity_2d(h2, pred, integer) / mass.sum())
-    return 1.0  # no statistics for this column; neutral
+    keys = state.key_columns(table)
+    if not keys:
+        return 1.0  # no key column, so no 2D histogram: neutral
+    h2 = state.hists2d[(table, keys[0], attr)]
+    mass = h2.key_marginal().astype(np.float64)
+    if mass.sum() <= 0:
+        return 0.0
+    return float(mass @ selectivity_2d(h2, pred, integer) / mass.sum())
 
 
 def _estimate_single_table(state: EstimatorState, query: Query) -> float:

@@ -113,9 +113,9 @@ def _offsets(sorted_bins: np.ndarray, bin_count: int) -> np.ndarray:
     return np.searchsorted(sorted_bins, np.arange(bin_count + 1))
 
 
-def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
-                   null_mask: np.ndarray | None = None) -> TKHist1D:
-    """Build a top-k histogram from a join-key column in one grouped pass.
+def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int) -> TKHist1D:
+    """Build a top-k histogram of the join keys `values` (nulls already
+    removed, as for `insert`) in one grouped pass: every value counts.
 
     Values are assigned to half-open bins [b_i, b_{i+1}) with the last bin
     closed.  The distinct keys and their counts come from one `np.unique`;
@@ -126,8 +126,6 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int,
     """
     if k < 0:
         raise TKHistError("k must be >= 0")
-    if null_mask is not None:
-        values = values[~null_mask]
     keys, counts = np.unique(values, return_counts=True)
     idx = domain.bins_of(keys)
     order = np.lexsort((keys, -counts, idx))
@@ -208,20 +206,14 @@ def _attr_bins(axis: KeyDomain | list, values) -> np.ndarray:
 
 
 def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
-                   domain: KeyDomain, axis: KeyDomain | list,
-                   key_nulls: np.ndarray | None = None,
-                   attr_nulls: np.ndarray | None = None) -> TKHist2D:
-    """Tabulate (key bin, attribute bin) counts; rows with a null on either
-    side are excluded."""
+                   domain: KeyDomain, axis: KeyDomain | list) -> TKHist2D:
+    """Tabulate the (key bin, attribute bin) counts of the aligned rows
+    given, every one counted: rows with a null on either side are already
+    removed, as for `insert`."""
     if len(key_values) != len(attr_values):
         raise TKHistError("key and attribute columns have different lengths")
-    keep = np.ones(len(key_values), dtype=bool)
-    if key_nulls is not None:
-        keep &= ~key_nulls
-    if attr_nulls is not None:
-        keep &= ~attr_nulls
-    grid = _cell_counts(domain.bins_of(key_values[keep]),
-                        _attr_bins(axis, attr_values[keep]),
+    grid = _cell_counts(domain.bins_of(key_values),
+                        _attr_bins(axis, attr_values),
                         (domain.bin_count, axis_length(axis)))
     return TKHist2D(key_domain=domain, attr=axis, grid=grid)
 

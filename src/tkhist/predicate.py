@@ -114,15 +114,23 @@ def key_bin_fractions(axis: KeyDomain, pred: Predicate,
     i spans lo + i*w .. lo + (i+1)*w with w = (hi - lo) / bin_count, and its
     share is the summed overlap of the satisfying intervals over its width,
     capped at 1 (0 for a bin of no width)."""
-    intervals = satisfying_intervals(pred, integer)
     lo, n = axis.lo, axis.bin_count
     w = (axis.hi - lo) / n
-    out = np.zeros(n)
-    for i in range(n):
-        left, right = lo + i * w, lo + (i + 1) * w
-        covered = 0.0
-        for a, b in intervals:
-            covered += max(0.0, min(b, right) - max(a, left))
-        width = right - left
-        out[i] = 0.0 if width <= 0 else min(covered / width, 1.0)
-    return out
+    left, right = lo + np.arange(n) * w, lo + np.arange(1, n + 1) * w
+    covered = np.zeros(n)
+    for a, b in satisfying_intervals(pred, integer):
+        covered += _overlaps(a, b, left, right)
+    width = right - left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(width > 0, np.minimum(covered / width, 1.0), 0.0)
+
+
+def _overlaps(a, b, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """max(0.0, min(b, r) - max(a, l)) for each bin [l, r] of `left` and
+    `right`, as Python computes it: fmax reads a NaN overlap as none, and a
+    bound that is an int past 2**53, which float64 would round, is compared
+    and subtracted exactly, a bin at a time."""
+    if any(isinstance(v, int) and abs(v) > 2 ** 53 for v in (a, b)):
+        return np.array([max(0.0, min(b, r) - max(a, le))
+                         for le, r in zip(left.tolist(), right.tolist())])
+    return np.fmax(0.0, np.minimum(b, right) - np.maximum(a, left))

@@ -131,7 +131,10 @@ def entry_names(schema: Schema,
 
 def build_state(schema: Schema, tables: dict[str, TableData],
                 config: BuildConfig | None = None) -> EstimatorState:
-    """Build all histograms for a schema over already-ingested table data.
+    """Build all histograms for a schema over already-ingested table data,
+    a table at a time: each column's non-null values, read once, give its
+    class, its frequency histogram, its attribute axis and its 1D
+    histogram; each 2D histogram counts the rows valid on both its columns.
 
     Correlation discovery is a separate pass (estimator.discover_correlations)
     because it re-runs the join pipeline over the longest templates.
@@ -149,30 +152,35 @@ def build_state(schema: Schema, tables: dict[str, TableData],
     freq_hists: dict[tuple[str, str], dict] = {}
     table_rows: dict[str, int] = {}
 
+    grids = entry_names(schema, column_domain)["hists2d"].values()
     for tdef in schema.tables:
         t, data = tdef.name, tables[tdef.name]
         table_rows[t] = data.row_count
-        # a column is categorical exactly when it has a frequency histogram
-        for name in catalog.categorical_columns(
-                data, tdef, schema.categorical_threshold):
-            freq_hists[(t, name)] = add_value_counts({}, data.non_null(name))
-    names = entry_names(schema, column_domain)
-    for _, (t, kc) in names["hists1d"].values():
-        data = tables[t]
-        hists1d[(t, kc)] = build_tkhist1d(
-            data.columns[kc], key_domain[f"{t}.{kc}"], config.top_k,
-            null_mask=data.null_mask[kc])
-    axes = {}  # (table, column) -> its attribute axis, made once
-    for _, (t, kc, attr) in names["hists2d"].values():
-        data, qual = tables[t], f"{t}.{attr}"
-        if (t, attr) not in axes:
-            axes[(t, attr)] = _attr_axis(
-                qual, key_domain.get(qual), freq_hists.get((t, attr)),
-                config.bin_count, lambda: value_span([data.non_null(attr)]))
-        _hold(hists2d, (t, kc, attr), build_tkhist2d(
-            data.columns[kc], data.columns[attr], key_domain[f"{t}.{kc}"],
-            axes[(t, attr)], key_nulls=data.null_mask[kc],
-            attr_nulls=data.null_mask[attr]))
+        # one valid mask and one read of the non-null values per column
+        valid = {c.name: ~data.null_mask[c.name] for c in tdef.columns}
+        values = {c: data.columns[c][rows] for c, rows in valid.items()}
+        for cdef in tdef.columns:
+            c, qual = cdef.name, f"{t}.{cdef.name}"
+            if qual in key_domain:
+                hists1d[(t, c)] = build_tkhist1d(values[c], key_domain[qual],
+                                                 config.top_k)
+            # a column is categorical exactly when it has a frequency histogram
+            if cdef.role != catalog.ROLE_KEY and catalog.is_categorical(
+                    cdef, values[c], schema.categorical_threshold):
+                freq_hists[(t, c)] = add_value_counts({}, values[c])
+        axes = {}  # column -> its attribute axis, made once
+        for owner, (_, kc, attr) in grids:
+            if owner != t:
+                continue
+            qual = f"{t}.{attr}"
+            if attr not in axes:
+                axes[attr] = _attr_axis(
+                    qual, key_domain.get(qual), freq_hists.get((t, attr)),
+                    config.bin_count, lambda: value_span([values[attr]]))
+            both = valid[kc] & valid[attr]
+            _hold(hists2d, (t, kc, attr), build_tkhist2d(
+                data.columns[kc][both], data.columns[attr][both],
+                key_domain[f"{t}.{kc}"], axes[attr]))
 
     return EstimatorState(
         schema=schema, config=config, domains=domains,
@@ -706,7 +714,7 @@ def _hist2d_from_doc(where: str, h: dict, dom: KeyDomain,
 
 def _envelopes_from_doc(where: str, sec: dict) -> Envelopes:
     keys = _unpack(sec, where, "keys", None, delta=True)
-    if np.any(keys[1:] <= keys[:-1]):
+    if not np.all(keys[1:] > keys[:-1]):  # a NaN fails it too
         raise StateError(f"{where} has unsorted or repeated keys")
     if "values" in sec:
         section = Envelopes(keys, values=list(map(frozenset, _get(

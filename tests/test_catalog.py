@@ -17,6 +17,7 @@ from tkhist.catalog import (KeyDomain, equi_width_bins, infer_key_domains,
                             set_domain_boundaries, value_span,
                             write_table_csv)
 from tkhist.errors import DomainBoundsError, IngestError, SchemaError
+from tkhist.state import build_state
 
 from conftest import domain_bin, make_table, scalar_bin, two_table_schema
 
@@ -147,6 +148,25 @@ class TestIngest:
         again = ingest_table(tdef, schema, path=str(out))
         assert again.columns["k"].tolist() == data.columns["k"].tolist()
         assert again.null_mask["y"].tolist() == data.null_mask["y"].tolist()
+
+    def test_nan_is_a_null_in_every_table_data(self, tmp_path):
+        # a REAL cell reading NaN, and a NaN put in a TableData through the
+        # API, are both nulls; the caller's arrays are left as they were
+        schema = schema_from_document({"tables": [{"name": "r", "columns": [
+            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "y", "kind": "real"}]}]})
+        path = tmp_path / "r.csv"
+        path.write_text("k,y\n1,nan\n2,2.5\n3,\n")
+        data = ingest_table(schema.table("r"), schema, path=str(path))
+        assert data.null_mask["y"].tolist() == [True, False, True]
+        y, mask = np.array([np.nan, 2.5, 0.0]), np.array([False, False, True])
+        made = catalog.TableData(
+            name="r", columns={"k": np.array([1, 2, 3]), "y": y},
+            null_mask={"k": np.zeros(3, dtype=bool), "y": mask}, row_count=3)
+        assert made.null_mask["y"].tolist() == [True, False, True]
+        assert made.non_null("y").tolist() == [2.5]
+        assert mask.tolist() == [False, False, True]
+        assert np.isnan(y[0]) and made.columns["y"] is y
 
     def test_bad_cell_names_row_and_column(self, tmp_path):
         schema = two_table_schema()
@@ -505,13 +525,16 @@ class TestEquiWidthBins:
 
 class TestClassification:
     def test_threshold_and_declared_override(self):
+        # a column is categorical exactly when the build gives it a
+        # frequency histogram
         schema = two_table_schema()
-        data = make_table("r", {"k": list(range(50)),
-                                "y": list(range(50))})
-        assert catalog.categorical_columns(
-            data, schema.table("r"), threshold=10) == []
-        assert catalog.categorical_columns(
-            data, schema.table("r"), threshold=100) == ["y"]
+        tables = {"r": make_table("r", {"k": list(range(50)),
+                                        "y": list(range(50))}),
+                  "s": make_table("s", {"k": [0], "y": [0]})}
+        for threshold, categorical in ((10, []), (100, ["y"])):
+            schema.categorical_threshold = threshold
+            assert [c for t, c in build_state(schema, tables).freq_hists
+                    if t == "r"] == categorical
 
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
@@ -541,6 +564,7 @@ class TestClassification:
         doc = {"tables": [{"name": "t", "columns": [
             {"name": "c", "kind": "integer", "categorical": True}]}]}
         schema = schema_from_document(doc)
+        schema.categorical_threshold = 10
         data = make_table("t", {"c": list(range(5000))})
-        assert catalog.categorical_columns(
-            data, schema.table("t"), threshold=10) == ["c"]
+        assert list(build_state(schema, {"t": data}).freq_hists) == [
+            ("t", "c")]

@@ -11,7 +11,7 @@ from tkhist.histcore import (TKHist1D, add_value_counts, axis_length,
                              build_tkhist1d, build_tkhist2d)
 
 from conftest import (_scalar, attr_bin, categorical_axis, domain_bin,
-                      numeric_axis)
+                      make_table, numeric_axis)
 
 
 def make_domain(lo=0, hi=100, bins=10):
@@ -117,10 +117,13 @@ class TestBuild1D:
         assert (h.bins[0].nv, h.ndv[0]) == (3, 2)
 
     def test_nulls_skipped(self):
+        # the build counts the rows it is given; a NaN key is a null
         d = make_domain(0, 10, 1)
-        h = build_tkhist1d(np.array([1, 2, 3]), d, k=5,
-                           null_mask=np.array([False, True, False]))
+        data = make_table("t", {"k": [1.0, float("nan"), 3.0, 4.0]},
+                          nulls={"k": [False, False, False, True]})
+        h = build_tkhist1d(data.non_null("k"), d, k=5)
         assert h.total_rows == 2
+        assert h.topk_keys.tolist() == [1.0, 3.0]
 
     @settings(max_examples=60, deadline=None)
     @given(values=keys_strategy, k=st.integers(min_value=0, max_value=8))
@@ -154,13 +157,13 @@ class TestBuild1D:
     def test_matches_reference_build(self, column, k, bins):
         values, nulls = column
         d = make_domain(0, 60, bins)
-        h = build_tkhist1d(values, d, k=k, null_mask=nulls)
+        kept = values if nulls is None else values[~nulls]
+        h = build_tkhist1d(kept, d, k=k)
         ref = reference_build_tkhist1d(values, d, k=k, null_mask=nulls)
         assert h.total_rows == ref.total_rows
         assert (h.topk_keys.dtype, h.topk_counts.dtype) == (values.dtype,
                                                            np.int64)
         assert h.topk_offsets.tolist() == ref.topk_offsets.tolist()
-        kept = values if nulls is None else values[~nulls]
         per_bin = Counter(d.bins_of(kept).tolist())
         key_type = int if values.dtype == np.int64 else float
         assert h.background.dtype == values.dtype
@@ -226,8 +229,8 @@ class TestInsert:
            bins=st.integers(min_value=1, max_value=9))
     def test_insert_matches_per_key_loop(self, column, batches, k, bins):
         values, nulls = column
-        h = build_tkhist1d(values, make_domain(0, 60, bins), k=k,
-                           null_mask=nulls)
+        h = build_tkhist1d(values if nulls is None else values[~nulls],
+                           make_domain(0, 60, bins), k=k)
         key_type = int if values.dtype == np.int64 else float
         for added, _ in batches:
             added = added.astype(values.dtype)
@@ -256,9 +259,9 @@ class TestInsert:
         values, nulls = column
         added = extra[0].astype(values.dtype)
         d = make_domain(0, 60, bins)
-        h = build_tkhist1d(values, d, k=k, null_mask=nulls)
-        h.insert(added)
         kept = values if nulls is None else values[~nulls]
+        h = build_tkhist1d(kept, d, k=k)
+        h.insert(added)
         rebuilt = build_tkhist1d(np.concatenate([kept, added]), d, k=0)
         held = {key for b in h.bins for key in b.topk}
         assert h.background.dtype == values.dtype
@@ -367,12 +370,16 @@ class TestHist2D:
         assert h.grid.tolist() == [[0, 1, 0], [1, 0, 0]]
 
     def test_null_rows_excluded(self):
+        # the build counts the rows it is given: those with neither side
+        # null, a NaN attribute being a null
         d = make_domain(0, 10, 2)
-        keys = np.array([1, 2, 3])
-        attrs = np.array([5, 6, 7])
-        h = build_tkhist2d(keys, attrs, d, numeric_axis(attrs, 2),
-                           key_nulls=np.array([False, True, False]),
-                           attr_nulls=np.array([False, False, True]))
+        data = make_table("t", {"k": [1, 2, 3, 4], "a": [5.0, 6.0, 7.0,
+                                                         float("nan")]},
+                          nulls={"k": [False, True, False, False],
+                                 "a": [False, False, True, False]})
+        both = ~(data.null_mask["k"] | data.null_mask["a"])
+        h = build_tkhist2d(data.columns["k"][both], data.columns["a"][both],
+                           d, numeric_axis([5, 7], 2))
         assert h.grid.sum() == 1
 
     def test_far_numeric_values_clamp_to_edge_bins(self):

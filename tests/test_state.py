@@ -341,10 +341,10 @@ def assert_bridges_rebuilt(state, rows):
         h2 = state.hists2d[(t, a, b)]
         assert np.shares_memory(h2.grid, state.hists2d[(t, b, a)].grid)
         data = rows[t]
+        both = ~(data.null_mask[a] | data.null_mask[b])
         assert h2.grid.tolist() == build_tkhist2d(
-            data.columns[a], data.columns[b], h2.key_domain, h2.attr,
-            key_nulls=data.null_mask[a],
-            attr_nulls=data.null_mask[b]).grid.tolist()
+            data.columns[a][both], data.columns[b][both], h2.key_domain,
+            h2.attr).grid.tolist()
 
 
 def in_domains(state, table, batch):
@@ -742,6 +742,10 @@ class TestErrors:
          "frequency histogram 'r.y' mixes strings and numbers"),
         (("freq", "r.y"), [[3, 2], [float("nan"), 1], [5, 1], [6, 1]],
          "is not a list of \\[value, count\\] pairs"),
+        # a NaN correlation key, which compares false with every key
+        (("correlations", "r|r.k|y", "keys"),
+         packed([1.0, float("nan"), 9.0], "f8"),
+         r"'r\|r.k\|y' has unsorted or repeated keys"),
         # 1D keys that key order rules out: r.k holds containers 1 | - | 5
         # | 9 and background 2 | - | - | - over bins [1, 3), [3, 5), [5, 7)
         # and [7, 9]; keys as gaps
@@ -807,6 +811,7 @@ class TestErrors:
         "path30-value30-frequency histogram 'r.y' repeats a value",
         "path31-value31-frequency histogram 'r.y' mixes strings and numbers",
         r"path32-value32-is not a list of \[value, count\] pairs",
+        "nan-between-correlation-keys",
         "unsorted-topk-keys", "repeated-topk-key",
         "key-in-container-and-background", "topk-key-outside-its-bin",
         "topk-offset-moved", "background-key-outside-its-bin",

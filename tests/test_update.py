@@ -5,12 +5,13 @@ import json
 from collections import Counter
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain, TableData, schema_from_document
 from tkhist.errors import DomainBoundsError
-from tkhist.estimator import estimate
+from tkhist.estimator import discover_correlations, estimate
 from tkhist.histcore import build_tkhist2d
 from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
                           save_state, state_to_document)
@@ -298,11 +299,11 @@ def test_update_equals_rebuild_for_grids_and_freq(scenario):
             if isinstance(want.attr, KeyDomain):
                 axes.setdefault((t, kc, attr), want.attr)
             if isinstance(h.attr, KeyDomain) and not h.attr.columns:
+                rows = tables[t]
+                both = ~(rows.null_mask[kc] | rows.null_mask[attr])
                 want = build_tkhist2d(
-                    tables[t].columns[kc], tables[t].columns[attr],
-                    h.key_domain, axes[(t, kc, attr)],
-                    key_nulls=tables[t].null_mask[kc],
-                    attr_nulls=tables[t].null_mask[attr])
+                    rows.columns[kc][both], rows.columns[attr][both],
+                    h.key_domain, axes[(t, kc, attr)])
             assert h.attr == want.attr
             assert h.grid.tolist() == want.grid.tolist()
 
@@ -395,3 +396,70 @@ def test_crossing_batch_table_save_writes_full_save(tmp_path):
     save_state(whole, str(full))
     assert path.read_bytes() == full.read_bytes()
     assert "r.y" not in json.loads(path.read_bytes())["freq"]
+
+
+NAN = float("nan")
+
+
+def _nan_rows(table, rows_):
+    """The TableData of `rows_`, whose NaN cells no mask marks, and the
+    one of the same rows with those cells masked (None)."""
+    masked = [tuple(None if v != v else v for v in row) for row in rows_]
+    return (table_data(table, COLUMNS[table], rows_),
+            table_data(table, COLUMNS[table], masked))
+
+
+def _with_nan(column, rows_):
+    """The s rows `rows_` with every other row's `column` (k or z) NaN."""
+    j = COLUMNS["s"].index(column)
+    return [row[:j] + (NAN,) + row[j + 1:] if i % 2 else row
+            for i, row in enumerate(rows_)]
+
+
+NAN_SCHEMA = {**SCHEMA_DOC, "templates": [["r.k=s.k"]]}
+# s.z categorical, or numeric past a threshold of 3 distinct values
+THRESHOLDS = pytest.mark.parametrize("threshold", [1000, 3])
+NAN_BASE = {"r": [(0, 0, "a"), (7, 3, "b"), (20, 20, "a")],
+            "s": [(0.0, 0, 0.0), (7.0, 9, 1.5), (7.0, 4, 2.5),
+                  (7.0, 5, 3.5), (20.0, 20, 20.0), (20.0, 6, 4.0)],
+            "t": [(0,), (20,)]}
+NAN_BATCHES = [[(7.0, 3, 1.5), (2.5, 2, 9.0), (30.0, 1, 1.0)],
+               [(20.0, 8, 6.5), (7.0, 7, 0.5)]]
+
+
+@THRESHOLDS
+@pytest.mark.parametrize("column", ["k", "z"])
+def test_unmasked_nan_is_a_null_at_build(column, threshold):
+    """A NaN in a REAL key or attribute of a TableData whose mask does not
+    mark it is a null: the build and its correlation map equal those of the
+    same rows with the NaN cells masked."""
+    schema = schema_from_document({**NAN_SCHEMA,
+                                   "categorical_threshold": threshold})
+    rows_ = {**NAN_BASE, "s": _with_nan(column, NAN_BASE["s"])}
+    states = []
+    for part in (0, 1):
+        tables = {t: _nan_rows(t, r)[part] for t, r in rows_.items()}
+        state = build_state(schema, tables, BuildConfig(bin_count=4, top_k=2))
+        discover_correlations(state, tables)
+        states.append(state)
+    assert ("s", "r.k", "z") in states[1].correlations
+    assert _json(states[0]) == _json(states[1])
+
+
+@THRESHOLDS
+@pytest.mark.parametrize("column", ["k", "z"])
+def test_unmasked_nan_is_a_null_in_batches(column, threshold):
+    """`apply_rows` takes a batch whose REAL key or attribute holds NaN no
+    mask marks as it takes the batch with those cells masked: the same
+    (inserted, rejected) counts and the same state after each batch."""
+    schema = schema_from_document({**NAN_SCHEMA,
+                                   "categorical_threshold": threshold})
+    states = [build_state(schema, {t: table_data(t, COLUMNS[t], r)
+                                   for t, r in NAN_BASE.items()},
+                          BuildConfig(bin_count=4, top_k=2))
+              for _ in range(2)]
+    for batch in NAN_BATCHES:
+        unmasked, masked = _nan_rows("s", _with_nan(column, batch))
+        assert apply_rows(states[0], "s", unmasked) == \
+            apply_rows(states[1], "s", masked)
+        assert _json(states[0]) == _json(states[1])
