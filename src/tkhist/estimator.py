@@ -21,8 +21,8 @@ from .errors import EstimationError, ParseError, PlanError, TKHistError
 from .joinengine import (CompositeHist, apply_filters, chain_translate,
                          join_star_group, lift)
 from .predicate import Predicate, key_bin_fractions, matches, selectivity_2d
-from .queryfront import (Query, SubQueryPlan, bind, decompose, parse_sql,
-                         validate_acyclic)
+from .queryfront import (PlanGroup, Query, SubQueryPlan, bind, decompose,
+                         parse_sql, validate_acyclic)
 from .state import EstimatorState, check_complete
 
 
@@ -112,35 +112,30 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
 
 def run_plan(state: EstimatorState, query: Query, plan: SubQueryPlan,
              excluded_by_domain: dict[str, frozenset] | None = None,
-             group_record: dict[int, CompositeHist] | None = None) -> CompositeHist:
-    """Post-order evaluation of the group tree; returns the root composite."""
-    return _eval_group(state, query, plan, excluded_by_domain or {},
-                       group_record, plan.root)
+             ) -> dict[str, CompositeHist]:
+    """Post-order evaluation of the group tree: every group's composite by
+    domain id, the root's last."""
+    composites: dict[str, CompositeHist] = {}
+    _eval_group(state, query, plan.root, excluded_by_domain or {}, composites)
+    return composites
 
 
-def _eval_group(state: EstimatorState, query: Query, plan: SubQueryPlan,
+def _eval_group(state: EstimatorState, query: Query, group: PlanGroup,
                 excluded_by_domain: dict[str, frozenset],
-                group_record: dict[int, CompositeHist] | None,
-                gid: int) -> CompositeHist:
+                composites: dict[str, CompositeHist]) -> CompositeHist:
     """One group's star fold over its members and translated children.  Not
     a closure: a self-calling closure is a cycle that keeps the state alive."""
-    group = plan.groups[gid]
     excluded = excluded_by_domain.get(group.domain_id, frozenset())
-    factors: list[CompositeHist] = []
-    for alias, col in group.members:
-        if (alias, col) in group.suppressed:
-            continue
-        factors.append(_lift_alias(state, query, alias, col, excluded))
-    for link in plan.children(gid):
-        child = _eval_group(state, query, plan, excluded_by_domain,
-                            group_record, link.child)
+    factors = [_lift_alias(state, query, alias, col, excluded)
+               for alias, col in group.members]
+    for link in group.children:
+        child = _eval_group(state, query, link.group, excluded_by_domain,
+                            composites)
         btable = query.aliases[link.bridge_alias]
         factors.append(chain_translate(
             child, state.hists2d[(btable, link.child_col, link.parent_col)],
             state.hists1d[(btable, link.parent_col)]))
-    comp = join_star_group(factors)
-    if group_record is not None:
-        group_record[gid] = comp
+    composites[group.domain_id] = comp = join_star_group(factors)
     return comp
 
 
@@ -196,7 +191,8 @@ def estimate(sql: str, state: EstimatorState,
         if djpcd_active:
             excluded = djpcd.find_excluded_keys(
                 query, state.correlations, state.column_domain)
-        value = run_plan(state, query, plan, excluded).total()
+        value = run_plan(state, query, plan,
+                         excluded)[plan.root.domain_id].total()
     latency = (time.perf_counter() - t0) * 1000.0
     return EstimationReport(query=sql.strip(), estimate=value,
                             latency_ms=latency, used_djpcd=djpcd_active)
@@ -221,9 +217,7 @@ def discover_correlations(state: EstimatorState,
         query = Query(text="", aliases=aliases, join_edges=list(edges),
                       predicates=[])
         plan = decompose(query, state.column_domain)
-        record: dict[int, CompositeHist] = {}
-        run_plan(state, query, plan, group_record=record)
-        composites.extend(record.values())
+        composites.extend(run_plan(state, query, plan).values())
     dominant = djpcd.collect_dominant_keys(composites)
     state.correlations = djpcd.build_correlation_map(
         state.schema, tables, state.column_domain, state.freq_hists.keys(),

@@ -68,17 +68,22 @@ class TKHist1D:
         return tuple(Bin1D(topk=dict(zip(keys[lo:hi], counts[lo:hi])), nv=nv)
                      for lo, hi, nv in zip(tk[:-1], tk[1:], self.nv.tolist()))
 
-    def insert(self, keys) -> None:
-        """Add one key or an array of keys (nulls already removed).
-
-        A key in a container adds to its count, any other to its bin's NV
-        and the background: container membership is frozen at build time.
-        Real keys for an integer histogram are an error, not truncated.
-        """
-        keys = np.atleast_1d(keys)
+    def check_keys(self, keys: np.ndarray) -> None:
+        """Raise unless `insert` takes keys of `keys`' dtype: real keys for
+        an integer histogram are an error, not truncated."""
         if not np.can_cast(keys.dtype, self.background.dtype):
             raise TKHistError(f"cannot insert {keys.dtype} keys into a "
                               f"histogram of {self.background.dtype} keys")
+
+    def insert(self, keys) -> None:
+        """Add one key or an array of keys (nulls already removed) that
+        `check_keys` allows.
+
+        A key in a container adds to its count, any other to its bin's NV
+        and the background: container membership is frozen at build time.
+        """
+        keys = np.atleast_1d(keys)
+        self.check_keys(keys)
         keys, counts = np.unique(keys.astype(self.background.dtype),
                                  return_counts=True)
         pos, held = _sorted_positions(self.topk_keys, keys)
@@ -210,8 +215,6 @@ def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
     """Tabulate the (key bin, attribute bin) counts of the aligned rows
     given, every one counted: rows with a null on either side are already
     removed, as for `insert`."""
-    if len(key_values) != len(attr_values):
-        raise TKHistError("key and attribute columns have different lengths")
     grid = _cell_counts(domain.bins_of(key_values),
                         _attr_bins(axis, attr_values),
                         (domain.bin_count, axis_length(axis)))
@@ -220,8 +223,10 @@ def build_tkhist2d(key_values: np.ndarray, attr_values: np.ndarray,
 
 def _cell_counts(ki: np.ndarray, aj: np.ndarray,
                  shape: tuple[int, int]) -> np.ndarray:
-    """int64 grid of `shape` counting each (key bin, attribute bin) pair,
-    from one `np.bincount` over flat cell indices."""
+    """int64 grid of `shape` counting each (key bin, attribute bin) pair of
+    two arrays of one length, from one `np.bincount` over flat indices."""
+    if len(ki) != len(aj):
+        raise TKHistError("key and attribute columns have different lengths")
     flat = np.bincount(ki * shape[1] + aj, minlength=shape[0] * shape[1])
     return flat.astype(np.int64, copy=False).reshape(shape)
 

@@ -8,6 +8,7 @@ disjunctions and everything beyond COUNT(*) are rejected.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 
 from .catalog import KIND_CATEGORICAL, KIND_INTEGER, Schema, first_cycle_edge
@@ -242,6 +243,9 @@ def _coerce_operand(p: Predicate, kind: str):
         if isinstance(v, str):
             raise UnsupportedQueryError(
                 f"column {p.column!r} is {kind}, got string literal {v!r}")
+        if abs(v) > sys.float_info.max:  # a long decimal was read as inf
+            raise UnsupportedQueryError(
+                f"column {p.column!r}: literal {v!r} is past the float64 range")
         if kind == KIND_INTEGER:
             if isinstance(v, float) and not v.is_integer():
                 raise UnsupportedQueryError(
@@ -270,27 +274,25 @@ def validate_acyclic(query: Query) -> None:
 @dataclass
 class PlanGroup:
     domain_id: str
-    members: list[tuple[str, str]]  # (alias, column name), sorted by alias
-    suppressed: set = field(default_factory=set)  # members folded in a child
+    members: list[tuple[str, str]]  # (alias, column name) to lift, by alias
+    children: list[ChainLink] = field(default_factory=list)
 
 
 @dataclass
 class ChainLink:
-    parent: int
-    child: int
     bridge_alias: str
     parent_col: str  # bridge column on the parent group's domain
     child_col: str   # bridge column on the child group's domain
+    group: PlanGroup  # the child group
 
 
 @dataclass
 class SubQueryPlan:
-    groups: list[PlanGroup]
-    links: list[ChainLink]
-    root: int
+    groups: list[PlanGroup]  # in domain-id order
 
-    def children(self, gid: int) -> list[ChainLink]:
-        return [l for l in self.links if l.parent == gid]
+    @property
+    def root(self) -> PlanGroup:  # the smallest domain id
+        return self.groups[0]
 
 
 def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
@@ -298,7 +300,9 @@ def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
 
     `column_domain` maps "table.column" to a domain id.  Each join edge must
     connect two columns of one domain; groups are connected through tables
-    owning key columns in two domains.
+    owning key columns in two domains.  A bridge's column on its parent
+    group's domain is no member there: the child group, translated across
+    the bridge, stands in for it.
     """
     if not query.join_edges:
         raise PlanError("query has no join edges; single-table queries are "
@@ -325,45 +329,41 @@ def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
                         f"participate in no join edge")
 
     domain_ids = sorted(members)
-    gid_of = {d: i for i, d in enumerate(domain_ids)}
     groups = [PlanGroup(domain_id=d, members=sorted(members[d]))
               for d in domain_ids]
 
     # bridges: aliases present in exactly two groups
-    bridge_edges = []
-    for alias in sorted({a for m in members.values() for a, _ in m}):
-        present = [(d, col) for d in domain_ids
+    adj: dict[int, list] = {i: [] for i in range(len(groups))}
+    bridges = 0
+    for alias in sorted(touched):
+        present = [(i, col) for i, d in enumerate(domain_ids)
                    for (al, col) in members[d] if al == alias]
         if len(present) > 2:
             raise UnsupportedQueryError(
                 f"table alias {alias!r} joins on {len(present)} key domains; "
                 f"at most two are supported")
         if len(present) == 2:
-            (d1, c1), (d2, c2) = present
-            bridge_edges.append((alias, d1, c1, d2, c2))
-
-    if len(bridge_edges) != len(groups) - 1:
+            (g1, c1), (g2, c2) = present
+            adj[g1].append((g2, alias, c1, c2))
+            adj[g2].append((g1, alias, c2, c1))
+            bridges += 1
+    if bridges != len(groups) - 1:
         raise PlanError("star groups are not chained into a tree")
 
-    root = 0  # smallest domain id
-    adj: dict[int, list] = {i: [] for i in range(len(groups))}
-    for alias, d1, c1, d2, c2 in bridge_edges:
-        adj[gid_of[d1]].append((gid_of[d2], alias, c1, c2))
-        adj[gid_of[d2]].append((gid_of[d1], alias, c2, c1))
-
-    links: list[ChainLink] = []
-    visited = {root}
-    stack = [root]
+    visited = {0}  # the root
+    stack = [0]
     while stack:
         gid = stack.pop()
+        group = groups[gid]
         for other, alias, col_here, col_there in sorted(adj[gid]):
             if other in visited:
                 continue
             visited.add(other)
-            links.append(ChainLink(parent=gid, child=other, bridge_alias=alias,
-                                   parent_col=col_here, child_col=col_there))
-            groups[gid].suppressed.add((alias, col_here))
+            group.members.remove((alias, col_here))
+            group.children.append(ChainLink(
+                bridge_alias=alias, parent_col=col_here, child_col=col_there,
+                group=groups[other]))
             stack.append(other)
     if len(visited) != len(groups):
         raise PlanError("star groups are not connected into one tree")
-    return SubQueryPlan(groups=groups, links=links, root=root)
+    return SubQueryPlan(groups=groups)

@@ -242,32 +242,41 @@ def apply_rows(state: EstimatorState, table: str,
     would make it (`catalog.is_categorical`): its frequency histogram goes,
     and its grids widen onto the numeric axis over its values.  Container
     membership stays as built and the correlation map is not maintained.
-    Returns (inserted, rejected).
+    A batch that raises changes nothing: every step that can raise runs
+    before the first change.  Returns (inserted, rejected).
     """
     check_complete(state, table)
     tdef = state.schema.table(table)
     key_cols = state.key_columns(table)
     accept = np.ones(data.row_count, dtype=bool)
     for kc in key_cols:
+        state.hists1d[(table, kc)].check_keys(data.columns[kc])
         dom = state.domains[state.column_domain[f"{table}.{kc}"]]
         v = data.columns[kc].astype(np.float64)
         accept &= data.null_mask[kc] | ((v >= dom.lo) & (v <= dom.hi))
     valid = {c.name: accept & ~data.null_mask[c.name] for c in tdef.columns}
+    freq = {}  # categorical column's key -> its counts, None past the threshold
     axes = {}  # categorical column -> its values, sorted, or numeric axis
     for cdef in tdef.columns:
         fh = state.freq_hists.get((table, cdef.name))
         if fh is None:
             continue
-        add_value_counts(fh, data.columns[cdef.name][valid[cdef.name]])
+        fh = add_value_counts(dict(fh),
+                              data.columns[cdef.name][valid[cdef.name]])
         values = sorted(fh)
         if catalog.is_categorical(cdef, np.asarray(values),
                                   state.schema.categorical_threshold):
-            axes[cdef.name] = values
+            freq[(table, cdef.name)], axes[cdef.name] = fh, values
         else:  # past the threshold: numeric, as a rebuild would make it
-            del state.freq_hists[(table, cdef.name)]
+            freq[(table, cdef.name)] = None
             axes[cdef.name] = _attr_axis(
                 f"{table}.{cdef.name}", None, None, state.config.bin_count,
                 lambda: value_span([np.asarray(values)]))
+    for key, fh in freq.items():  # the first change
+        if fh is None:
+            del state.freq_hists[key]
+        else:
+            state.freq_hists[key] = fh
     for kc in key_cols:
         state.hists1d[(table, kc)].insert(data.columns[kc][valid[kc]])
     for owner, key in entry_names(state.schema, state.column_domain)[

@@ -3,9 +3,8 @@
 Join keys follow a bounded Zipf distribution over a fixed number of distinct
 values; attribute columns are either independent uniforms or key-correlated
 (y = key + small noise), the latter producing workloads where filter/join-key
-correlation matters.  Layouts: `star` (all tables share one key), `chain`
-(consecutive tables linked pairwise), and `mixed` (a star whose last member
-starts a chain).
+correlation matters.  The layouts `star`, `chain` and `mixed` are stars of
+different widths whose last member starts a chain (`_key_layout`).
 """
 from __future__ import annotations
 
@@ -19,6 +18,9 @@ from . import catalog
 from .catalog import Schema, TableData
 from .errors import TKHistError
 
+ATTR_RANGE = (0, 999)  # an independent attribute's values, both ends held
+MIXED_STAR_WIDTH = 3  # tables in the star part of the mixed layout
+
 
 @dataclass
 class SyntheticSpec:
@@ -29,8 +31,6 @@ class SyntheticSpec:
     distinct_keys: int = 1000
     correlated: bool = False
     noise_span: int = 10
-    attr_range: tuple[int, int] = (0, 999)
-    star_width: int = 3  # star part size for the mixed layout
     row_overrides: dict[str, int] = field(default_factory=dict)
 
     def __post_init__(self):
@@ -52,34 +52,20 @@ def zipf_keys(rng: np.random.Generator, n: int, distinct: int,
 
 
 def _key_layout(spec: SyntheticSpec) -> tuple[dict[str, list[str]], list[tuple[str, str]]]:
-    """Per-table key columns and the FK edge list."""
+    """Per-table key columns and the FK edge list: a star of the first `w`
+    tables on `k1` whose last member starts a chain through the rest, where
+    `w` is every table for `star`, 2 for `chain` and at most
+    MIXED_STAR_WIDTH for `mixed`."""
     names = [f"t{i}" for i in range(1, spec.tables + 1)]
-    cols: dict[str, list[str]] = {t: [] for t in names}
-    edges: list[tuple[str, str]] = []
-    if spec.layout == "star":
-        for t in names:
-            cols[t].append("k1")
-        for t in names[1:]:
-            edges.append((f"{t}.k1", f"{names[0]}.k1"))
-    elif spec.layout == "chain":
-        for i, t in enumerate(names):
-            if i > 0:
-                cols[t].append(f"k{i}")
-            if i < len(names) - 1:
-                cols[t].append(f"k{i + 1}")
-        for i in range(len(names) - 1):
-            edges.append((f"{names[i + 1]}.k{i + 1}", f"{names[i]}.k{i + 1}"))
-    else:  # mixed
-        w = min(spec.star_width, spec.tables)
-        for t in names[:w]:
-            cols[t].append("k1")
-        for t in names[1:w]:
-            edges.append((f"{t}.k1", f"{names[0]}.k1"))
-        for j, t in enumerate(names[w:], start=2):
-            prev = names[w + j - 3] if j > 2 else names[w - 1]
-            cols[prev].append(f"k{j}")
-            cols[t].append(f"k{j}")
-            edges.append((f"{t}.k{j}", f"{prev}.k{j}"))
+    w = {"star": spec.tables, "chain": 2,
+         "mixed": min(MIXED_STAR_WIDTH, spec.tables)}[spec.layout]
+    cols = {t: ["k1"] if i < w else [] for i, t in enumerate(names)}
+    edges = [(f"{t}.k1", f"{names[0]}.k1") for t in names[1:w]]
+    for i in range(w, spec.tables):
+        prev, t, key = names[i - 1], names[i], f"k{i - w + 2}"
+        cols[prev].append(key)
+        cols[t].append(key)
+        edges.append((f"{t}.{key}", f"{prev}.{key}"))
     return cols, edges
 
 
@@ -99,7 +85,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> tuple[Schema, dict
             noise = rng.integers(0, max(spec.noise_span, 1), size=n)
             columns["y"] = columns[kcols[0]] + noise
         else:
-            lo, hi = spec.attr_range
+            lo, hi = ATTR_RANGE
             columns["y"] = rng.integers(lo, hi + 1, size=n)
         null_mask = {c: np.zeros(n, dtype=bool) for c in columns}
         tables[tname] = TableData(name=tname, columns=columns,

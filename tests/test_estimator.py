@@ -186,6 +186,15 @@ class TestWorkload:
         assert reports[0].error is not None
         assert reports[1].error is None
 
+    def test_literal_past_float64_fails_its_query_only(self, small_state):
+        state, tables = small_state
+        join = "SELECT COUNT(*) FROM r, s WHERE r.k = s.k"
+        entries = [(f"{join} AND r.k > 1{'0' * 400}", None), (join, None)]
+        reports, summary = evaluate_workload(state, entries, tables=tables)
+        assert (summary.queries, summary.failed) == (2, 1)
+        assert "float64 range" in reports[0].error
+        assert reports[1].error is None and reports[1].estimate == 5.0
+
 
 class TestSweep:
     def test_grid_points_and_size_growth(self):
@@ -269,6 +278,13 @@ CHAIN5 = ("t2.k1 = t1.k1 AND t3.k1 = t1.k1 AND t4.k2 = t3.k2 "
           "AND t5.k3 = t4.k3")
 
 
+def _post_order(group):
+    """The groups of `group`'s subtree, each after its children."""
+    for link in group.children:
+        yield from _post_order(link.group)
+    yield group
+
+
 class TestExclusionAtLift:
     """Excluded keys are dropped when each member is lifted; the star fold
     and chain translation must not bring one back into any group."""
@@ -291,15 +307,14 @@ class TestExclusionAtLift:
         excluded = find_excluded_keys(query, state.correlations,
                                       state.column_domain)
 
-        def held(record):
-            return {k for gid, comp in record.items() for dom in comp.dominant
-                    for k in dom.keys()
-                    & excluded.get(plan.groups[gid].domain_id, frozenset())}
+        def held(composites):
+            return {k for d, comp in composites.items()
+                    for dom in comp.dominant
+                    for k in dom.keys() & excluded.get(d, frozenset())}
 
-        plain: dict = {}
-        run_plan(state, query, plan, group_record=plain)
+        plain = run_plan(state, query, plan)
         assert held(plain)  # the query does exercise exclusion
-        record: dict = {}
-        run_plan(state, query, plan, excluded, group_record=record)
-        assert set(record) == set(plain)
+        record = run_plan(state, query, plan, excluded)
+        assert list(record) == list(plain) == [
+            g.domain_id for g in _post_order(plan.root)]
         assert held(record) == set()

@@ -369,6 +369,17 @@ class TestHist2D:
         assert h.attr == ["a", "b", "c"]
         assert h.grid.tolist() == [[0, 1, 0], [1, 0, 0]]
 
+    def test_key_and_attribute_lengths_must_match(self):
+        # one flat index would broadcast across the three keys
+        d = make_domain(0, 10, 2)
+        h = build_tkhist2d(np.array([1]), np.array([0]), d,
+                           numeric_axis([0, 10], 2))
+        with pytest.raises(TKHistError, match="different lengths"):
+            h.insert([1, 2, 3], [5])
+        assert h.grid.tolist() == [[1, 0], [0, 0]]
+        with pytest.raises(TKHistError, match="different lengths"):
+            build_tkhist2d(np.array([1, 2, 3]), np.array([5]), d, h.attr)
+
     def test_null_rows_excluded(self):
         # the build counts the rows it is given: those with neither side
         # null, a NaN attribute being a null

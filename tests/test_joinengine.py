@@ -80,7 +80,8 @@ class TestBinJoin:
         plan = decompose(query, state.column_domain)
         excluded = {state.column_domain["r.k"]: frozenset({1})}
         out = run_plan(state, query, plan, excluded)
-        assert out.dominant[0] == {2: 5.0}
+        assert list(out) == [plan.root.domain_id]
+        assert out[plan.root.domain_id].dominant[0] == {2: 5.0}
 
     def test_zero_product_entries_dropped(self):
         d = make_domain(bins=1)

@@ -100,6 +100,24 @@ class TestBind:
         with pytest.raises(UnsupportedQueryError, match="fractional"):
             bind(parse_sql("SELECT COUNT(*) FROM a WHERE a.y = 1.5"), schema)
 
+    @pytest.mark.parametrize("column", ["y", "x"])  # INTEGER, REAL
+    @pytest.mark.parametrize("literal", ["1" + "0" * 400, "-1" + "0" * 400,
+                                         "1" + "0" * 400 + ".5"],
+                             ids=["integer", "negative", "decimal"])
+    def test_literal_past_float64_rejected(self, column, literal):
+        schema = schema_from_document({"tables": [{"name": "d", "columns": [
+            {"name": "y", "kind": "integer"}, {"name": "x", "kind": "real"}]}]})
+        for cond in (f"d.{column} > {literal}",
+                     f"d.{column} BETWEEN {literal} AND {literal}",
+                     f"d.{column} IN (1, {literal})"):
+            with pytest.raises(UnsupportedQueryError, match="float64 range"):
+                bind(parse_sql(f"SELECT COUNT(*) FROM d WHERE {cond}"),
+                     schema)
+        # an integer past 2**53 that float64 holds stays exact
+        q = bind(parse_sql(f"SELECT COUNT(*) FROM d WHERE d.y > {2**60 + 1}"),
+                 schema)
+        assert q.predicates[0].value == 2 ** 60 + 1
+
     def test_integral_float_accepted(self):
         q = bind(parse_sql("SELECT COUNT(*) FROM a WHERE a.y = 2.0"),
                  chain_schema())
@@ -130,19 +148,23 @@ class TestDecompose:
                            "AND b.k2 = c.k2"), chain_schema())
         plan = decompose(q, COLUMN_DOMAIN)
         assert len(plan.groups) == 2
-        assert len(plan.links) == 1
-        link = plan.links[0]
+        root = plan.root
+        assert root is plan.groups[0] and root.domain_id == "a.k1"
+        assert len(root.children) == 1
+        link = root.children[0]
         assert link.bridge_alias == "b"
-        root = plan.groups[plan.root]
-        assert root.domain_id == "a.k1"
-        # the bridge's parent-side member is suppressed in the parent group
-        assert ("b", "k1") in root.suppressed
+        assert (link.parent_col, link.child_col) == ("k1", "k2")
+        assert link.group is plan.groups[1] and not link.group.children
+        assert link.group.members == [("b", "k2"), ("c", "k2")]
+        # the bridge's parent-side member is left out of the parent group
+        assert root.members == [("a", "k1")]
 
     def test_single_group_no_links(self):
         q = bind(parse_sql("SELECT COUNT(*) FROM a, b WHERE a.k1 = b.k1"),
                  chain_schema())
         plan = decompose(q, COLUMN_DOMAIN)
-        assert len(plan.groups) == 1 and not plan.links
+        assert len(plan.groups) == 1 and not plan.root.children
+        assert plan.root.members == [("a", "k1"), ("b", "k1")]
 
     def test_disconnected_graph_rejected(self):
         q = bind(parse_sql("SELECT COUNT(*) FROM a, b, c WHERE a.k1 = b.k1"),

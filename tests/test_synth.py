@@ -4,8 +4,41 @@ import pytest
 from tkhist.catalog import infer_key_domains
 from tkhist.errors import TKHistError
 from tkhist.state import ingest_all
-from tkhist.synth import (SyntheticSpec, generate_synthetic, write_benchmark,
-                          zipf_keys)
+from tkhist.synth import (SyntheticSpec, _key_layout, generate_synthetic,
+                          write_benchmark, zipf_keys)
+
+
+def reference_key_layout(spec):
+    """The layout rule `_key_layout` replaced, one branch per layout, with
+    the mixed layout's star of three."""
+    names = [f"t{i}" for i in range(1, spec.tables + 1)]
+    cols = {t: [] for t in names}
+    edges = []
+    if spec.layout == "star":
+        for t in names:
+            cols[t].append("k1")
+        for t in names[1:]:
+            edges.append((f"{t}.k1", f"{names[0]}.k1"))
+    elif spec.layout == "chain":
+        for i, t in enumerate(names):
+            if i > 0:
+                cols[t].append(f"k{i}")
+            if i < len(names) - 1:
+                cols[t].append(f"k{i + 1}")
+        for i in range(len(names) - 1):
+            edges.append((f"{names[i + 1]}.k{i + 1}", f"{names[i]}.k{i + 1}"))
+    else:
+        w = min(3, spec.tables)
+        for t in names[:w]:
+            cols[t].append("k1")
+        for t in names[1:w]:
+            edges.append((f"{t}.k1", f"{names[0]}.k1"))
+        for j, t in enumerate(names[w:], start=2):
+            prev = names[w + j - 3] if j > 2 else names[w - 1]
+            cols[prev].append(f"k{j}")
+            cols[t].append(f"k{j}")
+            edges.append((f"{t}.k{j}", f"{prev}.k{j}"))
+    return cols, edges
 
 
 class TestZipf:
@@ -58,6 +91,17 @@ class TestLayouts:
         _, a = generate_synthetic(spec, seed=11)
         _, b = generate_synthetic(spec, seed=11)
         assert (a["t2"].columns["k1"] == b["t2"].columns["k1"]).all()
+
+    @pytest.mark.parametrize("tables", range(2, 9))
+    @pytest.mark.parametrize("layout", ["star", "chain", "mixed"])
+    def test_one_star_width_rule_matches_the_reference(self, layout, tables):
+        """Each table's key columns, in generation order, and the FK edges
+        are those of the per-layout rule."""
+        spec = SyntheticSpec(tables=tables, layout=layout)
+        cols, edges = _key_layout(spec)
+        ref_cols, ref_edges = reference_key_layout(spec)
+        assert list(cols.items()) == list(ref_cols.items())
+        assert edges == ref_edges
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(TKHistError):

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain, TableData, schema_from_document
-from tkhist.errors import DomainBoundsError
+from tkhist.errors import DomainBoundsError, TKHistError
 from tkhist.estimator import discover_correlations, estimate
 from tkhist.histcore import build_tkhist2d
 from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
@@ -463,3 +463,20 @@ def test_unmasked_nan_is_a_null_in_batches(column, threshold):
         assert apply_rows(states[0], "s", unmasked) == \
             apply_rows(states[1], "s", masked)
         assert _json(states[0]) == _json(states[1])
+
+
+def test_a_batch_that_raises_changes_nothing():
+    """s's REAL key k and categorical z would take the row at once; its real
+    INTEGER key k2 is refused before either does, so the batch leaves every
+    histogram, frequency count and row count as it was."""
+    schema = schema_from_document(NAN_SCHEMA)
+    state = build_state(schema, {t: table_data(t, COLUMNS[t], r)
+                                 for t, r in NAN_BASE.items()},
+                        BuildConfig(bin_count=4, top_k=2))
+    assert ("s", "z") in state.freq_hists
+    before = _json(state)
+    batch = make_table("s", {"k": [1.5], "k2": [2.5], "z": [9.5]})
+    with pytest.raises(TKHistError, match="cannot insert float64 keys into "
+                       "a histogram of int64 keys"):
+        apply_rows(state, "s", batch)
+    assert _json(state) == before
