@@ -219,7 +219,9 @@ class TableData:
     """Columnar table contents with per-column null masks.  A NaN in a float
     column passes no predicate and joins nothing, so it is a null: each such
     column's mask is made anew with its NaN rows set, the caller's masks and
-    columns left as they are."""
+    columns left as they are.  An infinity in a float column, which would
+    turn equi-width bin boundaries into inf or NaN, raises IngestError
+    naming its (1-based) row and column."""
 
     name: str
     columns: dict[str, np.ndarray]
@@ -227,6 +229,12 @@ class TableData:
     row_count: int
 
     def __post_init__(self):
+        for c, values in self.columns.items():
+            if values.dtype.kind == "f" and np.isinf(values).any():
+                raise IngestError(
+                    f"table {self.name!r}: row "
+                    f"{np.argmax(np.isinf(values)) + 1}, column {c!r}: "
+                    f"infinite value is not supported")
         self.null_mask = {
             c: m | np.isnan(self.columns[c])
             if self.columns[c].dtype.kind == "f" else m
@@ -240,10 +248,10 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
     """Read a table's CSV into columnar arrays.
 
     The header row must contain exactly the declared columns.  Empty cells
-    are recorded as nulls, and so are REAL cells that parse to NaN, as in
-    every `TableData`; an unparseable cell, an INTEGER cell outside int64,
-    or a REAL cell that parses to an infinity, is an error naming row and
-    column.  A table of INTEGER columns whose header is its first line and
+    are recorded as nulls, and so are REAL cells that parse to NaN; a REAL
+    cell that parses to an infinity is refused, both as in every
+    `TableData`.  An unparseable cell or an INTEGER cell outside int64 is
+    an error naming row and column.  A table of INTEGER columns whose header is its first line and
     whose body is plain digits, '-', ',' and line ends is read by numpy from
     the file's path; every other file is read cell by cell, with the same
     result.
@@ -363,13 +371,6 @@ def _ingest_cells(tdef: TableDef, col_pos: dict[str, int], width: int,
         else:
             columns[cdef.name] = np.asarray(raw[cdef.name], dtype=object)
         null_mask[cdef.name] = np.asarray(nulls[cdef.name], dtype=bool)
-        if cdef.kind == KIND_REAL:
-            # an infinity would turn equi-width bin boundaries into inf/NaN
-            inf_rows = np.flatnonzero(np.isinf(columns[cdef.name]))
-            if len(inf_rows):
-                raise IngestError(
-                    f"table {tdef.name!r}: row {inf_rows[0] + 1}, column "
-                    f"{cdef.name!r}: infinite value is not supported")
     return TableData(name=tdef.name, columns=columns, null_mask=null_mask, row_count=n)
 
 
@@ -476,7 +477,7 @@ class KeyDomain:
         v = np.asarray(values, dtype=np.float64)
         # NaN compares false, so it fails the test the right way round
         if len(v) and not (v.min() >= self.lo and v.max() <= self.hi):
-            bad = v[~((v >= self.lo) & (v <= self.hi))][0]
+            bad = float(v[~((v >= self.lo) & (v <= self.hi))][0])
             raise DomainBoundsError(
                 f"value {bad!r} outside domain {self.id!r} bounds "
                 f"[{self.lo}, {self.hi}]")

@@ -7,8 +7,9 @@ on demand, never stored, so the per-bin identity
 
     exact bin row count == NV + sum(container frequencies)
 
-holds as integer arithmetic.  A 1D histogram keeps these as the state file's
-flat arrays with per-bin offsets; its `Bin1D` views are built on first use.
+holds as integer arithmetic.  A 1D histogram keeps these as flat arrays,
+keys in key order; its per-bin offsets follow from the keys' bins, and its
+`Bin1D` views are built on first use.
 
 A 2D histogram counts rows per (key bin, attribute bin).  Its attribute axis
 has one of two forms: a `KeyDomain` (equi-width bins) for a numeric column,
@@ -17,7 +18,7 @@ or the sorted list of a categorical column's values.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -35,16 +36,42 @@ class Bin1D(NamedTuple):  # a read-only view of one bin
 class TKHist1D:
     """Bin i's container is `topk_keys[topk_offsets[i]:topk_offsets[i + 1]]`
     with those `topk_counts`; its background keys are `background` sliced
-    by `background_offsets` alike.  Both key arrays are strictly increasing
-    and in the column's dtype; key order is bin order."""
+    by `background_offsets` alike.  Both offset arrays follow from the keys'
+    bins, so the constructor derives them after checking its arrays: one NV
+    per bin, one count per container key, both key arrays strictly
+    increasing (a NaN fails) and disjoint, every key inside the domain
+    (else `bins_of` raises DomainBoundsError); any other break raises
+    TKHistError.  Keys are in the column's dtype; key order is bin order."""
 
     domain: KeyDomain
     topk_keys: np.ndarray
     topk_counts: np.ndarray  # int64
-    topk_offsets: np.ndarray  # int64, bin_count + 1 entries
     nv: np.ndarray  # int64 per bin
     background: np.ndarray
-    background_offsets: np.ndarray  # int64, bin_count + 1 entries
+    topk_offsets: np.ndarray = field(init=False)  # bin_count + 1 entries
+    background_offsets: np.ndarray = field(init=False)  # likewise
+
+    def __post_init__(self):
+        n = self.domain.bin_count
+        if len(self.nv) != n:
+            raise TKHistError(f"{len(self.nv)} nv entries for {n} bins")
+        if len(self.topk_counts) != len(self.topk_keys):
+            raise TKHistError(f"{len(self.topk_keys)} topk_keys and "
+                              f"{len(self.topk_counts)} topk_counts")
+        # written so that a NaN, which compares false, fails them
+        for keys, what in ((self.topk_keys, "container"),
+                           (self.background, "background")):
+            if not np.all(keys[1:] > keys[:-1]):  # `insert` bisects them
+                raise TKHistError(f"unsorted or repeated {what} keys")
+        if _sorted_positions(self.background, self.topk_keys)[1].any():
+            raise TKHistError("a key both in a container and in the "
+                              "background")
+        self.topk_offsets = self._bin_offsets(self.topk_keys)
+        self.background_offsets = self._bin_offsets(self.background)
+
+    def _bin_offsets(self, keys: np.ndarray) -> np.ndarray:
+        """CSR offsets of the sorted `keys` by bin."""
+        return _offsets(self.domain.bins_of(keys), self.domain.bin_count)
 
     @property
     def ndv(self) -> np.ndarray:
@@ -90,8 +117,7 @@ class TKHist1D:
         self.topk_counts[pos[held]] += counts[held]
         np.add.at(self.nv, self.domain.bins_of(keys[~held]), counts[~held])
         self.background = _merge_sorted(self.background, keys[~held])
-        self.background_offsets = _offsets(
-            self.domain.bins_of(self.background), self.domain.bin_count)
+        self.background_offsets = self._bin_offsets(self.background)
         self.__dict__.pop("bins", None)
 
 
@@ -141,10 +167,8 @@ def build_tkhist1d(values: np.ndarray, domain: KeyDomain, k: int) -> TKHist1D:
     nv = np.zeros(domain.bin_count, dtype=np.int64)
     np.add.at(nv, idx[bg], counts[bg])
     return TKHist1D(domain=domain, topk_keys=keys[held],
-                    topk_counts=counts[held].astype(np.int64),
-                    topk_offsets=_offsets(idx[held], domain.bin_count), nv=nv,
-                    background=keys[bg],
-                    background_offsets=_offsets(idx[bg], domain.bin_count))
+                    topk_counts=counts[held].astype(np.int64), nv=nv,
+                    background=keys[bg])
 
 
 @dataclass

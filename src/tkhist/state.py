@@ -3,29 +3,32 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 9 stores each 1D histogram as
-flat per-histogram arrays with per-bin offsets, container and background
-keys each in key order, each 2D grid as its non-zero cells and each
-correlation-map section as columns; every numeric array is one packed string
-(`_pack`) of byte planes, an integer array at the narrowest width that holds
-its stored values, and every integer key and index array (keys, offsets,
-cells) is delta-coded.  A bridge, the two grids between two key columns of
-one table, is stored once, as the entry whose name sorts first, and held
-as one grid: the other direction is its view `grid.T`.  Loading or saving
-the 1D and correlation arrays, kept as they are in memory, builds no
-per-key object (a set envelope excepted).
+same state twice is byte-identical.  Version 10 stores each 1D histogram as
+the flat arrays its constructor takes: container keys and counts, NV per
+bin and background keys, each key array in key order.  Their per-bin
+offsets follow from the keys' bins, so the histogram derives them; the file
+keeps `background_offsets` only as a check on the background's length,
+which no other array has, as a grid's `shape` checks its axis.  Each 2D
+grid is stored as its non-zero cells and each correlation-map section as
+columns; every numeric array is one packed string (`_pack`) of byte planes,
+an integer array at the narrowest width that holds its stored values, and
+every integer key and index array (keys, offsets, cells) is delta-coded.
+A bridge, the two grids between two key columns of one table, is stored
+once, as the entry whose name sorts first, and held as one grid: the other
+direction is its view `grid.T`.  The correlation map is `{}` until
+discovery runs.  Loading or saving the 1D and correlation arrays, kept as
+they are in memory, builds no per-key object (a set envelope excepted).
 The file stores only what the data decided; loading derives the rest:
 domain members from the schema, every bin count from `config.bin_count`, a
 histogram's domain from the key column in its name, a column's class from
 whether it has a `freq` entry, and each attribute axis by `_attr_axis`, the
 rule that also picks it at build: a key column's domain, a categorical
 column's sorted `freq` values, or else a domain of no members over the
-`lo` and `hi` that the 2D entry writes.  A grid's `shape` is kept as a
-check on its axis.  Loading checks the type of every entry, the sign of
-every count, every length, offset and cell, that each 1D histogram's keys
-are sorted, distinct and in their bins, that no `freq` entry repeats a
-value, and that the document holds every required entry and no name that
-`entry_names` does not list; older versions are rejected.
+`lo` and `hi` that the 2D entry writes.  Loading checks the type of every
+entry, the sign of every count, every length and cell, each 1D
+histogram's arrays (`TKHist1D` checks its own), that no `freq` entry
+repeats a value, and that the document holds every required entry and no
+name that `entry_names` does not list; older versions are rejected.
 
 `entry_names` is the one list of the per-table entry names, each with its
 owning table and its key in memory.  A table owns its `hists1d` and `freq`
@@ -54,13 +57,12 @@ import numpy as np
 from . import catalog
 from .catalog import KeyDomain, Schema, TableData, value_span
 from .djpcd import Envelopes
-from .errors import DomainBoundsError, SchemaError, StateError
-from .histcore import (TKHist1D, TKHist2D, _sorted_positions,
-                       add_value_counts, axis_length, build_tkhist1d,
-                       build_tkhist2d)
+from .errors import SchemaError, StateError, TKHistError
+from .histcore import (TKHist1D, TKHist2D, add_value_counts, axis_length,
+                       build_tkhist1d, build_tkhist2d)
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 9
+STATE_VERSION = 10
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -83,8 +85,9 @@ class EstimatorState:
     freq_hists: dict[tuple[str, str], dict]  # the categorical columns
     table_rows: dict[str, int]
     # {(table, domain_id, attr): djpcd.Envelopes}, each section the sorted
-    # dominant keys and their envelopes as columns; built by djpcd
-    correlations: dict | None = None
+    # dominant keys and their envelopes as columns; built by djpcd, {}
+    # until it runs
+    correlations: dict
     # (table, document) when `load_state(..., table=)` made the state: it
     # holds that table's histograms alone, and writes the document back
     # with them (`state_to_document`); None when it holds every table's
@@ -185,7 +188,7 @@ def build_state(schema: Schema, tables: dict[str, TableData],
     return EstimatorState(
         schema=schema, config=config, domains=domains,
         column_domain=column_domain, hists1d=hists1d, hists2d=hists2d,
-        freq_hists=freq_hists, table_rows=table_rows, correlations=None)
+        freq_hists=freq_hists, table_rows=table_rows, correlations={})
 
 
 def _hold(hists2d: dict, key: tuple[str, str, str], h2: TKHist2D) -> None:
@@ -402,10 +405,11 @@ def _get(doc: dict, where: str, name: str, kind: str = "an object"):
 
 
 def _hist1d_doc(h: TKHist1D) -> dict:
-    """The histogram's arrays as they are in memory, keys in key order."""
+    """The histogram's constructor arrays as they are in memory, keys in key
+    order, and its background offsets, which check the background's length
+    as a grid's shape checks its axis."""
     return {"topk_keys": _pack(h.topk_keys, delta=True),
             "topk_counts": _pack(h.topk_counts),
-            "topk_offsets": _pack(h.topk_offsets, delta=True),
             "nv": _pack(h.nv),
             "background": _pack(h.background, delta=True),
             "background_offsets": _pack(h.background_offsets, delta=True)}
@@ -465,18 +469,14 @@ def _global_entries(state: EstimatorState) -> dict:
 
 
 def state_to_document(state: EstimatorState) -> dict:
-    """The whole document of `state`; an absent correlation map is None.
-    A state loaded for one table encodes only that table's entries and
-    copies every other table's from the document it was loaded from."""
+    """The whole document of `state`.  A state loaded for one table encodes
+    only that table's entries and copies every other table's from the
+    document it was loaded from."""
     table, source = state.source or (None, None)
-    check_complete(state, table)
     doc = _global_entries(state)
     for sec, listed in entry_names(state.schema, state.column_domain).items():
         *_, field, encode = _SECTIONS[sec]
         held = getattr(state, field)
-        if held is None:  # no correlation map
-            doc[sec] = None
-            continue
         doc[sec] = {}
         for name, (owner, key) in listed.items():
             if table is not None and owner not in (None, table):
@@ -549,18 +549,18 @@ def state_from_document(doc: dict,
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
-    if version in (1, 2, 3, 4, 5, 6, 7, 8):
+    if version in (1, 2, 3, 4, 5, 6, 7, 8, 9):
         raise StateError(f"state version {version} is no longer read; "
                          f"rebuild the state with `tkhist build`")
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v9(doc, table)
+        return _state_from_v10(doc, table)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v9(doc: dict, table: str | None) -> EstimatorState:
+def _state_from_v10(doc: dict, table: str | None) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")
@@ -609,10 +609,8 @@ def _state_from_v9(doc: dict, table: str | None) -> EstimatorState:
             raise StateError(f"{where}: {exc}") from exc
         _hold(hists2d, (t, c, attr), _hist2d_from_doc(
             where, h, key_domains[f"{t}.{c}"], axis))
-    correlations = None
-    if doc.get("correlations") is not None:
-        correlations = {key: _envelopes_from_doc(where, sec)
-                        for key, where, sec in got["correlations"]}
+    correlations = {key: _envelopes_from_doc(where, sec)
+                    for key, where, sec in got["correlations"]}
 
     return EstimatorState(
         schema=schema, config=config, domains=domains,
@@ -631,8 +629,6 @@ def _listed(doc: dict, names: dict[str, dict],
     for sec, listed in names.items():
         noun, kind, required, *_ = _SECTIONS[sec]
         got[sec] = []
-        if sec == "correlations" and doc.get(sec) is None:
-            continue  # no correlation map
         entries = _get(doc, "state document", sec)
         for name in entries:
             if name not in listed:
@@ -655,50 +651,15 @@ def _hist1d_from_doc(where: str, h: dict, dom: KeyDomain,
     counts, nv = (_unpack(h, where, name, counts=True)
                   for name in ("topk_counts", "nv"))
     background = _unpack(h, where, "background", kind, delta=True)
-    n = dom.bin_count
-    if len(nv) != n:
-        raise StateError(f"{where} has {len(nv)} nv entries for {n} bins")
-    if len(counts) != len(keys):
-        raise StateError(f"{where} has {len(keys)} topk_keys "
-                         f"and {len(counts)} topk_counts")
-    tk = _checked_offsets(where, h, "topk_offsets", n, len(keys))
-    offsets = _checked_offsets(where, h, "background_offsets", n,
-                               len(background))
-    # written so that a NaN, which compares false, fails them
-    if not np.all(background[1:] > background[:-1]):
-        raise StateError(f"{where} has unsorted background keys")
-    if not np.all(keys[1:] > keys[:-1]):  # `insert` looks keys up by bisection
-        raise StateError(f"{where} has unsorted or repeated container keys")
-    if _sorted_positions(background, keys)[1].any():
-        raise StateError(f"{where} has a key both in a container and in "
-                         f"the background")
-    # both key arrays are sorted, so each bin's first and last keys bound it
-    ends, bins = [], []
-    for values, bounds in ((keys, tk), (background, offsets)):
-        held = np.flatnonzero(bounds[1:] > bounds[:-1])
-        ends += [values[bounds[held]], values[bounds[held + 1] - 1]]
-        bins += [held, held]
+    offsets = _unpack(h, where, "background_offsets", delta=True)
     try:
-        outside = np.any(dom.bins_of(np.concatenate(ends))
-                         != np.concatenate(bins))
-    except DomainBoundsError:
-        outside = True
-    if outside:
-        raise StateError(f"{where} has a key outside its bin")
-    return TKHist1D(domain=dom, topk_keys=keys, topk_counts=counts,
-                    topk_offsets=tk, nv=nv, background=background,
-                    background_offsets=offsets)
-
-
-def _checked_offsets(where: str, h: dict, field: str, bin_count: int,
-                     length: int) -> np.ndarray:
-    """CSR offsets that split `length` entries into `bin_count` bins."""
-    offsets = _unpack(h, where, field, delta=True)
-    if (len(offsets) != bin_count + 1 or offsets[0] != 0
-            or offsets[-1] != length or np.any(offsets[1:] < offsets[:-1])):
-        raise StateError(f"{where}: {field} do not split "
-                         f"{length} entries into {bin_count} bins")
-    return offsets
+        hist = TKHist1D(dom, keys, counts, nv, background)
+    except TKHistError as exc:
+        raise StateError(f"{where}: {exc}") from exc
+    if not np.array_equal(offsets, hist.background_offsets):
+        raise StateError(f"{where}: background_offsets do not split its "
+                         f"{len(background)} background keys by bin")
+    return hist
 
 
 def _hist2d_from_doc(where: str, h: dict, dom: KeyDomain,

@@ -168,6 +168,26 @@ class TestIngest:
         assert mask.tolist() == [False, False, True]
         assert np.isnan(y[0]) and made.columns["y"] is y
 
+    @pytest.mark.parametrize("inf", [np.inf, -np.inf])
+    def test_infinity_refused_in_every_table_data(self, tmp_path, inf):
+        # a REAL cell reading inf, and an infinity put in a TableData through
+        # the API, raise the same error naming the table, row and column
+        message = re.escape("table 'r': row 3, column 'z': infinite value "
+                            "is not supported")
+        schema = schema_from_document({"tables": [{"name": "r", "columns": [
+            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "z", "kind": "real"}]}]})
+        path = tmp_path / "r.csv"
+        path.write_text(f"k,z\n1,1.0\n2,2.0\n3,{inf}\n")
+        with pytest.raises(IngestError, match=message):
+            ingest_table(schema.table("r"), schema, path=str(path))
+        with pytest.raises(IngestError, match=message):
+            catalog.TableData(
+                name="r", columns={"k": np.array([1, 2, 3]),
+                                   "z": np.array([1.0, 2.0, inf])},
+                null_mask={"k": np.zeros(3, dtype=bool),
+                           "z": np.zeros(3, dtype=bool)}, row_count=3)
+
     def test_bad_cell_names_row_and_column(self, tmp_path):
         schema = two_table_schema()
         path = tmp_path / "r.csv"

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import numpy as np
@@ -25,7 +26,8 @@ keys_strategy = st.lists(st.integers(min_value=0, max_value=100),
 
 
 def reference_build_tkhist1d(values, domain, k, null_mask=None):
-    """Per-bin Counter build: the reference for the grouped pass."""
+    """Per-bin Counter build: the reference for the grouped pass.  Returns
+    the histogram and the container and background offsets it counted."""
     if null_mask is not None:
         values = values[~null_mask]
     idx = domain.bins_of(values)
@@ -40,12 +42,11 @@ def reference_build_tkhist1d(values, domain, k, null_mask=None):
         nv.append(sum(cnt for _, cnt in ranked[k:]))
         background += sorted(key for key, _ in ranked[k:])
         offsets.append(len(background))
-    return TKHist1D(domain=domain,
-                    topk_keys=np.asarray(keys, dtype=values.dtype),
-                    topk_counts=np.asarray(counts, dtype=np.int64),
-                    topk_offsets=np.asarray(tk), nv=np.asarray(nv, np.int64),
-                    background=np.asarray(background, dtype=values.dtype),
-                    background_offsets=np.asarray(offsets))
+    h = TKHist1D(domain=domain, topk_keys=np.asarray(keys, dtype=values.dtype),
+                 topk_counts=np.asarray(counts, dtype=np.int64),
+                 nv=np.asarray(nv, np.int64),
+                 background=np.asarray(background, dtype=values.dtype))
+    return h, tk, offsets
 
 
 def reference_insert(h, keys):
@@ -159,7 +160,11 @@ class TestBuild1D:
         d = make_domain(0, 60, bins)
         kept = values if nulls is None else values[~nulls]
         h = build_tkhist1d(kept, d, k=k)
-        ref = reference_build_tkhist1d(values, d, k=k, null_mask=nulls)
+        ref, tk, offsets = reference_build_tkhist1d(values, d, k=k,
+                                                    null_mask=nulls)
+        # the offsets the constructor derives are the ones counted per bin
+        assert ref.topk_offsets.tolist() == tk
+        assert ref.background_offsets.tolist() == offsets
         assert h.total_rows == ref.total_rows
         assert (h.topk_keys.dtype, h.topk_counts.dtype) == (values.dtype,
                                                            np.int64)
@@ -176,6 +181,62 @@ class TestBuild1D:
             assert type(b.nv) is int
             assert b.nv == rb.nv
             assert b.nv + sum(b.topk.values()) == per_bin.get(i, 0)
+
+
+class TestConstructor:
+    """`TKHist1D` checks its own arrays and derives both offset arrays."""
+
+    @staticmethod
+    def make(**changed):
+        # bins [0, 5) and [5, 10]: containers 1 | 6, background 2, 3 | 7
+        arrays = {"topk_keys": [1, 6], "topk_counts": [3, 2], "nv": [2, 1],
+                  "background": [2, 3, 7], **changed}
+        return TKHist1D(make_domain(0, 10, 2),
+                        **{name: np.asarray(a) for name, a in arrays.items()})
+
+    def test_offsets_derived_from_the_keys_bins(self):
+        h = self.make()
+        assert h.topk_offsets.tolist() == [0, 1, 2]
+        assert h.background_offsets.tolist() == [0, 2, 3]
+        assert h.ndv.tolist() == [2, 1]
+        assert h.bin_rows().tolist() == [5, 3]
+
+    @pytest.mark.parametrize("changed, error, message", [
+        ({"topk_keys": [6, 1]}, TKHistError,
+         "unsorted or repeated container keys"),
+        ({"background": [3, 2, 7]}, TKHistError,
+         "unsorted or repeated background keys"),
+        ({"topk_keys": [1, 1]}, TKHistError,
+         "unsorted or repeated container keys"),
+        ({"background": [2, 2, 7]}, TKHistError,
+         "unsorted or repeated background keys"),
+        ({"topk_keys": [1.0, float("nan")]}, TKHistError,
+         "unsorted or repeated container keys"),
+        ({"background": [2.0, float("nan"), 7.0]}, TKHistError,
+         "unsorted or repeated background keys"),
+        ({"background": [float("nan")], "nv": [1, 0]}, DomainBoundsError,
+         "value nan outside domain 't.k'"),
+        ({"background": [2, 6, 7]}, TKHistError,
+         "a key both in a container and in the background"),
+        ({"background": [2, 3, 11]}, DomainBoundsError,
+         "value 11.0 outside domain 't.k' bounds [0.0, 10.0]"),
+        ({"topk_keys": [-1, 6]}, DomainBoundsError,
+         "value -1.0 outside domain 't.k'"),
+        ({"nv": [2]}, TKHistError, "1 nv entries for 2 bins"),
+        ({"topk_counts": [3]}, TKHistError, "2 topk_keys and 1 topk_counts"),
+        ({"topk_counts": [3, 2, 1]}, TKHistError,
+         "2 topk_keys and 3 topk_counts"),
+    ], ids=["unsorted-container-keys", "unsorted-background",
+            "repeated-container-key", "repeated-background-key",
+            "nan-container-key", "nan-between-background-keys",
+            "lone-nan-background-key", "key-in-both-arrays",
+            "background-key-outside-domain", "container-key-outside-domain",
+            "short-nv", "short-counts", "long-counts"])
+    @pytest.mark.filterwarnings("error")  # no NaN slips into an int cast
+    def test_broken_arrays_rejected(self, changed, error, message):
+        with pytest.raises(TKHistError, match=re.escape(message)) as info:
+            self.make(**changed)
+        assert type(info.value) is error
 
 
 class TestInsert:

@@ -31,7 +31,8 @@ def reference_apply_rows(state, table, data):
     column adds to its value's bin of the numeric axis over those values.
     Containers and NV are copied into per-bin dicts and lists, and
     background keys collected in one set per histogram; all are written
-    back as the histogram's arrays, binned afresh, at the end."""
+    back as the histogram's arrays at the end, the background offsets
+    binned afresh and checked against the ones the histogram derives."""
     tdef = state.schema.table(table)
     key_cols = state.key_columns(table)
     background = {kc: set(state.hists1d[(table, kc)].background.tolist())
@@ -107,14 +108,15 @@ def reference_apply_rows(state, table, data):
     for kc, keys in background.items():
         h1 = state.hists1d[(table, kc)]
         keys = np.asarray(sorted(keys), dtype=h1.background.dtype)
-        state.hists1d[(table, kc)] = dataclasses.replace(
+        offsets = np.searchsorted([domain_bin(h1.domain, v) for v in keys],
+                                  np.arange(h1.domain.bin_count + 1))
+        state.hists1d[(table, kc)] = h1 = dataclasses.replace(
             h1, topk_counts=np.asarray(
                 [c for d in containers[kc] for c in d.values()],
                 dtype=np.int64),
-            nv=np.asarray(nv[kc], dtype=np.int64), background=keys,
-            background_offsets=np.searchsorted(
-                [domain_bin(h1.domain, v) for v in keys],
-                np.arange(h1.domain.bin_count + 1)))
+            nv=np.asarray(nv[kc], dtype=np.int64), background=keys)
+        # the histogram derives the offsets the loop binned afresh
+        assert h1.background_offsets.tolist() == offsets.tolist()
     return len(accepted), data.row_count - len(accepted)
 
 
