@@ -161,10 +161,10 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
                     raise SchemaError(
                         f"template references missing column {endpoint!r}")
             edges.append((a, b))
-        cycle = first_cycle_edge(edges)
-        if cycle is not None:
-            raise SchemaError(f"cyclic template: edge {cycle[0]}={cycle[1]} "
-                              "closes a cycle")
+        check_join_tree(
+            dict.fromkeys(ref.split(".")[0] for edge in edges for ref in edge),
+            edges, lambda why: SchemaError(f"cyclic template {template}: {why}"),
+            lambda why: SchemaError(f"template {template}: {why}"))
         schema.templates.append(edges)
 
     return schema
@@ -200,18 +200,22 @@ def find_root(parent: dict, x):
     return x
 
 
-def first_cycle_edge(edges) -> tuple[str, str] | None:
-    """The first join edge (a pair of `table.column` references) whose
-    tables the edges before it already connect, a self-join edge included;
-    None when the edges join their tables as a forest."""
+def check_join_tree(names, edges, cyclic, split) -> None:
+    """The join-tree rule: the join edges (pairs of `name.column`
+    references) must join `names` into one tree.  Raises `cyclic(message)`
+    at the first edge that joins a name to itself or closes a cycle, else
+    `split(message)` when the edges leave some name unjoined."""
     parent: dict[str, str] = {}
     for a, b in edges:
-        ra = find_root(parent, a.split(".")[0])
-        rb = find_root(parent, b.split(".")[0])
+        ta, tb = a.split(".")[0], b.split(".")[0]
+        ra, rb = find_root(parent, ta), find_root(parent, tb)
         if ra == rb:
-            return a, b
+            raise cyclic(f"self-join edge {a} = {b}" if ta == tb
+                         else f"cyclic join detected at edge {a} = {b}")
         parent[ra] = rb
-    return None
+    if len(edges) != len(names) - 1:
+        raise split(f"disconnected join graph: the joins do not connect "
+                    f"{list(names)} into one tree")
 
 
 @dataclass

@@ -17,12 +17,12 @@ import numpy as np
 
 from . import djpcd, oracle
 from .catalog import KIND_INTEGER, TableData
-from .errors import EstimationError, ParseError, PlanError, TKHistError
+from .errors import EstimationError, ParseError, TKHistError
 from .joinengine import (CompositeHist, apply_filters, chain_translate,
                          join_star_group, lift)
 from .predicate import Predicate, key_bin_fractions, matches, selectivity_2d
 from .queryfront import (PlanGroup, Query, SubQueryPlan, bind, decompose,
-                         parse_sql, validate_acyclic)
+                         parse_sql)
 from .state import EstimatorState, check_complete
 
 
@@ -179,14 +179,11 @@ def estimate(sql: str, state: EstimatorState,
     t0 = time.perf_counter()
     check_complete(state)
     query = bind(parse_sql(sql), state.schema)
-    validate_acyclic(query)
+    plan = decompose(query, state.column_domain)
     djpcd_active = bool(use_djpcd and state.correlations)
-    if not query.join_edges:
-        if len(query.aliases) > 1:
-            raise PlanError("multi-table query without join edges")
+    if not plan.groups:
         value = _estimate_single_table(state, query)
     else:
-        plan = decompose(query, state.column_domain)
         excluded = {}
         if djpcd_active:
             excluded = djpcd.find_excluded_keys(
@@ -214,7 +211,7 @@ def discover_correlations(state: EstimatorState,
             for ref in (a, b):
                 t = ref.split(".", 1)[0]
                 aliases[t] = t
-        query = Query(text="", aliases=aliases, join_edges=list(edges),
+        query = Query(aliases=aliases, join_edges=list(edges),
                       predicates=[])
         plan = decompose(query, state.column_domain)
         composites.extend(run_plan(state, query, plan).values())

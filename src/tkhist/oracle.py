@@ -15,24 +15,24 @@ from collections import defaultdict
 
 import numpy as np
 
-from .catalog import TableData
-from .errors import PlanError
+from .catalog import TableData, check_join_tree
+from .errors import CyclicJoinError, PlanError
 from .predicate import matches
-from .queryfront import Query, validate_acyclic
+from .queryfront import Query
 
 
 def oracle_count(query: Query, tables: dict[str, TableData],
                  cap=None) -> int:
-    """Exact COUNT(*) of an acyclic equi-join query with filters.
+    """Exact COUNT(*) of an equi-join query with filters whose joins connect
+    its tables into one tree (`check_join_tree`, as `decompose` requires).
 
     Rows with a null join key never join; rows with a null on a predicate
     column never match.  Keys are compared as Python values, so INTEGER 3
     joins REAL 3.0.  `cap` is not read: counting needs no size cap, and the
     keyword stays only for callers that still pass it.
     """
-    validate_acyclic(query)
-    if len(query.join_edges) != len(query.aliases) - 1:
-        raise PlanError("disconnected join graph in oracle query")
+    check_join_tree(query.aliases, query.join_edges, CyclicJoinError,
+                    PlanError)
     adj: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
     for a, b in query.join_edges:
         (aa, ca), (ab, cb) = a.split(".", 1), b.split(".", 1)

@@ -11,7 +11,8 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .catalog import KIND_CATEGORICAL, KIND_INTEGER, Schema, first_cycle_edge
+from .catalog import (KIND_CATEGORICAL, KIND_INTEGER, Schema,
+                      check_join_tree)
 from .errors import (CyclicJoinError, ParseError, PlanError,
                      UnsupportedQueryError)
 from .predicate import Predicate
@@ -62,7 +63,6 @@ def _tokenize(text: str) -> list[Token]:
 
 @dataclass
 class Query:
-    text: str
     aliases: dict[str, str]  # alias -> table name, in FROM order
     join_edges: list[tuple[str, str]]  # ("a.col", "b.col"), alias-qualified
     predicates: list[Predicate]
@@ -70,7 +70,6 @@ class Query:
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.i = 0
 
@@ -107,9 +106,6 @@ class _Parser:
                 if tok.kind == "keyword" and tok.value == "and":
                     self.next()
                     continue
-                if tok.kind == "keyword" and tok.value == "or":
-                    raise UnsupportedQueryError(
-                        f"OR is not supported (at byte {tok.offset})")
                 break
         tok = self.peek()
         if tok.kind != "eof":
@@ -117,16 +113,7 @@ class _Parser:
                 raise UnsupportedQueryError(
                     f"OR is not supported (at byte {tok.offset})")
             raise ParseError(f"trailing input {tok.value!r}", tok.offset)
-        # dedupe join edges, keep first-seen order
-        seen: set[frozenset] = set()
-        unique_edges = []
-        for e in edges:
-            key = frozenset(e)
-            if key not in seen:
-                seen.add(key)
-                unique_edges.append(e)
-        return Query(text=self.text, aliases=aliases,
-                     join_edges=unique_edges, predicates=preds)
+        return Query(aliases=aliases, join_edges=edges, predicates=preds)
 
     def _from_list(self) -> dict[str, str]:
         aliases: dict[str, str] = {}
@@ -197,7 +184,9 @@ def parse_sql(text: str) -> Query:
 
 
 def bind(query: Query, schema: Schema) -> Query:
-    """Resolve bare columns to aliases and validate references and literals."""
+    """Resolve bare columns to aliases and validate references and literals.
+    A join edge written more than once, in either order or with bare
+    columns, is kept once, where it first appears."""
 
     def resolve(ref: str) -> str:
         if "." in ref:
@@ -221,7 +210,10 @@ def bind(query: Query, schema: Schema) -> Query:
     for table in query.aliases.values():
         schema.table(table)  # raises on unknown table
 
-    edges = [(resolve(a), resolve(b)) for a, b in query.join_edges]
+    edges: dict[frozenset, tuple[str, str]] = {}
+    for a, b in query.join_edges:
+        edge = (resolve(a), resolve(b))
+        edges.setdefault(frozenset(edge), edge)
     preds = []
     for p in query.predicates:
         col = resolve(p.column)
@@ -229,8 +221,8 @@ def bind(query: Query, schema: Schema) -> Query:
         kind = schema.table(query.aliases[alias]).column(cname).kind
         preds.append(Predicate(column=col, op=p.op,
                                value=_coerce_operand(p, kind)))
-    return Query(text=query.text, aliases=dict(query.aliases),
-                 join_edges=edges, predicates=preds)
+    return Query(aliases=dict(query.aliases),
+                 join_edges=list(edges.values()), predicates=preds)
 
 
 def _coerce_operand(p: Predicate, kind: str):
@@ -260,17 +252,6 @@ def _coerce_operand(p: Predicate, kind: str):
     return one(p.value)
 
 
-def validate_acyclic(query: Query) -> None:
-    """Reject queries whose join multigraph contains a cycle."""
-    cycle = first_cycle_edge(query.join_edges)
-    if cycle is None:
-        return
-    a, b = cycle
-    if a.split(".")[0] == b.split(".")[0]:
-        raise CyclicJoinError(f"self-join edge {a} = {b}")
-    raise CyclicJoinError(f"cyclic join detected at edge {a} = {b}")
-
-
 @dataclass
 class PlanGroup:
     domain_id: str
@@ -288,7 +269,7 @@ class ChainLink:
 
 @dataclass
 class SubQueryPlan:
-    groups: list[PlanGroup]  # in domain-id order
+    groups: list[PlanGroup]  # in domain-id order; none for one table
 
     @property
     def root(self) -> PlanGroup:  # the smallest domain id
@@ -298,15 +279,18 @@ class SubQueryPlan:
 def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
     """Group query tables by shared key domain and chain groups via bridges.
 
+    The query's joins must connect its tables into one tree
+    (`check_join_tree`); a one-table query gets a plan with no group.
     `column_domain` maps "table.column" to a domain id.  Each join edge must
     connect two columns of one domain; groups are connected through tables
     owning key columns in two domains.  A bridge's column on its parent
     group's domain is no member there: the child group, translated across
     the bridge, stands in for it.
     """
+    check_join_tree(query.aliases, query.join_edges, CyclicJoinError,
+                    PlanError)
     if not query.join_edges:
-        raise PlanError("query has no join edges; single-table queries are "
-                        "estimated directly")
+        return SubQueryPlan(groups=[])
     members: dict[str, set[tuple[str, str]]] = {}
     for a, b in query.join_edges:
         doms = []
@@ -321,13 +305,6 @@ def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
         if doms[0] != doms[1]:
             raise PlanError(f"join edge {a} = {b} spans two key domains")
 
-    # connectivity over aliases
-    touched = {alias for m in members.values() for alias, _ in m}
-    missing = set(query.aliases) - touched
-    if missing:
-        raise PlanError(f"disconnected join graph: {sorted(missing)} "
-                        f"participate in no join edge")
-
     domain_ids = sorted(members)
     groups = [PlanGroup(domain_id=d, members=sorted(members[d]))
               for d in domain_ids]
@@ -335,7 +312,7 @@ def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
     # bridges: aliases present in exactly two groups
     adj: dict[int, list] = {i: [] for i in range(len(groups))}
     bridges = 0
-    for alias in sorted(touched):
+    for alias in sorted(query.aliases):
         present = [(i, col) for i, d in enumerate(domain_ids)
                    for (al, col) in members[d] if al == alias]
         if len(present) > 2:
@@ -347,6 +324,8 @@ def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
             adj[g1].append((g2, alias, c1, c2))
             adj[g2].append((g1, alias, c2, c1))
             bridges += 1
+    # a table joined on two of its columns in one key domain is counted as a
+    # bridge from its group to itself, one more than a tree of groups has
     if bridges != len(groups) - 1:
         raise PlanError("star groups are not chained into a tree")
 
@@ -364,6 +343,4 @@ def decompose(query: Query, column_domain: dict[str, str]) -> SubQueryPlan:
                 bridge_alias=alias, parent_col=col_here, child_col=col_there,
                 group=groups[other]))
             stack.append(other)
-    if len(visited) != len(groups):
-        raise PlanError("star groups are not connected into one tree")
     return SubQueryPlan(groups=groups)

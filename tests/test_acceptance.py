@@ -328,7 +328,7 @@ def test_criterion_09_oracle_integrity():
         if rng.random() < 0.6:
             alias = names[int(rng.integers(0, n_tables))]
             preds.append(Predicate(f"{alias}.y", "<=", int(rng.integers(0, 6))))
-        q = Query(text="", aliases={a: a for a in names},
+        q = Query(aliases={a: a for a in names},
                   join_edges=edges, predicates=preds)
         if oracle_count(q, tables) != nested_loop_count(q, tables):
             failures += 1

@@ -56,6 +56,16 @@ class TestSchema:
         with pytest.raises(SchemaError, match="cyclic template"):
             schema_from_document(doc)
 
+    @pytest.mark.parametrize("template", [["t2.k1=t1.k1", "t5.k3=t4.k3"], []],
+                             ids=["two-trees", "empty"])
+    def test_template_that_is_no_tree_rejected(self, template):
+        schema, _ = synth.generate_synthetic(
+            synth.SyntheticSpec(tables=5, rows=10, layout="mixed"), seed=0)
+        doc = dict(schema.document, templates=[template])
+        with pytest.raises(SchemaError, match=re.escape(
+                f"template {template}: disconnected join graph")):
+            schema_from_document(doc)
+
     def test_template_missing_column_rejected(self):
         doc = star_doc()
         doc["templates"] = [["t1.k=t2.zzz"]]

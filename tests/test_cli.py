@@ -1,9 +1,10 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from tkhist import cli, estimator, oracle
+from tkhist import catalog, cli, estimator, oracle
 from tkhist.cli import main
 from tkhist.errors import StateError, TKHistError
 from tkhist.queryfront import bind, parse_sql
@@ -539,3 +540,80 @@ class TestNegativeLiterals:
         # y <= -2.5 on keys 1, 2 and 3 (one each)
         assert line["truth"] == 3 and line.get("error") is None
         assert line["q_error"] >= 1
+
+
+class TestCategoricalStrings:
+    """String categorical columns through CSV, the CLI and SQL."""
+
+    SCHEMA = {"tables": [
+        {"name": "r", "file": "r.csv", "columns": [
+            {"name": "k", "role": "key"},
+            {"name": "c", "kind": "categorical"},
+            {"name": "x", "kind": "real"}]},
+        {"name": "s", "file": "s.csv", "columns": [
+            {"name": "k", "role": "key"},
+            {"name": "c", "kind": "categorical"}]}],
+        "foreign_keys": [{"from": "s.k", "to": "r.k"}],
+        "templates": [["r.k=s.k"]]}
+    CATEGORY = {1: "x", 2: "y", 3: "x", 4: "z", 5: "y", 6: "x"}  # c of k
+    QUERIES = ["SELECT COUNT(*) FROM r WHERE r.c = 'x'",
+               "SELECT COUNT(*) FROM r WHERE r.c IN ('x', 'y')",
+               "SELECT COUNT(*) FROM r WHERE c = 'w'"]
+
+    def check_estimates(self, state_path, tables, queries):
+        state = load_state(str(state_path))
+        for sql in queries:
+            truth = oracle.oracle_count(bind(parse_sql(sql), state.schema),
+                                        tables)
+            assert estimator.estimate(sql, state).estimate == truth, sql
+
+    def test_csv_build_estimate_update(self, tmp_path):
+        (tmp_path / "schema.json").write_text(json.dumps(self.SCHEMA))
+        schema = catalog.load_schema(str(tmp_path / "schema.json"))
+        rk = [1, 1, 2, 3, 3, 3, 4, 5, 6, 6]
+        written = {
+            "r": make_table("r", {
+                "k": rk, "c": [self.CATEGORY[k] for k in rk],
+                "x": [0.1, -2.5, 1e-300, 3.0, 0.0, 7.25, 2.0 ** 60, -0.0,
+                      1 / 3, 5.5]},
+                nulls={"x": [0, 0, 1, 0, 0, 0, 0, 1, 0, 0]}),
+            "s": make_table("s", {
+                "k": [1, 2, 2, 3, 4, 4, 5, 6, 6, 0],
+                "c": ["a,b", 'say "hi"', "", "x", "it's", "x", "b", "",
+                      "x", "x"]},
+                nulls={"c": [0, 0, 1, 0, 0, 0, 0, 1, 0, 0],
+                       "k": [0] * 9 + [1]})}
+        tables = {}
+        for name, data in written.items():
+            tdef = schema.table(name)
+            catalog.write_table_csv(data, tdef, str(tmp_path / f"{name}.csv"))
+            tables[name] = catalog.ingest_table(tdef, schema)
+            for col, mask in data.null_mask.items():
+                got = tables[name]
+                assert got.null_mask[col].tolist() == mask.tolist()
+                assert got.columns[col][~mask].tolist() == \
+                    data.columns[col][~mask].tolist()
+        state = tmp_path / "state.json"
+        # two bins of three keys each: every key is held in a container
+        assert main(["build", "--schema", str(tmp_path / "schema.json"),
+                     "--state", str(state), "--bins", "2", "--k", "3"]) == 0
+        assert load_state(str(state)).correlations
+        # key exclusion drops exactly the keys whose category is not 'x'
+        self.check_estimates(state, tables, self.QUERIES + [
+            "SELECT COUNT(*) FROM r, s WHERE r.k = s.k AND r.c = 'x'"])
+
+        batch = make_table("r", {"k": [2, 5, 1], "c": ["w", "x", "w"],
+                                 "x": [1.5, 2.5, 3.5]})
+        catalog.write_table_csv(batch, schema.table("r"),
+                                str(tmp_path / "batch.csv"))
+        assert main(["update", "--state", str(state), "--table", "r",
+                     "--csv", str(tmp_path / "batch.csv")]) == 0
+        r = tables["r"]
+        tables["r"] = catalog.TableData(
+            name="r", row_count=r.row_count + batch.row_count,
+            columns={c: np.concatenate([r.columns[c], batch.columns[c]])
+                     for c in r.columns},
+            null_mask={c: np.concatenate([r.null_mask[c],
+                                          batch.null_mask[c]])
+                       for c in r.columns})
+        self.check_estimates(state, tables, self.QUERIES)

@@ -371,7 +371,7 @@ class TestMapAndLookup:
     def test_find_excluded_unions_predicates(self):
         corr = {("r", "r.k", "y"): section_of({1: ("range", 10, 11),
                                                2: ("range", 20, 20)})}
-        q = Query(text="", aliases={"r": "r", "s": "s"},
+        q = Query(aliases={"r": "r", "s": "s"},
                   join_edges=[("r.k", "s.k")],
                   predicates=[Predicate("r.y", ">=", 15)])
         out = find_excluded_keys(q, corr, {"r.k": "r.k", "s.k": "r.k"})
@@ -421,13 +421,13 @@ class TestMapAndLookup:
             else:
                 value = data.draw(lits)
             preds.append(Predicate(column, op, value))
-        q = Query(text="", aliases={"r": "r", "s": "s"},
+        q = Query(aliases={"r": "r", "s": "s"},
                   join_edges=[("r.k", "s.k")], predicates=preds)
         assert find_excluded_keys(q, corr, {}) == \
             reference_find_excluded_keys(q, corr)
 
     def test_no_correlations_no_exclusions(self):
-        q = Query(text="", aliases={"r": "r"}, join_edges=[],
+        q = Query(aliases={"r": "r"}, join_edges=[],
                   predicates=[Predicate("r.y", "=", 1)])
         assert find_excluded_keys(q, {}, {}) == {}
 

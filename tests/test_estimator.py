@@ -5,10 +5,14 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tkhist import estimator, oracle
+from tkhist.catalog import schema_from_document
 from tkhist.djpcd import find_excluded_keys
-from tkhist.errors import EstimationError, PlanError, TKHistError
+from tkhist.errors import (EstimationError, ParseError, PlanError,
+                           TKHistError, UnsupportedQueryError)
 from tkhist.estimator import (EstimationReport, discover_correlations,
                               estimate, evaluate_workload, parse_workload,
                               q_error, ratio, run_plan, sweep)
@@ -107,6 +111,116 @@ class TestStateLifetime:
         finally:
             if enabled:
                 gc.enable()
+
+
+@pytest.fixture(scope="module")
+def chain_state():
+    schema, tables = generate_synthetic(
+        SyntheticSpec(tables=3, rows=200, layout="chain", distinct_keys=20),
+        seed=3)
+    return build_state(schema, tables, BuildConfig(bin_count=4, top_k=2))
+
+
+@pytest.fixture(scope="module")
+def mixed_small():
+    schema, tables = generate_synthetic(
+        SyntheticSpec(tables=5, rows=60, layout="mixed", distinct_keys=8),
+        seed=2)
+    return schema, tables, build_state(schema, tables,
+                                       BuildConfig(bin_count=3, top_k=2))
+
+
+def _error_type(run):
+    """The type of the TKHistError that `run()` raises, or None."""
+    try:
+        run()
+    except TKHistError as exc:
+        return type(exc)
+    return None
+
+
+class TestJoinTreeRule:
+    """`estimate` answers only a query whose joins connect its tables into
+    one tree, the rule that `oracle_count` applies."""
+
+    def test_disconnected_join_in_one_domain_rejected(self):
+        schema, tables = generate_synthetic(SyntheticSpec(
+            tables=4, rows=2000, layout="star", distinct_keys=50), seed=0)
+        state = build_state(schema, tables,
+                            BuildConfig(bin_count=10, top_k=100))
+        sql = ("SELECT COUNT(*) FROM t1, t2, t3, t4 "
+               "WHERE t1.k1 = t2.k1 AND t3.k1 = t4.k1")
+        with pytest.raises(PlanError, match="disconnected join graph"):
+            estimate(sql, state, use_djpcd=False)
+        with pytest.raises(PlanError, match="disconnected join graph"):
+            oracle.oracle_count(bind(parse_sql(sql), schema), tables)
+
+    def test_edge_written_qualified_and_bare_is_one_edge(self):
+        schema = schema_from_document({
+            "tables": [
+                {"name": "r", "columns": [{"name": "k", "role": "key"}]},
+                {"name": "s", "columns": [{"name": "j", "role": "key"}]}],
+            "foreign_keys": [{"from": "s.j", "to": "r.k"}]})
+        tables = {"r": make_table("r", {"k": [1, 2, 2]}),
+                  "s": make_table("s", {"j": [2, 2, 1]})}
+        state = build_state(schema, tables, BuildConfig(bin_count=2, top_k=5))
+        sql = "SELECT COUNT(*) FROM r, s WHERE r.k = s.j AND k = j"
+        assert oracle.oracle_count(bind(parse_sql(sql), schema), tables) == 5
+        assert estimate(sql, state).estimate == 5.0
+
+    @pytest.mark.parametrize("sql, error, message", [
+        ("SELECT COUNT(* FROM t1", ParseError,
+         "expected ')', found 'from' (at byte 15)"),
+        ("SELECT COUNT(*) FROM t1, t2 t1", ParseError,
+         "duplicate alias 't1' (at byte 28)"),
+        ("SELECT COUNT(*) FROM t1 WHERE t1.y < *", ParseError,
+         "expected literal, found '*' (at byte 37)"),
+        ("SELECT COUNT(*) FROM t1 WHERE t1.y 3", ParseError,
+         "expected comparison operator, found 3 (at byte 35)"),
+        ("SELECT COUNT(*) FROM t1 WHERE t1.y = 1 )", ParseError,
+         "trailing input ')' (at byte 39)"),
+        ("SELECT COUNT(*) FROM t1 OR t1.y = 1", UnsupportedQueryError,
+         "OR is not supported (at byte 24)"),
+        ("SELECT COUNT(*) FROM t1 WHERE t9.y = 1", UnsupportedQueryError,
+         "unknown alias 't9'"),
+        ("SELECT COUNT(*) FROM t1 WHERE zzz = 1", UnsupportedQueryError,
+         "unknown column 'zzz'"),
+        ("SELECT COUNT(*) FROM t1, t2 WHERE t1.y = t2.y", PlanError,
+         "column 't1.y' belongs to no key domain"),
+        ("SELECT COUNT(*) FROM t1, t3 WHERE t1.k1 = t3.k2", PlanError,
+         "join edge t1.k1 = t3.k2 spans two key domains"),
+    ], ids=["expect", "duplicate-alias", "literal", "operator", "trailing",
+            "or-after-from", "unknown-alias", "unknown-column",
+            "no-key-domain", "two-key-domains"])
+    def test_query_front_error(self, chain_state, sql, error, message):
+        with pytest.raises(error) as err:
+            estimate(sql, chain_state)
+        assert str(err.value) == message
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_estimate_and_oracle_accept_the_same_queries(self, mixed_small,
+                                                          data):
+        """Random table subsets of the mixed layout, joined by random lists
+        of its key-column pairs within one key domain (the foreign keys and
+        the t2-t3 pair that closes a cycle), each pair in either order and
+        possibly repeated."""
+        schema, tables, state = mixed_small
+        names = data.draw(st.lists(st.sampled_from(sorted(tables)),
+                                   min_size=1, unique=True))
+        pairs = [(a, b) for a in state.column_domain
+                 for b in state.column_domain
+                 if a < b and state.column_domain[a] == state.column_domain[b]
+                 and {a.split(".")[0], b.split(".")[0]} <= set(names)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), max_size=6)
+                          if pairs else st.just([]))
+        edges = [e[::-1] if data.draw(st.booleans()) else e for e in edges]
+        sql = (f"SELECT COUNT(*) FROM {', '.join(names)}"
+               + "".join(f"{' AND' if i else ' WHERE'} {a} = {b}"
+                         for i, (a, b) in enumerate(edges)))
+        accepted = _error_type(lambda: estimate(sql, state))
+        assert accepted == _error_type(lambda: oracle.oracle_count(
+            bind(parse_sql(sql), schema), tables)), sql
 
 
 class TestWorkload:
@@ -243,7 +357,7 @@ class TestSweep:
         queries = self.SWEEP_QUERIES[:2] + [("SELECT COUNT(*) FROM nope", None)]
 
         def failing(query, tabs):
-            if "y" in query.text:
+            if query.predicates:
                 raise TKHistError("oracle failed")
             return 7
 

@@ -16,7 +16,7 @@ from conftest import make_table
 
 
 def query(aliases, edges, preds=()):
-    return Query(text="", aliases=dict(aliases), join_edges=list(edges),
+    return Query(aliases=dict(aliases), join_edges=list(edges),
                  predicates=list(preds))
 
 

@@ -3,8 +3,7 @@ import pytest
 from tkhist.catalog import schema_from_document
 from tkhist.errors import (CyclicJoinError, ParseError, PlanError,
                            UnsupportedQueryError)
-from tkhist.queryfront import (Query, bind, decompose, parse_sql,
-                               validate_acyclic)
+from tkhist.queryfront import Query, bind, decompose, parse_sql
 
 
 def chain_schema():
@@ -69,11 +68,6 @@ class TestParse:
         with pytest.raises(UnsupportedQueryError, match="not comparable"):
             parse_sql("SELECT COUNT(*) FROM a WHERE a.y BETWEEN 'a' AND 5")
 
-    def test_duplicate_join_edges_deduped(self):
-        q = parse_sql("SELECT COUNT(*) FROM a, b "
-                      "WHERE a.k1 = b.k1 AND b.k1 = a.k1")
-        assert len(q.join_edges) == 1
-
 
 class TestBind:
     def test_bare_column_resolved(self):
@@ -118,6 +112,14 @@ class TestBind:
                  schema)
         assert q.predicates[0].value == 2 ** 60 + 1
 
+    def test_duplicate_join_edges_deduped(self):
+        schema = schema_from_document({"tables": [
+            {"name": "r", "columns": [{"name": "k", "role": "key"}]},
+            {"name": "s", "columns": [{"name": "j", "role": "key"}]}]})
+        q = bind(parse_sql("SELECT COUNT(*) FROM r, s WHERE r.k = s.j "
+                           "AND k = j AND s.j = r.k AND j = k"), schema)
+        assert q.join_edges == [("r.k", "s.j")]
+
     def test_integral_float_accepted(self):
         q = bind(parse_sql("SELECT COUNT(*) FROM a WHERE a.y = 2.0"),
                  chain_schema())
@@ -126,20 +128,21 @@ class TestBind:
 
 class TestValidateAcyclic:
     def test_cycle_rejected(self):
-        q = parse_sql("SELECT COUNT(*) FROM a, b, c WHERE a.k1 = b.k1 "
-                      "AND b.k2 = c.k2 AND c.k2 = a.k1")
-        with pytest.raises(CyclicJoinError):
-            validate_acyclic(q)
+        q = bind(parse_sql("SELECT COUNT(*) FROM a, b, c WHERE a.k1 = b.k1 "
+                           "AND b.k2 = c.k2 AND c.k2 = a.k1"), chain_schema())
+        with pytest.raises(CyclicJoinError, match="at edge c.k2 = a.k1"):
+            decompose(q, COLUMN_DOMAIN)
 
     def test_self_join_rejected(self):
-        q = parse_sql("SELECT COUNT(*) FROM a WHERE a.k1 = a.y")
+        q = bind(parse_sql("SELECT COUNT(*) FROM a WHERE a.k1 = a.y"),
+                 chain_schema())
         with pytest.raises(CyclicJoinError, match="self-join"):
-            validate_acyclic(q)
+            decompose(q, COLUMN_DOMAIN)
 
     def test_tree_accepted(self):
-        q = parse_sql("SELECT COUNT(*) FROM a, b, c WHERE a.k1 = b.k1 "
-                      "AND b.k2 = c.k2")
-        validate_acyclic(q)
+        q = bind(parse_sql("SELECT COUNT(*) FROM a, b, c WHERE a.k1 = b.k1 "
+                           "AND b.k2 = c.k2"), chain_schema())
+        assert len(decompose(q, COLUMN_DOMAIN).groups) == 2
 
 
 class TestDecompose:
@@ -172,16 +175,22 @@ class TestDecompose:
         with pytest.raises(PlanError, match="disconnected"):
             decompose(q, COLUMN_DOMAIN)
 
-    def test_no_join_edges_rejected(self):
+    def test_one_table_has_no_group(self):
         q = bind(parse_sql("SELECT COUNT(*) FROM a WHERE a.y = 1"),
                  chain_schema())
-        with pytest.raises(PlanError):
-            decompose(q, COLUMN_DOMAIN)
+        assert decompose(q, COLUMN_DOMAIN).groups == []
+
+    def test_table_joined_on_two_columns_of_one_domain_rejected(self):
+        q = bind(parse_sql("SELECT COUNT(*) FROM a, b, c WHERE a.k1 = b.k1 "
+                           "AND b.k2 = c.k2"), chain_schema())
+        one_domain = dict.fromkeys(COLUMN_DOMAIN, "a.k1")
+        with pytest.raises(PlanError, match="not chained into a tree"):
+            decompose(q, one_domain)
 
     def test_bridge_on_three_domains_unsupported(self):
         aliases = {"a": "a", "b": "b", "c": "c", "d": "d"}
         edges = [("a.k1", "b.k1"), ("b.k2", "c.k2"), ("b.k3", "d.k3")]
-        q = Query(text="", aliases=aliases, join_edges=edges, predicates=[])
+        q = Query(aliases=aliases, join_edges=edges, predicates=[])
         cd = dict(COLUMN_DOMAIN)
         cd.update({"b.k3": "b.k3", "d.k3": "b.k3"})
         with pytest.raises(UnsupportedQueryError, match="key domains"):

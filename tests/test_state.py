@@ -1,5 +1,7 @@
 import base64
+import errno
 import json
+import os
 import pathlib
 import re
 import tempfile
@@ -594,6 +596,24 @@ class TestErrors:
         doc["version"] = 99
         with pytest.raises(StateError, match="version"):
             state_from_document(doc)
+
+    def test_failed_replace_keeps_the_old_file(self, built, tmp_path,
+                                               monkeypatch):
+        state, _ = built
+        path = tmp_path / "state.json"
+        save_state(state, str(path))
+        before = path.read_bytes()
+        apply_rows(state, "r", make_table("r", {"k": [2], "y": [5]}))
+
+        def failing(src, dst):
+            raise OSError(errno.EACCES, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(StateError, match="cannot write state file "
+                                             ".*: Permission denied$"):
+            save_state(state, str(path))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
 
     def test_grid_shape_mismatch_rejected(self, built):
         state, _ = built
