@@ -103,7 +103,7 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
             frac = key_bin_fractions(hist.domain, pred, integer)
         else:
             frac = selectivity_2d(state.hists2d[(table, key_col, attr)], pred,
-                                  integer)
+                                  integer, hist.bin_rows())
         sel = frac if sel is None else sel * frac
     if sel is not None:
         comp = apply_filters(comp, sel)
@@ -141,27 +141,31 @@ def _eval_group(state: EstimatorState, query: Query, group: PlanGroup,
 
 def _single_table_fraction(state: EstimatorState, table: str,
                            pred: Predicate) -> float:
+    """Share of the table's rows that match `pred`.  A null never matches,
+    so every row counts in the denominator: the table's rows, or for an
+    attribute seen only through its 2D histogram, the rows of that grid's
+    key column."""
     attr = pred.column.split(".", 1)[1]
+    rows = state.table_rows[table]
+    if rows <= 0:
+        return 0.0
     fhist = state.freq_hists.get((table, attr))
     if fhist is not None:
-        total = sum(fhist.values())
-        if total <= 0:
-            return 0.0
-        return sum(c for v, c in fhist.items() if matches(pred, v)) / total
+        return sum(c for v, c in fhist.items() if matches(pred, v)) / rows
     integer = state.schema.table(table).column(attr).kind == KIND_INTEGER
     hist = state.hists1d.get((table, attr))
     if hist is not None:  # predicate on a join-key column
         fr = key_bin_fractions(hist.domain, pred, integer)
-        masses = hist.bin_rows().astype(np.float64)
-        return float(masses @ fr / masses.sum()) if masses.sum() > 0 else 0.0
+        return float(hist.bin_rows().astype(np.float64) @ fr) / rows
     keys = state.key_columns(table)
     if not keys:
         return 1.0  # no key column, so no 2D histogram: neutral
-    h2 = state.hists2d[(table, keys[0], attr)]
-    mass = h2.key_marginal().astype(np.float64)
-    if mass.sum() <= 0:
+    key_rows = state.hists1d[(table, keys[0])].bin_rows().astype(np.float64)
+    if key_rows.sum() <= 0:
         return 0.0
-    return float(mass @ selectivity_2d(h2, pred, integer) / mass.sum())
+    h2 = state.hists2d[(table, keys[0], attr)]
+    return float(key_rows @ selectivity_2d(h2, pred, integer, key_rows)
+                 / key_rows.sum())
 
 
 def _estimate_single_table(state: EstimatorState, query: Query) -> float:

@@ -10,7 +10,14 @@ as the minimum of the two sides, which keeps the Selinger formula applicable
 recursively to intermediate results.  The background and NDV arithmetic runs
 on whole arrays; only the dominant maps are walked key by key.  A lifted
 composite's dominant maps are its histogram's `bins` container views (int
-counts); every map is read-only, and each join builds new ones.
+counts); every map is read-only.
+
+A join's own maps are built only when something reads them: the next join
+of a star fold, or discovery.  A join whose maps are unbuilt sums each
+bin's dominant mass straight from its two operands, one pass over the
+smaller map, and that mass is all `bin_totals` and `total` need.  The star
+fold sums it for its last join, so the last join of a group, whose total
+is an estimate or is carried across a bridge, builds no map.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
@@ -18,7 +25,8 @@ composites.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from itertools import repeat
+from operator import mul
 
 import numpy as np
 
@@ -34,17 +42,43 @@ def selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b) -> np.ndarray:
                         nv_a * nv_b / np.maximum(ndv_a, ndv_b), 0.0)
 
 
-@dataclass
 class CompositeHist:
-    domain: KeyDomain
-    dominant: list[dict]  # per bin: key -> estimated joined count; read-only,
-    # possibly a built histogram's own container dict (int counts)
-    background: np.ndarray  # float64 per bin
-    ndv: np.ndarray  # float64 per bin
+    """Per bin: a dominant map and float64 background mass and NDV arrays.
+
+    The maps are read-only, possibly a built histogram's own container
+    dicts (int counts).  A join holds its two operands instead until
+    `dominant` is first read, which builds its maps from them and drops
+    them; `bin_totals` sums an unbuilt join's per-bin dominant mass from
+    its operands, once, and builds no map.
+    """
+
+    def __init__(self, domain: KeyDomain, dominant: list[dict] | None,
+                 background: np.ndarray, ndv: np.ndarray):
+        self.domain = domain
+        self.background = background  # float64 per bin
+        self.ndv = ndv  # float64 per bin
+        self._maps = dominant
+        self._operands = None  # a join's (a, b) until its maps exist
+        self._mass = None  # an unbuilt join's per-bin dominant mass, once read
+
+    @property
+    def dominant(self) -> list[dict]:
+        """Per bin: key -> estimated joined count."""
+        if self._maps is None:
+            self.dominant = _joined_maps(*self._operands)
+        return self._maps
+
+    @dominant.setter
+    def dominant(self, maps: list[dict]) -> None:
+        self._maps, self._operands, self._mass = maps, None, None
 
     def bin_totals(self) -> np.ndarray:
-        return self.background + np.array(
-            [sum(d.values()) for d in self.dominant], dtype=np.float64)
+        if self._maps is not None:
+            return self.background + np.array(
+                [sum(d.values()) for d in self._maps], dtype=np.float64)
+        if self._mass is None:
+            self._mass = _joined_mass(*self._operands)
+        return self.background + self._mass
 
     def total(self) -> float:
         return sum(self.bin_totals().tolist())
@@ -75,8 +109,22 @@ def _check_same_domain(a: CompositeHist, b: CompositeHist) -> None:
 
 
 def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
-    """Bin-wise binary join of two lifted top-k histograms."""
+    """Bin-wise binary join of two lifted top-k histograms.  The result
+    holds its operands: its maps are built, or its mass is summed, when
+    first read."""
     _check_same_domain(a, b)
+    out = CompositeHist(
+        domain=a.domain, dominant=None,
+        background=selinger_bin_estimate(a.background, a.ndv,
+                                         b.background, b.ndv),
+        ndv=np.minimum(a.ndv, b.ndv))
+    out._operands = (a, b)
+    return out
+
+
+def _joined_maps(a: CompositeHist, b: CompositeHist) -> list[dict]:
+    """Per bin, the joined dominant map: a's keys in a's order, then the
+    keys b alone holds; a zero product is dropped."""
     dominant = []
     for da, db, bac_a, bac_b in zip(a.dominant, b.dominant, _bac(a), _bac(b)):
         dom = {k: est for k, ca in da.items()
@@ -85,20 +133,40 @@ def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
             dom |= {k: est for k, cb in db.items()
                     if k not in da and (est := cb * bac_a) > 0}
         dominant.append(dom)
-    return CompositeHist(
-        domain=a.domain, dominant=dominant,
-        background=selinger_bin_estimate(a.background, a.ndv,
-                                         b.background, b.ndv),
-        ndv=np.minimum(a.ndv, b.ndv))
+    return dominant
+
+
+def _joined_mass(a: CompositeHist, b: CompositeHist) -> np.ndarray:
+    """Per bin, the sum of the map `_joined_maps` builds, without building
+    it.  With S the smaller of the two maps and L the larger, that sum is
+    sum(S[k] * L.get(k, BAC_L) for k in S) + BAC_S * sum(L[k] for k in L
+    not in S): one pass over S, and only when BAC_S is non-zero a sum over
+    L's own keys.  That sum is not taken as sum(L) less L's part of the
+    keys S holds, which could cancel to a float residue where the two
+    key sets are nearly equal; every term here is non-negative."""
+    mass = []
+    for ds, dl, bac_s, bac_l in zip(a.dominant, b.dominant, _bac(a), _bac(b)):
+        if len(ds) > len(dl):
+            ds, dl, bac_s, bac_l = dl, ds, bac_l, bac_s
+        m = sum(map(mul, ds.values(), map(dl.get, ds, repeat(bac_l))))
+        if bac_s:  # S is empty on a bridge-carried side: no set to build
+            rest = (map(dl.__getitem__, dl.keys() - ds.keys()) if ds
+                    else dl.values())
+            m += bac_s * sum(rest)
+        mass.append(m)
+    return np.array(mass, dtype=np.float64)
 
 
 def join_star_group(hists: list[CompositeHist]) -> CompositeHist:
-    """Left-fold of binary joins over composites sharing one key domain."""
+    """Left-fold of binary joins over composites sharing one key domain.
+    Each join reads the maps of the one before; the last join's mass is
+    summed here, the only per-bin sum its readers need."""
     if not hists:
         raise TKHistError("empty star group")
     acc = hists[0]
     for h in hists[1:]:
         acc = jtkh_join(acc, h)
+    acc.bin_totals()
     return acc
 
 

@@ -87,12 +87,15 @@ def satisfying_intervals(pred: Predicate, integer: bool) -> list[tuple[float, fl
     return [(v, v) for v in cells]
 
 
-def selectivity_2d(hist2d: TKHist2D, pred: Predicate,
-                   integer: bool) -> np.ndarray:
-    """Per key-bin fraction of mass satisfying the predicate; `integer`
+def selectivity_2d(hist2d: TKHist2D, pred: Predicate, integer: bool,
+                   rows: np.ndarray) -> np.ndarray:
+    """Per key-bin fraction of `rows` satisfying the predicate; `integer`
     says whether the attribute column is INTEGER.
 
-    Key bins with zero row mass yield the neutral fraction 1.
+    `rows` counts each key bin's rows, a null attribute's included (the key
+    column's 1D `bin_rows()`): the grid holds no row whose attribute is
+    null, and a null never matches.  Key bins with no rows yield the
+    neutral fraction 1.
     """
     axis = hist2d.attr
     if isinstance(axis, KeyDomain):
@@ -101,7 +104,7 @@ def selectivity_2d(hist2d: TKHist2D, pred: Predicate,
         sat = key_bin_fractions(axis, pred, integer)
     else:
         sat = np.array([1.0 if matches(pred, v) else 0.0 for v in axis])
-    mass = hist2d.key_marginal().astype(np.float64)
+    mass = np.asarray(rows, dtype=np.float64)
     hit = hist2d.grid @ sat
     with np.errstate(invalid="ignore", divide="ignore"):
         frac = np.where(mass > 0, hit / np.maximum(mass, 1e-300), 1.0)

@@ -288,7 +288,7 @@ def test_criterion_08_selectivity_correctness():
     pred_y = Predicate("y", "<", 50)   # aligned with an attribute boundary
     pred_z = Predicate("z", ">=", 30)  # aligned as well
 
-    fy = selectivity_2d(h_y, pred_y, integer=True)
+    fy = selectivity_2d(h_y, pred_y, integer=True, rows=h_y.key_marginal())
     kb = d.bins_of(keys)
     exact_single = True
     for i in range(5):
@@ -296,7 +296,7 @@ def test_criterion_08_selectivity_correctness():
         scan = np.mean(y[mask] < 50)
         exact_single = exact_single and fy[i] == scan
 
-    fz = selectivity_2d(h_z, pred_z, integer=True)
+    fz = selectivity_2d(h_z, pred_z, integer=True, rows=h_z.key_marginal())
     combined = fy * fz  # conditional independence on the key bin
     within = True
     for i in range(5):

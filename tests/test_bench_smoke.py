@@ -21,6 +21,7 @@ SETUP_LAYERS = ("catalog.ingest_s", "catalog.domain_bounds_s",
 # the estimate-path and update-path layers every workload exercises
 RUN_LAYERS = ("queryfront.decompose_s", "estimator.run_plan_self_s",
               "joinengine.lift_s", "joinengine.star_fold_s",
+              "joinengine.jtkh_join_calls",
               "joinengine.chain_translate_calls", "cli.update_s",
               "cli.update_state_io_s", "histcore.insert_calls")
 

@@ -80,6 +80,32 @@ class TestEstimate:
         with pytest.raises(PlanError):
             estimate("SELECT COUNT(*) FROM r, s", state)
 
+    @pytest.mark.parametrize("threshold", [10, 1])  # y categorical, numeric
+    @pytest.mark.parametrize("sql,nulls,truth", [
+        ("SELECT COUNT(*) FROM r WHERE r.y = 5", {"y": [0, 1, 1, 1]}, 1),
+        ("SELECT COUNT(*) FROM r, s WHERE r.k = s.k AND r.y = 5",
+         {"y": [0, 1, 1, 1]}, 1),
+        ("SELECT COUNT(*) FROM r WHERE r.k = 1", {"k": [0, 0, 0, 1]}, 3),
+    ])
+    def test_null_filter_values_never_match(self, threshold, sql, nulls,
+                                            truth):
+        # every row of r has k = 1 and y = 5 unless null; a fraction over
+        # the non-null rows alone would count the null rows as matching
+        cols = [{"name": "k", "kind": "integer", "role": "key"}]
+        schema = schema_from_document({
+            "tables": [{"name": "r", "file": "r.csv", "columns": cols + [
+                           {"name": "y", "kind": "integer",
+                            "role": "attribute"}]},
+                       {"name": "s", "file": "s.csv", "columns": cols}],
+            "foreign_keys": [{"from": "s.k", "to": "r.k"}],
+            "categorical_threshold": threshold})
+        tables = {"r": make_table("r", {"k": [1] * 4, "y": [5] * 4}, nulls),
+                  "s": make_table("s", {"k": [1, 2]})}
+        state = build_state(schema, tables, BuildConfig(bin_count=2, top_k=0))
+        query = bind(parse_sql(sql), state.schema)
+        assert oracle.oracle_count(query, tables) == truth
+        assert estimate(sql, state).estimate == truth
+
     def test_report_dict_shape(self, small_state):
         state, _ = small_state
         rep = estimate("SELECT COUNT(*) FROM r", state)

@@ -15,6 +15,7 @@ from tkhist.joinengine import (CompositeHist, apply_filters, chain_translate,
                                selinger_bin_estimate)
 from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
+from tkhist.synth import SyntheticSpec, generate_synthetic
 
 from conftest import make_table, two_table_schema
 
@@ -375,3 +376,67 @@ class TestAgainstPerBinReference:
     def test_total_sums_bins_in_order(self, data, n_bins):
         comp = data.draw(composites(n_bins, 1))[0]
         assert comp.total() == ref_total(ref_bins(comp))
+
+
+@st.composite
+def join_operands(draw):
+    """Two composites over one domain: int or float counts, empty maps,
+    zero-BAC bins, overlapping or disjoint keys, and at times an operand
+    carried across a bridge or a join whose maps are unbuilt."""
+    n = draw(st.integers(1, 4))
+    a, b, c = draw(composites(n, 3))
+    if draw(st.booleans()):  # b's keys are disjoint from a's
+        b.dominant = [{k + 7: v for k, v in d.items()} for d in b.dominant]
+    side = draw(st.sampled_from(["plain", "chain", "join"]))
+    if side == "chain":
+        src = make_domain(0, 10, draw(st.integers(1, 4)), id="a.k1")
+        pairs = draw(st.lists(st.tuples(st.integers(0, 10),
+                                        st.integers(0, 10)), max_size=30))
+        k1 = np.array([p[0] for p in pairs], dtype=np.int64)
+        k2 = np.array([p[1] for p in pairs], dtype=np.int64)
+        source = draw(composites(src.bin_count, 1))[0]
+        source.domain = src
+        b = chain_translate(source, build_tkhist2d(k1, k2, src, b.domain),
+                            build_tkhist1d(k2, b.domain, k=1))
+    elif side == "join":
+        b = jtkh_join(b, c)
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+class TestJoinMass:
+    """A join's totals come from its operands, before its maps exist."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(pair=join_operands())
+    def test_totals_equal_the_maps_built_after(self, pair):
+        out = jtkh_join(*pair)
+        totals = out.bin_totals()
+        total = out.total()
+        built = [bg + sum(d.values())
+                 for bg, d in zip(out.background.tolist(), out.dominant)]
+        np.testing.assert_allclose(totals, built, rtol=1e-12, atol=0)
+        assert total == pytest.approx(sum(built), rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1",
+        "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+        "AND t3.k1 = t1.k1",
+    ])
+    def test_estimate_builds_no_root_map(self, monkeypatch, sql):
+        from tkhist import estimator
+        spec = SyntheticSpec(tables=3, rows=300, layout="star",
+                             distinct_keys=30)
+        schema, tables = generate_synthetic(spec, seed=2)
+        state = build_state(schema, tables, BuildConfig(bin_count=10, top_k=3))
+        roots = []
+
+        def recorded(*args):
+            composites = run_plan(*args)
+            roots.append(list(composites.values())[-1])
+            return composites
+
+        monkeypatch.setattr(estimator, "run_plan", recorded)
+        value = estimator.estimate(sql, state).estimate
+        root, = roots
+        assert root._maps is None  # summed from its operands only
+        assert value == root.total() > 0

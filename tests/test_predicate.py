@@ -104,7 +104,7 @@ class TestSelectivity2D:
         attrs[0], attrs[1] = 0, 100  # pin the binning range
         d, h = self.build(keys, attrs, key_bins=4, attr_bins=10)
         pred = Predicate("c", "<", 50)  # falls on an attribute bin boundary
-        frac = selectivity_2d(h, pred, integer=True)
+        frac = selectivity_2d(h, pred, integer=True, rows=h.key_marginal())
         for i in range(4):
             in_bin = [(kk, aa) for kk, aa in zip(keys, attrs)
                       if domain_bin(d, kk) == i]
@@ -113,7 +113,8 @@ class TestSelectivity2D:
 
     def test_empty_key_bin_is_neutral(self):
         d, h = self.build([1, 2, 3], [5, 5, 5], key_bins=4)
-        frac = selectivity_2d(h, Predicate("c", "=", 5), integer=True)
+        frac = selectivity_2d(h, Predicate("c", "=", 5), integer=True,
+                              rows=h.key_marginal())
         assert frac[3] == 1.0
 
     def test_categorical_axis(self):
@@ -121,7 +122,8 @@ class TestSelectivity2D:
         attrs = np.array(["a", "b", "a", "c"], dtype=object)
         h = build_tkhist2d(np.array([1, 2, 3, 4]), attrs, d,
                            categorical_axis(attrs))
-        frac = selectivity_2d(h, Predicate("c", "=", "a"), integer=False)
+        frac = selectivity_2d(h, Predicate("c", "=", "a"), integer=False,
+                              rows=h.key_marginal())
         assert frac[0] == pytest.approx(0.5)
 
     def test_partial_overlap_interpolates(self):
@@ -130,7 +132,8 @@ class TestSelectivity2D:
         attrs = np.array([0, 9])
         binning = numeric_axis(np.array([0, 10]), 1)
         h = build_tkhist2d(np.array([1, 2]), attrs, d, binning)
-        frac = selectivity_2d(h, Predicate("c", "<", 5), integer=True)
+        frac = selectivity_2d(h, Predicate("c", "<", 5), integer=True,
+                              rows=h.key_marginal())
         assert frac[0] == pytest.approx(0.5)
 
 
@@ -149,10 +152,11 @@ class TestCombine:
                             BuildConfig(bin_count=2, top_k=0))
         query = bind(parse_sql("SELECT COUNT(*) FROM r, s WHERE r.k = s.k "
                                "AND r.y < 5 AND r.z >= 3"), state.schema)
-        fy = selectivity_2d(state.hists2d[("r", "k", "y")],
-                            query.predicates[0], integer=True)
-        fz = selectivity_2d(state.hists2d[("r", "k", "z")],
-                            query.predicates[1], integer=True)
+        hy, hz = state.hists2d[("r", "k", "y")], state.hists2d[("r", "k", "z")]
+        fy = selectivity_2d(hy, query.predicates[0], integer=True,
+                            rows=hy.key_marginal())
+        fz = selectivity_2d(hz, query.predicates[1], integer=True,
+                            rows=hz.key_marginal())
         assert fy.tolist() == [0.5, 1.0] and fz.tolist() == [0.5, 0.2]
         comp = _lift_alias(state, query, "r", "k", frozenset())
         assert comp.background.tolist() == [4 * 0.25, 5 * 0.2]
@@ -260,6 +264,6 @@ class TestBinFractionsDifferential:
         axis.set_boundaries(lo, hi, n)
         h = TKHist2D(key_domain=make_domain(0, 10, m), attr=axis,
                      grid=np.asarray(counts, dtype=np.int64).reshape(m, n))
-        got = selectivity_2d(h, pred, integer)
+        got = selectivity_2d(h, pred, integer, h.key_marginal())
         assert got.tolist() == \
             reference_selectivity_2d(h, pred, integer).tolist()
