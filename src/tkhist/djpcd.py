@@ -1,8 +1,8 @@
 """Correlation between dominant join keys and filter attributes.
 
 Offline, the join pipeline is run over the longest declared join templates;
-the keys carried by the resulting dominant maps are the join paths worth
-tracking.  For each table and filterable attribute we then record, per
+the keys that the resulting composites hold dominant are the join paths
+worth tracking.  For each table and filterable attribute we then record, per
 dominant key, the envelope of attribute values observed with that key
 (min/max for ordered columns, the exact value set for categorical ones),
 one `Envelopes` of columns per (table, domain, attribute) section.
@@ -74,18 +74,17 @@ class Envelopes:
 
 
 def collect_dominant_keys(group_composites: list[CompositeHist]) -> dict[str, set]:
-    """Union dominant-map keys per domain, keeping the
-    DOMINANT_KEYS_PER_DOMAIN largest contributors per domain; of the keys
-    tied at the cut, those with the smallest repr."""
-    weight: dict[str, dict] = defaultdict(lambda: defaultdict(float))
+    """Sum the composites' dominant mass vectors per domain and keep, of the
+    keys with mass, the DOMINANT_KEYS_PER_DOMAIN largest per domain; of the
+    keys tied at the cut, those with the smallest repr."""
+    weight: dict[str, tuple] = {}  # domain id -> (key index, summed mass)
     for comp in group_composites:
-        per_dom = weight[comp.domain.id]
-        for dom_map in comp.dominant:
-            for key, est in dom_map.items():
-                per_dom[key] += est
+        index, w = weight.get(comp.domain.id, (comp.index, 0.0))
+        weight[comp.domain.id] = (index, w + comp.mass)
     out = {}
-    for dom, per_key in weight.items():
-        keys, w = list(per_key), np.fromiter(per_key.values(), dtype=float)
+    for dom, (index, w) in weight.items():
+        held = np.flatnonzero(w)
+        keys, w = index.keys[held].tolist(), w[held]
         n = len(keys) - DOMINANT_KEYS_PER_DOMAIN
         if n <= 0:
             out[dom] = set(keys)

@@ -79,18 +79,25 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     Background mass scales by the per-bin conditional selectivity product;
     dominant entries stay at full weight unless a predicate on the key column
     itself rejects the key exactly, or correlation exclusion removes it.
-    The lifted maps are the histogram's own containers, so exclusion copies
-    each map before removing keys from it.
+    Exclusion removes keys from copies of the histogram's containers, then
+    zeroes the mass of each container key that its bin's copy lost.
     """
     table = query.aliases[alias]
     hist = state.hists1d[(table, key_col)]
-    comp = lift(hist)
+    index = state.key_index(hist.domain.id)
+    comp = lift(hist, index, (table, key_col))
 
     if excluded:
-        comp.dominant = [dict(d) for d in comp.dominant]
-        for dom in comp.dominant:
+        maps = [dict(b.topk) for b in hist.bins]
+        for dom in maps:
             for key in excluded:
                 dom.pop(key, None)
+        # a bin that lost keys is one whose copy shrank
+        keys, offsets = hist.topk_keys.tolist(), hist.topk_offsets.tolist()
+        gone = [j for dom, lo, hi in zip(maps, offsets, offsets[1:])
+                if len(dom) < hi - lo for j in range(lo, hi)
+                if keys[j] not in dom]
+        comp.mass[index.positions[(table, key_col)][gone]] = 0.0
 
     sel = None  # product of the per-bin fractions, in predicate order
     for pred in _alias_predicates(query, alias):
@@ -98,8 +105,11 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
         integer = state.schema.table(table).column(attr).kind == KIND_INTEGER
         if attr == key_col:
             # exact on dominant keys, interpolated on the background
-            comp.dominant = [{k: v for k, v in dom.items()
-                              if matches(pred, k)} for dom in comp.dominant]
+            held = np.flatnonzero(comp.mass)
+            miss = np.fromiter((not matches(pred, k)
+                                for k in index.keys[held].tolist()),
+                               dtype=bool, count=len(held))
+            comp.mass[held[miss]] = 0.0
             frac = key_bin_fractions(hist.domain, pred, integer)
         else:
             frac = selectivity_2d(state.hists2d[(table, key_col, attr)], pred,
@@ -134,7 +144,8 @@ def _eval_group(state: EstimatorState, query: Query, group: PlanGroup,
         btable = query.aliases[link.bridge_alias]
         factors.append(chain_translate(
             child, state.hists2d[(btable, link.child_col, link.parent_col)],
-            state.hists1d[(btable, link.parent_col)]))
+            state.hists1d[(btable, link.parent_col)],
+            state.key_index(group.domain_id)))
     composites[group.domain_id] = comp = join_star_group(factors)
     return comp
 

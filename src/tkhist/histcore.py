@@ -38,7 +38,7 @@ class TKHist1D:
     with those `topk_counts`; its background keys are `background` sliced
     by `background_offsets` alike.  Both offset arrays follow from the keys'
     bins, so the constructor derives them after checking its arrays: one NV
-    per bin, one count per container key, both key arrays strictly
+    per bin, one positive count per container key, both key arrays strictly
     increasing (a NaN fails) and disjoint, every key inside the domain
     (else `bins_of` raises DomainBoundsError); any other break raises
     TKHistError.  Keys are in the column's dtype; key order is bin order."""
@@ -58,6 +58,8 @@ class TKHist1D:
         if len(self.topk_counts) != len(self.topk_keys):
             raise TKHistError(f"{len(self.topk_keys)} topk_keys and "
                               f"{len(self.topk_counts)} topk_counts")
+        if np.any(self.topk_counts < 1):
+            raise TKHistError("a container count below 1")
         # written so that a NaN, which compares false, fails them
         for keys, what in ((self.topk_keys, "container"),
                            (self.background, "background")):
@@ -116,7 +118,7 @@ class TKHist1D:
         pos, held = _sorted_positions(self.topk_keys, keys)
         self.topk_counts[pos[held]] += counts[held]
         np.add.at(self.nv, self.domain.bins_of(keys[~held]), counts[~held])
-        self.background = _merge_sorted(self.background, keys[~held])
+        self.background = merge_sorted(self.background, keys[~held])
         self.background_offsets = self._bin_offsets(self.background)
         self.__dict__.pop("bins", None)
 
@@ -131,7 +133,7 @@ def _sorted_positions(a: np.ndarray,
     return pos, found
 
 
-def _merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def merge_sorted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Sorted union of two sorted arrays of distinct values, in a's dtype:
     b's values missing from a are inserted at their `searchsorted` positions,
     a linear merge where `np.union1d` would sort both again."""

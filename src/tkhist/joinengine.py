@@ -1,23 +1,18 @@
 """Bin-wise join of top-k histograms and composition across star groups.
 
-A composite histogram holds, per bin, a dominant map (key -> estimated
-count) and two float64 arrays: background mass and background NDV.  A binary
-join combines two composites bin by bin: keys present in both dominant maps
-multiply exactly; a key present on one side only joins the other side's
-background at its average frequency BAC = background / NDV; the two
-backgrounds combine with the Selinger formula, and background NDV propagates
-as the minimum of the two sides, which keeps the Selinger formula applicable
-recursively to intermediate results.  The background and NDV arithmetic runs
-on whole arrays; only the dominant maps are walked key by key.  A lifted
-composite's dominant maps are its histogram's `bins` container views (int
-counts); every map is read-only.
-
-A join's own maps are built only when something reads them: the next join
-of a star fold, or discovery.  A join whose maps are unbuilt sums each
-bin's dominant mass straight from its two operands, one pass over the
-smaller map, and that mass is all `bin_totals` and `total` need.  The star
-fold sums it for its last join, so the last join of a group, whose total
-is an estimate or is carried across a bridge, builds no map.
+A key index (`KeyIndex`) holds, for one key domain, the sorted union of the
+container keys of every 1D histogram over it, each key's bin, and each
+histogram's positions in that union.  A composite histogram holds a float64
+dominant mass per index key, zero where the key is not dominant, and two
+float64 arrays per bin: background mass and background NDV.  A binary join
+combines two composites over one index, key by key and bin by bin: keys
+dominant on both sides multiply exactly; a key dominant on one side only
+joins the other side's background at its bin's average frequency BAC =
+background / NDV; the two backgrounds combine with the Selinger formula,
+and background NDV propagates as the minimum of the two sides, which keeps
+the Selinger formula applicable recursively to intermediate results.  Every
+step is whole-array arithmetic; a bin's dominant mass is one `np.bincount`
+of the mass by the keys' bins.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
@@ -25,14 +20,14 @@ composites.
 """
 from __future__ import annotations
 
-from itertools import repeat
-from operator import mul
+from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .catalog import KeyDomain
 from .errors import DomainMismatchError, TKHistError
-from .histcore import TKHist1D, TKHist2D
+from .histcore import TKHist1D, TKHist2D, merge_sorted
 
 
 def selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b) -> np.ndarray:
@@ -42,131 +37,101 @@ def selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b) -> np.ndarray:
                         nv_a * nv_b / np.maximum(ndv_a, ndv_b), 0.0)
 
 
-class CompositeHist:
-    """Per bin: a dominant map and float64 background mass and NDV arrays.
+class KeyIndex:
+    """The sorted union `keys` of the container keys of one domain's
+    histograms (each array sorted and distinct), each key's bin (`bins`),
+    and each histogram's container keys' positions in `keys` (`positions`,
+    by the histogram's name).
 
-    The maps are read-only, possibly a built histogram's own container
-    dicts (int counts).  A join holds its two operands instead until
-    `dominant` is first read, which builds its maps from them and drops
-    them; `bin_totals` sums an unbuilt join's per-bin dominant mass from
-    its operands, once, and builds no map.
+    Keys match by value, as Python compares them: an INTEGER 3 and a REAL
+    3.0 are one key, 2**53 + 1 and 2.0**53 two.  Arrays of one numeric
+    dtype give `keys` of that dtype; mixed kinds are sorted and matched in
+    Python, where numpy would compare them through float64, and give an
+    object array holding each key as the first array that has it does.
     """
 
-    def __init__(self, domain: KeyDomain, dominant: list[dict] | None,
-                 background: np.ndarray, ndv: np.ndarray):
+    def __init__(self, domain: KeyDomain, key_arrays: dict):
         self.domain = domain
-        self.background = background  # float64 per bin
-        self.ndv = ndv  # float64 per bin
-        self._maps = dominant
-        self._operands = None  # a join's (a, b) until its maps exist
-        self._mass = None  # an unbuilt join's per-bin dominant mass, once read
+        arrays = list(key_arrays.values())
+        if len({a.dtype for a in arrays}) == 1 and arrays[0].dtype != object:
+            keys = reduce(merge_sorted, arrays)
+            pos = [np.searchsorted(keys, a) for a in arrays]
+        else:
+            union = sorted(set().union(*(a.tolist() for a in arrays)))
+            at = {k: i for i, k in enumerate(union)}
+            pos = [np.array([at[k] for k in a.tolist()], dtype=np.int64)
+                   for a in arrays]
+            keys = np.array(union, dtype=object)
+        self.keys = keys
+        self.bins = domain.bins_of(keys)
+        self.positions = dict(zip(key_arrays, pos))
+
+
+@dataclass(eq=False)
+class CompositeHist:
+    """A float64 dominant mass per key of `index`, zero for a key that is
+    not dominant, and float64 background mass and NDV per bin."""
+
+    index: KeyIndex
+    mass: np.ndarray
+    background: np.ndarray
+    ndv: np.ndarray
 
     @property
-    def dominant(self) -> list[dict]:
-        """Per bin: key -> estimated joined count."""
-        if self._maps is None:
-            self.dominant = _joined_maps(*self._operands)
-        return self._maps
-
-    @dominant.setter
-    def dominant(self, maps: list[dict]) -> None:
-        self._maps, self._operands, self._mass = maps, None, None
+    def domain(self) -> KeyDomain:
+        return self.index.domain
 
     def bin_totals(self) -> np.ndarray:
-        if self._maps is not None:
-            return self.background + np.array(
-                [sum(d.values()) for d in self._maps], dtype=np.float64)
-        if self._mass is None:
-            self._mass = _joined_mass(*self._operands)
-        return self.background + self._mass
+        return self.background + np.bincount(
+            self.index.bins, weights=self.mass, minlength=len(self.background))
 
     def total(self) -> float:
         return sum(self.bin_totals().tolist())
 
 
-def _bac(comp: CompositeHist) -> list[float]:
+def _bac(comp: CompositeHist) -> np.ndarray:
     """Per-bin background average frequency; zero where NDV is zero."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(comp.ndv > 0, comp.background / comp.ndv, 0.0).tolist()
+        return np.where(comp.ndv > 0, comp.background / comp.ndv, 0.0)
 
 
-def lift(hist: TKHist1D) -> CompositeHist:
-    """Identity lift of a built histogram.  The dominant maps are its `bins`
-    views' container dicts (int counts), shared by every lift: read-only, so
-    a caller that edits one copies it."""
-    return CompositeHist(
-        domain=hist.domain,
-        dominant=[b.topk for b in hist.bins],
-        background=hist.nv.astype(np.float64),
-        ndv=hist.ndv.astype(np.float64))
-
-
-def _check_same_domain(a: CompositeHist, b: CompositeHist) -> None:
-    if a.domain.id != b.domain.id or a.domain.bin_count != b.domain.bin_count:
-        raise DomainMismatchError(
-            f"cannot join histograms over domains {a.domain.id!r} "
-            f"and {b.domain.id!r}")
+def lift(hist: TKHist1D, index: KeyIndex, name) -> CompositeHist:
+    """Identity lift of the built histogram that `index` lists as `name`:
+    its container counts, scattered onto the index keys."""
+    mass = np.zeros(len(index.keys))
+    mass[index.positions[name]] = hist.topk_counts
+    return CompositeHist(index=index, mass=mass,
+                         background=hist.nv.astype(np.float64),
+                         ndv=hist.ndv.astype(np.float64))
 
 
 def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
-    """Bin-wise binary join of two lifted top-k histograms.  The result
-    holds its operands: its maps are built, or its mass is summed, when
-    first read."""
-    _check_same_domain(a, b)
-    out = CompositeHist(
-        domain=a.domain, dominant=None,
+    """Bin-wise binary join of two composites over one key index.  With A
+    and B a key's two dominant masses, its joined mass is
+    (A + BAC_a·[A=0]) · (B + BAC_b·[B=0]) · [A>0 ∨ B>0], taken as
+    arithmetic on 0/1 factors rather than as branches: each factor of 0 or
+    1 leaves a finite value exact."""
+    if a.index is not b.index:
+        raise DomainMismatchError(
+            f"cannot join histograms over domains {a.domain.id!r} "
+            f"and {b.domain.id!r}: not one key index")
+    bins, A, B = a.index.bins, a.mass, b.mass
+    mass = ((A + _bac(a).take(bins) * (A == 0))
+            * (B + _bac(b).take(bins) * (B == 0)) * ((A > 0) | (B > 0)))
+    return CompositeHist(
+        index=a.index, mass=mass,
         background=selinger_bin_estimate(a.background, a.ndv,
                                          b.background, b.ndv),
         ndv=np.minimum(a.ndv, b.ndv))
-    out._operands = (a, b)
-    return out
-
-
-def _joined_maps(a: CompositeHist, b: CompositeHist) -> list[dict]:
-    """Per bin, the joined dominant map: a's keys in a's order, then the
-    keys b alone holds; a zero product is dropped."""
-    dominant = []
-    for da, db, bac_a, bac_b in zip(a.dominant, b.dominant, _bac(a), _bac(b)):
-        dom = {k: est for k, ca in da.items()
-               if (est := ca * db.get(k, bac_b)) > 0}
-        if bac_a:  # else every b-only product is zero and dropped
-            dom |= {k: est for k, cb in db.items()
-                    if k not in da and (est := cb * bac_a) > 0}
-        dominant.append(dom)
-    return dominant
-
-
-def _joined_mass(a: CompositeHist, b: CompositeHist) -> np.ndarray:
-    """Per bin, the sum of the map `_joined_maps` builds, without building
-    it.  With S the smaller of the two maps and L the larger, that sum is
-    sum(S[k] * L.get(k, BAC_L) for k in S) + BAC_S * sum(L[k] for k in L
-    not in S): one pass over S, and only when BAC_S is non-zero a sum over
-    L's own keys.  That sum is not taken as sum(L) less L's part of the
-    keys S holds, which could cancel to a float residue where the two
-    key sets are nearly equal; every term here is non-negative."""
-    mass = []
-    for ds, dl, bac_s, bac_l in zip(a.dominant, b.dominant, _bac(a), _bac(b)):
-        if len(ds) > len(dl):
-            ds, dl, bac_s, bac_l = dl, ds, bac_l, bac_s
-        m = sum(map(mul, ds.values(), map(dl.get, ds, repeat(bac_l))))
-        if bac_s:  # S is empty on a bridge-carried side: no set to build
-            rest = (map(dl.__getitem__, dl.keys() - ds.keys()) if ds
-                    else dl.values())
-            m += bac_s * sum(rest)
-        mass.append(m)
-    return np.array(mass, dtype=np.float64)
 
 
 def join_star_group(hists: list[CompositeHist]) -> CompositeHist:
-    """Left-fold of binary joins over composites sharing one key domain.
-    Each join reads the maps of the one before; the last join's mass is
-    summed here, the only per-bin sum its readers need."""
+    """Left-fold of binary joins over composites sharing one key index."""
     if not hists:
         raise TKHistError("empty star group")
     acc = hists[0]
     for h in hists[1:]:
         acc = jtkh_join(acc, h)
-    acc.bin_totals()
     return acc
 
 
@@ -177,31 +142,34 @@ def apply_filters(comp: CompositeHist,
     Dominant entries keep their full weight: retained join paths are handled
     exclusively through correlation-based exclusion, and scaling them here
     would double-count that correction.  The result shares the input's
-    dominant maps.
+    dominant mass.
     """
     if len(fractions) != len(comp.background):
         raise DomainMismatchError("selectivity length does not match bin count")
-    return CompositeHist(domain=comp.domain, dominant=comp.dominant,
+    return CompositeHist(index=comp.index, mass=comp.mass,
                          background=comp.background * fractions, ndv=comp.ndv)
 
 
 def chain_translate(comp: CompositeHist, bridge: TKHist2D,
-                    target_hist: TKHist1D) -> CompositeHist:
-    """Carry a composite across a bridge table onto a second key domain.
+                    target_hist: TKHist1D, index: KeyIndex) -> CompositeHist:
+    """Carry a composite across a bridge table onto a second key domain,
+    whose key index is `index`.
 
     Each source bin's estimate is distributed over target bins proportionally
-    to the bridge table's key-pair co-occurrence grid.  Dominant maps do not
+    to the bridge table's key-pair co-occurrence grid.  Dominant keys do not
     cross a chain boundary: source keys are meaningless on the target domain,
-    so the output carries background mass only.  Per-bin NDV comes from the
-    bridge's histogram over the target key column.
+    so the output's dominant mass is zero and it carries background mass
+    only.  Per-bin NDV comes from the bridge's histogram over the target key
+    column.
     """
     if comp.domain.id != bridge.key_domain.id:
         raise DomainMismatchError(
             f"composite domain {comp.domain.id!r} does not match bridge "
             f"key domain {bridge.key_domain.id!r}")
-    if bridge.attr.id != target_hist.domain.id:
+    if not bridge.attr.id == target_hist.domain.id == index.domain.id:
         raise DomainMismatchError(
-            "bridge attribute axis is not binned over the target key domain")
+            "bridge attribute axis, target histogram and key index are not "
+            "over one key domain")
     marginal = bridge.key_marginal().astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = np.where(marginal[:, None] > 0,
@@ -210,6 +178,5 @@ def chain_translate(comp: CompositeHist, bridge: TKHist2D,
     out = comp.bin_totals() @ weights
     ndv = (target_hist.ndv + np.diff(target_hist.topk_offsets)
            ).astype(np.float64)
-    return CompositeHist(domain=target_hist.domain,
-                         dominant=[{} for _ in range(len(out))],
+    return CompositeHist(index=index, mass=np.zeros(len(index.keys)),
                          background=out, ndv=np.where(out > 0, ndv, 0.0))

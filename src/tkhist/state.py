@@ -50,7 +50,7 @@ import math
 import os
 import tempfile
 import zlib
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -60,6 +60,7 @@ from .djpcd import Envelopes
 from .errors import SchemaError, StateError, TKHistError
 from .histcore import (TKHist1D, TKHist2D, add_value_counts, axis_length,
                        build_tkhist1d, build_tkhist2d)
+from .joinengine import KeyIndex
 
 STATE_MAGIC = "TKHIST-STATE-v1"
 STATE_VERSION = 10
@@ -92,6 +93,21 @@ class EstimatorState:
     # holds that table's histograms alone, and writes the document back
     # with them (`state_to_document`); None when it holds every table's
     source: tuple[str, dict] | None = None
+    # domain id -> its joinengine.KeyIndex, built by `key_index`; never
+    # saved, and dropped by `apply_rows`
+    key_indexes: dict = field(default_factory=dict, repr=False,
+                              compare=False)
+
+    def key_index(self, domain_id: str) -> KeyIndex:
+        """The key index over the containers of the domain's histograms,
+        built on first use."""
+        index = self.key_indexes.get(domain_id)
+        if index is None:
+            index = self.key_indexes[domain_id] = KeyIndex(
+                self.domains[domain_id],
+                {name: h.topk_keys for name, h in self.hists1d.items()
+                 if self.column_domain[".".join(name)] == domain_id})
+        return index
 
     def key_columns(self, table: str) -> list[str]:
         tdef = self.schema.table(table)
@@ -244,7 +260,8 @@ def apply_rows(state: EstimatorState, table: str,
     `categorical_threshold` distinct values becomes numeric, as a rebuild
     would make it (`catalog.is_categorical`): its frequency histogram goes,
     and its grids widen onto the numeric axis over its values.  Container
-    membership stays as built and the correlation map is not maintained.
+    membership stays as built and the correlation map is not maintained;
+    the key indexes are dropped.
     A batch that raises changes nothing: every step that can raise runs
     before the first change.  Returns (inserted, rejected).
     """
@@ -275,7 +292,8 @@ def apply_rows(state: EstimatorState, table: str,
             axes[cdef.name] = _attr_axis(
                 f"{table}.{cdef.name}", None, None, state.config.bin_count,
                 lambda: value_span([np.asarray(values)]))
-    for key, fh in freq.items():  # the first change
+    state.key_indexes.clear()  # the first change
+    for key, fh in freq.items():
         if fh is None:
             del state.freq_hists[key]
         else:

@@ -3,6 +3,7 @@ import pytest
 
 from tkhist.catalog import KeyDomain, TableData, schema_from_document, value_span
 from tkhist.errors import DomainBoundsError
+from tkhist.joinengine import CompositeHist, KeyIndex, lift
 
 
 def _scalar(v):
@@ -83,6 +84,58 @@ def correlations_of(cmap):
         return None
     return {name: (sec.keys.dtype, envelope_dict(sec))
             for name, sec in cmap.items()}
+
+
+def key_array(keys) -> np.ndarray:
+    """Python numbers as a key array: int64 or float64 when they are of one
+    kind, else an object array, which a key index sorts and matches in
+    Python as it does the keys of a domain over both kinds."""
+    kinds = {type(k) for k in keys}
+    if kinds <= {int}:
+        return np.array(keys, dtype=np.int64)
+    return np.array(keys, dtype=np.float64 if kinds == {float} else object)
+
+
+def composites_of(domain, *specs) -> list:
+    """One composite per spec, all over one key index of `domain` that holds
+    every key the specs name.  A spec is a list of per-bin (dominant map,
+    background, NDV) triples; each key of a bin's map lies in that bin."""
+    keys = sorted(dict.fromkeys(k for spec in specs for dom, _, _ in spec
+                                for k in dom))
+    index = KeyIndex(domain, {"keys": key_array(keys)})
+    at = dict(zip(keys, index.positions["keys"].tolist()))
+    comps = []
+    for spec in specs:
+        mass = np.zeros(len(index.keys))
+        for i, (dom, _, _) in enumerate(spec):
+            for key, m in dom.items():
+                assert index.bins[at[key]] == i, f"key {key!r} not in bin {i}"
+                mass[at[key]] = m
+        comps.append(CompositeHist(
+            index=index, mass=mass,
+            background=np.array([b[1] for b in spec], dtype=np.float64),
+            ndv=np.array([b[2] for b in spec], dtype=np.float64)))
+    return comps
+
+
+def lifted(*hists) -> list:
+    """Lifts of built histograms over one domain, over one key index of
+    their containers."""
+    index = KeyIndex(hists[0].domain,
+                     {i: h.topk_keys for i, h in enumerate(hists)})
+    return [lift(h, index, i) for i, h in enumerate(hists)]
+
+
+def maps_of(comp) -> list[dict]:
+    """A composite's dominant keys as one map per bin, key -> mass, in key
+    order: the per-bin form of its mass vector."""
+    maps = [{} for _ in comp.background]
+    held = np.flatnonzero(comp.mass)
+    for key, b, m in zip(comp.index.keys[held].tolist(),
+                         comp.index.bins[held].tolist(),
+                         comp.mass[held].tolist()):
+        maps[b][key] = m
+    return maps
 
 
 def two_table_schema(extra_attrs: tuple[str, ...] = ("y",)):

@@ -12,14 +12,15 @@ import pytest
 
 from tkhist.estimator import (discover_correlations, estimate, q_error, ratio)
 from tkhist.histcore import build_tkhist2d
-from tkhist.joinengine import CompositeHist, jtkh_join, selinger_bin_estimate
+from tkhist.joinengine import jtkh_join, selinger_bin_estimate
 from tkhist.oracle import nested_loop_count, oracle_count
 from tkhist.predicate import Predicate, selectivity_2d
 from tkhist.queryfront import Query, bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import domain_bin, make_table, numeric_axis, two_table_schema
+from conftest import (composites_of, domain_bin, make_table, numeric_axis,
+                      two_table_schema)
 
 
 def verdict(n: int, ok: bool, desc: str) -> None:
@@ -97,13 +98,11 @@ def test_criterion_02_join_histogram_degeneration():
         from tkhist.catalog import KeyDomain
         d = KeyDomain(id="t.k", columns=frozenset({"t.k"}))
         d.set_boundaries(0, 1, 1)
-        a = CompositeHist(d, [{}], np.array([float(nv_a)]),
-                          np.array([float(ndv_a)]))
-        b = CompositeHist(d, [{}], np.array([float(nv_b)]),
-                          np.array([float(ndv_b)]))
+        a, b = composites_of(d, [({}, float(nv_a), float(ndv_a))],
+                             [({}, float(nv_b), float(ndv_b))])
         out = jtkh_join(a, b)
         expect = selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b)
-        if out.dominant[0] != {} or out.background[0] != expect:
+        if out.mass.any() or out.background[0] != expect:
             mismatches += 1
     verdict(2, mismatches == 0,
             "k=0 join equals the Selinger per-bin estimate bit-for-bit on "

@@ -11,12 +11,12 @@ from tkhist.catalog import KeyDomain, schema_from_document
 from tkhist.djpcd import (Envelopes, build_correlation_map,
                           collect_dominant_keys, find_excluded_keys)
 from tkhist.estimator import discover_correlations, estimate
-from tkhist.joinengine import CompositeHist
 from tkhist.predicate import Predicate, matches
 from tkhist.queryfront import Query
 from tkhist.state import BuildConfig, build_state
 
-from conftest import _scalar, envelope_dict, make_table, two_table_schema
+from conftest import (_scalar, composites_of, envelope_dict, make_table,
+                      two_table_schema)
 
 
 def envelope_excludes(env, pred: Predicate) -> bool:
@@ -197,26 +197,24 @@ def mixed_kind_tables(draw):
     return {"r": table("r", False), "s": table("s", True)}
 
 
-def make_domain(id="t.k"):
+def make_domain(id="t.k", lo=0, hi=10):
     d = KeyDomain(id=id, columns=frozenset({id}))
-    d.set_boundaries(0, 10, 1)
+    d.set_boundaries(lo, hi, 1)
     return d
 
 
 class TestCollect:
     def test_keys_ranked_by_contribution(self, monkeypatch):
         monkeypatch.setattr(djpcd, "DOMINANT_KEYS_PER_DOMAIN", 2)
-        d = make_domain()
-        comp = CompositeHist(d, [{1: 100.0, 2: 5.0, 3: 50.0}], np.zeros(1),
-                             np.zeros(1))
+        comp, = composites_of(make_domain(),
+                              [({1: 100.0, 2: 5.0, 3: 50.0}, 0.0, 0.0)])
         out = collect_dominant_keys([comp])
         assert out["t.k"] == {1, 3}
 
     def test_contributions_sum_across_composites(self, monkeypatch):
         monkeypatch.setattr(djpcd, "DOMINANT_KEYS_PER_DOMAIN", 1)
-        d = make_domain()
-        c1 = CompositeHist(d, [{1: 10.0, 2: 30.0}], np.zeros(1), np.zeros(1))
-        c2 = CompositeHist(d, [{1: 25.0}], np.zeros(1), np.zeros(1))
+        c1, c2 = composites_of(make_domain(), [({1: 10.0, 2: 30.0}, 0.0, 0.0)],
+                               [({1: 25.0}, 0.0, 0.0)])
         out = collect_dominant_keys([c1, c2])
         assert out["t.k"] == {1}  # 35 vs 30
 
@@ -229,8 +227,8 @@ class TestCollect:
         limit=st.integers(1, 12))
     def test_ties_at_the_cut_by_repr(self, weights, limit):
         """The kept keys are the first `limit` by (-weight, repr)."""
-        comp = CompositeHist(make_domain(), [weights], np.zeros(1),
-                             np.zeros(1))
+        comp, = composites_of(make_domain(lo=-5, hi=2 ** 54),
+                              [(weights, 0.0, 0.0)])
         ranked = sorted(weights.items(), key=lambda kv: (-kv[1], repr(kv[0])))
         want = {k for k, _ in ranked[:limit]}
         with mock.patch.object(djpcd, "DOMINANT_KEYS_PER_DOMAIN", limit):

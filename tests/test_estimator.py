@@ -20,7 +20,7 @@ from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state, save_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import make_table, two_table_schema
+from conftest import make_table, maps_of, two_table_schema
 
 
 class TestMetrics:
@@ -449,7 +449,7 @@ class TestExclusionAtLift:
 
         def held(composites):
             return {k for d, comp in composites.items()
-                    for dom in comp.dominant
+                    for dom in maps_of(comp)
                     for k in dom.keys() & excluded.get(d, frozenset())}
 
         plain = run_plan(state, query, plan)

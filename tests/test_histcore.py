@@ -226,12 +226,13 @@ class TestConstructor:
         ({"topk_counts": [3]}, TKHistError, "2 topk_keys and 1 topk_counts"),
         ({"topk_counts": [3, 2, 1]}, TKHistError,
          "2 topk_keys and 3 topk_counts"),
+        ({"topk_counts": [3, 0]}, TKHistError, "a container count below 1"),
     ], ids=["unsorted-container-keys", "unsorted-background",
             "repeated-container-key", "repeated-background-key",
             "nan-container-key", "nan-between-background-keys",
             "lone-nan-background-key", "key-in-both-arrays",
             "background-key-outside-domain", "container-key-outside-domain",
-            "short-nv", "short-counts", "long-counts"])
+            "short-nv", "short-counts", "long-counts", "zero-count"])
     @pytest.mark.filterwarnings("error")  # no NaN slips into an int cast
     def test_broken_arrays_rejected(self, changed, error, message):
         with pytest.raises(TKHistError, match=re.escape(message)) as info:

@@ -6,18 +6,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tkhist.catalog import KeyDomain
+from tkhist.catalog import KeyDomain, schema_from_document
 from tkhist.errors import DomainMismatchError
-from tkhist.estimator import _lift_alias, run_plan
+from tkhist.estimator import _lift_alias, estimate, run_plan
 from tkhist.histcore import build_tkhist1d, build_tkhist2d
-from tkhist.joinengine import (CompositeHist, apply_filters, chain_translate,
-                               jtkh_join, join_star_group, lift,
+from tkhist.joinengine import (KeyIndex, apply_filters, chain_translate,
+                               jtkh_join, join_star_group,
                                selinger_bin_estimate)
+from tkhist.predicate import key_bin_fractions, matches
 from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import make_table, two_table_schema
+from conftest import (composites_of, lifted, make_table, maps_of,
+                      two_table_schema)
 
 
 def make_domain(lo=0, hi=100, bins=4, id="t.k"):
@@ -27,10 +29,14 @@ def make_domain(lo=0, hi=100, bins=4, id="t.k"):
 
 
 def comp_of(domain, bins):
-    """A composite from per-bin (dominant, background, ndv) triples."""
-    return CompositeHist(domain=domain, dominant=[dict(b[0]) for b in bins],
-                         background=np.array([b[1] for b in bins], dtype=float),
-                         ndv=np.array([b[2] for b in bins], dtype=float))
+    """A composite from per-bin (dominant, background, ndv) triples, over a
+    key index of its own keys."""
+    return composites_of(domain, bins)[0]
+
+
+def index_of(hist):
+    """A key index of one histogram's containers, listed as "h"."""
+    return KeyIndex(hist.domain, {"h": hist.topk_keys})
 
 
 EMPTY_BIN = ({}, 0.0, 0.0)
@@ -47,6 +53,35 @@ def two_table_state(r_keys, s_keys, top_k):
     return state, query
 
 
+class TestKeyIndex:
+    def test_sorted_union_bins_and_positions(self):
+        d = make_domain(0, 100, 2)
+        index = KeyIndex(d, {"a": np.array([3, 60]), "b": np.array([3, 7])})
+        assert index.keys.tolist() == [3, 7, 60]
+        assert index.bins.tolist() == [0, 0, 1]
+        assert {n: p.tolist() for n, p in index.positions.items()} == {
+            "a": [0, 2], "b": [0, 1]}
+
+    def test_mixed_kinds_match_by_value(self):
+        # 3 and 3.0 are one key; 2**53 + 1 has no float64 equal, and numpy
+        # would read 2.0**53 == 2**53 + 1
+        d = make_domain(0, 2 ** 54, 1)
+        index = KeyIndex(d, {
+            "r": np.array([3, 2 ** 53 + 1], dtype=np.int64),
+            "s": np.array([2.5, 3.0, 2.0 ** 53], dtype=np.float64)})
+        assert index.keys.tolist() == [2.5, 3, 2.0 ** 53, 2 ** 53 + 1]
+        assert [type(k) for k in index.keys.tolist()] == [float, int, float,
+                                                          int]
+        assert index.positions["r"].tolist() == [1, 3]
+        assert index.positions["s"].tolist() == [0, 1, 2]
+
+    def test_no_keys(self):
+        index = KeyIndex(make_domain(bins=3), {})
+        assert len(index.keys) == 0
+        comp = comp_of(make_domain(bins=3), [EMPTY_BIN] * 3)
+        assert comp.bin_totals().tolist() == [0.0] * 3
+
+
 class TestSelinger:
     def test_formula(self):
         assert selinger_bin_estimate(10, 2, 6, 3) == pytest.approx(20.0)
@@ -56,21 +91,20 @@ class TestSelinger:
         assert selinger_bin_estimate(0, 0, 0, 0) == 0.0
 
     def test_ndv_propagates_as_min(self):
-        d = make_domain(bins=1)
-        out = jtkh_join(comp_of(d, [({}, 1.0, 5.0)]),
-                        comp_of(d, [({}, 1.0, 3.0)]))
-        assert out.ndv[0] == 3
+        a, b = composites_of(make_domain(bins=1), [({}, 1.0, 5.0)],
+                             [({}, 1.0, 3.0)])
+        assert jtkh_join(a, b).ndv[0] == 3
 
 
 class TestBinJoin:
     def test_hand_computed_bin(self):
         # a: container {1:3, 2:1}, background 4 rows over 2 keys (BAC 2)
         # b: container {1:2},      background 6 rows over 3 keys (BAC 2)
-        d = make_domain(bins=1)
-        a = comp_of(d, [({1: 3.0, 2: 1.0}, 4.0, 2.0)])
-        b = comp_of(d, [({1: 2.0}, 6.0, 3.0)])
+        a, b = composites_of(make_domain(bins=1),
+                             [({1: 3.0, 2: 1.0}, 4.0, 2.0)],
+                             [({1: 2.0}, 6.0, 3.0)])
         out = jtkh_join(a, b)
-        assert out.dominant[0] == {1: 6.0, 2: 2.0}  # 3*2 exact, 1*BAC_b cross
+        assert maps_of(out) == [{1: 6.0, 2: 2.0}]  # 3*2 exact, 1*BAC_b cross
         assert out.background[0] == pytest.approx(4 * 6 / 3)
         assert out.ndv[0] == 2.0
 
@@ -82,14 +116,13 @@ class TestBinJoin:
         excluded = {state.column_domain["r.k"]: frozenset({1})}
         out = run_plan(state, query, plan, excluded)
         assert list(out) == [plan.root.domain_id]
-        assert out[plan.root.domain_id].dominant[0] == {2: 5.0}
+        assert maps_of(out[plan.root.domain_id]) == [{2: 5.0}]
 
     def test_zero_product_entries_dropped(self):
-        d = make_domain(bins=1)
-        a = comp_of(d, [({1: 3.0}, 0.0, 0.0)])
-        b = comp_of(d, [EMPTY_BIN])  # empty other side
+        a, b = composites_of(make_domain(bins=1), [({1: 3.0}, 0.0, 0.0)],
+                             [EMPTY_BIN])  # empty other side
         out = jtkh_join(a, b)
-        assert out.dominant[0] == {}
+        assert maps_of(out) == [{}]
         assert out.total() == 0.0
 
     def test_domain_mismatch_rejected(self):
@@ -97,6 +130,9 @@ class TestBinJoin:
         b = comp_of(make_domain(id="u.j"), [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
             jtkh_join(a, b)
+        c = comp_of(make_domain(id="t.k"), [EMPTY_BIN])
+        with pytest.raises(DomainMismatchError):
+            jtkh_join(a, c)  # one domain, but another key index
 
     def test_k0_join_equals_selinger_per_bin(self, rng):
         d = make_domain(0, 100, 8)
@@ -104,9 +140,9 @@ class TestBinJoin:
         vb = rng.integers(0, 101, size=300)
         ha = build_tkhist1d(va, d, k=0)
         hb = build_tkhist1d(vb, d, k=0)
-        out = jtkh_join(lift(ha), lift(hb))
-        for i, dom in enumerate(out.dominant):
-            assert dom == {}
+        out = jtkh_join(*lifted(ha, hb))
+        assert len(out.mass) == 0
+        for i in range(d.bin_count):
             expect = selinger_bin_estimate(ha.bins[i].nv, int(ha.ndv[i]),
                                            hb.bins[i].nv, int(hb.ndv[i]))
             assert out.background[i] == expect  # bit-for-bit
@@ -119,7 +155,7 @@ class TestBinJoin:
         hb = build_tkhist1d(vb, d, k=1000)
         ca, cb = Counter(va.tolist()), Counter(vb.tolist())
         truth = sum(ca[k] * cb[k] for k in ca)
-        assert jtkh_join(lift(ha), lift(hb)).total() == pytest.approx(truth)
+        assert jtkh_join(*lifted(ha, hb)).total() == pytest.approx(truth)
 
     @settings(max_examples=40, deadline=None)
     @given(va=st.lists(st.integers(0, 60), max_size=120),
@@ -127,8 +163,8 @@ class TestBinJoin:
            k=st.integers(0, 5))
     def test_join_total_is_symmetric(self, va, vb, k):
         d = make_domain(0, 60, 3)
-        ha = lift(build_tkhist1d(np.asarray(va, dtype=np.int64), d, k=k))
-        hb = lift(build_tkhist1d(np.asarray(vb, dtype=np.int64), d, k=k))
+        ha, hb = lifted(build_tkhist1d(np.asarray(va, dtype=np.int64), d, k=k),
+                        build_tkhist1d(np.asarray(vb, dtype=np.int64), d, k=k))
         ab = jtkh_join(ha, hb).total()
         ba = jtkh_join(hb, ha).total()
         assert ab == pytest.approx(ba)
@@ -138,7 +174,7 @@ class TestStarFold:
     def test_three_way_full_capture_exact(self, rng):
         d = make_domain(0, 30, 3)
         cols = [rng.integers(0, 31, size=200) for _ in range(3)]
-        hists = [lift(build_tkhist1d(c, d, k=1000)) for c in cols]
+        hists = lifted(*(build_tkhist1d(c, d, k=1000) for c in cols))
         counters = [Counter(c.tolist()) for c in cols]
         truth = sum(counters[0][k] * counters[1][k] * counters[2][k]
                     for k in counters[0])
@@ -150,16 +186,16 @@ class TestStarFold:
                                        top_k=2)
         comp = _lift_alias(state, query, "r", "k", frozenset({1}))
         out = join_star_group([comp])
-        assert out.dominant[0] == {2: 3.0}
+        assert maps_of(out) == [{2: 3.0}]
         assert out.background[0] == 2.0
 
 
 class TestFiltersAndExclusion:
     def test_background_scaled_dominant_kept(self):
-        d = make_domain(bins=2)
-        comp = comp_of(d, [({1: 4.0}, 10.0, 5.0), ({}, 8.0, 2.0)])
+        comp = comp_of(make_domain(bins=2),
+                       [({1: 4.0}, 10.0, 5.0), ({}, 8.0, 2.0)])
         out = apply_filters(comp, np.array([0.5, 0.25]))
-        assert out.dominant[0] == {1: 4.0}
+        assert maps_of(out) == [{1: 4.0}, {}]
         assert out.background[0] == 5.0
         assert out.background[1] == 2.0
         assert out.ndv[0] == 5.0
@@ -175,12 +211,13 @@ class TestChainTranslate:
         bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=1)
         comp = comp_of(src, [({}, 30.0, 3.0), ({}, 12.0, 2.0)])
-        out = chain_translate(comp, bridge, target)
+        index = index_of(target)
+        out = chain_translate(comp, bridge, target, index)
         # src bin0 mass 30 splits 2/3 : 1/3; src bin1 mass 12 all to dst bin1
-        assert out.domain.id == "b.k2"
+        assert out.domain.id == "b.k2" and out.index is index
         assert out.background[0] == pytest.approx(20.0)
         assert out.background[1] == pytest.approx(10.0 + 12.0)
-        assert out.dominant[0] == {}
+        assert out.mass.tolist() == [0.0] * len(index.keys)
         # conservation when every source bin has bridge support
         assert out.background[0] + out.background[1] == \
             pytest.approx(comp.total())
@@ -193,7 +230,7 @@ class TestChainTranslate:
         bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=1)  # container {4:2}, background {5}
         comp = comp_of(src, [({}, 6.0, 2.0)])
-        out = chain_translate(comp, bridge, target)
+        out = chain_translate(comp, bridge, target, index_of(target))
         assert out.ndv[0] == 2.0  # background + container distincts
 
     def test_domain_checks(self):
@@ -204,15 +241,36 @@ class TestChainTranslate:
         target = build_tkhist1d(np.array([2]), other, k=0)
         comp = comp_of(other, [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
-            chain_translate(comp, bridge, target)  # composite on wrong domain
+            # composite on wrong domain
+            chain_translate(comp, bridge, target, index_of(target))
         comp2 = comp_of(src, [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
-            chain_translate(comp2, bridge, target)  # target on wrong domain
+            # target on wrong domain
+            chain_translate(comp2, bridge, target, index_of(target))
+        right = build_tkhist1d(np.array([2]), dst, k=0)
+        with pytest.raises(DomainMismatchError):
+            # key index on wrong domain
+            chain_translate(comp2, bridge, right, index_of(target))
+
+
+def test_unfiltered_estimates_build_no_bin_views():
+    """A lift without exclusion reads the histogram's flat arrays: neither
+    a 2-table nor a 3-table star estimate builds a `Bin1D` view."""
+    spec = SyntheticSpec(tables=3, rows=300, layout="star", distinct_keys=30)
+    schema, tables = generate_synthetic(spec, seed=2)
+    state = build_state(schema, tables, BuildConfig(bin_count=10, top_k=3))
+    for sql in ["SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1",
+                "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+                "AND t3.k1 = t1.k1"]:
+        assert estimate(sql, state).estimate > 0
+    assert state.key_indexes
+    assert not any("bins" in h.__dict__ for h in state.hists1d.values())
 
 
 # ---------------------------------------------------------------------------
-# Reference: the per-bin algebra written bin by bin in Python floats.  The
-# array implementation must match it exactly, dict order included.
+# Reference: the per-bin algebra written bin by bin in Python floats, each
+# bin's dominant keys a dict.  The vector implementation must give every
+# key the same value, every bin the same key set, and every total to 1e-12.
 
 @dataclass
 class RefBin:
@@ -229,8 +287,13 @@ class RefBin:
 
 
 def ref_bins(comp):
-    return [RefBin(dict(d), bg, ndv) for d, bg, ndv in zip(
-        comp.dominant, comp.background.tolist(), comp.ndv.tolist())]
+    return [RefBin(d, bg, ndv) for d, bg, ndv in zip(
+        maps_of(comp), comp.background.tolist(), comp.ndv.tolist())]
+
+
+def ref_lift(hist):
+    return [RefBin(dict(b.topk), float(b.nv), float(ndv))
+            for b, ndv in zip(hist.bins, hist.ndv.tolist())]
 
 
 def ref_join(a_bins, b_bins):
@@ -279,42 +342,45 @@ def ref_total(bins):
     return sum(b.total() for b in bins)
 
 
-def typed_items(maps):
-    """Each map's items in order, with each value's type, so that an int
-    count and its float are told apart."""
-    return [[(k, type(v), v) for k, v in d.items()] for d in maps]
-
-
 def assert_matches(comp, bins):
-    assert len(comp.dominant) == len(bins)
-    assert typed_items(comp.dominant) == typed_items(b.dominant for b in bins)
+    # dict equality: the same keys per bin, each with an equal value
+    assert maps_of(comp) == [b.dominant for b in bins]
     assert comp.background.tolist() == [b.background_est for b in bins]
     assert comp.ndv.tolist() == [b.ndv_est for b in bins]
-    assert comp.total() == ref_total(bins)
+    assert comp.total() == pytest.approx(ref_total(bins), rel=1e-12, abs=0)
 
 
-masses = st.one_of(st.just(0.0), st.floats(0, 1e4, allow_nan=False),
+# positive dominant masses: zero means "not dominant" in a mass vector
+masses = st.one_of(st.floats(0, 1e4, exclude_min=True),
                    st.integers(1, 1000).map(float))
 ndvs = st.one_of(st.just(0.0), st.integers(1, 50).map(float))
-bin_triples = st.builds(
-    lambda dom, bg_ndv: (dom, *bg_ndv),
-    # few keys, so that keys overlap; float estimates or a lifted
-    # histogram's int counts
-    st.one_of(st.dictionaries(st.integers(0, 6), masses, max_size=4),
-              st.dictionaries(st.integers(0, 6), st.integers(0, 1000),
-                              max_size=4)),
+backgrounds = st.one_of(
     # an empty background (no mass, no NDV, or neither) half the time
-    st.one_of(st.tuples(masses, ndvs), st.tuples(st.just(0.0), ndvs),
-              st.tuples(masses, st.just(0.0)),
-              st.just((0.0, 0.0))))
+    st.tuples(st.one_of(st.just(0.0), masses), ndvs),
+    st.tuples(st.just(0.0), ndvs),
+    st.tuples(st.one_of(st.just(0.0), masses), st.just(0.0)),
+    st.just((0.0, 0.0)))
+# few keys, so that keys overlap; float estimates or a lifted histogram's
+# int counts
+dominants = st.one_of(st.dictionaries(st.integers(0, 10), masses, max_size=6),
+                      st.dictionaries(st.integers(0, 10), st.integers(1, 1000),
+                                      max_size=6))
 
 
 @st.composite
-def composites(draw, n_bins, count):
-    d = make_domain(0, 10, n_bins)
-    return [comp_of(d, draw(st.lists(bin_triples, min_size=n_bins,
-                                     max_size=n_bins)))
-            for _ in range(count)]
+def composites(draw, n_bins, count, id="t.k"):
+    """`count` composites over one key index of a domain of `n_bins` bins
+    over 0..10, each key in its own bin."""
+    d = make_domain(0, 10, n_bins, id=id)
+    specs = []
+    for _ in range(count):
+        dominant = draw(dominants)
+        spec = [({}, *draw(backgrounds)) for _ in range(n_bins)]
+        bins = d.bins_of(np.array(list(dominant), dtype=np.int64)).tolist()
+        for (key, m), i in zip(dominant.items(), bins):
+            spec[i][0][key] = m
+        specs.append(spec)
+    return composites_of(d, *specs)
 
 
 @st.composite
@@ -338,19 +404,20 @@ class TestAgainstPerBinReference:
     @given(data=st.data(), n_bins=st.integers(1, 4))
     def test_join_leaves_inputs_unchanged(self, data, n_bins):
         a, b = data.draw(composites(n_bins, 2))
-        before = typed_items(a.dominant + b.dominant)
+        before = [c.mass.copy() for c in (a, b)]
         out = jtkh_join(a, b)
-        assert typed_items(a.dominant + b.dominant) == before
-        assert not any(o is d for o in out.dominant
-                       for d in a.dominant + b.dominant)
+        assert [c.mass.tolist() for c in (a, b)] == [m.tolist()
+                                                     for m in before]
+        assert out.mass is not a.mass and out.mass is not b.mass
 
     @settings(max_examples=100, deadline=None)
     @given(group=star_groups(), data=st.data())
     def test_filters(self, group, data):
         comp = group[0]
+        n = len(comp.background)
         fractions = np.array(data.draw(st.lists(
             st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
-            min_size=len(comp.dominant), max_size=len(comp.dominant))))
+            min_size=n, max_size=n)))
         assert_matches(apply_filters(comp, fractions),
                        ref_filters(ref_bins(comp), fractions))
 
@@ -366,9 +433,8 @@ class TestAgainstPerBinReference:
         k2 = np.array([p[1] for p in pairs], dtype=np.int64)
         bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=k)
-        comp = data.draw(composites(n_src, 1))[0]
-        comp.domain = src
-        assert_matches(chain_translate(comp, bridge, target),
+        comp = data.draw(composites(n_src, 1, id="a.k1"))[0]
+        assert_matches(chain_translate(comp, bridge, target, index_of(target)),
                        ref_chain(ref_bins(comp), bridge, target))
 
     @settings(max_examples=100, deadline=None)
@@ -378,65 +444,55 @@ class TestAgainstPerBinReference:
         assert comp.total() == ref_total(ref_bins(comp))
 
 
-@st.composite
-def join_operands(draw):
-    """Two composites over one domain: int or float counts, empty maps,
-    zero-BAC bins, overlapping or disjoint keys, and at times an operand
-    carried across a bridge or a join whose maps are unbuilt."""
-    n = draw(st.integers(1, 4))
-    a, b, c = draw(composites(n, 3))
-    if draw(st.booleans()):  # b's keys are disjoint from a's
-        b.dominant = [{k + 7: v for k, v in d.items()} for d in b.dominant]
-    side = draw(st.sampled_from(["plain", "chain", "join"]))
-    if side == "chain":
-        src = make_domain(0, 10, draw(st.integers(1, 4)), id="a.k1")
-        pairs = draw(st.lists(st.tuples(st.integers(0, 10),
-                                        st.integers(0, 10)), max_size=30))
-        k1 = np.array([p[0] for p in pairs], dtype=np.int64)
-        k2 = np.array([p[1] for p in pairs], dtype=np.int64)
-        source = draw(composites(src.bin_count, 1))[0]
-        source.domain = src
-        b = chain_translate(source, build_tkhist2d(k1, k2, src, b.domain),
-                            build_tkhist1d(k2, b.domain, k=1))
-    elif side == "join":
-        b = jtkh_join(b, c)
-    return (b, a) if draw(st.booleans()) else (a, b)
+def mixed_kind_schema():
+    """r.k INTEGER joined to s.k REAL: one key domain over both kinds."""
+    def table_doc(name, key_kind):
+        return {"name": name, "file": f"{name}.csv", "columns": [
+            {"name": "k", "kind": key_kind, "role": "key"},
+            {"name": "y", "kind": "integer"}]}
+
+    return schema_from_document({
+        "tables": [table_doc("r", "integer"), table_doc("s", "real")],
+        "foreign_keys": [{"from": "s.k", "to": "r.k"}],
+        "templates": [["r.k=s.k"]]})
 
 
-class TestJoinMass:
-    """A join's totals come from its operands, before its maps exist."""
-
-    @settings(max_examples=300, deadline=None)
-    @given(pair=join_operands())
-    def test_totals_equal_the_maps_built_after(self, pair):
-        out = jtkh_join(*pair)
-        totals = out.bin_totals()
-        total = out.total()
-        built = [bg + sum(d.values())
-                 for bg, d in zip(out.background.tolist(), out.dominant)]
-        np.testing.assert_allclose(totals, built, rtol=1e-12, atol=0)
-        assert total == pytest.approx(sum(built), rel=1e-12, abs=0)
-
-    @pytest.mark.parametrize("sql", [
-        "SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1",
-        "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
-        "AND t3.k1 = t1.k1",
-    ])
-    def test_estimate_builds_no_root_map(self, monkeypatch, sql):
-        from tkhist import estimator
-        spec = SyntheticSpec(tables=3, rows=300, layout="star",
-                             distinct_keys=30)
-        schema, tables = generate_synthetic(spec, seed=2)
-        state = build_state(schema, tables, BuildConfig(bin_count=10, top_k=3))
-        roots = []
-
-        def recorded(*args):
-            composites = run_plan(*args)
-            roots.append(list(composites.values())[-1])
-            return composites
-
-        monkeypatch.setattr(estimator, "run_plan", recorded)
-        value = estimator.estimate(sql, state).estimate
-        root, = roots
-        assert root._maps is None  # summed from its operands only
-        assert value == root.total() > 0
+@settings(max_examples=100, deadline=None)
+@given(r_keys=st.lists(st.sampled_from(
+           [0, 1, 3, 5, 8, 2 ** 53 - 1, 2 ** 53, 2 ** 53 + 1]),
+           min_size=1, max_size=30),
+       s_keys=st.lists(st.sampled_from(
+           [0.0, 0.5, 1.0, 3.0, 4.5, 8.0, 2.0 ** 53 - 2, 2.0 ** 53,
+            2.0 ** 53 + 2]), min_size=1, max_size=30),
+       bins=st.integers(1, 3), k=st.integers(0, 4),
+       where=st.sampled_from(["", " AND r.k <= 9007199254740992",
+                              " AND s.k >= 3", " AND r.k = 9007199254740993"]))
+def test_mixed_kind_domain_matches_dict_reference(r_keys, s_keys, bins, k,
+                                                  where):
+    """INTEGER and REAL keys of one domain, at 2**53 - 1, 2**53 and
+    2**53 + 1, join by Python value as the per-bin dicts do: the vector
+    join gives every key the reference's value and the estimate its total.
+    """
+    tables = {"r": make_table("r", {"k": r_keys, "y": [0] * len(r_keys)}),
+              "s": make_table("s", {"k": s_keys, "y": [0] * len(s_keys)})}
+    state = build_state(mixed_kind_schema(), tables,
+                        BuildConfig(bin_count=bins, top_k=k))
+    sql = "SELECT COUNT(*) FROM r, s WHERE r.k = s.k" + where
+    query = bind(parse_sql(sql), state.schema)
+    plan = decompose(query, state.column_domain)
+    expect = None
+    for alias, col in plan.root.members:
+        hist = state.hists1d[(query.aliases[alias], col)]
+        member = ref_lift(hist)
+        for pred in query.predicates:
+            if pred.column == f"{alias}.{col}":
+                member = [RefBin({k: v for k, v in b.dominant.items()
+                                  if matches(pred, k)}, b.background_est,
+                                 b.ndv_est) for b in member]
+                member = ref_filters(member, key_bin_fractions(
+                    hist.domain, pred, integer=alias == "r"))  # r.k INTEGER
+        expect = member if expect is None else ref_join(expect, member)
+    root = run_plan(state, query, plan)[plan.root.domain_id]
+    assert maps_of(root) == [b.dominant for b in expect]
+    assert estimate(sql, state).estimate == pytest.approx(
+        ref_total(expect), rel=1e-12, abs=0)

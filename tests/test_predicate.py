@@ -7,13 +7,13 @@ from tkhist.catalog import KeyDomain
 from tkhist.errors import DomainMismatchError, TKHistError
 from tkhist.estimator import _lift_alias, _single_table_fraction
 from tkhist.histcore import TKHist2D, build_tkhist2d
-from tkhist.joinengine import CompositeHist, apply_filters
+from tkhist.joinengine import apply_filters
 from tkhist.predicate import (Predicate, key_bin_fractions, matches,
                               satisfying_intervals, selectivity_2d)
 from tkhist.queryfront import bind, parse_sql
 from tkhist.state import BuildConfig, build_state
 
-from conftest import (categorical_axis, domain_bin, make_table,
+from conftest import (categorical_axis, composites_of, domain_bin, make_table,
                       numeric_axis, two_table_schema)
 
 
@@ -162,8 +162,7 @@ class TestCombine:
         assert comp.background.tolist() == [4 * 0.25, 5 * 0.2]
 
     def test_length_mismatch_rejected(self):
-        comp = CompositeHist(domain=make_domain(0, 10, 2), dominant=[{}, {}],
-                             background=np.zeros(2), ndv=np.zeros(2))
+        comp, = composites_of(make_domain(0, 10, 2), [({}, 0.0, 0.0)] * 2)
         with pytest.raises(DomainMismatchError):
             apply_filters(comp, np.array([1.0]))
 

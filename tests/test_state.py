@@ -786,6 +786,9 @@ class TestErrors:
          "bin"),
         (("hists1d", "r.k", "background"), packed([11], "i1"),
          re.escape("'r.k': value 11.0 outside domain 'r.k' bounds [1.0, 9.0]")),
+        # a container holds a key of at least one row
+        (("hists1d", "r.k", "topk_counts"), packed([2, 0, 1]),
+         "'r.k': a container count below 1"),
         # required entries
         (("hists1d", "r.k"), MISSING, "state has no 1D histogram 'r.k'"),
         (("hists2d", "r.k|y"), MISSING, r"state has no 2D histogram 'r.k\|y'"),
@@ -837,7 +840,7 @@ class TestErrors:
         "nan-between-correlation-keys",
         "unsorted-topk-keys", "repeated-topk-key",
         "key-in-container-and-background", "background-key-outside-its-bin",
-        "background-key-outside-its-domain",
+        "background-key-outside-its-domain", "zero-container-count",
         "missing-hists1d-r.k", "missing-hists2d-r.k|y",
         "missing-hists2d-s.k|y"])
     def test_malformed_entry_rejected(self, doc, path, value, message):

@@ -15,6 +15,7 @@ from tkhist.estimator import discover_correlations, estimate
 from tkhist.histcore import build_tkhist2d
 from tkhist.state import (BuildConfig, apply_rows, build_state, load_state,
                           save_state, state_to_document)
+from tkhist.synth import SyntheticSpec, generate_synthetic
 
 from conftest import _scalar, attr_bin, domain_bin, make_table
 
@@ -482,3 +483,32 @@ def test_a_batch_that_raises_changes_nothing():
                        "a histogram of int64 keys"):
         apply_rows(state, "s", batch)
     assert _json(state) == before
+
+
+def test_a_batch_drops_the_key_indexes(tmp_path):
+    """The key indexes that estimates build on first use do not outlive a
+    batch: after `apply_rows`, an estimate equals that of a fresh load of
+    the state saved."""
+    schema, tables = generate_synthetic(
+        SyntheticSpec(tables=3, rows=300, layout="star", distinct_keys=30),
+        seed=3)
+    state = build_state(schema, tables, BuildConfig(bin_count=10, top_k=3))
+    sqls = ["SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1",
+            "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+            "AND t3.k1 = t1.k1 AND t1.k1 <= 12 AND t2.y >= 5"]
+    before = [estimate(sql, state).estimate for sql in sqls]
+    assert state.key_indexes
+    t2 = tables["t2"]
+    apply_rows(state, "t2", TableData(
+        name="t2", columns={c: v[:150] for c, v in t2.columns.items()},
+        null_mask={c: v[:150] for c, v in t2.null_mask.items()},
+        row_count=150))
+    assert state.key_indexes == {}
+    after = [estimate(sql, state).estimate for sql in sqls]
+    assert all(a > b for a, b in zip(after, before))
+    path = str(tmp_path / "state.json")
+    save_state(state, path)
+    fresh = load_state(path)
+    np.testing.assert_allclose(
+        after, [estimate(sql, fresh).estimate for sql in sqls],
+        rtol=1e-12, atol=0)
