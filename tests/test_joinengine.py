@@ -253,18 +253,38 @@ class TestChainTranslate:
             chain_translate(comp2, bridge, right, index_of(target))
 
 
-def test_unfiltered_estimates_build_no_bin_views():
-    """A lift without exclusion reads the histogram's flat arrays: neither
-    a 2-table nor a 3-table star estimate builds a `Bin1D` view."""
-    spec = SyntheticSpec(tables=3, rows=300, layout="star", distinct_keys=30)
-    schema, tables = generate_synthetic(spec, seed=2)
-    state = build_state(schema, tables, BuildConfig(bin_count=10, top_k=3))
-    for sql in ["SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1",
-                "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
-                "AND t3.k1 = t1.k1"]:
-        assert estimate(sql, state).estimate > 0
-    assert state.key_indexes
-    assert not any("bins" in h.__dict__ for h in state.hists1d.values())
+class TestJoinMass:
+    """An estimate's root is a mass vector over its domain's key index."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1",
+        "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+        "AND t3.k1 = t1.k1",
+    ])
+    def test_estimate_builds_no_root_map(self, monkeypatch, sql):
+        """The root holds no dict map, and a lift without exclusion reads
+        the histogram's flat arrays: the estimate builds no `Bin1D` view."""
+        from tkhist import estimator
+        spec = SyntheticSpec(tables=3, rows=300, layout="star",
+                             distinct_keys=30)
+        schema, tables = generate_synthetic(spec, seed=2)
+        state = build_state(schema, tables, BuildConfig(bin_count=10, top_k=3))
+        roots = []
+
+        def recorded(*args):
+            composites = run_plan(*args)
+            roots.append(list(composites.values())[-1])
+            return composites
+
+        monkeypatch.setattr(estimator, "run_plan", recorded)
+        value = estimator.estimate(sql, state).estimate
+        root, = roots
+        assert isinstance(root.mass, np.ndarray)
+        assert root.mass.dtype == np.float64
+        assert root.index is state.key_index(root.domain.id)
+        assert len(root.mass) == len(root.index.keys)
+        assert value == root.total() > 0
+        assert not any("bins" in h.__dict__ for h in state.hists1d.values())
 
 
 # ---------------------------------------------------------------------------
