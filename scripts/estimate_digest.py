@@ -12,7 +12,10 @@ workload's update batches through `tkhist update`.  Printed, one line each:
 the state file's byte count after the build and after every batch, then
 the sha256 and byte count of each of its top-level sections (with
 `schema_base_dir` blanked, so that trees built in different directories
-compare), so that a format change can be checked section by section; and
+compare), so that a format change can be checked section by section, and
+for a section of named entries the sha256 of its entries' bodies alone, in
+sorted order, so that a change that renames entries shows whether their
+contents moved; and
 every estimate, numbered, with the first 12 hex digits of its SQL's sha256
 and its `float.hex`: the accuracy queries and the first STREAM_QUERIES
 queries of the filtered stream after the build, and update-mix's per-batch
@@ -39,18 +42,29 @@ STREAM_QUERIES = 200  # filtered-stream queries estimated after the build
 TOLERANCE = 1e-9  # the largest relative difference `--compare` accepts
 
 
+def canonical(value) -> bytes:
+    """`value` as the state file writes it: sorted keys, no spaces."""
+    return json.dumps(value, sort_keys=True,
+                      separators=(",", ":")).encode("utf-8")
+
+
 def print_state(prefix: str, path: str) -> None:
-    """The file's byte count, then one line per top-level section."""
+    """The file's byte count, then one line per top-level section: its
+    digest and byte count and, when it is an object, the digest of its
+    entries' bodies, sorted, without their names."""
     with open(path, "rb") as fh:
         raw = fh.read()
     print(f"{prefix} bytes={len(raw)}")
     doc = json.loads(raw)
     doc["schema_base_dir"] = ""
     for name, section in sorted(doc.items()):
-        text = json.dumps(section, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-        print(f"{prefix} {name} {hashlib.sha256(text).hexdigest()} "
-              f"bytes={len(text)}")
+        text = canonical(section)
+        line = (f"{prefix} {name} {hashlib.sha256(text).hexdigest()} "
+                f"bytes={len(text)}")
+        if isinstance(section, dict):
+            bodies = b"\n".join(sorted(map(canonical, section.values())))
+            line += f" bodies={hashlib.sha256(bodies).hexdigest()}"
+        print(line)
 
 
 def print_estimates(prefix: str, estimator, queries: list[str], st) -> None:

@@ -81,11 +81,7 @@ def cmd_build(args) -> int:
 def cmd_estimate(args) -> int:
     state = load_state(_state_path(args))
     rep = estimator.estimate(args.sql, state, use_djpcd=args.djpcd)
-    if args.truth is not None:
-        rep.truth = args.truth
-        if args.truth > 0:
-            rep.q_error = estimator.q_error(rep.estimate, args.truth)
-            rep.ratio = estimator.ratio(rep.estimate, args.truth)
+    rep.score(args.truth)
     print(json.dumps(rep.to_dict()))
     return 0
 

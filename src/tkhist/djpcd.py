@@ -4,15 +4,16 @@ Offline, the join pipeline is run over the longest declared join templates;
 the keys that the resulting composites hold dominant are the join paths
 worth tracking.  For each table and filterable attribute we then record, per
 dominant key, the envelope of attribute values observed with that key
-(min/max for ordered columns, the exact value set for categorical ones),
-one `Envelopes` of columns per (table, domain, attribute) section.
+(min/max for ordered columns, the exact value set for string ones), one
+`Envelopes` of columns per (table, key column, attribute) section.
 
 Online, a dominant key is excluded from a query's join when its envelope
-cannot intersect a predicate's satisfying set, tested a section at a time.
-Envelope disjointness implies no row with that key satisfies the filter, so
-exclusion never removes true result mass.  The estimator drops excluded keys
-once, from each histogram it lifts on the key's domain; the join algebra
-never sees them.
+cannot intersect a predicate's satisfying set, tested a section at a time
+through each key column the query joins.  Envelope disjointness implies no
+row with that key in that column satisfies the filter, so exclusion never
+removes true result mass.  The estimator drops excluded keys once, from
+each histogram it lifts on the key's domain; the join algebra never sees
+them.
 """
 from __future__ import annotations
 
@@ -100,12 +101,11 @@ def collect_dominant_keys(group_composites: list[CompositeHist]) -> dict[str, se
 def build_correlation_map(schema: Schema,
                           tables: dict[str, TableData],
                           column_domain: dict[str, str],
-                          categorical,
                           dominant_by_domain: dict[str, set]) -> dict:
     """Per-key attribute envelopes of each table's rows that carry dominant
-    keys: a value set for a column of `categorical` (a collection of
-    (table, column) pairs) that holds strings, a range otherwise.  Returns
-    {(table, domain_id, attr): Envelopes}.
+    keys, one scan per key column: a value set for a column of strings
+    (object dtype), a range otherwise.  Returns {(table, key column, attr):
+    Envelopes}.
 
     A key matches a dominant key when they are equal in Python, so an
     INTEGER key 3 and a REAL key 3.0 of one domain match, and integers
@@ -114,11 +114,9 @@ def build_correlation_map(schema: Schema,
     cmap: dict[tuple[str, str, str], Envelopes] = {}
     for tdef in schema.tables:
         data = tables[tdef.name]
-        key_cols = [(c.name, column_domain[f"{tdef.name}.{c.name}"])
-                    for c in tdef.columns
-                    if f"{tdef.name}.{c.name}" in column_domain]
-        for kc, dom in key_cols:
-            dominant = dominant_by_domain.get(dom)
+        for kc in (c.name for c in tdef.columns):
+            dominant = dominant_by_domain.get(
+                column_domain.get(f"{tdef.name}.{kc}"))
             if not dominant:
                 continue
             col = data.columns[kc]
@@ -132,11 +130,9 @@ def build_correlation_map(schema: Schema,
                     continue
                 section = _scan_attribute(
                     data.columns[cdef.name], data.null_mask[cdef.name],
-                    keys, rows, ids,
-                    categorical=(tdef.name, cdef.name) in categorical
-                    and data.columns[cdef.name].dtype == object)
+                    keys, rows, ids)
                 if section is not None:
-                    cmap[(tdef.name, dom, cdef.name)] = section
+                    cmap[(tdef.name, kc, cdef.name)] = section
     return cmap
 
 
@@ -158,21 +154,20 @@ def _as_dtype(keys, dtype: np.dtype) -> np.ndarray:
 
 
 def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
-                    rows: np.ndarray, ids: np.ndarray,
-                    categorical: bool) -> Envelopes | None:
+                    rows: np.ndarray, ids: np.ndarray) -> Envelopes | None:
     """Per-key envelopes of one attribute over the dominant-key `rows`,
     where `ids[i]` places the key of `rows[i]` in the sorted `keys`.  A
     range is the `np.minimum.at` and `np.maximum.at` of each key's values;
-    a set, its distinct values, taken in one grouped pass over the rows
-    sorted by key.  Null values, NaN among them (`TableData`), are skipped
-    (`matches` accepts none), so exclusion stays sound.  None when no row
-    is left.
+    a set, of an object column, its distinct values, taken in one grouped
+    pass over the rows sorted by key.  Null values, NaN among them
+    (`TableData`), are skipped (`matches` accepts none), so exclusion stays
+    sound.  None when no row is left.
     """
     keep = ~amask[rows]
     vals, ids = avals[rows[keep]], ids[keep]
     if len(vals) == 0:
         return None
-    if categorical:
+    if vals.dtype == object:
         order = np.argsort(ids, kind="stable")
         ids, vals = ids[order], vals[order]
         starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
@@ -191,17 +186,23 @@ def _scan_attribute(avals: np.ndarray, amask: np.ndarray, keys: np.ndarray,
 
 def find_excluded_keys(query: Query, correlations: dict,
                        column_domain: dict[str, str]) -> dict[str, frozenset]:
-    """Per key domain, dominant keys whose envelopes reject some predicate.
+    """Per key domain, dominant keys whose envelopes reject some predicate,
+    through the key columns that the query joins the predicate's table on:
+    a section `(table, key column, attribute)` excludes into the key
+    column's domain in `column_domain`.
 
-    Exclusions union across predicates; attributes absent from the map
-    contribute none.
+    Exclusions union across predicates; a pair without a section
+    contributes none.
     """
+    joined = {tuple(ref.split(".", 1)) for edge in query.join_edges
+              for ref in edge}  # (alias, column)
     excluded: dict[str, set] = defaultdict(set)
     for pred in query.predicates:
         alias, attr = pred.column.split(".", 1)
         table = query.aliases[alias]
-        for (tbl, dom, att), section in correlations.items():
-            if tbl == table and att == attr:
-                excluded[dom].update(
+        for kc in (col for al, col in joined if al == alias):
+            section = correlations.get((table, kc, attr))
+            if section is not None:
+                excluded[column_domain[f"{table}.{kc}"]].update(
                     section.keys[section.excludes(pred)].tolist())
     return {dom: frozenset(keys) for dom, keys in excluded.items()}

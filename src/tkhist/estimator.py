@@ -37,6 +37,14 @@ class EstimationReport:
     ratio: float | None = None
     error: str | None = None
 
+    def score(self, truth: float | None) -> None:
+        """Record the true count, None when unknown, and against a positive
+        one the q-error and ratio."""
+        self.truth = truth
+        if truth is not None and truth > 0:
+            self.q_error = q_error(self.estimate, truth)
+            self.ratio = ratio(self.estimate, truth)
+
     def to_dict(self) -> dict:
         out = {"query": self.query, "estimate": self.estimate,
                "latency_ms": self.latency_ms, "used_djpcd": self.used_djpcd}
@@ -232,8 +240,7 @@ def discover_correlations(state: EstimatorState,
         composites.extend(run_plan(state, query, plan).values())
     dominant = djpcd.collect_dominant_keys(composites)
     state.correlations = djpcd.build_correlation_map(
-        state.schema, tables, state.column_domain, state.freq_hists.keys(),
-        dominant)
+        state.schema, tables, state.column_domain, dominant)
     return state.correlations
 
 
@@ -321,11 +328,7 @@ def evaluate_workload(state: EstimatorState,
                 used_djpcd=bool(use_djpcd and state.correlations),
                 error=str(truth)))
             continue
-        if truth is not None:
-            rep.truth = truth
-            if truth > 0:
-                rep.q_error = q_error(rep.estimate, truth)
-                rep.ratio = ratio(rep.estimate, truth)
+        rep.score(truth)
         reports.append(rep)
 
     ok = [r for r in reports if r.error is None]

@@ -3,7 +3,7 @@
 
 The state file is a single self-describing JSON document.  All counts are
 exact integers and every collection is written in sorted order, so saving the
-same state twice is byte-identical.  Version 10 stores each 1D histogram as
+same state twice is byte-identical.  Version 11 stores each 1D histogram as
 the flat arrays its constructor takes: container keys and counts, NV per
 bin and background keys, each key array in key order.  Their per-bin
 offsets follow from the keys' bins, so the histogram derives them; the file
@@ -15,9 +15,11 @@ an integer array at the narrowest width that holds its stored values, and
 every integer key and index array (keys, offsets, cells) is delta-coded.
 A bridge, the two grids between two key columns of one table, is stored
 once, as the entry whose name sorts first, and held as one grid: the other
-direction is its view `grid.T`.  The correlation map is `{}` until
-discovery runs.  Loading or saving the 1D and correlation arrays, kept as
-they are in memory, builds no per-key object (a set envelope excepted).
+direction is its view `grid.T`.  A correlation section is keyed and named
+as the 2D histogram over its key column and attribute, a bridge in both
+directions; the map is `{}` until discovery runs.  Loading or saving the 1D
+and correlation arrays, kept as they are in memory, builds no per-key
+object (a set envelope excepted).
 The file stores only what the data decided; loading derives the rest:
 domain members from the schema, every bin count from `config.bin_count`, a
 histogram's domain from the key column in its name, a column's class from
@@ -32,8 +34,8 @@ name that `entry_names` does not list; older versions are rejected.
 
 `entry_names` is the one list of the per-table entry names, each with its
 owning table and its key in memory.  A table owns its `hists1d` and `freq`
-entries (named `table.column`), its `hists2d` entries (`table.key|attr`)
-and its `correlations` sections (`table|domain|attr`).  `table_rows` and
+entries (named `table.column`), and its `hists2d` entries and
+`correlations` sections (both `table.key|attr`).  `table_rows` and
 every other entry (config, schema, domains) are global.  A batch update
 changes only its table's entries, so `load_state(..., table=)` decodes and
 checks just those and the global entries, checks every other entry's name
@@ -63,7 +65,7 @@ from .histcore import (TKHist1D, TKHist2D, add_value_counts, axis_length,
 from .joinengine import KeyIndex
 
 STATE_MAGIC = "TKHIST-STATE-v1"
-STATE_VERSION = 10
+STATE_VERSION = 11
 
 DEFAULT_BIN_COUNT = 200
 DEFAULT_TOP_K = 20
@@ -85,7 +87,7 @@ class EstimatorState:
     hists2d: dict[tuple[str, str, str], TKHist2D]
     freq_hists: dict[tuple[str, str], dict]  # the categorical columns
     table_rows: dict[str, int]
-    # {(table, domain_id, attr): djpcd.Envelopes}, each section the sorted
+    # {(table, key column, attr): djpcd.Envelopes}, each section the sorted
     # dominant keys and their envelopes as columns; built by djpcd, {}
     # until it runs
     correlations: dict
@@ -125,9 +127,9 @@ def entry_names(schema: Schema,
     of each key column with each other column, a bridge (both columns key
     columns) listed once, under the name that sorts first; optional: a
     frequency histogram `t.column` of each non-key column and a correlation
-    section `t|domain|column` of each key domain of `t` with each column.
-    `column_domain` maps each key column, as `table.column`, to its
-    domain."""
+    section of each key column with each other column, under the 2D
+    histogram's key and name, a bridge in both directions.  `column_domain`
+    maps each key column, as `table.column`, to its domain."""
     names = {sec: {} for sec in _SECTIONS}
     for tdef in schema.tables:
         t, columns = tdef.name, [c.name for c in tdef.columns]
@@ -136,14 +138,12 @@ def entry_names(schema: Schema,
         for cdef in tdef.columns:
             if cdef.role != catalog.ROLE_KEY:
                 names["freq"][f"{t}.{cdef.name}"] = (t, (t, cdef.name))
-        for did in {column_domain[f"{t}.{k}"] for k in keys}:
-            for c in columns:
-                names["correlations"][f"{t}|{did}|{c}"] = (t, (t, did, c))
         for k in keys:
             names["hists1d"][f"{t}.{k}"] = (t, (t, k))
-            for c in columns:
+            for c in (c for c in columns if c != k):
                 name = f"{t}.{k}|{c}"
-                if c != k and not (c in keys and f"{t}.{c}|{k}" < name):
+                names["correlations"][name] = (t, (t, k, c))
+                if not (c in keys and f"{t}.{c}|{k}" < name):
                     names["hists2d"][name] = (t, (t, k, c))
     return names
 
@@ -567,18 +567,18 @@ def state_from_document(doc: dict,
     if not isinstance(doc, dict) or doc.get("magic") != STATE_MAGIC:
         raise StateError("unrecognized state file")
     version = doc.get("version")
-    if version in (1, 2, 3, 4, 5, 6, 7, 8, 9):
+    if version in range(1, STATE_VERSION):
         raise StateError(f"state version {version} is no longer read; "
                          f"rebuild the state with `tkhist build`")
     if version != STATE_VERSION:
         raise StateError(f"unsupported state version {version!r}")
     try:
-        return _state_from_v10(doc, table)
+        return _state_from_v11(doc, table)
     except SchemaError as exc:
         raise StateError(f"state document: {exc}") from exc
 
 
-def _state_from_v10(doc: dict, table: str | None) -> EstimatorState:
+def _state_from_v11(doc: dict, table: str | None) -> EstimatorState:
     cdoc, schema_doc, base_dir = _fields(
         doc, "state document", config="an object", schema="an object",
         schema_base_dir="a string")

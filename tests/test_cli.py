@@ -276,7 +276,7 @@ class TestUpdate:
     @pytest.mark.parametrize("section, name, copied", [
         ("hists2d", "t2.y|k1", "t2.k1|y"),
         ("freq", "t2.zz", "t2.y"),
-        ("correlations", "t3|t1.k1|zz", "t3|t1.k1|y"),
+        ("correlations", "t3.k1|zz", "t3.k1|y"),
         ("hists1d", "t9.k1", "t2.k1"),
     ], ids=["reversed-2d", "unknown-column", "unknown-attribute",
             "unknown-table"])

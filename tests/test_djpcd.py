@@ -3,16 +3,18 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from tkhist import djpcd
-from tkhist.catalog import KeyDomain, schema_from_document
+from tkhist.catalog import KeyDomain, infer_key_domains, schema_from_document
 from tkhist.djpcd import (Envelopes, build_correlation_map,
                           collect_dominant_keys, find_excluded_keys)
+from tkhist.errors import PlanError, UnsupportedQueryError
 from tkhist.estimator import discover_correlations, estimate
+from tkhist.oracle import oracle_count
 from tkhist.predicate import Predicate, matches
-from tkhist.queryfront import Query
+from tkhist.queryfront import Query, bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
 
 from conftest import (_scalar, composites_of, envelope_dict, make_table,
@@ -56,23 +58,27 @@ def section_of(env_by_key: dict, dtype=None) -> Envelopes:
         np.asarray([env[i] for env in envs], dtype=dtype) for i in (1, 2)))
 
 
-def reference_find_excluded_keys(query, correlations):
-    """`find_excluded_keys` as a loop over keys with `envelope_excludes`."""
+def reference_find_excluded_keys(query, correlations, column_domain):
+    """`find_excluded_keys` as a loop over every section and its keys with
+    `envelope_excludes`, keeping the sections of joined key columns."""
+    joined = {ref for edge in query.join_edges for ref in edge}
     excluded = defaultdict(set)
     for pred in query.predicates:
         alias, attr = pred.column.split(".", 1)
-        for (tbl, dom, att), section in correlations.items():
-            if tbl == query.aliases[alias] and att == attr:
-                excluded[dom] |= {key for key, env
-                                  in envelope_dict(section).items()
-                                  if envelope_excludes(env, pred)}
+        for (tbl, kc, att), section in correlations.items():
+            if (tbl == query.aliases[alias] and att == attr
+                    and f"{alias}.{kc}" in joined):
+                excluded[column_domain[f"{tbl}.{kc}"]] |= {
+                    key for key, env in envelope_dict(section).items()
+                    if envelope_excludes(env, pred)}
     return {dom: frozenset(keys) for dom, keys in excluded.items()}
 
 
-def reference_correlation_map(schema, tables, column_domain, categorical,
+def reference_correlation_map(schema, tables, column_domain,
                               dominant_by_domain):
-    """Per-row envelope scan: the reference for the grouped pass.  NaN
-    attribute values are skipped like nulls."""
+    """Per-row envelope scan: the reference for the grouped pass, a section
+    per key column, a set envelope per object column.  NaN attribute values
+    are skipped like nulls."""
     cmap = {}
     for tdef in schema.tables:
         data = tables[tdef.name]
@@ -89,8 +95,7 @@ def reference_correlation_map(schema, tables, column_domain, categorical,
                     continue
                 avals = data.columns[cdef.name]
                 amask = data.null_mask[cdef.name]
-                as_set = ((tdef.name, cdef.name) in categorical
-                          and avals.dtype == object)
+                as_set = avals.dtype == object
                 env_by_key = {}
                 for i in hit:
                     a = _scalar(avals[i])
@@ -108,11 +113,11 @@ def reference_correlation_map(schema, tables, column_domain, categorical,
                     env_by_key = {k: ("set", frozenset(v))
                                   for k, (_, v) in env_by_key.items()}
                 if env_by_key:
-                    cmap[(tdef.name, dom, cdef.name)] = env_by_key
+                    cmap[(tdef.name, kdef.name, cdef.name)] = env_by_key
     return cmap
 
 
-def sorted_scan_correlation_map(schema, tables, column_domain, categorical,
+def sorted_scan_correlation_map(schema, tables, column_domain,
                                 dominant_by_domain):
     """The sort-based scan that `build_correlation_map` replaced, kept as its
     reference: membership per distinct key of the column with Python set
@@ -147,8 +152,7 @@ def sorted_scan_correlation_map(schema, tables, column_domain, categorical,
                 ids = key_id[seg]
                 starts = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
                 ends = np.r_[starts[1:], len(seg)]
-                if ((tdef.name, cdef.name) in categorical
-                        and avals.dtype == object):
+                if avals.dtype == object:
                     section = Envelopes(keys[ids[starts]], values=[
                         frozenset(vals[a:b].tolist())
                         for a, b in zip(starts.tolist(), ends.tolist())])
@@ -156,7 +160,7 @@ def sorted_scan_correlation_map(schema, tables, column_domain, categorical,
                     section = Envelopes(
                         keys[ids[starts]], lo=np.minimum.reduceat(vals, starts),
                         hi=np.maximum.reduceat(vals, starts))
-                cmap[(tdef.name, dom, cdef.name)] = section
+                cmap[(tdef.name, kdef.name, cdef.name)] = section
     return cmap
 
 
@@ -270,9 +274,8 @@ class TestMapAndLookup:
         cmap = build_correlation_map(
             self.schema, self.tables,
             {"r.k": "r.k", "s.k": "r.k"},
-            {("r", "y"), ("s", "y")},
             {"r.k": {1, 2}})
-        env = envelope_dict(cmap[("r", "r.k", "y")])
+        env = envelope_dict(cmap[("r", "k", "y")])
         assert env[1] == ("range", 10, 11)
         assert env[2] == ("range", 20, 20)
 
@@ -282,9 +285,9 @@ class TestMapAndLookup:
         tables = {"r": make_table("r", {"k": [1, 1, 2], "y": ys}),
                   "s": make_table("s", {"k": [1], "y": [0]})}
         cmap = build_correlation_map(
-            self.schema, tables, {"r.k": "r.k", "s.k": "r.k"}, set(),
+            self.schema, tables, {"r.k": "r.k", "s.k": "r.k"},
             {"r.k": {1, 2}})
-        assert envelope_dict(cmap[("r", "r.k", "y")]) == {
+        assert envelope_dict(cmap[("r", "k", "y")]) == {
             1: ("range", 5.0, 5.0)}
 
     @settings(max_examples=100, deadline=None)
@@ -292,16 +295,11 @@ class TestMapAndLookup:
            dominant=st.sets(st.one_of(
                st.integers(min_value=0, max_value=8),
                st.integers(min_value=0, max_value=8).map(float),
-               st.just(2.5)), min_size=1, max_size=6),
-           a_class=st.sampled_from(["categorical", "numeric"]))
-    def test_matches_reference_scan(self, tables, dominant, a_class):
+               st.just(2.5)), min_size=1, max_size=6))
+    def test_matches_reference_scan(self, tables, dominant):
         schema = mixed_kind_schema()
         column_domain = {"r.k": "r.k", "s.k": "r.k"}
-        classes = [("a", a_class), ("x", "numeric"), ("c", "categorical")]
-        categorical = {(t, c) for t in ("r", "s") for c, cls in classes
-                       if cls == "categorical"}
-        args = (schema, tables, column_domain, categorical,
-                {"r.k": dominant})
+        args = (schema, tables, column_domain, {"r.k": dominant})
         cmap = build_correlation_map(*args)
         ref = reference_correlation_map(*args)
         assert list(cmap) == list(ref)
@@ -348,11 +346,8 @@ class TestMapAndLookup:
             int_keys, real_keys, st.sampled_from(
                 [2 ** 53 + 1, 2 ** 63, -2 ** 63 - 1, 99, 99.0, 2.5])),
             min_size=1, max_size=12))
-        categorical = data.draw(st.sampled_from(
-            [set(), {("r", "c"), ("s", "c")},
-             {("r", "a"), ("r", "c"), ("s", "x")}]))
         args = (mixed_kind_schema(), tables, {"r.k": "r.k", "s.k": "r.k"},
-                categorical, {"r.k": dominant})
+                {"r.k": dominant})
         cmap = build_correlation_map(*args)
         ref = sorted_scan_correlation_map(*args)
         assert list(cmap) == list(ref)
@@ -367,8 +362,8 @@ class TestMapAndLookup:
             assert section.values == want.values
 
     def test_find_excluded_unions_predicates(self):
-        corr = {("r", "r.k", "y"): section_of({1: ("range", 10, 11),
-                                               2: ("range", 20, 20)})}
+        corr = {("r", "k", "y"): section_of({1: ("range", 10, 11),
+                                             2: ("range", 20, 20)})}
         q = Query(aliases={"r": "r", "s": "s"},
                   join_edges=[("r.k", "s.k")],
                   predicates=[Predicate("r.y", ">=", 15)])
@@ -404,8 +399,11 @@ class TestMapAndLookup:
         cat = Envelopes(np.asarray(cat_keys, dtype=np.int64), values=data.draw(
             st.lists(st.frozensets(st.sampled_from("abc"), min_size=1),
                      min_size=len(cat_keys), max_size=len(cat_keys))))
-        corr = {("r", "r.k", "y"): int_y, ("r", "r.k", "x"): real_x,
-                ("r", "r.k", "c"): cat, ("s", "r.k", "y"): real_x}
+        # r.j is a key column of its own domain that the query never joins
+        corr = {("r", "k", "y"): int_y, ("r", "k", "x"): real_x,
+                ("r", "k", "c"): cat, ("s", "k", "y"): real_x,
+                ("r", "j", "y"): real_x}
+        column_domain = {"r.k": "r.k", "s.k": "r.k", "r.j": "r.j"}
         preds = []
         for _ in range(data.draw(st.integers(1, 3))):
             column = data.draw(st.sampled_from(["r.y", "r.x", "r.c", "s.y"]))
@@ -421,8 +419,8 @@ class TestMapAndLookup:
             preds.append(Predicate(column, op, value))
         q = Query(aliases={"r": "r", "s": "s"},
                   join_edges=[("r.k", "s.k")], predicates=preds)
-        assert find_excluded_keys(q, corr, {}) == \
-            reference_find_excluded_keys(q, corr)
+        assert find_excluded_keys(q, corr, column_domain) == \
+            reference_find_excluded_keys(q, corr, column_domain)
 
     def test_no_correlations_no_exclusions(self):
         q = Query(aliases={"r": "r"}, join_edges=[],
@@ -458,3 +456,196 @@ class TestEndToEnd:
                   "s": make_table("s", {"k": [1], "y": [1]})}
         state = build_state(schema, tables, BuildConfig(bin_count=2, top_k=1))
         assert discover_correlations(state, tables) == {}
+
+
+def unsound_exclusions(state, tables, query: Query) -> list:
+    """The (domain, key) pairs that `find_excluded_keys` excludes from
+    `query` although result rows carry the key: with one alias that the
+    query joins on the domain restricted to the key, the exact count is not
+    0.  A domain that the query joins on no column is listed with key None:
+    exclusion goes only through joined columns."""
+    on = {state.column_domain[f"{query.aliases[alias]}.{col}"]: ref
+          for edge in query.join_edges for ref in edge
+          for alias, col in [ref.split(".", 1)]}
+    bad = []
+    for dom, keys in find_excluded_keys(query, state.correlations,
+                                        state.column_domain).items():
+        if dom not in on:
+            bad.append((dom, None))
+            continue
+        for key in sorted(keys, key=repr):
+            only_key = Query(aliases=query.aliases,
+                             join_edges=query.join_edges,
+                             predicates=[*query.predicates,
+                                         Predicate(on[dom], "=", key)])
+            if oracle_count(only_key, tables):
+                bad.append((dom, key))
+    return bad
+
+
+def integer_table(name: str, *columns: str, keys: str = "") -> dict:
+    """A schema table document of INTEGER columns, those in `keys` keys."""
+    return {"name": name, "file": f"{name}.csv", "columns": [
+        {"name": c, "kind": "integer",
+         "role": "key" if c in keys else "attribute"} for c in columns]}
+
+
+def soundness_schema():
+    """s holds two key columns of the domain r.k; t and w each hold one key
+    column in r.k and one in the domain of v.b (id t.b)."""
+    return schema_from_document({
+        "tables": [integer_table("r", "k", "y", keys="k"),
+                   integer_table("s", "a", "b", "y", keys="ab"),
+                   integer_table("t", "a", "b", "y", keys="ab"),
+                   integer_table("w", "x", "b", keys="xb"),
+                   integer_table("v", "b", "y", keys="b")],
+        "foreign_keys": [{"from": f, "to": to} for f, to in [
+            ("s.a", "r.k"), ("s.b", "r.k"), ("t.a", "r.k"), ("w.x", "r.k"),
+            ("t.b", "v.b"), ("w.b", "v.b")]],
+        "templates": [["r.k=s.a", "r.k=t.a", "t.b=v.b"],
+                      ["r.k=s.b", "r.k=w.x", "w.b=v.b"]]})
+
+
+@st.composite
+def soundness_cases(draw):
+    """Small tables of `soundness_schema` (keys 0..5, values 0..9, some
+    nulls), a build configuration, and a query that `decompose` accepts:
+    a join tree grown one new table at a time, with one or two filters."""
+    schema = soundness_schema()
+    tables = {}
+    for tdef in schema.tables:
+        n = draw(st.integers(1, 25))
+        columns, nulls = {}, {}
+        for cdef in tdef.columns:
+            top = 5 if cdef.role == "key" else 9
+            columns[cdef.name] = draw(st.lists(st.integers(0, top),
+                                               min_size=n, max_size=n))
+            if draw(st.integers(0, 3)) == 0:
+                nulls[cdef.name] = draw(st.lists(st.booleans(), min_size=n,
+                                                 max_size=n))
+        if tdef.name in ("r", "v"):  # every key, so each domain has width
+            key = tdef.columns[0].name
+            columns = {c: [*v, *([0] * 6 if c != key else range(6))]
+                       for c, v in columns.items()}
+            nulls = {c: [*m, *[False] * 6] for c, m in nulls.items()}
+        tables[tdef.name] = make_table(tdef.name, columns, nulls)
+    config = BuildConfig(bin_count=draw(st.integers(1, 3)),
+                         top_k=draw(st.integers(1, 3)))
+
+    domain = {c: d.id for d in infer_key_domains(schema) for c in d.columns}
+    names = [draw(st.sampled_from([t.name for t in schema.tables]))]
+    edges = []
+    for _ in range(draw(st.integers(1, 3))):
+        joins = sorted((a, b) for a in domain for b in domain
+                       if a.split(".")[0] in names
+                       and b.split(".")[0] not in names
+                       and domain[a] == domain[b])
+        if not joins:
+            break
+        edge = draw(st.sampled_from(joins))
+        edges.append(edge)
+        names.append(edge[1].split(".")[0])
+    preds = []
+    for _ in range(draw(st.integers(1, 2))):
+        table = draw(st.sampled_from(names))
+        column = draw(st.sampled_from(
+            [c.name for c in schema.table(table).columns]))
+        op = draw(st.sampled_from(["=", "<", "<=", ">", ">=", "between",
+                                   "in"]))
+        value = draw(st.integers(0, 9))
+        if op == "between":
+            value = (value, draw(st.integers(value, 9)))
+        elif op == "in":
+            value = frozenset(draw(st.lists(st.integers(0, 9), min_size=1,
+                                            max_size=3)))
+        preds.append(Predicate(f"{table}.{column}", op, value))
+    query = Query(aliases={t: t for t in names}, join_edges=edges,
+                  predicates=preds)
+    return schema, tables, config, query
+
+
+class TestExclusionSoundness:
+    """Key exclusion never removes true result mass (at build time; updates
+    leave the map stale): a key excluded on a domain is carried by no
+    result row, checked against the exact count."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=soundness_cases())
+    def test_excluded_keys_carry_no_result_rows(self, case):
+        schema, tables, config, query = case
+        state = build_state(schema, tables, config)
+        try:
+            decompose(query, state.column_domain)
+        except (PlanError, UnsupportedQueryError):
+            assume(False)
+        discover_correlations(state, tables)
+        assert unsound_exclusions(state, tables, query) == []
+
+    def test_two_key_columns_in_one_domain(self):
+        """s.a and s.b both join r.k.  Every row with a = 1 has y = 5, but
+        the rows with b = 1 have y of 500 and more: excluding key 1 from
+        `r.k = s.a AND s.y < 10` through b's envelope would drop 500 true
+        rows."""
+        schema = schema_from_document({
+            "tables": [integer_table("r", "k", keys="k"),
+                       integer_table("s", "a", "b", "y", keys="ab")],
+            "foreign_keys": [{"from": "s.a", "to": "r.k"},
+                             {"from": "s.b", "to": "r.k"}],
+            "templates": [["r.k=s.a"], ["r.k=s.b"]]})
+        i = np.arange(2000)
+        heavy = i < 500  # a = 1, y = 5
+        tables = {
+            "r": make_table("r", {"k": list(range(1, 51))}),
+            "s": make_table("s", {
+                "a": np.where(heavy, 1, 2 + i % 49).tolist(),
+                "b": np.where(heavy, 2 + i % 49,
+                              np.where(i % 10 == 0, 1, 2)).tolist(),
+                "y": np.where(heavy, 5, 500 + i % 100).tolist()})}
+        state = build_state(schema, tables, BuildConfig(bin_count=10,
+                                                        top_k=5))
+        discover_correlations(state, tables)
+        sql = "SELECT COUNT(*) FROM r, s WHERE r.k = s.a AND s.y < 10"
+        query = bind(parse_sql(sql), schema)
+        excluded = find_excluded_keys(query, state.correlations,
+                                      state.column_domain)
+        assert excluded["r.k"] and 1 not in excluded["r.k"]
+        assert unsound_exclusions(state, tables, query) == []
+        assert oracle_count(query, tables) == 500
+
+    def test_table_joined_on_one_of_its_domains(self):
+        """t is joined on b alone, so its envelopes over a, where every row
+        with a = 1 has z = 900, exclude nothing from the r.k group: the w
+        rows with x = 1 reach the result."""
+        schema = schema_from_document({
+            "tables": [integer_table("r", "k", keys="k"),
+                       integer_table("w", "x", "y", keys="xy"),
+                       integer_table("t", "a", "b", "z", keys="ab"),
+                       integer_table("v", "b", keys="b")],
+            "foreign_keys": [{"from": "w.x", "to": "r.k"},
+                             {"from": "t.a", "to": "r.k"},
+                             {"from": "w.y", "to": "v.b"},
+                             {"from": "t.b", "to": "v.b"}],
+            "templates": [["r.k=w.x", "w.y=t.b", "t.b=v.b"],
+                          ["r.k=t.a", "t.b=v.b"]]})
+        i = np.arange(2000)
+        tables = {
+            "r": make_table("r", {"k": list(range(1, 21))}),
+            "w": make_table("w", {"x": np.where(i < 1200, 1,
+                                                1 + i % 20).tolist(),
+                                  "y": (1 + i % 20).tolist()}),
+            "t": make_table("t", {"a": (1 + i % 20).tolist(),
+                                  "b": (1 + i % 19).tolist(),
+                                  "z": np.where(i % 20 == 0, 900,
+                                                i % 100).tolist()}),
+            "v": make_table("v", {"b": list(range(1, 21))})}
+        state = build_state(schema, tables, BuildConfig(bin_count=10,
+                                                        top_k=5))
+        discover_correlations(state, tables)
+        assert state.correlations[("t", "a", "z")].excludes(
+            Predicate("t.z", "<", 100))[0]  # key 1, of a's envelopes
+        sql = ("SELECT COUNT(*) FROM r, w, t, v WHERE r.k = w.x "
+               "AND w.y = t.b AND t.b = v.b AND t.z < 100")
+        query = bind(parse_sql(sql), schema)
+        assert "r.k" not in find_excluded_keys(query, state.correlations,
+                                               state.column_domain)
+        assert unsound_exclusions(state, tables, query) == []

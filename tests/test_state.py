@@ -481,7 +481,7 @@ class TestFormat:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_v3_bins_are_written_in_canonical_order(self, mixed_state):
-        # version 10's order: container keys, like background keys, in key
+        # version 11's order: container keys, like background keys, in key
         # order, which is bin order; delta coding inside packed arrays; the
         # container offsets are derived, not written
         doc = state_to_document(mixed_state)
@@ -519,7 +519,7 @@ class TestFormat:
         assert state_to_document(state)["correlations"] == {}  # no discovery
         discover_correlations(state, tables)
         doc = state_to_document(state)
-        assert doc["version"] == 10
+        assert doc["version"] == 11
         assert doc["domains"] == {"r.k": {"lo": 1.0, "hi": 9.0}}
         assert "column_class" not in doc
         h1 = {name: unpacked(blob)
@@ -541,9 +541,9 @@ class TestFormat:
         # dominant keys 1, 2 and 9 with the y values seen with them
         corr = {name: {col: unpacked(blob) for col, blob in sec.items()}
                 for name, sec in doc["correlations"].items()}
-        assert corr["r|r.k|y"] == {"keys": [1, 1, 7], "lo": [3, 4, 6],
+        assert corr["r.k|y"] == {"keys": [1, 1, 7], "lo": [3, 4, 6],
                                    "hi": [3, 4, 6]}
-        assert corr["s|r.k|y"] == {"keys": [1, 1, 7], "lo": [0, 1, 3],
+        assert corr["s.k|y"] == {"keys": [1, 1, 7], "lo": [0, 1, 3],
                                    "hi": [0, 2, 3]}
         # every array is tagged with its dtype at the narrowest width that
         # holds it: i1 here, y and k being small integers
@@ -570,7 +570,7 @@ class TestFormat:
         assert doc["hists1d"]["s.k"]["topk_keys"].startswith("f8:")
         # counts and offsets stay integer whatever the key's kind
         assert doc["hists1d"]["s.k"]["topk_counts"].startswith("i1:")
-        r_sec, s_sec = (doc["correlations"][f"{t}|r.k|c"] for t in "rs")
+        r_sec, s_sec = (doc["correlations"][f"{t}.k|c"] for t in "rs")
         assert (unpacked(r_sec["keys"]), r_sec["values"]) == (
             [-3, 7], [["a", "b"], ["a"]])
         assert s_sec["keys"].startswith("f8:")
@@ -686,12 +686,12 @@ class TestErrors:
             state_from_document(doc)
 
     def test_short_envelope_column_rejected(self, doc):
-        sec = doc["correlations"]["s|r.k|y"]
+        sec = doc["correlations"]["s.k|y"]
         sec["hi"] = repacked(sec["hi"], lambda v: v[:-1])
-        with pytest.raises(StateError, match=re.escape("'s|r.k|y' has columns of")):
+        with pytest.raises(StateError, match=re.escape("'s.k|y' has columns of")):
             state_from_document(doc)
 
-    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
     def test_older_versions_rejected(self, doc, version):
         doc["version"] = version
         with pytest.raises(StateError, match=f"state version {version} is "
@@ -734,7 +734,7 @@ class TestErrors:
         (("freq", "r.y"), [[[3], 2]], "is not a list of \\[value, count\\] pairs"),
         (("hists1d", "r.k", "topk_counts"), packed([2, -1, 1]),
          "'r.k': 'topk_counts' has a negative count"),
-        (("correlations", "r|r.k|y", "lo"), [3, 4, 6], "'lo' is not a string"),
+        (("correlations", "r.k|y", "lo"), [3, 4, 6], "'lo' is not a string"),
         (("config", "top_k"), True, "'top_k' is not a count"),
         (("hists1d",), [], "'hists1d' is not an object"),
         # entry names that contradict the schema
@@ -742,21 +742,22 @@ class TestErrors:
             "shape": [4, 4], "cells": packed([]), "counts": packed([]),
             "lo": 0.0, "hi": 1.0},
          r"2D histogram 'r.k\|zz' is not an entry of the schema"),
-        (("correlations", "r|r.k|zz"), {"keys": packed([1]),
-                                        "lo": packed([3]), "hi": packed([3])},
-         r"correlation section 'r\|r.k\|zz' is not an entry of the schema"),
-        (("correlations", "r|nope|y"), {"keys": packed([1]),
-                                        "lo": packed([3]), "hi": packed([3])},
-         r"correlation section 'r\|nope\|y' is not an entry of the schema"),
+        (("correlations", "r.k|zz"), {"keys": packed([1]),
+                                      "lo": packed([3]), "hi": packed([3])},
+         r"correlation section 'r.k\|zz' is not an entry of the schema"),
+        # a section keyed by a column outside every key domain
+        (("correlations", "r.y|k"), {"keys": packed([1]),
+                                     "lo": packed([3]), "hi": packed([3])},
+         r"correlation section 'r.y\|k' is not an entry of the schema"),
         (("freq", "r.zz"), [[3, 2]],
          "frequency histogram 'r.zz' is not an entry of the schema"),
         (("freq", "r.k"), [[1, 2]],
          "frequency histogram 'r.k' is not an entry of the schema"),
         # envelope columns that one comparison rule cannot read
-        (("correlations", "r|r.k|y", "hi"), packed([3.0], "f8"),
+        (("correlations", "r.k|y", "hi"), packed([3.0], "f8"),
          "'hi' has dtype tag 'f8', expected i8"),
-        (("correlations", "r|r.k|y", "keys"), packed([1, 0]),
-         r"'r\|r.k\|y' has unsorted or repeated keys"),
+        (("correlations", "r.k|y", "keys"), packed([1, 0]),
+         r"'r.k\|y' has unsorted or repeated keys"),
         # a freq entry whose values one sorted axis cannot hold
         (("freq", "r.y"), [[3, 2], [4, 1], [5, 1], [6, 1], [4, 9]],
          "frequency histogram 'r.y' repeats a value"),
@@ -767,9 +768,9 @@ class TestErrors:
         (("freq", "r.y"), [[3, 2], [float("nan"), 1], [5, 1], [6, 1]],
          "is not a list of \\[value, count\\] pairs"),
         # a NaN correlation key, which compares false with every key
-        (("correlations", "r|r.k|y", "keys"),
+        (("correlations", "r.k|y", "keys"),
          packed([1.0, float("nan"), 9.0], "f8"),
-         r"'r\|r.k\|y' has unsorted or repeated keys"),
+         r"'r.k\|y' has unsorted or repeated keys"),
         # 1D keys that key order rules out: r.k holds containers 1 | - | 5
         # | 9 and background 2 | - | - | - over bins [1, 3), [3, 5), [5, 7)
         # and [7, 9]; keys as gaps.  A container key's bin follows from the
@@ -884,9 +885,9 @@ class TestErrors:
 
     def test_envelope_bounds_of_other_widths_read(self, doc):
         # `hi` must be integer like `lo`, at whatever width holds it
-        sec = doc["correlations"]["r|r.k|y"]
+        sec = doc["correlations"]["r.k|y"]
         sec["lo"], sec["hi"] = packed([3, 4, 6], "i1"), packed([3, 4, 300], "i2")
-        section = state_from_document(doc).correlations[("r", "r.k", "y")]
+        section = state_from_document(doc).correlations[("r", "k", "y")]
         assert section.lo.dtype == section.hi.dtype == np.int64
         assert section.hi.tolist() == [3, 4, 300]
 
