@@ -18,10 +18,12 @@ sorted order, so that a change that renames entries shows whether their
 contents moved; and
 every estimate, numbered, with the first 12 hex digits of its SQL's sha256
 and its `float.hex`: the accuracy queries and the first STREAM_QUERIES
-queries of the filtered stream after the build, and update-mix's per-batch
-query set after each batch's reload.  A failing estimate prints its
-exception's type and message.  Two trees that estimate alike print the
-same lines.
+queries of the filtered stream after the build, the accuracy queries again
+on the built state without its correlation map (`build-nomap`, the state
+that a build without discovery makes) on a workload that runs discovery,
+and update-mix's per-batch query set after each batch's reload.  A failing
+estimate prints its exception's type and message.  Two trees that estimate
+alike print the same lines.
 
 `--compare` reads two such outputs and prints how many estimates moved and
 the largest relative difference between them.  It exits 1 when that
@@ -30,6 +32,7 @@ differs, or when the two outputs do not hold the same queries.
 """
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -105,6 +108,10 @@ def run_workload(name: str, seed: int, workdir: str) -> None:
         queries = wl.design_queries(schema, lit) + list(itertools.islice(
             wl.filtered_stream(schema, lit, seed), STREAM_QUERIES))
     print_estimates(f"{name} estimates build", estimator, queries, st)
+    if w.discover:
+        print_estimates(f"{name} estimates build-nomap", estimator,
+                        wl.design_queries(schema, lit),
+                        dataclasses.replace(st, correlations={}))
     batches = wl.update_batches(
         w, seed, 10 if w.updates else wl.PROBE_BATCHES,
         os.path.join(workdir, "stream"), drift=w.updates)

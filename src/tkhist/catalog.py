@@ -69,6 +69,10 @@ class Schema:
     def has_table(self, name: str) -> bool:
         return any(t.name == name for t in self.tables)
 
+    def column_names(self) -> dict[str, list[str]]:
+        """Each table's declared column names, by table name."""
+        return {t.name: [c.name for c in t.columns] for t in self.tables}
+
 
 def split_qualified(qualified: str) -> tuple[str, str]:
     parts = qualified.split(".")
@@ -200,6 +204,21 @@ def find_root(parent: dict, x):
     return x
 
 
+def check_tables(given: dict, read: dict, where: str = "") -> None:
+    """The one check that data holds what a call reads.  `read` maps a
+    table's name to the columns that the call reads of it, `given` to the
+    columns given of it.  IngestError, with `where` after its message,
+    names the first table of `read` that `given` lacks, or the columns of
+    it that `given` lacks."""
+    for name, columns in read.items():
+        if name not in given:
+            raise IngestError(f"no data given for table {name!r}{where}")
+        missing = set(columns) - set(given[name])
+        if missing:
+            raise IngestError(f"table {name!r}: missing column(s) "
+                              f"{sorted(missing)}{where}")
+
+
 def check_join_tree(names, edges, cyclic, split) -> None:
     """The join-tree rule: the join edges (pairs of `name.column`
     references) must join `names` into one tree.  Raises `cyclic(message)`
@@ -220,7 +239,8 @@ def check_join_tree(names, edges, cyclic, split) -> None:
 
 @dataclass
 class TableData:
-    """Columnar table contents with per-column null masks.  A NaN in a float
+    """Columnar table contents with per-column null masks: each column has
+    a mask, both of `row_count` entries, or IngestError.  A NaN in a float
     column passes no predicate and joins nothing, so it is a null: each such
     column's mask is made anew with its NaN rows set, the caller's masks and
     columns left as they are.  An infinity in a float column, which would
@@ -233,7 +253,16 @@ class TableData:
     row_count: int
 
     def __post_init__(self):
+        if set(self.null_mask) != set(self.columns):
+            raise IngestError(
+                f"table {self.name!r}: columns {sorted(self.columns)} and "
+                f"null masks {sorted(self.null_mask)} differ")
         for c, values in self.columns.items():
+            if {len(values), len(self.null_mask[c])} != {self.row_count}:
+                raise IngestError(
+                    f"table {self.name!r}: column {c!r} has {len(values)} "
+                    f"values and {len(self.null_mask[c])} null flags, not "
+                    f"{self.row_count}")
             if values.dtype.kind == "f" and np.isinf(values).any():
                 raise IngestError(
                     f"table {self.name!r}: row "
@@ -285,10 +314,7 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
     if header is None:
         raise IngestError(f"{path!r} is empty, expected a header row")
     declared = [c.name for c in tdef.columns]
-    missing = set(declared) - set(header)
-    if missing:
-        raise IngestError(
-            f"table {tdef.name!r}: missing column(s) {sorted(missing)} in {path!r}")
+    check_tables({tdef.name: header}, {tdef.name: declared}, f" in {path!r}")
     extra = set(header) - set(declared)
     if extra:
         raise IngestError(

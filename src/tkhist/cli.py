@@ -36,13 +36,6 @@ def _add_state_arg(p):
                    help=f"state file path (default: ${STATE_ENV})")
 
 
-def _add_djpcd_arg(p):
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--djpcd", dest="djpcd", action="store_true", default=True,
-                   help="use correlation-based key exclusion (default)")
-    g.add_argument("--no-djpcd", dest="djpcd", action="store_false")
-
-
 def _int_list(text: str) -> list[int]:
     """Comma-separated integers; a bad entry is a usage error."""
     try:
@@ -80,7 +73,7 @@ def cmd_build(args) -> int:
 
 def cmd_estimate(args) -> int:
     state = load_state(_state_path(args))
-    rep = estimator.estimate(args.sql, state, use_djpcd=args.djpcd)
+    rep = estimator.estimate(args.sql, state)
     rep.score(args.truth)
     print(json.dumps(rep.to_dict()))
     return 0
@@ -94,8 +87,8 @@ def cmd_evaluate(args) -> int:
         out = _open_report(outputs, args.out) if args.out else sys.stdout
         csv_out = args.summary and _open_report(outputs, args.summary,
                                                 newline="")
-        reports, summary = estimator.evaluate_workload(
-            state, entries, use_djpcd=args.djpcd, tables=tables)
+        reports, summary = estimator.evaluate_workload(state, entries,
+                                                       tables=tables)
         for rep in reports:
             out.write(json.dumps(rep.to_dict()) + "\n")
         if csv_out:
@@ -163,13 +156,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arg(p)
     p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
     p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
-    _add_djpcd_arg(p)
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--djpcd", dest="djpcd", action="store_true", default=True,
+                   help="discover correlations for key exclusion (default)")
+    g.add_argument("--no-djpcd", dest="djpcd", action="store_false")
 
     p = sub.add_parser("estimate", help="estimate one COUNT(*) query")
     _add_state_arg(p)
     p.add_argument("sql")
     p.add_argument("--truth", type=float, default=None)
-    _add_djpcd_arg(p)
 
     p = sub.add_parser("evaluate", help="estimate a workload file")
     _add_state_arg(p)
@@ -178,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--summary", default=None, help="CSV summary path")
     p.add_argument("--oracle", action="store_true",
                    help="compute missing truths with the exact join oracle")
-    _add_djpcd_arg(p)
 
     p = sub.add_parser("update", help="stream new rows into an existing state")
     _add_state_arg(p)

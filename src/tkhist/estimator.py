@@ -6,6 +6,9 @@ carried across their bridge tables onto the parent domain before entering the
 parent's fold.  The root group's total is the estimate.  Filters and
 correlation-based key exclusion act in one place, `_lift_alias`, which lifts
 each member's histogram without the dominant keys no filtered row can carry.
+Keys are excluded exactly when the state holds a correlation map, which only
+a build with discovery makes.  One rule, `_bin_fractions`, turns a filter
+into per-bin fractions for a join's lift and a one-table query alike.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import djpcd, oracle
-from .catalog import KIND_INTEGER, TableData
+from .catalog import KIND_INTEGER, TableData, check_tables
 from .errors import EstimationError, ParseError, TKHistError
 from .joinengine import (CompositeHist, apply_filters, chain_translate,
                          join_star_group, lift)
@@ -75,11 +78,6 @@ def ratio(estimate: float, truth: float) -> float:
 # ---------------------------------------------------------------------------
 # plan evaluation
 
-def _alias_predicates(query: Query, alias: str) -> list[Predicate]:
-    return [p for p in query.predicates
-            if p.column.split(".", 1)[0] == alias]
-
-
 def _lift_alias(state: EstimatorState, query: Query, alias: str,
                 key_col: str, excluded: frozenset) -> CompositeHist:
     """Lift one table's histogram, apply its filters and key exclusions.
@@ -108,24 +106,33 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
         comp.mass[index.positions[(table, key_col)][gone]] = 0.0
 
     sel = None  # product of the per-bin fractions, in predicate order
-    for pred in _alias_predicates(query, alias):
-        attr = pred.column.split(".", 1)[1]
-        integer = state.schema.table(table).column(attr).kind == KIND_INTEGER
-        if attr == key_col:
+    for pred in (p for p in query.predicates
+                 if p.column.split(".", 1)[0] == alias):
+        if pred.column.split(".", 1)[1] == key_col:
             # exact on dominant keys, interpolated on the background
             held = np.flatnonzero(comp.mass)
             miss = np.fromiter((not matches(pred, k)
                                 for k in index.keys[held].tolist()),
                                dtype=bool, count=len(held))
             comp.mass[held[miss]] = 0.0
-            frac = key_bin_fractions(hist.domain, pred, integer)
-        else:
-            frac = selectivity_2d(state.hists2d[(table, key_col, attr)], pred,
-                                  integer, hist.bin_rows())
+        frac = _bin_fractions(state, table, key_col, pred)
         sel = frac if sel is None else sel * frac
     if sel is not None:
         comp = apply_filters(comp, sel)
     return comp
+
+
+def _bin_fractions(state: EstimatorState, table: str, key_col: str,
+                   pred: Predicate) -> np.ndarray:
+    """Per bin of `table`'s `key_col` histogram, the share of its rows that
+    match `pred`, a filter on that key column itself or through its grid."""
+    attr = pred.column.split(".", 1)[1]
+    integer = state.schema.table(table).column(attr).kind == KIND_INTEGER
+    hist = state.hists1d[(table, key_col)]
+    if attr == key_col:
+        return key_bin_fractions(hist.domain, pred, integer)
+    return selectivity_2d(state.hists2d[(table, key_col, attr)], pred,
+                          integer, hist.bin_rows())
 
 
 def run_plan(state: EstimatorState, query: Query, plan: SubQueryPlan,
@@ -171,20 +178,16 @@ def _single_table_fraction(state: EstimatorState, table: str,
     fhist = state.freq_hists.get((table, attr))
     if fhist is not None:
         return sum(c for v, c in fhist.items() if matches(pred, v)) / rows
-    integer = state.schema.table(table).column(attr).kind == KIND_INTEGER
-    hist = state.hists1d.get((table, attr))
-    if hist is not None:  # predicate on a join-key column
-        fr = key_bin_fractions(hist.domain, pred, integer)
-        return float(hist.bin_rows().astype(np.float64) @ fr) / rows
     keys = state.key_columns(table)
     if not keys:
         return 1.0  # no key column, so no 2D histogram: neutral
-    key_rows = state.hists1d[(table, keys[0])].bin_rows().astype(np.float64)
-    if key_rows.sum() <= 0:
-        return 0.0
-    h2 = state.hists2d[(table, keys[0], attr)]
-    return float(key_rows @ selectivity_2d(h2, pred, integer, key_rows)
-                 / key_rows.sum())
+    key_col = attr if attr in keys else keys[0]
+    key_rows = state.hists1d[(table, key_col)].bin_rows().astype(np.float64)
+    if key_col != attr:
+        rows = float(key_rows.sum())
+        if rows <= 0:
+            return 0.0
+    return float(key_rows @ _bin_fractions(state, table, key_col, pred)) / rows
 
 
 def _estimate_single_table(state: EstimatorState, query: Query) -> float:
@@ -196,14 +199,14 @@ def _estimate_single_table(state: EstimatorState, query: Query) -> float:
     return est
 
 
-def estimate(sql: str, state: EstimatorState,
-             use_djpcd: bool = True) -> EstimationReport:
-    """Parse, validate, plan, and evaluate one COUNT(*) query."""
+def estimate(sql: str, state: EstimatorState) -> EstimationReport:
+    """Parse, validate, plan, and evaluate one COUNT(*) query; keys are
+    excluded exactly when the state holds a correlation map."""
     t0 = time.perf_counter()
     check_complete(state)
     query = bind(parse_sql(sql), state.schema)
     plan = decompose(query, state.column_domain)
-    djpcd_active = bool(use_djpcd and state.correlations)
+    djpcd_active = bool(state.correlations)
     if not plan.groups:
         value = _estimate_single_table(state, query)
     else:
@@ -227,6 +230,9 @@ def discover_correlations(state: EstimatorState,
     templates, collect the dominant keys per domain, and scan the base tables
     for per-key attribute envelopes.  Stores and returns the correlation map.
     """
+    check_complete(state)
+    check_tables({t: d.columns for t, d in tables.items()},
+                 state.schema.column_names())
     composites: list[CompositeHist] = []
     for edges in state.schema.templates:
         aliases: dict[str, str] = {}
@@ -309,7 +315,6 @@ def _with_oracle_truths(schema, entries: list,
 
 def evaluate_workload(state: EstimatorState,
                       entries: list[tuple[str, float | None]],
-                      use_djpcd: bool = True,
                       tables: dict[str, TableData] | None = None,
                       ) -> tuple[list[EstimationReport], WorkloadSummary]:
     """Estimate every workload query; truths come from the file or, when base
@@ -319,13 +324,13 @@ def evaluate_workload(state: EstimatorState,
     reports: list[EstimationReport] = []
     for sql, truth in _with_oracle_truths(state.schema, entries, tables):
         try:
-            rep = estimate(sql, state, use_djpcd=use_djpcd)
+            rep = estimate(sql, state)
         except TKHistError as exc:
             truth = exc
         if isinstance(truth, TKHistError):
             reports.append(EstimationReport(
                 query=sql, estimate=float("nan"), latency_ms=0.0,
-                used_djpcd=bool(use_djpcd and state.correlations),
+                used_djpcd=bool(state.correlations),
                 error=str(truth)))
             continue
         rep.score(truth)
@@ -384,7 +389,7 @@ def sweep(schema, tables, entries, bin_counts: list[int], ks: list[int],
             build_s = time.perf_counter() - t0
             with tempfile.NamedTemporaryFile(suffix=".json", delete=True) as tmp:
                 size = save_state(st, tmp.name)
-            _, summ = evaluate_workload(st, entries, use_djpcd=use_djpcd)
+            _, summ = evaluate_workload(st, entries)
             points.append(SweepPoint(bin_count=n, top_k=k,
                                      build_seconds=build_s, state_bytes=size,
                                      median_q=summ.median_q,

@@ -15,7 +15,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .catalog import TableData, check_join_tree
+from .catalog import TableData, check_join_tree, check_tables
 from .errors import CyclicJoinError, PlanError
 from .predicate import matches
 from .queryfront import Query
@@ -27,12 +27,19 @@ def oracle_count(query: Query, tables: dict[str, TableData],
     its tables into one tree (`check_join_tree`, as `decompose` requires).
 
     Rows with a null join key never join; rows with a null on a predicate
-    column never match.  Keys are compared as Python values, so INTEGER 3
-    joins REAL 3.0.  `cap` is not read: counting needs no size cap, and the
-    keyword stays only for callers that still pass it.
+    column never match.  A table or column that it reads and `tables`
+    lacks raises IngestError (`check_tables`).  Keys are compared as Python
+    values, so INTEGER 3 joins REAL 3.0.  `cap` is not read: counting needs
+    no size cap, and the keyword stays only for callers that still pass it.
     """
     check_join_tree(query.aliases, query.join_edges, CyclicJoinError,
                     PlanError)
+    read = {t: set() for t in query.aliases.values()}
+    for ref in [*(r for edge in query.join_edges for r in edge),
+                *(p.column for p in query.predicates)]:
+        alias, col = ref.split(".", 1)
+        read[query.aliases[alias]].add(col)
+    check_tables({t: d.columns for t, d in tables.items()}, read)
     adj: dict[str, list[tuple[str, str, str]]] = defaultdict(list)
     for a, b in query.join_edges:
         (aa, ca), (ab, cb) = a.split(".", 1), b.split(".", 1)

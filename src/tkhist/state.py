@@ -159,6 +159,8 @@ def build_state(schema: Schema, tables: dict[str, TableData],
     because it re-runs the join pipeline over the longest templates.
     """
     config = config or BuildConfig()
+    catalog.check_tables({t: d.columns for t, d in tables.items()},
+                         schema.column_names())
 
     domains = {d.id: d for d in catalog.infer_key_domains(schema)}
     catalog.set_domain_boundaries(list(domains.values()), tables,
@@ -267,6 +269,8 @@ def apply_rows(state: EstimatorState, table: str,
     """
     check_complete(state, table)
     tdef = state.schema.table(table)
+    catalog.check_tables({table: data.columns},
+                         {table: [c.name for c in tdef.columns]})
     key_cols = state.key_columns(table)
     accept = np.ones(data.row_count, dtype=bool)
     for kc in key_cols:

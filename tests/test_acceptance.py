@@ -6,6 +6,7 @@ verdict line appears in captured output even when a criterion fails.
 import math
 import time
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ def test_criterion_01_exact_at_full_capture():
     state = build_state(schema, tables,
                         BuildConfig(bin_count=50, top_k=max_distinct))
     sql = "SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1"
-    est = estimate(sql, state, use_djpcd=False).estimate
+    est = estimate(sql, state).estimate
     true = truth_of(sql, schema, tables)
     elapsed = time.perf_counter() - t0
     ok = est == float(true) and q_error(est, true) == 1.0 and elapsed < 10
@@ -141,12 +142,12 @@ def test_criterion_04_pure_join_accuracy_trend(mixed5, mixed5_state):
     schema, tables, truths = mixed5
     ratios = []
     for sql in MIXED_WORKLOAD:
-        est = estimate(sql, mixed5_state, use_djpcd=False).estimate
+        est = estimate(sql, mixed5_state).estimate
         ratios.append(ratio(est, truths[sql]))
     median = float(np.median(ratios))
     in_band = all(0.1 <= r <= 10 for r in ratios)
     k0_state = build_state(schema, tables, BuildConfig(bin_count=200, top_k=0))
-    k0_ratios = [ratio(estimate(sql, k0_state, use_djpcd=False).estimate,
+    k0_ratios = [ratio(estimate(sql, k0_state).estimate,
                        truths[sql]) for sql in MIXED_WORKLOAD]
     k0_escapes = any(not 0.1 <= r <= 10 for r in k0_ratios)
     elapsed = time.perf_counter() - t0
@@ -188,8 +189,8 @@ def test_criterion_05_djpcd_effect(correlated_setup):
     with_r, without_r, monotone = [], [], True
     for sql in workload:
         true = truth_of(sql, schema, tables)
-        on = estimate(sql, state, use_djpcd=True).estimate
-        off = estimate(sql, state, use_djpcd=False).estimate
+        on = estimate(sql, state).estimate
+        off = estimate(sql, replace(state, correlations={})).estimate
         with_r.append(ratio(on, true))
         without_r.append(ratio(off, true))
         monotone = monotone and on <= off + 1e-9
@@ -226,7 +227,7 @@ def test_criterion_06_update_consistency():
     for v in inserts:
         h.insert(int(v))
     sql = "SELECT COUNT(*) FROM r, s WHERE r.k = s.k"
-    incremental = estimate(sql, state, use_djpcd=False).estimate
+    incremental = estimate(sql, state).estimate
 
     merged = np.concatenate([base_r, [5], inserts])
     tables2 = {
@@ -235,7 +236,7 @@ def test_criterion_06_update_consistency():
     }
     rebuilt_state = build_state(schema, tables2,
                                 BuildConfig(bin_count=10, top_k=1))
-    rebuilt = estimate(sql, rebuilt_state, use_djpcd=False).estimate
+    rebuilt = estimate(sql, rebuilt_state).estimate
     rel = abs(incremental - rebuilt) / rebuilt
     ok = increment_exact and rel < 1e-9
     verdict(6, ok,
@@ -258,7 +259,7 @@ def test_criterion_07_latency_budget(mixed5, mixed5_state):
     for _ in range(40):
         for cfg, st in states.items():
             t0 = time.perf_counter()
-            estimate(sql, st, use_djpcd=False)
+            estimate(sql, st)
             times[cfg].append(time.perf_counter() - t0)
     lat = {cfg: 1000.0 * float(np.median(t)) for cfg, t in times.items()}
     per_query_ms = lat[(200, 20)]

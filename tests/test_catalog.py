@@ -198,6 +198,30 @@ class TestIngest:
                 null_mask={"k": np.zeros(3, dtype=bool),
                            "z": np.zeros(3, dtype=bool)}, row_count=3)
 
+    @pytest.mark.parametrize("columns, masks, message", [
+        ({"k": [1, 2, 3], "y": [4, 5, 6]}, {"k": 3},
+         "columns ['k', 'y'] and null masks ['k'] differ"),
+        ({"k": [1, 2, 3]}, {"k": 3, "y": 3},
+         "columns ['k'] and null masks ['k', 'y'] differ"),
+        ({"k": [1, 2, 3], "y": [4, 5]}, {"k": 3, "y": 3},
+         "column 'y' has 2 values and 3 null flags, not 3"),
+        ({"k": [1, 2, 3], "y": [4, 5, 6]}, {"k": 3, "y": 2},
+         "column 'y' has 3 values and 2 null flags, not 3"),
+        ({"k": [1, 2], "y": [4, 5]}, {"k": 2, "y": 2},
+         "column 'k' has 2 values and 2 null flags, not 3"),
+    ], ids=["mask-missing", "column-missing", "short-column", "short-mask",
+            "short-row-count"])
+    def test_table_data_shape_checked(self, columns, masks, message):
+        # every column has a null mask, and both have `row_count` entries
+        with pytest.raises(IngestError,
+                           match=re.escape(f"table 'r': {message}")):
+            catalog.TableData(
+                name="r",
+                columns={c: np.array(v) for c, v in columns.items()},
+                null_mask={c: np.zeros(n, dtype=bool)
+                           for c, n in masks.items()},
+                row_count=3)
+
     def test_bad_cell_names_row_and_column(self, tmp_path):
         schema = two_table_schema()
         path = tmp_path / "r.csv"

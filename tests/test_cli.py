@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -193,6 +194,44 @@ class TestEvaluate:
         wl.write_text("SELECT COUNT(*) FROM missing_table\n")
         rc = main(["evaluate", "--state", str(built), "--workload", str(wl)])
         assert rc == 1
+
+
+class TestDJPCDChosenAtBuild:
+    """Correlation discovery is chosen when the state is built: `estimate`
+    and `evaluate` take no switch, and a state built with `--no-djpcd`
+    estimates as a discovered state does without its correlation map."""
+
+    @pytest.mark.parametrize("command", ["estimate", "evaluate"])
+    @pytest.mark.parametrize("flag", ["--djpcd", "--no-djpcd"])
+    def test_estimate_time_switch_is_usage_error(self, built, tmp_path,
+                                                 capsys, command, flag):
+        wl = tmp_path / "wl.txt"
+        wl.write_text("SELECT COUNT(*) FROM t1\n")
+        rest = {"estimate": ["SELECT COUNT(*) FROM t1"],
+                "evaluate": ["--workload", str(wl)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--state", str(built), *rest, flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_state_built_without_discovery(self, bench, built, tmp_path,
+                                           capsys):
+        plain = tmp_path / "plain.json"
+        assert main(["build", "--schema", str(bench / "schema.json"),
+                     "--state", str(plain), "--bins", "20", "--k", "5",
+                     "--no-djpcd"]) == 0
+        discovered = load_state(str(built))
+        assert discovered.correlations
+        off = replace(discovered, correlations={})
+        capsys.readouterr()
+        for sql in ["SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 "
+                    "AND t1.y < 300",
+                    "SELECT COUNT(*) FROM t1, t2, t3 WHERE t1.k1 = t2.k1 "
+                    "AND t1.k1 = t3.k1 AND t2.y BETWEEN 10 AND 20"]:
+            assert main(["estimate", "--state", str(plain), sql]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert out["used_djpcd"] is False
+            assert out["estimate"] == estimator.estimate(sql, off).estimate
 
 
 class TestUpdate:

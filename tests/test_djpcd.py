@@ -1,4 +1,5 @@
 from collections import defaultdict
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -445,8 +446,8 @@ class TestEndToEnd:
             "SELECT COUNT(*) FROM r, s WHERE r.k = s.k AND r.y = 2",
             "SELECT COUNT(*) FROM r, s WHERE r.k = s.k",
         ]:
-            with_d = estimate(sql, state, use_djpcd=True).estimate
-            without = estimate(sql, state, use_djpcd=False).estimate
+            with_d = estimate(sql, state).estimate
+            without = estimate(sql, replace(state, correlations={})).estimate
             assert with_d <= without + 1e-9
 
     def test_discovery_skips_without_templates(self):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist import estimator, oracle
-from tkhist.catalog import schema_from_document
+from tkhist.catalog import ROLE_KEY, TableData, schema_from_document
 from tkhist.djpcd import find_excluded_keys
 from tkhist.errors import (EstimationError, ParseError, PlanError,
                            TKHistError, UnsupportedQueryError)
@@ -53,8 +53,7 @@ def small_state():
 class TestEstimate:
     def test_full_capture_join_exact(self, small_state):
         state, _ = small_state
-        rep = estimate("SELECT COUNT(*) FROM r, s WHERE r.k = s.k", state,
-                       use_djpcd=False)
+        rep = estimate("SELECT COUNT(*) FROM r, s WHERE r.k = s.k", state)
         # 1:2*1 + 2:1*2 + 9:1*1
         assert rep.estimate == pytest.approx(5.0)
         assert rep.latency_ms > 0
@@ -72,7 +71,7 @@ class TestEstimate:
     def test_key_predicate_filters_dominant_exactly(self, small_state):
         state, _ = small_state
         rep = estimate("SELECT COUNT(*) FROM r, s WHERE r.k = s.k "
-                       "AND r.k = 1", state, use_djpcd=False)
+                       "AND r.k = 1", state)
         assert rep.estimate == pytest.approx(2.0)
 
     def test_multi_table_without_joins_rejected(self, small_state):
@@ -177,7 +176,7 @@ class TestJoinTreeRule:
         sql = ("SELECT COUNT(*) FROM t1, t2, t3, t4 "
                "WHERE t1.k1 = t2.k1 AND t3.k1 = t4.k1")
         with pytest.raises(PlanError, match="disconnected join graph"):
-            estimate(sql, state, use_djpcd=False)
+            estimate(sql, state)
         with pytest.raises(PlanError, match="disconnected join graph"):
             oracle.oracle_count(bind(parse_sql(sql), schema), tables)
 
@@ -274,8 +273,7 @@ class TestWorkload:
         state, tables = small_state
         entries = [("SELECT COUNT(*) FROM r, s WHERE r.k = s.k", None),
                    ("SELECT COUNT(*) FROM r, s WHERE r.k = s.k", 5.0)]
-        reports, summary = evaluate_workload(state, entries, use_djpcd=False,
-                                             tables=tables)
+        reports, summary = evaluate_workload(state, entries, tables=tables)
         assert all(r.truth == 5.0 for r in reports)
         assert summary.median_q == pytest.approx(1.0)
         assert summary.failed == 0
@@ -285,7 +283,7 @@ class TestWorkload:
         """The summary of one query per estimate, each with truth 1, so
         that each q-error is max(e, 1 / e), and inf for e = 0."""
         values = iter(estimates)
-        monkeypatch.setattr(estimator, "estimate", lambda sql, st, use_djpcd:
+        monkeypatch.setattr(estimator, "estimate", lambda sql, st:
                             EstimationReport(query=sql, estimate=next(values),
                                              latency_ms=1.0, used_djpcd=False))
         entries = [("SELECT COUNT(*) FROM r", 1.0)] * len(estimates)
@@ -373,7 +371,7 @@ class TestSweep:
             st = build_state(schema, tables, BuildConfig(bin_count=p.bin_count,
                                                          top_k=p.top_k))
             _, summ = evaluate_workload(st, self.SWEEP_QUERIES,
-                                        use_djpcd=False, tables=tables)
+                                        tables=tables)
             size = save_state(st, str(tmp_path / "grid.json"))
             assert (p.state_bytes, p.median_q) == (size, summ.median_q)
 
@@ -458,3 +456,40 @@ class TestExclusionAtLift:
         assert list(record) == list(plain) == [
             g.domain_id for g in _post_order(plan.root)]
         assert held(record) == set()
+
+
+class TestMisalignedSkews:
+    """Aim 3 on skews that do not line up: every key column of t2..t5 is
+    relabelled by its table's own permutation of the keys, so that one
+    table's heavy keys are not the next one's.  At full capture (k at least
+    the distinct keys) every single-domain estimate, a star or two tables,
+    equals the exact count."""
+
+    KEYS = 60
+    SHAPES = [("t1", "t2"), ("t1", "t3"), ("t1", "t2", "t3"), ("t3", "t4"),
+              ("t4", "t5")]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_full_capture_exact(self, seed):
+        schema, tables = generate_synthetic(SyntheticSpec(
+            tables=5, rows=800, layout="mixed", distinct_keys=self.KEYS),
+            seed=seed)
+        rng = np.random.default_rng(seed)
+        for t in ("t2", "t3", "t4", "t5"):
+            perm = rng.permutation(np.arange(1, self.KEYS + 1))
+            keys = {c.name for c in schema.table(t).columns
+                    if c.role == ROLE_KEY}
+            data = tables[t]
+            tables[t] = TableData(
+                name=t, columns={c: perm[v - 1] if c in keys else v
+                                 for c, v in data.columns.items()},
+                null_mask=data.null_mask, row_count=data.row_count)
+        state = build_state(schema, tables,
+                            BuildConfig(bin_count=8, top_k=self.KEYS))
+        for shape in self.SHAPES:
+            edges = [f"{a} = {b}" for a, b in schema.foreign_keys
+                     if {a.split(".")[0], b.split(".")[0]} <= set(shape)]
+            sql = (f"SELECT COUNT(*) FROM {', '.join(shape)} WHERE "
+                   + " AND ".join(edges))
+            truth = oracle.oracle_count(bind(parse_sql(sql), schema), tables)
+            assert estimate(sql, state).estimate == truth, sql

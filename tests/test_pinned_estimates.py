@@ -5,8 +5,9 @@ t3 starts the chain t3 -k2- t4 -k3- t5), correlated, with t5 small enough
 that its `y` is categorical.  The state is built with correlation discovery,
 saved and loaded before any estimate, so that the file format is part of
 what is checked.  The queries are the nine join shapes, then one filter of
-each operator on each shape; the filtered queries run again after each of
-two update batches, each applied as `tkhist update` applies it (a load of
+each operator on each shape, and one filter of each operator on a key column
+of t1 and of t4 alone; the filtered queries run again after each of two
+update batches, each applied as `tkhist update` applies it (a load of
 the batch's table, `apply_rows`, a save) and reloaded in full.
 Every estimate must stay within 1e-9 relative of its pinned value.
 
@@ -53,6 +54,7 @@ FILTER_SHAPES = [
     ("t1", "t2", "t3", "t4", "t5"),
 ]
 OPS = ("=", "<", "<=", ">", ">=", "between", "in")
+KEY_FILTER_TABLES = ("t1", "t4")  # one-table filters on a key column
 
 
 def sql_of(schema, shape, preds) -> str:
@@ -78,7 +80,9 @@ def predicate(column: str, values: np.ndarray, op: str, level: float) -> str:
 
 def filtered_queries(schema, tables) -> list[str]:
     """Per shape and operator, one filter on `y` of a rotating member, at a
-    rotating level; per shape, one filter on a key column as well."""
+    rotating level; per shape, one filter on a key column as well; and per
+    table of KEY_FILTER_TABLES and operator, one filter on its first key
+    column, alone, at a rotating level."""
     out = []
     for si, shape in enumerate(FILTER_SHAPES):
         for oi, op in enumerate(OPS):
@@ -91,6 +95,12 @@ def filtered_queries(schema, tables) -> list[str]:
         out.append(sql_of(schema, shape, [predicate(
             f"{t}.{kc}", np.sort(tables[t].columns[kc]), OPS[si % len(OPS)],
             0.4)]))
+    for t in KEY_FILTER_TABLES:
+        kc = schema.table(t).columns[0].name
+        for oi, op in enumerate(OPS):
+            out.append(sql_of(schema, (t,), [predicate(
+                f"{t}.{kc}", np.sort(tables[t].columns[kc]), op,
+                (0.2, 0.5, 0.8)[oi % 3])]))
     return out
 
 

@@ -6,6 +6,7 @@ import pathlib
 import re
 import tempfile
 import zlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import strategies as st
 
 from tkhist import cli
 from tkhist.catalog import TableData, schema_from_document, write_table_csv
-from tkhist.errors import StateError
+from tkhist.errors import IngestError, StateError
 from tkhist.estimator import (discover_correlations, estimate,
                               evaluate_workload)
 from tkhist.histcore import build_tkhist1d, build_tkhist2d
+from tkhist.oracle import oracle_count
+from tkhist.queryfront import bind, parse_sql
 from tkhist.state import (BuildConfig, _hist2d_doc, _pack, _unpack,
                           apply_rows, build_state, load_state, save_state,
                           state_from_document, state_to_document)
@@ -55,8 +58,8 @@ class TestRoundTrip:
         doc = state_to_document(state)
         state2 = state_from_document(json.loads(json.dumps(doc)))
         sql = "SELECT COUNT(*) FROM r, s WHERE r.k = s.k"
-        a = estimate(sql, state, use_djpcd=True).estimate
-        b = estimate(sql, state2, use_djpcd=True).estimate
+        a = estimate(sql, state).estimate
+        b = estimate(sql, state2).estimate
         assert a == b
 
     def test_save_is_byte_identical(self, built, tmp_path):
@@ -78,8 +81,8 @@ class TestRoundTrip:
         save_state(state, str(path))
         state2 = load_state(str(path))
         sql = "SELECT COUNT(*) FROM t1, t2, t3 WHERE t1.k1 = t2.k1 AND t1.k1 = t3.k1"
-        assert estimate(sql, state, False).estimate == \
-            estimate(sql, state2, False).estimate
+        assert estimate(sql, state).estimate == \
+            estimate(sql, state2).estimate
 
 
 INT_TAGS = ("i1", "i2", "i4", "i8")
@@ -1202,8 +1205,8 @@ def test_estimating_leaves_state_unchanged(built, a, b, table):
     ]
     before = snapshot(state)
     for sql in queries:
-        for use_djpcd in (True, False):
-            estimate(sql, state, use_djpcd=use_djpcd)
+        for st in (state, replace(state, correlations={})):
+            estimate(sql, st)
     evaluate_workload(state, [(sql, None) for sql in queries])
     discover_correlations(state, tables)
     assert snapshot(state) == before
@@ -1382,3 +1385,78 @@ def test_corrupted_entries_raise_state_error(copies):
             if not ok:
                 wrong.append((path, table, message))
     assert wrong == []
+
+
+class TestAPITablesChecked:
+    """Tables made through the API, not read from CSV, raise IngestError
+    when they lack a table or column that a call reads; a state loaded for
+    one table refuses discovery.  A failing call changes nothing."""
+
+    CONFIG = BuildConfig(bin_count=4, top_k=2)
+
+    @pytest.fixture
+    def synth(self):
+        return generate_synthetic(SyntheticSpec(
+            tables=3, rows=200, distinct_keys=20), seed=3)
+
+    @staticmethod
+    def without_y(data):
+        return TableData(name=data.name, columns={"k1": data.columns["k1"]},
+                         null_mask={"k1": data.null_mask["k1"]},
+                         row_count=data.row_count)
+
+    def test_discovery_on_state_loaded_for_one_table(self, synth, tmp_path):
+        schema, tables = synth
+        path = str(tmp_path / "st.json")
+        save_state(build_state(schema, tables, self.CONFIG), path)
+        with pytest.raises(StateError, match="to update table 't1' only"):
+            discover_correlations(load_state(path, table="t1"), tables)
+
+    def test_discovery_without_a_table(self, synth):
+        schema, tables = synth
+        state = build_state(schema, tables, self.CONFIG)
+        del tables["t2"]
+        with pytest.raises(IngestError, match="no data given for table 't2'"):
+            discover_correlations(state, tables)
+        assert state.correlations == {}
+
+    def test_build_without_a_table(self, synth):
+        schema, tables = synth
+        del tables["t2"]
+        with pytest.raises(IngestError, match="no data given for table 't2'"):
+            build_state(schema, tables, self.CONFIG)
+
+    def test_build_without_a_column(self, synth):
+        schema, tables = synth
+        tables["t1"] = self.without_y(tables["t1"])
+        with pytest.raises(IngestError, match=re.escape(
+                "table 't1': missing column(s) ['y']")):
+            build_state(schema, tables, self.CONFIG)
+
+    def test_batch_without_a_column_changes_nothing(self, synth):
+        schema, tables = synth
+        state = build_state(schema, tables, self.CONFIG)
+        before = snapshot(state)
+        with pytest.raises(IngestError, match=re.escape(
+                "table 't1': missing column(s) ['y']")):
+            apply_rows(state, "t1", self.without_y(tables["t1"]))
+        assert snapshot(state) == before
+
+    def test_batch_with_short_null_masks_changes_nothing(self, synth):
+        schema, tables = synth
+        state = build_state(schema, tables, self.CONFIG)
+        before = snapshot(state)
+        t1 = tables["t1"]
+        with pytest.raises(IngestError, match="null flags"):
+            apply_rows(state, "t1", TableData(
+                name="t1", columns=dict(t1.columns),
+                null_mask={c: m[:-1] for c, m in t1.null_mask.items()},
+                row_count=t1.row_count))
+        assert snapshot(state) == before
+
+    def test_oracle_without_a_joined_table(self, synth):
+        schema, tables = synth
+        query = bind(parse_sql("SELECT COUNT(*) FROM t1, t2 "
+                               "WHERE t1.k1 = t2.k1"), schema)
+        with pytest.raises(IngestError, match="no data given for table 't2'"):
+            oracle_count(query, {"t1": tables["t1"]})
