@@ -8,7 +8,9 @@ correlation-based key exclusion act in one place, `_lift_alias`, which lifts
 each member's histogram without the dominant keys no filtered row can carry.
 Keys are excluded exactly when the state holds a correlation map, which only
 a build with discovery makes.  One rule, `_bin_fractions`, turns a filter
-into per-bin fractions for a join's lift and a one-table query alike.
+into per-bin fractions for a join's lift and a one-table query alike.  What
+depends on the state alone, each histogram's unfiltered lift and each
+bridge's weights, is built once per loaded state, in its `cache`.
 """
 from __future__ import annotations
 
@@ -21,8 +23,9 @@ import numpy as np
 from . import djpcd, oracle
 from .catalog import KIND_INTEGER, TableData, check_tables
 from .errors import EstimationError, ParseError, TKHistError
-from .joinengine import (CompositeHist, apply_filters, chain_translate,
-                         join_star_group, lift)
+from .joinengine import (CompositeHist, apply_filters, bridge_weights,
+                         chain_translate, composite, identity_lift,
+                         join_star_group)
 from .predicate import Predicate, key_bin_fractions, matches, selectivity_2d
 from .queryfront import (PlanGroup, Query, SubQueryPlan, bind, decompose,
                          parse_sql)
@@ -78,22 +81,34 @@ def ratio(estimate: float, truth: float) -> float:
 # ---------------------------------------------------------------------------
 # plan evaluation
 
+def lift(state: EstimatorState, table: str, key_col: str) -> CompositeHist:
+    """The identity lift of `table`'s `key_col` histogram over its domain's
+    key index, built once per loaded state and shared (read-only)."""
+    def build():
+        hist = state.hists1d[(table, key_col)]
+        return identity_lift(hist, state.key_index(hist.domain.id),
+                             (table, key_col))
+    return state.derived(("lift", table, key_col), build)
+
+
 def _lift_alias(state: EstimatorState, query: Query, alias: str,
                 key_col: str, excluded: frozenset) -> CompositeHist:
     """Lift one table's histogram, apply its filters and key exclusions.
 
     Background mass scales by the per-bin conditional selectivity product;
     dominant entries stay at full weight unless a predicate on the key column
-    itself rejects the key exactly, or correlation exclusion removes it.
-    Exclusion removes keys from copies of the histogram's containers, then
-    zeroes the mass of each container key that its bin's copy lost.
+    itself rejects the key exactly, or correlation exclusion removes it: a
+    removed key is no longer dominant.  Exclusion removes keys from copies of
+    the histogram's containers, then drops each container key that its bin's
+    copy lost.  The identity lift is shared, so this returns it unchanged
+    when nothing applies and otherwise builds new arrays for what changes.
     """
     table = query.aliases[alias]
-    hist = state.hists1d[(table, key_col)]
-    index = state.key_index(hist.domain.id)
-    comp = lift(hist, index, (table, key_col))
+    comp = lift(state, table, key_col)
+    keep = None  # the dominance flags, copied when a key is removed
 
     if excluded:
+        hist = state.hists1d[(table, key_col)]
         maps = [dict(b.topk) for b in hist.bins]
         for dom in maps:
             for key in excluded:
@@ -103,20 +118,25 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
         gone = [j for dom, lo, hi in zip(maps, offsets, offsets[1:])
                 if len(dom) < hi - lo for j in range(lo, hi)
                 if keys[j] not in dom]
-        comp.mass[index.positions[(table, key_col)][gone]] = 0.0
+        keep = comp.dominant.copy()
+        keep[comp.index.positions[(table, key_col)][gone]] = False
 
     sel = None  # product of the per-bin fractions, in predicate order
     for pred in (p for p in query.predicates
                  if p.column.split(".", 1)[0] == alias):
         if pred.column.split(".", 1)[1] == key_col:
             # exact on dominant keys, interpolated on the background
-            held = np.flatnonzero(comp.mass)
+            keep = comp.dominant.copy() if keep is None else keep
+            held = np.flatnonzero(keep)
             miss = np.fromiter((not matches(pred, k)
-                                for k in index.keys[held].tolist()),
+                                for k in comp.index.keys[held].tolist()),
                                dtype=bool, count=len(held))
-            comp.mass[held[miss]] = 0.0
+            keep[held[miss]] = False
         frac = _bin_fractions(state, table, key_col, pred)
         sel = frac if sel is None else sel * frac
+    if keep is not None:
+        comp = composite(comp.index, keep, comp.factor, comp.background,
+                         comp.ndv)
     if sel is not None:
         comp = apply_filters(comp, sel)
     return comp
@@ -156,11 +176,12 @@ def _eval_group(state: EstimatorState, query: Query, group: PlanGroup,
     for link in group.children:
         child = _eval_group(state, query, link.group, excluded_by_domain,
                             composites)
-        btable = query.aliases[link.bridge_alias]
-        factors.append(chain_translate(
-            child, state.hists2d[(btable, link.child_col, link.parent_col)],
-            state.hists1d[(btable, link.parent_col)],
-            state.key_index(group.domain_id)))
+        grid = (query.aliases[link.bridge_alias], link.child_col,
+                link.parent_col)  # the bridge's 2D histogram
+        bridge = state.derived(("bridge", *grid), lambda: bridge_weights(
+            state.hists2d[grid], state.hists1d[(grid[0], grid[2])]))
+        factors.append(chain_translate(child, bridge,
+                                       state.key_index(group.domain_id)))
     composites[group.domain_id] = comp = join_star_group(factors)
     return comp
 

@@ -2,21 +2,26 @@
 
 A key index (`KeyIndex`) holds, for one key domain, the sorted union of the
 container keys of every 1D histogram over it, each key's bin, and each
-histogram's positions in that union.  A composite histogram holds a float64
-dominant mass per index key, zero where the key is not dominant, and two
-float64 arrays per bin: background mass and background NDV.  A binary join
-combines two composites over one index, key by key and bin by bin: keys
-dominant on both sides multiply exactly; a key dominant on one side only
-joins the other side's background at its bin's average frequency BAC =
-background / NDV; the two backgrounds combine with the Selinger formula,
+histogram's positions in that union.  A composite histogram holds, per
+index key, a float64 join factor and a dominance flag, and per bin two
+float64 arrays: background mass and background NDV.  A dominant key's
+factor is its mass; any other key's is its bin's background average
+frequency BAC = background / NDV (zero where NDV is zero).  A binary join
+of two composites over one index is then two passes over the keys: the
+factors multiply and the dominance flags combine by `or`.  Keys dominant on
+both sides multiply exactly, and a key dominant on one side only meets the
+other side's BAC.  The two backgrounds combine with the Selinger formula,
 and background NDV propagates as the minimum of the two sides, which keeps
-the Selinger formula applicable recursively to intermediate results.  Every
-step is whole-array arithmetic; a bin's dominant mass is one `np.bincount`
-of the mass by the keys' bins.
+the Selinger formula applicable recursively to intermediate results; the
+joined BAC, background / NDV, is then BAC_a * BAC_b, which is what a key
+dominant on neither side carries.  A key's mass is its factor where it is
+dominant, else zero; a bin's dominant mass is one `np.bincount` of the mass
+by the keys' bins.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
-composites.
+composites.  A bridge table's row-normalised key-pair grid (`Bridge`) is
+what carries a composite onto a second key domain.
 """
 from __future__ import annotations
 
@@ -69,17 +74,24 @@ class KeyIndex:
 
 @dataclass(eq=False)
 class CompositeHist:
-    """A float64 dominant mass per key of `index`, zero for a key that is
-    not dominant, and float64 background mass and NDV per bin."""
+    """Per key of `index`, a float64 join factor and a boolean dominance
+    flag; per bin, float64 background mass and NDV.  A dominant key's
+    factor is its mass; any other key's is its bin's BAC."""
 
     index: KeyIndex
-    mass: np.ndarray
+    factor: np.ndarray
+    dominant: np.ndarray
     background: np.ndarray
     ndv: np.ndarray
 
     @property
     def domain(self) -> KeyDomain:
         return self.index.domain
+
+    @property
+    def mass(self) -> np.ndarray:
+        """The dominant mass per key: its factor, zero where not dominant."""
+        return self.factor * self.dominant
 
     def bin_totals(self) -> np.ndarray:
         return self.background + np.bincount(
@@ -89,37 +101,50 @@ class CompositeHist:
         return sum(self.bin_totals().tolist())
 
 
-def _bac(comp: CompositeHist) -> np.ndarray:
+def _bac(background: np.ndarray, ndv: np.ndarray) -> np.ndarray:
     """Per-bin background average frequency; zero where NDV is zero."""
     with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(comp.ndv > 0, comp.background / comp.ndv, 0.0)
+        return np.where(ndv > 0, background / ndv, 0.0)
 
 
-def lift(hist: TKHist1D, index: KeyIndex, name) -> CompositeHist:
+def composite(index: KeyIndex, dominant: np.ndarray,
+              mass: np.ndarray | float, background: np.ndarray,
+              ndv: np.ndarray) -> CompositeHist:
+    """The composite whose keys flagged in `dominant` are dominant, each at
+    its `mass`; every other key's factor is its bin's BAC."""
+    return CompositeHist(
+        index=index, dominant=dominant,
+        factor=np.where(dominant, mass,
+                        _bac(background, ndv).take(index.bins)),
+        background=background, ndv=ndv)
+
+
+def identity_lift(hist: TKHist1D, index: KeyIndex, name) -> CompositeHist:
     """Identity lift of the built histogram that `index` lists as `name`:
-    its container counts, scattered onto the index keys."""
+    its container counts, scattered onto the index keys.  Its arrays are
+    read-only, so that the lift can be shared: a caller copies what it
+    changes."""
     mass = np.zeros(len(index.keys))
     mass[index.positions[name]] = hist.topk_counts
-    return CompositeHist(index=index, mass=mass,
-                         background=hist.nv.astype(np.float64),
-                         ndv=hist.ndv.astype(np.float64))
+    comp = composite(index, mass > 0, mass, hist.nv.astype(np.float64),
+                     hist.ndv.astype(np.float64))
+    for array in (comp.factor, comp.dominant, comp.background, comp.ndv):
+        array.flags.writeable = False
+    return comp
 
 
 def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
-    """Bin-wise binary join of two composites over one key index.  With A
-    and B a key's two dominant masses, its joined mass is
-    (A + BAC_a·[A=0]) · (B + BAC_b·[B=0]) · [A>0 ∨ B>0], taken as
-    arithmetic on 0/1 factors rather than as branches: each factor of 0 or
-    1 leaves a finite value exact."""
+    """Bin-wise binary join of two composites over one key index: the
+    factors multiply key by key and the dominance flags combine by `or`;
+    a key dominant on neither side carries BAC_a * BAC_b, its joined bin's
+    BAC."""
     if a.index is not b.index:
         raise DomainMismatchError(
             f"cannot join histograms over domains {a.domain.id!r} "
             f"and {b.domain.id!r}: not one key index")
-    bins, A, B = a.index.bins, a.mass, b.mass
-    mass = ((A + _bac(a).take(bins) * (A == 0))
-            * (B + _bac(b).take(bins) * (B == 0)) * ((A > 0) | (B > 0)))
     return CompositeHist(
-        index=a.index, mass=mass,
+        index=a.index, factor=a.factor * b.factor,
+        dominant=a.dominant | b.dominant,
         background=selinger_bin_estimate(a.background, a.ndv,
                                          b.background, b.ndv),
         ndv=np.minimum(a.ndv, b.ndv))
@@ -137,46 +162,71 @@ def join_star_group(hists: list[CompositeHist]) -> CompositeHist:
 
 def apply_filters(comp: CompositeHist,
                   fractions: np.ndarray) -> CompositeHist:
-    """Scale per-bin background mass by the per-bin filter selectivity.
+    """Scale per-bin background mass by the per-bin filter selectivity, and
+    with it the factor of every key that is not dominant, its bin's BAC.
 
     Dominant entries keep their full weight: retained join paths are handled
     exclusively through correlation-based exclusion, and scaling them here
     would double-count that correction.  The result shares the input's
-    dominant mass.
+    dominance flags.
     """
     if len(fractions) != len(comp.background):
         raise DomainMismatchError("selectivity length does not match bin count")
-    return CompositeHist(index=comp.index, mass=comp.mass,
-                         background=comp.background * fractions, ndv=comp.ndv)
+    return composite(comp.index, comp.dominant, comp.factor,
+                     comp.background * fractions, comp.ndv)
 
 
-def chain_translate(comp: CompositeHist, bridge: TKHist2D,
-                    target_hist: TKHist1D, index: KeyIndex) -> CompositeHist:
-    """Carry a composite across a bridge table onto a second key domain,
-    whose key index is `index`.
+@dataclass(eq=False)
+class Bridge:
+    """A bridge table between two key domains, as a chain translation reads
+    it: the share of each source bin's rows that fall in each target bin
+    (`weights`, source bins by target bins), and each target bin's NDV, its
+    background NDV plus its container count, in the bridge table's
+    histogram over the target key column."""
 
-    Each source bin's estimate is distributed over target bins proportionally
-    to the bridge table's key-pair co-occurrence grid.  Dominant keys do not
-    cross a chain boundary: source keys are meaningless on the target domain,
-    so the output's dominant mass is zero and it carries background mass
-    only.  Per-bin NDV comes from the bridge's histogram over the target key
-    column.
-    """
-    if comp.domain.id != bridge.key_domain.id:
+    source: str  # the domain ids
+    target: str
+    weights: np.ndarray
+    ndv: np.ndarray
+
+
+def bridge_weights(bridge: TKHist2D, target_hist: TKHist1D) -> Bridge:
+    """The `Bridge` of a bridge table's grid from its source key column to
+    its target key column, whose 1D histogram is `target_hist`."""
+    if bridge.attr.id != target_hist.domain.id:
         raise DomainMismatchError(
-            f"composite domain {comp.domain.id!r} does not match bridge "
-            f"key domain {bridge.key_domain.id!r}")
-    if not bridge.attr.id == target_hist.domain.id == index.domain.id:
-        raise DomainMismatchError(
-            "bridge attribute axis, target histogram and key index are not "
-            "over one key domain")
+            "bridge attribute axis and target histogram are not over one "
+            "key domain")
     marginal = bridge.key_marginal().astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = np.where(marginal[:, None] > 0,
                            bridge.grid / np.maximum(marginal[:, None], 1e-300),
                            0.0)
-    out = comp.bin_totals() @ weights
     ndv = (target_hist.ndv + np.diff(target_hist.topk_offsets)
            ).astype(np.float64)
-    return CompositeHist(index=index, mass=np.zeros(len(index.keys)),
-                         background=out, ndv=np.where(out > 0, ndv, 0.0))
+    return Bridge(source=bridge.key_domain.id, target=target_hist.domain.id,
+                  weights=weights, ndv=ndv)
+
+
+def chain_translate(comp: CompositeHist, bridge: Bridge,
+                    index: KeyIndex) -> CompositeHist:
+    """Carry a composite across a bridge onto its target key domain, whose
+    key index is `index`.
+
+    Each source bin's estimate is distributed over target bins by the
+    bridge's weights.  Dominant keys do not cross a chain boundary: source
+    keys are meaningless on the target domain, so no key of the output is
+    dominant and it carries background mass only.  Per-bin NDV is the
+    bridge's, where the bin receives mass.
+    """
+    if comp.domain.id != bridge.source:
+        raise DomainMismatchError(
+            f"composite domain {comp.domain.id!r} does not match bridge "
+            f"source domain {bridge.source!r}")
+    if bridge.target != index.domain.id:
+        raise DomainMismatchError(
+            f"bridge target domain {bridge.target!r} does not match key "
+            f"index domain {index.domain.id!r}")
+    out = comp.bin_totals() @ bridge.weights
+    return composite(index, np.zeros(len(index.keys), dtype=bool), 0.0, out,
+                     np.where(out > 0, bridge.ndv, 0.0))

@@ -95,21 +95,27 @@ class EstimatorState:
     # holds that table's histograms alone, and writes the document back
     # with them (`state_to_document`); None when it holds every table's
     source: tuple[str, dict] | None = None
-    # domain id -> its joinengine.KeyIndex, built by `key_index`; never
-    # saved, and dropped by `apply_rows`
-    key_indexes: dict = field(default_factory=dict, repr=False,
-                              compare=False)
+    # what the estimate path derives from the histograms alone, by key:
+    # ("index", domain id) its joinengine.KeyIndex, ("lift", table, key
+    # column) that 1D histogram's identity lift, ("bridge", table, source
+    # key column, target key column) that 2D histogram's joinengine.Bridge;
+    # each built on first use by `derived`, never saved, and all dropped by
+    # `apply_rows`
+    cache: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def derived(self, key: tuple, build):
+        """`build()`, made on first use and kept in `cache` under `key`."""
+        value = self.cache.get(key)
+        if value is None:
+            value = self.cache[key] = build()
+        return value
 
     def key_index(self, domain_id: str) -> KeyIndex:
-        """The key index over the containers of the domain's histograms,
-        built on first use."""
-        index = self.key_indexes.get(domain_id)
-        if index is None:
-            index = self.key_indexes[domain_id] = KeyIndex(
-                self.domains[domain_id],
-                {name: h.topk_keys for name, h in self.hists1d.items()
-                 if self.column_domain[".".join(name)] == domain_id})
-        return index
+        """The key index over the containers of the domain's histograms."""
+        return self.derived(("index", domain_id), lambda: KeyIndex(
+            self.domains[domain_id],
+            {name: h.topk_keys for name, h in self.hists1d.items()
+             if self.column_domain[".".join(name)] == domain_id}))
 
     def key_columns(self, table: str) -> list[str]:
         tdef = self.schema.table(table)
@@ -263,7 +269,7 @@ def apply_rows(state: EstimatorState, table: str,
     would make it (`catalog.is_categorical`): its frequency histogram goes,
     and its grids widen onto the numeric axis over its values.  Container
     membership stays as built and the correlation map is not maintained;
-    the key indexes are dropped.
+    the state's `cache` is dropped.
     A batch that raises changes nothing: every step that can raise runs
     before the first change.  Returns (inserted, rejected).
     """
@@ -296,7 +302,7 @@ def apply_rows(state: EstimatorState, table: str,
             axes[cdef.name] = _attr_axis(
                 f"{table}.{cdef.name}", None, None, state.config.bin_count,
                 lambda: value_span([np.asarray(values)]))
-    state.key_indexes.clear()  # the first change
+    state.cache.clear()  # the first change
     for key, fh in freq.items():
         if fh is None:
             del state.freq_hists[key]

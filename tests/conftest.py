@@ -3,7 +3,7 @@ import pytest
 
 from tkhist.catalog import KeyDomain, TableData, schema_from_document, value_span
 from tkhist.errors import DomainBoundsError
-from tkhist.joinengine import CompositeHist, KeyIndex, lift
+from tkhist.joinengine import KeyIndex, composite, identity_lift
 
 
 def _scalar(v):
@@ -111,10 +111,10 @@ def composites_of(domain, *specs) -> list:
             for key, m in dom.items():
                 assert index.bins[at[key]] == i, f"key {key!r} not in bin {i}"
                 mass[at[key]] = m
-        comps.append(CompositeHist(
-            index=index, mass=mass,
-            background=np.array([b[1] for b in spec], dtype=np.float64),
-            ndv=np.array([b[2] for b in spec], dtype=np.float64)))
+        comps.append(composite(
+            index, mass > 0, mass,
+            np.array([b[1] for b in spec], dtype=np.float64),
+            np.array([b[2] for b in spec], dtype=np.float64)))
     return comps
 
 
@@ -123,18 +123,27 @@ def lifted(*hists) -> list:
     their containers."""
     index = KeyIndex(hists[0].domain,
                      {i: h.topk_keys for i, h in enumerate(hists)})
-    return [lift(h, index, i) for i, h in enumerate(hists)]
+    return [identity_lift(h, index, i) for i, h in enumerate(hists)]
 
 
 def maps_of(comp) -> list[dict]:
-    """A composite's dominant keys as one map per bin, key -> mass, in key
-    order: the per-bin form of its mass vector."""
+    """A composite's keys of non-zero mass as one map per bin, key -> mass,
+    in key order: the per-bin form of its mass vector."""
+    return _per_bin(comp, np.flatnonzero(comp.mass), comp.mass)
+
+
+def dominant_maps(comp) -> list[dict]:
+    """A composite's dominant keys as one map per bin, key -> factor, in
+    key order, a factor of zero included."""
+    return _per_bin(comp, np.flatnonzero(comp.dominant), comp.factor)
+
+
+def _per_bin(comp, held, values) -> list[dict]:
     maps = [{} for _ in comp.background]
-    held = np.flatnonzero(comp.mass)
-    for key, b, m in zip(comp.index.keys[held].tolist(),
+    for key, b, v in zip(comp.index.keys[held].tolist(),
                          comp.index.bins[held].tolist(),
-                         comp.mass[held].tolist()):
-        maps[b][key] = m
+                         values[held].tolist()):
+        maps[b][key] = v
     return maps
 
 

@@ -17,7 +17,7 @@ from tkhist.estimator import (EstimationReport, discover_correlations,
                               estimate, evaluate_workload, parse_workload,
                               q_error, ratio, run_plan, sweep)
 from tkhist.queryfront import bind, decompose, parse_sql
-from tkhist.state import BuildConfig, build_state, save_state
+from tkhist.state import BuildConfig, build_state, load_state, save_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
 from conftest import make_table, maps_of, two_table_schema
@@ -114,23 +114,30 @@ class TestEstimate:
 
 class TestStateLifetime:
     """An estimate or a discovery run leaves no reference cycle that keeps
-    the state alive until the cyclic garbage collector runs."""
+    the state alive until the cyclic garbage collector runs: nothing the
+    state caches (key indexes, lifts, bridges) refers back to it."""
 
     @pytest.mark.parametrize("run", [
-        lambda st, tables: estimate(
-            "SELECT COUNT(*) FROM r, s WHERE r.k = s.k AND r.y > 5", st),
+        lambda st, tables: [estimate(sql, st) for sql in (
+            "SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1 AND t1.y > 5",
+            f"SELECT COUNT(*) FROM t1, t2, t3, t4, t5 WHERE {CHAIN5}")],
         lambda st, tables: discover_correlations(st, tables),
     ], ids=["estimate", "discover"])
-    def test_state_freed_by_reference_counting(self, run):
-        tables = {"r": make_table("r", {"k": [1, 1, 2, 9], "y": [5, 7, 9, 9]}),
-                  "s": make_table("s", {"k": [1, 2, 2, 9], "y": [0, 1, 2, 3]})}
-        state = build_state(two_table_schema(), tables,
-                            BuildConfig(bin_count=4, top_k=1))
+    def test_state_freed_by_reference_counting(self, run, tmp_path):
+        schema, tables = generate_synthetic(
+            SyntheticSpec(tables=5, rows=300, layout="mixed",
+                          distinct_keys=30), seed=4)
+        path = str(tmp_path / "state.json")
+        save_state(build_state(schema, tables,
+                               BuildConfig(bin_count=5, top_k=3)), path)
+        state = load_state(path)
         ref = weakref.ref(state)
         enabled = gc.isenabled()
         gc.disable()
         try:
             run(state, tables)
+            assert {key[0] for key in state.cache} == {"index", "lift",
+                                                       "bridge"}
             del state
             assert ref() is None
         finally:
@@ -456,6 +463,36 @@ class TestExclusionAtLift:
         assert list(record) == list(plain) == [
             g.domain_id for g in _post_order(plan.root)]
         assert held(record) == set()
+
+
+class TestCachedLifts:
+    """Exclusion and filters never write the lifts and bridges a state
+    caches: after excluded, key-filtered and filtered estimates, an
+    unfiltered one equals a fresh load's bit for bit."""
+
+    @pytest.mark.parametrize("sql", [
+        "SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+        "AND t3.k1 = t1.k1",
+        f"SELECT COUNT(*) FROM t1, t2, t3, t4, t5 WHERE {CHAIN5}",
+    ])
+    def test_unfiltered_estimate_equals_a_fresh_loads(self, mixed_corr_state,
+                                                      tmp_path, sql):
+        path = str(tmp_path / "state.json")
+        save_state(mixed_corr_state, path)
+        used = load_state(path)
+        excluded_sql = ("SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+                        "AND t3.k1 = t1.k1 AND t1.y >= 20")
+        query = bind(parse_sql(excluded_sql), used.schema)
+        assert find_excluded_keys(query, used.correlations,
+                                  used.column_domain)  # exclusion runs
+        for other in (excluded_sql,
+                      "SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 "
+                      "AND t1.k1 <= 100 AND t2.k1 > 3",
+                      f"SELECT COUNT(*) FROM t1, t2, t3, t4, t5 WHERE "
+                      f"{CHAIN5} AND t4.y < 12 AND t4.k2 <= 50"):
+            estimate(other, used)
+        assert estimate(sql, used).estimate == estimate(
+            sql, load_state(path)).estimate
 
 
 class TestMisalignedSkews:

@@ -10,16 +10,16 @@ from tkhist.catalog import KeyDomain, schema_from_document
 from tkhist.errors import DomainMismatchError
 from tkhist.estimator import _lift_alias, estimate, run_plan
 from tkhist.histcore import build_tkhist1d, build_tkhist2d
-from tkhist.joinengine import (KeyIndex, apply_filters, chain_translate,
-                               jtkh_join, join_star_group,
+from tkhist.joinengine import (KeyIndex, apply_filters, bridge_weights,
+                               chain_translate, jtkh_join, join_star_group,
                                selinger_bin_estimate)
 from tkhist.predicate import key_bin_fractions, matches
 from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import (composites_of, lifted, make_table, maps_of,
-                      two_table_schema)
+from conftest import (composites_of, dominant_maps, lifted, make_table,
+                      maps_of, two_table_schema)
 
 
 def make_domain(lo=0, hi=100, bins=4, id="t.k"):
@@ -212,7 +212,7 @@ class TestChainTranslate:
         target = build_tkhist1d(k2, dst, k=1)
         comp = comp_of(src, [({}, 30.0, 3.0), ({}, 12.0, 2.0)])
         index = index_of(target)
-        out = chain_translate(comp, bridge, target, index)
+        out = chain_translate(comp, bridge_weights(bridge, target), index)
         # src bin0 mass 30 splits 2/3 : 1/3; src bin1 mass 12 all to dst bin1
         assert out.domain.id == "b.k2" and out.index is index
         assert out.background[0] == pytest.approx(20.0)
@@ -230,7 +230,8 @@ class TestChainTranslate:
         bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=1)  # container {4:2}, background {5}
         comp = comp_of(src, [({}, 6.0, 2.0)])
-        out = chain_translate(comp, bridge, target, index_of(target))
+        out = chain_translate(comp, bridge_weights(bridge, target),
+                              index_of(target))
         assert out.ndv[0] == 2.0  # background + container distincts
 
     def test_domain_checks(self):
@@ -239,18 +240,19 @@ class TestChainTranslate:
         other = make_domain(0, 10, 1, id="c.k3")
         bridge = build_tkhist2d(np.array([1]), np.array([2]), src, dst)
         target = build_tkhist1d(np.array([2]), other, k=0)
-        comp = comp_of(other, [EMPTY_BIN])
-        with pytest.raises(DomainMismatchError):
-            # composite on wrong domain
-            chain_translate(comp, bridge, target, index_of(target))
-        comp2 = comp_of(src, [EMPTY_BIN])
         with pytest.raises(DomainMismatchError):
             # target on wrong domain
-            chain_translate(comp2, bridge, target, index_of(target))
+            bridge_weights(bridge, target)
         right = build_tkhist1d(np.array([2]), dst, k=0)
+        weights = bridge_weights(bridge, right)
+        with pytest.raises(DomainMismatchError):
+            # composite on wrong domain
+            chain_translate(comp_of(other, [EMPTY_BIN]), weights,
+                            index_of(right))
         with pytest.raises(DomainMismatchError):
             # key index on wrong domain
-            chain_translate(comp2, bridge, right, index_of(target))
+            chain_translate(comp_of(src, [EMPTY_BIN]), weights,
+                            index_of(target))
 
 
 class TestJoinMass:
@@ -289,62 +291,58 @@ class TestJoinMass:
 
 # ---------------------------------------------------------------------------
 # Reference: the per-bin algebra written bin by bin in Python floats, each
-# bin's dominant keys a dict.  The vector implementation must give every
-# key the same value, every bin the same key set, and every total to 1e-12.
+# bin's dominant keys a dict, key -> factor, and each bin's BAC the factor
+# of a key dominant nowhere in it.  A key dominant in either operand of a
+# join stays dominant, and a join's BAC is the product of its operands'.
+# The vector implementation must give every key the same factor, every bin
+# the same dominant keys, and every total to 1e-12.
 
 @dataclass
 class RefBin:
     dominant: dict
     background_est: float
     ndv_est: float
+    bac_est: float
 
-    @property
-    def bac_est(self) -> float:
-        return self.background_est / self.ndv_est if self.ndv_est > 0 else 0.0
 
-    def total(self) -> float:
-        return self.background_est + sum(self.dominant.values())
+def ref_bin(dominant, background, ndv) -> RefBin:
+    """A bin whose BAC is its background over its NDV, 0 where NDV is 0."""
+    return RefBin(dominant, background, ndv,
+                  background / ndv if ndv > 0 else 0.0)
 
 
 def ref_bins(comp):
-    return [RefBin(d, bg, ndv) for d, bg, ndv in zip(
-        maps_of(comp), comp.background.tolist(), comp.ndv.tolist())]
+    """The reference bins of a composite that is not a join."""
+    return [ref_bin(d, bg, ndv) for d, bg, ndv in zip(
+        dominant_maps(comp), comp.background.tolist(), comp.ndv.tolist())]
 
 
 def ref_lift(hist):
-    return [RefBin(dict(b.topk), float(b.nv), float(ndv))
+    return [ref_bin(dict(b.topk), float(b.nv), float(ndv))
             for b, ndv in zip(hist.bins, hist.ndv.tolist())]
 
 
 def ref_join(a_bins, b_bins):
     out = []
     for ba, bb in zip(a_bins, b_bins):
-        dom = {}
-        for key, ca in ba.dominant.items():
-            cb = bb.dominant.get(key)
-            est = ca * cb if cb is not None else ca * bb.bac_est
-            if est > 0:
-                dom[key] = est
-        for key, cb in bb.dominant.items():
-            if key in ba.dominant:
-                continue
-            est = cb * ba.bac_est
-            if est > 0:
-                dom[key] = est
+        dom = {key: ba.dominant.get(key, ba.bac_est)
+               * bb.dominant.get(key, bb.bac_est)
+               for key in sorted({**ba.dominant, **bb.dominant})}
         ndv_a, ndv_b = ba.ndv_est, bb.ndv_est
         selinger = (0.0 if ndv_a <= 0 or ndv_b <= 0 else
                     ba.background_est * bb.background_est / max(ndv_a, ndv_b))
-        out.append(RefBin(dom, selinger, min(ndv_a, ndv_b)))
+        out.append(RefBin(dom, selinger, min(ndv_a, ndv_b),
+                          ba.bac_est * bb.bac_est))
     return out
 
 
 def ref_filters(bins, fractions):
-    return [RefBin(dict(b.dominant), b.background_est * float(f), b.ndv_est)
+    return [ref_bin(dict(b.dominant), b.background_est * float(f), b.ndv_est)
             for f, b in zip(fractions, bins)]
 
 
 def ref_chain(bins, bridge, target):
-    totals = np.array([b.total() for b in bins])
+    totals = np.array([ref_total([b]) for b in bins])
     marginal = bridge.key_marginal().astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = np.where(marginal[:, None] > 0,
@@ -354,17 +352,22 @@ def ref_chain(bins, bridge, target):
     for j, mass in enumerate(totals @ weights):
         ndv = (float(target.ndv[j] + len(target.bins[j].topk)) if mass > 0
                else 0.0)
-        out.append(RefBin({}, float(mass), ndv))
+        out.append(ref_bin({}, float(mass), ndv))
     return out
 
 
 def ref_total(bins):
-    return sum(b.total() for b in bins)
+    return sum(b.background_est + sum(b.dominant.values()) for b in bins)
 
 
 def assert_matches(comp, bins):
     # dict equality: the same keys per bin, each with an equal value
-    assert maps_of(comp) == [b.dominant for b in bins]
+    assert dominant_maps(comp) == [b.dominant for b in bins]
+    assert maps_of(comp) == [{k: v for k, v in b.dominant.items() if v}
+                             for b in bins]
+    rest = ~comp.dominant
+    assert comp.factor[rest].tolist() == [
+        bins[i].bac_est for i in comp.index.bins[rest].tolist()]
     assert comp.background.tolist() == [b.background_est for b in bins]
     assert comp.ndv.tolist() == [b.ndv_est for b in bins]
     assert comp.total() == pytest.approx(ref_total(bins), rel=1e-12, abs=0)
@@ -385,61 +388,93 @@ backgrounds = st.one_of(
 dominants = st.one_of(st.dictionaries(st.integers(0, 10), masses, max_size=6),
                       st.dictionaries(st.integers(0, 10), st.integers(1, 1000),
                                       max_size=6))
+# per-bin filter fractions, zero and one among them
+fraction = st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1))
+# a member as drawn; filtered by per-bin fractions; or, as a chain
+# translation gives it, with no dominant key
+KINDS = ("drawn", "filtered", "translated")
 
 
 @st.composite
-def composites(draw, n_bins, count, id="t.k"):
+def members(draw, n_bins, count, id="t.k"):
     """`count` composites over one key index of a domain of `n_bins` bins
-    over 0..10, each key in its own bin."""
+    over 0..10, each key in its own bin, each with its reference bins."""
     d = make_domain(0, 10, n_bins, id=id)
-    specs = []
+    specs, kinds = [], []
     for _ in range(count):
-        dominant = draw(dominants)
+        kinds.append(draw(st.sampled_from(KINDS)))
+        dominant = {} if kinds[-1] == "translated" else draw(dominants)
         spec = [({}, *draw(backgrounds)) for _ in range(n_bins)]
         bins = d.bins_of(np.array(list(dominant), dtype=np.int64)).tolist()
         for (key, m), i in zip(dominant.items(), bins):
             spec[i][0][key] = m
         specs.append(spec)
-    return composites_of(d, *specs)
+    out = []
+    for comp, kind in zip(composites_of(d, *specs), kinds):
+        ref = ref_bins(comp)
+        if kind == "filtered":
+            fractions = np.array(draw(st.lists(fraction, min_size=n_bins,
+                                               max_size=n_bins)))
+            comp, ref = apply_filters(comp, fractions), ref_filters(ref,
+                                                                    fractions)
+        out.append((comp, ref))
+    return out
 
 
 @st.composite
 def star_groups(draw):
-    return draw(composites(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
+    return draw(members(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
 
 
 class TestAgainstPerBinReference:
     @settings(max_examples=200, deadline=None)
     @given(group=star_groups())
     def test_join_and_star_fold(self, group):
+        comps, refs = zip(*group)
         if len(group) >= 2:
-            a, b = group[0], group[1]
-            assert_matches(jtkh_join(a, b), ref_join(ref_bins(a), ref_bins(b)))
-        expect = ref_bins(group[0])
-        for comp in group[1:]:
-            expect = ref_join(expect, ref_bins(comp))
-        assert_matches(join_star_group(group), expect)
+            assert_matches(jtkh_join(comps[0], comps[1]),
+                           ref_join(refs[0], refs[1]))
+        expect = refs[0]
+        for ref in refs[1:]:
+            expect = ref_join(expect, ref)
+        assert_matches(join_star_group(list(comps)), expect)
+
+    @settings(max_examples=200, deadline=None)
+    @given(group=star_groups())
+    def test_joined_bac_is_the_selinger_bac(self, group):
+        """The factor a join gives a key dominant on neither side, the
+        product of the operands' BACs, is the joined bin's background over
+        its NDV: to 1e-12, or within 1e-300 where a BAC is subnormal."""
+        out = join_star_group([comp for comp, _ in group])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            bac = np.where(out.ndv > 0, out.background / out.ndv, 0.0)
+        rest = ~out.dominant
+        assert out.factor[rest].tolist() == pytest.approx(
+            bac[out.index.bins[rest]].tolist(), rel=1e-12, abs=1e-300)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_bins=st.integers(1, 4))
     def test_join_leaves_inputs_unchanged(self, data, n_bins):
-        a, b = data.draw(composites(n_bins, 2))
-        before = [c.mass.copy() for c in (a, b)]
+        (a, _), (b, _) = data.draw(members(n_bins, 2))
+        arrays = [(c.factor, c.dominant, c.background, c.ndv) for c in (a, b)]
+        before = [[x.copy() for x in xs] for xs in arrays]
         out = jtkh_join(a, b)
-        assert [c.mass.tolist() for c in (a, b)] == [m.tolist()
-                                                     for m in before]
-        assert out.mass is not a.mass and out.mass is not b.mass
+        for xs, olds in zip(arrays, before):
+            for x, old in zip(xs, olds):
+                assert x.tolist() == old.tolist()
+        produced = (out.factor, out.dominant, out.background, out.ndv)
+        assert not any(np.shares_memory(x, y) for x in produced
+                       for xs in arrays for y in xs)
 
     @settings(max_examples=100, deadline=None)
     @given(group=star_groups(), data=st.data())
     def test_filters(self, group, data):
-        comp = group[0]
+        comp, ref = group[0]
         n = len(comp.background)
-        fractions = np.array(data.draw(st.lists(
-            st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1)),
-            min_size=n, max_size=n)))
+        fractions = np.array(data.draw(st.lists(fraction, min_size=n,
+                                                max_size=n)))
         assert_matches(apply_filters(comp, fractions),
-                       ref_filters(ref_bins(comp), fractions))
+                       ref_filters(ref, fractions))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_src=st.integers(1, 4), n_dst=st.integers(1, 4),
@@ -453,15 +488,16 @@ class TestAgainstPerBinReference:
         k2 = np.array([p[1] for p in pairs], dtype=np.int64)
         bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=k)
-        comp = data.draw(composites(n_src, 1, id="a.k1"))[0]
-        assert_matches(chain_translate(comp, bridge, target, index_of(target)),
-                       ref_chain(ref_bins(comp), bridge, target))
+        (comp, ref), = data.draw(members(n_src, 1, id="a.k1"))
+        assert_matches(chain_translate(comp, bridge_weights(bridge, target),
+                                       index_of(target)),
+                       ref_chain(ref, bridge, target))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_bins=st.integers(1, 20))
     def test_total_sums_bins_in_order(self, data, n_bins):
-        comp = data.draw(composites(n_bins, 1))[0]
-        assert comp.total() == ref_total(ref_bins(comp))
+        (comp, ref), = data.draw(members(n_bins, 1))
+        assert comp.total() == ref_total(ref)
 
 
 def mixed_kind_schema():
@@ -506,13 +542,13 @@ def test_mixed_kind_domain_matches_dict_reference(r_keys, s_keys, bins, k,
         member = ref_lift(hist)
         for pred in query.predicates:
             if pred.column == f"{alias}.{col}":
-                member = [RefBin({k: v for k, v in b.dominant.items()
-                                  if matches(pred, k)}, b.background_est,
-                                 b.ndv_est) for b in member]
+                member = [ref_bin({k: v for k, v in b.dominant.items()
+                                   if matches(pred, k)}, b.background_est,
+                                  b.ndv_est) for b in member]
                 member = ref_filters(member, key_bin_fractions(
                     hist.domain, pred, integer=alias == "r"))  # r.k INTEGER
         expect = member if expect is None else ref_join(expect, member)
     root = run_plan(state, query, plan)[plan.root.domain_id]
-    assert maps_of(root) == [b.dominant for b in expect]
+    assert dominant_maps(root) == [b.dominant for b in expect]
     assert estimate(sql, state).estimate == pytest.approx(
         ref_total(expect), rel=1e-12, abs=0)
