@@ -17,16 +17,20 @@ for a section of named entries the sha256 of its entries' bodies alone, in
 sorted order, so that a change that renames entries shows whether their
 contents moved; and
 every estimate, numbered, with the first 12 hex digits of its SQL's sha256
-and its `float.hex`: the accuracy queries and the first STREAM_QUERIES
-queries of the filtered stream after the build, the accuracy queries again
-on the built state without its correlation map (`build-nomap`, the state
-that a build without discovery makes) on a workload that runs discovery,
-and update-mix's per-batch query set after each batch's reload.  A failing
-estimate prints its exception's type and message.  Two trees that estimate
-alike print the same lines.
+and its `float.hex`: the accuracy queries after the build, the same
+queries a second time on the same loaded state (`build-warm`, whose bound
+queries and plans the state has cached), then the first STREAM_QUERIES
+queries of the filtered stream, numbered on from the accuracy queries; the
+accuracy queries again on the built state without its correlation map
+(`build-nomap`, the state that a build without discovery makes) on a
+workload that runs discovery, and update-mix's per-batch query set after
+each batch's reload.  A failing estimate prints its exception's type and
+message.  Two trees that estimate alike print the same lines.
 
 `--compare` reads two such outputs and prints how many estimates moved and
-the largest relative difference between them.  It exits 1 when that
+the largest relative difference between them.  A `build-warm` estimate
+that only the change's output holds is compared with the parent's `build`
+estimate of the same number, its cold one.  It exits 1 when that
 difference is above TOLERANCE (1e-9), when a failing estimate's message
 differs, or when the two outputs do not hold the same queries.
 """
@@ -70,10 +74,12 @@ def print_state(prefix: str, path: str) -> None:
         print(line)
 
 
-def print_estimates(prefix: str, estimator, queries: list[str], st) -> None:
-    """One line per estimate: `prefix #i`, its query's hash and its
-    `float.hex`, or a failing estimate's exception type and message."""
-    for i, sql in enumerate(queries):
+def print_estimates(prefix: str, estimator, queries: list[str], st,
+                    first: int = 0) -> None:
+    """One line per estimate: `prefix #i`, counting from `first`, its
+    query's hash and its `float.hex`, or a failing estimate's exception
+    type and message."""
+    for i, sql in enumerate(queries, first):
         try:
             text = float(estimator.estimate(sql, st).estimate).hex()
         except Exception as exc:  # a failing query is part of the output
@@ -103,11 +109,15 @@ def run_workload(name: str, seed: int, workdir: str) -> None:
     print_state(f"{name} state build", path)
     st = state_mod.load_state(path)
     if w.queries == "joins":
-        queries = wl.join_queries(schema, seed)
+        accuracy, stream = wl.join_queries(schema, seed), []
     else:
-        queries = wl.design_queries(schema, lit) + list(itertools.islice(
-            wl.filtered_stream(schema, lit, seed), STREAM_QUERIES))
-    print_estimates(f"{name} estimates build", estimator, queries, st)
+        accuracy = wl.design_queries(schema, lit)
+        stream = list(itertools.islice(wl.filtered_stream(schema, lit, seed),
+                                       STREAM_QUERIES))
+    print_estimates(f"{name} estimates build", estimator, accuracy, st)
+    print_estimates(f"{name} estimates build-warm", estimator, accuracy, st)
+    print_estimates(f"{name} estimates build", estimator, stream, st,
+                    first=len(accuracy))
     if w.discover:
         print_estimates(f"{name} estimates build-nomap", estimator,
                         wl.design_queries(schema, lit),
@@ -159,6 +169,10 @@ def compare(parent: str, change: str) -> int:
     outputs; 1 when it is above TOLERANCE or when they do not hold the
     same queries."""
     a, b = estimate_lines(parent), estimate_lines(change)
+    for key in b:  # a warm estimate the parent lacks: its cold one
+        cold = key.replace(" estimates build-warm ", " estimates build ")
+        if key not in a and cold in a:
+            a[key] = a[cold]
     same = [key for key in a if key in b and a[key][0] == b[key][0]]
     if not a or len(same) != len(a) or len(b) != len(a):
         print(f"queries differ: {len(a)} estimates in {parent}, {len(b)} in "

@@ -10,7 +10,8 @@ Keys are excluded exactly when the state holds a correlation map, which only
 a build with discovery makes.  One rule, `_bin_fractions`, turns a filter
 into per-bin fractions for a join's lift and a one-table query alike.  What
 depends on the state alone, each histogram's unfiltered lift and each
-bridge's weights, is built once per loaded state, in its `cache`.
+bridge's weights, is built once per loaded state, in its `cache`; so is each
+SQL text's bound query and plan, up to PLAN_CACHE_SIZE of them.
 """
 from __future__ import annotations
 
@@ -30,6 +31,8 @@ from .predicate import Predicate, key_bin_fractions, matches, selectivity_2d
 from .queryfront import (PlanGroup, Query, SubQueryPlan, bind, decompose,
                          parse_sql)
 from .state import EstimatorState, check_complete
+
+PLAN_CACHE_SIZE = 256  # bound queries and plans kept per loaded state
 
 
 @dataclass
@@ -220,13 +223,30 @@ def _estimate_single_table(state: EstimatorState, query: Query) -> float:
     return est
 
 
+def _bound_plan(sql: str,
+                state: EstimatorState) -> tuple[Query, SubQueryPlan]:
+    """The bound query and plan of `sql` on `state`, which depend on the
+    text and on the state's schema and key domains alone: kept in the
+    state's cache under ("plans",), by text, the oldest dropped first past
+    PLAN_CACHE_SIZE.  A text that fails to parse, bind or plan is not kept.
+    """
+    plans = state.derived(("plans",), dict)
+    entry = plans.get(sql)
+    if entry is None:
+        query = bind(parse_sql(sql), state.schema)
+        entry = query, decompose(query, state.column_domain)
+        if len(plans) >= PLAN_CACHE_SIZE:
+            del plans[next(iter(plans))]
+        plans[sql] = entry
+    return entry
+
+
 def estimate(sql: str, state: EstimatorState) -> EstimationReport:
     """Parse, validate, plan, and evaluate one COUNT(*) query; keys are
     excluded exactly when the state holds a correlation map."""
     t0 = time.perf_counter()
     check_complete(state)
-    query = bind(parse_sql(sql), state.schema)
-    plan = decompose(query, state.column_domain)
+    query, plan = _bound_plan(sql, state)
     djpcd_active = bool(state.correlations)
     if not plan.groups:
         value = _estimate_single_table(state, query)

@@ -37,9 +37,9 @@ from .histcore import TKHist1D, TKHist2D, merge_sorted
 
 def selinger_bin_estimate(nv_a, ndv_a, nv_b, ndv_b) -> np.ndarray:
     """|A|*|B| / max(NDV_A, NDV_B) per bin; zero where either side is empty."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where((ndv_a > 0) & (ndv_b > 0),
-                        nv_a * nv_b / np.maximum(ndv_a, ndv_b), 0.0)
+    most = np.maximum(ndv_a, ndv_b)
+    return np.divide(nv_a * nv_b, most, out=np.zeros(np.shape(most)),
+                     where=(ndv_a > 0) & (ndv_b > 0))
 
 
 class KeyIndex:
@@ -103,8 +103,8 @@ class CompositeHist:
 
 def _bac(background: np.ndarray, ndv: np.ndarray) -> np.ndarray:
     """Per-bin background average frequency; zero where NDV is zero."""
-    with np.errstate(invalid="ignore", divide="ignore"):
-        return np.where(ndv > 0, background / ndv, 0.0)
+    return np.divide(background, ndv, out=np.zeros(np.shape(ndv)),
+                     where=ndv > 0)
 
 
 def composite(index: KeyIndex, dominant: np.ndarray,
@@ -228,5 +228,7 @@ def chain_translate(comp: CompositeHist, bridge: Bridge,
             f"bridge target domain {bridge.target!r} does not match key "
             f"index domain {index.domain.id!r}")
     out = comp.bin_totals() @ bridge.weights
-    return composite(index, np.zeros(len(index.keys), dtype=bool), 0.0, out,
-                     np.where(out > 0, bridge.ndv, 0.0))
+    ndv = np.where(out > 0, bridge.ndv, 0.0)
+    return CompositeHist(index=index, factor=_bac(out, ndv).take(index.bins),
+                         dominant=np.zeros(len(index.keys), dtype=bool),
+                         background=out, ndv=ndv)

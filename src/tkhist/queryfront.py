@@ -118,17 +118,17 @@ class _Parser:
     def _from_list(self) -> dict[str, str]:
         aliases: dict[str, str] = {}
         while True:
-            table = self.expect("ident").value
-            alias = table
+            table = alias = self.expect("ident")  # the alias's own token
             tok = self.peek()
             if tok.kind == "keyword" and tok.value == "as":
                 self.next()
-                alias = self.expect("ident").value
+                alias = self.expect("ident")
             elif tok.kind == "ident":
-                alias = self.next().value
-            if alias in aliases:
-                raise ParseError(f"duplicate alias {alias!r}", tok.offset)
-            aliases[alias] = table
+                alias = self.next()
+            if alias.value in aliases:
+                raise ParseError(f"duplicate alias {alias.value!r}",
+                                 alias.offset)
+            aliases[alias.value] = table.value
             if self.peek().kind == "op" and self.peek().value == ",":
                 self.next()
                 continue

@@ -95,12 +95,13 @@ class EstimatorState:
     # holds that table's histograms alone, and writes the document back
     # with them (`state_to_document`); None when it holds every table's
     source: tuple[str, dict] | None = None
-    # what the estimate path derives from the histograms alone, by key:
+    # what the estimate path derives from the state alone, by key:
     # ("index", domain id) its joinengine.KeyIndex, ("lift", table, key
     # column) that 1D histogram's identity lift, ("bridge", table, source
-    # key column, target key column) that 2D histogram's joinengine.Bridge;
-    # each built on first use by `derived`, never saved, and all dropped by
-    # `apply_rows`
+    # key column, target key column) that 2D histogram's joinengine.Bridge,
+    # ("plans",) a dict from SQL text to its bound query and plan, at most
+    # estimator.PLAN_CACHE_SIZE of them; each built on first use by
+    # `derived`, never saved, and all dropped by `apply_rows`
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     def derived(self, key: tuple, build):

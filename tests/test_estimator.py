@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import math
 import warnings
@@ -12,8 +13,9 @@ from tkhist import estimator, oracle
 from tkhist.catalog import ROLE_KEY, TableData, schema_from_document
 from tkhist.djpcd import find_excluded_keys
 from tkhist.errors import (EstimationError, ParseError, PlanError,
-                           TKHistError, UnsupportedQueryError)
-from tkhist.estimator import (EstimationReport, discover_correlations,
+                           StateError, TKHistError, UnsupportedQueryError)
+from tkhist.estimator import (PLAN_CACHE_SIZE, EstimationReport,
+                              discover_correlations,
                               estimate, evaluate_workload, parse_workload,
                               q_error, ratio, run_plan, sweep)
 from tkhist.queryfront import bind, decompose, parse_sql
@@ -115,15 +117,18 @@ class TestEstimate:
 class TestStateLifetime:
     """An estimate or a discovery run leaves no reference cycle that keeps
     the state alive until the cyclic garbage collector runs: nothing the
-    state caches (key indexes, lifts, bridges) refers back to it."""
+    state caches (key indexes, lifts, bridges, bound plans) refers back to
+    it."""
 
-    @pytest.mark.parametrize("run", [
-        lambda st, tables: [estimate(sql, st) for sql in (
+    @pytest.mark.parametrize("run, kinds", [
+        (lambda st, tables: [estimate(sql, st) for sql in (
             "SELECT COUNT(*) FROM t1, t2 WHERE t2.k1 = t1.k1 AND t1.y > 5",
             f"SELECT COUNT(*) FROM t1, t2, t3, t4, t5 WHERE {CHAIN5}")],
-        lambda st, tables: discover_correlations(st, tables),
+         {"index", "lift", "bridge", "plans"}),
+        (lambda st, tables: discover_correlations(st, tables),
+         {"index", "lift", "bridge"}),  # discovery plans no SQL text
     ], ids=["estimate", "discover"])
-    def test_state_freed_by_reference_counting(self, run, tmp_path):
+    def test_state_freed_by_reference_counting(self, run, kinds, tmp_path):
         schema, tables = generate_synthetic(
             SyntheticSpec(tables=5, rows=300, layout="mixed",
                           distinct_keys=30), seed=4)
@@ -136,8 +141,7 @@ class TestStateLifetime:
         gc.disable()
         try:
             run(state, tables)
-            assert {key[0] for key in state.cache} == {"index", "lift",
-                                                       "bridge"}
+            assert {key[0] for key in state.cache} == kinds
             del state
             assert ref() is None
         finally:
@@ -205,6 +209,10 @@ class TestJoinTreeRule:
          "expected ')', found 'from' (at byte 15)"),
         ("SELECT COUNT(*) FROM t1, t2 t1", ParseError,
          "duplicate alias 't1' (at byte 28)"),
+        ("SELECT COUNT(*) FROM a, a WHERE a.k = 1", ParseError,
+         "duplicate alias 'a' (at byte 24)"),
+        ("SELECT COUNT(*) FROM a AS x, b AS x", ParseError,
+         "duplicate alias 'x' (at byte 34)"),
         ("SELECT COUNT(*) FROM t1 WHERE t1.y < *", ParseError,
          "expected literal, found '*' (at byte 37)"),
         ("SELECT COUNT(*) FROM t1 WHERE t1.y 3", ParseError,
@@ -221,7 +229,8 @@ class TestJoinTreeRule:
          "column 't1.y' belongs to no key domain"),
         ("SELECT COUNT(*) FROM t1, t3 WHERE t1.k1 = t3.k2", PlanError,
          "join edge t1.k1 = t3.k2 spans two key domains"),
-    ], ids=["expect", "duplicate-alias", "literal", "operator", "trailing",
+    ], ids=["expect", "duplicate-alias", "duplicate-table",
+            "duplicate-as-alias", "literal", "operator", "trailing",
             "or-after-from", "unknown-alias", "unknown-column",
             "no-key-domain", "two-key-domains"])
     def test_query_front_error(self, chain_state, sql, error, message):
@@ -253,6 +262,68 @@ class TestJoinTreeRule:
         accepted = _error_type(lambda: estimate(sql, state))
         assert accepted == _error_type(lambda: oracle.oracle_count(
             bind(parse_sql(sql), schema), tables)), sql
+
+
+CHAIN3 = ("SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 "
+          "AND t3.k2 = t2.k2")
+
+
+class TestPlanCache:
+    """A loaded state keeps each SQL text's bound query and plan, at most
+    PLAN_CACHE_SIZE of them, the oldest dropped first: an estimate of a text
+    seen before neither parses, binds nor decomposes it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The calls to the query front through the estimator's module
+        attributes, by name."""
+        counts = {}
+        for name in ("parse_sql", "bind", "decompose"):
+            def counted(*args, _fn=getattr(estimator, name), _name=name):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _fn(*args)
+            monkeypatch.setattr(estimator, name, counted)
+        return counts
+
+    @pytest.fixture
+    def state(self, chain_state):
+        return dataclasses.replace(chain_state, cache={})  # an empty cache
+
+    def test_repeat_skips_parse_bind_and_decompose(self, state, calls):
+        first = estimate(CHAIN3, state).estimate
+        assert calls == {"parse_sql": 1, "bind": 1, "decompose": 1}
+        calls.clear()
+        again = estimate(CHAIN3, state).estimate
+        assert calls == {}
+        assert again.hex() == first.hex()
+
+    def test_oldest_entries_dropped_past_the_bound(self, state):
+        sqls = [f"SELECT COUNT(*) FROM t1 WHERE t1.y < {i}"
+                for i in range(PLAN_CACHE_SIZE + 3)]
+        for sql in sqls:
+            estimate(sql, state)
+        assert list(state.cache[("plans",)]) == sqls[3:]
+
+    @pytest.mark.parametrize("sql, error", [
+        ("SELECT COUNT(* FROM t1", ParseError),
+        ("SELECT COUNT(*) FROM t1, t2 WHERE t1.y = t2.y", PlanError),
+    ])
+    def test_failing_text_is_not_kept(self, state, calls, sql, error):
+        for attempt in (1, 2):
+            with pytest.raises(error):
+                estimate(sql, state)
+            assert calls["parse_sql"] == attempt
+            assert sql not in state.cache.get(("plans",), {})
+
+    def test_partial_state_raises_before_any_lookup(self, chain_state,
+                                                    calls, tmp_path):
+        path = str(tmp_path / "state.json")
+        save_state(chain_state, path)
+        partial = load_state(path, table="t1")
+        with pytest.raises(StateError):
+            estimate(CHAIN3, partial)
+        assert calls == {}
+        assert partial.cache == {}
 
 
 class TestWorkload:

@@ -486,10 +486,10 @@ def test_a_batch_that_raises_changes_nothing():
 
 
 def test_a_batch_drops_the_key_indexes(tmp_path):
-    """The key indexes, lifts and bridges that estimates build on first use
-    do not outlive a batch: after `apply_rows` the state's cache is empty,
-    and an estimate, a chain's too, equals that of a fresh load of the
-    state saved."""
+    """The key indexes, lifts, bridges and plans that estimates build on
+    first use do not outlive a batch: after `apply_rows` the state's cache
+    is empty, and an estimate, a chain's too, equals that of a fresh load
+    of the state saved."""
     schema, tables = generate_synthetic(
         SyntheticSpec(tables=5, rows=300, layout="mixed", distinct_keys=30),
         seed=3)
@@ -500,7 +500,8 @@ def test_a_batch_drops_the_key_indexes(tmp_path):
             "SELECT COUNT(*) FROM t1, t2, t3, t4 WHERE t2.k1 = t1.k1 "
             "AND t3.k1 = t1.k1 AND t4.k2 = t3.k2"]
     before = [estimate(sql, state).estimate for sql in sqls]
-    assert {key[0] for key in state.cache} == {"index", "lift", "bridge"}
+    assert {key[0] for key in state.cache} == {"index", "lift", "bridge",
+                                               "plans"}
     t2 = tables["t2"]
     apply_rows(state, "t2", TableData(
         name="t2", columns={c: v[:150] for c, v in t2.columns.items()},
