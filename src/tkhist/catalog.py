@@ -10,6 +10,7 @@ import csv
 import io
 import json
 import os
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,8 +22,8 @@ KIND_REAL = "real"
 KIND_CATEGORICAL = "categorical"
 VALID_KINDS = (KIND_INTEGER, KIND_REAL, KIND_CATEGORICAL)
 
-ROLE_KEY = "key"
-ROLE_ATTRIBUTE = "attribute"
+# a table or column name: what a query can name
+NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
 
 DEFAULT_CATEGORICAL_THRESHOLD = 1000
 
@@ -31,8 +32,6 @@ DEFAULT_CATEGORICAL_THRESHOLD = 1000
 class ColumnDef:
     name: str
     kind: str
-    role: str
-    categorical: bool = False  # manual override, wins over inference
 
 
 @dataclass(frozen=True)
@@ -107,26 +106,20 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
 
     tables = []
     for tdoc in _typed(doc["tables"], list, "schema 'tables'"):
-        tname = _required(tdoc, "name", "table")
+        tname = _name(tdoc, "table")
+        if any(t.name == tname for t in tables):
+            raise SchemaError(f"duplicate table {tname!r}")
         cols = []
-        seen = set()
         for cdoc in _typed(tdoc.get("columns", []), list,
                            f"table {tname!r}: 'columns'"):
-            name = _required(cdoc, "name", f"table {tname!r}: column")
-            if name in seen:
+            name = _name(cdoc, f"table {tname!r}: column")
+            if any(c.name == name for c in cols):
                 raise SchemaError(
                     f"duplicate column {name!r} in table {tname!r}")
-            seen.add(name)
             kind = cdoc.get("kind", KIND_INTEGER)
             if kind not in VALID_KINDS:
                 raise SchemaError(f"unknown column kind {kind!r}")
-            role = cdoc.get("role", ROLE_ATTRIBUTE)
-            if role not in (ROLE_KEY, ROLE_ATTRIBUTE):
-                raise SchemaError(f"unknown column role {role!r}")
-            categorical = _typed(cdoc.get("categorical", False), bool,
-                                 f"column {tname}.{name}: 'categorical'")
-            cols.append(ColumnDef(name=name, kind=kind, role=role,
-                                  categorical=categorical))
+            cols.append(ColumnDef(name=name, kind=kind))
         tables.append(TableDef(
             name=tname, source=_typed(tdoc.get("file", ""), str,
                                       f"table {tname!r}: 'file'"),
@@ -152,6 +145,12 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
             tname, cname = split_qualified(endpoint)
             if not schema.has_table(tname) or not schema.table(tname).has_column(cname):
                 raise SchemaError(f"dangling foreign key: {endpoint!r} does not exist")
+            if schema.table(tname).column(cname).kind == KIND_CATEGORICAL:
+                raise SchemaError(f"foreign key {frm} -> {to}: key column "
+                                  f"{endpoint!r} is categorical, not numeric")
+        if frm == to:
+            raise SchemaError(f"foreign key {frm} -> {to} joins a column "
+                              "to itself")
         schema.foreign_keys.append((frm, to))
 
     for template in _typed(doc.get("templates", []), list,
@@ -174,17 +173,25 @@ def schema_from_document(doc: dict, base_dir: str = ".") -> Schema:
     return schema
 
 
-_JSON_NAMES = {list: "a list", str: "a string", bool: "a boolean",
-               int: "an integer"}
+_JSON_NAMES = {list: "a list", str: "a string", int: "an integer"}
 
 
 def _typed(value, kind: type, what: str):
     """`value`, or a SchemaError naming the entry `what` if it is not a
     `kind` (a boolean is not an integer here)."""
-    if not isinstance(value, kind) or (isinstance(value, bool)
-                                       and kind is not bool):
+    if not isinstance(value, kind) or isinstance(value, bool):
         raise SchemaError(f"{what} is not {_JSON_NAMES[kind]}: {value!r}")
     return value
+
+
+def _name(entry, what: str) -> str:
+    """The `name` of a table or column entry, or a SchemaError unless it is
+    one that a query can name (`NAME_PATTERN`)."""
+    name = _required(entry, "name", what)
+    if not re.fullmatch(NAME_PATTERN, name):
+        raise SchemaError(f"{what} name {name!r} is not an identifier "
+                          f"({NAME_PATTERN})")
+    return name
 
 
 def _required(entry, key: str, what: str) -> str:
@@ -280,14 +287,14 @@ class TableData:
 def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> TableData:
     """Read a table's CSV into columnar arrays.
 
-    The header row must contain exactly the declared columns.  Empty cells
-    are recorded as nulls, and so are REAL cells that parse to NaN; a REAL
-    cell that parses to an infinity is refused, both as in every
-    `TableData`.  An unparseable cell or an INTEGER cell outside int64 is
-    an error naming row and column.  A table of INTEGER columns whose header is its first line and
-    whose body is plain digits, '-', ',' and line ends is read by numpy from
-    the file's path; every other file is read cell by cell, with the same
-    result.
+    The header row must contain exactly the declared columns, each once.
+    Empty cells are recorded as nulls, and so are REAL cells that parse to
+    NaN; a REAL cell that parses to an infinity is refused, both as in
+    every `TableData`.  An unparseable cell or an INTEGER cell outside int64
+    is an error naming row and column.  A table of INTEGER columns whose
+    header is its first line and whose body is plain digits, '-', ',' and
+    line ends is read by numpy from the file's path; every other file is
+    read cell by cell, with the same result.
     """
     if path is None:
         path = tdef.source
@@ -313,6 +320,10 @@ def ingest_table(tdef: TableDef, schema: Schema, path: str | None = None) -> Tab
         header, body = next(records, None), None
     if header is None:
         raise IngestError(f"{path!r} is empty, expected a header row")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise IngestError(f"table {tdef.name!r}: column(s) {repeated} "
+                          f"repeated in the header of {path!r}")
     declared = [c.name for c in tdef.columns]
     check_tables({tdef.name: header}, {tdef.name: declared}, f" in {path!r}")
     extra = set(header) - set(declared)
@@ -515,7 +526,8 @@ class KeyDomain:
 
 
 def infer_key_domains(schema: Schema) -> list[KeyDomain]:
-    """Union-find over FK edges; one domain per component with >= 2 columns.
+    """Union-find over FK edges; one domain per component (each FK joins
+    two distinct columns, so each has at least two).
 
     Template join edges must stay within a single inferred domain, otherwise
     the schema is inconsistent.
@@ -530,12 +542,8 @@ def infer_key_domains(schema: Schema) -> list[KeyDomain]:
     for col in parent:
         components.setdefault(find_root(parent, col), set()).add(col)
 
-    domains = []
-    for root in sorted(components):
-        members = components[root]
-        if len(members) < 2:
-            continue
-        domains.append(KeyDomain(id=min(members), columns=frozenset(members)))
+    domains = [KeyDomain(id=min(members), columns=frozenset(members))
+               for _, members in sorted(components.items())]
 
     by_column = {c: d for d in domains for c in d.columns}
     for template in schema.templates:
@@ -558,12 +566,11 @@ def set_domain_boundaries(domains: list[KeyDomain],
 
 
 def is_categorical(cdef: ColumnDef, values: np.ndarray, threshold: int) -> bool:
-    """The class rule of a non-key column: categorical when declared so (kind
-    or manual flag), or when its non-null `values` hold fewer than
-    `threshold` distinct values.  The count looks at prefixes of four times
-    the length of the one before, and stops at the first that holds
-    `threshold` distinct values."""
-    if cdef.kind == KIND_CATEGORICAL or cdef.categorical:
+    """The class rule of a non-key column: categorical when its kind is, or
+    when its non-null `values` hold fewer than `threshold` distinct values.
+    The count looks at prefixes of four times the length of the one before,
+    and stops at the first that holds `threshold` distinct values."""
+    if cdef.kind == KIND_CATEGORICAL:
         return True
     n = threshold
     while True:

@@ -11,7 +11,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .catalog import (KIND_CATEGORICAL, KIND_INTEGER, Schema,
+from .catalog import (KIND_CATEGORICAL, KIND_INTEGER, NAME_PATTERN, Schema,
                       check_join_tree)
 from .errors import (CyclicJoinError, ParseError, PlanError,
                      UnsupportedQueryError)
@@ -23,7 +23,7 @@ _KEYWORDS = {"select", "count", "from", "where", "and", "as", "between",
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<number>-?(?:\d+\.\d+|\d+))
-      | (?P<ident>[A-Za-z_][A-Za-z_0-9]*)
+      | (?P<ident>""" + NAME_PATTERN + r""")
       | (?P<string>'(?:[^']|'')*')
       | (?P<op><=|>=|=|<|>|\(|\)|,|\.|\*)
     """,

@@ -142,9 +142,9 @@ def entry_names(schema: Schema,
         t, columns = tdef.name, [c.name for c in tdef.columns]
         names["table_rows"][t] = (None, t)
         keys = [c for c in columns if f"{t}.{c}" in column_domain]
-        for cdef in tdef.columns:
-            if cdef.role != catalog.ROLE_KEY:
-                names["freq"][f"{t}.{cdef.name}"] = (t, (t, cdef.name))
+        for c in columns:
+            if c not in keys:
+                names["freq"][f"{t}.{c}"] = (t, (t, c))
         for k in keys:
             names["hists1d"][f"{t}.{k}"] = (t, (t, k))
             for c in (c for c in columns if c != k):
@@ -193,8 +193,8 @@ def build_state(schema: Schema, tables: dict[str, TableData],
                 hists1d[(t, c)] = build_tkhist1d(values[c], key_domain[qual],
                                                  config.top_k)
             # a column is categorical exactly when it has a frequency histogram
-            if cdef.role != catalog.ROLE_KEY and catalog.is_categorical(
-                    cdef, values[c], schema.categorical_threshold):
+            elif catalog.is_categorical(cdef, values[c],
+                                        schema.categorical_threshold):
                 freq_hists[(t, c)] = add_value_counts({}, values[c])
         axes = {}  # column -> its attribute axis, made once
         for owner, (_, kc, attr) in grids:

@@ -90,9 +90,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int = 0) -> tuple[Schema, dict
         null_mask = {c: np.zeros(n, dtype=bool) for c in columns}
         tables[tname] = TableData(name=tname, columns=columns,
                                   null_mask=null_mask, row_count=n)
-        col_docs = [{"name": kc, "kind": "integer", "role": "key"}
-                    for kc in kcols]
-        col_docs.append({"name": "y", "kind": "integer", "role": "attribute"})
+        col_docs = [{"name": c, "kind": "integer"} for c in [*kcols, "y"]]
         table_docs.append({"name": tname, "file": f"{tname}.csv",
                            "columns": col_docs})
 

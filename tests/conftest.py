@@ -150,8 +150,8 @@ def _per_bin(comp, held, values) -> list[dict]:
 def two_table_schema(extra_attrs: tuple[str, ...] = ("y",)):
     """r(k, attrs...) joined to s(k, attrs...) on k."""
     def table_doc(name):
-        cols = [{"name": "k", "kind": "integer", "role": "key"}]
-        cols += [{"name": a, "kind": "integer", "role": "attribute"}
+        cols = [{"name": "k", "kind": "integer"}]
+        cols += [{"name": a, "kind": "integer"}
                  for a in extra_attrs]
         return {"name": name, "file": f"{name}.csv", "columns": cols}
 

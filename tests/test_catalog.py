@@ -26,8 +26,7 @@ def star_doc(n=3):
     tables = []
     for i in range(1, n + 1):
         tables.append({"name": f"t{i}", "file": f"t{i}.csv",
-                       "columns": [{"name": "k", "kind": "integer",
-                                    "role": "key"}]})
+                       "columns": [{"name": "k", "kind": "integer"}]})
     fks = [{"from": f"t{i}.k", "to": "t1.k"} for i in range(2, n + 1)]
     return {"tables": tables, "foreign_keys": fks}
 
@@ -48,6 +47,18 @@ class TestSchema:
         doc = star_doc()
         doc["tables"][0]["columns"].append({"name": "k", "kind": "integer"})
         with pytest.raises(SchemaError, match="duplicate column"):
+            schema_from_document(doc)
+
+    def test_names_cannot_collide_in_entry_names(self):
+        # table `r` column `x.y` and table `r.x` column `y` would both own
+        # the `freq` entry `r.x.y`
+        doc = {"tables": [
+            {"name": "r", "columns": [{"name": "k"}, {"name": "x.y"}]},
+            {"name": "r.x", "columns": [{"name": "y"}]}]}
+        with pytest.raises(SchemaError, match="'x.y' is not an identifier"):
+            schema_from_document(doc)
+        del doc["tables"][0]["columns"][1]
+        with pytest.raises(SchemaError, match="'r.x' is not an identifier"):
             schema_from_document(doc)
 
     def test_cyclic_template_rejected(self):
@@ -82,7 +93,29 @@ class TestSchema:
          r"^foreign key \{'from': 't3.k'\} has no 'to'"),
         (lambda d: d.update(categorical_threshold="abc"),
          r"^schema 'categorical_threshold' is not an integer: 'abc'"),
-    ], ids=["table-name", "column-name", "fk-from", "fk-to", "threshold"])
+        (lambda d: d["tables"].append({"name": "t2"}),
+         r"^duplicate table 't2'$"),
+        (lambda d: d["tables"][1].update(name="t.2"),
+         r"^table name 't.2' is not an identifier"),
+        (lambda d: d["tables"][0]["columns"][0].update(name="1k"),
+         r"^table 't1': column name '1k' is not an identifier"),
+        (lambda d: d["tables"][0]["columns"][0].update(name=""),
+         r"^table 't1': column name '' is not an identifier"),
+        (lambda d: d["tables"][0]["columns"][0].update(name="k\n"),
+         r"^table 't1': column name 'k\\n' is not an identifier"),
+        (lambda d: d["tables"][0]["columns"][0].update(name="\u00e9"),
+         "^table 't1': column name '\u00e9' is not an identifier"),
+        (lambda d: d["tables"][1]["columns"][0].update(kind="categorical"),
+         r"^foreign key t2.k -> t1.k: key column 't2.k' is categorical, "
+         "not numeric$"),
+        (lambda d: d["tables"][0]["columns"][0].update(kind="categorical"),
+         r"^foreign key t2.k -> t1.k: key column 't1.k' is categorical"),
+        (lambda d: d["foreign_keys"].append({"from": "t3.k", "to": "t3.k"}),
+         r"^foreign key t3.k -> t3.k joins a column to itself$"),
+    ], ids=["table-name", "column-name", "fk-from", "fk-to", "threshold",
+            "duplicate-table", "dotted-table", "digit-first-column",
+            "empty-column", "newline-column", "non-ascii-column",
+            "categorical-fk-from", "categorical-fk-to", "self-fk"])
     def test_malformed_entry_is_schema_error(self, breaks, match):
         doc = star_doc()
         breaks(doc)
@@ -97,8 +130,6 @@ class TestSchema:
          r"^table \{.*\}: 'name' is not a string: \['t2'\]"),
         (lambda d: d["tables"][0]["columns"][0].update(name=7),
          r"^table 't1': column \{.*\}: 'name' is not a string: 7"),
-        (lambda d: d["tables"][0]["columns"][0].update(categorical="yes"),
-         r"^column t1.k: 'categorical' is not a boolean: 'yes'"),
         (lambda d: d["tables"][2].update(file=None),
          r"^table 't3': 'file' is not a string: None"),
         (lambda d: d.update(foreign_keys={"from": "t2.k"}),
@@ -117,7 +148,7 @@ class TestSchema:
          r"^schema 'categorical_threshold' is not an integer: 3.7"),
         (lambda d: d.update(categorical_threshold="12"),
          r"^schema 'categorical_threshold' is not an integer: '12'"),
-    ], ids=["tables", "columns", "table-name", "column-name", "categorical",
+    ], ids=["tables", "columns", "table-name", "column-name",
             "file", "fks", "fk-to", "templates", "template", "edge",
             "bool-threshold", "real-threshold", "string-threshold"])
     def test_wrong_typed_entry_is_schema_error(self, breaks, match):
@@ -134,7 +165,7 @@ CELL_LOOP_CASES = {
     "blank-first-line": ("r.csv", "y", "k,y\n\n1,2\n", "row 1 has 0 cells"),
     "blank-inner-line": ("r.csv", "y", "k,y\n1,2\n\n3,4\n",
                          "row 2 has 0 cells"),
-    "quoted-header-newline": ("r.csv", "y\nz", '"y\nz",k\n1,2\n', [(2, 1)]),
+    "quoted-header": ("r.csv", "y", '"y",k\n1,2\n', [(2, 1)]),
     "past-int64": ("r.csv", "y", "k,y\n1,9223372036854775808\n",
                    "outside the int64 range"),
     "trailing-comma": ("r.csv", "y", "k,y\n1,2,\n", "row 1 has 3 cells"),
@@ -163,7 +194,7 @@ class TestIngest:
         # a REAL cell reading NaN, and a NaN put in a TableData through the
         # API, are both nulls; the caller's arrays are left as they were
         schema = schema_from_document({"tables": [{"name": "r", "columns": [
-            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "k", "kind": "integer"},
             {"name": "y", "kind": "real"}]}]})
         path = tmp_path / "r.csv"
         path.write_text("k,y\n1,nan\n2,2.5\n3,\n")
@@ -185,7 +216,7 @@ class TestIngest:
         message = re.escape("table 'r': row 3, column 'z': infinite value "
                             "is not supported")
         schema = schema_from_document({"tables": [{"name": "r", "columns": [
-            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "k", "kind": "integer"},
             {"name": "z", "kind": "real"}]}]})
         path = tmp_path / "r.csv"
         path.write_text(f"k,z\n1,1.0\n2,2.0\n3,{inf}\n")
@@ -244,6 +275,21 @@ class TestIngest:
         with pytest.raises(IngestError):
             ingest_table(schema.table("r"), schema, path=str(path))
 
+    @pytest.mark.parametrize("text,repeated", [
+        ("k,k,y\n1,2,3\n", ["k"]), ('"k",k,y\n1,2,3\n', ["k"]),
+        ("y,k,y,k\n1,2,3,4\n", ["k", "y"]),
+    ], ids=["numpy-path", "cell-loop", "two-columns"])
+    def test_repeated_header_column_refused(self, tmp_path, text, repeated):
+        # an unquoted header of INTEGER columns goes to numpy, a quoted one
+        # to the cell loop; either way the second column was dropped
+        schema = two_table_schema()
+        path = tmp_path / "r.csv"
+        path.write_text(text)
+        with pytest.raises(IngestError, match=re.escape(
+                f"table 'r': column(s) {repeated} repeated in the header "
+                f"of {str(path)!r}")):
+            ingest_table(schema.table("r"), schema, path=str(path))
+
     def test_reordered_header_accepted(self, tmp_path):
         schema = two_table_schema()
         path = tmp_path / "r.csv"
@@ -300,7 +346,7 @@ class TestIngest:
         name, y, text, want = CELL_LOOP_CASES[case]
         schema = schema_from_document({"tables": [{
             "name": "r", "file": "r.csv", "columns": [
-                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": "k", "kind": "integer"},
                 {"name": y, "kind": "integer"}]}]})
         path = tmp_path / name
         path.write_bytes(text.encode())
@@ -439,10 +485,10 @@ class TestKeyDomains:
     def test_chain_yields_two_domains(self):
         doc = {
             "tables": [
-                {"name": "a", "columns": [{"name": "k1", "role": "key"}]},
-                {"name": "b", "columns": [{"name": "k1", "role": "key"},
-                                          {"name": "k2", "role": "key"}]},
-                {"name": "c", "columns": [{"name": "k2", "role": "key"}]},
+                {"name": "a", "columns": [{"name": "k1"}]},
+                {"name": "b", "columns": [{"name": "k1"},
+                                          {"name": "k2"}]},
+                {"name": "c", "columns": [{"name": "k2"}]},
             ],
             "foreign_keys": [{"from": "b.k1", "to": "a.k1"},
                              {"from": "c.k2", "to": "b.k2"}],
@@ -454,7 +500,7 @@ class TestKeyDomains:
     @pytest.mark.parametrize("flip", [False, True])
     def test_domains_ordered_by_least_column(self, flip):
         # by greatest column the order would be {b, c} before {a, z}
-        tables = [{"name": t, "columns": [{"name": "k", "role": "key"}]}
+        tables = [{"name": t, "columns": [{"name": "k"}]}
                   for t in "abcz"]
         fks = [("z.k", "a.k"), ("c.k", "b.k")]
         doc = {"tables": tables, "foreign_keys": [
@@ -466,10 +512,10 @@ class TestKeyDomains:
     def test_template_crossing_domains_rejected(self):
         doc = {
             "tables": [
-                {"name": "a", "columns": [{"name": "k1", "role": "key"}]},
-                {"name": "b", "columns": [{"name": "k1", "role": "key"},
-                                          {"name": "k2", "role": "key"}]},
-                {"name": "c", "columns": [{"name": "k2", "role": "key"}]},
+                {"name": "a", "columns": [{"name": "k1"}]},
+                {"name": "b", "columns": [{"name": "k1"},
+                                          {"name": "k2"}]},
+                {"name": "c", "columns": [{"name": "k2"}]},
             ],
             "foreign_keys": [{"from": "b.k1", "to": "a.k1"},
                              {"from": "c.k2", "to": "b.k2"}],
@@ -578,6 +624,23 @@ class TestEquiWidthBins:
 
 
 class TestClassification:
+    def test_key_columns_are_the_fk_columns(self):
+        # a column is a key exactly when a foreign key names it; a `role`
+        # entry, which older schema files carry, is ignored like any entry
+        # the loader does not read
+        doc = two_table_schema().document
+        plain = make_table("r", {"k": [1, 2, 2], "y": [5, 5, 6]})
+        tables = {"r": plain, "s": make_table("s", {"k": [2], "y": [7]})}
+        want = build_state(schema_from_document(doc), tables)
+        for t in doc["tables"]:
+            for c in t["columns"]:
+                c["role"] = "attribute" if c["name"] == "k" else "key"
+        got = build_state(schema_from_document(doc), tables)
+        assert sorted(got.hists1d) == [("r", "k"), ("s", "k")]
+        assert sorted(got.freq_hists) == [("r", "y"), ("s", "y")]
+        assert got.freq_hists == want.freq_hists
+        assert sorted(got.hists2d) == sorted(want.hists2d)
+
     def test_threshold_and_declared_override(self):
         # a column is categorical exactly when the build gives it a
         # frequency histogram
@@ -593,7 +656,7 @@ class TestClassification:
     @settings(max_examples=300, deadline=None)
     @given(data=st.data())
     def test_early_exit_equals_distinct_count(self, data):
-        """`is_categorical` of an undeclared column equals a full distinct
+        """`is_categorical` of a numeric column equals a full distinct
         count against the threshold, for thresholds near that count and
         columns whose new values first appear late."""
         kind = data.draw(st.sampled_from(["integer", "real", "object"]))
@@ -610,15 +673,7 @@ class TestClassification:
                     else len(np.unique(values)))
         threshold = data.draw(st.integers(max(distinct - 2, 1),
                                           distinct + 2))
-        cdef = catalog.ColumnDef(name="v", kind="integer", role="attribute")
+        cdef = catalog.ColumnDef(name="v", kind="integer")
         assert catalog.is_categorical(cdef, values, threshold) == (
             distinct < threshold)
 
-    def test_declared_categorical_wins(self):
-        doc = {"tables": [{"name": "t", "columns": [
-            {"name": "c", "kind": "integer", "categorical": True}]}]}
-        schema = schema_from_document(doc)
-        schema.categorical_threshold = 10
-        data = make_table("t", {"c": list(range(5000))})
-        assert list(build_state(schema, {"t": data}).freq_hists) == [
-            ("t", "c")]

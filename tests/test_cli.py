@@ -407,7 +407,7 @@ class TestNaNCells:
     def write(self, tmp_path, r_rows, **schema_entries):
         doc = {**schema_entries, "tables": [
             {"name": t, "file": f"{t}.csv", "columns": [
-                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": "k", "kind": "integer"},
                 {"name": "y", "kind": "real"}]} for t in ("r", "s")],
             "foreign_keys": [{"from": "s.k", "to": "r.k"}]}
         (tmp_path / "schema.json").write_text(json.dumps(doc))
@@ -458,7 +458,7 @@ class TestInfCells:
     def write(self, tmp_path, r_text):
         doc = {"tables": [
             {"name": t, "file": f"{t}.csv", "columns": [
-                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": "k", "kind": "integer"},
                 {"name": "y", "kind": "real"}]} for t in ("r", "s")],
             "foreign_keys": [{"from": "s.k", "to": "r.k"}]}
         (tmp_path / "schema.json").write_text(json.dumps(doc))
@@ -515,6 +515,27 @@ class TestBadInput:
         assert err.startswith("error: ") and "is not a " in err
         assert not (tmp_path / "state.json").exists()
 
+    @pytest.mark.parametrize("fk,message", [
+        ({"from": "s.c", "to": "r.c"},
+         "foreign key s.c -> r.c: key column 's.c' is categorical"),
+        ({"from": "r.k", "to": "r.k"},
+         "foreign key r.k -> r.k joins a column to itself"),
+    ], ids=["categorical", "self"])
+    def test_build_with_bad_foreign_key(self, tmp_path, capsys, fk, message):
+        # a categorical key used to end in a bare ValueError from the
+        # domain bounds; a self-FK formed no key domain
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": [
+            {"name": t, "file": f"{t}.csv", "columns": [
+                {"name": "k"}, {"name": "c", "kind": "categorical"}]}
+            for t in ("r", "s")], "foreign_keys": [fk]}))
+        for t in ("r", "s"):
+            (tmp_path / f"{t}.csv").write_text("k,c\n1,a\n2,b\n")
+        assert main(["build", "--schema", str(schema),
+                     "--state", str(tmp_path / "state.json")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not (tmp_path / "state.json").exists()
+
     @pytest.mark.parametrize("command", [
         "build", "evaluate-out", "evaluate-summary", "sweep"])
     def test_output_in_missing_directory(self, bench, built, tmp_path,
@@ -554,7 +575,7 @@ class TestNegativeLiterals:
                                                         capsys):
         doc = {"tables": [
             {"name": t, "file": f"{t}.csv", "columns": [
-                {"name": "k", "kind": "integer", "role": "key"},
+                {"name": "k", "kind": "integer"},
                 {"name": "y", "kind": kind}]}
             for t, kind in (("r", "integer"), ("s", "real"))],
             "foreign_keys": [{"from": "s.k", "to": "r.k"}]}
@@ -586,11 +607,11 @@ class TestCategoricalStrings:
 
     SCHEMA = {"tables": [
         {"name": "r", "file": "r.csv", "columns": [
-            {"name": "k", "role": "key"},
+            {"name": "k"},
             {"name": "c", "kind": "categorical"},
             {"name": "x", "kind": "real"}]},
         {"name": "s", "file": "s.csv", "columns": [
-            {"name": "k", "role": "key"},
+            {"name": "k"},
             {"name": "c", "kind": "categorical"}]}],
         "foreign_keys": [{"from": "s.k", "to": "r.k"}],
         "templates": [["r.k=s.k"]]}

@@ -169,7 +169,7 @@ def mixed_kind_schema():
     """r.k INTEGER joined to s.k REAL: one key domain over both kinds."""
     def table_doc(name, key_kind):
         return {"name": name, "file": f"{name}.csv", "columns": [
-            {"name": "k", "kind": key_kind, "role": "key"},
+            {"name": "k", "kind": key_kind},
             {"name": "a", "kind": "integer"},
             {"name": "x", "kind": "real"},
             {"name": "c", "kind": "categorical"}]}
@@ -484,22 +484,21 @@ def unsound_exclusions(state, tables, query: Query) -> list:
     return bad
 
 
-def integer_table(name: str, *columns: str, keys: str = "") -> dict:
-    """A schema table document of INTEGER columns, those in `keys` keys."""
+def integer_table(name: str, *columns: str) -> dict:
+    """A schema table document of INTEGER columns."""
     return {"name": name, "file": f"{name}.csv", "columns": [
-        {"name": c, "kind": "integer",
-         "role": "key" if c in keys else "attribute"} for c in columns]}
+        {"name": c, "kind": "integer"} for c in columns]}
 
 
 def soundness_schema():
     """s holds two key columns of the domain r.k; t and w each hold one key
     column in r.k and one in the domain of v.b (id t.b)."""
     return schema_from_document({
-        "tables": [integer_table("r", "k", "y", keys="k"),
-                   integer_table("s", "a", "b", "y", keys="ab"),
-                   integer_table("t", "a", "b", "y", keys="ab"),
-                   integer_table("w", "x", "b", keys="xb"),
-                   integer_table("v", "b", "y", keys="b")],
+        "tables": [integer_table("r", "k", "y"),
+                   integer_table("s", "a", "b", "y"),
+                   integer_table("t", "a", "b", "y"),
+                   integer_table("w", "x", "b"),
+                   integer_table("v", "b", "y")],
         "foreign_keys": [{"from": f, "to": to} for f, to in [
             ("s.a", "r.k"), ("s.b", "r.k"), ("t.a", "r.k"), ("w.x", "r.k"),
             ("t.b", "v.b"), ("w.b", "v.b")]],
@@ -513,12 +512,13 @@ def soundness_cases(draw):
     nulls), a build configuration, and a query that `decompose` accepts:
     a join tree grown one new table at a time, with one or two filters."""
     schema = soundness_schema()
+    keys = {c for fk in schema.foreign_keys for c in fk}
     tables = {}
     for tdef in schema.tables:
         n = draw(st.integers(1, 25))
         columns, nulls = {}, {}
         for cdef in tdef.columns:
-            top = 5 if cdef.role == "key" else 9
+            top = 5 if f"{tdef.name}.{cdef.name}" in keys else 9
             columns[cdef.name] = draw(st.lists(st.integers(0, top),
                                                min_size=n, max_size=n))
             if draw(st.integers(0, 3)) == 0:
@@ -588,8 +588,8 @@ class TestExclusionSoundness:
         `r.k = s.a AND s.y < 10` through b's envelope would drop 500 true
         rows."""
         schema = schema_from_document({
-            "tables": [integer_table("r", "k", keys="k"),
-                       integer_table("s", "a", "b", "y", keys="ab")],
+            "tables": [integer_table("r", "k"),
+                       integer_table("s", "a", "b", "y")],
             "foreign_keys": [{"from": "s.a", "to": "r.k"},
                              {"from": "s.b", "to": "r.k"}],
             "templates": [["r.k=s.a"], ["r.k=s.b"]]})
@@ -618,10 +618,10 @@ class TestExclusionSoundness:
         with a = 1 has z = 900, exclude nothing from the r.k group: the w
         rows with x = 1 reach the result."""
         schema = schema_from_document({
-            "tables": [integer_table("r", "k", keys="k"),
-                       integer_table("w", "x", "y", keys="xy"),
-                       integer_table("t", "a", "b", "z", keys="ab"),
-                       integer_table("v", "b", keys="b")],
+            "tables": [integer_table("r", "k"),
+                       integer_table("w", "x", "y"),
+                       integer_table("t", "a", "b", "z"),
+                       integer_table("v", "b")],
             "foreign_keys": [{"from": "w.x", "to": "r.k"},
                              {"from": "t.a", "to": "r.k"},
                              {"from": "w.y", "to": "v.b"},

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist import estimator, oracle
-from tkhist.catalog import ROLE_KEY, TableData, schema_from_document
+from tkhist.catalog import TableData, schema_from_document
 from tkhist.djpcd import find_excluded_keys
 from tkhist.errors import (EstimationError, ParseError, PlanError,
                            StateError, TKHistError, UnsupportedQueryError)
@@ -92,11 +92,10 @@ class TestEstimate:
                                             truth):
         # every row of r has k = 1 and y = 5 unless null; a fraction over
         # the non-null rows alone would count the null rows as matching
-        cols = [{"name": "k", "kind": "integer", "role": "key"}]
+        cols = [{"name": "k", "kind": "integer"}]
         schema = schema_from_document({
             "tables": [{"name": "r", "file": "r.csv", "columns": cols + [
-                           {"name": "y", "kind": "integer",
-                            "role": "attribute"}]},
+                           {"name": "y", "kind": "integer"}]},
                        {"name": "s", "file": "s.csv", "columns": cols}],
             "foreign_keys": [{"from": "s.k", "to": "r.k"}],
             "categorical_threshold": threshold})
@@ -194,8 +193,8 @@ class TestJoinTreeRule:
     def test_edge_written_qualified_and_bare_is_one_edge(self):
         schema = schema_from_document({
             "tables": [
-                {"name": "r", "columns": [{"name": "k", "role": "key"}]},
-                {"name": "s", "columns": [{"name": "j", "role": "key"}]}],
+                {"name": "r", "columns": [{"name": "k"}]},
+                {"name": "s", "columns": [{"name": "j"}]}],
             "foreign_keys": [{"from": "s.j", "to": "r.k"}]})
         tables = {"r": make_table("r", {"k": [1, 2, 2]}),
                   "s": make_table("s", {"j": [2, 2, 1]})}
@@ -585,8 +584,8 @@ class TestMisalignedSkews:
         rng = np.random.default_rng(seed)
         for t in ("t2", "t3", "t4", "t5"):
             perm = rng.permutation(np.arange(1, self.KEYS + 1))
-            keys = {c.name for c in schema.table(t).columns
-                    if c.role == ROLE_KEY}
+            keys = {c.split(".")[1] for fk in schema.foreign_keys
+                    for c in fk if c.startswith(f"{t}.")}
             data = tables[t]
             tables[t] = TableData(
                 name=t, columns={c: perm[v - 1] if c in keys else v

@@ -3,9 +3,9 @@ name of the package is read.  No undeclared dependency: the package imports
 only the standard library, numpy (its one declared dependency) and itself.
 
 No linter ships with the project, so this walks the source with `ast`.  A
-name bound by a top-level `import` in the package, the tests or the scripts
-must be read somewhere in its module or, in a package `__init__`, be
-re-exported through `__all__`.  A private module-level name of the package
+name bound by a top-level `import` in the package, the tests, the scripts
+or the benchmark harness must be read somewhere in its module or, in a
+package `__init__`, be re-exported through `__all__`.  A private module-level name of the package
 (`_x`, not a dunder) must be read in its own module, which catches helpers
 that a refactor leaves behind.
 """
@@ -17,7 +17,8 @@ import pytest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = sorted(ROOT.glob("src/tkhist/*.py"))
-FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py")])
+FILES = sorted([*PACKAGE, *ROOT.glob("tests/*.py"), *ROOT.glob("scripts/*.py"),
+                *ROOT.glob("perfbench/*.py")])
 
 
 def unused_imports(source: str) -> list[str]:

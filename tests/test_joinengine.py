@@ -504,7 +504,7 @@ def mixed_kind_schema():
     """r.k INTEGER joined to s.k REAL: one key domain over both kinds."""
     def table_doc(name, key_kind):
         return {"name": name, "file": f"{name}.csv", "columns": [
-            {"name": "k", "kind": key_kind, "role": "key"},
+            {"name": "k", "kind": key_kind},
             {"name": "y", "kind": "integer"}]}
 
     return schema_from_document({

@@ -9,11 +9,11 @@ from tkhist.queryfront import Query, bind, decompose, parse_sql
 def chain_schema():
     doc = {
         "tables": [
-            {"name": "a", "columns": [{"name": "k1", "role": "key"},
+            {"name": "a", "columns": [{"name": "k1"},
                                       {"name": "y", "kind": "integer"}]},
-            {"name": "b", "columns": [{"name": "k1", "role": "key"},
-                                      {"name": "k2", "role": "key"}]},
-            {"name": "c", "columns": [{"name": "k2", "role": "key"},
+            {"name": "b", "columns": [{"name": "k1"},
+                                      {"name": "k2"}]},
+            {"name": "c", "columns": [{"name": "k2"},
                                       {"name": "tag", "kind": "categorical"}]},
         ],
         "foreign_keys": [{"from": "b.k1", "to": "a.k1"},
@@ -114,8 +114,8 @@ class TestBind:
 
     def test_duplicate_join_edges_deduped(self):
         schema = schema_from_document({"tables": [
-            {"name": "r", "columns": [{"name": "k", "role": "key"}]},
-            {"name": "s", "columns": [{"name": "j", "role": "key"}]}]})
+            {"name": "r", "columns": [{"name": "k"}]},
+            {"name": "s", "columns": [{"name": "j"}]}]})
         q = bind(parse_sql("SELECT COUNT(*) FROM r, s WHERE r.k = s.j "
                            "AND k = j AND s.j = r.k AND j = k"), schema)
         assert q.join_edges == [("r.k", "s.j")]

@@ -275,10 +275,10 @@ def hists1d_of(state):
 MIXED_KINDS_DOC = {
     "tables": [
         {"name": "r", "file": "r.csv", "columns": [
-            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "k", "kind": "integer"},
             {"name": "c", "kind": "categorical"}]},
         {"name": "s", "file": "s.csv", "columns": [
-            {"name": "k", "kind": "real", "role": "key"},
+            {"name": "k", "kind": "real"},
             {"name": "c", "kind": "categorical"}]},
     ],
     "foreign_keys": [{"from": "s.k", "to": "r.k"}],
@@ -589,6 +589,18 @@ MISSING = object()  # an entry deleted from the document
 
 
 class TestErrors:
+    def test_freq_entry_of_a_key_column_rejected(self, built):
+        # what a build wrote when its schema declared the key column `r.k`
+        # `role: attribute`: the role is now ignored, and a key column has
+        # no frequency histogram
+        state, _ = built
+        doc = json.loads(json.dumps(state_to_document(state)))
+        doc["schema"]["tables"][0]["columns"][0]["role"] = "attribute"
+        doc["freq"]["r.k"] = [[1, 2], [2, 1], [5, 1], [9, 1]]
+        with pytest.raises(StateError, match=re.escape(
+                "frequency histogram 'r.k' is not an entry of the schema")):
+            state_from_document(doc)
+
     def test_bad_magic_rejected(self):
         with pytest.raises(StateError, match="unrecognized"):
             state_from_document({"magic": "SOMETHING-ELSE"})
@@ -1015,11 +1027,11 @@ class TestTableSave:
 PROPERTY_DOC = {
     "tables": [
         {"name": "r", "file": "r.csv", "columns": [
-            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "k", "kind": "integer"},
             {"name": "y", "kind": "integer"},
             {"name": "c", "kind": "categorical"}]},
         {"name": "s", "file": "s.csv", "columns": [
-            {"name": "k", "kind": "real", "role": "key"},
+            {"name": "k", "kind": "real"},
             {"name": "z", "kind": "real"}]},
     ],
     "foreign_keys": [{"from": "s.k", "to": "r.k"}],

@@ -65,7 +65,6 @@ def reference_apply_rows(state, table, data):
     for cdef in tdef.columns:
         fh = state.freq_hists.get((table, cdef.name))
         if (fh is not None and cdef.kind != "categorical"
-                and not cdef.categorical
                 and len(fh) >= state.schema.categorical_threshold):
             lo, hi = min(fh), max(fh)
             numeric[cdef.name] = KeyDomain(id=f"{table}.{cdef.name}",
@@ -127,15 +126,15 @@ def reference_apply_rows(state, table, data):
 SCHEMA_DOC = {
     "tables": [
         {"name": "r", "file": "r.csv", "columns": [
-            {"name": "k", "kind": "integer", "role": "key"},
+            {"name": "k", "kind": "integer"},
             {"name": "y", "kind": "integer"},
             {"name": "c", "kind": "categorical"}]},
         {"name": "s", "file": "s.csv", "columns": [
-            {"name": "k", "kind": "real", "role": "key"},
-            {"name": "k2", "kind": "integer", "role": "key"},
+            {"name": "k", "kind": "real"},
+            {"name": "k2", "kind": "integer"},
             {"name": "z", "kind": "real"}]},
         {"name": "t", "file": "t.csv", "columns": [
-            {"name": "k2", "kind": "integer", "role": "key"}]},
+            {"name": "k2", "kind": "integer"}]},
     ],
     "foreign_keys": [{"from": "s.k", "to": "r.k"},
                      {"from": "s.k2", "to": "t.k2"}],
@@ -354,7 +353,7 @@ def test_new_real_categorical_values_save_canonically(tmp_path):
 
 CROSSING_SCHEMA = {
     "tables": [{"name": t, "file": f"{t}.csv", "columns": [
-        {"name": "k", "kind": "integer", "role": "key"},
+        {"name": "k", "kind": "integer"},
         {"name": "y", "kind": "integer"}]} for t in ("r", "s")],
     "foreign_keys": [{"from": "s.k", "to": "r.k"}],
     "categorical_threshold": 4}
