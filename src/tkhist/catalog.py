@@ -22,8 +22,11 @@ KIND_REAL = "real"
 KIND_CATEGORICAL = "categorical"
 VALID_KINDS = (KIND_INTEGER, KIND_REAL, KIND_CATEGORICAL)
 
-# a table or column name: what a query can name
+# a table or column name: what a query can name, unless it is a keyword
 NAME_PATTERN = r"[A-Za-z_][A-Za-z_0-9]*"
+# the query language's keywords, in lower case; they match in any case
+KEYWORDS = {"select", "count", "from", "where", "and", "as", "between",
+            "in", "or"}
 
 DEFAULT_CATEGORICAL_THRESHOLD = 1000
 
@@ -186,11 +189,13 @@ def _typed(value, kind: type, what: str):
 
 def _name(entry, what: str) -> str:
     """The `name` of a table or column entry, or a SchemaError unless it is
-    one that a query can name (`NAME_PATTERN`)."""
+    one that a query can name (`NAME_PATTERN`, not a keyword)."""
     name = _required(entry, "name", what)
     if not re.fullmatch(NAME_PATTERN, name):
         raise SchemaError(f"{what} name {name!r} is not an identifier "
                           f"({NAME_PATTERN})")
+    if name.lower() in KEYWORDS:
+        raise SchemaError(f"{what} name {name!r} is a query keyword")
     return name
 
 

@@ -15,8 +15,10 @@ and background NDV propagates as the minimum of the two sides, which keeps
 the Selinger formula applicable recursively to intermediate results; the
 joined BAC, background / NDV, is then BAC_a * BAC_b, which is what a key
 dominant on neither side carries.  A key's mass is its factor where it is
-dominant, else zero; a bin's dominant mass is one `np.bincount` of the mass
-by the keys' bins.
+dominant, else zero.  Each bin's keys are one slice of the sorted index,
+so a bin's dominant mass is one `np.add.reduceat` segment sum; numpy adds a
+segment as its first key plus the pairwise sum of the rest, which can
+differ from a key-by-key sum in the last bit.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
@@ -46,7 +48,9 @@ class KeyIndex:
     """The sorted union `keys` of the container keys of one domain's
     histograms (each array sorted and distinct), each key's bin (`bins`),
     and each histogram's container keys' positions in `keys` (`positions`,
-    by the histogram's name).
+    by the histogram's name).  The bins are equi-width key ranges, so
+    `bins` never decreases and each non-empty bin (`filled`) holds one
+    slice of `keys`, from its entry of `starts`.
 
     Keys match by value, as Python compares them: an INTEGER 3 and a REAL
     3.0 are one key, 2**53 + 1 and 2.0**53 two.  Arrays of one numeric
@@ -70,6 +74,10 @@ class KeyIndex:
         self.keys = keys
         self.bins = domain.bins_of(keys)
         self.positions = dict(zip(key_arrays, pos))
+        # reduceat would give an empty bin its next key: skip empty bins
+        starts = np.searchsorted(self.bins, np.arange(domain.bin_count))
+        self.filled = np.flatnonzero(np.diff(starts, append=len(keys)))
+        self.starts = starts[self.filled]
 
 
 @dataclass(eq=False)
@@ -94,8 +102,10 @@ class CompositeHist:
         return self.factor * self.dominant
 
     def bin_totals(self) -> np.ndarray:
-        return self.background + np.bincount(
-            self.index.bins, weights=self.mass, minlength=len(self.background))
+        totals = self.background.copy()
+        totals[self.index.filled] += np.add.reduceat(self.mass,
+                                                     self.index.starts)
+        return totals
 
     def total(self) -> float:
         return sum(self.bin_totals().tolist())

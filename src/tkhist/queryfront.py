@@ -11,14 +11,11 @@ import re
 import sys
 from dataclasses import dataclass, field
 
-from .catalog import (KIND_CATEGORICAL, KIND_INTEGER, NAME_PATTERN, Schema,
-                      check_join_tree)
+from .catalog import (KEYWORDS, KIND_CATEGORICAL, KIND_INTEGER, NAME_PATTERN,
+                      Schema, check_join_tree)
 from .errors import (CyclicJoinError, ParseError, PlanError,
                      UnsupportedQueryError)
 from .predicate import Predicate
-
-_KEYWORDS = {"select", "count", "from", "where", "and", "as", "between",
-             "in", "or"}
 
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
@@ -49,7 +46,7 @@ def _tokenize(text: str) -> list[Token]:
             continue
         value: object = m.group()
         kind = m.lastgroup
-        if kind == "ident" and value.lower() in _KEYWORDS:
+        if kind == "ident" and value.lower() in KEYWORDS:
             kind, value = "keyword", value.lower()
         elif kind == "number":
             value = float(value) if "." in value else int(value)

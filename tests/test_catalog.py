@@ -112,10 +112,15 @@ class TestSchema:
          r"^foreign key t2.k -> t1.k: key column 't1.k' is categorical"),
         (lambda d: d["foreign_keys"].append({"from": "t3.k", "to": "t3.k"}),
          r"^foreign key t3.k -> t3.k joins a column to itself$"),
+        (lambda d: d["tables"].append({"name": "select"}),
+         r"^table name 'select' is a query keyword$"),
+        (lambda d: d["tables"][0]["columns"].append({"name": "And"}),
+         r"^table 't1': column name 'And' is a query keyword$"),
     ], ids=["table-name", "column-name", "fk-from", "fk-to", "threshold",
             "duplicate-table", "dotted-table", "digit-first-column",
             "empty-column", "newline-column", "non-ascii-column",
-            "categorical-fk-from", "categorical-fk-to", "self-fk"])
+            "categorical-fk-from", "categorical-fk-to", "self-fk",
+            "keyword-table", "keyword-column"])
     def test_malformed_entry_is_schema_error(self, breaks, match):
         doc = star_doc()
         breaks(doc)

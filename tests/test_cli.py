@@ -536,6 +536,21 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not (tmp_path / "state.json").exists()
 
+    def test_build_with_keyword_name(self, tmp_path, capsys):
+        # such a table loaded, but no query could name it
+        schema = tmp_path / "schema.json"
+        schema.write_text(json.dumps({"tables": [
+            {"name": t, "file": f"{t}.csv", "columns": [{"name": "k"}]}
+            for t in ("r", "select")],
+            "foreign_keys": [{"from": "select.k", "to": "r.k"}]}))
+        for t in ("r", "select"):
+            (tmp_path / f"{t}.csv").write_text("k\n1\n2\n")
+        assert main(["build", "--schema", str(schema),
+                     "--state", str(tmp_path / "state.json")]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: table name 'select' is a query keyword")
+        assert not (tmp_path / "state.json").exists()
+
     @pytest.mark.parametrize("command", [
         "build", "evaluate-out", "evaluate-summary", "sweep"])
     def test_output_in_missing_directory(self, bench, built, tmp_path,

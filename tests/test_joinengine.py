@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 from dataclasses import dataclass
 
@@ -10,16 +11,16 @@ from tkhist.catalog import KeyDomain, schema_from_document
 from tkhist.errors import DomainMismatchError
 from tkhist.estimator import _lift_alias, estimate, run_plan
 from tkhist.histcore import build_tkhist1d, build_tkhist2d
-from tkhist.joinengine import (KeyIndex, apply_filters, bridge_weights,
-                               chain_translate, jtkh_join, join_star_group,
-                               selinger_bin_estimate)
+from tkhist.joinengine import (CompositeHist, KeyIndex, apply_filters,
+                               bridge_weights, chain_translate, jtkh_join,
+                               join_star_group, selinger_bin_estimate)
 from tkhist.predicate import key_bin_fractions, matches
 from tkhist.queryfront import bind, decompose, parse_sql
 from tkhist.state import BuildConfig, build_state
 from tkhist.synth import SyntheticSpec, generate_synthetic
 
-from conftest import (composites_of, dominant_maps, lifted, make_table,
-                      maps_of, two_table_schema)
+from conftest import (composites_of, dominant_maps, key_array, lifted,
+                      make_table, maps_of, two_table_schema)
 
 
 def make_domain(lo=0, hi=100, bins=4, id="t.k"):
@@ -78,8 +79,60 @@ class TestKeyIndex:
     def test_no_keys(self):
         index = KeyIndex(make_domain(bins=3), {})
         assert len(index.keys) == 0
+        assert len(index.filled) == len(index.starts) == 0
         comp = comp_of(make_domain(bins=3), [EMPTY_BIN] * 3)
         assert comp.bin_totals().tolist() == [0.0] * 3
+
+    def test_segments_skip_empty_bins(self):
+        index = KeyIndex(make_domain(0, 100, 5),
+                         {"a": np.array([3, 4, 70, 99])})
+        assert index.bins.tolist() == [0, 0, 3, 4]
+        assert index.filled.tolist() == [0, 3, 4]
+        assert index.starts.tolist() == [0, 2, 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), n_bins=st.integers(1, 12),
+           kind=st.sampled_from(["integer", "real", "mixed"]))
+    def test_bins_are_contiguous_segments(self, data, n_bins, kind):
+        """`bins` never decreases and each non-empty bin's segment holds
+        exactly its keys, on INTEGER, REAL and mixed-kind (object)
+        indexes, with empty bins, one-key bins, or no key at all; a bin's
+        total is its background plus its keys' masses, under the rule of
+        `assert_bin_totals`."""
+        d = make_domain(0, 60, n_bins)
+        ints = st.lists(st.integers(0, 60), max_size=60)
+        reals = st.lists(st.floats(0, 60), max_size=60)
+        draws = {"integer": [ints, ints], "real": [reals],
+                 "mixed": [ints, reals]}[kind]
+        key_arrays = {i: key_array(sorted(set(data.draw(keys))))
+                      for i, keys in enumerate(draws)
+                      if data.draw(st.booleans())}
+        index = KeyIndex(d, key_arrays)
+        assert (np.diff(index.bins) >= 0).all()
+        union = {k for a in key_arrays.values() for k in a.tolist()}
+        width = (d.hi - d.lo) / d.bin_count
+        bin_of = {k: min(math.floor((float(k) - d.lo) / width), n_bins - 1)
+                  for k in union}
+        assert index.filled.tolist() == sorted(set(bin_of.values()))
+        ends = index.starts.tolist()[1:] + [len(index.keys)]
+        for b, start, end in zip(index.filled.tolist(),
+                                 index.starts.tolist(), ends):
+            segment = index.keys[start:end].tolist()
+            assert segment == sorted(k for k in union if bin_of[k] == b)
+        n = len(index.keys)
+        comp = CompositeHist(
+            index=index,
+            factor=np.array(data.draw(st.lists(
+                masses, min_size=n, max_size=n)), dtype=np.float64),
+            dominant=np.array(data.draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)), dtype=bool),
+            background=np.array(data.draw(st.lists(
+                st.one_of(st.just(0.0), masses), min_size=n_bins,
+                max_size=n_bins)), dtype=np.float64),
+            ndv=np.zeros(n_bins))
+        expect = comp.background + np.bincount(index.bins, weights=comp.mass,
+                                               minlength=n_bins)
+        assert_bin_totals(index, comp.bin_totals().tolist(), expect.tolist())
 
 
 class TestSelinger:
@@ -341,8 +394,9 @@ def ref_filters(bins, fractions):
             for f, b in zip(fractions, bins)]
 
 
-def ref_chain(bins, bridge, target):
-    totals = np.array([ref_total([b]) for b in bins])
+def ref_chain(totals, bridge, target):
+    """The reference bins of a chain translation of a composite whose bin
+    totals are `totals`."""
     marginal = bridge.key_marginal().astype(np.float64)
     with np.errstate(invalid="ignore", divide="ignore"):
         weights = np.where(marginal[:, None] > 0,
@@ -356,8 +410,25 @@ def ref_chain(bins, bridge, target):
     return out
 
 
+def ref_bin_totals(bins):
+    """Each bin's background plus its dominant masses, added in key order."""
+    return [b.background_est + sum(b.dominant.values()) for b in bins]
+
+
 def ref_total(bins):
-    return sum(b.background_est + sum(b.dominant.values()) for b in bins)
+    return sum(ref_bin_totals(bins))
+
+
+def assert_bin_totals(index, totals, expect):
+    """Each bin's total is the sequential `expect`, bit for bit where the
+    bin holds at most two keys of `index`, whose sum has one grouping, and
+    to 1e-12 where `bin_totals`' segment sum may group its adds otherwise."""
+    sizes = np.bincount(index.bins, minlength=len(expect)).tolist()
+    for size, got, want in zip(sizes, totals, expect):
+        if size <= 2:
+            assert got == want
+        else:
+            assert got == pytest.approx(want, rel=1e-12, abs=0)
 
 
 def assert_matches(comp, bins):
@@ -491,13 +562,17 @@ class TestAgainstPerBinReference:
         (comp, ref), = data.draw(members(n_src, 1, id="a.k1"))
         assert_matches(chain_translate(comp, bridge_weights(bridge, target),
                                        index_of(target)),
-                       ref_chain(ref, bridge, target))
+                       ref_chain(comp.bin_totals(), bridge, target))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_bins=st.integers(1, 20))
     def test_total_sums_bins_in_order(self, data, n_bins):
+        """`total()` adds the bin totals from bin 0 in order, and each bin's
+        total is its reference's under the rule of `assert_bin_totals`."""
         (comp, ref), = data.draw(members(n_bins, 1))
-        assert comp.total() == ref_total(ref)
+        totals = comp.bin_totals().tolist()
+        assert comp.total() == sum(totals)
+        assert_bin_totals(comp.index, totals, ref_bin_totals(ref))
 
 
 def mixed_kind_schema():
