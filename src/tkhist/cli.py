@@ -156,10 +156,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state_arg(p)
     p.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
     p.add_argument("--k", type=int, default=DEFAULT_TOP_K)
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--djpcd", dest="djpcd", action="store_true", default=True,
-                   help="discover correlations for key exclusion (default)")
-    g.add_argument("--no-djpcd", dest="djpcd", action="store_false")
+    p.add_argument("--no-djpcd", dest="djpcd", action="store_false",
+                   help="skip correlation discovery (and key exclusion)")
 
     p = sub.add_parser("estimate", help="estimate one COUNT(*) query")
     _add_state_arg(p)
@@ -185,7 +183,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bins", type=_int_list, default="25,50,100,200")
     p.add_argument("--k", type=_int_list, default="0,5,20")
     p.add_argument("--out", default=None)
-    p.add_argument("--djpcd", dest="djpcd", action="store_true", default=False)
+    p.add_argument("--no-djpcd", dest="djpcd", action="store_false",
+                   help="build every grid point without discovery")
 
     p = sub.add_parser("synth", help="generate a synthetic benchmark")
     p.add_argument("--out", required=True)

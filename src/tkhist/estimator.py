@@ -194,11 +194,11 @@ def _single_table_fraction(state: EstimatorState, table: str,
     """Share of the table's rows that match `pred`.  A null never matches,
     so every row counts in the denominator: the table's rows, or for an
     attribute seen only through its 2D histogram, the rows of that grid's
-    key column."""
+    key column.  A filter with no statistic behind it is ignored: 1.0."""
     attr = pred.column.split(".", 1)[1]
     rows = state.table_rows[table]
     if rows <= 0:
-        return 0.0
+        return 1.0  # no row to count: neutral
     fhist = state.freq_hists.get((table, attr))
     if fhist is not None:
         return sum(c for v, c in fhist.items() if matches(pred, v)) / rows
@@ -210,7 +210,7 @@ def _single_table_fraction(state: EstimatorState, table: str,
     if key_col != attr:
         rows = float(key_rows.sum())
         if rows <= 0:
-            return 0.0
+            return 1.0  # every key null, so the grid holds no row: neutral
     return float(key_rows @ _bin_fractions(state, table, key_col, pred)) / rows
 
 
@@ -411,8 +411,9 @@ class SweepPoint:
 
 
 def sweep(schema, tables, entries, bin_counts: list[int], ks: list[int],
-          use_djpcd: bool = False) -> list[SweepPoint]:
-    """Rebuild and evaluate at every (bin count, k) grid point; exact truths
+          use_djpcd: bool = True) -> list[SweepPoint]:
+    """Rebuild and evaluate at every (bin count, k) grid point as `tkhist
+    build` builds a state, with discovery when `use_djpcd`; exact truths
     are counted once, before the grid."""
     import tempfile
 

@@ -214,6 +214,20 @@ class TestDJPCDChosenAtBuild:
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["build", "sweep"])
+    def test_djpcd_flag_is_usage_error(self, bench, tmp_path, capsys,
+                                       command):
+        # discovery runs by default at both; only --no-djpcd is a switch
+        wl = tmp_path / "wl.txt"
+        wl.write_text("SELECT COUNT(*) FROM t1\n")
+        rest = {"build": ["--state", str(tmp_path / "state.json")],
+                "sweep": ["--workload", str(wl)]}[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--schema", str(bench / "schema.json"), *rest,
+                  "--djpcd"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --djpcd" in capsys.readouterr().err
+
     def test_state_built_without_discovery(self, bench, built, tmp_path,
                                            capsys):
         plain = tmp_path / "plain.json"
@@ -368,6 +382,47 @@ class TestUpdate:
         save_state(whole, str(full))
         assert built.read_bytes() == full.read_bytes()
         assert load_state(str(built)).table_rows["t1"] == 509
+
+
+class TestQuickStart:
+    WORKLOAD = """\
+-- star plus chain
+SELECT COUNT(*) FROM t1, t2, t3 WHERE t2.k1 = t1.k1 AND t3.k1 = t1.k1
+SELECT COUNT(*) FROM t3, t4 WHERE t4.k2 = t3.k2
+SELECT COUNT(*) FROM t1, t3, t4 WHERE t3.k1 = t1.k1 AND t4.k2 = t3.k2
+SELECT COUNT(*) FROM t1, t2, t3, t4, t5 WHERE t2.k1 = t1.k1 AND \
+t3.k1 = t1.k1 AND t4.k2 = t3.k2 AND t5.k3 = t4.k3
+"""  # README's quick-start workload for bench/mixed
+
+    def test_every_step_exits_0(self, tmp_path, capsys):
+        """README's quick start at small scale: synth, build, estimate,
+        evaluate with the oracle, update and sweep."""
+        data = tmp_path / "bench" / "mixed"
+        schema, state = str(data / "schema.json"), str(tmp_path / "st.json")
+        wl = data / "workload.txt"
+        assert main(["synth", "--out", str(data), "--tables", "5",
+                     "--layout", "mixed", "--skew", "1.0", "--rows", "300",
+                     "--distinct", "40", "--seed", "7"]) == 0
+        wl.write_text(self.WORKLOAD)
+        for argv in [
+            ["build", "--schema", schema, "--state", state,
+             "--bins", "10", "--k", "3"],
+            ["estimate", "--state", state, "SELECT COUNT(*) FROM t1, t2, t3 "
+             "WHERE t2.k1 = t1.k1 AND t3.k1 = t1.k1"],
+            ["evaluate", "--state", state, "--workload", str(wl), "--oracle",
+             "--out", str(tmp_path / "report.jsonl"),
+             "--summary", str(tmp_path / "summary.csv")],
+            ["update", "--state", state, "--table", "t1",
+             "--csv", str(data / "t1.csv")],
+            ["sweep", "--schema", schema, "--workload", str(wl),
+             "--bins", "5,10", "--k", "0,3"],
+        ]:
+            assert main(argv) == 0, argv
+        # synth, build, estimate and update print a line each, then the
+        # sweep its header and one row per (bins, k) point
+        lines = capsys.readouterr().out.splitlines()
+        assert json.loads(lines[2])["used_djpcd"] is True
+        assert len(lines) == 4 + 1 + 4
 
 
 class TestSweep:

@@ -106,6 +106,34 @@ class TestEstimate:
         assert oracle.oracle_count(query, tables) == truth
         assert estimate(sql, state).estimate == truth
 
+    @pytest.mark.parametrize("table, columns, nulls, truth", [
+        ("r", {"k": [], "y": []}, None, 0),  # an empty table
+        ("u", {"y": list(range(100))}, None, 50),  # no key column
+        ("r", {"k": [1] * 100, "y": list(range(100))},
+         {"k": [1] * 100}, 50),  # every key null: an empty grid
+    ], ids=["empty-table", "no-key-column", "null-keys"])
+    def test_filter_without_statistic_is_ignored(self, table, columns,
+                                                 nulls, truth):
+        # y is numeric (threshold 10), so no frequency histogram holds it
+        cols = [{"name": "k", "kind": "integer"},
+                {"name": "y", "kind": "integer"}]
+        schema = schema_from_document({
+            "tables": [{"name": "r", "file": "r.csv", "columns": cols},
+                       {"name": "s", "file": "s.csv", "columns": cols[:1]},
+                       {"name": "u", "file": "u.csv", "columns": cols[1:]}],
+            "foreign_keys": [{"from": "s.k", "to": "r.k"}],
+            "categorical_threshold": 10})
+        tables = {"r": make_table("r", {"k": [1, 2], "y": [1, 2]}),
+                  "s": make_table("s", {"k": [1, 2]}),
+                  "u": make_table("u", {"y": [1, 2]})}
+        tables[table] = make_table(table, columns, nulls)
+        state = build_state(schema, tables, BuildConfig(bin_count=2, top_k=0))
+        sql = f"SELECT COUNT(*) FROM {table} WHERE {table}.y >= 50"
+        assert oracle.oracle_count(bind(parse_sql(sql), schema),
+                                   tables) == truth
+        rows = state.table_rows[table]
+        assert estimate(sql, state).estimate == rows
+
     def test_report_dict_shape(self, small_state):
         state, _ = small_state
         rep = estimate("SELECT COUNT(*) FROM r", state)
@@ -431,7 +459,10 @@ class TestSweep:
         ("SELECT COUNT(*) FROM t1, t2 WHERE t1.k1 = t2.k1 AND t2.y >= 20",
          None)]
 
-    def test_truths_counted_once_per_sweep(self, monkeypatch, tmp_path):
+    def check_points(self, monkeypatch, tmp_path, **kwargs):
+        """Truths are counted once per sweep, and each point is the one
+        that evaluating its grid state gives, built with discovery unless
+        `use_djpcd=False` is passed."""
         schema, tables = generate_synthetic(
             SyntheticSpec(tables=2, rows=400, distinct_keys=40), seed=9)
         calls = []
@@ -442,15 +473,25 @@ class TestSweep:
             return count(query, tabs)
 
         monkeypatch.setattr(oracle, "oracle_count", counting)
-        points = sweep(schema, tables, self.SWEEP_QUERIES, [5, 10], [0, 4])
+        points = sweep(schema, tables, self.SWEEP_QUERIES, [5, 10], [0, 4],
+                       **kwargs)
         assert len(calls) == 3
-        for p in points:  # the same points as evaluating each grid state
+        for p in points:
             st = build_state(schema, tables, BuildConfig(bin_count=p.bin_count,
                                                          top_k=p.top_k))
+            if kwargs.get("use_djpcd", True):
+                discover_correlations(st, tables)
             _, summ = evaluate_workload(st, self.SWEEP_QUERIES,
                                         tables=tables)
             size = save_state(st, str(tmp_path / "grid.json"))
             assert (p.state_bytes, p.median_q) == (size, summ.median_q)
+
+    def test_truths_counted_once_per_sweep(self, monkeypatch, tmp_path):
+        # by default each grid state is built as `tkhist build` builds it
+        self.check_points(monkeypatch, tmp_path)
+
+    def test_points_without_discovery(self, monkeypatch, tmp_path):
+        self.check_points(monkeypatch, tmp_path, use_djpcd=False)
 
     def test_failing_truth_fails_at_every_point(self, monkeypatch):
         schema, tables = generate_synthetic(
