@@ -193,8 +193,9 @@ def _single_table_fraction(state: EstimatorState, table: str,
                            pred: Predicate) -> float:
     """Share of the table's rows that match `pred`.  A null never matches,
     so every row counts in the denominator: the table's rows, or for an
-    attribute seen only through its 2D histogram, the rows of that grid's
-    key column.  A filter with no statistic behind it is ignored: 1.0."""
+    attribute seen only through its 2D histograms, the rows of the grid
+    whose key column holds the most rows (the first on a tie).  A filter
+    with no statistic behind it is ignored: 1.0."""
     attr = pred.column.split(".", 1)[1]
     rows = state.table_rows[table]
     if rows <= 0:
@@ -205,12 +206,13 @@ def _single_table_fraction(state: EstimatorState, table: str,
     keys = state.key_columns(table)
     if not keys:
         return 1.0  # no key column, so no 2D histogram: neutral
-    key_col = attr if attr in keys else keys[0]
+    key_col = attr if attr in keys else max(
+        keys, key=lambda c: int(state.hists1d[(table, c)].bin_rows().sum()))
     key_rows = state.hists1d[(table, key_col)].bin_rows().astype(np.float64)
     if key_col != attr:
         rows = float(key_rows.sum())
         if rows <= 0:
-            return 1.0  # every key null, so the grid holds no row: neutral
+            return 1.0  # every key null, so no grid holds a row: neutral
     return float(key_rows @ _bin_fractions(state, table, key_col, pred)) / rows
 
 

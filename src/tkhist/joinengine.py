@@ -3,22 +3,30 @@
 A key index (`KeyIndex`) holds, for one key domain, the sorted union of the
 container keys of every 1D histogram over it, each key's bin, and each
 histogram's positions in that union.  A composite histogram holds, per
-index key, a float64 join factor and a dominance flag, and per bin two
-float64 arrays: background mass and background NDV.  A dominant key's
-factor is its mass; any other key's is its bin's background average
-frequency BAC = background / NDV (zero where NDV is zero).  A binary join
-of two composites over one index is then two passes over the keys: the
-factors multiply and the dominance flags combine by `or`.  Keys dominant on
-both sides multiply exactly, and a key dominant on one side only meets the
-other side's BAC.  The two backgrounds combine with the Selinger formula,
-and background NDV propagates as the minimum of the two sides, which keeps
-the Selinger formula applicable recursively to intermediate results; the
-joined BAC, background / NDV, is then BAC_a * BAC_b, which is what a key
-dominant on neither side carries.  A key's mass is its factor where it is
-dominant, else zero.  Each bin's keys are one slice of the sorted index,
-so a bin's dominant mass is one `np.add.reduceat` segment sum; numpy adds a
-segment as its first key plus the pairwise sum of the rest, which can
-differ from a key-by-key sum in the last bit.
+index key, a float64 join factor and a dominance flag, and per bin three
+float64 arrays: background mass, background NDV and a scale (None for all
+ones) that multiplies the factor of every key of the bin.  A dominant
+key's scaled factor is its mass; any other key's is its bin's background
+average frequency BAC = background / NDV (zero where NDV is zero).  A
+binary join of two composites over one index is then two passes over the
+keys: the scaled factors multiply and the dominance flags combine by `or`.
+Keys dominant on both sides multiply exactly, and a key dominant on one
+side only meets the other side's BAC.  The two backgrounds combine with
+the Selinger formula, and background NDV propagates as the minimum of the
+two sides, which keeps the Selinger formula applicable recursively to
+intermediate results; the joined BAC, background / NDV, is then
+BAC_a * BAC_b, which is what a key dominant on neither side carries.  A
+key's mass is its scaled factor where it is dominant, else zero.  Each
+bin's keys are one slice of the sorted index, so a bin's dominant mass is
+one `np.add.reduceat` segment sum of the unscaled masses, times the bin's
+scale; numpy adds a segment as its first key plus the pairwise sum of the
+rest, which can differ from a key-by-key sum in the last bit.
+
+A composite with no dominant key is per bin only: its key arrays are the
+index's shared all-ones factors and all-False flags, and its scale is each
+bin's BAC.  Chain translation returns one, and a join with one skips the
+key passes: it keeps the other side's key arrays and takes the per-bin
+operand's BAC as its scale.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
@@ -78,33 +86,59 @@ class KeyIndex:
         starts = np.searchsorted(self.bins, np.arange(domain.bin_count))
         self.filled = np.flatnonzero(np.diff(starts, append=len(keys)))
         self.starts = starts[self.filled]
+        # the key arrays of every composite that is per bin only
+        self.ones = np.ones(len(keys))
+        self.no_keys = np.zeros(len(keys), dtype=bool)
+        for array in (self.ones, self.no_keys):
+            array.flags.writeable = False
 
 
 @dataclass(eq=False)
 class CompositeHist:
     """Per key of `index`, a float64 join factor and a boolean dominance
-    flag; per bin, float64 background mass and NDV.  A dominant key's
-    factor is its mass; any other key's is its bin's BAC."""
+    flag; per bin, float64 background mass and NDV, and a float64 `scale`
+    (None for 1) that multiplies the factor of each of its keys.  A
+    dominant key's scaled factor is its mass; any other key's is its bin's
+    BAC.  A composite is per bin only when its key arrays are the index's
+    `ones` and `no_keys`: no key is dominant and `scale` is each bin's BAC.
+    """
 
     index: KeyIndex
     factor: np.ndarray
     dominant: np.ndarray
     background: np.ndarray
     ndv: np.ndarray
+    scale: np.ndarray | None = None
 
     @property
     def domain(self) -> KeyDomain:
         return self.index.domain
 
     @property
+    def per_bin(self) -> bool:
+        return (self.factor is self.index.ones
+                and self.dominant is self.index.no_keys)
+
+    def key_factors(self) -> np.ndarray:
+        """Each key's factor times its bin's scale."""
+        if self.scale is None:
+            return self.factor
+        return self.factor * self.scale.take(self.index.bins)
+
+    @property
     def mass(self) -> np.ndarray:
-        """The dominant mass per key: its factor, zero where not dominant."""
-        return self.factor * self.dominant
+        """The dominant mass per key: its scaled factor, zero where not
+        dominant."""
+        return self.key_factors() * self.dominant
 
     def bin_totals(self) -> np.ndarray:
+        """Each bin's background plus its keys' dominant mass, the scale
+        applied once per bin, after the segment sum."""
         totals = self.background.copy()
-        totals[self.index.filled] += np.add.reduceat(self.mass,
-                                                     self.index.starts)
+        sums = np.add.reduceat(self.factor * self.dominant, self.index.starts)
+        if self.scale is not None:
+            sums *= self.scale[self.index.filled]
+        totals[self.index.filled] += sums
         return totals
 
     def total(self) -> float:
@@ -147,14 +181,25 @@ def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
     """Bin-wise binary join of two composites over one key index: the
     factors multiply key by key and the dominance flags combine by `or`;
     a key dominant on neither side carries BAC_a * BAC_b, its joined bin's
-    BAC."""
+    BAC.  An operand that is per bin only joins by its scale alone: the
+    other side's key arrays are reused, and where that side has a scale
+    too, it is first multiplied into its factors, so that each key's mass
+    is the product of the same factors in the same order."""
     if a.index is not b.index:
         raise DomainMismatchError(
             f"cannot join histograms over domains {a.domain.id!r} "
             f"and {b.domain.id!r}: not one key index")
+    if not (a.per_bin or b.per_bin):
+        factor = a.key_factors() * b.key_factors()
+        dominant, scale = a.dominant | b.dominant, None
+    elif a.per_bin and b.per_bin:
+        factor, dominant, scale = a.factor, a.dominant, a.scale * b.scale
+    else:
+        by_bin, keyed = (a, b) if a.per_bin else (b, a)
+        factor, dominant = keyed.key_factors(), keyed.dominant
+        scale = by_bin.scale
     return CompositeHist(
-        index=a.index, factor=a.factor * b.factor,
-        dominant=a.dominant | b.dominant,
+        index=a.index, factor=factor, dominant=dominant, scale=scale,
         background=selinger_bin_estimate(a.background, a.ndv,
                                          b.background, b.ndv),
         ndv=np.minimum(a.ndv, b.ndv))
@@ -182,7 +227,7 @@ def apply_filters(comp: CompositeHist,
     """
     if len(fractions) != len(comp.background):
         raise DomainMismatchError("selectivity length does not match bin count")
-    return composite(comp.index, comp.dominant, comp.factor,
+    return composite(comp.index, comp.dominant, comp.key_factors(),
                      comp.background * fractions, comp.ndv)
 
 
@@ -227,7 +272,9 @@ def chain_translate(comp: CompositeHist, bridge: Bridge,
     bridge's weights.  Dominant keys do not cross a chain boundary: source
     keys are meaningless on the target domain, so no key of the output is
     dominant and it carries background mass only.  Per-bin NDV is the
-    bridge's, where the bin receives mass.
+    bridge's, where the bin receives mass.  The output is per bin only: its
+    key arrays are the index's shared `ones` and `no_keys`, and its scale
+    is each target bin's BAC.
     """
     if comp.domain.id != bridge.source:
         raise DomainMismatchError(
@@ -239,6 +286,6 @@ def chain_translate(comp: CompositeHist, bridge: Bridge,
             f"index domain {index.domain.id!r}")
     out = comp.bin_totals() @ bridge.weights
     ndv = np.where(out > 0, bridge.ndv, 0.0)
-    return CompositeHist(index=index, factor=_bac(out, ndv).take(index.bins),
-                         dominant=np.zeros(len(index.keys), dtype=bool),
-                         background=out, ndv=ndv)
+    return CompositeHist(index=index, factor=index.ones,
+                         dominant=index.no_keys, background=out, ndv=ndv,
+                         scale=_bac(out, ndv))

@@ -133,9 +133,9 @@ def maps_of(comp) -> list[dict]:
 
 
 def dominant_maps(comp) -> list[dict]:
-    """A composite's dominant keys as one map per bin, key -> factor, in
-    key order, a factor of zero included."""
-    return _per_bin(comp, np.flatnonzero(comp.dominant), comp.factor)
+    """A composite's dominant keys as one map per bin, key -> factor times
+    its bin's scale, in key order, a factor of zero included."""
+    return _per_bin(comp, np.flatnonzero(comp.dominant), comp.key_factors())
 
 
 def _per_bin(comp, held, values) -> list[dict]:

@@ -134,6 +134,34 @@ class TestEstimate:
         rows = state.table_rows[table]
         assert estimate(sql, state).estimate == rows
 
+    def test_filter_read_through_the_grid_that_holds_rows(self):
+        # b's first key column a is all null, so its b.a|y grid is empty;
+        # b.c|y holds every row, and the filter is read through it
+        schema = schema_from_document({
+            "tables": [
+                {"name": "b", "file": "b.csv", "columns": [
+                    {"name": "a", "kind": "integer"},
+                    {"name": "c", "kind": "integer"},
+                    {"name": "y", "kind": "integer"}]},
+                {"name": "r", "file": "r.csv",
+                 "columns": [{"name": "k", "kind": "integer"}]},
+                {"name": "s", "file": "s.csv",
+                 "columns": [{"name": "j", "kind": "integer"}]}],
+            "foreign_keys": [{"from": "b.a", "to": "r.k"},
+                             {"from": "b.c", "to": "s.j"}],
+            "categorical_threshold": 10})  # y is numeric
+        n = 2000
+        tables = {"b": make_table("b", {"a": [0] * n, "c": list(range(n)),
+                                        "y": list(range(n))},
+                                  {"a": [1] * n}),
+                  "r": make_table("r", {"k": [0, 1]}),
+                  "s": make_table("s", {"j": [0, 1]})}
+        state = build_state(schema, tables, BuildConfig(bin_count=4, top_k=0))
+        sql = "SELECT COUNT(*) FROM b WHERE b.y >= 1000"
+        assert oracle.oracle_count(bind(parse_sql(sql), schema),
+                                   tables) == 1000
+        assert estimate(sql, state).estimate == pytest.approx(1000, rel=0.01)
+
     def test_report_dict_shape(self, small_state):
         state, _ = small_state
         rep = estimate("SELECT COUNT(*) FROM r", state)

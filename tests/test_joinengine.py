@@ -432,12 +432,14 @@ def assert_bin_totals(index, totals, expect):
 
 
 def assert_matches(comp, bins):
+    """Each key's factor times its bin's scale is the reference's: its
+    dominant value, or else its bin's BAC, exactly."""
     # dict equality: the same keys per bin, each with an equal value
     assert dominant_maps(comp) == [b.dominant for b in bins]
     assert maps_of(comp) == [{k: v for k, v in b.dominant.items() if v}
                              for b in bins]
     rest = ~comp.dominant
-    assert comp.factor[rest].tolist() == [
+    assert comp.key_factors()[rest].tolist() == [
         bins[i].bac_est for i in comp.index.bins[rest].tolist()]
     assert comp.background.tolist() == [b.background_est for b in bins]
     assert comp.ndv.tolist() == [b.ndv_est for b in bins]
@@ -493,6 +495,32 @@ def members(draw, n_bins, count, id="t.k"):
 
 
 @st.composite
+def per_bin_child(draw, index):
+    """A composite that is per bin only over `index`, as chain translation
+    gives it: each bin's BAC as its scale; with its reference bins."""
+    n = index.domain.bin_count
+    spec = [draw(backgrounds) for _ in range(n)]
+    background, ndv = (np.array(col, dtype=np.float64) for col in zip(*spec))
+    comp = CompositeHist(
+        index=index, factor=index.ones, dominant=index.no_keys,
+        background=background, ndv=ndv,
+        scale=np.divide(background, ndv, out=np.zeros(n), where=ndv > 0))
+    return comp, [ref_bin({}, bg, nv) for bg, nv in spec]
+
+
+@st.composite
+def star_folds(draw):
+    """A star group's operands in fold order: 0-3 members of its own, then
+    0-2 translated children, per bin only, and at least one operand."""
+    n_bins = draw(st.integers(1, 4))
+    group = draw(members(n_bins, draw(st.integers(1, 3))))
+    children = draw(st.integers(0, 2))
+    own = group[:draw(st.integers(0 if children else 1, len(group)))]
+    index = group[0][0].index
+    return own + [draw(per_bin_child(index)) for _ in range(children)]
+
+
+@st.composite
 def star_groups(draw):
     return draw(members(draw(st.integers(1, 4)), draw(st.integers(1, 4))))
 
@@ -520,22 +548,50 @@ class TestAgainstPerBinReference:
         with np.errstate(invalid="ignore", divide="ignore"):
             bac = np.where(out.ndv > 0, out.background / out.ndv, 0.0)
         rest = ~out.dominant
-        assert out.factor[rest].tolist() == pytest.approx(
+        assert out.key_factors()[rest].tolist() == pytest.approx(
             bac[out.index.bins[rest]].tolist(), rel=1e-12, abs=1e-300)
 
     @settings(max_examples=100, deadline=None)
-    @given(data=st.data(), n_bins=st.integers(1, 4))
-    def test_join_leaves_inputs_unchanged(self, data, n_bins):
-        (a, _), (b, _) = data.draw(members(n_bins, 2))
-        arrays = [(c.factor, c.dominant, c.background, c.ndv) for c in (a, b)]
-        before = [[x.copy() for x in xs] for xs in arrays]
+    @given(data=st.data(), n_bins=st.integers(1, 4),
+           per_bin=st.sampled_from([(), (0,), (1,), (0, 1)]))
+    def test_join_leaves_inputs_unchanged(self, data, n_bins, per_bin):
+        """A join writes neither operand, nor the index's shared arrays,
+        which stay read-only.  Its arrays are new, but for two: beside one
+        operand that is per bin only, it keeps the other side's key arrays
+        and the per-bin operand's scale."""
+        operands = [comp for comp, _ in data.draw(members(n_bins, 2))]
+        for i in per_bin:
+            operands[i] = data.draw(per_bin_child(operands[i].index))[0]
+        a, b = operands
+        index = a.index
+        arrays = [(c.factor, c.dominant, c.background, c.ndv, c.scale)
+                  for c in (a, b)]
+        before = [[None if x is None else x.copy() for x in xs]
+                  for xs in arrays]
         out = jtkh_join(a, b)
         for xs, olds in zip(arrays, before):
             for x, old in zip(xs, olds):
-                assert x.tolist() == old.tolist()
-        produced = (out.factor, out.dominant, out.background, out.ndv)
+                assert (x is None) == (old is None)
+                assert x is None or x.tobytes() == old.tobytes()
+        assert not index.ones.flags.writeable
+        assert not index.no_keys.flags.writeable
+        assert index.ones.tolist() == [1.0] * len(index.keys)
+        assert not index.no_keys.any()
+        keyed = [c for c in (a, b) if not c.per_bin]
+        reused = ()
+        if len(keyed) == 1:  # the keyed operand is unscaled: kept whole
+            by_bin, = (c for c in (a, b) if c.per_bin)
+            reused = keyed[0].factor, keyed[0].dominant, by_bin.scale
+            assert all(x is y for x, y in zip(
+                (out.factor, out.dominant, out.scale), reused))
+        elif not keyed:
+            reused = index.ones, index.no_keys
+            assert out.per_bin
+        produced = [x for x in (out.factor, out.dominant, out.background,
+                                out.ndv, out.scale)
+                    if x is not None and not any(x is y for y in reused)]
         assert not any(np.shares_memory(x, y) for x in produced
-                       for xs in arrays for y in xs)
+                       for xs in arrays for y in xs if y is not None)
 
     @settings(max_examples=100, deadline=None)
     @given(group=star_groups(), data=st.data())
@@ -560,9 +616,10 @@ class TestAgainstPerBinReference:
         bridge = build_tkhist2d(k1, k2, src, dst)
         target = build_tkhist1d(k2, dst, k=k)
         (comp, ref), = data.draw(members(n_src, 1, id="a.k1"))
-        assert_matches(chain_translate(comp, bridge_weights(bridge, target),
-                                       index_of(target)),
-                       ref_chain(comp.bin_totals(), bridge, target))
+        index = index_of(target)
+        out = chain_translate(comp, bridge_weights(bridge, target), index)
+        assert out.per_bin and out.index is index
+        assert_matches(out, ref_chain(comp.bin_totals(), bridge, target))
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_bins=st.integers(1, 20))
@@ -573,6 +630,94 @@ class TestAgainstPerBinReference:
         totals = comp.bin_totals().tolist()
         assert comp.total() == sum(totals)
         assert_bin_totals(comp.index, totals, ref_bin_totals(ref))
+
+
+def materialised(comp):
+    """`comp` in per-key form: each key's factor times its bin's scale, in
+    arrays of its own, so that no join takes it for a per-bin operand."""
+    return CompositeHist(index=comp.index, factor=comp.key_factors().copy(),
+                         dominant=comp.dominant.copy(),
+                         background=comp.background, ndv=comp.ndv)
+
+
+def scaled_sums(comp):
+    """Each bin's background plus its scale times the key-order sum of its
+    dominant keys' unscaled factors, in Python floats."""
+    scale = (np.ones(len(comp.background)) if comp.scale is None
+             else comp.scale).tolist()
+    sums = [[] for _ in comp.background]
+    for b, f, dom in zip(comp.index.bins.tolist(), comp.factor.tolist(),
+                         comp.dominant.tolist()):
+        sums[b].append(f * dom)
+    return [bg + sc * sum(keys) if keys else bg for bg, sc, keys
+            in zip(comp.background.tolist(), scale, sums)]
+
+
+def assert_per_key_equal(out, expect):
+    """Background, NDV and each key's mass bit for bit; bin totals by the
+    rule of `assert_bin_totals` against the scale applied after a key-order
+    sum, and to 1e-12 against the per-key composite's."""
+    for got, want in [(out.background, expect.background),
+                      (out.ndv, expect.ndv), (out.mass, expect.mass)]:
+        assert got.tobytes() == want.tobytes()
+    totals = out.bin_totals().tolist()
+    assert_bin_totals(out.index, totals, scaled_sums(out))
+    assert totals == pytest.approx(expect.bin_totals().tolist(), rel=1e-12,
+                                   abs=0)
+
+
+class TestPerBinOperands:
+    """Star folds over translated children, which are per bin only, against
+    the same fold over their per-key (materialised) form, the algebra that
+    spreads each BAC onto every key."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(fold=star_folds())
+    def test_fold_matches_materialised_reference(self, fold):
+        comps, refs = zip(*fold)
+        out = join_star_group(list(comps))
+        assert_per_key_equal(
+            out, join_star_group([materialised(c) for c in comps]))
+        expect = refs[0]
+        for ref in refs[1:]:
+            expect = ref_join(expect, ref)
+        assert_matches(out, expect)
+        assert out.per_bin == all(c.per_bin for c in comps)
+
+    SQL = ("SELECT COUNT(*) FROM b1, b2, c1, c2 WHERE b1.k = b2.k "
+           "AND b1.p = c1.p AND b2.q = c2.q")
+
+    @pytest.mark.parametrize("top_k", [0, 2, 50])
+    def test_group_of_bridges_only(self, monkeypatch, top_k):
+        """The root group's every member bridges to a child, so its fold
+        sees only per-bin operands: it gives what the per-key fold gives."""
+        cols = {"b1": ["k", "p"], "b2": ["k", "q"], "c1": ["p"],
+                "c2": ["q"]}
+        schema = schema_from_document({
+            "tables": [{"name": t, "file": f"{t}.csv", "columns": [
+                {"name": c, "kind": "integer"} for c in cs]}
+                for t, cs in cols.items()],
+            "foreign_keys": [{"from": "b2.k", "to": "b1.k"},
+                             {"from": "c1.p", "to": "b1.p"},
+                             {"from": "c2.q", "to": "b2.q"}]})
+        rng = np.random.default_rng(top_k)
+        tables = {t: make_table(t, {c: rng.zipf(1.5, 300).clip(1, 40)
+                                    .tolist() for c in cs})
+                  for t, cs in cols.items()}
+        state = build_state(schema, tables,
+                            BuildConfig(bin_count=4, top_k=top_k))
+        query = bind(parse_sql(self.SQL), state.schema)
+        plan = decompose(query, state.column_domain)
+        assert plan.root.members == [] and len(plan.root.children) == 2
+        root = run_plan(state, query, plan)[plan.root.domain_id]
+        assert root.per_bin
+        from tkhist import estimator
+        monkeypatch.setattr(estimator, "chain_translate",
+                            lambda *args: materialised(chain_translate(*args)))
+        expect = run_plan(state, query, plan)[plan.root.domain_id]
+        assert not expect.per_bin
+        assert_per_key_equal(root, expect)
+        assert estimate(self.SQL, state).estimate == expect.total()
 
 
 def mixed_kind_schema():
