@@ -84,8 +84,8 @@ def _iqr(values: list[float]) -> float:
 
 def summarise(runs: list[dict], benchmark: dict) -> dict:
     """Per seed with a pair of runs, workload and end-to-end metric, each
-    side's median and IQR and the rounds the change won; per side, workload and gate, the
-    runs that passed it, and every failed gate."""
+    side's median and IQR and the rounds the change won; per side, workload
+    and gate, the runs that passed it; and every failed gate."""
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     by = {(r["side"], r["seed"], r["round"]): r["workloads"] for r in runs}
     seeds = sorted({r["seed"] for r in runs})
@@ -131,11 +131,17 @@ def summarise(runs: list[dict], benchmark: dict) -> dict:
     return {"metrics": summary, "gates": gates, "failed_gates": failed}
 
 
+def _move_text(move: float) -> str:
+    if move == 0:
+        return "unchanged"
+    return f"{abs(move):.1%} {'worse' if move > 0 else 'better'}"
+
+
 def compare_lines(bench: dict, benchmark: dict) -> tuple[list[str], bool]:
-    """One line per seed, workload and metric: the medians, the move (a
-    positive move is worse), the bound and the rounds won; and whether
-    every move is inside its bound, every gate passed and the change's
-    error rate is not above the parent's."""
+    """One line per seed, workload and metric: the medians, the move as a
+    share of the parent's median, worse or better, the bound and the
+    rounds won; and whether every move is inside its bound, every gate
+    passed and the change's error rate is not above the parent's."""
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in benchmark["end_to_end"]}
     lines, ok = [], not bench["failed_gates"]
@@ -152,7 +158,7 @@ def compare_lines(bench: dict, benchmark: dict) -> tuple[list[str], bool]:
                 ok &= inside
                 lines.append(
                     f"seed {seed} {wl} {name}: {p:.6g} -> {c:.6g} "
-                    f"({move:+.1%} worse, bound {bound:.0%}) "
+                    f"({_move_text(move)}, bound {bound:.0%}) "
                     f"{'ok' if inside else 'PAST BOUND'}, change won "
                     f"{m['change_won']}/{m['rounds']}, parent IQR "
                     f"{m['parent_iqr']:.3g}")

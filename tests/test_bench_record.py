@@ -86,8 +86,8 @@ def test_compare_flags_a_move_past_its_bound():
         bench_record.summarise(runs, BENCHMARK), BENCHMARK)
     assert not ok
     assert lines[0].startswith("seed 1 w estimate_ms_p50: 1 -> 1.2 "
-                               "(+20.0% worse, bound 25%) ok")
-    assert "(+30.0% worse, bound 25%) PAST BOUND" in lines[1]
+                               "(20.0% worse, bound 25%) ok")
+    assert "(30.0% worse, bound 25%) PAST BOUND" in lines[1]
     runs[1] = canned_run("change", 1, 0, 0.8, 110.0, error_rate=0.1)
     lines, ok = bench_record.compare_lines(
         bench_record.summarise(runs, BENCHMARK), BENCHMARK)

@@ -461,6 +461,9 @@ backgrounds = st.one_of(
 dominants = st.one_of(st.dictionaries(st.integers(0, 10), masses, max_size=6),
                       st.dictionaries(st.integers(0, 10), st.integers(1, 1000),
                                       max_size=6))
+# a translated bin: mass and the bridge's NDV, or neither
+translated_bins = st.one_of(st.just((0.0, 0.0)),
+                            st.tuples(masses, st.integers(1, 50).map(float)))
 # per-bin filter fractions, zero and one among them
 fraction = st.one_of(st.just(0.0), st.just(1.0), st.floats(0, 1))
 # a member as drawn; filtered by per-bin fractions; or, as a chain
@@ -497,9 +500,10 @@ def members(draw, n_bins, count, id="t.k"):
 @st.composite
 def per_bin_child(draw, index):
     """A composite that is per bin only over `index`, as chain translation
-    gives it: each bin's BAC as its scale; with its reference bins."""
+    gives it: each bin's BAC as its scale; with its reference bins.  A bin
+    holds mass and a positive NDV, or neither, as a translated bin does."""
     n = index.domain.bin_count
-    spec = [draw(backgrounds) for _ in range(n)]
+    spec = [draw(translated_bins) for _ in range(n)]
     background, ndv = (np.array(col, dtype=np.float64) for col in zip(*spec))
     comp = CompositeHist(
         index=index, factor=index.ones, dominant=index.no_keys,
@@ -553,12 +557,15 @@ class TestAgainstPerBinReference:
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), n_bins=st.integers(1, 4),
-           per_bin=st.sampled_from([(), (0,), (1,), (0, 1)]))
-    def test_join_leaves_inputs_unchanged(self, data, n_bins, per_bin):
+           per_bin=st.sampled_from([(), (0,), (1,), (0, 1)]),
+           cached=st.booleans())
+    def test_join_leaves_inputs_unchanged(self, data, n_bins, per_bin,
+                                          cached):
         """A join writes neither operand, nor the index's shared arrays,
-        which stay read-only.  Its arrays are new, but for two: beside one
-        operand that is per bin only, it keeps the other side's key arrays
-        and the per-bin operand's scale."""
+        which stay read-only, nor a cached lift, whose arrays stay
+        read-only.  Its arrays are new, but for two: beside one operand
+        that is per bin only, it keeps the other side's key arrays and the
+        per-bin operand's scale."""
         operands = [comp for comp, _ in data.draw(members(n_bins, 2))]
         for i in per_bin:
             operands[i] = data.draw(per_bin_child(operands[i].index))[0]
@@ -566,6 +573,10 @@ class TestAgainstPerBinReference:
         index = a.index
         arrays = [(c.factor, c.dominant, c.background, c.ndv, c.scale)
                   for c in (a, b)]
+        frozen = [x for c, xs in zip((a, b), arrays)
+                  if cached and not c.per_bin for x in xs[:4]]
+        for x in frozen:  # as `identity_lift` leaves a lift it caches
+            x.flags.writeable = False
         before = [[None if x is None else x.copy() for x in xs]
                   for xs in arrays]
         out = jtkh_join(a, b)
@@ -573,8 +584,8 @@ class TestAgainstPerBinReference:
             for x, old in zip(xs, olds):
                 assert (x is None) == (old is None)
                 assert x is None or x.tobytes() == old.tobytes()
-        assert not index.ones.flags.writeable
-        assert not index.no_keys.flags.writeable
+        assert not any(x.flags.writeable
+                       for x in (index.ones, index.no_keys, *frozen))
         assert index.ones.tolist() == [1.0] * len(index.keys)
         assert not index.no_keys.any()
         keyed = [c for c in (a, b) if not c.per_bin]
@@ -711,13 +722,12 @@ class TestPerBinOperands:
         assert plan.root.members == [] and len(plan.root.children) == 2
         root = run_plan(state, query, plan)[plan.root.domain_id]
         assert root.per_bin
-        from tkhist import estimator
-        monkeypatch.setattr(estimator, "chain_translate",
+        assert estimate(self.SQL, state).estimate == root.total()
+        monkeypatch.setattr("tkhist.estimator.chain_translate",
                             lambda *args: materialised(chain_translate(*args)))
         expect = run_plan(state, query, plan)[plan.root.domain_id]
         assert not expect.per_bin
         assert_per_key_equal(root, expect)
-        assert estimate(self.SQL, state).estimate == expect.total()
 
 
 def mixed_kind_schema():
