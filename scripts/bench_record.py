@@ -20,7 +20,9 @@ and the change's median, each side's interquartile range, and the rounds in
 which the change was better than the parent run of its round (ties count
 for neither).  `--compare` prints each median's move against its
 `BENCHMARK.json` bound, and exits 1 when a move is past its bound, a gate
-failed or the change failed a larger share of operations.
+failed, a run exited non-zero or the change failed a larger share of
+operations.  The file is rewritten after every run, so that a run that
+leaves no record ends the recording with the runs before it kept.
 """
 import argparse
 import json
@@ -141,7 +143,8 @@ def compare_lines(bench: dict, benchmark: dict) -> tuple[list[str], bool]:
     """One line per seed, workload and metric: the medians, the move as a
     share of the parent's median, worse or better, the bound and the
     rounds won; and whether every move is inside its bound, every gate
-    passed and the change's error rate is not above the parent's."""
+    passed, every run exited 0 and the change's error rate is not above
+    the parent's."""
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in benchmark["end_to_end"]}
     lines, ok = [], not bench["failed_gates"]
@@ -170,10 +173,29 @@ def compare_lines(bench: dict, benchmark: dict) -> tuple[list[str], bool]:
     for f in bench["failed_gates"]:
         lines.append(f"gate FAIL {f['gate']}: {f['side']} {f['workload']} "
                      f"seed {f['seed']} round {f['round']}")
+    for r in bench["runs"]:
+        if r["exit_code"]:
+            ok = False
+            lines.append(f"run FAIL exit {r['exit_code']}: {r['side']} "
+                         f"seed {r['seed']} round {r['round']}")
     return lines, ok
 
 
+def bench_file(runs: list[dict], rounds: int, benchmark: dict) -> dict:
+    """The benchmark file of the runs made so far."""
+    ids = {side: {key: sorted({w[key] for r in runs if r["side"] == side
+                               for w in r["workloads"].values()}, key=str)
+                  for key in ("git_sha", "source_sha256")}
+           for side in SIDES}
+    return {"command": (f"python3 perfbench/run.py --workload all --seed S "
+                        f"--seconds {SECONDS} --trace 0"),
+            "seeds": list(SEEDS), "rounds": rounds, **ids,
+            **summarise(runs, benchmark), "runs": runs}
+
+
 def record(parent: str, change: str, rounds: int, out: str) -> None:
+    """Make the runs of `schedule(rounds)`, rewriting `out` after each, so
+    that a run that fails to leave a record keeps the ones before it."""
     benchmark = load_benchmark()
     checkouts = {"parent": parent, "change": change}
     runs = []
@@ -192,17 +214,10 @@ def record(parent: str, change: str, rounds: int, out: str) -> None:
                                            benchmark, since)})
         print(f"round {round_} seed {seed} {side} exit {done.returncode}",
               file=sys.stderr, flush=True)
-    ids = {side: {key: sorted({w[key] for r in runs if r["side"] == side
-                               for w in r["workloads"].values()}, key=str)
-                  for key in ("git_sha", "source_sha256")}
-           for side in SIDES}
-    bench = {"command": (f"python3 perfbench/run.py --workload all --seed S "
-                         f"--seconds {SECONDS} --trace 0"),
-             "seeds": list(SEEDS), "rounds": rounds, **ids,
-             **summarise(runs, benchmark), "runs": runs}
-    with open(out, "w", encoding="utf-8") as fh:
-        json.dump(bench, fh, indent=1)
-        fh.write("\n")
+        with open(out + ".tmp", "w", encoding="utf-8") as fh:
+            json.dump(bench_file(runs, rounds, benchmark), fh, indent=1)
+            fh.write("\n")
+        os.replace(out + ".tmp", out)
 
 
 def main(argv=None) -> int:

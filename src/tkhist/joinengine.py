@@ -24,9 +24,9 @@ rest, which can differ from a key-by-key sum in the last bit.
 
 A composite with no dominant key is per bin only: its key arrays are the
 index's shared all-ones factors and all-False flags, and its scale is each
-bin's BAC.  Chain translation returns one, and a join with one skips the
-key passes: it keeps the other side's key arrays and takes the per-bin
-operand's BAC as its scale.
+bin's BAC.  Chain translation returns one, and its join with a composite
+that is not per bin skips the key passes: it keeps the other side's key
+arrays and takes the per-bin operand's BAC as its scale.
 
 Filters and correlation-based key exclusion are applied once, when the
 estimator lifts each table's histogram; the functions here only compose
@@ -181,23 +181,22 @@ def jtkh_join(a: CompositeHist, b: CompositeHist) -> CompositeHist:
     """Bin-wise binary join of two composites over one key index: the
     factors multiply key by key and the dominance flags combine by `or`;
     a key dominant on neither side carries BAC_a * BAC_b, its joined bin's
-    BAC.  An operand that is per bin only joins by its scale alone: the
-    other side's key arrays are reused, and where that side has a scale
-    too, it is first multiplied into its factors, so that each key's mass
-    is the product of the same factors in the same order."""
+    BAC.  An operand that is per bin only, beside one that is not, joins
+    by its scale alone: the other side's key arrays are reused, and where
+    that side has a scale too, it is first multiplied into its factors, so
+    that each key's mass is the product of the same factors in the same
+    order."""
     if a.index is not b.index:
         raise DomainMismatchError(
             f"cannot join histograms over domains {a.domain.id!r} "
             f"and {b.domain.id!r}: not one key index")
-    if not (a.per_bin or b.per_bin):
-        factor = a.key_factors() * b.key_factors()
-        dominant, scale = a.dominant | b.dominant, None
-    elif a.per_bin and b.per_bin:
-        factor, dominant, scale = a.factor, a.dominant, a.scale * b.scale
-    else:
+    if a.per_bin != b.per_bin:
         by_bin, keyed = (a, b) if a.per_bin else (b, a)
         factor, dominant = keyed.key_factors(), keyed.dominant
         scale = by_bin.scale
+    else:
+        factor = a.key_factors() * b.key_factors()
+        dominant, scale = a.dominant | b.dominant, None
     return CompositeHist(
         index=a.index, factor=factor, dominant=dominant, scale=scale,
         background=selinger_bin_estimate(a.background, a.ndv,

@@ -4,6 +4,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import subprocess
 
 import pytest
 
@@ -21,8 +22,10 @@ BENCHMARK = {
 }
 
 
-def canned_run(side, seed, round_, p50, qps, gate_ok=True, error_rate=0.0):
-    return {"side": side, "seed": seed, "round": round_, "exit_code": 0,
+def canned_run(side, seed, round_, p50, qps, gate_ok=True, error_rate=0.0,
+               exit_code=0):
+    return {"side": side, "seed": seed, "round": round_,
+            "exit_code": exit_code,
             "workloads": {"w": {
                 "git_sha": side, "source_sha256": side, "correct": gate_ok,
                 "error_rate": error_rate,
@@ -83,19 +86,51 @@ def test_compare_flags_a_move_past_its_bound():
     runs = [canned_run("parent", 1, 0, 1.0, 100.0),
             canned_run("change", 1, 0, 1.2, 70.0)]
     lines, ok = bench_record.compare_lines(
-        bench_record.summarise(runs, BENCHMARK), BENCHMARK)
+        bench_record.bench_file(runs, 1, BENCHMARK), BENCHMARK)
     assert not ok
     assert lines[0].startswith("seed 1 w estimate_ms_p50: 1 -> 1.2 "
                                "(20.0% worse, bound 25%) ok")
     assert "(30.0% worse, bound 25%) PAST BOUND" in lines[1]
     runs[1] = canned_run("change", 1, 0, 0.8, 110.0, error_rate=0.1)
     lines, ok = bench_record.compare_lines(
-        bench_record.summarise(runs, BENCHMARK), BENCHMARK)
+        bench_record.bench_file(runs, 1, BENCHMARK), BENCHMARK)
     assert not ok  # a larger share of failed operations
     assert lines[-1] == "seed 1 w error_rate max: 0 -> 0.1"
     runs[1] = canned_run("change", 1, 0, 0.8, 110.0)
     assert bench_record.compare_lines(
-        bench_record.summarise(runs, BENCHMARK), BENCHMARK)[1]
+        bench_record.bench_file(runs, 1, BENCHMARK), BENCHMARK)[1]
+    runs[1] = canned_run("change", 1, 0, 0.8, 110.0, exit_code=1)
+    lines, ok = bench_record.compare_lines(
+        bench_record.bench_file(runs, 1, BENCHMARK), BENCHMARK)
+    assert not ok  # a run that exited non-zero
+    assert lines[-1] == "run FAIL exit 1: change seed 1 round 0"
+
+
+def test_record_keeps_the_runs_before_one_that_fails(tmp_path,
+                                                     monkeypatch):
+    """The file is rewritten after each run: when the third run leaves no
+    record, the first two are in it."""
+    made = []
+
+    def fake_read_run(checkout, seed, round_, benchmark, since):
+        if len(made) == 2:
+            raise SystemExit("no record from this run")
+        made.append(checkout)
+        return canned_run(checkout, seed, round_, 1.0, 1.0)["workloads"]
+
+    monkeypatch.setattr(bench_record, "load_benchmark", lambda: BENCHMARK)
+    monkeypatch.setattr(bench_record, "read_run", fake_read_run)
+    monkeypatch.setattr(bench_record.subprocess, "run",
+                        lambda *a, **k: subprocess.CompletedProcess(
+                            a, 0, stdout="ok\n", stderr=""))
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit):
+        bench_record.record("parent", "change", 2, str(out))
+    bench = json.loads(out.read_text())
+    assert [(r["side"], r["seed"]) for r in bench["runs"]] == [
+        ("parent", 1), ("change", 1)]
+    assert bench["rounds"] == 2
+    assert bench["metrics"]["1"]["w"]["estimate_ms_p50"]["rounds"] == 1
 
 
 def test_reads_the_repository_benchmark():

@@ -563,9 +563,9 @@ class TestAgainstPerBinReference:
                                           cached):
         """A join writes neither operand, nor the index's shared arrays,
         which stay read-only, nor a cached lift, whose arrays stay
-        read-only.  Its arrays are new, but for two: beside one operand
-        that is per bin only, it keeps the other side's key arrays and the
-        per-bin operand's scale."""
+        read-only.  Its arrays are new, but beside one operand that is per
+        bin only it keeps the other side's key arrays and the per-bin
+        operand's scale."""
         operands = [comp for comp, _ in data.draw(members(n_bins, 2))]
         for i in per_bin:
             operands[i] = data.draw(per_bin_child(operands[i].index))[0]
@@ -595,9 +595,6 @@ class TestAgainstPerBinReference:
             reused = keyed[0].factor, keyed[0].dominant, by_bin.scale
             assert all(x is y for x, y in zip(
                 (out.factor, out.dominant, out.scale), reused))
-        elif not keyed:
-            reused = index.ones, index.no_keys
-            assert out.per_bin
         produced = [x for x in (out.factor, out.dominant, out.background,
                                 out.ndv, out.scale)
                     if x is not None and not any(x is y for y in reused)]
@@ -693,7 +690,6 @@ class TestPerBinOperands:
         for ref in refs[1:]:
             expect = ref_join(expect, ref)
         assert_matches(out, expect)
-        assert out.per_bin == all(c.per_bin for c in comps)
 
     SQL = ("SELECT COUNT(*) FROM b1, b2, c1, c2 WHERE b1.k = b2.k "
            "AND b1.p = c1.p AND b2.q = c2.q")
@@ -721,7 +717,6 @@ class TestPerBinOperands:
         plan = decompose(query, state.column_domain)
         assert plan.root.members == [] and len(plan.root.children) == 2
         root = run_plan(state, query, plan)[plan.root.domain_id]
-        assert root.per_bin
         assert estimate(self.SQL, state).estimate == root.total()
         monkeypatch.setattr("tkhist.estimator.chain_translate",
                             lambda *args: materialised(chain_translate(*args)))
