@@ -18,14 +18,18 @@ seeds and rounds, every run's end-to-end metrics, error rate and gates, and
 per seed, workload and end-to-end metric of `BENCHMARK.json`: the parent's
 and the change's median, each side's interquartile range, and the rounds in
 which the change was better than the parent run of its round (ties count
-for neither).  `--compare` prints each median's move against its
-`BENCHMARK.json` bound, and exits 1 when a move is past its bound, a gate
+for neither).  Its `accuracy` section holds, per side, seed and workload,
+the q-error of each query shape (`shape_accuracy`) over the record's
+accuracy queries, and the rounds whose shapes read the same as the first.
+`--compare` prints each median's move against its `BENCHMARK.json` bound
+and each shape's move, and exits 1 when a move is past its bound, a gate
 failed, a run exited non-zero or the change failed a larger share of
 operations.  The file is rewritten after every run, so that a run that
 leaves no record ends the recording with the runs before it kept.
 """
 import argparse
 import json
+import math
 import os
 import shutil
 import statistics
@@ -33,7 +37,11 @@ import subprocess
 import sys
 import time
 
+import numpy as np
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
+from tkhist.queryfront import parse_sql  # noqa: E402  (the tree's own parser)
 SEEDS = (1, 7)
 SECONDS = 10
 SIDES = ("parent", "change")
@@ -73,7 +81,64 @@ def read_run(checkout: str, seed: int, round_: int, benchmark: dict,
             "correct": record["correct"],
             "error_rate": record["error_rate"],
             "metrics": {n: record["metrics"].get(n, 0.0) for n in names},
-            "gates": {g["name"]: g["ok"] for g in record["gates"]}}
+            "gates": {g["name"]: g["ok"] for g in record["gates"]},
+            "accuracy": shape_accuracy(record["accuracy"])}
+    return out
+
+
+def query_shape(sql: str) -> str:
+    """A query's shape: its table count; "one domain" when its join columns
+    form at most one connected component, else "chain"; filtered or not."""
+    query = parse_sql(sql)
+    root = {}  # join column -> a column of its component
+
+    def find(col):
+        while root.setdefault(col, col) != col:
+            col = root[col]
+        return col
+
+    for a, b in query.join_edges:
+        root[find(a)] = find(b)
+    chain = len({find(col) for col in root}) > 1
+    return (f"{len(query.aliases)} tables "
+            f"{'chain' if chain else 'one domain'} "
+            f"{'filtered' if query.predicates else 'unfiltered'}")
+
+
+def _failed(entry: dict) -> bool:
+    """No estimate, or one that is not finite or is negative."""
+    value = entry["value"]
+    return value is None or not math.isfinite(value) or value < 0
+
+
+def shape_accuracy(accuracy: list[dict]) -> dict:
+    """Per query shape of a run record's `accuracy` entries (`sql`, estimate
+    `value`, `truth`): the query count; the failed ones (`_failed`), those
+    of zero truth and those estimated 0 against a positive truth, counted
+    apart; and over the rest, the q-error's p50, p95 and max (numpy's
+    linear percentile, as perfbench reads them), the share of
+    overestimates and the variance of log10 q."""
+    groups = {}
+    for entry in accuracy:
+        groups.setdefault(query_shape(entry["sql"]), []).append(entry)
+    out = {}
+    for shape, entries in sorted(groups.items()):
+        ok = [e for e in entries if not _failed(e)]
+        scored = [e for e in ok if e["truth"] and e["value"]]
+        value = np.array([e["value"] for e in scored], dtype=np.float64)
+        truth = np.array([e["truth"] for e in scored], dtype=np.float64)
+        q = np.maximum(value / truth, truth / value)
+        out[shape] = {
+            "queries": len(entries),
+            "failed": len(entries) - len(ok),
+            "zero_truth": sum(e["truth"] == 0 for e in ok),
+            "zero_estimate": sum(e["value"] == 0 and bool(e["truth"])
+                                 for e in ok),
+            "q_p50": float(np.percentile(q, 50)) if len(q) else None,
+            "q_p95": float(np.percentile(q, 95)) if len(q) else None,
+            "q_max": float(q.max()) if len(q) else None,
+            "over_share": float(np.mean(value > truth)) if len(q) else None,
+            "log10_q_var": float(np.var(np.log10(q))) if len(q) else None}
     return out
 
 
@@ -86,13 +151,15 @@ def _iqr(values: list[float]) -> float:
 
 def summarise(runs: list[dict], benchmark: dict) -> dict:
     """Per seed with a pair of runs, workload and end-to-end metric, each
-    side's median and IQR and the rounds the change won; per side, workload
-    and gate, the runs that passed it; and every failed gate."""
+    side's median and IQR and the rounds the change won; per side, such
+    seed and workload, the shapes' accuracy of the first paired round and
+    the paired rounds that read the same; per side, workload and gate, the
+    runs that passed it; and every failed gate."""
     better = {m["name"]: m["better"] for m in benchmark["end_to_end"]}
     by = {(r["side"], r["seed"], r["round"]): r["workloads"] for r in runs}
     seeds = sorted({r["seed"] for r in runs})
     rounds = sorted({r["round"] for r in runs})
-    summary = {}
+    summary, accuracy = {}, {side: {} for side in SIDES}
     for seed in seeds:
         paired = [r for r in rounds
                   if all((s, seed, r) in by for s in SIDES)]
@@ -118,6 +185,11 @@ def summarise(runs: list[dict], benchmark: dict) -> dict:
                 rates = [by[(side, seed, r)][wl]["error_rate"]
                          for r in paired]
                 per_wl[wl][f"{side}_error_rate_max"] = max(rates)
+                shapes = [by[(side, seed, r)][wl].get("accuracy", {})
+                          for r in paired]
+                accuracy[side].setdefault(str(seed), {})[wl] = {
+                    "shapes": shapes[0], "rounds": len(paired),
+                    "rounds_alike": sum(s == shapes[0] for s in shapes)}
     gates, failed = {}, []
     for r in runs:
         for wl, result in r["workloads"].items():
@@ -130,7 +202,8 @@ def summarise(runs: list[dict], benchmark: dict) -> dict:
                     failed.append({"side": r["side"], "seed": r["seed"],
                                    "round": r["round"], "workload": wl,
                                    "gate": gate})
-    return {"metrics": summary, "gates": gates, "failed_gates": failed}
+    return {"metrics": summary, "accuracy": accuracy, "gates": gates,
+            "failed_gates": failed}
 
 
 def _move_text(move: float) -> str:
@@ -139,12 +212,43 @@ def _move_text(move: float) -> str:
     return f"{abs(move):.1%} {'worse' if move > 0 else 'better'}"
 
 
+def _shape_text(stats: dict | None) -> str:
+    if stats is None:
+        return "absent"
+    if stats["q_p50"] is None:
+        return f"{stats['queries']} queries, none scored"
+    return (f"{stats['queries']} queries, q p50 {stats['q_p50']:.4g} p95 "
+            f"{stats['q_p95']:.4g} max {stats['q_max']:.4g}, "
+            f"{stats['over_share']:.0%} over")
+
+
+def accuracy_lines(accuracy: dict) -> list[str]:
+    """One line per seed, workload and query shape: each side's q-error
+    (`_shape_text`), and one more where a side's rounds read differently."""
+    lines = []
+    for seed, per_wl in accuracy.get("parent", {}).items():
+        for wl, parent in per_wl.items():
+            change = accuracy["change"][seed][wl]
+            for shape in sorted({*parent["shapes"], *change["shapes"]}):
+                p, c = (side["shapes"].get(shape) for side in (parent,
+                                                               change))
+                lines.append(f"seed {seed} {wl} {shape}: {_shape_text(p)} "
+                             f"-> {_shape_text(c)}"
+                             + (" (unchanged)" if p == c else ""))
+            for side, acc in (("parent", parent), ("change", change)):
+                if acc["rounds_alike"] != acc["rounds"]:
+                    lines.append(f"seed {seed} {wl} {side} accuracy: "
+                                 f"{acc['rounds_alike']} of {acc['rounds']} "
+                                 f"rounds read as the first")
+    return lines
+
+
 def compare_lines(bench: dict, benchmark: dict) -> tuple[list[str], bool]:
     """One line per seed, workload and metric: the medians, the move as a
     share of the parent's median, worse or better, the bound and the
-    rounds won; and whether every move is inside its bound, every gate
-    passed, every run exited 0 and the change's error rate is not above
-    the parent's."""
+    rounds won; the shapes' `accuracy_lines`; and whether every move is
+    inside its bound, every gate passed, every run exited 0 and the
+    change's error rate is not above the parent's."""
     bounds = {m["name"]: (m["bound"], m["better"])
               for m in benchmark["end_to_end"]}
     lines, ok = [], not bench["failed_gates"]
@@ -170,6 +274,7 @@ def compare_lines(bench: dict, benchmark: dict) -> tuple[list[str], bool]:
             ok &= rates[1] <= rates[0]
             lines.append(f"seed {seed} {wl} error_rate max: "
                          f"{rates[0]:.3g} -> {rates[1]:.3g}")
+    lines += accuracy_lines(bench.get("accuracy", {}))
     for f in bench["failed_gates"]:
         lines.append(f"gate FAIL {f['gate']}: {f['side']} {f['workload']} "
                      f"seed {f['seed']} round {f['round']}")

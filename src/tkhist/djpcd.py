@@ -144,10 +144,7 @@ def _as_dtype(keys, dtype: np.dtype) -> np.ndarray:
     cast = float if dtype.kind == "f" else int
     out = []
     for key in keys:
-        try:
-            value = cast(key)
-        except (OverflowError, ValueError):  # int(inf), int(nan)
-            continue
+        value = cast(key)  # finite: `TableData` refuses inf, nulls NaN
         if value == key and (cast is float or -2 ** 63 <= value < 2 ** 63):
             out.append(value)
     return np.array(out, dtype=dtype)

@@ -5,13 +5,17 @@ left-fold of bin-wise joins over its member histograms; child groups are
 carried across their bridge tables onto the parent domain before entering the
 parent's fold.  The root group's total is the estimate.  Filters and
 correlation-based key exclusion act in one place, `_lift_alias`, which lifts
-each member's histogram without the dominant keys no filtered row can carry.
+each member's histogram without the dominant keys no filtered row can carry,
+by one test, `djpcd.Envelopes.excludes`, for a filter on the key column too.
 Keys are excluded exactly when the state holds a correlation map, which only
 a build with discovery makes.  One rule, `_bin_fractions`, turns a filter
 into per-bin fractions for a join's lift and a one-table query alike.  What
-depends on the state alone, each histogram's unfiltered lift and each
-bridge's weights, is built once per loaded state, in its `cache`; so is each
-SQL text's bound query and plan, up to PLAN_CACHE_SIZE of them.
+depends on the state alone is built here, once per loaded state, in its
+`cache` (`EstimatorState.derived`), under these keys: ("index", domain id)
+its `KeyIndex` (`key_index`), ("lift", table, key column) that histogram's
+identity lift (`lift`), ("bridge", table, source key column, target key
+column) that grid's `Bridge`, and ("plans",) a dict from SQL text to its
+bound query and plan, up to PLAN_CACHE_SIZE of them (`_bound_plan`).
 """
 from __future__ import annotations
 
@@ -24,9 +28,9 @@ import numpy as np
 from . import djpcd, oracle
 from .catalog import KIND_INTEGER, TableData, check_tables
 from .errors import EstimationError, ParseError, TKHistError
-from .joinengine import (CompositeHist, apply_filters, bridge_weights,
-                         chain_translate, composite, identity_lift,
-                         join_star_group)
+from .joinengine import (CompositeHist, KeyIndex, apply_filters,
+                         bridge_weights, chain_translate, composite,
+                         identity_lift, join_star_group)
 from .predicate import Predicate, key_bin_fractions, matches, selectivity_2d
 from .queryfront import (PlanGroup, Query, SubQueryPlan, bind, decompose,
                          parse_sql)
@@ -84,12 +88,21 @@ def ratio(estimate: float, truth: float) -> float:
 # ---------------------------------------------------------------------------
 # plan evaluation
 
+def key_index(state: EstimatorState, domain_id: str) -> KeyIndex:
+    """The key index over the containers of the domain's histograms, built
+    once per loaded state."""
+    return state.derived(("index", domain_id), lambda: KeyIndex(
+        state.domains[domain_id],
+        {name: h.topk_keys for name, h in state.hists1d.items()
+         if state.column_domain[".".join(name)] == domain_id}))
+
+
 def lift(state: EstimatorState, table: str, key_col: str) -> CompositeHist:
     """The identity lift of `table`'s `key_col` histogram over its domain's
     key index, built once per loaded state and shared (read-only)."""
     def build():
         hist = state.hists1d[(table, key_col)]
-        return identity_lift(hist, state.key_index(hist.domain.id),
+        return identity_lift(hist, key_index(state, hist.domain.id),
                              (table, key_col))
     return state.derived(("lift", table, key_col), build)
 
@@ -128,12 +141,12 @@ def _lift_alias(state: EstimatorState, query: Query, alias: str,
     for pred in (p for p in query.predicates
                  if p.column.split(".", 1)[0] == alias):
         if pred.column.split(".", 1)[1] == key_col:
-            # exact on dominant keys, interpolated on the background
+            # exact on dominant keys, interpolated on the background; a
+            # key's envelope in its own column is the key itself
             keep = comp.dominant.copy() if keep is None else keep
             held = np.flatnonzero(keep)
-            miss = np.fromiter((not matches(pred, k)
-                                for k in comp.index.keys[held].tolist()),
-                               dtype=bool, count=len(held))
+            keys = comp.index.keys[held]
+            miss = djpcd.Envelopes(keys, keys, keys).excludes(pred)
             keep[held[miss]] = False
         frac = _bin_fractions(state, table, key_col, pred)
         sel = frac if sel is None else sel * frac
@@ -184,7 +197,7 @@ def _eval_group(state: EstimatorState, query: Query, group: PlanGroup,
         bridge = state.derived(("bridge", *grid), lambda: bridge_weights(
             state.hists2d[grid], state.hists1d[(grid[0], grid[2])]))
         factors.append(chain_translate(child, bridge,
-                                       state.key_index(group.domain_id)))
+                                       key_index(state, group.domain_id)))
     composites[group.domain_id] = comp = join_star_group(factors)
     return comp
 

@@ -99,8 +99,6 @@ def selectivity_2d(hist2d: TKHist2D, pred: Predicate, integer: bool,
     """
     axis = hist2d.attr
     if isinstance(axis, KeyDomain):
-        if pred.op == "in" and any(isinstance(v, str) for v in pred.value):
-            raise TKHistError("string set predicate against numeric attribute")
         sat = key_bin_fractions(axis, pred, integer)
     else:
         sat = np.array([1.0 if matches(pred, v) else 0.0 for v in axis])

@@ -24,10 +24,10 @@ The file stores only what the data decided; loading derives the rest:
 domain members from the schema, every bin count from `config.bin_count`, a
 histogram's domain from the key column in its name, a column's class from
 whether it has a `freq` entry, and each attribute axis by `_attr_axis`, the
-rule that also picks it at build: a key column's domain, a categorical
-column's sorted `freq` values, or else a domain of no members over the
-`lo` and `hi` that the 2D entry writes.  Loading checks the type of every
-entry, the sign of every count, every length and cell, each 1D
+rule that also picks it at build and update: a key column's domain, a
+categorical column's sorted `freq` values, or else a domain of no members
+over the `lo` and `hi` that the 2D entry writes.  Loading checks the type
+of every entry, the sign of every count, every length and cell, each 1D
 histogram's arrays (`TKHist1D` checks its own), that no `freq` entry
 repeats a value, and that the document holds every required entry and no
 name that `entry_names` does not list; older versions are rejected.
@@ -62,7 +62,6 @@ from .djpcd import Envelopes
 from .errors import SchemaError, StateError, TKHistError
 from .histcore import (TKHist1D, TKHist2D, add_value_counts, axis_length,
                        build_tkhist1d, build_tkhist2d)
-from .joinengine import KeyIndex
 
 STATE_MAGIC = "TKHIST-STATE-v1"
 STATE_VERSION = 11
@@ -95,12 +94,8 @@ class EstimatorState:
     # holds that table's histograms alone, and writes the document back
     # with them (`state_to_document`); None when it holds every table's
     source: tuple[str, dict] | None = None
-    # what the estimate path derives from the state alone, by key:
-    # ("index", domain id) its joinengine.KeyIndex, ("lift", table, key
-    # column) that 1D histogram's identity lift, ("bridge", table, source
-    # key column, target key column) that 2D histogram's joinengine.Bridge,
-    # ("plans",) a dict from SQL text to its bound query and plan, at most
-    # estimator.PLAN_CACHE_SIZE of them; each built on first use by
+    # what the estimate path derives from the state alone, the entries
+    # that `estimator` lists and builds; each made on first use by
     # `derived`, never saved, and all dropped by `apply_rows`
     cache: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -110,13 +105,6 @@ class EstimatorState:
         if value is None:
             value = self.cache[key] = build()
         return value
-
-    def key_index(self, domain_id: str) -> KeyIndex:
-        """The key index over the containers of the domain's histograms."""
-        return self.derived(("index", domain_id), lambda: KeyIndex(
-            self.domains[domain_id],
-            {name: h.topk_keys for name, h in self.hists1d.items()
-             if self.column_domain[".".join(name)] == domain_id}))
 
     def key_columns(self, table: str) -> list[str]:
         tdef = self.schema.table(table)
@@ -263,12 +251,11 @@ def apply_rows(state: EstimatorState, table: str,
     A row is accepted when each of its non-null keys lies inside its key
     domain's bounds; a rejected row changes nothing.  Each histogram takes
     its accepted, non-null values in one call, a bridge's grid once for
-    both directions.  Frequency histograms count
-    first; each categorical grid then widens onto its column's sorted
-    values, as a rebuild would bin them.  A column that the batch takes to
-    `categorical_threshold` distinct values becomes numeric, as a rebuild
-    would make it (`catalog.is_categorical`): its frequency histogram goes,
-    and its grids widen onto the numeric axis over its values.  Container
+    both directions.  Frequency histograms count first; each categorical
+    column's grids then widen onto the axis that `_attr_axis` gives it, as
+    a rebuild would bin them: its sorted values, or, once the batch takes
+    it to `categorical_threshold` distinct values (`catalog.is_categorical`),
+    the numeric axis over them, its frequency histogram gone.  Container
     membership stays as built and the correlation map is not maintained;
     the state's `cache` is dropped.
     A batch that raises changes nothing: every step that can raise runs
@@ -294,15 +281,14 @@ def apply_rows(state: EstimatorState, table: str,
             continue
         fh = add_value_counts(dict(fh),
                               data.columns[cdef.name][valid[cdef.name]])
-        values = sorted(fh)
-        if catalog.is_categorical(cdef, np.asarray(values),
-                                  state.schema.categorical_threshold):
-            freq[(table, cdef.name)], axes[cdef.name] = fh, values
-        else:  # past the threshold: numeric, as a rebuild would make it
-            freq[(table, cdef.name)] = None
-            axes[cdef.name] = _attr_axis(
-                f"{table}.{cdef.name}", None, None, state.config.bin_count,
-                lambda: value_span([np.asarray(values)]))
+        values = np.asarray(sorted(fh))
+        if not catalog.is_categorical(cdef, values,
+                                      state.schema.categorical_threshold):
+            fh = None  # past the threshold: numeric, as a rebuild makes it
+        freq[(table, cdef.name)] = fh
+        axes[cdef.name] = _attr_axis(
+            f"{table}.{cdef.name}", None, fh, state.config.bin_count,
+            lambda: value_span([values]))
     state.cache.clear()  # the first change
     for key, fh in freq.items():
         if fh is None:

@@ -53,7 +53,7 @@ def test_read_run_keeps_each_record(tmp_path):
                          "correct": True, "error_rate": 0.0,
                          "metrics": {"estimate_ms_p50": 0.3,
                                      "estimate_qps": 0.0},
-                         "gates": {"exact": True}}}
+                         "gates": {"exact": True}, "accuracy": {}}}
     assert json.loads((runs / "w-s7-t0-r3.json").read_text()) == record
     later = os.path.getmtime(runs / "w-s7-t0.json") + 1
     with pytest.raises(SystemExit, match="no record from this run"):
@@ -80,6 +80,67 @@ def test_summarise_medians_iqr_wins_and_gates():
     assert out["gates"]["parent"]["w"]["exact"] == {"passed": 6, "runs": 6}
     assert out["failed_gates"] == [{"side": "change", "seed": 1, "round": 2,
                                     "workload": "w", "gate": "exact"}]
+
+
+CHAIN = ("SELECT COUNT(*) FROM t1, t2, t3 WHERE t1.k1 = t2.k1 "
+         "AND t2.k2 = t3.k2")
+STAR = "SELECT COUNT(*) FROM t1, t2, t3 WHERE t1.k1 = t2.k1 AND t3.k1 = t2.k1"
+
+
+@pytest.mark.parametrize("sql, shape", [
+    (STAR, "3 tables one domain unfiltered"),
+    (CHAIN, "3 tables chain unfiltered"),
+    (CHAIN + " AND t1.y BETWEEN 2 AND 5", "3 tables chain filtered"),
+    ("SELECT COUNT(*) FROM t1, t2 WHERE t1.y BETWEEN 1 AND 3 "
+     "AND t1.k1 = t2.k1 AND t2.y IN (1, 2)", "2 tables one domain filtered"),
+    ("SELECT COUNT(*) FROM t1 WHERE t1.y < 3", "1 tables one domain filtered"),
+])
+def test_query_shape(sql, shape):
+    """The join columns' components decide chain or one domain; a BETWEEN's
+    AND is no join."""
+    assert bench_record.query_shape(sql) == shape
+
+
+def test_shape_accuracy_counts_apart_what_has_no_q_error():
+    entries = [{"sql": CHAIN, "value": v, "truth": t} for v, t in [
+        (10.0, 1.0), (1.0, 10.0), (100.0, 1.0), (2.0, 2.0),
+        (None, 5.0), (float("nan"), 5.0), (-1.0, 5.0), (3.0, 0.0),
+        (0.0, 4.0)]]
+    entries.append({"sql": STAR, "value": 8.0, "truth": 4.0})
+    out = bench_record.shape_accuracy(entries)
+    assert list(out) == ["3 tables chain unfiltered",
+                         "3 tables one domain unfiltered"]
+    chain = out["3 tables chain unfiltered"]
+    assert chain == pytest.approx({
+        "queries": 9, "failed": 3, "zero_truth": 1, "zero_estimate": 1,
+        "q_p50": 10.0, "q_p95": 86.5, "q_max": 100.0, "over_share": 0.5,
+        "log10_q_var": 0.5})  # log10 q: 1, 1, 2, 0
+    assert out["3 tables one domain unfiltered"]["q_p50"] == 2.0
+    assert bench_record.shape_accuracy([{"sql": STAR, "value": None,
+                                         "truth": 1.0}])[
+        "3 tables one domain unfiltered"]["q_p50"] is None
+
+
+def test_accuracy_is_summarised_and_compared_by_shape():
+    def run(side, round_, value):
+        out = canned_run(side, 1, round_, 1.0, 1.0)
+        out["workloads"]["w"]["accuracy"] = bench_record.shape_accuracy(
+            [{"sql": CHAIN, "value": value, "truth": 2.0}])
+        return out
+
+    runs = [run("parent", 0, 4.0), run("change", 0, 2.0),
+            run("parent", 1, 4.0), run("change", 1, 3.0)]
+    bench = bench_record.bench_file(runs, 2, BENCHMARK)
+    parent = bench["accuracy"]["parent"]["1"]["w"]
+    assert parent["rounds"] == parent["rounds_alike"] == 2
+    assert parent["shapes"]["3 tables chain unfiltered"]["q_p50"] == 2.0
+    assert bench["accuracy"]["change"]["1"]["w"]["rounds_alike"] == 1
+    lines, ok = bench_record.compare_lines(bench, BENCHMARK)
+    assert ok  # accuracy has no bound
+    assert lines[-2:] == [
+        "seed 1 w 3 tables chain unfiltered: 1 queries, q p50 2 p95 2 max "
+        "2, 100% over -> 1 queries, q p50 1 p95 1 max 1, 0% over",
+        "seed 1 w change accuracy: 1 of 2 rounds read as the first"]
 
 
 def test_compare_flags_a_move_past_its_bound():

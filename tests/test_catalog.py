@@ -77,6 +77,11 @@ class TestSchema:
                 f"template {template}: disconnected join graph")):
             schema_from_document(doc)
 
+    def test_unknown_column_is_schema_error(self):
+        with pytest.raises(SchemaError, match=r"^table 't2' has no column "
+                           r"'zzz'$"):
+            schema_from_document(star_doc()).table("t2").column("zzz")
+
     def test_template_missing_column_rejected(self):
         doc = star_doc()
         doc["templates"] = [["t1.k=t2.zzz"]]

@@ -543,6 +543,16 @@ class TestInfCells:
         assert state.read_bytes() == before
 
 
+def _two_tables(kind="integer", **extra) -> str:
+    """A schema of tables r and s, each of columns k (of `kind`) and y,
+    joined by s.k -> r.k, with `extra` top-level entries."""
+    return json.dumps({"tables": [
+        {"name": t, "file": f"{t}.csv",
+         "columns": [{"name": "k", "kind": kind}, {"name": "y"}]}
+        for t in ("r", "s")],
+        "foreign_keys": [{"from": "s.k", "to": "r.k"}], **extra})
+
+
 class TestBadInput:
     """Malformed schemas and query literals end in `error: ...` and exit
     code 2, not in a traceback."""
@@ -575,7 +585,8 @@ class TestBadInput:
          "foreign key s.c -> r.c: key column 's.c' is categorical"),
         ({"from": "r.k", "to": "r.k"},
          "foreign key r.k -> r.k joins a column to itself"),
-    ], ids=["categorical", "self"])
+        ({"from": "s", "to": "r.k"}, "expected table.column, got 's'"),
+    ], ids=["categorical", "self", "unqualified"])
     def test_build_with_bad_foreign_key(self, tmp_path, capsys, fk, message):
         # a categorical key used to end in a bare ValueError from the
         # domain bounds; a self-FK formed no key domain
@@ -605,6 +616,49 @@ class TestBadInput:
         assert capsys.readouterr().err.startswith(
             "error: table name 'select' is a query keyword")
         assert not (tmp_path / "state.json").exists()
+
+    @pytest.mark.parametrize("schema_text, csv_text, args, message", [
+        (None, "k,y\n1,2\n", [], "cannot read schema file "),
+        ("{tables", "k,y\n1,2\n", [], "is not valid JSON"),
+        ("[]", "k,y\n1,2\n", [],
+         "schema document must be an object with a 'tables' list"),
+        (_two_tables(kind="text"), "k,y\n1,2\n", [],
+         "unknown column kind 'text'"),
+        (_two_tables(categorical_threshold=0), "k,y\n1,2\n", [],
+         "categorical_threshold must be >= 1"),
+        (_two_tables(templates=[["r.k"]]), "k,y\n1,2\n", [],
+         "template edge 'r.k' is not of the form t1.c=t2.c"),
+        (_two_tables(), None, [], "cannot read "),
+        (_two_tables(), "", [], "is empty, expected a header row"),
+        (_two_tables(), "k,y,z\n1,2,3\n", [],
+         "table 'r': undeclared column(s) ['z'] in "),
+        (_two_tables(), "k,y\n1,2\n", ["--k", "-1"], "k must be >= 0"),
+    ], ids=["schema-unreadable", "schema-not-json", "no-tables",
+            "unknown-kind", "threshold-below-1", "template-edge",
+            "csv-unreadable", "csv-empty", "csv-undeclared-column",
+            "negative-k"])
+    def test_build_refuses_bad_input(self, tmp_path, capsys, schema_text,
+                                     csv_text, args, message):
+        """r.csv holds `csv_text` (no file when None), s.csv two good rows;
+        the schema file holds `schema_text` (no file when None)."""
+        schema = tmp_path / "schema.json"
+        if schema_text is not None:
+            schema.write_text(schema_text)
+        if csv_text is not None:
+            (tmp_path / "r.csv").write_text(csv_text)
+        (tmp_path / "s.csv").write_text("k,y\n1,2\n")
+        assert main(["build", "--schema", str(schema),
+                     "--state", str(tmp_path / "state.json"), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not (tmp_path / "state.json").exists()
+
+    def test_synth_with_no_distinct_keys(self, tmp_path, capsys):
+        assert main(["synth", "--out", str(tmp_path / "b"),
+                     "--distinct", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: distinct_keys must be >= 1\n")
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("command", [
         "build", "evaluate-out", "evaluate-summary", "sweep"])

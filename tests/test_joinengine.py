@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tkhist.catalog import KeyDomain, schema_from_document
-from tkhist.errors import DomainMismatchError
+from tkhist.errors import DomainMismatchError, TKHistError
 from tkhist.estimator import _lift_alias, estimate, run_plan
 from tkhist.histcore import build_tkhist1d, build_tkhist2d
 from tkhist.joinengine import (CompositeHist, KeyIndex, apply_filters,
@@ -187,6 +187,10 @@ class TestBinJoin:
         with pytest.raises(DomainMismatchError):
             jtkh_join(a, c)  # one domain, but another key index
 
+    def test_empty_star_group_rejected(self):
+        with pytest.raises(TKHistError, match="^empty star group$"):
+            join_star_group([])
+
     def test_k0_join_equals_selinger_per_bin(self, rng):
         d = make_domain(0, 100, 8)
         va = rng.integers(0, 101, size=500)
@@ -336,7 +340,7 @@ class TestJoinMass:
         root, = roots
         assert isinstance(root.mass, np.ndarray)
         assert root.mass.dtype == np.float64
-        assert root.index is state.key_index(root.domain.id)
+        assert root.index is estimator.key_index(state, root.domain.id)
         assert len(root.mass) == len(root.index.keys)
         assert value == root.total() > 0
         assert not any("bins" in h.__dict__ for h in state.hists1d.values())

@@ -73,6 +73,11 @@ class TestMatches:
         with pytest.raises(TKHistError):
             Predicate("c", "between", (4, 2))
 
+    def test_unknown_operator_rejected(self):
+        with pytest.raises(TKHistError,
+                           match=r"^unknown predicate operator '!='$"):
+            Predicate("c", "!=", 5)
+
 
 class TestIntervals:
     def test_integer_unit_cells(self):
