@@ -230,8 +230,7 @@ def accuracy_lines(accuracy: dict) -> list[str]:
         for wl, parent in per_wl.items():
             change = accuracy["change"][seed][wl]
             for shape in sorted({*parent["shapes"], *change["shapes"]}):
-                p, c = (side["shapes"].get(shape) for side in (parent,
-                                                               change))
+                p, c = parent["shapes"].get(shape), change["shapes"].get(shape)
                 lines.append(f"seed {seed} {wl} {shape}: {_shape_text(p)} "
                              f"-> {_shape_text(c)}"
                              + (" (unchanged)" if p == c else ""))
